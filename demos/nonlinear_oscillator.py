@@ -2,9 +2,9 @@
 
 Nothing in the construction needs a linear phase. For g = x^2 + x + 1
 the solver normalizes g(0) to zero, folds the constant phase into the
-result, and proceeds as usual. The physical route collocates in x; the
-frequency route changes variables to u = g(x) and expands in a
-Chebyshev basis there. Both converge to the oracle; the moment-based
+result, and proceeds as usual. The physical route collocates on Radau
+nodes in x; the frequency route expands q1 in the Chebyshev basis
+T_k(2x/a - 1), also in x. Both converge to the oracle; the moment-based
 Filon route is unavailable here because closed-form moments need a
 linear phase, which is exactly the gap the frequency route fills.
 """

@@ -41,7 +41,6 @@ from .errors import (
     ParameterError,
 )
 from .filon import (
-    FreqBasis,
     HermiteData,
     MomentTable,
     build_hermite_data,
@@ -80,11 +79,12 @@ from .problem import (
     delta_alpha,
     f1_derivatives,
     integrand,
+    f2_problem,
     make_f1_f2,
 )
 from .quadrature import compute, quad_alg, quad_log
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Method",
@@ -107,7 +107,6 @@ __all__ = [
     "InvalidOscillatorError",
     "OscquadError",
     "ParameterError",
-    "FreqBasis",
     "HermiteData",
     "MomentTable",
     "build_hermite_data",
@@ -141,6 +140,7 @@ __all__ = [
     "f1_derivatives",
     "integrand",
     "make_f1_f2",
+    "f2_problem",
     "compute",
     "quad_alg",
     "quad_log",

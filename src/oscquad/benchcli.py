@@ -26,11 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,24 +209,19 @@ def _build_spec(args, w: float):
 
 
 class _RefCache:
-    # Per-invocation reference memo; safe under concurrent sweeps.
+    # Per-invocation reference memo.
     def __init__(self):
-        self._lock = threading.Lock()
         self._values = {}
 
     def get(self, args, w: float):
-        with self._lock:
-            if w in self._values:
-                return self._values[w]
-        spec, _ = _build_spec(args, w)
-        if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
-            entry = (reference_oracle(spec), "oracle")
-        else:
-            res = compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S)
-            entry = (res.value, f"levin-n{_REF_N}-s{_REF_S}")
-        with self._lock:
-            self._values[w] = entry
-        return entry
+        if w not in self._values:
+            spec, _ = _build_spec(args, w)
+            if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
+                self._values[w] = (reference_oracle(spec), "oracle")
+            else:
+                res = compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S)
+                self._values[w] = (res.value, f"levin-n{_REF_N}-s{_REF_S}")
+        return self._values[w]
 
 
 def _run_one(args, label: str, method_name: str, n: int, s: int, w: float, ref) -> RunRecord:
@@ -260,29 +252,9 @@ def _run_one(args, label: str, method_name: str, n: int, s: int, w: float, ref) 
     )
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("OSCQUAD_JOBS", "").strip()
-        jobs = int(raw) if raw else 1
-    if jobs < 1:
-        raise ParameterError("jobs must be at least 1")
-    return jobs
-
-
 def _emit_records(args, tasks, runner, out) -> None:
-    jobs = _jobs(args)
-    if jobs == 1 or len(tasks) <= 1:
-        records = map(runner, tasks)
-        _write_sink(args, records, out)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        records = pool.map(runner, tasks)
-        _write_sink(args, records, out)
-
-
-def _write_sink(args, records, out) -> None:
+    # Rows are computed as they are written.
+    records = map(runner, tasks)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_csv(records, fh)
@@ -374,7 +346,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, required=True, help="singularity exponent, 0<|alpha|<1")
     sub.add_argument("--s", type=int, default=0, help="asymptotic-order parameter")
     sub.add_argument("--config", help="key=value file seeding any long option")
-    sub.add_argument("--jobs", type=int, default=None, help="parallel workers (env OSCQUAD_JOBS)")
     sub.add_argument("--output", help="write CSV to this path instead of stdout")
 
 

@@ -8,23 +8,23 @@ collocate on ``npts`` modified Chebyshev-Lobatto points with multiplicities
 The Filon route interpolates the regularized amplitude f1 in the basis
 Psi = {g', g' g, g' g^2, ...} and integrates exactly against the
 generalized moments mu_j (and nu_j for the logarithmic weight).  The Levin
-route expands q1 in Chebyshev polynomials (or in powers of g, the basis
-that makes the two routes coincide for linear oscillators) and collocates
+route expands q1 in the Chebyshev polynomials T_k(2x/a - 1) and collocates
 the model ODE; all derivative conditions are generated by truncated power
 series arithmetic, which stays stable at degrees where naive
-Chebyshev-to-monomial conversion does not.
+Chebyshev-to-monomial conversion does not.  The three solves of the
+logarithmic kind share one collocation operator and one factorisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._result import Method, QuadratureResult
 from ._series import ps_mul
+from .baselines import graded_integral
 from .cheb import lobatto_grid
 from .errors import (
     CapabilityError,
@@ -32,7 +32,7 @@ from .errors import (
     FormulaMismatchError,
     ParameterError,
 )
-from .levin import tsvd_solve, upper_end_value
+from .levin import TsvdFactor, tsvd_factor, upper_end_value
 from .numkernel import (
     gamma_real,
     hyp2f2_equal,
@@ -40,10 +40,9 @@ from .numkernel import (
     neg_iw_pow,
     upper_gamma_complex,
 )
-from .problem import Amplitude, ProblemSpec, SingKind, make_f1_f2
+from .problem import Amplitude, ProblemSpec, SingKind, _factorials, f2_problem, make_f1_f2
 
 __all__ = [
-    "FreqBasis",
     "MomentTable",
     "HermiteData",
     "moments_mu",
@@ -63,11 +62,6 @@ __all__ = [
 # with npts and a loose threshold silently discards resolved directions.
 FREQ_TSVD_THRESHOLD = 1e-13
 MAX_BASIS_SIZE = 40
-
-
-class FreqBasis(Enum):
-    CHEBYSHEV = "chebyshev"
-    POWERS_OF_G = "powers-of-g"
 
 
 @dataclass(frozen=True)
@@ -124,29 +118,6 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     return mu
 
 
-def _log_moment_oracle(alpha: float, w: float, g_a: float) -> complex:
-    # Brute-force int_0^{g_a} u^alpha log(u) e^{iwu} du on a geometric mesh
-    # with oscillation-capped Gauss-Legendre panels; used only to validate
-    # the printed nu_1 closed form.
-    from scipy.special import roots_legendre
-
-    xg, wg = roots_legendre(24)
-    depth = int(60.0 / (1.0 + alpha)) + 40
-    cap = (2 * np.pi / abs(w)) / 4.0
-    pieces = []
-    for k in range(depth):
-        hi = g_a * 0.5**k
-        lo = hi / 2.0
-        nsub = max(1, int(np.ceil((hi - lo) / cap)))
-        edges = np.linspace(lo, hi, nsub + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        ww = (half[:, None] * wg[None, :]).ravel()
-        pieces.append(np.dot(ww, u**alpha * np.log(u) * np.exp(1j * w * u)))
-    return complex(np.sum(np.array(pieces)[::-1]))
-
-
 def moments_nu(
     alpha: float,
     w: float,
@@ -175,7 +146,9 @@ def moments_nu(
         - g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22
     )
     if validate:
-        oracle = _log_moment_oracle(alpha, w, g_a)
+        oracle = graded_integral(
+            lambda u: u**alpha * np.log(u) * np.exp(1j * w * u), g_a, alpha, osc_rate=abs(w)
+        )
         if abs(nu[0] - oracle) > 1e-9 * max(1.0, abs(oracle)):
             raise FormulaMismatchError(
                 f"nu_1 closed form {nu[0]!r} disagrees with quadrature oracle {oracle!r}"
@@ -212,13 +185,6 @@ def _collocation_nodes(npts: int, s: int, a: float):
     return nodes, mults
 
 
-def _factorial_ladder(m: int) -> np.ndarray:
-    out = np.ones(m)
-    for j in range(2, m):
-        out[j] = out[j - 1] * j
-    return out
-
-
 def build_hermite_data(
     spec: ProblemSpec,
     npts: int,
@@ -232,7 +198,7 @@ def build_hermite_data(
     """
     nodes, mults = _collocation_nodes(npts, s, spec.a)
     amp = amplitude if amplitude is not None else make_f1_f2(spec)[0]
-    fact = _factorial_ladder(s + 1)
+    fact = _factorials(s + 1)
     values = []
     for x, m in zip(nodes, mults):
         coeffs = amp.series_at(float(x), int(m))
@@ -260,7 +226,7 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     rows = []
     rhs = []
     jmax = int(data.mults.max()) - 1
-    fact = _factorial_ladder(jmax + 1)
+    fact = _factorials(jmax + 1)
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     for x, m, vals in zip(data.nodes, data.mults, data.values):
         gser = osc.series_at(float(x), jmax + 3)
@@ -302,19 +268,8 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     s = int(data.mults[0]) - 1
     diagnostics = {"basis_size": int(p.size)}
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        f2 = make_f1_f2(spec)[1]
-        sub = ProblemSpec(
-            amplitude=f2,
-            oscillator=spec.oscillator,
-            a=spec.a,
-            alpha=spec.alpha,
-            kind=SingKind.ALGEBRAIC,
-            w=spec.w,
-            phase_shift=1.0 + 0.0j,
-        )
-        f21, _ = make_f1_f2(sub)
-        sub_data = build_hermite_data(sub, npts, s, amplitude=f21)
-        p2 = hermite_solve(sub_data, sub)
+        sub = f2_problem(spec)
+        p2 = hermite_solve(build_hermite_data(sub, npts, s), sub)
         value = np.dot(p2, table.mu) + np.dot(p, table.nu)
         diagnostics["basis_size_f2"] = int(p2.size)
     return QuadratureResult(
@@ -343,20 +298,83 @@ def _cheb_series_table(x0: float, m: int, count: int, a: float) -> list:
     return out
 
 
-def solve_freq(
-    spec: ProblemSpec,
-    npts: int,
-    s: int,
-    rhs_series_fn: Optional[Callable] = None,
-    basis: FreqBasis = FreqBasis.CHEBYSHEV,
-    threshold: float = FREQ_TSVD_THRESHOLD,
-):
+@dataclass(frozen=True)
+class _FreqOperator:
+    """Factorised collocation operator of the frequency-space Levin route.
+
+    ``tables[l]`` holds the Taylor series (length s+2) of the basis
+    T_0..T_{M-1}(2x/a - 1) at node l, and ``gprime[l]`` that of g' (length
+    s+1).  The operator depends on (g, alpha, w, a, npts, s) only; every
+    right-hand side that shares them is solved against ``factor``.
+    """
+
+    nodes: np.ndarray
+    mults: np.ndarray
+    fact: np.ndarray
+    tables: list
+    gprime: list
+    factor: TsvdFactor
+
+    def solve(self, series) -> tuple:
+        """``(c0, q1 coefficients)`` for the right-hand side whose Taylor
+        series at node l is ``series[l]`` (length at least s+1)."""
+        rhs = []
+        for ser, mult in zip(series, self.mults):
+            ser = np.asarray(ser, dtype=complex)
+            for j in range(int(mult)):
+                rhs.append(self.fact[j] * ser[j])
+        sol = self.factor.solve(np.array(rhs))
+        return complex(sol[0]), sol[1:]
+
+    def solve_amplitude(self, amplitude: Amplitude) -> tuple:
+        """:meth:`solve` with the right-hand side ``amplitude``."""
+        m = self.fact.size
+        return self.solve([amplitude.series_at(float(x), m) for x in self.nodes])
+
+
+def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _FreqOperator:
+    # Rows: the model ODE and its first (mult - 1) derivatives at each node,
+    # applied to the unknowns (c0, q1 coefficients).
+    nodes, mults = _collocation_nodes(npts, s, spec.a)
+    M = int(mults.sum()) - 1
+    if M > MAX_BASIS_SIZE:
+        raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
+    alpha = spec.alpha
+    w = spec.w
+    fact = _factorials(s + 1)
+    rows, tables, gprime = [], [], []
+    for x, mult in zip(nodes, mults):
+        gser = spec.oscillator.series_at(float(x), s + 2)
+        gp = _series_derivative(gser)
+        gg = gser[: s + 1]
+        ggp = ps_mul(gg, gp)
+        table = _cheb_series_table(float(x), s + 2, M, spec.a)
+        images = []
+        for T in table:
+            P = T[: s + 1]
+            dP = _series_derivative(T)
+            images.append(ps_mul(gg, dP) + (1.0 + alpha) * ps_mul(gp, P) + 1j * w * ps_mul(ggp, P))
+        for j in range(int(mult)):
+            row = np.zeros(M + 1, dtype=complex)
+            row[0] = 1j * w * fact[j] * gp[j]
+            for k, wk in enumerate(images):
+                row[k + 1] = fact[j] * wk[j]
+            rows.append(row)
+        tables.append(table)
+        gprime.append(gp)
+    factor = tsvd_factor(np.array(rows), threshold)
+    return _FreqOperator(nodes=nodes, mults=mults, fact=fact, tables=tables, gprime=gprime, factor=factor)
+
+
+def solve_freq(spec: ProblemSpec, npts: int, s: int, threshold: float = FREQ_TSVD_THRESHOLD):
     """Frequency-space Levin collocation for (c0, q1).
 
-    q1 is expanded in ``M = npts - 1 + 2s`` basis functions; the model ODE
-    and its first s derivatives are collocated at the endpoints (interior
-    nodes carry single conditions).  Returns ``(c0, coeffs, diag)`` where
-    ``coeffs`` are the q1 expansion coefficients.
+    q1 is expanded in the ``M = npts - 1 + 2s`` Chebyshev polynomials
+    T_k(2x/a - 1); the model ODE and its first s derivatives are collocated
+    at the endpoints (interior nodes carry single conditions), with the
+    regularized amplitude f1 of ``spec`` on the right-hand side.  Returns
+    ``(c0, coeffs, diag)`` where ``coeffs`` are the q1 expansion
+    coefficients.
 
     Parameters
     ----------
@@ -365,89 +383,24 @@ def solve_freq(
         Number of Lobatto collocation points (the tables' n).
     s : int
         Endpoint multiplicity parameter.
-    rhs_series_fn : callable, optional
-        Local-series builder (x0, m) -> coefficients of the right-hand
-        side; defaults to the regularized amplitude f1 of ``spec``.
-    basis : FreqBasis
-        Chebyshev polynomials (default) or powers of g (the representation
-        in which the Filon equivalence is exact for linear oscillators).
     threshold : float
         Relative TSVD drop tolerance.
     """
-    nodes, mults = _collocation_nodes(npts, s, spec.a)
-    M = int(mults.sum()) - 1
-    if M > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
-    if rhs_series_fn is None:
-        rhs_series_fn = make_f1_f2(spec)[0].series_at
-    alpha = spec.alpha
-    w = spec.w
-    osc = spec.oscillator
-    jmax = s
-    fact = _factorial_ladder(jmax + 1)
-    rows = []
-    rhs = []
-    mlen = jmax + 2
-    for x, mult in zip(nodes, mults):
-        gser = osc.series_at(float(x), mlen)
-        gpser = np.append(_series_derivative(gser), 0.0)
-        fser = np.asarray(rhs_series_fn(float(x), jmax + 1), dtype=complex)
-        if basis is FreqBasis.CHEBYSHEV:
-            table = _cheb_series_table(float(x), mlen, M, spec.a)
-        else:
-            table = [np.zeros(mlen)]
-            table[0][0] = 1.0
-            for _ in range(1, M):
-                table.append(ps_mul(table[-1], gser))
-        gg = gser[: jmax + 1]
-        gp = gpser[: jmax + 1]
-        ggp = ps_mul(gg, gp)
-        for j in range(int(mult)):
-            row = np.zeros(M + 1, dtype=complex)
-            row[0] = 1j * w * fact[j] * gp[j]
-            for k in range(M):
-                P = table[k][: jmax + 1]
-                Pp = np.append(_series_derivative(table[k]), 0.0)[: jmax + 1]
-                wk = ps_mul(gg, Pp) + (1.0 + alpha) * ps_mul(gp, P) + 1j * w * ps_mul(ggp, P)
-                row[k + 1] = fact[j] * wk[j]
-            rows.append(row)
-            rhs.append(fact[j] * fser[j])
-    sol, diag = tsvd_solve(np.array(rows), np.array(rhs), threshold)
-    return complex(sol[0]), sol[1:], diag
+    f1, _ = make_f1_f2(spec)
+    op = _freq_operator(spec, npts, s, threshold)
+    c0, coeffs = op.solve_amplitude(f1)
+    return c0, coeffs, op.factor.diag
 
 
-def _end_value(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, basis: FreqBasis, rhs_end: complex):
+def _end_value(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, rhs_end: complex):
     # q1(a) of the expansion with coefficients ``coeffs``, and q(a) from
     # levin.upper_end_value with q1'(a) from the differentiated expansion.
     k = np.arange(coeffs.size)
-    if basis is FreqBasis.CHEBYSHEV:
-        cheb = np.polynomial.chebyshev
-        q1_end = complex(cheb.chebval(1.0, coeffs))
-        dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0 / spec.a
-        dq1_size = float(np.abs(coeffs) @ k**2) * 2.0 / spec.a  # T_k'(1) = k^2
-    else:
-        poly = np.polynomial.polynomial
-        g_a = spec.g_end()
-        gp_a = float(spec.oscillator.deriv1(spec.a))
-        q1_end = complex(poly.polyval(g_a, coeffs))
-        dq1_end = complex(poly.polyval(g_a, poly.polyder(coeffs))) * gp_a
-        dq1_size = float(np.abs(coeffs[1:]) @ (k[1:] * g_a ** (k[1:] - 1.0))) * gp_a
+    cheb = np.polynomial.chebyshev
+    q1_end = complex(cheb.chebval(1.0, coeffs))
+    dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0 / spec.a
+    dq1_size = float(np.abs(coeffs) @ k**2) * 2.0 / spec.a  # T_k'(1) = k^2
     return q1_end, upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size)
-
-
-def _coeff_series(coeffs: np.ndarray, basis: FreqBasis, x0: float, m: int, spec: ProblemSpec):
-    if basis is FreqBasis.CHEBYSHEV:
-        table = _cheb_series_table(x0, m, coeffs.size, spec.a)
-    else:
-        gser = spec.oscillator.series_at(x0, m)
-        table = [np.zeros(m)]
-        table[0][0] = 1.0
-        for _ in range(1, coeffs.size):
-            table.append(ps_mul(table[-1], gser))
-    out = np.zeros(m, dtype=complex)
-    for c, t in zip(coeffs, table):
-        out += c * t
-    return out
 
 
 def _alg_boundary_value(spec: ProblemSpec, c0: complex, q_end: complex) -> complex:
@@ -502,54 +455,40 @@ def quad_freq(
     spec: ProblemSpec,
     npts: int,
     s: int,
-    basis: FreqBasis = FreqBasis.CHEBYSHEV,
     threshold: float = FREQ_TSVD_THRESHOLD,
 ) -> QuadratureResult:
     """Frequency-space Levin quadrature (algebraic or logarithmic kind).
 
     The logarithmic kind performs the coupled second solve with right-hand
     side ``-q1 g'`` and adds the algebraic rule applied to the regularized
-    f2 amplitude, mirroring the physical-space assembly.
+    f2 amplitude, mirroring the physical-space assembly.  All solves share
+    one factorised operator.
     """
-    c0, coeffs, diag = solve_freq(spec, npts, s, basis=basis, threshold=threshold)
-    f1, f2 = make_f1_f2(spec)
-    q1_end, q_end = _end_value(spec, c0, coeffs, basis, f1.series_at(spec.a, 1)[0])
+    f1, _ = make_f1_f2(spec)
+    op = _freq_operator(spec, npts, s, threshold)
+    c0, coeffs = op.solve_amplitude(f1)
+    q1_end, q_end = _end_value(spec, c0, coeffs, f1.series_at(spec.a, 1)[0])
+    diag = op.factor.diag
     diagnostics = {
         "smallest_sv": diag.smallest_sv,
         "tsvd_truncated": diag.truncated,
     }
     if spec.kind is SingKind.ALGEBRAIC:
         value = _alg_boundary_value(spec, c0, q_end)
-        return QuadratureResult(
-            value=complex(value * spec.phase_shift),
-            method=Method.LEVIN_FREQ,
-            s=s,
-            n=npts,
-            diagnostics=diagnostics,
-        )
-
-    def rhs2(x0, m):
-        q1s = _coeff_series(coeffs, basis, x0, m + 1, spec)
-        gps = _series_derivative(spec.oscillator.series_at(x0, m + 1))
-        return -ps_mul(q1s[:m], gps[:m])
-
-    d0, lcoeffs, diag2 = solve_freq(spec, npts, s, rhs_series_fn=rhs2, basis=basis, threshold=threshold)
-    gp_a = float(spec.oscillator.deriv1(spec.a))
-    _, l_end = _end_value(spec, d0, lcoeffs, basis, -q1_end * gp_a)
-    sub = ProblemSpec(
-        amplitude=f2,
-        oscillator=spec.oscillator,
-        a=spec.a,
-        alpha=spec.alpha,
-        kind=SingKind.ALGEBRAIC,
-        w=spec.w,
-        phase_shift=1.0 + 0.0j,
-    )
-    f21, _ = make_f1_f2(sub)
-    c0_2, coeffs_2, _ = solve_freq(sub, npts, s, rhs_series_fn=f21.series_at, basis=basis, threshold=threshold)
-    _, q_end_2 = _end_value(sub, c0_2, coeffs_2, basis, f21.series_at(sub.a, 1)[0])
-    value = _alg_boundary_value(sub, c0_2, q_end_2) + _log_boundary_value(spec, c0, d0, q_end, l_end)
-    diagnostics["smallest_sv_second"] = diag2.smallest_sv
+    else:
+        # Taylor series of q1 at each node, summed in basis order.
+        q1_series = [sum(c * T for c, T in zip(coeffs, table)) for table in op.tables]
+        rhs2 = [-ps_mul(q1s[: s + 1], gp) for q1s, gp in zip(q1_series, op.gprime)]
+        d0, lcoeffs = op.solve(rhs2)
+        gp_a = float(spec.oscillator.deriv1(spec.a))
+        _, l_end = _end_value(spec, d0, lcoeffs, -q1_end * gp_a)
+        sub = f2_problem(spec)
+        f21, _ = make_f1_f2(sub)
+        c0_2, coeffs_2 = op.solve_amplitude(f21)
+        _, q_end_2 = _end_value(sub, c0_2, coeffs_2, f21.series_at(sub.a, 1)[0])
+        value = _alg_boundary_value(sub, c0_2, q_end_2) + _log_boundary_value(spec, c0, d0, q_end, l_end)
+        # The second solve shares the operator, so its spectrum is the same.
+        diagnostics["smallest_sv_second"] = diag.smallest_sv
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.LEVIN_FREQ,

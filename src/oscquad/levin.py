@@ -11,7 +11,9 @@ origin; the condition at x=0 replaces q1(0) by the extrapolation
 r^T q1 through the grid's origin weights.  The resulting square system is
 solved by truncated SVD, since exactly one near-null direction appears at
 large n (the discrete trace of the continuous one-parameter solution
-family).
+family).  The operator depends on (g, alpha, w, a, n) only, so the
+logarithmic kind factorises it once and applies the factors to all three of
+its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -26,12 +28,14 @@ import numpy as np
 
 from .cheb import ChebGrid, GridFamily, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import ProblemSpec, make_f1_f2
+from .problem import ProblemSpec, f2_problem, make_f1_f2
 
 __all__ = [
     "LevinSolution",
     "TsvdDiag",
+    "TsvdFactor",
     "assemble_L",
+    "tsvd_factor",
     "tsvd_solve",
     "solve_alg",
     "solve_log",
@@ -50,6 +54,27 @@ class TsvdDiag:
     smallest_sv: float
     largest_sv: float
     truncated: int
+
+
+@dataclass(frozen=True)
+class TsvdFactor:
+    """SVD ``L = U diag(S) Vh`` of a square operator and its kept directions."""
+
+    U: np.ndarray
+    S: np.ndarray
+    Vh: np.ndarray
+    keep: np.ndarray
+
+    @property
+    def diag(self) -> TsvdDiag:
+        S = self.S
+        return TsvdDiag(smallest_sv=float(S[-1]), largest_sv=float(S[0]), truncated=int((~self.keep).sum()))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Minimum-norm solution over the kept singular directions."""
+        keep = self.keep
+        coeff = (self.U.conj().T @ rhs)[keep] / self.S[keep]
+        return self.Vh.conj().T[:, keep] @ coeff
 
 
 @dataclass(frozen=True)
@@ -100,25 +125,39 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     w = spec.w
     f1, _ = make_f1_f2(spec)
     L = np.zeros((n + 1, n + 1), dtype=complex)
-    rhs = np.zeros(n + 1, dtype=complex)
     L[0, 0] = 1j * w * gp0
     L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
-    rhs[0] = complex(f1.value(0.0))
     for i in range(n):
         L[i + 1, 0] = 1j * w * gpx[i]
         L[i + 1, 1:] += gx[i] * grid.diff[i, :]
         L[i + 1, 1 + i] += (1.0 + alpha + 1j * w * gx[i]) * gpx[i]
-    rhs[1:] = np.asarray(f1.value(xs), dtype=complex)
-    return L, rhs
+    return L, _amplitude_rhs(f1, grid)
+
+
+def _amplitude_rhs(amplitude, grid: ChebGrid) -> np.ndarray:
+    # Right-hand side of an amplitude at the origin row and the interior nodes.
+    rhs = np.zeros(grid.interior.size + 1, dtype=complex)
+    rhs[0] = complex(amplitude.value(0.0))
+    rhs[1:] = np.asarray(amplitude.value(grid.interior), dtype=complex)
+    return rhs
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray, threshold: float = DEFAULT_TSVD_THRESHOLD):
     """Minimum-norm solve with singular values below ``threshold * s_max`` dropped.
 
+    :func:`tsvd_factor` followed by :meth:`TsvdFactor.solve`.
+
     Returns
     -------
     x : ndarray
     diag : TsvdDiag
+    """
+    factor = tsvd_factor(L, threshold)
+    return factor.solve(rhs), factor.diag
+
+
+def tsvd_factor(L: np.ndarray, threshold: float = DEFAULT_TSVD_THRESHOLD) -> TsvdFactor:
+    """SVD of ``L``, keeping the singular values from ``threshold * s_max`` up.
 
     Raises
     ------
@@ -132,14 +171,13 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray, threshold: float = DEFAULT_TSVD_T
     keep = S >= threshold * S[0]
     if S[0] == 0.0 or not keep.any():
         raise DegenerateSystemError("all singular values below TSVD threshold")
-    coeff = (U.conj().T @ rhs)[keep] / S[keep]
-    x = Vh.conj().T[:, keep] @ coeff
-    return x, TsvdDiag(smallest_sv=float(S[-1]), largest_sv=float(S[0]), truncated=int((~keep).sum()))
+    return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep)
 
 
-def _solution_from(L, rhs, grid, threshold) -> LevinSolution:
-    sol, diag = tsvd_solve(L, rhs, threshold)
+def _solution_from(L, factor: TsvdFactor, rhs, grid) -> LevinSolution:
+    sol = factor.solve(rhs)
     residual = float(np.abs(L @ sol - rhs).max())
+    diag = factor.diag
     return LevinSolution(
         c0=complex(sol[0]),
         q1_values=sol[1:],
@@ -166,32 +204,35 @@ def solve_alg(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHO
     """
     grid = radau_grid(n, spec.a)
     L, rhs = assemble_L(spec, grid)
-    return _solution_from(L, rhs, grid, threshold)
+    return _solution_from(L, tsvd_factor(L, threshold), rhs, grid)
 
 
 def solve_log(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHOLD):
-    """Coupled solves of the logarithmic kind.
+    """The three solves of the logarithmic kind, on one factorised operator.
 
-    The first solve is :func:`solve_alg` on f1.  The second reuses the same
+    The first solve is :func:`solve_alg` on f1.  The second uses the same
     operator with right-hand side ``-q1(x) g'(x)`` (origin row:
-    ``-q1(0) g'(0)`` with q1(0) extrapolated), yielding (d0, l1).
+    ``-q1(0) g'(0)`` with q1(0) extrapolated), yielding (d0, l1).  The third
+    is :func:`solve_alg` on the f2 sub-problem (:func:`problem.f2_problem`),
+    whose operator is the same as well.
 
     Returns
     -------
-    (LevinSolution, LevinSolution)
+    (LevinSolution, LevinSolution, LevinSolution)
     """
     grid = radau_grid(n, spec.a)
     L, rhs = assemble_L(spec, grid)
-    first = _solution_from(L, rhs, grid, threshold)
-    xs = grid.interior
-    gpx = np.asarray(spec.oscillator.deriv1(xs), dtype=float)
-    gp0 = float(spec.oscillator.series_at(0.0, 2)[1])
+    factor = tsvd_factor(L, threshold)
+    first = _solution_from(L, factor, rhs, grid)
+    xs, _, gpx, gp0 = _node_data(spec, grid)
     q1_origin = complex(np.dot(grid.origin_weights, first.q1_values))
     rhs2 = np.empty(xs.size + 1, dtype=complex)
     rhs2[0] = -q1_origin * gp0
     rhs2[1:] = -first.q1_values * gpx
-    second = _solution_from(L, rhs2, grid, threshold)
-    return first, second
+    second = _solution_from(L, factor, rhs2, grid)
+    f21, _ = make_f1_f2(f2_problem(spec))
+    f2 = _solution_from(L, factor, _amplitude_rhs(f21, grid), grid)
+    return first, second, f2
 
 
 def upper_end_value(

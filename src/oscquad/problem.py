@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +35,7 @@ __all__ = [
     "ProblemSpec",
     "build_problem",
     "make_f1_f2",
+    "f2_problem",
     "f1_derivatives",
     "delta_alpha",
     "builtin_problem",
@@ -413,6 +414,20 @@ def make_f1_f2(spec: ProblemSpec):
         return ps_mul(f.series_at(x0, m), ps_log(_ratio_series(osc, x0, m)))
 
     return f1, Amplitude(value=f2_value, series_fn=f2_series)
+
+
+def f2_problem(spec: ProblemSpec) -> ProblemSpec:
+    """Algebraic-kind sub-problem of a logarithmic-kind problem's f2 amplitude.
+
+    Singularity separation leaves ``int_0^a f2(x) x^alpha e^{iwg(x)} dx``,
+    with ``f2 = f log(x/g)`` from :func:`make_f1_f2`, to be added to the
+    logarithmic bracket.  The sub-problem shares g, a, alpha and w with
+    ``spec``, and so every collocation operator; only the amplitude differs.
+    """
+    if spec.kind is not SingKind.ALGEBRAIC_LOG:
+        raise ParameterError("f2_problem requires a logarithmic-kind problem")
+    f2 = make_f1_f2(spec)[1]
+    return replace(spec, amplitude=f2, kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

@@ -15,12 +15,13 @@ singular point.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from ._result import Method, QuadratureResult
 from .errors import CapabilityError, ParameterError
 from .filon import (
-    FreqBasis,
     _alg_boundary_value,
     _log_boundary_value,
     build_hermite_data,
@@ -28,7 +29,7 @@ from .filon import (
     quad_freq,
 )
 from .levin import LevinSolution, solve_alg, solve_log, upper_end_value
-from .problem import ProblemSpec, SingKind, make_f1_f2
+from .problem import ProblemSpec, SingKind
 
 __all__ = [
     "Method",
@@ -62,11 +63,6 @@ def _end_value_physical(spec: ProblemSpec, sol: LevinSolution) -> complex:
                            complex(row @ q1), float(np.abs(row) @ np.abs(q1)))
 
 
-def _alg_value_physical(spec: ProblemSpec, n: int):
-    sol = solve_alg(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
-    return _alg_boundary_value(spec, sol.c0, _end_value_physical(spec, sol)), sol
-
-
 def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """Quadrature for the algebraic kind.
 
@@ -91,7 +87,8 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
         raise ParameterError("s must be nonnegative")
     if s >= 1:
         return quad_freq(spec, n, s)
-    value, sol = _alg_value_physical(spec, n)
+    sol = solve_alg(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
+    value = _alg_boundary_value(spec, sol.c0, _end_value_physical(spec, sol))
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.LEVIN_PHYSICAL,
@@ -108,8 +105,9 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     (d0, l1); the value adds the boundary bracket with the logarithmic
     kernel (``filon._log_boundary_value``, from q(a) and l(a) of the two
     solves, as in :func:`quad_alg`) to the algebraic rule applied to the
-    f2 amplitude.  For s >= 1 the frequency-space path performs the analogous
-    assembly.
+    f2 amplitude, whose solve shares the operator of the other two (it
+    differs from ``spec`` in the amplitude only).  For s >= 1 the
+    frequency-space path performs the analogous assembly.
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("quad_log requires a logarithmic-kind problem")
@@ -117,24 +115,14 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
         raise ParameterError("s must be nonnegative")
     if s >= 1:
         return quad_freq(spec, n, s)
-    first, second = solve_log(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
-    f2 = make_f1_f2(spec)[1]
-    sub = ProblemSpec(
-        amplitude=f2,
-        oscillator=spec.oscillator,
-        a=spec.a,
-        alpha=spec.alpha,
-        kind=SingKind.ALGEBRAIC,
-        w=spec.w,
-        phase_shift=1.0 + 0.0j,
-    )
-    sub_value, sub_sol = _alg_value_physical(sub, n)
+    first, second, f2 = solve_log(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
+    f2_value = _alg_boundary_value(spec, f2.c0, _end_value_physical(spec, f2))
     q_end = _end_value_physical(spec, first)
     l_end = _end_value_physical(spec, second)
-    value = sub_value + _log_boundary_value(spec, first.c0, second.c0, q_end, l_end)
+    value = f2_value + _log_boundary_value(spec, first.c0, second.c0, q_end, l_end)
     diagnostics = _physical_diagnostics(first)
     diagnostics["residual_norm_second"] = second.residual_norm
-    diagnostics["residual_norm_f2"] = sub_sol.residual_norm
+    diagnostics["residual_norm_f2"] = f2.residual_norm
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.LEVIN_PHYSICAL,
@@ -167,7 +155,12 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
     ------
     CapabilityError
         For (method, spec) pairs outside the supported scope.
+    ParameterError
+        When n or s is not an integer (bool included).
     """
+    for name, value in (("n", n), ("s", s)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if method is Method.LEVIN_PHYSICAL:
         if s != 0:
             raise CapabilityError(
@@ -196,13 +189,3 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
             diagnostics={"ref_kind": "oracle"},
         )
     raise ParameterError(f"unknown method: {method!r}")
-
-
-def quad_freq_powers(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
-    """Frequency-space rule in the powers-of-g basis.
-
-    In this representation the collocation solution and the Hermite Filon
-    rule coincide exactly for linear oscillators; exposed for equivalence
-    testing.
-    """
-    return quad_freq(spec, n, s, basis=FreqBasis.POWERS_OF_G)

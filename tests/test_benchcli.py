@@ -195,14 +195,6 @@ class TestSweeps:
         strip = lambda text: re.sub(r",\d+$", ",T", text, flags=re.M)
         assert strip(out1) == strip(out2)
 
-    def test_jobs_parity(self):
-        argv = ["sweep-n", "--problem", "ex52", "--alpha", "0.5",
-                "--w", "200", "--n", "4,6,8,10", "--method", "levin"]
-        _, seq, _ = run(argv)
-        _, par, _ = run(argv + ["--jobs", "4"])
-        strip = lambda text: re.sub(r",\d+$", ",T", text, flags=re.M)
-        assert strip(seq) == strip(par)
-
 
 class TestCompare:
     def test_compare_emits_ref_kind(self):
@@ -267,14 +259,6 @@ class TestConfigAndOutput:
              "--output", "/nonexistent-dir/rows.csv"]
         )
         assert code == 5
-
-    def test_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("OSCQUAD_JOBS", "2")
-        argv = ["sweep-n", "--problem", "ex51", "--alpha", "0.5",
-                "--w", "100", "--n", "4,8", "--method", "levin"]
-        code, out, _ = run(argv)
-        assert code == 0
-        assert len(parse_csv(out)) == 2
 
 
 class TestModuleEntry:

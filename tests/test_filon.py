@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from oscquad.errors import CapabilityError
 from oscquad.filon import (
-    FreqBasis,
     build_hermite_data,
     build_moment_table,
     hermite_solve,
@@ -238,12 +237,6 @@ class TestSolveFreq:
         got = quad_freq(spec, 10, 1).value
         assert abs(got - ref) <= 1e-10 * abs(ref)
 
-    def test_power_basis_matches_chebyshev(self):
-        spec = builtin_problem("ex51", -0.5, 150.0)
-        a = quad_freq(spec, 6, 1, basis=FreqBasis.CHEBYSHEV)
-        b = quad_freq(spec, 6, 1, basis=FreqBasis.POWERS_OF_G)
-        assert abs(a.value - b.value) <= 1e-10 * max(abs(a.value), 1e-30)
-
     def test_filon_levin_equivalence(self):
         # Linear g, multiplicities all 1: the Filon value and the
         # frequency-space Levin value coincide to round-off.
@@ -251,5 +244,5 @@ class TestSolveFreq:
             spec = builtin_problem(pid, alpha, 300.0)
             data = build_hermite_data(spec, 7, 0)
             qf = quad_filon(spec, data)
-            ql = quad_freq(spec, 7, 0, basis=FreqBasis.POWERS_OF_G)
+            ql = quad_freq(spec, 7, 0)
             assert abs(qf.value - ql.value) <= 1e-11 * (1.0 + abs(ql.value))

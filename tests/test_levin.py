@@ -12,6 +12,7 @@ from oscquad.levin import (
     picard_iterate,
     solve_alg,
     solve_log,
+    tsvd_factor,
     tsvd_solve,
     upper_end_value,
 )
@@ -21,6 +22,7 @@ from oscquad.problem import (
     SingKind,
     build_problem,
     builtin_problem,
+    f2_problem,
     make_f1_f2,
 )
 
@@ -110,6 +112,17 @@ class TestTsvdSolve:
         with pytest.raises(DegenerateSystemError):
             tsvd_solve(L, np.ones(2, dtype=complex))
 
+    def test_factor_serves_every_rhs(self):
+        # One factorisation reproduces tsvd_solve bit for bit on each rhs.
+        rng = np.random.default_rng(7)
+        L = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        factor = tsvd_factor(L, 1e-13)
+        for _ in range(3):
+            b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            x, diag = tsvd_solve(L, b, 1e-13)
+            assert np.array_equal(factor.solve(b), x)
+            assert factor.diag == diag
+
     def test_high_n_spectrum_single_small_sv(self):
         # Once n over-resolves the oscillation, exactly one singular value
         # collapses and it is well separated from the bulk.
@@ -174,23 +187,32 @@ class TestSolveAlg:
 
 class TestSolveLog:
     def test_zero_amplitude(self):
-        sol1, sol2 = solve_log(zero_amplitude_spec(SingKind.ALGEBRAIC_LOG), 8)
+        sol1, sol2, _ = solve_log(zero_amplitude_spec(SingKind.ALGEBRAIC_LOG), 8)
         assert sol1.c0 == 0.0 and sol2.c0 == 0.0
         assert np.abs(sol1.q1_values).max() == 0.0
         assert np.abs(sol2.q1_values).max() == 0.0
 
     def test_residuals(self):
         spec = builtinspec = builtin_problem("ex52", 0.5, 100.0)
-        sol1, sol2 = solve_log(spec, 12)
+        sol1, sol2, _ = solve_log(spec, 12)
         assert sol1.residual_norm <= 1e-9
         assert sol2.residual_norm <= 1e-9
+
+    def test_f2_solve_is_solve_alg_of_sub_problem(self):
+        # The shared factorisation gives the f2 sub-problem's own solution.
+        spec = builtin_problem("ex53b", 0.4, 300.0)
+        _, _, sol3 = solve_log(spec, 10, threshold=1e-13)
+        ref = solve_alg(f2_problem(spec), 10, threshold=1e-13)
+        assert sol3.c0 == ref.c0
+        assert np.array_equal(sol3.q1_values, ref.q1_values)
+        assert sol3.residual_norm == ref.residual_norm
 
     def test_second_solve_consistency(self):
         # Feeding -q1 g' as a fresh algebraic problem's f1 reproduces
         # (d0, l1): same operator, same data.
         spec = builtin_problem("ex52", -0.5, 150.0)
         n = 12
-        sol1, sol2 = solve_log(spec, n)
+        sol1, sol2, _ = solve_log(spec, n)
         grid = sol1.grid
         gp = spec.oscillator.deriv1(grid.interior)
         rhs_vals = -sol1.q1_values * gp

@@ -1,9 +1,14 @@
 """Top-level quadrature assembly and method dispatch."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad.cheb
+import oscquad.filon
+import oscquad.levin
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval
@@ -17,7 +22,6 @@ from oscquad.problem import (
     build_problem,
     builtin_problem,
 )
-from oscquad.quadrature import quad_freq_powers
 
 
 def zero_spec(kind):
@@ -147,12 +151,42 @@ class TestCompute:
             assert abs(a.value - b.value) <= 1e-9 * max(abs(a.value), 1e-30)
 
 
-class TestQuadFreqPowers:
-    def test_matches_chebyshev_route(self):
-        spec = builtin_problem("ex51", 0.5, 400.0)
-        a = compute(spec, Method.LEVIN_FREQ, 8, 1)
-        b = quad_freq_powers(spec, 8, 1)
-        assert abs(a.value - b.value) <= 1e-10 * max(abs(a.value), 1e-30)
+class TestIntegerParameters:
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("n, s", [(8.0, 0), (8.5, 0), (True, 0), (8, 0.0), (8, False)])
+    def test_non_integer_refused(self, method, n, s):
+        # Refused before any work, so no TypeError or ComplexWarning escapes.
+        spec = builtin_problem("ex51", 0.5, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="must be an integer"):
+                compute(spec, method, n, s)
+
+
+class TestOneOperatorPerLevinCall:
+    @pytest.mark.parametrize(
+        "method, n, s, grid_name",
+        [(Method.LEVIN_PHYSICAL, 16, 0, "radau_grid"), (Method.LEVIN_FREQ, 8, 2, "lobatto_grid")],
+    )
+    def test_log_kind_builds_one_grid_and_one_svd(self, monkeypatch, method, n, s, grid_name):
+        # The f1 solve, the -q1 g' solve and the f2 sub-problem share one
+        # operator, so one grid is built and one SVD is taken.
+        counts = {"svd": 0, "grid": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        for module in (oscquad.cheb, oscquad.levin, oscquad.filon):
+            if hasattr(module, grid_name):
+                monkeypatch.setattr(module, grid_name, counting("grid", getattr(module, grid_name)))
+        res = compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
+        assert np.isfinite(res.value)
+        assert counts == {"svd": 1, "grid": 1}
 
 
 class TestConvergenceInN:
