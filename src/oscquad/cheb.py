@@ -11,13 +11,21 @@ variable, which sidesteps the orientation and sign ambiguities of mapping a
 reference-variable matrix.  A closed-form reference-variable matrix and the
 closed-form origin-extrapolation weights are implemented as well and checked
 against the barycentric construction at grid build time.
+
+A grid depends on (n, a) only, so :func:`radau_grid` and
+:func:`lobatto_grid` validate their arguments and then return a cached grid:
+each family keeps the last ``GRID_CACHE_SIZE`` grids built, keyed on
+``(int(n), float(a))``, and every array of a returned grid is read-only.
+The closed-form checks therefore run once per distinct grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,6 +43,10 @@ __all__ = [
     "radau_grid",
     "lobatto_grid",
 ]
+
+# Grids kept per family.  Built-in problems share a = 1 and a few n; custom
+# problems draw a fresh a, so the caches are bounded.
+GRID_CACHE_SIZE = 64
 
 
 class GridFamily(Enum):
@@ -83,11 +95,8 @@ def barycentric_weights(x: np.ndarray) -> np.ndarray:
     if n < 2:
         raise ParameterError("need at least two nodes")
     scale = (x.max() - x.min()) / 4.0
-    lam = np.empty(n)
-    idx = np.arange(n)
-    for i in range(n):
-        lam[i] = 1.0 / np.prod((x[i] - x[idx != i]) / scale)
-    return lam
+    off = ~np.eye(n, dtype=bool)
+    return 1.0 / np.prod(((x[:, None] - x[None, :]) / scale)[off].reshape(n, n - 1), axis=1)
 
 
 def barycentric_diff(x: np.ndarray) -> np.ndarray:
@@ -98,14 +107,17 @@ def barycentric_diff(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lam = barycentric_weights(x)
-    n = x.size
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (lam[j] / lam[i]) / (x[i] - x[j])
-        D[i, i] = -D[i].sum()
+    D = (lam[None, :] / lam[:, None]) / _pairwise_differences(x)
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
     return D
+
+
+def _pairwise_differences(x: np.ndarray) -> np.ndarray:
+    # x_i - x_j, with ones on the diagonal so that dividing by it is safe.
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    return dx
 
 
 def barycentric_eval(grid: ChebGrid, values, x: float) -> complex:
@@ -168,18 +180,11 @@ def radau_reference_diff(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     t = radau_reference_nodes(n)
     qp = _cheb_t_deriv(n, t) + _cheb_t_deriv(n - 1, t)
-    D = np.zeros((n, n))
-    for k in range(n):
-        for j in range(n):
-            if k == j:
-                if k == 0:
-                    D[k, j] = -n * (n - 1) / 3.0
-                else:
-                    D[k, j] = t[k] / (2.0 * (1.0 - t[k] ** 2)) + (2 * n - 1) * _cheb_t(
-                        n - 1, np.array([t[k]])
-                    )[0] / (2.0 * (1.0 - t[k] ** 2) * qp[k])
-            else:
-                D[k, j] = qp[k] / qp[j] / (t[k] - t[j])
+    D = qp[:, None] / qp[None, :] / _pairwise_differences(t)
+    k = np.arange(1, n)
+    den = 2.0 * (1.0 - t[k] ** 2)
+    D[0, 0] = -n * (n - 1) / 3.0
+    D[k, k] = t[k] / den + (2 * n - 1) * _cheb_t(n - 1, t[k]) / (den * qp[k])
     return t, D
 
 
@@ -213,6 +218,33 @@ def _validate_grid(nodes: np.ndarray, diff: np.ndarray, interior: np.ndarray) ->
         raise FormulaMismatchError(f"differentiation rows do not annihilate constants ({row_sums:.2e})")
 
 
+def _grid_key(n, a) -> tuple[int, float]:
+    # Checked before the cache lookup: hash(8.0) == hash(8), so an unchecked
+    # 8.0 would be handed the n=8 grid.
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ParameterError(f"n must be an integer, got {n!r}")
+    if n < 2:
+        raise ParameterError("n must be at least 2")
+    if isinstance(a, bool) or not isinstance(a, Real):
+        raise ParameterError(f"a must be a real number, got {a!r}")
+    a = float(a)
+    if not (math.isfinite(a) and a > 0):
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
+    return int(n), a
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # A view of the frozen array: unlike an array that owns its data, it
+    # cannot be made writeable again, so no caller can alter a cached grid.
+    arr.flags.writeable = False
+    return arr.view()
+
+
+def _read_only_grid(family: GridFamily, n: int, a: float, nodes, interior, diff, origin_weights) -> ChebGrid:
+    arrays = (nodes, interior, diff, origin_weights, barycentric_weights(nodes))
+    return ChebGrid(family, n, a, *(None if arr is None else _read_only(arr) for arr in arrays))
+
+
 def radau_grid(n: int, a: float) -> ChebGrid:
     """Modified Chebyshev-Gauss-Radau grid with the origin excluded.
 
@@ -221,25 +253,29 @@ def radau_grid(n: int, a: float) -> ChebGrid:
     n : int
         Number of Radau nodes, at least 2.
     a : float
-        Positive interval end.
+        Positive, finite interval end.
 
     Returns
     -------
     ChebGrid
         ``nodes`` = {0} followed by the ascending mapped Radau points (the
         largest equals ``a``); ``diff`` acts on the mapped points;
-        ``origin_weights`` extrapolate values there to x=0.
+        ``origin_weights`` extrapolate values there to x=0.  The grid is
+        cached per (n, a) and its arrays are read-only.
 
     Raises
     ------
+    ParameterError
+        If n is not an integer of at least 2 or a is not positive and finite.
     FormulaMismatchError
         If the barycentric construction disagrees with the closed-form
         reference matrix or origin weights beyond 1e-9.
     """
-    if n < 2:
-        raise ParameterError("n must be at least 2")
-    if not a > 0:
-        raise ParameterError("a must be positive")
+    return _radau_grid(*_grid_key(n, a))
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _radau_grid(n: int, a: float) -> ChebGrid:
     t = radau_reference_nodes(n)
     xs = a * (1.0 - t[::-1]) / 2.0
     D = barycentric_diff(xs)
@@ -258,45 +294,30 @@ def radau_grid(n: int, a: float) -> ChebGrid:
         raise FormulaMismatchError("barycentric and closed-form origin weights disagree")
     nodes = np.concatenate(([0.0], xs))
     _validate_grid(nodes, D, xs)
-    return ChebGrid(
-        family=GridFamily.RADAU_MODIFIED,
-        n=n,
-        a=float(a),
-        nodes=nodes,
-        interior=xs,
-        diff=D,
-        origin_weights=r,
-        bary_full=barycentric_weights(nodes),
-    )
+    return _read_only_grid(GridFamily.RADAU_MODIFIED, n, a, nodes, xs, D, r)
 
 
 def lobatto_grid(n: int, a: float) -> ChebGrid:
     """Modified Chebyshev-Lobatto grid with both endpoints included.
+
+    The grid is cached per (n, a) and its arrays are read-only.
 
     Parameters
     ----------
     n : int
         Lobatto index; the grid has ``n+1`` nodes a(1-cos(j pi/n))/2.
     a : float
-        Positive interval end.
+        Positive, finite interval end.
     """
-    if n < 2:
-        raise ParameterError("n must be at least 2")
-    if not a > 0:
-        raise ParameterError("a must be positive")
+    return _lobatto_grid(*_grid_key(n, a))
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _lobatto_grid(n: int, a: float) -> ChebGrid:
     j = np.arange(n + 1)
     nodes = a * (1.0 - np.cos(j * np.pi / n)) / 2.0
     nodes[0] = 0.0
     nodes[-1] = a
     D = barycentric_diff(nodes)
     _validate_grid(nodes, D, nodes)
-    return ChebGrid(
-        family=GridFamily.LOBATTO_MODIFIED,
-        n=n,
-        a=float(a),
-        nodes=nodes,
-        interior=nodes,
-        diff=D,
-        origin_weights=None,
-        bary_full=barycentric_weights(nodes),
-    )
+    return _read_only_grid(GridFamily.LOBATTO_MODIFIED, n, a, nodes, nodes, D, None)

@@ -17,6 +17,7 @@ logarithmic kind share one collocation operator and one factorisation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +63,10 @@ __all__ = [
 # with npts and a loose threshold silently discards resolved directions.
 FREQ_TSVD_THRESHOLD = 1e-13
 MAX_BASIS_SIZE = 40
+# Chebyshev Taylor tables kept, one per (node, length, basis size, a).  The
+# built-ins (a = 1) need a few hundred; the bound stops tables of one-off
+# custom a from piling up.
+SERIES_TABLE_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -281,31 +286,35 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     )
 
 
-def _cheb_series_table(x0: float, m: int, count: int, a: float) -> list:
-    # Taylor series at x0 (length m) of T_0..T_{count-1}(2x/a - 1) via the
-    # three-term recurrence carried out in series space; stable at degrees
-    # where conversion to the monomial basis is not.
+@functools.lru_cache(maxsize=SERIES_TABLE_CACHE_SIZE)
+def _cheb_series_table(x0: float, m: int, count: int, a: float) -> np.ndarray:
+    # Taylor series at x0 (length m) of T_0..T_{count-1}(2x/a - 1), one per
+    # row, via the three-term recurrence carried out in series space; stable
+    # at degrees where conversion to the monomial basis is not.  Depends on
+    # its arguments only, so it is cached and returned read-only.
     u = np.zeros(m)
     u[0] = 2.0 * x0 / a - 1.0
     if m > 1:
         u[1] = 2.0 / a
-    out = [np.zeros(m)]
-    out[0][0] = 1.0
+    out = np.zeros((count, m))
+    out[0, 0] = 1.0
     if count >= 2:
-        out.append(u.copy())
-    for _ in range(2, count):
-        out.append(2.0 * ps_mul(u, out[-1]) - out[-2])
-    return out
+        out[1] = u
+    for k in range(2, count):
+        out[k] = 2.0 * ps_mul(u, out[k - 1]) - out[k - 2]
+    out.flags.writeable = False
+    return out.view()  # a view of a frozen array cannot be made writeable again
 
 
 @dataclass(frozen=True)
 class _FreqOperator:
     """Factorised collocation operator of the frequency-space Levin route.
 
-    ``tables[l]`` holds the Taylor series (length s+2) of the basis
-    T_0..T_{M-1}(2x/a - 1) at node l, and ``gprime[l]`` that of g' (length
-    s+1).  The operator depends on (g, alpha, w, a, npts, s) only; every
-    right-hand side that shares them is solved against ``factor``.
+    ``tables[l]`` holds, one per row, the Taylor series (length s+2) of the
+    basis T_0..T_{M-1}(2x/a - 1) at node l (a shared read-only array), and
+    ``gprime[l]`` that of g' (length s+1).  The operator depends on (g,
+    alpha, w, a, npts, s) only; every right-hand side that shares them is
+    solved against ``factor``.
     """
 
     nodes: np.ndarray

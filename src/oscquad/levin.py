@@ -127,10 +127,10 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L = np.zeros((n + 1, n + 1), dtype=complex)
     L[0, 0] = 1j * w * gp0
     L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
-    for i in range(n):
-        L[i + 1, 0] = 1j * w * gpx[i]
-        L[i + 1, 1:] += gx[i] * grid.diff[i, :]
-        L[i + 1, 1 + i] += (1.0 + alpha + 1j * w * gx[i]) * gpx[i]
+    L[1:, 0] = 1j * w * gpx
+    L[1:, 1:] += gx[:, None] * grid.diff
+    rows = np.arange(1, n + 1)
+    L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gpx
     return L, _amplitude_rhs(f1, grid)
 
 

@@ -1,12 +1,15 @@
 """Grid, differentiation matrix, and barycentric interpolation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad.cheb
 from oscquad.cheb import (
+    GRID_CACHE_SIZE,
     GridFamily,
     barycentric_diff,
     barycentric_eval,
@@ -17,7 +20,60 @@ from oscquad.cheb import (
     radau_reference_diff,
     radau_reference_nodes,
 )
-from oscquad.errors import ParameterError
+from oscquad.errors import FormulaMismatchError, ParameterError
+
+
+# The loop forms the vectorised builders replaced; each must agree with them
+# bit for bit.
+def loop_barycentric_weights(x):
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    scale = (x.max() - x.min()) / 4.0
+    lam = np.empty(n)
+    idx = np.arange(n)
+    for i in range(n):
+        lam[i] = 1.0 / np.prod((x[i] - x[idx != i]) / scale)
+    return lam
+
+
+def loop_barycentric_diff(x):
+    x = np.asarray(x, dtype=float)
+    lam = loop_barycentric_weights(x)
+    n = x.size
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (lam[j] / lam[i]) / (x[i] - x[j])
+        D[i, i] = -D[i].sum()
+    return D
+
+
+def loop_radau_reference_diff(n):
+    t = radau_reference_nodes(n)
+    qp = oscquad.cheb._cheb_t_deriv(n, t) + oscquad.cheb._cheb_t_deriv(n - 1, t)
+    D = np.zeros((n, n))
+    for k in range(n):
+        for j in range(n):
+            if k == j:
+                if k == 0:
+                    D[k, j] = -n * (n - 1) / 3.0
+                else:
+                    D[k, j] = t[k] / (2.0 * (1.0 - t[k] ** 2)) + (2 * n - 1) * oscquad.cheb._cheb_t(
+                        n - 1, np.array([t[k]])
+                    )[0] / (2.0 * (1.0 - t[k] ** 2) * qp[k])
+            else:
+                D[k, j] = qp[k] / qp[j] / (t[k] - t[j])
+    return t, D
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def clear_grid_caches():
+    oscquad.cheb._radau_grid.cache_clear()
+    oscquad.cheb._lobatto_grid.cache_clear()
 
 
 class TestRadauReference:
@@ -163,3 +219,109 @@ class TestBarycentric:
         x = np.linspace(0.1, 1.0, 6)
         D = barycentric_diff(x)
         assert_allclose(D @ x**3, 3.0 * x**2, rtol=1e-10)
+
+
+class TestVectorisedBuilders:
+    A_VALUES = (1.0, 0.5, 2.0, 0.7316, 1.9)
+
+    def node_sets(self, n):
+        for a in self.A_VALUES:
+            xs = a * (1.0 - radau_reference_nodes(n)[::-1]) / 2.0
+            yield xs
+            yield np.concatenate(([0.0], xs))
+            lob = a * (1.0 - np.cos(np.arange(n + 1) * np.pi / n)) / 2.0
+            lob[0], lob[-1] = 0.0, a
+            yield lob
+
+    def test_weights_and_diff_bit_identical_to_loops(self):
+        for n in range(2, 45):
+            for x in self.node_sets(n):
+                assert same_bits(barycentric_weights(x), loop_barycentric_weights(x)), n
+                assert same_bits(barycentric_diff(x), loop_barycentric_diff(x)), n
+
+    def test_reference_diff_bit_identical_to_loops(self):
+        for n in range(2, 45):
+            t, D = radau_reference_diff(n)
+            t_loop, D_loop = loop_radau_reference_diff(n)
+            assert same_bits(t, t_loop)
+            assert same_bits(D, D_loop), n
+
+    def test_grids_bit_identical_to_loop_builds(self):
+        clear_grid_caches()
+        for n in (2, 3, 8, 17, 32, 44):
+            for a in self.A_VALUES:
+                g = radau_grid(n, a)
+                assert same_bits(g.diff, loop_barycentric_diff(g.interior))
+                assert same_bits(g.bary_full, loop_barycentric_weights(g.nodes))
+                mu = loop_barycentric_weights(g.interior) / (0.0 - g.interior)
+                assert same_bits(g.origin_weights, mu / mu.sum())
+                g = lobatto_grid(n, a)
+                assert same_bits(g.diff, loop_barycentric_diff(g.nodes))
+                assert same_bits(g.bary_full, loop_barycentric_weights(g.nodes))
+
+
+class TestGridInputGuard:
+    BAD_N = (8.0, 8.5, True, np.float64(8.0), "8", None)
+    BAD_A = (math.inf, -math.inf, math.nan, 0.0, -1.0, True, "1", 1j)
+
+    @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
+    def test_bad_inputs_refused(self, build):
+        # Refused before the cache lookup, with no warning or TypeError on
+        # the way: hash(8.0) == hash(8) would otherwise hit the n=8 grid.
+        build(8, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in self.BAD_N:
+                with pytest.raises(ParameterError, match="n must be an integer"):
+                    build(n, 1.0)
+            for a in self.BAD_A:
+                with pytest.raises(ParameterError, match="a must be"):
+                    build(8, a)
+
+    @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
+    def test_numpy_integers_accepted(self, build):
+        g = build(np.int64(8), np.float64(1.0))
+        assert type(g.n) is int and g.n == 8
+        assert type(g.a) is float
+        assert build(8, 1) is g
+
+
+class TestGridCache:
+    @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
+    def test_repeated_key_returns_same_object(self, build):
+        assert build(12, 1.0) is build(12, 1.0)
+        assert build(12, 1.0) is not build(12, 1.5)
+
+    @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
+    def test_arrays_read_only(self, build):
+        g = build(9, 1.25)
+        arrays = [g.nodes, g.interior, g.diff, g.bary_full]
+        if g.origin_weights is not None:
+            arrays.append(g.origin_weights)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    @pytest.mark.parametrize(
+        "build, cached", [(radau_grid, "_radau_grid"), (lobatto_grid, "_lobatto_grid")]
+    )
+    def test_cache_bounded(self, build, cached):
+        for k in range(GRID_CACHE_SIZE + 10):
+            build(4, 1.0 + k / 64.0)
+        assert getattr(oscquad.cheb, cached).cache_info().currsize <= GRID_CACHE_SIZE
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        # A build that fails its closed-form check raises on every call, and
+        # the key builds normally once the check passes again.
+        key = (7, 1.0 + 1.0 / 3.0)
+        closed = oscquad.cheb.radau_origin_weights_closed
+        monkeypatch.setattr(oscquad.cheb, "radau_origin_weights_closed", lambda n: closed(n) + 1.0)
+        clear_grid_caches()
+        for _ in range(2):
+            with pytest.raises(FormulaMismatchError):
+                radau_grid(*key)
+        monkeypatch.setattr(oscquad.cheb, "radau_origin_weights_closed", closed)
+        assert radau_grid(*key).n == 7

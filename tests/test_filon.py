@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad.filon
 from oscquad.errors import CapabilityError
 from oscquad.filon import (
+    SERIES_TABLE_CACHE_SIZE,
     build_hermite_data,
     build_moment_table,
     hermite_solve,
@@ -246,3 +248,45 @@ class TestSolveFreq:
             qf = quad_filon(spec, data)
             ql = quad_freq(spec, 7, 0)
             assert abs(qf.value - ql.value) <= 1e-11 * (1.0 + abs(ql.value))
+
+
+class TestChebSeriesTable:
+    table = staticmethod(oscquad.filon._cheb_series_table)
+
+    def test_matches_list_recurrence(self):
+        # The list form the 2-D table replaced, row for row and bit for bit.
+        def loop_table(x0, m, count, a):
+            u = np.zeros(m)
+            u[0] = 2.0 * x0 / a - 1.0
+            if m > 1:
+                u[1] = 2.0 / a
+            out = [np.zeros(m)]
+            out[0][0] = 1.0
+            if count >= 2:
+                out.append(u.copy())
+            for _ in range(2, count):
+                out.append(2.0 * oscquad.filon.ps_mul(u, out[-1]) - out[-2])
+            return out
+
+        for x0, m, count, a in ((0.0, 2, 5, 1.0), (0.3, 3, 12, 1.0), (1.7, 4, 33, 1.7), (0.9, 1, 2, 2.0)):
+            got = self.table(x0, m, count, a)
+            want = loop_table(x0, m, count, a)
+            assert got.shape == (count, m)
+            for row, ref in zip(got, want):
+                assert row.tobytes() == ref.tobytes()
+
+    def test_cached_and_read_only(self):
+        t = self.table(0.25, 4, 10, 1.0)
+        assert self.table(0.25, 4, 10, 1.0) is t
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            t[3][1] = 2.0
+        with pytest.raises(ValueError):
+            t.flags.writeable = True
+
+    def test_cache_bounded(self):
+        for k in range(SERIES_TABLE_CACHE_SIZE + 10):
+            self.table(k / (SERIES_TABLE_CACHE_SIZE + 10), 2, 3, 1.0)
+        assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE

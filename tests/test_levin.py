@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad.levin
 from oscquad.cheb import radau_grid
 from oscquad.errors import DegenerateSystemError, ParameterError
 from oscquad.levin import (
@@ -91,6 +92,37 @@ class TestAssembleL:
         got = L @ np.concatenate(([c0], q))
         want = np.concatenate(([origin_W], interior_W))
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+    def test_bit_identical_to_loop_form(self):
+        # The row loop that the array expressions replaced.
+        def loop_L(spec, grid):
+            _, gx, gpx, gp0 = oscquad.levin._node_data(spec, grid)
+            n, alpha, w = gx.size, spec.alpha, spec.w
+            L = np.zeros((n + 1, n + 1), dtype=complex)
+            L[0, 0] = 1j * w * gp0
+            L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
+            for i in range(n):
+                L[i + 1, 0] = 1j * w * gpx[i]
+                L[i + 1, 1:] += gx[i] * grid.diff[i, :]
+                L[i + 1, 1 + i] += (1.0 + alpha + 1j * w * gx[i]) * gpx[i]
+            return L
+
+        custom = build_problem(
+            amplitude=Amplitude.from_poly([1.0, -0.3]),
+            oscillator=Oscillator.from_poly([0.0, 0.8, 0.6]),
+            a=1.7,
+            alpha=-0.4,
+            kind=SingKind.ALGEBRAIC,
+            w=3.1e3,
+        )
+        specs = [builtin_problem(pid, alpha, w) for pid in ("ex51", "ex52", "ex53a", "ex53b")
+                 for alpha, w in ((0.5, 40.0), (-0.73, 2.2e6))] + [custom]
+        for spec in specs:
+            for n in (2, 8, 16, 33):
+                grid = radau_grid(n, spec.a)
+                L, _ = assemble_L(spec, grid)
+                assert L.tobytes() == loop_L(spec, grid).tobytes()
 
 
 class TestTsvdSolve:

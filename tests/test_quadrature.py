@@ -189,6 +189,29 @@ class TestOneOperatorPerLevinCall:
         assert counts == {"svd": 1, "grid": 1}
 
 
+class TestCachesChangeNoOutput:
+    @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+    def test_cold_and_warm_caches_agree(self, pid):
+        # Cleared caches (every grid and table built afresh) and warm ones
+        # (every lookup a hit) give the same bits.
+        calls = [(builtin_problem(pid, alpha, w), method, n, s)
+                 for alpha, w in ((0.5, 200.0), (-0.3, 4.0e5))
+                 for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 10, 2))]
+
+        def run():
+            out = []
+            for args in calls:
+                res = compute(*args)
+                out.append((repr(res.value), repr(res.diagnostics)))
+            return out
+
+        oscquad.cheb._radau_grid.cache_clear()
+        oscquad.cheb._lobatto_grid.cache_clear()
+        oscquad.filon._cheb_series_table.cache_clear()
+        cold = run()
+        assert run() == cold
+
+
 class TestConvergenceInN:
     def test_superalgebraic_decay(self):
         spec = builtin_problem("ex51", -0.5, 1000.0)
