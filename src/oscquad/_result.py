@@ -6,7 +6,7 @@ import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ParameterError
+from .errors import AccuracyError
 
 __all__ = ["Method", "QuadratureResult"]
 
@@ -32,6 +32,8 @@ class QuadratureResult:
 
     ``diagnostics`` is a flat mapping of solver-specific scalars (residual
     norms, truncation counts, kernel strategies) suitable for JSON output.
+    A non-finite value is a computation that cannot vouch for its result, so
+    it raises AccuracyError.
     """
 
     value: complex
@@ -42,4 +44,4 @@ class QuadratureResult:
 
     def __post_init__(self):
         if not cmath.isfinite(self.value):
-            raise ParameterError("quadrature value must be finite")
+            raise AccuracyError("quadrature value must be finite")

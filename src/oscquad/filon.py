@@ -11,8 +11,11 @@ generalized moments mu_j (and nu_j for the logarithmic weight).  The Levin
 route expands q1 in the Chebyshev polynomials T_k(2x/a - 1) and collocates
 the model ODE; all derivative conditions are generated by truncated power
 series arithmetic, which stays stable at degrees where naive
-Chebyshev-to-monomial conversion does not.  The three solves of the
-logarithmic kind share one collocation operator and one factorisation.
+Chebyshev-to-monomial conversion does not.  The operator rows are array
+products over the whole basis: each Taylor coefficient of the Levin images
+of T_0..T_{M-1} at a node is a few column updates of the node's cached
+Chebyshev table.  The three solves of the logarithmic kind share one
+collocation operator and one factorisation.
 """
 
 from __future__ import annotations
@@ -343,7 +346,13 @@ class _FreqOperator:
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _FreqOperator:
     # Rows: the model ODE and its first (mult - 1) derivatives at each node,
-    # applied to the unknowns (c0, q1 coefficients).
+    # applied to the unknowns (c0, q1 coefficients).  Column k + 1 holds the
+    # Levin image g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole
+    # basis at once: each Cauchy product is summed over table columns in
+    # ps_mul's order.  Only endpoint sums have more than one term; there
+    # ps_mul's dot product may fuse a multiply-add, so for a general g or a
+    # the entries can differ from it in the last bits (for a = 1 the
+    # products are exact).
     nodes, mults = _collocation_nodes(npts, s, spec.a)
     M = int(mults.sum()) - 1
     if M > MAX_BASIS_SIZE:
@@ -351,27 +360,31 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _F
     alpha = spec.alpha
     w = spec.w
     fact = _factorials(s + 1)
-    rows, tables, gprime = [], [], []
+    blocks, tables, gprime = [], [], []
     for x, mult in zip(nodes, mults):
+        m = int(mult)
         gser = spec.oscillator.series_at(float(x), s + 2)
         gp = _series_derivative(gser)
         gg = gser[: s + 1]
         ggp = ps_mul(gg, gp)
         table = _cheb_series_table(float(x), s + 2, M, spec.a)
-        images = []
-        for T in table:
-            P = T[: s + 1]
-            dP = _series_derivative(T)
-            images.append(ps_mul(gg, dP) + (1.0 + alpha) * ps_mul(gp, P) + 1j * w * ps_mul(ggp, P))
-        for j in range(int(mult)):
-            row = np.zeros(M + 1, dtype=complex)
-            row[0] = 1j * w * fact[j] * gp[j]
-            for k, wk in enumerate(images):
-                row[k + 1] = fact[j] * wk[j]
-            rows.append(row)
+        P = table[:, : s + 1]
+        dP = np.arange(1, s + 2) * table[:, 1:]
+        images = np.empty((M, m), dtype=complex)
+        for j in range(m):
+            t1, t2, t3 = np.zeros(M), np.zeros(M), np.zeros(M)
+            for i in range(j + 1):
+                t1 = t1 + gg[i] * dP[:, j - i]
+                t2 = t2 + gp[i] * P[:, j - i]
+                t3 = t3 + ggp[i] * P[:, j - i]
+            images[:, j] = t1 + (1.0 + alpha) * t2 + 1j * w * t3
+        block = np.empty((m, M + 1), dtype=complex)
+        block[:, 0] = 1j * w * fact[:m] * gp[:m]
+        block[:, 1:] = fact[:m, None] * images.T
+        blocks.append(block)
         tables.append(table)
         gprime.append(gp)
-    factor = tsvd_factor(np.array(rows), threshold)
+    factor = tsvd_factor(np.concatenate(blocks), threshold)
     return _FreqOperator(nodes=nodes, mults=mults, fact=fact, tables=tables, gprime=gprime, factor=factor)
 
 

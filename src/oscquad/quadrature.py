@@ -157,6 +157,9 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
         For (method, spec) pairs outside the supported scope.
     ParameterError
         When n or s is not an integer (bool included).
+    AccuracyError
+        When the computed value is not finite (for example the oracle near
+        alpha = -1).
     """
     for name, value in (("n", n), ("s", s)):
         if isinstance(value, bool) or not isinstance(value, Integral):

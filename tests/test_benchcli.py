@@ -141,6 +141,17 @@ class TestEval:
         )
         assert code == 3
 
+    def test_non_finite_value_exit_4(self):
+        # The oracle reference is not finite at alpha = -0.99: an accuracy
+        # failure (exit 4), not bad arguments (exit 2).
+        with np.errstate(all="ignore"):
+            code, _, err = run(
+                ["compare", "--problem", "ex51", "--alpha", "-0.99", "--s", "0",
+                 "--w", "1.0", "--n", "8"]
+            )
+        assert code == 4
+        assert "accuracy error" in err
+
     def test_oracle_cap_exit_3(self):
         code, _, _ = run(
             ["eval", "--problem", "ex51", "--alpha", "0.5",

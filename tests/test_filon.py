@@ -290,3 +290,137 @@ class TestChebSeriesTable:
         for k in range(SERIES_TABLE_CACHE_SIZE + 10):
             self.table(k / (SERIES_TABLE_CACHE_SIZE + 10), 2, 3, 1.0)
         assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE
+
+
+def _loop_operator(spec, npts, s):
+    # The per-basis-function form of the frequency-space Levin operator: three
+    # ps_mul calls per Chebyshev polynomial per node.  The array form in
+    # filon._freq_operator is checked against it.
+    filon = oscquad.filon
+    nodes, mults = filon._collocation_nodes(npts, s, spec.a)
+    M = int(mults.sum()) - 1
+    fact = filon._factorials(s + 1)
+    rows = []
+    for x, mult in zip(nodes, mults):
+        gser = spec.oscillator.series_at(float(x), s + 2)
+        gp = filon._series_derivative(gser)
+        gg = gser[: s + 1]
+        ggp = filon.ps_mul(gg, gp)
+        table = filon._cheb_series_table(float(x), s + 2, M, spec.a)
+        images = []
+        for T in table:
+            P = T[: s + 1]
+            dP = filon._series_derivative(T)
+            images.append(
+                filon.ps_mul(gg, dP)
+                + (1.0 + spec.alpha) * filon.ps_mul(gp, P)
+                + 1j * spec.w * filon.ps_mul(ggp, P)
+            )
+        for j in range(int(mult)):
+            row = np.zeros(M + 1, dtype=complex)
+            row[0] = 1j * spec.w * fact[j] * gp[j]
+            for k, wk in enumerate(images):
+                row[k + 1] = fact[j] * wk[j]
+            rows.append(row)
+    return np.array(rows)
+
+
+def _operator_term_sizes(spec, npts, s):
+    # Sum of the magnitudes of the products that make up each entry of the
+    # operator, for a round-off bound on its columns 1..M.
+    filon = oscquad.filon
+    nodes, mults = filon._collocation_nodes(npts, s, spec.a)
+    M = int(mults.sum()) - 1
+    fact = filon._factorials(s + 1)
+    rows = []
+    for x, mult in zip(nodes, mults):
+        gser = spec.oscillator.series_at(float(x), s + 2)
+        gp = np.abs(filon._series_derivative(gser))
+        gg = np.abs(gser[: s + 1])
+        ggp = np.abs(filon.ps_mul(gser[: s + 1], filon._series_derivative(gser)))
+        table = np.abs(filon._cheb_series_table(float(x), s + 2, M, spec.a))
+        for j in range(int(mult)):
+            row = np.zeros(M + 1)
+            for k, T in enumerate(table):
+                dP = filon._series_derivative(T)
+                row[k + 1] = fact[j] * sum(
+                    gg[i] * dP[j - i] + abs(1.0 + spec.alpha) * gp[i] * T[j - i] + abs(spec.w) * ggp[i] * T[j - i]
+                    for i in range(j + 1)
+                )
+            rows.append(row)
+    return np.array(rows)
+
+
+def _captured_operator(monkeypatch, spec, npts, s):
+    # The matrix _freq_operator hands to the factorisation.
+    seen = []
+    real = oscquad.filon.tsvd_factor
+
+    def capture(A, threshold):
+        seen.append(np.array(A))
+        return real(A, threshold)
+
+    monkeypatch.setattr(oscquad.filon, "tsvd_factor", capture)
+    oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestFreqOperatorRows:
+    """The operator rows are array products over the whole basis."""
+
+    @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+    def test_builtins_bit_identical_to_loop_form(self, monkeypatch, pid):
+        # For a = 1 every product summed at the endpoints is exact, so the
+        # array form reproduces the per-basis-function loop bit for bit.
+        spec = builtin_problem(pid, 0.3, 170.0)
+        for npts in (3, 5, 8, 13, 20):
+            for s in (0, 1, 2, 3):
+                if npts - 1 + 2 * s > oscquad.filon.MAX_BASIS_SIZE:
+                    continue
+                got = _captured_operator(monkeypatch, spec, npts, s)
+                want = _loop_operator(spec, npts, s)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (pid, npts, s)
+
+    @pytest.mark.parametrize("a", [0.37, 2.5])
+    def test_general_g_within_round_off_of_loop_form(self, monkeypatch, a):
+        # Inexact coefficients and a != 1: the endpoint sums round each
+        # product where the loop form's dot product may fuse them, so the
+        # entries agree to a few ulps of the sum of their term sizes.
+        eps = np.finfo(float).eps
+        for kind in (SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG):
+            spec = build_problem(
+                Amplitude.from_poly([1.0, 0.2]),
+                Oscillator.from_poly([0.0, 1.0, 0.3, 0.1]),
+                a=a,
+                alpha=-0.4,
+                kind=kind,
+                w=93.0,
+            )
+            for npts in (3, 5, 8, 13):
+                for s in (0, 1, 2, 3):
+                    got = _captured_operator(monkeypatch, spec, npts, s)
+                    want = _loop_operator(spec, npts, s)
+                    bound = 4.0 * eps * _operator_term_sizes(spec, npts, s)
+                    assert got[:, 0].tobytes() == want[:, 0].tobytes()
+                    assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= bound[:, 1:]), (a, npts, s)
+
+    def test_at_most_one_ps_mul_per_node(self, monkeypatch):
+        # g g' once per node; the images take none (the loop form takes
+        # 3 M + 1 per node).  The first call fills the Chebyshev table cache,
+        # whose misses use ps_mul for the recurrence.
+        spec = builtin_problem("ex53a", 0.5, 50.0)
+        npts, s = 9, 2
+        oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+        calls = []
+        real = oscquad.filon.ps_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
+        oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+        assert 0 < len(calls) <= npts

@@ -12,7 +12,7 @@ import oscquad.levin
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval
-from oscquad.errors import CapabilityError, ParameterError
+from oscquad.errors import AccuracyError, CapabilityError, ParameterError
 from oscquad.levin import solve_alg
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
@@ -149,6 +149,22 @@ class TestCompute:
             a = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
             b = compute(spec, Method.LEVIN_FREQ, 12, 0)
             assert abs(a.value - b.value) <= 1e-9 * max(abs(a.value), 1e-30)
+
+
+class TestNonFiniteValue:
+    """A value that is not finite is an accuracy failure, not bad input."""
+
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+    def test_result_refuses_non_finite_value(self, value):
+        with pytest.raises(AccuracyError, match="must be finite") as info:
+            QuadratureResult(value=value, method=Method.ORACLE, s=0, n=0)
+        assert not isinstance(info.value, ParameterError)
+
+    def test_oracle_near_minus_one(self):
+        # The oracle's graded rule overflows at alpha = -0.99 (ROADMAP item 6).
+        spec = builtin_problem("ex51", -0.99, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+            compute(spec, Method.ORACLE, 8, 0)
 
 
 class TestIntegerParameters:
