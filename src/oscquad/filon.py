@@ -11,11 +11,9 @@ generalized moments mu_j (and nu_j for the logarithmic weight).  The Levin
 route expands q1 in the Chebyshev polynomials T_k(2x/a - 1) and collocates
 the model ODE; all derivative conditions are generated by truncated power
 series arithmetic, which stays stable at degrees where naive
-Chebyshev-to-monomial conversion does not.  The operator rows are array
-products over the whole basis: each Taylor coefficient of the Levin images
-of T_0..T_{M-1} at a node is a few column updates of the node's cached
-Chebyshev table.  The three solves of the logarithmic kind share one
-collocation operator and one factorisation.
+Chebyshev-to-monomial conversion does not; the operator rows are array
+products over the whole basis.  The three solves of the logarithmic kind
+share one collocation operator and one factorisation.
 """
 
 from __future__ import annotations

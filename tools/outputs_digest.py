@@ -2,18 +2,17 @@
 
 From the root of a checkout of the repository:
 
-    python3 tools/outputs_digest.py --root PATH --seeds 1 2 --passes 1 2
+    python3 tools/outputs_digest.py --root PATH
 
-runs passes ``--passes`` of every workload of ``perfbench/`` for each seed in
-``--seeds``, in one process and in the benchmark's order, on the oscquad
-package under ``PATH/src`` (default: this checkout).  The workloads always
-come from this checkout's ``perfbench/``, so two checkouts are measured on
-the same operations.  Each operation prints one line: its
-``workloads.comparable`` outcome (floats through ``repr``, so any difference
-in the last bit shows) and, for point operations, the ``repr`` of the
-result's diagnostics.  The last line is the sha256 digest of the operation
-lines.  Two checkouts give bit-identical outputs when a ``diff`` of their
-printouts is empty.
+runs passes 1 and 2 of every workload of ``perfbench/`` for seeds 1 and 2,
+in one process and in the benchmark's order, on the oscquad package under
+``PATH/src`` (default: this checkout).  The workloads always come from this
+checkout's ``perfbench/``, so two checkouts are measured on the same
+operations.  Each operation prints one line: its ``workloads.comparable``
+outcome (floats through ``repr``, so any difference in the last bit shows)
+and, for point operations, the ``repr`` of the result's diagnostics.  The
+last line is the sha256 digest of the operation lines.  Two checkouts give
+bit-identical outputs when a ``diff`` of their printouts is empty.
 """
 
 from __future__ import annotations
@@ -30,29 +29,40 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import run  # noqa: E402,F401  (fixes the BLAS environment before NumPy is imported)
 import workloads as wl  # noqa: E402
 
+SEEDS = (1, 2)
+PASSES = (1, 2)
+
 
 def _outcome(oq, specs, op):
-    # A point operation is compute(...) as in workloads.run_op, whose value
-    # is the result's .value; the diagnostics come from the same call.
+    # Every operation runs through the benchmark's own workloads.run_op; a
+    # point operation's diagnostics come from the result of the compute call
+    # it makes, captured on the way.
+    results = []
+    compute = oq.compute
+
+    def capture(*args, **kwargs):
+        results.append(compute(*args, **kwargs))
+        return results[-1]
+
+    oq.compute = capture
     try:
-        if isinstance(op, wl.CliOp):
-            return repr(wl.comparable(wl.run_op(oq, specs, op)))
-        res = oq.compute(specs[op.problem], oq.Method[op.method], op.n, op.s)
-        return f"{wl.comparable(res.value)!r} {res.diagnostics!r}"
+        outcome = repr(wl.comparable(wl.run_op(oq, specs, op)))
     except Exception as exc:  # an operation that raises prints its error
         return repr(wl.comparable(exc))
+    finally:
+        oq.compute = compute
+    if isinstance(op, wl.CliOp):
+        return outcome
+    return f"{outcome} {results[-1].diagnostics!r}"
 
 
-def operation_lines(oq, workload: str, seed: int, pass_index: int, limit=None) -> list:
-    """One line per operation of pass ``pass_index`` (its first ``limit``
-    operations when given), in the order the benchmark runs them."""
+def operation_lines(oq, workload: str, seed: int, pass_index: int):
+    """One line per operation of pass ``pass_index``, yielded in the order
+    the benchmark runs them."""
     desc = wl.describe(workload, seed, pass_index)
     specs = wl.materialize(oq, desc)
-    order = desc.order if limit is None else desc.order[:limit]
-    return [
-        f"{workload} seed={seed} pass={pass_index} op={idx}: {_outcome(oq, specs, desc.ops[idx])}"
-        for idx in order
-    ]
+    for idx in desc.order:
+        yield f"{workload} seed={seed} pass={pass_index} op={idx}: {_outcome(oq, specs, desc.ops[idx])}"
 
 
 def digest(lines) -> str:
@@ -73,14 +83,12 @@ def import_program(root: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE, help="checkout whose src/ is imported")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--passes", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
     oq = import_program(args.root)
     lines = []
-    for seed in args.seeds:
+    for seed in SEEDS:
         for workload in wl.WORKLOADS:
-            for pass_index in args.passes:
+            for pass_index in PASSES:
                 for line in operation_lines(oq, workload, seed, pass_index):
                     print(line, flush=True)
                     lines.append(line)
