@@ -12,7 +12,7 @@ route expands q1 in the Chebyshev polynomials T_k(2x/a - 1) and collocates
 the model ODE; all derivative conditions are generated by truncated power
 series arithmetic, which stays stable at degrees where naive
 Chebyshev-to-monomial conversion does not; the operator rows are array
-products over the whole basis.  The three solves of the logarithmic kind
+products over the whole basis and all nodes.  The three solves of the logarithmic kind
 share one collocation operator and one factorisation.
 """
 
@@ -90,13 +90,13 @@ class MomentTable:
 class HermiteData:
     """Interpolation data for the Filon rule.
 
-    ``values[l][j]`` holds the j-th derivative of the interpolated
-    amplitude at node l, j < mults[l].
+    ``values[l, j]`` holds the j-th derivative of the interpolated
+    amplitude at node l; the conditions are those with j < mults[l].
     """
 
     nodes: np.ndarray
     mults: np.ndarray
-    values: list
+    values: np.ndarray
 
     @property
     def basis_size(self) -> int:
@@ -204,16 +204,13 @@ def build_hermite_data(
     """
     nodes, mults = _collocation_nodes(npts, s, spec.a)
     amp = amplitude if amplitude is not None else make_f1_f2(spec)[0]
-    fact = _factorials(s + 1)
-    values = []
-    for x, m in zip(nodes, mults):
-        coeffs = amp.series_at(float(x), int(m))
-        values.append(coeffs * fact[:m])
+    values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
     return HermiteData(nodes=nodes, mults=mults, values=values)
 
 
-def _series_derivative(p: np.ndarray) -> np.ndarray:
-    return np.arange(1, p.size) * p[1:]
+def _conditions(mults: np.ndarray, width: int):
+    # (node, order) of every collocation condition, node by node.
+    return np.nonzero(np.arange(width) < mults[:, None])
 
 
 def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
@@ -228,26 +225,21 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     if M1 > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
     g_a = spec.g_end()
-    osc = spec.oscillator
-    rows = []
-    rhs = []
-    jmax = int(data.mults.max()) - 1
-    fact = _factorials(jmax + 1)
+    width = int(data.mults.max())
+    fact = _factorials(width)
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
-    for x, m, vals in zip(data.nodes, data.mults, data.values):
-        gser = osc.series_at(float(x), jmax + 3)
-        gpser = _series_derivative(gser)
-        phik = gpser[: jmax + 1].astype(complex)
-        base = gser[: jmax + 1]
-        cols = np.empty((M1, jmax + 1), dtype=complex)
-        for k in range(M1):
-            cols[k] = phik
-            phik = ps_mul(phik, base)
-        for j in range(m):
-            rows.append(fact[j] * cols[:, j] * scale)
-            rhs.append(vals[j])
-    A = np.array(rows)
-    b = np.array(rhs)
+    # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
+    # per basis function covers all nodes.
+    gser = spec.oscillator.series_at(data.nodes, width + 1)
+    base = gser[:, :width]
+    phik = np.arange(1, width + 1) * gser[:, 1:]
+    cols = np.empty((M1,) + phik.shape)
+    for k in range(M1):
+        cols[k] = phik
+        phik = ps_mul(phik, base)
+    node, order = _conditions(data.mults, width)
+    A = fact[order, None] * cols[:, node, order].T * scale
+    b = data.values[node, order]
     try:
         y = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -311,42 +303,39 @@ def _cheb_series_table(x0: float, m: int, count: int, a: float) -> np.ndarray:
 class _FreqOperator:
     """Factorised collocation operator of the frequency-space Levin route.
 
-    ``tables[l]`` holds, one per row, the Taylor series (length s+2) of the
-    basis T_0..T_{M-1}(2x/a - 1) at node l (a shared read-only array), and
-    ``gprime[l]`` that of g' (length s+1).  The operator depends on (g,
-    alpha, w, a, npts, s) only; every right-hand side that shares them is
-    solved against ``factor``.
+    ``tables[k, l]`` holds the Taylor series (length s+2) of the basis
+    function T_k(2x/a - 1) at node l, and ``gprime[l]`` that of g' (length
+    s+1).  The operator depends on (g, alpha, w, a, npts, s) only; every
+    right-hand side that shares them is solved against ``factor``.
     """
 
     nodes: np.ndarray
     mults: np.ndarray
     fact: np.ndarray
-    tables: list
-    gprime: list
+    tables: np.ndarray
+    gprime: np.ndarray
     factor: TsvdFactor
 
     def solve(self, series) -> tuple:
         """``(c0, q1 coefficients)`` for the right-hand side whose Taylor
-        series at node l is ``series[l]`` (length at least s+1)."""
-        rhs = []
-        for ser, mult in zip(series, self.mults):
-            ser = np.asarray(ser, dtype=complex)
-            for j in range(int(mult)):
-                rhs.append(self.fact[j] * ser[j])
-        sol = self.factor.solve(np.array(rhs))
+        series at node l is row l of ``series`` (length s+1)."""
+        rhs = (self.fact * np.asarray(series, dtype=complex))[_conditions(self.mults, self.fact.size)]
+        sol = self.factor.solve(rhs)
         return complex(sol[0]), sol[1:]
 
     def solve_amplitude(self, amplitude: Amplitude) -> tuple:
-        """:meth:`solve` with the right-hand side ``amplitude``."""
-        m = self.fact.size
-        return self.solve([amplitude.series_at(float(x), m) for x in self.nodes])
+        """:meth:`solve` with the right-hand side ``amplitude``, plus the
+        amplitude's value at the last node, x = a."""
+        series = amplitude.series_at(self.nodes, self.fact.size)
+        return self.solve(series) + (series[-1, 0],)
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _FreqOperator:
     # Rows: the model ODE and its first (mult - 1) derivatives at each node,
     # applied to the unknowns (c0, q1 coefficients).  Column k + 1 holds the
     # Levin image g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole
-    # basis at once: each Cauchy product is summed over table columns in
+    # basis and all nodes at once (orders j > 0 of interior nodes are formed
+    # and dropped): each Cauchy product is summed over table columns in
     # ps_mul's order.  Only endpoint sums have more than one term; there
     # ps_mul's dot product may fuse a multiply-add, so for a general g or a
     # the entries can differ from it in the last bits (for a = 1 the
@@ -355,34 +344,25 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _F
     M = int(mults.sum()) - 1
     if M > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
-    alpha = spec.alpha
     w = spec.w
     fact = _factorials(s + 1)
-    blocks, tables, gprime = [], [], []
-    for x, mult in zip(nodes, mults):
-        m = int(mult)
-        gser = spec.oscillator.series_at(float(x), s + 2)
-        gp = _series_derivative(gser)
-        gg = gser[: s + 1]
-        ggp = ps_mul(gg, gp)
-        table = _cheb_series_table(float(x), s + 2, M, spec.a)
-        P = table[:, : s + 1]
-        dP = np.arange(1, s + 2) * table[:, 1:]
-        images = np.empty((M, m), dtype=complex)
-        for j in range(m):
-            t1, t2, t3 = np.zeros(M), np.zeros(M), np.zeros(M)
-            for i in range(j + 1):
-                t1 = t1 + gg[i] * dP[:, j - i]
-                t2 = t2 + gp[i] * P[:, j - i]
-                t3 = t3 + ggp[i] * P[:, j - i]
-            images[:, j] = t1 + (1.0 + alpha) * t2 + 1j * w * t3
-        block = np.empty((m, M + 1), dtype=complex)
-        block[:, 0] = 1j * w * fact[:m] * gp[:m]
-        block[:, 1:] = fact[:m, None] * images.T
-        blocks.append(block)
-        tables.append(table)
-        gprime.append(gp)
-    factor = tsvd_factor(np.concatenate(blocks), threshold)
+    gser = spec.oscillator.series_at(nodes, s + 2)
+    gg = gser[:, : s + 1]
+    gprime = np.arange(1, s + 2) * gser[:, 1:]
+    ggprime = ps_mul(gg, gprime)
+    tables = np.stack([_cheb_series_table(float(x), s + 2, M, spec.a) for x in nodes], axis=1)
+    P = tables[:, :, : s + 1]
+    dP = np.arange(1, s + 2) * tables[:, :, 1:]
+    rows = np.empty((npts, s + 1, M + 1), dtype=complex)
+    rows[:, :, 0] = 1j * w * fact * gprime
+    for j in range(s + 1):
+        t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
+        for i in range(j + 1):
+            t1 = t1 + gg[:, i] * dP[:, :, j - i]
+            t2 = t2 + gprime[:, i] * P[:, :, j - i]
+            t3 = t3 + ggprime[:, i] * P[:, :, j - i]
+        rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
+    factor = tsvd_factor(rows[_conditions(mults, s + 1)], threshold)
     return _FreqOperator(nodes=nodes, mults=mults, fact=fact, tables=tables, gprime=gprime, factor=factor)
 
 
@@ -408,7 +388,7 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int, threshold: float = FREQ_TSV
     """
     f1, _ = make_f1_f2(spec)
     op = _freq_operator(spec, npts, s, threshold)
-    c0, coeffs = op.solve_amplitude(f1)
+    c0, coeffs, _ = op.solve_amplitude(f1)
     return c0, coeffs, op.factor.diag
 
 
@@ -486,8 +466,8 @@ def quad_freq(
     """
     f1, _ = make_f1_f2(spec)
     op = _freq_operator(spec, npts, s, threshold)
-    c0, coeffs = op.solve_amplitude(f1)
-    q1_end, q_end = _end_value(spec, c0, coeffs, f1.series_at(spec.a, 1)[0])
+    c0, coeffs, f1_end = op.solve_amplitude(f1)
+    q1_end, q_end = _end_value(spec, c0, coeffs, f1_end)
     diag = op.factor.diag
     diagnostics = {
         "smallest_sv": diag.smallest_sv,
@@ -496,16 +476,16 @@ def quad_freq(
     if spec.kind is SingKind.ALGEBRAIC:
         value = _alg_boundary_value(spec, c0, q_end)
     else:
-        # Taylor series of q1 at each node, summed in basis order.
-        q1_series = [sum(c * T for c, T in zip(coeffs, table)) for table in op.tables]
-        rhs2 = [-ps_mul(q1s[: s + 1], gp) for q1s, gp in zip(q1_series, op.gprime)]
-        d0, lcoeffs = op.solve(rhs2)
+        # Taylor series of q1 at each node, summed over the basis in order
+        # (a reduction over the leading axis adds its slices one by one).
+        q1_series = (coeffs[:, None, None] * op.tables[:, :, : s + 1]).sum(axis=0)
+        d0, lcoeffs = op.solve(-ps_mul(q1_series, op.gprime))
         gp_a = float(spec.oscillator.deriv1(spec.a))
         _, l_end = _end_value(spec, d0, lcoeffs, -q1_end * gp_a)
         sub = f2_problem(spec)
         f21, _ = make_f1_f2(sub)
-        c0_2, coeffs_2 = op.solve_amplitude(f21)
-        _, q_end_2 = _end_value(sub, c0_2, coeffs_2, f21.series_at(sub.a, 1)[0])
+        c0_2, coeffs_2, f21_end = op.solve_amplitude(f21)
+        _, q_end_2 = _end_value(sub, c0_2, coeffs_2, f21_end)
         value = _alg_boundary_value(sub, c0_2, q_end_2) + _log_boundary_value(spec, c0, d0, q_end, l_end)
         # The second solve shares the operator, so its spectrum is the same.
         diagnostics["smallest_sv_second"] = diag.smallest_sv

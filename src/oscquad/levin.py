@@ -100,8 +100,8 @@ def _node_data(spec: ProblemSpec, grid: ChebGrid):
         raise ParameterError("physical-space solver requires a Radau grid")
     xs = grid.interior
     gx = np.asarray(spec.oscillator.value(xs), dtype=float)
-    gpx = np.asarray(spec.oscillator.deriv1(xs), dtype=float)
-    gp0 = float(spec.oscillator.series_at(0.0, 2)[1])
+    gp = np.asarray(spec.oscillator.deriv1(np.concatenate(([0.0], xs))), dtype=float)
+    gp0, gpx = float(gp[0]), gp[1:]
     if gp0 <= 0 or np.any(gpx <= 0):
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
     return xs, gx, gpx, gp0

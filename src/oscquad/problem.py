@@ -7,12 +7,12 @@ oscillator ``g`` with ``g(0) = 0``.  Oscillators violating the normalization
 are shifted (and flipped for decreasing ``g``) automatically; the resulting
 unit factor is stored in ``phase_shift``.
 
-The collocation methods consume local Taylor expansions of ``f`` and ``g``,
-so :class:`Amplitude` and :class:`Oscillator` carry derivative data in one
-of three forms: an exact series builder, a derivative-stack callable, or
-Taylor coefficients at the origin.  A finite-difference fallback exists for
-amplitudes supplied only as values; it is opt-in and its accuracy caveat is
-documented on :meth:`Amplitude.with_fd`.
+The collocation methods consume local Taylor expansions of ``f`` and ``g``
+at all their nodes at once, so :class:`Amplitude` and :class:`Oscillator`
+carry derivative data in one form: a series builder ``series_fn(xs, m)``
+that returns one row of Taylor coefficients per point.  A finite-difference
+builder exists for amplitudes supplied only as values; it is opt-in and its
+accuracy caveat is documented on :meth:`Amplitude.with_fd`.
 """
 
 from __future__ import annotations
@@ -58,26 +58,45 @@ def _factorials(m: int) -> np.ndarray:
     return out
 
 
+def _series_rows(series_fn, x0, m: int, dtype, what: str, value=None) -> np.ndarray:
+    # The one derivative-data form: series_fn(xs, m) gives a (len(xs), m)
+    # array for a 1-D float array xs.  A scalar x0 gets its row alone.
+    if m < 1:
+        raise ParameterError("m must be at least 1")
+    xs = np.asarray(x0, dtype=float)
+    scalar = xs.ndim == 0
+    if scalar:
+        xs = xs[None]
+    elif xs.ndim != 1:
+        raise ParameterError("series points must be a scalar or a 1-D array")
+    if series_fn is not None:
+        rows = np.asarray(series_fn(xs, m), dtype=dtype)
+    elif m == 1 and value is not None:
+        rows = np.asarray(value(xs), dtype=dtype)[..., None]
+    else:
+        raise CapabilityError(f"{what} has no series data; order 1 unavailable")
+    if rows.shape != (xs.size, m):
+        raise ParameterError(
+            f"{what} series_fn returned shape {rows.shape}, expected {(xs.size, m)}"
+        )
+    return rows[0] if scalar else rows
+
+
 @dataclass(frozen=True)
 class Amplitude:
-    """Smooth amplitude factor f with optional derivative data.
+    """Smooth amplitude factor f with its local Taylor series.
 
     Parameters
     ----------
     value : callable
         Vectorized map x -> complex on [0, a].
-    derivs : callable, optional
-        Map (x, j) -> j-th derivative at scalar x.
-    taylor0 : ndarray, optional
-        Taylor coefficients of f at 0.
     series_fn : callable, optional
-        Exact local-series builder (x0, m) -> m Taylor coefficients at x0.
-        Takes precedence over the other derivative sources.
+        Local-series builder ``(xs, m) -> (len(xs), m)`` array whose row i
+        holds the Taylor coefficients of f at ``xs[i]`` (a 1-D float array)
+        up to order m - 1.  Without it only order 0, the value, is known.
     """
 
     value: Callable
-    derivs: Optional[Callable] = None
-    taylor0: Optional[np.ndarray] = None
     series_fn: Optional[Callable] = None
 
     @classmethod
@@ -90,10 +109,10 @@ class Amplitude:
         def value(x):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
-        def series(x0, m):
-            return poly_taylor(coeffs.real, x0, m) + 1j * poly_taylor(coeffs.imag, x0, m)
+        def series(xs, m):
+            return poly_taylor(coeffs.real, xs, m) + 1j * poly_taylor(coeffs.imag, xs, m)
 
-        return cls(value=value, taylor0=coeffs, series_fn=series)
+        return cls(value=value, series_fn=series)
 
     @classmethod
     def with_fd(cls, value: Callable) -> "Amplitude":
@@ -106,54 +125,37 @@ class Amplitude:
         collocation.  ``value`` must be evaluable slightly outside [0, a].
         """
 
-        def derivs(x, j):
-            if j == 0:
-                return complex(value(x))
-            h = np.finfo(float).eps ** (1.0 / (j + 2))
-            ks = np.arange(j + 1)
-            signs = (-1.0) ** ks
-            binom = np.array([math.comb(j, int(k)) for k in ks], dtype=float)
-            pts = x + (j / 2.0 - ks) * h
-            return complex(np.dot(signs * binom, np.asarray(value(pts), dtype=complex)) / h**j)
+        def series(xs, m):
+            out = np.empty((xs.size, m), dtype=complex)
+            out[:, 0] = value(xs)
+            for j in range(1, m):
+                h = np.finfo(float).eps ** (1.0 / (j + 2))
+                ks = np.arange(j + 1)
+                stencil = (-1.0) ** ks * np.array([math.comb(j, int(k)) for k in ks], dtype=float)
+                pts = xs[:, None] + (j / 2.0 - ks) * h
+                vals = np.asarray(value(pts.ravel()), dtype=complex).reshape(pts.shape)
+                out[:, j] = vals @ stencil / h**j / math.factorial(j)
+            return out
 
-        return cls(value=value, derivs=derivs)
+        return cls(value=value, series_fn=series)
 
-    def series_at(self, x0: float, m: int) -> np.ndarray:
-        """Taylor coefficients of f at x0, length m."""
-        if m < 1:
-            raise ParameterError("m must be at least 1")
-        if self.series_fn is not None:
-            return np.asarray(self.series_fn(x0, m), dtype=complex)
-        if x0 == 0.0 and self.taylor0 is not None:
-            t0 = np.asarray(self.taylor0, dtype=complex)
-            if t0.size >= m:
-                return t0[:m].copy()
-            if self.derivs is None:
-                raise CapabilityError(
-                    f"amplitude Taylor data at 0 stops at order {t0.size - 1}, "
-                    f"order {t0.size} required"
-                )
-        if self.derivs is not None:
-            fact = _factorials(m)
-            return np.array([complex(self.derivs(x0, j)) / fact[j] for j in range(m)])
-        if m == 1:
-            return np.array([complex(self.value(x0))])
-        raise CapabilityError("amplitude has no derivative data; order 1 unavailable")
+    def series_at(self, x0, m: int) -> np.ndarray:
+        """Taylor coefficients of f at x0, length m; one row per point when
+        x0 is a 1-D array of points."""
+        return _series_rows(self.series_fn, x0, m, complex, "amplitude", self.value)
 
 
 @dataclass(frozen=True)
 class Oscillator:
-    """Strictly increasing phase function g with derivative data.
+    """Strictly increasing phase function g with its local Taylor series.
 
-    Same derivative-source conventions as :class:`Amplitude`, but
-    real-valued.  ``poly`` holds ascending polynomial coefficients when the
-    oscillator is polynomial, enabling exact normalization and the
-    identity-oscillator fast paths.
+    Same ``series_fn`` contract as :class:`Amplitude`, but real-valued.
+    ``poly`` holds ascending polynomial coefficients when the oscillator is
+    polynomial, enabling exact normalization and the identity-oscillator
+    fast paths.
     """
 
     value: Callable
-    derivs: Optional[Callable] = None
-    taylor0: Optional[np.ndarray] = None
     series_fn: Optional[Callable] = None
     poly: Optional[np.ndarray] = None
 
@@ -166,48 +168,29 @@ class Oscillator:
         def value(x):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
-        def derivs(x, j):
-            cj = coeffs
-            for _ in range(j):
-                cj = np.polynomial.polynomial.polyder(cj) if cj.size > 1 else np.zeros(1)
-            return float(np.polynomial.polynomial.polyval(x, cj))
+        def series(xs, m):
+            return poly_taylor(coeffs, xs, m)
 
-        def series(x0, m):
-            return poly_taylor(coeffs, x0, m)
-
-        return cls(value=value, derivs=derivs, taylor0=coeffs, series_fn=series, poly=coeffs)
+        return cls(value=value, series_fn=series, poly=coeffs)
 
     @property
     def is_identity(self) -> bool:
         """True when g(x) = x exactly (polynomial representation)."""
-        if self.poly is None:
-            return False
-        trimmed = np.trim_zeros(self.poly, "b")
-        return trimmed.size == 2 and trimmed[0] == 0.0 and trimmed[1] == 1.0
+        p = self.poly
+        return p is not None and p.size >= 2 and p[0] == 0.0 and p[1] == 1.0 and not p[2:].any()
 
-    def series_at(self, x0: float, m: int) -> np.ndarray:
-        """Taylor coefficients of g at x0, length m (real)."""
-        if m < 1:
-            raise ParameterError("m must be at least 1")
-        if self.series_fn is not None:
-            return np.asarray(self.series_fn(x0, m), dtype=float)
-        if x0 == 0.0 and self.taylor0 is not None:
-            t0 = np.asarray(self.taylor0, dtype=float)
-            if t0.size >= m:
-                return t0[:m].copy()
-        if self.derivs is not None:
-            fact = _factorials(m)
-            return np.array([float(self.derivs(x0, j)) / fact[j] for j in range(m)])
-        raise CapabilityError("oscillator has no derivative data; order 1 unavailable")
+    def series_at(self, x0, m: int) -> np.ndarray:
+        """Taylor coefficients of g at x0, length m (real); one row per
+        point when x0 is a 1-D array of points."""
+        return _series_rows(self.series_fn, x0, m, float, "oscillator")
 
     def deriv1(self, x):
         """Vectorized g'(x)."""
         if self.poly is not None:
             d = np.polynomial.polynomial.polyder(self.poly) if self.poly.size > 1 else np.zeros(1)
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.series_at(float(xi), 2)[1] for xi in xs])
-        return out if np.ndim(x) else out[0]
+        xs = np.asarray(x, dtype=float)
+        return self.series_at(xs.ravel(), 2)[:, 1].reshape(xs.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -251,27 +234,12 @@ def _normalize_oscillator(osc: Oscillator, a: float, w: float):
     def value(x):
         return sign * (np.asarray(old.value(x)) - g0)
 
-    derivs = None
-    if old.derivs is not None:
+    def series_fn(xs, m):
+        s = sign * old.series_at(xs, m)
+        s[:, 0] -= sign * g0
+        return s
 
-        def derivs(x, j):
-            base = old.derivs(x, j)
-            return sign * (base - g0) if j == 0 else sign * base
-
-    taylor0 = None
-    if old.taylor0 is not None:
-        taylor0 = sign * np.asarray(old.taylor0, dtype=float)
-        taylor0[0] = 0.0
-
-    series_fn = None
-    if old.series_fn is not None:
-
-        def series_fn(x0, m):
-            s = sign * np.asarray(old.series_fn(x0, m), dtype=float)
-            s[0] -= sign * g0
-            return s
-
-    return Oscillator(value, derivs, taylor0, series_fn, None), sign * w, phase
+    return Oscillator(value, series_fn), sign * w, phase
 
 
 def build_problem(
@@ -331,19 +299,16 @@ def build_problem(
     )
 
 
-def _ratio_series(osc: Oscillator, x0: float, m: int) -> np.ndarray:
-    """Taylor coefficients of x/g(x) at x0, including the limit 1/g'(0)."""
-    if x0 == 0.0:
-        gser = osc.series_at(0.0, m + 1)
-        one = np.zeros(m)
-        one[0] = 1.0
-        return ps_div(one, gser[1:])
-    gser = osc.series_at(x0, m)
-    xser = np.zeros(m)
-    xser[0] = x0
+def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int) -> np.ndarray:
+    """Taylor coefficients of x/g(x), one row per point of xs; the row of
+    x = 0 is that of the limit 1/(g(x)/x), with head 1/g'(0)."""
+    gser = osc.series_at(xs, m + 1)
+    origin = xs == 0.0
+    num = np.zeros((xs.size, m))
+    num[:, 0] = np.where(origin, 1.0, xs)
     if m > 1:
-        xser[1] = 1.0
-    return ps_div(xser, gser)
+        num[~origin, 1] = 1.0
+    return ps_div(num, np.where(origin[:, None], gser[:, 1:], gser[:, :m]))
 
 
 def make_f1_f2(spec: ProblemSpec):
@@ -364,21 +329,18 @@ def make_f1_f2(spec: ProblemSpec):
     alpha = spec.alpha
     f = spec.amplitude
     osc = spec.oscillator
-    gp0 = float(osc.series_at(0.0, 2)[1])
-    if not gp0 > 0:
-        raise InvalidOscillatorError("g'(0) must be positive")
-
     if osc.is_identity:
         f1 = f
         f2 = None
         if spec.kind is SingKind.ALGEBRAIC_LOG:
-            zero = np.zeros(1, dtype=complex)
             f2 = Amplitude(
                 value=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
-                series_fn=lambda x0, m: np.zeros(m, dtype=complex),
-                taylor0=zero,
+                series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
             )
         return f1, f2
+    gp0 = float(osc.series_at(0.0, 2)[1])
+    if not gp0 > 0:
+        raise InvalidOscillatorError("g'(0) must be positive")
 
     def ratio_pow(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -391,8 +353,8 @@ def make_f1_f2(spec: ProblemSpec):
     def f1_value(x):
         return np.asarray(f.value(x)) * ratio_pow(x)
 
-    def f1_series(x0, m):
-        return ps_mul(f.series_at(x0, m), ps_pow(_ratio_series(osc, x0, m), alpha))
+    def f1_series(xs, m):
+        return ps_mul(f.series_at(xs, m), ps_pow(_ratio_series(osc, xs, m), alpha))
 
     f1 = Amplitude(value=f1_value, series_fn=f1_series)
 
@@ -410,8 +372,8 @@ def make_f1_f2(spec: ProblemSpec):
     def f2_value(x):
         return np.asarray(f.value(x)) * log_ratio(x)
 
-    def f2_series(x0, m):
-        return ps_mul(f.series_at(x0, m), ps_log(_ratio_series(osc, x0, m)))
+    def f2_series(xs, m):
+        return ps_mul(f.series_at(xs, m), ps_log(_ratio_series(osc, xs, m)))
 
     return f1, Amplitude(value=f2_value, series_fn=f2_series)
 
@@ -459,12 +421,12 @@ def _rational_inv_one_plus_x2() -> Amplitude:
         x = np.asarray(x, dtype=float)
         return (1.0 / (1.0 + x * x)).astype(complex)
 
-    def series(x0, m):
-        one = np.zeros(m, dtype=complex)
-        one[0] = 1.0
-        return ps_div(one, poly_taylor(den, x0, m).astype(complex))
+    def series(xs, m):
+        one = np.zeros((xs.size, m), dtype=complex)
+        one[:, 0] = 1.0
+        return ps_div(one, poly_taylor(den, xs, m).astype(complex))
 
-    return Amplitude(value=value, series_fn=series, taylor0=None)
+    return Amplitude(value=value, series_fn=series)
 
 
 def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
@@ -474,9 +436,9 @@ def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
         x = np.asarray(x, dtype=float)
         return const * (1.0 - x) * (2.0 - x) ** alpha
 
-    def series(x0, m):
-        lin = poly_taylor(np.array([1.0, -1.0]), x0, m).astype(complex)
-        pw = ps_pow(poly_taylor(np.array([2.0, -1.0]), x0, m), alpha).astype(complex)
+    def series(xs, m):
+        lin = poly_taylor(np.array([1.0, -1.0]), xs, m).astype(complex)
+        pw = ps_pow(poly_taylor(np.array([2.0, -1.0]), xs, m), alpha).astype(complex)
         return const * ps_mul(lin, pw)
 
     return Amplitude(value=value, series_fn=series)

@@ -171,6 +171,23 @@ class TestHermiteSolve:
                 fd = (interp(float(x) + h) - interp(lo)) / (float(x) + h - lo)
                 assert abs(fd - vals[1]) <= 1e-4 * max(abs(vals[1]), 1.0)
 
+    def test_one_ps_mul_per_basis_column(self, monkeypatch):
+        # The column recurrence phi_{k+1} = phi_k g covers all nodes with one
+        # ps_mul per basis function.
+        spec = builtin_problem("ex53a", 0.5, 100.0)
+        data = build_hermite_data(spec, 6, 2)
+        calls = []
+        real = oscquad.filon.ps_mul
+
+        def counting(a, b):
+            calls.append(np.shape(a))
+            return real(a, b)
+
+        monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
+        hermite_solve(data, spec)
+        assert len(calls) == data.basis_size
+        assert all(shape == (6, 3) for shape in calls)
+
     def test_basis_cap(self):
         spec = builtin_problem("ex51", 0.5, 100.0)
         data = build_hermite_data(spec, 45, 0)
@@ -292,6 +309,11 @@ class TestChebSeriesTable:
         assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE
 
 
+def _derivative(p):
+    # Taylor series of p' from that of p, one term shorter.
+    return np.arange(1, p.size) * p[1:]
+
+
 def _loop_operator(spec, npts, s):
     # The per-basis-function form of the frequency-space Levin operator: three
     # ps_mul calls per Chebyshev polynomial per node.  The array form in
@@ -303,14 +325,14 @@ def _loop_operator(spec, npts, s):
     rows = []
     for x, mult in zip(nodes, mults):
         gser = spec.oscillator.series_at(float(x), s + 2)
-        gp = filon._series_derivative(gser)
+        gp = _derivative(gser)
         gg = gser[: s + 1]
         ggp = filon.ps_mul(gg, gp)
         table = filon._cheb_series_table(float(x), s + 2, M, spec.a)
         images = []
         for T in table:
             P = T[: s + 1]
-            dP = filon._series_derivative(T)
+            dP = _derivative(T)
             images.append(
                 filon.ps_mul(gg, dP)
                 + (1.0 + spec.alpha) * filon.ps_mul(gp, P)
@@ -335,14 +357,14 @@ def _operator_term_sizes(spec, npts, s):
     rows = []
     for x, mult in zip(nodes, mults):
         gser = spec.oscillator.series_at(float(x), s + 2)
-        gp = np.abs(filon._series_derivative(gser))
+        gp = np.abs(_derivative(gser))
         gg = np.abs(gser[: s + 1])
-        ggp = np.abs(filon.ps_mul(gser[: s + 1], filon._series_derivative(gser)))
+        ggp = np.abs(filon.ps_mul(gser[: s + 1], _derivative(gser)))
         table = np.abs(filon._cheb_series_table(float(x), s + 2, M, spec.a))
         for j in range(int(mult)):
             row = np.zeros(M + 1)
             for k, T in enumerate(table):
-                dP = filon._series_derivative(T)
+                dP = _derivative(T)
                 row[k + 1] = fact[j] * sum(
                     gg[i] * dP[j - i] + abs(1.0 + spec.alpha) * gp[i] * T[j - i] + abs(spec.w) * ggp[i] * T[j - i]
                     for i in range(j + 1)
@@ -406,6 +428,29 @@ class TestFreqOperatorRows:
                     bound = 4.0 * eps * _operator_term_sizes(spec, npts, s)
                     assert got[:, 0].tobytes() == want[:, 0].tobytes()
                     assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= bound[:, 1:]), (a, npts, s)
+
+    @pytest.mark.parametrize("pid", ["ex52", "ex53b"])
+    def test_log_kind_rhs_equals_per_node_sums(self, monkeypatch, pid):
+        # The second right-hand side -q1 g' sums q1's series over the basis
+        # for all nodes at once; it equals the per-node running sum in basis
+        # order bit for bit.
+        filon = oscquad.filon
+        spec = builtin_problem(pid, 0.4, 80.0)
+        seen = []
+        real = filon._FreqOperator.solve
+
+        def capture(op, series):
+            seen.append((op, np.array(series)))
+            return real(op, series)
+
+        monkeypatch.setattr(filon._FreqOperator, "solve", capture)
+        npts, s = 9, 2
+        filon.quad_freq(spec, npts, s)
+        (op, _), (_, rhs2) = seen[:2]
+        coeffs = real(op, seen[0][1])[1]
+        for l in range(npts):
+            q1 = sum(c * T for c, T in zip(coeffs, op.tables[:, l]))
+            assert rhs2[l].tobytes() == (-filon.ps_mul(q1[: s + 1], op.gprime[l])).tobytes()
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' once per node; the images take none (the loop form takes

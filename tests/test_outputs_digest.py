@@ -1,4 +1,5 @@
-"""Smoke test of tools/outputs_digest.py, the bit-identity printout."""
+"""Smoke tests of tools/outputs_digest.py: the bit-identity printout and its
+comparison of two printouts."""
 
 import importlib.util
 import os
@@ -44,3 +45,27 @@ def test_first_operations_of_a_pass_are_reproducible(tool):
     assert tool.digest(first) == tool.digest(again)
     assert len(tool.digest(first)) == 64
 
+
+
+def test_compare_counts_changed_values(tool):
+    before = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 6))
+    # The first line with the real part of its value moved by 2e-12.
+    key, outcome = before[0].split(": ", 1)
+    end = outcome.index("'", 1)
+    value = complex(outcome[1:end])
+    moved = repr(complex(value.real * (1.0 + 2e-12), value.imag))
+    after = [f"{key}: '{moved}'{outcome[end + 1:]}"] + before[1:]
+    assert after[0] != before[0]
+
+    same = tool.compare(before, before)
+    assert same.pop("lines") == (6, 0)
+    assert sum(count for count, _, _ in same.values()) == 6
+    assert all(changed == 0 and largest == 0.0 for _, changed, largest in same.values())
+
+    result = tool.compare(before, after)
+    assert result.pop("lines") == (6, 1)
+    changed = {key: row for key, row in result.items() if row[1]}
+    assert len(changed) == 1
+    (workload, _), (_, count, largest) = next(iter(changed.items()))
+    assert workload == "points-hermite" and count == 1
+    assert 1e-12 < largest < 3e-12

@@ -41,15 +41,15 @@ def quad_spec(alpha=0.5, w=50.0, kind=SingKind.ALGEBRAIC):
     )
 
 
-def _inv1px2_series(x0, m):
-    num = np.zeros(m, dtype=complex)
-    num[0] = 1.0
-    den = np.zeros(m, dtype=complex)
-    den[0] = 1.0 + x0 * x0
+def _inv1px2_series(xs, m):
+    num = np.zeros((xs.size, m), dtype=complex)
+    num[:, 0] = 1.0
+    den = np.zeros((xs.size, m), dtype=complex)
+    den[:, 0] = 1.0 + xs * xs
     if m > 1:
-        den[1] = 2.0 * x0
+        den[:, 1] = 2.0 * xs
     if m > 2:
-        den[2] = 1.0
+        den[:, 2] = 1.0
     from oscquad._series import ps_div
 
     return ps_div(num, den)
@@ -228,7 +228,7 @@ class TestF1Derivatives:
         spec = build_problem(
             amplitude=Amplitude(
                 value=lambda x: np.exp(x),
-                series_fn=lambda x0, m: np.exp(x0)
+                series_fn=lambda xs, m: np.exp(xs)[:, None]
                 / np.array([math.factorial(j) for j in range(m)]),
             ),
             oscillator=Oscillator.from_poly([0.0, 1.0, 1.0]),
@@ -288,13 +288,70 @@ class TestAmplitudeHelpers:
 
     def test_with_fd_first_derivative(self):
         amp = Amplitude.with_fd(lambda x: np.sin(x))
-        assert abs(amp.derivs(0.4, 1) - math.cos(0.4)) <= 1e-9
+        assert abs(amp.series_at(0.4, 2)[1] * math.factorial(1) - math.cos(0.4)) <= 1e-9
 
     def test_with_fd_second_derivative(self):
         amp = Amplitude.with_fd(lambda x: np.exp(x))
-        assert abs(amp.derivs(0.3, 2) - math.exp(0.3)) <= 1e-6
+        assert abs(amp.series_at(0.3, 3)[2] * math.factorial(2) - math.exp(0.3)) <= 1e-6
 
     def test_missing_derivatives_raise(self):
         amp = Amplitude(value=lambda x: np.exp(x))
         with pytest.raises(CapabilityError):
             amp.series_at(0.5, 3)
+
+
+class TestSeriesContract:
+    """``series_fn(xs, m)`` returns one row of Taylor coefficients per point."""
+
+    def test_scalar_only_series_fn_rejected(self):
+        # A builder written for one point returns shape (m,); it would
+        # broadcast over the rows silently, so its shape is checked.
+        amp = Amplitude(value=np.exp, series_fn=lambda x0, m: np.ones(m))
+        with pytest.raises(ParameterError, match=r"expected \(2, 3\)"):
+            amp.series_at(np.array([0.1, 0.2]), 3)
+        with pytest.raises(ParameterError, match=r"expected \(1, 3\)"):
+            amp.series_at(0.1, 3)
+        osc = Oscillator(value=np.exp, series_fn=lambda xs, m: np.ones((m, xs.size)))
+        with pytest.raises(ParameterError, match=r"expected \(2, 3\)"):
+            osc.series_at(np.array([0.1, 0.2]), 3)
+
+    def test_value_only_amplitude_has_order_zero(self):
+        amp = Amplitude(value=lambda x: np.exp(np.asarray(x)))
+        assert_allclose(amp.series_at(np.array([0.0, 1.0]), 1), [[1.0], [math.e]], rtol=1e-15)
+        with pytest.raises(CapabilityError):
+            amp.series_at(np.array([0.0, 1.0]), 2)
+
+    @pytest.mark.parametrize("pid", BUILTIN_IDS)
+    def test_rows_equal_single_points(self, pid):
+        # f1 at all nodes in one call, the origin's limit row included, is
+        # the same bit for bit as point by point.
+        spec = builtin_problem(pid, -0.3, 40.0)
+        f1, f2 = make_f1_f2(spec)
+        xs = np.array([0.0, 0.05, 0.5, 0.9, 1.0])
+        for amp in (f1, f2) if f2 is not None else (f1,):
+            rows = amp.series_at(xs, 4)
+            assert rows.shape == (5, 4)
+            for x, row in zip(xs, rows):
+                assert row.tobytes() == amp.series_at(float(x), 4).tobytes()
+
+    def test_nonpolynomial_deriv1_is_one_batched_call(self):
+        calls = []
+
+        def series(xs, m):
+            calls.append(xs.size)
+            return np.exp(xs)[:, None] / np.array([math.factorial(j) for j in range(m)])
+
+        osc = Oscillator(value=lambda x: np.exp(np.asarray(x)) - 1.0, series_fn=series)
+        xs = np.linspace(0.0, 1.0, 7)
+        assert_allclose(osc.deriv1(xs), np.exp(xs), rtol=1e-15)
+        assert calls == [7]
+        assert osc.deriv1(0.5) == pytest.approx(math.exp(0.5), rel=1e-15)
+        assert np.ndim(osc.deriv1(0.5)) == 0
+
+    def test_with_fd_rows_match_points(self):
+        amp = Amplitude.with_fd(lambda x: np.sin(x))
+        xs = np.array([0.2, 0.4, 0.7])
+        rows = amp.series_at(xs, 3)
+        for x, row in zip(xs, rows):
+            assert_allclose(row, amp.series_at(float(x), 3), rtol=1e-12)
+        assert_allclose(rows[:, 1], np.cos(xs), rtol=1e-9)

@@ -1,8 +1,12 @@
-"""Truncated power series arithmetic tests against mpmath.taylor."""
+"""Truncated power series arithmetic tests against mpmath.taylor, and of the
+batched (one series per row) forms against single series."""
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from oscquad._series import poly_taylor, ps_div, ps_log, ps_mul, ps_pow
@@ -105,3 +109,136 @@ class TestPolyTaylor:
             [float(v) for v in mp.taylor(lambda t: series_fn(c)(x0 + t), 0, 5)]
         )
         assert_allclose(got, ref, rtol=1e-12, atol=1e-13)
+
+
+EPS = np.finfo(float).eps
+HELPERS = {
+    "ps_mul": lambda a, b: ps_mul(a, b),
+    "ps_div": lambda a, b: ps_div(a, b),
+    "ps_pow": lambda a, b: ps_pow(b, -0.37),
+    "ps_log": lambda a, b: ps_log(b),
+}
+
+
+def _term_sizes(name, a, b, out):
+    # Sum of the magnitudes of the terms each output coefficient is built
+    # from (an upper bound for ps_pow and ps_log), row by row.
+    a, b, out = np.abs(a), np.abs(b), np.abs(out)
+    head = b[:, :1]
+    if name == "ps_mul":
+        return ps_mul(a, b)
+    if name == "ps_div":
+        return (a + ps_mul(out, b)) / head
+    if name == "ps_pow":
+        return out + 1.37 * ps_mul(b, out) / head
+    return out + (b + ps_mul(out, b)) / head
+
+
+def _rows_within_round_off(name, a, b):
+    got = HELPERS[name](a, b)
+    rows = np.array([HELPERS[name](ra, rb) for ra, rb in zip(a, b)])
+    assert got.shape == rows.shape == a.shape
+    assert np.all(np.abs(got - rows) <= 4.0 * EPS * _term_sizes(name, a, b, rows))
+    return got, rows
+
+
+def _batch(rng, n, m, complex_):
+    c = rng.uniform(-2.0, 2.0, (n, m))
+    return c + 1j * rng.uniform(-2.0, 2.0, (n, m)) if complex_ else c
+
+
+def _shift_loop(coeffs, x0, m):
+    # Taylor shift one coefficient at a time, as poly_taylor computed it for
+    # a single point before it took arrays of points.
+    out = np.zeros(m)
+    for c in np.asarray(coeffs, dtype=float)[::-1]:
+        shifted = np.zeros_like(out)
+        shifted[0] = x0 * out[0] + c
+        for k in range(1, m):
+            shifted[k] = x0 * out[k] + out[k - 1]
+        out = shifted
+    return out
+
+
+class TestBatched:
+    @pytest.mark.parametrize("name", sorted(HELPERS))
+    def test_rows_equal_single_series(self, name):
+        # Each row of a batch is computed by the routines a single series
+        # uses (BLAS dot products, libm pow), so it is the same bit for bit.
+        rng = np.random.default_rng(7)
+        for m in range(1, 7):
+            for complex_a, complex_b in ((False, False), (True, False), (False, True), (True, True)):
+                a = _batch(rng, 9, m, complex_a)
+                b = _batch(rng, 9, m, complex_b)
+                b[:, 0] = rng.uniform(0.5, 3.0, 9)
+                got, rows = _rows_within_round_off(name, a, b)
+                assert got.tobytes() == rows.tobytes(), (name, m, complex_a, complex_b)
+
+    def test_ps_mul_sums_as_np_dot(self):
+        # Each coefficient is the BLAS dot product np.dot takes of one pair
+        # of series, fused multiply-adds and all.
+        rng = np.random.default_rng(9)
+        for m in range(1, 7):
+            a = _batch(rng, 5, m, True)
+            b = _batch(rng, 5, m, False)
+            want = [[np.dot(ra[: n + 1], rb[n::-1]) for n in range(m)] for ra, rb in zip(a, b)]
+            assert ps_mul(a, b).tobytes() == np.array(want).tobytes()
+
+    def test_poly_taylor_rows_bit_identical(self):
+        rng = np.random.default_rng(8)
+        xs = np.concatenate(([0.0, 1.0], rng.uniform(-1.5, 2.5, 12)))
+        for degree in range(6):
+            c = rng.uniform(-2.0, 2.0, degree + 1)
+            for m in range(1, 7):
+                got = poly_taylor(c, xs, m)
+                assert got.shape == (xs.size, m)
+                for x, row in zip(xs, got):
+                    assert row.tobytes() == poly_taylor(c, float(x), m).tobytes()
+                    assert row.tobytes() == _shift_loop(c, float(x), m).tobytes()
+
+    def test_poly_taylor_keeps_the_shape_of_the_points(self):
+        assert poly_taylor([1.0, 2.0], 0.5, 3).shape == (3,)
+        assert poly_taylor([1.0, 2.0], np.zeros((2, 4)), 3).shape == (2, 4, 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ps_div([[1.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]),
+            lambda: ps_pow([[1.0, 0.0], [0.0, 1.0]], 0.5),
+            lambda: ps_pow([[1.0, 0.0], [-2.0, 1.0]], 0.5),
+            lambda: ps_pow([[1.0 + 0j, 0.0], [1.0 + 1e-3j, 1.0]], 0.5),
+            lambda: ps_log([[1.0, 0.0], [0.0, 1.0]]),
+            lambda: ps_log([[1.0, 0.0], [-0.5, 1.0]]),
+        ],
+    )
+    def test_one_bad_row_raises(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+    def test_length_mismatch_in_a_batch(self):
+        with pytest.raises(ParameterError):
+            ps_mul(np.ones((3, 2)), np.ones((3, 3)))
+
+
+@st.composite
+def _series_pairs(draw):
+    # Two (N, m) batches, each real or complex; the second has a positive
+    # real head so that every helper accepts it.
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    parts = hnp.arrays(float, (n, m), elements=st.floats(-2.0, 2.0, allow_subnormal=False))
+    pair = []
+    for _ in range(2):
+        x = draw(parts)
+        if draw(st.booleans()):
+            x = x + 1j * draw(parts)
+        pair.append(x)
+    pair[1][:, 0] = draw(hnp.arrays(float, n, elements=st.floats(0.5, 3.0)))
+    return pair
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_series_pairs())
+def test_batched_helpers_match_their_rows(pair):
+    for name in HELPERS:
+        _rows_within_round_off(name, *pair)

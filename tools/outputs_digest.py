@@ -13,14 +13,26 @@ outcome (floats through ``repr``, so any difference in the last bit shows)
 and, for point operations, the ``repr`` of the result's diagnostics.  The
 last line is the sha256 digest of the operation lines.  Two checkouts give
 bit-identical outputs when a ``diff`` of their printouts is empty.
+
+    python3 tools/outputs_digest.py --compare BEFORE.txt AFTER.txt
+
+reads two such printouts and reports, for each workload and method, how
+many values changed and the largest relative change among them.  A value is
+a point operation's result, or the numbers of one row of a CLI operation's
+table (grouped by the row's method).  The last line counts the operation
+lines that differ in anything, diagnostics included.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
 import hashlib
 import importlib
+import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -69,6 +81,62 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _values(workload: str, seed: int, pass_index: int, op_index: int, outcome: str, describe):
+    # (method, numbers) for every value of one operation line's outcome.
+    op = describe(workload, seed, pass_index).ops[op_index]
+    if isinstance(op, wl.CliOp):
+        code, rows = ast.literal_eval(outcome)
+        header = rows[0].split(",") if rows else []
+        for row in rows[1:]:
+            fields = dict(zip(header, row.split(",")))
+            numbers = [float(v) for k, v in fields.items() if k.startswith(("value", "abs", "rel", "scaled"))]
+            yield f"cli:{fields.get('method', '?')}", numbers
+    elif outcome.startswith("'("):
+        value = complex(outcome[1 : outcome.index("'", 1)])
+        yield op.method, [value.real, value.imag]
+    else:  # the operation raised; its error is compared as text
+        yield op.method, []
+
+
+def _relative_change(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(before, after) -> dict:
+    """Per (workload, method): ``[values, changed, largest relative change]``
+    between two printouts given as lines, plus ``"lines"``: ``(operation
+    lines, lines that differ)``."""
+    def parse(lines):
+        out = {}
+        for line in lines:
+            if not line.startswith("sha256 ") and line.strip():
+                key, outcome = line.rstrip("\n").split(": ", 1)
+                out[key] = outcome
+        return out
+
+    a, b = parse(before), parse(after)
+    if a.keys() != b.keys():
+        raise ValueError(f"the printouts cover different operations ({len(a)} and {len(b)} lines)")
+    describe = functools.lru_cache(maxsize=None)(wl.describe)
+    table = defaultdict(lambda: [0, 0, 0.0])
+    differing = 0
+    for key in a:
+        same = a[key] == b[key]
+        differing += not same
+        workload, *fields = key.split()  # "W seed=S pass=P op=I"
+        ids = (workload, *(int(field.split("=")[1]) for field in fields))
+        outcomes = [outcome.split(" {", 1)[0] for outcome in (a[key], b[key])]
+        for (method, xs), (_, ys) in zip(*(_values(*ids, o, describe) for o in outcomes)):
+            row = table[workload, method]
+            row[0] += 1
+            if not same and (len(xs) != len(ys) or any(map(_relative_change, xs, ys))):
+                row[1] += 1
+                row[2] = max([row[2], *map(_relative_change, xs, ys)])
+    return {**table, "lines": (len(a), differing)}
+
+
 def import_program(root: Path):
     """oscquad (with its CLI module) from ``root/src``."""
     src = (root / "src").resolve()
@@ -83,7 +151,18 @@ def import_program(root: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE, help="checkout whose src/ is imported")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
+                        help="report the changes between two printouts instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (path.read_text().splitlines() for path in args.compare)
+        result = compare(before, after)
+        lines, differing = result.pop("lines")
+        print(f"{'workload':<16}{'method':<22}{'values':>7}{'changed':>9}  largest relative change")
+        for (workload, method), (count, changed, largest) in sorted(result.items()):
+            print(f"{workload:<16}{method:<22}{count:>7}{changed:>9}  {largest:.3g}")
+        print(f"{differing} of {lines} operation lines differ")
+        return 0
     oq = import_program(args.root)
     lines = []
     for seed in SEEDS:
