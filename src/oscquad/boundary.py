@@ -1,0 +1,109 @@
+"""The antiderivative bracket at x = a, which is the whole integral.
+
+Both Levin routes (:mod:`oscquad.levin`, :mod:`oscquad.filon`) turn their
+solves into :class:`EndData`; :func:`levin_value` assembles either kind.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .numkernel import hyp2f2_equal, kernel_k_alg
+from .problem import ProblemSpec
+
+__all__ = ["EndData", "upper_end_value", "levin_value"]
+
+
+@dataclass(frozen=True)
+class EndData:
+    """One solve's data at x = a.
+
+    ``c0`` is the solve's constant, ``q1`` and ``dq1`` are q1(a) and
+    q1'(a), ``dq1_size`` is the size of the terms summed into q1'(a), and
+    ``rhs`` is the solve's right-hand side at x = a.
+    """
+
+    c0: complex
+    q1: complex
+    dq1: complex
+    dq1_size: float
+    rhs: complex
+
+
+def upper_end_value(spec: ProblemSpec, end: EndData, g_a: float, gp_a: float) -> complex:
+    """``q(a) = c0 + g(a) q1(a)``, in whichever of two equal forms rounds less.
+
+    ``g_a`` and ``gp_a`` are g(a) and g'(a).  On the model ODE collocated
+    at x = a, q(a) also equals
+
+        Phi(a) = (rhs(a) - g(a) q1'(a) - (1+alpha) g'(a) q1(a)) / (iw g'(a)),
+
+    the map of :func:`oscquad.levin.picard_iterate` at the upper endpoint,
+    for the right-hand side ``rhs`` of either solve.  The sum loses about
+    ``eps (|c0| + g(a) |q1(a)|)``: c0 and g(a) q1(a) are each O(1/w), and
+    at large w they nearly cancel, the more so the smaller rhs(a) is.  Phi
+    loses about ``eps (|rhs(a)| + g(a) dq1_size + (1+alpha) g'(a) |q1(a)|)
+    / (|w| g'(a))``, where ``dq1_size`` is the size of the terms summed into
+    q1'(a); it grows like n^2 |q1|, so at small w the sum is the better
+    form.  The form with the smaller bound is returned.
+    """
+    linear = (1.0 + spec.alpha) * gp_a * end.q1
+    phi_size = (abs(end.rhs) + g_a * end.dq1_size + abs(linear)) / (abs(spec.w) * gp_a)
+    if phi_size >= abs(end.c0) + g_a * abs(end.q1):
+        return end.c0 + g_a * end.q1
+    return (end.rhs - g_a * end.dq1 - linear) / (1j * spec.w * gp_a)
+
+
+def levin_value(
+    spec: ProblemSpec, first: EndData, second: EndData | None = None, f2: EndData | None = None
+) -> complex:
+    """The integral of ``spec`` from its Levin solves' data at x = a.
+
+    Algebraic kind (``first`` only): the antiderivative bracket
+    ``g^{1+alpha} q1 + c0 (1 - e^{-iwg}) g^alpha + h`` at x = a reduces to
+    ``q(a) g^alpha + c0 e^{-iwg} K`` with
+    ``K = alpha [Gamma(alpha,-iwg) - Gamma(alpha)] / (-iw)^alpha``, so the
+    value is
+
+        q(a) g(a)^alpha e^{iwg(a)} + c0 K(g(a)).
+
+    Logarithmic kind: from the first solve (c0, q) and the second (d0, l),
+    the bracket of the logarithmic kernel reduces to
+
+        g^alpha (q(a) log g + l(a)) e^{iwg} + (c0 log g + d0 + c0/alpha) K
+            + (c0/alpha) g^alpha 2F2(alpha,alpha;1+alpha,1+alpha;iwg)
+
+    at g = g(a), and the algebraic value of the ``f2`` solve (the f2
+    sub-problem, :func:`oscquad.problem.f2_problem`) is added to it.
+
+    q(a) and l(a) come from :func:`upper_end_value`, which avoids the
+    cancellation between c0 and g(a) q1(a) at large w; g(a) and g'(a) are
+    read once for all solves.  The value is returned times the phase shift.
+    """
+    alpha, w = spec.alpha, spec.w
+    g_a = spec.g_end()
+    g_series = spec.oscillator.series_at(spec.a, 2)
+
+    def algebraic(end: EndData):
+        value = upper_end_value(spec, end, *g_series) * g_a**alpha * np.exp(1j * w * g_a)
+        if end.c0 != 0:
+            value += end.c0 * kernel_k_alg(alpha, w, g_a)
+        return value
+
+    if second is None:
+        value = algebraic(first)
+    else:
+        c0, d0 = first.c0, second.c0
+        q_end = upper_end_value(spec, first, *g_series)
+        l_end = upper_end_value(spec, second, *g_series)
+        log_g = np.log(g_a)
+        value = g_a**alpha * (q_end * log_g + l_end) * np.exp(1j * w * g_a)
+        if c0 != 0 or d0 != 0:
+            value += (c0 * log_g + d0 + c0 / alpha) * kernel_k_alg(alpha, w, g_a)
+        if c0 != 0:
+            f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
+            value += (c0 / alpha) * g_a**alpha * f22
+        value += algebraic(f2)
+    return complex(value * spec.phase_shift)

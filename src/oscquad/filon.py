@@ -13,7 +13,9 @@ the model ODE; all derivative conditions are generated by truncated power
 series arithmetic, which stays stable at degrees where naive
 Chebyshev-to-monomial conversion does not; the operator rows are array
 products over the whole basis and all nodes.  The three solves of the logarithmic kind
-share one collocation operator and one factorisation.
+share one collocation operator and one factorisation; their data at x = a
+go to the bracket of :mod:`oscquad.boundary`, which the physical-space
+route shares.
 """
 
 from __future__ import annotations
@@ -34,14 +36,9 @@ from .errors import (
     FormulaMismatchError,
     ParameterError,
 )
-from .levin import TsvdFactor, tsvd_factor, upper_end_value
-from .numkernel import (
-    gamma_real,
-    hyp2f2_equal,
-    kernel_k_alg,
-    neg_iw_pow,
-    upper_gamma_complex,
-)
+from .boundary import EndData, levin_value
+from .levin import TsvdFactor, tsvd_factor
+from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, ProblemSpec, SingKind, _factorials, f2_problem, make_f1_f2
 
 __all__ = [
@@ -55,14 +52,9 @@ __all__ = [
     "quad_filon",
     "solve_freq",
     "quad_freq",
-    "FREQ_TSVD_THRESHOLD",
     "MAX_BASIS_SIZE",
 ]
 
-# The frequency-space systems are deliberately solved with a much smaller
-# drop tolerance than the physical-space default: their conditioning grows
-# with npts and a loose threshold silently discards resolved directions.
-FREQ_TSVD_THRESHOLD = 1e-13
 MAX_BASIS_SIZE = 40
 # Chebyshev Taylor tables kept, one per (node, length, basis size, a).  The
 # built-ins (a = 1) need a few hundred; the bound stops tables of one-off
@@ -330,7 +322,7 @@ class _FreqOperator:
         return self.solve(series) + (series[-1, 0],)
 
 
-def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _FreqOperator:
+def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
     # Rows: the model ODE and its first (mult - 1) derivatives at each node,
     # applied to the unknowns (c0, q1 coefficients).  Column k + 1 holds the
     # Levin image g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole
@@ -362,11 +354,11 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, threshold: float) -> _F
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
-    factor = tsvd_factor(rows[_conditions(mults, s + 1)], threshold)
+    factor = tsvd_factor(rows[_conditions(mults, s + 1)])
     return _FreqOperator(nodes=nodes, mults=mults, fact=fact, tables=tables, gprime=gprime, factor=factor)
 
 
-def solve_freq(spec: ProblemSpec, npts: int, s: int, threshold: float = FREQ_TSVD_THRESHOLD):
+def solve_freq(spec: ProblemSpec, npts: int, s: int):
     """Frequency-space Levin collocation for (c0, q1).
 
     q1 is expanded in the ``M = npts - 1 + 2s`` Chebyshev polynomials
@@ -383,114 +375,55 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int, threshold: float = FREQ_TSV
         Number of Lobatto collocation points (the tables' n).
     s : int
         Endpoint multiplicity parameter.
-    threshold : float
-        Relative TSVD drop tolerance.
     """
     f1, _ = make_f1_f2(spec)
-    op = _freq_operator(spec, npts, s, threshold)
+    op = _freq_operator(spec, npts, s)
     c0, coeffs, _ = op.solve_amplitude(f1)
     return c0, coeffs, op.factor.diag
 
 
-def _end_value(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, rhs_end: complex):
-    # q1(a) of the expansion with coefficients ``coeffs``, and q(a) from
-    # levin.upper_end_value with q1'(a) from the differentiated expansion.
+def _end_data(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, rhs_end: complex) -> EndData:
+    # q1(a) of the expansion with coefficients ``coeffs``, and q1'(a) from
+    # the differentiated expansion.
     k = np.arange(coeffs.size)
     cheb = np.polynomial.chebyshev
     q1_end = complex(cheb.chebval(1.0, coeffs))
     dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0 / spec.a
     dq1_size = float(np.abs(coeffs) @ k**2) * 2.0 / spec.a  # T_k'(1) = k^2
-    return q1_end, upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size)
+    return EndData(c0, q1_end, dq1_end, dq1_size, rhs_end)
 
 
-def _alg_boundary_value(spec: ProblemSpec, c0: complex, q_end: complex) -> complex:
-    """Algebraic-kind value from c0 and ``q(a) = c0 + g(a) q1(a)``.
-
-    The antiderivative bracket ``g^{1+alpha} q1 + c0 (1 - e^{-iwg}) g^alpha
-    + h`` at x = a reduces to ``q(a) g^alpha + c0 e^{-iwg} K`` with
-    ``K = alpha [Gamma(alpha,-iwg) - Gamma(alpha)] / (-iw)^alpha``, so the
-    value is
-
-        q(a) g(a)^alpha e^{iwg(a)} + c0 K(g(a)).
-
-    ``q_end`` comes from :func:`levin.upper_end_value`, which avoids the
-    cancellation between c0 and g(a) q1(a) at large w.
-    """
-    g_a = spec.g_end()
-    value = q_end * g_a**spec.alpha * np.exp(1j * spec.w * g_a)
-    if c0 != 0:
-        value += c0 * kernel_k_alg(spec.alpha, spec.w, g_a)
-    return value
-
-
-def _log_boundary_value(
-    spec: ProblemSpec, c0: complex, d0: complex, q_end: complex, l_end: complex
-) -> complex:
-    """Boundary part of the logarithmic-kind value.
-
-    From the first solve (c0, q) and the second (d0, l), with q(a) and l(a)
-    as in :func:`_alg_boundary_value`, the bracket of the logarithmic kernel
-    reduces to
-
-        g^alpha (q(a) log g + l(a)) e^{iwg} + (c0 log g + d0 + c0/alpha) K
-            + (c0/alpha) g^alpha 2F2(alpha,alpha;1+alpha,1+alpha;iwg)
-
-    at g = g(a).  The algebraic rule applied to the f2 amplitude is added
-    by the caller.
-    """
-    g_a = spec.g_end()
-    alpha = spec.alpha
-    w = spec.w
-    log_g = np.log(g_a)
-    value = g_a**alpha * (q_end * log_g + l_end) * np.exp(1j * w * g_a)
-    if c0 != 0 or d0 != 0:
-        value += (c0 * log_g + d0 + c0 / alpha) * kernel_k_alg(alpha, w, g_a)
-    if c0 != 0:
-        f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
-        value += (c0 / alpha) * g_a**alpha * f22
-    return value
-
-
-def quad_freq(
-    spec: ProblemSpec,
-    npts: int,
-    s: int,
-    threshold: float = FREQ_TSVD_THRESHOLD,
-) -> QuadratureResult:
+def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     """Frequency-space Levin quadrature (algebraic or logarithmic kind).
 
     The logarithmic kind performs the coupled second solve with right-hand
-    side ``-q1 g'`` and adds the algebraic rule applied to the regularized
-    f2 amplitude, mirroring the physical-space assembly.  All solves share
-    one factorised operator.
+    side ``-q1 g'`` and the solve of the regularized f2 amplitude, mirroring
+    the physical-space assembly.  All solves share one factorised operator,
+    and :func:`oscquad.boundary.levin_value` turns their data at x = a into
+    the value.
     """
     f1, _ = make_f1_f2(spec)
-    op = _freq_operator(spec, npts, s, threshold)
+    op = _freq_operator(spec, npts, s)
     c0, coeffs, f1_end = op.solve_amplitude(f1)
-    q1_end, q_end = _end_value(spec, c0, coeffs, f1_end)
+    ends = [_end_data(spec, c0, coeffs, f1_end)]
     diag = op.factor.diag
     diagnostics = {
         "smallest_sv": diag.smallest_sv,
         "tsvd_truncated": diag.truncated,
     }
-    if spec.kind is SingKind.ALGEBRAIC:
-        value = _alg_boundary_value(spec, c0, q_end)
-    else:
+    if spec.kind is SingKind.ALGEBRAIC_LOG:
         # Taylor series of q1 at each node, summed over the basis in order
         # (a reduction over the leading axis adds its slices one by one).
         q1_series = (coeffs[:, None, None] * op.tables[:, :, : s + 1]).sum(axis=0)
         d0, lcoeffs = op.solve(-ps_mul(q1_series, op.gprime))
         gp_a = float(spec.oscillator.deriv1(spec.a))
-        _, l_end = _end_value(spec, d0, lcoeffs, -q1_end * gp_a)
-        sub = f2_problem(spec)
-        f21, _ = make_f1_f2(sub)
-        c0_2, coeffs_2, f21_end = op.solve_amplitude(f21)
-        _, q_end_2 = _end_value(sub, c0_2, coeffs_2, f21_end)
-        value = _alg_boundary_value(sub, c0_2, q_end_2) + _log_boundary_value(spec, c0, d0, q_end, l_end)
+        ends.append(_end_data(spec, d0, lcoeffs, -ends[0].q1 * gp_a))
+        f21, _ = make_f1_f2(f2_problem(spec))
+        ends.append(_end_data(spec, *op.solve_amplitude(f21)))
         # The second solve shares the operator, so its spectrum is the same.
         diagnostics["smallest_sv_second"] = diag.smallest_sv
     return QuadratureResult(
-        value=complex(value * spec.phase_shift),
+        value=levin_value(spec, *ends),
         method=Method.LEVIN_FREQ,
         s=s,
         n=npts,

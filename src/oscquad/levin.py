@@ -40,11 +40,16 @@ __all__ = [
     "solve_alg",
     "solve_log",
     "picard_iterate",
-    "upper_end_value",
-    "DEFAULT_TSVD_THRESHOLD",
+    "TSVD_THRESHOLD",
 ]
 
-DEFAULT_TSVD_THRESHOLD = 1e-8
+# Relative drop tolerance of every truncated-SVD solve, on both Levin routes.
+# Their conditions grow with the node count: the physical-space systems reach
+# conditions near 1/TSVD_THRESHOLD by n ~ 36, and in frequency space a loose
+# threshold silently discards resolved directions.  The tight tolerance keeps
+# the convergence floor at round-off level instead of freezing it at a
+# least-squares regularization.
+TSVD_THRESHOLD = 1e-13
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,8 @@ def _amplitude_rhs(amplitude, grid: ChebGrid) -> np.ndarray:
     return rhs
 
 
-def tsvd_solve(L: np.ndarray, rhs: np.ndarray, threshold: float = DEFAULT_TSVD_THRESHOLD):
-    """Minimum-norm solve with singular values below ``threshold * s_max`` dropped.
+def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm solve with singular values below ``TSVD_THRESHOLD * s_max`` dropped.
 
     :func:`tsvd_factor` followed by :meth:`TsvdFactor.solve`.
 
@@ -152,12 +157,12 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray, threshold: float = DEFAULT_TSVD_T
     x : ndarray
     diag : TsvdDiag
     """
-    factor = tsvd_factor(L, threshold)
+    factor = tsvd_factor(L)
     return factor.solve(rhs), factor.diag
 
 
-def tsvd_factor(L: np.ndarray, threshold: float = DEFAULT_TSVD_THRESHOLD) -> TsvdFactor:
-    """SVD of ``L``, keeping the singular values from ``threshold * s_max`` up.
+def tsvd_factor(L: np.ndarray) -> TsvdFactor:
+    """SVD of ``L``, keeping the singular values from ``TSVD_THRESHOLD * s_max`` up.
 
     Raises
     ------
@@ -168,7 +173,7 @@ def tsvd_factor(L: np.ndarray, threshold: float = DEFAULT_TSVD_THRESHOLD) -> Tsv
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ParameterError("tsvd_solve expects a square system")
     U, S, Vh = np.linalg.svd(L)
-    keep = S >= threshold * S[0]
+    keep = S >= TSVD_THRESHOLD * S[0]
     if S[0] == 0.0 or not keep.any():
         raise DegenerateSystemError("all singular values below TSVD threshold")
     return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep)
@@ -189,7 +194,7 @@ def _solution_from(L, factor: TsvdFactor, rhs, grid) -> LevinSolution:
     )
 
 
-def solve_alg(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHOLD) -> LevinSolution:
+def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
     """Solve the collocation system for the regularized amplitude f1.
 
     Parameters
@@ -199,15 +204,13 @@ def solve_alg(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHO
         the logarithmic path.
     n : int
         Number of Radau nodes.
-    threshold : float, optional
-        Relative TSVD drop threshold.
     """
     grid = radau_grid(n, spec.a)
     L, rhs = assemble_L(spec, grid)
-    return _solution_from(L, tsvd_factor(L, threshold), rhs, grid)
+    return _solution_from(L, tsvd_factor(L), rhs, grid)
 
 
-def solve_log(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHOLD):
+def solve_log(spec: ProblemSpec, n: int):
     """The three solves of the logarithmic kind, on one factorised operator.
 
     The first solve is :func:`solve_alg` on f1.  The second uses the same
@@ -222,7 +225,7 @@ def solve_log(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHO
     """
     grid = radau_grid(n, spec.a)
     L, rhs = assemble_L(spec, grid)
-    factor = tsvd_factor(L, threshold)
+    factor = tsvd_factor(L)
     first = _solution_from(L, factor, rhs, grid)
     xs, _, gpx, gp0 = _node_data(spec, grid)
     q1_origin = complex(np.dot(grid.origin_weights, first.q1_values))
@@ -233,37 +236,6 @@ def solve_log(spec: ProblemSpec, n: int, threshold: float = DEFAULT_TSVD_THRESHO
     f21, _ = make_f1_f2(f2_problem(spec))
     f2 = _solution_from(L, factor, _amplitude_rhs(f21, grid), grid)
     return first, second, f2
-
-
-def upper_end_value(
-    spec: ProblemSpec,
-    c0: complex,
-    q1_end: complex,
-    rhs_end: complex,
-    dq1_end: complex,
-    dq1_size: float,
-) -> complex:
-    """``q(a) = c0 + g(a) q1(a)``, in whichever of two equal forms rounds less.
-
-    On the model ODE collocated at x = a, q(a) also equals
-
-        Phi(a) = (rhs(a) - g(a) q1'(a) - (1+alpha) g'(a) q1(a)) / (iw g'(a)),
-
-    the map of :func:`picard_iterate` at the upper endpoint, for the
-    right-hand side ``rhs`` of either solve.  The sum loses about
-    ``eps (|c0| + g(a) |q1(a)|)``: c0 and g(a) q1(a) are each O(1/w), and
-    at large w they nearly cancel, the more so the smaller rhs(a) is.  Phi
-    loses about ``eps (|rhs(a)| + g(a) dq1_size + (1+alpha) g'(a) |q1(a)|)
-    / (|w| g'(a))``, where ``dq1_size`` is the size of the terms summed into
-    q1'(a); it grows like n^2 |q1|, so at small w the sum is the better
-    form.  The form with the smaller bound is returned.
-    """
-    g_a, gp_a = spec.oscillator.series_at(spec.a, 2)
-    linear = (1.0 + spec.alpha) * gp_a * q1_end
-    phi_size = (abs(rhs_end) + g_a * dq1_size + abs(linear)) / (abs(spec.w) * gp_a)
-    if phi_size >= abs(c0) + g_a * abs(q1_end):
-        return c0 + g_a * q1_end
-    return (rhs_end - g_a * dq1_end - linear) / (1j * spec.w * gp_a)
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):

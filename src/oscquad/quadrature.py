@@ -9,8 +9,8 @@ and the brute-force oracle.
 
 The lower integration endpoint is handled analytically: every bracket term
 of the antiderivative vanishes as x -> 0+ for alpha > -1, so only the
-upper endpoint contributes.  This avoids evaluating g(x)^alpha at the
-singular point.
+upper endpoint contributes (:mod:`oscquad.boundary`).  This avoids
+evaluating g(x)^alpha at the singular point.
 """
 
 from __future__ import annotations
@@ -20,15 +20,10 @@ from numbers import Integral
 import numpy as np
 
 from ._result import Method, QuadratureResult
+from .boundary import EndData, levin_value
 from .errors import CapabilityError, ParameterError
-from .filon import (
-    _alg_boundary_value,
-    _log_boundary_value,
-    build_hermite_data,
-    quad_filon,
-    quad_freq,
-)
-from .levin import LevinSolution, solve_alg, solve_log, upper_end_value
+from .filon import build_hermite_data, quad_filon, quad_freq
+from .levin import LevinSolution, solve_alg, solve_log
 from .problem import ProblemSpec, SingKind
 
 __all__ = [
@@ -37,30 +32,37 @@ __all__ = [
     "quad_alg",
     "quad_log",
     "compute",
-    "PHYSICAL_TSVD_THRESHOLD",
 ]
 
-# The physical-space systems reach conditions near 1/threshold by n ~ 36;
-# the tight drop tolerance keeps the convergence floor at round-off level
-# instead of freezing it at the default least-squares regularization.
-PHYSICAL_TSVD_THRESHOLD = 1e-13
 
-
-def _physical_diagnostics(sol: LevinSolution) -> dict:
-    return {
-        "residual_norm": sol.residual_norm,
-        "smallest_sv": sol.smallest_sv,
-        "tsvd_truncated": sol.tsvd_truncated,
-    }
-
-
-def _end_value_physical(spec: ProblemSpec, sol: LevinSolution) -> complex:
-    # q(a) = c0 + g(a) q1(a) at the last Radau node x_n = a, with q1'(a)
-    # from the last row of the differentiation matrix.
+def _end_data(sol: LevinSolution) -> EndData:
+    # q1(a) at the last Radau node x_n = a, with q1'(a) from the last row
+    # of the differentiation matrix.
     q1 = sol.q1_values
     row = sol.grid.diff[-1]
-    return upper_end_value(spec, sol.c0, complex(q1[-1]), sol.rhs_end,
-                           complex(row @ q1), float(np.abs(row) @ np.abs(q1)))
+    return EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
+
+
+def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
+    # The s = 0 rule of either kind: the physical-space solves, read off
+    # the bracket at x = a by boundary.levin_value.
+    sols = (solve_alg(spec, n),) if spec.kind is SingKind.ALGEBRAIC else solve_log(spec, n)
+    first = sols[0]
+    diagnostics = {
+        "residual_norm": first.residual_norm,
+        "smallest_sv": first.smallest_sv,
+        "tsvd_truncated": first.tsvd_truncated,
+    }
+    if spec.kind is SingKind.ALGEBRAIC_LOG:
+        diagnostics["residual_norm_second"] = sols[1].residual_norm
+        diagnostics["residual_norm_f2"] = sols[2].residual_norm
+    return QuadratureResult(
+        value=levin_value(spec, *map(_end_data, sols)),
+        method=Method.LEVIN_PHYSICAL,
+        s=0,
+        n=n,
+        diagnostics=diagnostics,
+    )
 
 
 def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
@@ -75,7 +77,7 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     + h`` at x = a times e^{iwg(a)}, with the lower limit contributing zero.
     At large w, ``q(a) = c0 + g(a) q1(a)`` is read off the collocated ODE
     at x = a instead of being summed from c0 and g(a) q1(a), which are
-    each O(1/w) and nearly cancel (:func:`oscquad.levin.upper_end_value`
+    each O(1/w) and nearly cancel (:func:`oscquad.boundary.upper_end_value`
     picks the form that rounds less).  For s >= 1
     the call routes to the frequency-space path, which produces the same
     value for linear oscillators and the Hermite-enhanced asymptotic order
@@ -87,15 +89,7 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
         raise ParameterError("s must be nonnegative")
     if s >= 1:
         return quad_freq(spec, n, s)
-    sol = solve_alg(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
-    value = _alg_boundary_value(spec, sol.c0, _end_value_physical(spec, sol))
-    return QuadratureResult(
-        value=complex(value * spec.phase_shift),
-        method=Method.LEVIN_PHYSICAL,
-        s=0,
-        n=n,
-        diagnostics=_physical_diagnostics(sol),
-    )
+    return _quad_physical(spec, n)
 
 
 def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
@@ -103,8 +97,8 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
 
     For s = 0 the coupled physical-space solves produce (c0, q1) and
     (d0, l1); the value adds the boundary bracket with the logarithmic
-    kernel (``filon._log_boundary_value``, from q(a) and l(a) of the two
-    solves, as in :func:`quad_alg`) to the algebraic rule applied to the
+    kernel (:func:`oscquad.boundary.levin_value`, from q(a) and l(a) of the
+    two solves, as in :func:`quad_alg`) to the algebraic rule applied to the
     f2 amplitude, whose solve shares the operator of the other two (it
     differs from ``spec`` in the amplitude only).  For s >= 1 the
     frequency-space path performs the analogous assembly.
@@ -115,27 +109,7 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
         raise ParameterError("s must be nonnegative")
     if s >= 1:
         return quad_freq(spec, n, s)
-    first, second, f2 = solve_log(spec, n, threshold=PHYSICAL_TSVD_THRESHOLD)
-    f2_value = _alg_boundary_value(spec, f2.c0, _end_value_physical(spec, f2))
-    q_end = _end_value_physical(spec, first)
-    l_end = _end_value_physical(spec, second)
-    value = f2_value + _log_boundary_value(spec, first.c0, second.c0, q_end, l_end)
-    diagnostics = _physical_diagnostics(first)
-    diagnostics["residual_norm_second"] = second.residual_norm
-    diagnostics["residual_norm_f2"] = f2.residual_norm
-    return QuadratureResult(
-        value=complex(value * spec.phase_shift),
-        method=Method.LEVIN_PHYSICAL,
-        s=0,
-        n=n,
-        diagnostics=diagnostics,
-    )
-
-
-def _quad_levin(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
-    if spec.kind is SingKind.ALGEBRAIC:
-        return quad_alg(spec, n, s)
-    return quad_log(spec, n, s)
+    return _quad_physical(spec, n)
 
 
 def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResult:
@@ -170,7 +144,7 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
                 "the physical-space solver is derivative-free: s must be 0 "
                 "(use the frequency path for s >= 1)"
             )
-        return _quad_levin(spec, n, 0)
+        return _quad_physical(spec, n)
     if method is Method.LEVIN_FREQ:
         return quad_freq(spec, n, s)
     if method is Method.FILON:

@@ -1,0 +1,146 @@
+"""The bracket at the upper endpoint that both Levin routes share."""
+
+import numpy as np
+import pytest
+
+import oscquad.filon
+import oscquad.quadrature
+from oscquad import Method, compute
+from oscquad.boundary import EndData, levin_value, upper_end_value
+from oscquad.levin import solve_alg
+from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
+from oscquad.problem import Oscillator, builtin_problem, make_f1_f2
+
+BUILTINS = ("ex51", "ex52", "ex53a", "ex53b")
+LEVIN_CALLS = ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 9, 2))
+
+
+# The assembly that levin_value replaced, kept as the reference: q(a) of
+# each solve reads g(a) and g'(a) anew, and the logarithmic kind adds the
+# f2 sub-problem's algebraic value to the bracket of the logarithmic kernel.
+def _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size):
+    g_a, gp_a = spec.oscillator.series_at(spec.a, 2)
+    linear = (1.0 + spec.alpha) * gp_a * q1_end
+    phi_size = (abs(rhs_end) + g_a * dq1_size + abs(linear)) / (abs(spec.w) * gp_a)
+    if phi_size >= abs(c0) + g_a * abs(q1_end):
+        return c0 + g_a * q1_end
+    return (rhs_end - g_a * dq1_end - linear) / (1j * spec.w * gp_a)
+
+
+def _reference_alg_boundary_value(spec, c0, q_end):
+    g_a = spec.g_end()
+    value = q_end * g_a**spec.alpha * np.exp(1j * spec.w * g_a)
+    if c0 != 0:
+        value += c0 * kernel_k_alg(spec.alpha, spec.w, g_a)
+    return value
+
+
+def _reference_log_boundary_value(spec, c0, d0, q_end, l_end):
+    g_a = spec.g_end()
+    alpha = spec.alpha
+    w = spec.w
+    log_g = np.log(g_a)
+    value = g_a**alpha * (q_end * log_g + l_end) * np.exp(1j * w * g_a)
+    if c0 != 0 or d0 != 0:
+        value += (c0 * log_g + d0 + c0 / alpha) * kernel_k_alg(alpha, w, g_a)
+    if c0 != 0:
+        f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
+        value += (c0 / alpha) * g_a**alpha * f22
+    return value
+
+
+def _reference_value(spec, ends):
+    q = [_reference_upper_end_value(spec, e.c0, e.q1, e.rhs, e.dq1, e.dq1_size) for e in ends]
+    value = _reference_alg_boundary_value(spec, ends[0].c0, q[0])
+    if len(ends) == 3:
+        f2_value = _reference_alg_boundary_value(spec, ends[2].c0, q[2])
+        value = f2_value + _reference_log_boundary_value(spec, ends[0].c0, ends[1].c0, q[0], q[1])
+    return complex(value * spec.phase_shift)
+
+
+def _recorded_levin_calls(monkeypatch):
+    # Every levin_value call of either route, as (spec, end data, value).
+    seen = []
+
+    def recording(spec, *ends):
+        value = levin_value(spec, *ends)
+        seen.append((spec, ends, value))
+        return value
+
+    for module in (oscquad.quadrature, oscquad.filon):
+        monkeypatch.setattr(module, "levin_value", recording)
+    return seen
+
+
+class TestUpperEndValue:
+    @staticmethod
+    def forms(w, n):
+        # q(a) by upper_end_value, by the plain sum c0 + g(a) q1(a), and by
+        # the collocated ODE at x = a.
+        spec = builtin_problem("ex53a", 0.5, w)
+        sol = solve_alg(spec, n)
+        q1, row = sol.q1_values, sol.grid.diff[-1]
+        g, gp = spec.g_end(), float(spec.oscillator.deriv1(spec.a))
+        assert sol.rhs_end == complex(make_f1_f2(spec)[0].value(spec.a))
+        end = EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
+        picked = upper_end_value(spec, end, *spec.oscillator.series_at(spec.a, 2))
+        plain = sol.c0 + g * q1[-1]
+        ode = (sol.rhs_end - g * (row @ q1) - 1.5 * gp * q1[-1]) / (1j * spec.w * gp)
+        return picked, plain, ode
+
+    def test_forms_agree(self):
+        # On the collocated ODE both forms are the same number.
+        _, plain, ode = self.forms(300.0, 16)
+        assert abs(ode - plain) <= 1e-12 * abs(plain)
+
+    def test_sum_at_small_w(self):
+        # Differentiating q1 costs ~n^2 |q1| eps / w; at w = 10 the sum wins.
+        picked, plain, _ = self.forms(10.0, 24)
+        assert picked == plain
+
+    def test_ode_at_large_w(self):
+        # c0 and g(a) q1(a) nearly cancel at w = 1e5; the ODE form is used.
+        picked, plain, ode = self.forms(1e5, 16)
+        assert picked == ode != plain
+        assert abs(ode - plain) <= 1e-9 * abs(plain)
+
+
+class TestLevinValue:
+    @pytest.mark.parametrize("pid", BUILTINS)
+    def test_bit_identical_to_separate_brackets(self, monkeypatch, pid):
+        # Small and large w take both forms of q(a); both routes and both
+        # kinds give the value of the separate brackets bit for bit.
+        seen = _recorded_levin_calls(monkeypatch)
+        for alpha, w in ((0.5, 8.0), (-0.4, 300.0), (0.7, 1e5)):
+            spec = builtin_problem(pid, alpha, w)
+            for method, n, s in LEVIN_CALLS:
+                result = compute(spec, method, n, s)
+                (called_spec, ends, value), = seen
+                seen.clear()
+                assert called_spec is spec
+                assert len(ends) == (1 if pid in ("ex51", "ex53a") else 3)
+                want = _reference_value(spec, ends)
+                assert np.array([value]).tobytes() == np.array([want]).tobytes(), (method, alpha, w)
+                assert result.value == value
+
+    @pytest.mark.parametrize("method, n, s", LEVIN_CALLS)
+    @pytest.mark.parametrize("pid", BUILTINS)
+    def test_one_call_per_compute(self, monkeypatch, pid, method, n, s):
+        seen = _recorded_levin_calls(monkeypatch)
+        compute(builtin_problem(pid, 0.5, 200.0), method, n, s)
+        assert len(seen) == 1
+
+    def test_oscillator_read_once_at_upper_end(self, monkeypatch):
+        # The three solves of a physical ex53b call share one g(a), g'(a).
+        spec = builtin_problem("ex53b", 0.5, 200.0)
+        at_end = []
+        real = Oscillator.series_at
+
+        def counting(self, x0, m):
+            if np.ndim(x0) == 0 and x0 == spec.a:
+                at_end.append(m)
+            return real(self, x0, m)
+
+        monkeypatch.setattr(Oscillator, "series_at", counting)
+        compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
+        assert at_end == [2]

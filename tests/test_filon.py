@@ -378,12 +378,12 @@ def _captured_operator(monkeypatch, spec, npts, s):
     seen = []
     real = oscquad.filon.tsvd_factor
 
-    def capture(A, threshold):
+    def capture(A):
         seen.append(np.array(A))
-        return real(A, threshold)
+        return real(A)
 
     monkeypatch.setattr(oscquad.filon, "tsvd_factor", capture)
-    oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+    oscquad.filon._freq_operator(spec, npts, s)
     monkeypatch.undo()
     assert len(seen) == 1
     return seen[0]
@@ -458,7 +458,7 @@ class TestFreqOperatorRows:
         # whose misses use ps_mul for the recurrence.
         spec = builtin_problem("ex53a", 0.5, 50.0)
         npts, s = 9, 2
-        oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+        oscquad.filon._freq_operator(spec, npts, s)
         calls = []
         real = oscquad.filon.ps_mul
 
@@ -467,5 +467,5 @@ class TestFreqOperatorRows:
             return real(a, b)
 
         monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
-        oscquad.filon._freq_operator(spec, npts, s, oscquad.filon.FREQ_TSVD_THRESHOLD)
+        oscquad.filon._freq_operator(spec, npts, s)
         assert 0 < len(calls) <= npts

@@ -8,6 +8,7 @@ import oscquad.levin
 from oscquad.cheb import radau_grid
 from oscquad.errors import DegenerateSystemError, ParameterError
 from oscquad.levin import (
+    TSVD_THRESHOLD,
     LevinSolution,
     assemble_L,
     picard_iterate,
@@ -15,7 +16,6 @@ from oscquad.levin import (
     solve_log,
     tsvd_factor,
     tsvd_solve,
-    upper_end_value,
 )
 from oscquad.problem import (
     Amplitude,
@@ -133,11 +133,11 @@ class TestTsvdSolve:
         assert diag.truncated == 0
 
     def test_forced_truncation(self):
-        L = np.diag([1.0, 1e-12]).astype(complex)
+        L = np.diag([1.0, 0.1 * TSVD_THRESHOLD]).astype(complex)
         x, diag = tsvd_solve(L, np.array([1.0, 1.0], dtype=complex))
         assert diag.truncated == 1
         assert_allclose(x, [1.0, 0.0], atol=1e-12)
-        assert diag.smallest_sv <= 2e-12
+        assert diag.smallest_sv <= 0.2 * TSVD_THRESHOLD
 
     def test_all_singular_rejected(self):
         L = np.zeros((2, 2), dtype=complex)
@@ -148,10 +148,10 @@ class TestTsvdSolve:
         # One factorisation reproduces tsvd_solve bit for bit on each rhs.
         rng = np.random.default_rng(7)
         L = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        factor = tsvd_factor(L, 1e-13)
+        factor = tsvd_factor(L)
         for _ in range(3):
             b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            x, diag = tsvd_solve(L, b, 1e-13)
+            x, diag = tsvd_solve(L, b)
             assert np.array_equal(factor.solve(b), x)
             assert factor.diag == diag
 
@@ -233,8 +233,8 @@ class TestSolveLog:
     def test_f2_solve_is_solve_alg_of_sub_problem(self):
         # The shared factorisation gives the f2 sub-problem's own solution.
         spec = builtin_problem("ex53b", 0.4, 300.0)
-        _, _, sol3 = solve_log(spec, 10, threshold=1e-13)
-        ref = solve_alg(f2_problem(spec), 10, threshold=1e-13)
+        _, _, sol3 = solve_log(spec, 10)
+        ref = solve_alg(f2_problem(spec), 10)
         assert sol3.c0 == ref.c0
         assert np.array_equal(sol3.q1_values, ref.q1_values)
         assert sol3.residual_norm == ref.residual_norm
@@ -283,37 +283,3 @@ class TestPicardIterate:
         errs = [np.abs(it[1] - sol.q1_values).max() for it in iters]
         assert errs[1] <= 0.1 * errs[0]
         assert errs[2] <= 0.1 * errs[1]
-
-
-class TestUpperEndValue:
-    @staticmethod
-    def forms(w, n):
-        # q(a) by upper_end_value, by the plain sum c0 + g(a) q1(a), and by
-        # the collocated ODE at x = a.
-        spec = builtin_problem("ex53a", 0.5, w)
-        sol = solve_alg(spec, n, threshold=1e-13)
-        q1, row = sol.q1_values, sol.grid.diff[-1]
-        g, gp = spec.g_end(), float(spec.oscillator.deriv1(spec.a))
-        assert sol.rhs_end == complex(make_f1_f2(spec)[0].value(spec.a))
-        picked = upper_end_value(spec, sol.c0, complex(q1[-1]), sol.rhs_end,
-                                 complex(row @ q1), float(np.abs(row) @ np.abs(q1)))
-        plain = sol.c0 + g * q1[-1]
-        ode = (sol.rhs_end - g * (row @ q1) - 1.5 * gp * q1[-1]) / (1j * spec.w * gp)
-        return picked, plain, ode
-
-    def test_forms_agree(self):
-        # On the collocated ODE both forms are the same number.
-        _, plain, ode = self.forms(300.0, 16)
-        assert abs(ode - plain) <= 1e-12 * abs(plain)
-
-    def test_sum_at_small_w(self):
-        # Differentiating q1 costs ~n^2 |q1| eps / w; at w = 10 the sum wins.
-        picked, plain, _ = self.forms(10.0, 24)
-        assert picked == plain
-
-    def test_ode_at_large_w(self):
-        # c0 and g(a) q1(a) nearly cancel at w = 1e5; the ODE form is used.
-        picked, plain, ode = self.forms(1e5, 16)
-        assert picked == ode != plain
-        assert abs(ode - plain) <= 1e-9 * abs(plain)
-

@@ -36,3 +36,15 @@ def test_tracer_targets_resolve():
             if not found:
                 missing.append(f"{modname}.{name}")
     assert not missing
+
+
+def test_submodule_all_names_resolve():
+    # A stale __all__ entry makes ``from oscquad.<module> import *`` fail.
+    import pkgutil
+
+    missing = []
+    for info in pkgutil.iter_modules(oscquad.__path__):
+        module = importlib.import_module(f"oscquad.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    missing += [name for name in oscquad.__all__ if not hasattr(oscquad, name)]
+    assert not missing
