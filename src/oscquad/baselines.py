@@ -38,6 +38,10 @@ __all__ = [
 
 ORACLE_PHASE_CAP = 2.0e4
 
+# Sub-panels per evaluation block of graded_integral (24 nodes each at the
+# default order); bounds the memory of one oracle call.
+_BLOCK_SUBPANELS = 2048
+
 
 def gauss_legendre(f, a: float, b: float, m: int) -> complex:
     """m-point Gauss-Legendre value of ``int_a^b f``.
@@ -322,7 +326,12 @@ def graded_integral(
     depth that makes the x^alpha log x remainder negligible), each split
     further so no sub-panel spans more than ``cap_factor`` of an
     oscillation period of rate ``osc_rate``, then Gauss-Legendre of order
-    ``gl_order`` per sub-panel.  Panels are summed smallest first.
+    ``gl_order`` per sub-panel.  The sub-panel edges of all panels are built
+    at once with ``np.linspace``'s arithmetic, so the nodes are those of a
+    per-panel ``linspace``; ``func`` is then evaluated on consecutive blocks
+    of at most ``_BLOCK_SUBPANELS`` sub-panels, which bounds the memory of
+    one call.  The sub-panel values are summed exactly (``math.fsum``), so
+    their order does not matter.
 
     ``func`` must accept numpy arrays.  ``osc_rate = 0`` disables the
     oscillation cap, which also makes w = 0 integrands usable.
@@ -335,21 +344,34 @@ def graded_integral(
         depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
     xg, wgl = roots_legendre(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
-    # Sub-panel values are accumulated with exact (compensated) summation so
-    # the oracle floor is set by per-panel rounding, not by the running sum.
-    pieces = []
-    for k in range(depth):
-        hi = a * 0.5**k
-        lo = 0.5 * hi
-        nsub = max(1, int(np.ceil((hi - lo) / cap)))
-        edges = np.linspace(lo, hi, nsub + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = mid[:, None] + half[:, None] * xg[None, :]
+    hi = a * 0.5 ** np.arange(depth, dtype=float)
+    lo = 0.5 * hi
+    delta = hi - lo
+    nsub = np.maximum(1, np.ceil(delta / cap)).astype(np.intp)
+    # Edge j of panel k is linspace(lo, hi, nsub + 1)[j]: j step + lo with
+    # step = delta / nsub, and the last edge is hi itself.  linspace's other
+    # form for a step that underflows to 0, j / nsub delta + lo, gives the
+    # same edges here: nsub > 1 only where delta > cap, so the step
+    # underflows only for delta = 0, where both forms give lo.
+    counts = nsub + 1
+    first = np.cumsum(counts) - counts
+    last = first + nsub
+    panel = np.repeat(np.arange(depth), counts)
+    j = np.arange(panel.size) - first[panel]
+    edges = j * (delta / nsub)[panel] + lo[panel]
+    edges[last] = hi
+    left, right = np.delete(edges, last), np.delete(edges, first)
+    mid = 0.5 * (right + left)
+    half = 0.5 * (right - left)
+    vals = np.empty(mid.size, dtype=complex)
+    for b in range(0, mid.size, _BLOCK_SUBPANELS):
+        blk = slice(b, b + _BLOCK_SUBPANELS)
+        pts = mid[blk, None] + half[blk, None] * xg[None, :]
         fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
-        pieces.append(half * (fv @ wgl))
-    flat = np.concatenate(pieces[::-1])
-    return complex(math.fsum(flat.real) + 1j * math.fsum(flat.imag))
+        vals[blk] = half[blk] * (fv @ wgl)
+    # Exact (compensated) summation: the oracle floor is set by per-panel
+    # rounding, not by the running sum.
+    return complex(math.fsum(vals.real) + 1j * math.fsum(vals.imag))
 
 
 def reference_oracle(

@@ -25,6 +25,7 @@ any long option; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="write CSV to this path instead of stdout")
 
 
+@functools.lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing does not change the parser, and
+    # building it costs more than parsing an invocation.
     parser = argparse.ArgumentParser(
         prog="oscquad-bench",
         description="Benchmark CLI for singular oscillatory quadrature.",

@@ -39,7 +39,15 @@ from .errors import (
 from .boundary import EndData, levin_value
 from .levin import TsvdFactor, tsvd_factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
-from .problem import Amplitude, ProblemSpec, SingKind, _factorials, f2_problem, make_f1_f2
+from .problem import (
+    Amplitude,
+    ProblemSpec,
+    SingKind,
+    _factorials,
+    _sub_problem,
+    f2_problem,
+    make_f1_f2,
+)
 
 __all__ = [
     "MomentTable",
@@ -402,7 +410,7 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     and :func:`oscquad.boundary.levin_value` turns their data at x = a into
     the value.
     """
-    f1, _ = make_f1_f2(spec)
+    f1, f2 = make_f1_f2(spec)
     op = _freq_operator(spec, npts, s)
     c0, coeffs, f1_end = op.solve_amplitude(f1)
     ends = [_end_data(spec, c0, coeffs, f1_end)]
@@ -418,7 +426,7 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
         d0, lcoeffs = op.solve(-ps_mul(q1_series, op.gprime))
         gp_a = float(spec.oscillator.deriv1(spec.a))
         ends.append(_end_data(spec, d0, lcoeffs, -ends[0].q1 * gp_a))
-        f21, _ = make_f1_f2(f2_problem(spec))
+        f21, _ = make_f1_f2(_sub_problem(spec, f2))
         ends.append(_end_data(spec, *op.solve_amplitude(f21)))
         # The second solve shares the operator, so its spectrum is the same.
         diagnostics["smallest_sv_second"] = diag.smallest_sv

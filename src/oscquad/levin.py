@@ -28,7 +28,7 @@ import numpy as np
 
 from .cheb import ChebGrid, GridFamily, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import ProblemSpec, f2_problem, make_f1_f2
+from .problem import ProblemSpec, _sub_problem, make_f1_f2
 
 __all__ = [
     "LevinSolution",
@@ -124,11 +124,17 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
+    L = _operator(spec, grid)
+    f1, _ = make_f1_f2(spec)
+    return L, _amplitude_rhs(f1, grid)
+
+
+def _operator(spec: ProblemSpec, grid: ChebGrid) -> np.ndarray:
+    # The matrix of assemble_L, which every right-hand side shares.
     xs, gx, gpx, gp0 = _node_data(spec, grid)
     n = xs.size
     alpha = spec.alpha
     w = spec.w
-    f1, _ = make_f1_f2(spec)
     L = np.zeros((n + 1, n + 1), dtype=complex)
     L[0, 0] = 1j * w * gp0
     L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
@@ -136,7 +142,7 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L[1:, 1:] += gx[:, None] * grid.diff
     rows = np.arange(1, n + 1)
     L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gpx
-    return L, _amplitude_rhs(f1, grid)
+    return L
 
 
 def _amplitude_rhs(amplitude, grid: ChebGrid) -> np.ndarray:
@@ -224,18 +230,19 @@ def solve_log(spec: ProblemSpec, n: int):
     (LevinSolution, LevinSolution, LevinSolution)
     """
     grid = radau_grid(n, spec.a)
-    L, rhs = assemble_L(spec, grid)
+    L = _operator(spec, grid)
+    f1, f2 = make_f1_f2(spec)
     factor = tsvd_factor(L)
-    first = _solution_from(L, factor, rhs, grid)
+    first = _solution_from(L, factor, _amplitude_rhs(f1, grid), grid)
     xs, _, gpx, gp0 = _node_data(spec, grid)
     q1_origin = complex(np.dot(grid.origin_weights, first.q1_values))
     rhs2 = np.empty(xs.size + 1, dtype=complex)
     rhs2[0] = -q1_origin * gp0
     rhs2[1:] = -first.q1_values * gpx
     second = _solution_from(L, factor, rhs2, grid)
-    f21, _ = make_f1_f2(f2_problem(spec))
-    f2 = _solution_from(L, factor, _amplitude_rhs(f21, grid), grid)
-    return first, second, f2
+    f21, _ = make_f1_f2(_sub_problem(spec, f2))
+    third = _solution_from(L, factor, _amplitude_rhs(f21, grid), grid)
+    return first, second, third
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):

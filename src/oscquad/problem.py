@@ -388,7 +388,11 @@ def f2_problem(spec: ProblemSpec) -> ProblemSpec:
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("f2_problem requires a logarithmic-kind problem")
-    f2 = make_f1_f2(spec)[1]
+    return _sub_problem(spec, make_f1_f2(spec)[1])
+
+
+def _sub_problem(spec: ProblemSpec, f2: Amplitude) -> ProblemSpec:
+    # f2_problem for a caller that already holds make_f1_f2(spec)'s f2.
     return replace(spec, amplitude=f2, kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
 
 

@@ -6,8 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_legendre
 
+from oscquad import Method, compute
 from oscquad.baselines import (
+    _BLOCK_SUBPANELS,
     CMFPParams,
     cmf_composite,
     cmfp,
@@ -18,8 +21,8 @@ from oscquad.baselines import (
     reference_oracle,
     ORACLE_PHASE_CAP,
 )
-from oscquad.errors import CapabilityError, ParameterError
-from oscquad.problem import builtin_problem
+from oscquad.errors import AccuracyError, CapabilityError, ParameterError
+from oscquad.problem import builtin_problem, integrand
 
 mp.mp.dps = 40
 
@@ -194,6 +197,129 @@ class TestGradedIntegral:
     def test_rejects_nonintegrable(self):
         with pytest.raises(ParameterError):
             graded_integral(lambda x: 1.0 / x, 1.0, -1.0)
+
+
+def _per_panel_graded(func, a, alpha, osc_rate, gl_order=24, cap_factor=0.25):
+    # The oracle's rule one geometric panel at a time, with np.linspace per
+    # panel: returns the value, the sum of |sub-panel values| and the nodes
+    # in the order func saw them.
+    depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
+    xg, wgl = roots_legendre(gl_order)
+    cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
+    pieces, nodes = [], []
+    for k in range(depth):
+        hi = a * 0.5**k
+        lo = 0.5 * hi
+        nsub = max(1, int(np.ceil((hi - lo) / cap)))
+        edges = np.linspace(lo, hi, nsub + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        pts = mid[:, None] + half[:, None] * xg[None, :]
+        nodes.append(pts.ravel())
+        fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
+        pieces.append(half * (fv @ wgl))
+    flat = np.concatenate(pieces[::-1])
+    value = complex(math.fsum(flat.real) + 1j * math.fsum(flat.imag))
+    return value, math.fsum(np.abs(flat)), np.concatenate(nodes)
+
+
+def _oracle_rate(spec):
+    # osc_rate as reference_oracle computes it.
+    sample = np.linspace(0.0, spec.a, 257)
+    return abs(spec.w) * float(np.max(np.abs(spec.oscillator.deriv1(sample))))
+
+
+def _spy(spec, calls):
+    def func(x):
+        calls.append(np.array(x))
+        return integrand(spec, x)
+
+    return func
+
+
+class TestGradedIntegralBatched:
+    """The one-pass, blocked graded_integral keeps the per-panel rule."""
+
+    @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+    def test_agrees_with_per_panel_loop(self, pid):
+        eps = np.finfo(float).eps
+        g_end = builtin_problem(pid, 0.5, 1.0).g_end()
+        for alpha in (-0.9, -0.5, 0.5, 0.9):
+            for w in (1.0, 100.0, ORACLE_PHASE_CAP / g_end):
+                spec = builtin_problem(pid, alpha, w)
+                rate = _oracle_rate(spec)
+                got = graded_integral(lambda x: integrand(spec, x), spec.a, alpha, osc_rate=rate)
+                ref, size, _ = _per_panel_graded(
+                    lambda x: integrand(spec, x), spec.a, alpha, rate
+                )
+                assert abs(got - ref) <= 4.0 * eps * size, (pid, alpha, w)
+                assert got * spec.phase_shift == reference_oracle(spec)
+
+    @pytest.mark.parametrize(
+        "pid, alpha, w",
+        [("ex51", 0.5, 1.0), ("ex53b", -0.5, 1e4), ("ex52", -0.99, 10.0)],
+    )
+    def test_nodes_bit_identical_to_linspace(self, pid, alpha, w):
+        # Covers a panel split across blocks (ex53b at the phase cap) and
+        # panels that underflow to subnormal and zero widths (alpha=-0.99).
+        spec = builtin_problem(pid, alpha, w)
+        rate = _oracle_rate(spec)
+        calls = []
+        with np.errstate(all="ignore"):
+            graded_integral(_spy(spec, calls), spec.a, alpha, osc_rate=rate)
+            _, _, ref_nodes = _per_panel_graded(
+                lambda x: integrand(spec, x), spec.a, alpha, rate
+            )
+        got = np.concatenate(calls)
+        assert got.shape == ref_nodes.shape
+        assert np.array_equal(got.view(np.uint64), ref_nodes.view(np.uint64))
+
+    def test_last_edge_of_each_panel_is_its_end(self):
+        # For this a and rate, nsub (delta / nsub) + lo misses hi by one ulp
+        # on the fifth panel; linspace sets its last edge to hi.
+        a, rate = 0.9792650049457704, 229.34731937701522
+        calls = []
+
+        def func(x):
+            return np.exp(1j * rate * x) / np.sqrt(x)
+
+        def spy(x):
+            calls.append(np.array(x))
+            return func(x)
+
+        got = graded_integral(spy, a, -0.5, osc_rate=rate)
+        ref, size, ref_nodes = _per_panel_graded(func, a, -0.5, rate)
+        got_nodes = np.concatenate(calls)
+        assert np.array_equal(got_nodes.view(np.uint64), ref_nodes.view(np.uint64))
+        assert abs(got - ref) <= 4.0 * np.finfo(float).eps * size
+
+    @pytest.mark.parametrize("gl_order", [24, 32])
+    def test_evaluation_blocks_are_bounded(self, gl_order):
+        # ex53b at the phase cap has about 2e4 sub-panels, the top panel
+        # alone about 1e4: the calls must be split into blocks.
+        spec = builtin_problem("ex53b", 0.5, ORACLE_PHASE_CAP / 2.0)
+        calls = []
+        graded_integral(_spy(spec, calls), spec.a, 0.5, osc_rate=_oracle_rate(spec),
+                        gl_order=gl_order)
+        sizes = [c.size for c in calls]
+        assert len(sizes) > 1
+        assert max(sizes) <= _BLOCK_SUBPANELS * gl_order
+        assert sum(sizes) % gl_order == 0
+
+    @pytest.mark.parametrize("alpha", [-0.95, -0.99])
+    def test_finiteness_near_minus_one_unchanged(self, alpha):
+        # The geometric depth underflows to zero-width panels at x = 0 for
+        # these alpha, so the value is not finite with either form of the
+        # rule, and compute(ORACLE) refuses it.
+        spec = builtin_problem("ex51", alpha, 10.0)
+        rate = _oracle_rate(spec)
+        with np.errstate(all="ignore"):
+            got = graded_integral(lambda x: integrand(spec, x), spec.a, alpha, osc_rate=rate)
+            ref, _, _ = _per_panel_graded(lambda x: integrand(spec, x), spec.a, alpha, rate)
+            assert np.isfinite(got) == np.isfinite(ref)
+            assert not np.isfinite(got)
+            with pytest.raises(AccuracyError):
+                compute(spec, Method.ORACLE, 0, 0)
 
 
 class TestReferenceOracle:

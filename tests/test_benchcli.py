@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import oscquad.benchcli
 from oscquad.baselines import reference_oracle
 from oscquad.benchcli import (
     CSV_HEADER,
@@ -227,6 +228,38 @@ class TestCompare:
         assert "# ref_kind=levin-n32-s2" in err
         recs = parse_csv(out)
         assert "oracle" not in {r.method for r in recs}
+
+
+class TestParserOncePerProcess:
+    def test_reused_parser_matches_fresh_parsers(self, monkeypatch):
+        # One process runs several invocations on the memoised parser; their
+        # stdout (time column masked) and exit codes equal those of a fresh
+        # parser per call.
+        calls = [
+            ["sweep-w", "--problem", "ex51", "--alpha", "0.5",
+             "--w", "10,100", "--n", "8", "--method", "levin"],
+            ["sweep-w", "--problem", "ex51", "--alpha", "0.5", "--n", "x"],
+            ["compare", "--problem", "ex53a", "--alpha", "-0.5",
+             "--w", "50", "--n", "8"],
+            ["sweep-w", "--problem", "ex52", "--alpha", "-0.3",
+             "--w", "20,2000", "--n", "10", "--s", "1", "--method", "levin"],
+        ]
+        strip = lambda text: re.sub(r",\d+$", ",T", text, flags=re.M)
+
+        def run_all():
+            out = []
+            for argv in calls:
+                code, text, _ = run(argv)
+                out.append((code, strip(text)))
+            return out
+
+        reused = run_all()
+        assert oscquad.benchcli._make_parser.cache_info().currsize == 1
+        monkeypatch.setattr(
+            oscquad.benchcli, "_make_parser", oscquad.benchcli._make_parser.__wrapped__
+        )
+        assert run_all() == reused
+        assert [code for code, _ in reused] == [0, 2, 0, 0]
 
 
 class TestConfigAndOutput:

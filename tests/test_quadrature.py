@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import oscquad.cheb
 import oscquad.filon
 import oscquad.levin
+import oscquad.problem
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval
@@ -203,6 +204,30 @@ class TestOneOperatorPerLevinCall:
         res = compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
         assert np.isfinite(res.value)
         assert counts == {"svd": 1, "grid": 1}
+
+
+class TestOneAmplitudeBuildPerLevinCall:
+    @pytest.mark.parametrize(
+        "method, n, s", [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 8, 2)]
+    )
+    def test_log_kind_builds_amplitudes_once_per_problem(self, monkeypatch, method, n, s):
+        # The f2 amplitude that builds the sub-problem is the one already
+        # built for the f1 solve: one make_f1_f2 on the problem and one on
+        # the sub-problem.
+        kinds = []
+        original = oscquad.problem.make_f1_f2
+
+        def counting(spec):
+            kinds.append(spec.kind)
+            return original(spec)
+
+        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
+            monkeypatch.setattr(module, "make_f1_f2", counting)
+        spec = builtin_problem("ex53b", 0.5, 200.0)
+        res = compute(spec, method, n, s)
+        assert kinds == [SingKind.ALGEBRAIC_LOG, SingKind.ALGEBRAIC]
+        monkeypatch.undo()
+        assert res.value == compute(spec, method, n, s).value
 
 
 class TestCachesChangeNoOutput:
