@@ -28,6 +28,7 @@ from .baselines import (
     default_cmfp_params,
     gauss_legendre,
     graded_integral,
+    reference_nsd,
     reference_oracle,
 )
 from .cheb import ChebGrid, barycentric_eval, lobatto_grid, radau_grid
@@ -95,6 +96,7 @@ __all__ = [
     "default_cmfp_params",
     "gauss_legendre",
     "graded_integral",
+    "reference_nsd",
     "reference_oracle",
     "ChebGrid",
     "barycentric_eval",

@@ -10,18 +10,25 @@ The reference oracle integrates the full singular integrand by brute
 force on a geometric mesh (ratio 1/2) with oscillation-capped
 Gauss-Legendre panels; it refuses frequencies whose total phase range
 exceeds a cap, beyond which its cost and round-off defeat its purpose.
+
+The numerical steepest-descent reference (:func:`reference_nsd`) moves the
+integral onto one complex path from each endpoint, on which the oscillation
+turns into exponential decay; its cost does not grow with the frequency.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import digamma, roots_genlaguerre, roots_legendre
 
 from ._result import Method, QuadratureResult
-from .errors import CapabilityError, ParameterError
+from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import ProblemSpec, SingKind, integrand
 
 __all__ = [
@@ -33,10 +40,29 @@ __all__ = [
     "cmfp",
     "graded_integral",
     "reference_oracle",
+    "reference_nsd",
     "ORACLE_PHASE_CAP",
+    "NSD_ORDER",
 ]
 
 ORACLE_PHASE_CAP = 2.0e4
+
+# Nodes per path of reference_nsd, and the most the log kind accepts: its
+# product weights lose digits as m grows (2e-15 at 30, 3.5e-15 at 40 for
+# alpha = -0.5); at 22 the values stay within 2e-15 of 40-digit ones.
+NSD_ORDER = 22
+# reference_nsd refuses when a singularity's estimated effect (_rule_error)
+# on a Gauss rule or on the log kind's product rule exceeds these.  Against
+# 40-digit values of the four built-ins (alpha = +-0.5, +-0.9, |w| g(a) from
+# 10 to 1e4) the Gauss estimate runs up to 40 times below the error and the
+# product estimate about 20 times above it; both bounds keep every accepted
+# value within 2e-15 relative.
+_NSD_GAUSS_TOL = 1e-17
+_NSD_PRODUCT_TOL = 1e-14
+# Slope Re/Im of g along the tilted ray from 0 (see reference_nsd).  The
+# tilt leaves a factor e^{i tilt r} in the integrand, which the product rule
+# (exact to degree m - 1 only) resolves to round-off for tilt <= 0.1.
+_NSD_TILT = 0.1
 
 # Sub-panels per evaluation block of graded_integral (24 nodes each at the
 # default order); bounds the memory of one oracle call.
@@ -404,3 +430,164 @@ def reference_oracle(
         cap_factor=cap_factor,
     )
     return complex(value * spec.phase_shift)
+
+
+@functools.lru_cache(maxsize=64)
+def _laguerre_rule(m: int, alpha: float):
+    # Generalised Gauss-Laguerre nodes and weights for p^alpha e^{-p} on
+    # (0, inf), and the product weights of p^alpha log(p) e^{-p} on the same
+    # nodes: log p expanded in L_j^{(alpha)}, j < m, whose coefficients are
+    # closed form, int p^alpha log(p) L_j e^{-p} dp = -Gamma(alpha+1)/j for
+    # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0.  Cached per (m, alpha)
+    # and returned read-only.
+    nodes, weights = roots_genlaguerre(m, alpha)
+    acc = np.full(m, digamma(alpha + 1.0))
+    prev, lag = np.ones(m), 1.0 + alpha - nodes
+    ratio = 1.0  # Gamma(alpha+1) j! / Gamma(j+alpha+1)
+    for j in range(1, m):
+        ratio *= j / (j + alpha)
+        acc -= ratio / j * lag
+        prev, lag = lag, ((2 * j + 1 + alpha - nodes) * lag - (j + alpha) * prev) / (j + 1)
+    rule = (nodes, weights, weights * acc)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _path_slope(t, g1: float, g2: float):
+    # y / t for the root y of g(c + y) - g(c) = g1 y + g2 y^2 = t that is 0
+    # at t = 0, without cancellation, and the root's sqrt = g'(c + y).
+    root = np.sqrt(g1 * g1 + 4.0 * g2 * t)
+    return 2.0 / (g1 + root), root
+
+
+def _rule_error(t, w: float, turn: complex, m: int, alpha: float, product: bool = False) -> float:
+    # Estimated relative error that singularities at g(x) - g(c) = t cause in
+    # an m-point Laguerre rule in r, where p = turn r and g(x) = g(c) + i p / w.
+    # A singularity at z in the r-plane costs a Gauss rule about
+    # e^{-Re z} e^{-2 sqrt(nu) Re sqrt(-z)}, nu = 4m + 2 alpha + 2 (Perron's
+    # asymptotics of the rule's error kernel); the first factor is dropped
+    # for Re z < 0, where it holds only for |z| much smaller than nu.  A
+    # product rule on the same nodes is exact to degree m - 1 only, not
+    # 2m - 1, and converges at half that rate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -1j * w * np.asarray(t, dtype=complex) / turn
+    z = z[np.isfinite(z)]  # beyond the float range: no effect on the rule
+    if z.size == 0:
+        return 0.0
+    nu = 4.0 * m + 2.0 * alpha + 2.0
+    exponent = -np.maximum(z.real, 0.0) - 2.0 * math.sqrt(nu) * np.sqrt(-z).real
+    return float(np.exp(exponent.max() / (2.0 if product else 1.0)))
+
+
+def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
+    """Reference value by numerical steepest descent, for large |w| g(a).
+
+    The integral over [0, a] is the difference of two path integrals, one
+    from each endpoint c, on which ``g(x) = g(c) + i sign(w) p / |w|`` for
+    p >= 0, so that ``e^{iwg(x)} = e^{iwg(c)} e^{-p}`` (Huybrechs &
+    Vandewalle, SIAM J. Numer. Anal. 44, 2006; Deano & Huybrechs, Numer.
+    Math. 112, 2009).  For a polynomial g of degree <= 2 each path is
+    inverted in closed form, ``x = c + 2t / (g'(c) + sqrt(g'(c)^2 + 4 g2 t))``
+    with ``t = g(x) - g(c)``.  The path from 0 carries ``x^alpha`` as the
+    weight ``p^alpha e^{-p}`` of an m-point generalised Gauss-Laguerre rule
+    (the log kind adds the product rule of ``p^alpha log(p) e^{-p}``, for
+    m <= 22); the path from a uses the plain Gauss-Laguerre rule.  The cost
+    does not depend on w.
+
+    The amplitude must carry its continuation off the real axis
+    (``Amplitude.complex_value``) and its singular points.  When one of them
+    lies in or on the region swept between [0, a] and the paths, or too close
+    to the nodes of the path from 0 (ex52's pole at x = i lies on that path,
+    at p = w), the ray from 0 is tilted toward a, ``p = (1 - i sign(w) tilt) r``
+    with r on the rule's nodes, which leaves a factor ``e^{i sign(w) tilt r}``
+    in the integrand.
+
+    Raises
+    ------
+    CapabilityError
+        When g is not a polynomial of degree <= 2, f has no continuation, a
+        singular point of f lies in or on the swept region for both rays
+        from 0, or a singularity in the p-plane (those of f, the branch point
+        of the path where g' = 0, and x = 0 on the path from a) lies so close
+        to a rule's nodes that the rule's estimated error exceeds its bound
+        (``_NSD_GAUSS_TOL``, ``_NSD_PRODUCT_TOL``).
+    ParameterError
+        For an m that is not a positive integer, or above 22 in the log kind.
+    AccuracyError
+        When the value is not finite.
+    """
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
+    if log_kind and m > NSD_ORDER:
+        raise ParameterError(f"the log-kind rule supports m <= {NSD_ORDER}, got {m}")
+    amp = spec.amplitude
+    if amp.complex_value is None:
+        raise CapabilityError("NSD needs the amplitude's complex-argument evaluator")
+    poly = spec.oscillator.poly
+    coeffs = None if poly is None else np.trim_zeros(np.asarray(poly, dtype=float), "b")
+    if coeffs is None or coeffs.size > 3:
+        raise CapabilityError("NSD inverts polynomial oscillators of degree <= 2 only")
+    g2 = float(coeffs[2]) if coeffs.size == 3 else 0.0
+    a, w, alpha = spec.a, spec.w, spec.alpha
+    sign = 1.0 if w > 0 else -1.0
+    g_a = spec.g_end()
+    slopes = (float(coeffs[1]), float(coeffs[1]) + 2.0 * g2 * a)  # g'(0), g'(a)
+    sing = np.asarray(amp.singular_points, dtype=complex)
+    u = np.polynomial.polynomial.polyval(sing, coeffs)  # g at the singular points
+    # Where g' = 0 the path inverse branches; in t = g - g(c) that is at
+    # -g'(c)^2 / (4 g2) (none for linear g, nor beyond the float range).
+    branch = []
+    for g1 in slopes:
+        t_branch = -g1 * g1 / (4.0 * g2) if g2 else math.inf
+        branch.append([t_branch] if math.isfinite(t_branch) else [])
+    t_end = np.concatenate([u - g_a, branch[1], [-g_a]])  # x = 0 is singular on the path from a
+    if _rule_error(t_end, w, 1.0, m, 0.0) > _NSD_GAUSS_TOL:
+        raise CapabilityError("a singularity lies too close to the nodes of the path from a")
+    t_zero = np.concatenate([u, branch[0]])
+    # The log kind's product rule is the slower of its two rules from 0.
+    tol_zero = _NSD_PRODUCT_TOL if log_kind else _NSD_GAUSS_TOL
+    # g maps the swept region onto the strip between the ray of g from 0 and
+    # the vertical ray from g(a), on the side sign(w) Im g >= 0; a singular
+    # point is inside when g takes it there on the branch of the inverse
+    # that is continuous from [0, a].
+    on_branch = np.abs(u * _path_slope(u, slopes[0], g2)[0] - sing) <= 1e-9 * (1.0 + np.abs(sing))
+    height = sign * u.imag
+    for tilt in (0.0, _NSD_TILT):
+        left = tilt * height
+        inside = (height >= 0) & (np.minimum(left, g_a) <= u.real) & (u.real <= np.maximum(left, g_a))
+        turn = 1.0 - 1j * sign * tilt
+        if not np.any(inside & on_branch) and _rule_error(t_zero, w, turn, m, alpha, log_kind) <= tol_zero:
+            break
+    else:
+        raise CapabilityError(
+            "a singularity of the amplitude or of the path from 0 lies in the swept "
+            "region or too close to the rule's nodes"
+        )
+
+    r0, w0, log_w0 = _laguerre_rule(m, alpha)
+    slope0, root0 = _path_slope(1j * turn * r0 / w, slopes[0], g2)
+    x_over_r = 1j * turn / w * slope0
+    x0 = r0 * x_over_r
+    h0 = amp.complex_value(x0) * x_over_r**alpha * (1j * turn / w / root0)
+    if tilt:
+        h0 = h0 * np.exp(1j * sign * tilt * r0)
+    if log_kind:
+        # x^alpha log x = r^alpha (x/r)^alpha (log r + log(x/r))
+        from_zero = log_w0 @ h0 + w0 @ (h0 * np.log(x_over_r))
+    else:
+        from_zero = w0 @ h0
+
+    ra, wa, _ = _laguerre_rule(m, 0.0)
+    t_a = 1j * ra / w
+    slope_a, root_a = _path_slope(t_a, slopes[1], g2)
+    xa = a + t_a * slope_a
+    ha = amp.complex_value(xa) * xa**alpha / root_a
+    if log_kind:
+        ha = ha * np.log(xa)
+    from_a = cmath.exp(1j * w * g_a) * (wa @ ha) * (1j / w)
+    value = complex((from_zero - from_a) * spec.phase_shift)
+    if not cmath.isfinite(value):
+        raise AccuracyError("NSD value is not finite")
+    return value

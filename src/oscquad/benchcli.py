@@ -13,9 +13,25 @@ compare
     Levin vs the composite baseline (where applicable) vs the oracle at a
     single configuration; CSV output with errors against the reference.
 
-Reference values for error columns come from the brute-force oracle when
-|w| g(a) is within its cap and from the highest-order Levin result
-(n = 32, s = 2) above it; the choice is reported as ``ref_kind``.
+Reference values for error columns come from one of three tiers, chosen by
+the phase range |w| g(a) and reported as ``ref_kind``:
+
+``nsd``
+    Numerical steepest descent (:func:`oscquad.baselines.reference_nsd`),
+    for |w| g(a) above ``NSD_CROSSOVER`` when the problem is in its scope
+    (polynomial g of degree <= 2, an amplitude with a complex-argument
+    evaluator, no singularity near the paths).  Its cost does not grow
+    with w.
+``oracle``
+    The brute-force oracle, for |w| g(a) up to its cap
+    (``ORACLE_PHASE_CAP``) where NSD is not used.
+``levin-n32-s2``
+    The highest-order Levin result (n = 32, s = 2) above the cap, when NSD
+    refuses.
+
+Where NSD refuses, the next tier takes over, so the reference tier never
+changes an exit code.  ``oracle`` rows reuse the oracle value computed for
+the reference, with the time that call took.
 
 Exit codes: 0 success, 2 bad arguments, 3 capability refusal, 4 accuracy
 failure, 5 I/O failure.  A plain-text ``key=value`` config file can seed
@@ -33,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ORACLE_PHASE_CAP, reference_oracle
+from .baselines import ORACLE_PHASE_CAP, reference_nsd, reference_oracle
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import (
     Amplitude,
@@ -44,7 +60,7 @@ from .problem import (
     builtin_problem,
     delta_alpha,
 )
-from .quadrature import Method, compute
+from .quadrature import Method, QuadratureResult, compute
 
 __all__ = ["RunRecord", "write_csv", "run_command", "main", "CSV_HEADER"]
 
@@ -52,6 +68,13 @@ CSV_HEADER = "problem,method,kind,alpha,s,n,w,value_re,value_im,abs_err,rel_err,
 
 _REF_N = 32
 _REF_S = 2
+# |w| g(a) above which the error columns use the NSD reference.  Measured
+# against 40-digit values of the built-ins (alpha = +-0.5, +-0.9): where NSD
+# accepts a problem above 100 it is within 2e-15 relative, while the oracle
+# is off by up to 1.6e-13 at |w| g(a) = 70-150 and grows with w; below 100
+# a first oracle call costs 0.14-0.18 ms against 0.21 ms for NSD with a new
+# alpha, and NSD refuses ex52, ex53a and ex53b below 70.
+NSD_CROSSOVER = 100.0
 
 
 @dataclass(frozen=True)
@@ -210,28 +233,52 @@ def _build_spec(args, w: float):
 
 
 class _RefCache:
-    # Per-invocation reference memo.
+    # Per-invocation memo of the reference values and of the oracle.
     def __init__(self):
         self._values = {}
+        self._oracle = {}
+
+    def oracle(self, spec, w: float):
+        """``(value, time_ns)`` of the oracle on ``spec`` (built for w)."""
+        if w not in self._oracle:
+            t0 = time.perf_counter_ns()
+            value = reference_oracle(spec)
+            self._oracle[w] = (value, max(1, time.perf_counter_ns() - t0))
+        return self._oracle[w]
 
     def get(self, args, w: float):
+        """``(value, ref_kind)`` of the reference at frequency w."""
         if w not in self._values:
             spec, _ = _build_spec(args, w)
-            if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
-                self._values[w] = (reference_oracle(spec), "oracle")
-            else:
-                res = compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S)
-                self._values[w] = (res.value, f"levin-n{_REF_N}-s{_REF_S}")
+            self._values[w] = self._reference(spec, w)
         return self._values[w]
 
+    def _reference(self, spec, w: float):
+        # The three tiers of the module docstring, in order.
+        phase = abs(spec.w) * spec.g_end()
+        if phase > NSD_CROSSOVER:
+            try:
+                return reference_nsd(spec), "nsd"
+            except (CapabilityError, AccuracyError):
+                pass  # outside NSD's scope: the next tier decides
+        if phase <= ORACLE_PHASE_CAP:
+            return self.oracle(spec, w)[0], "oracle"
+        return compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S).value, f"levin-n{_REF_N}-s{_REF_S}"
 
-def _run_one(args, label: str, method_name: str, n: int, s: int, w: float, ref) -> RunRecord:
+
+def _run_one(args, label: str, method_name: str, n: int, s: int, w: float, cache: _RefCache) -> RunRecord:
+    ref_value, _ = cache.get(args, w)
     spec, _ = _build_spec(args, w)
     method = _resolve_method(method_name, s)
-    t0 = time.perf_counter_ns()
-    result = compute(spec, method, n, s)
-    elapsed = max(1, time.perf_counter_ns() - t0)
-    ref_value, _ = ref
+    if method is Method.ORACLE:
+        # The oracle is deterministic: the row reuses the cached call, and
+        # QuadratureResult still refuses a non-finite value.
+        value, elapsed = cache.oracle(spec, w)
+        result = QuadratureResult(value=value, method=Method.ORACLE, s=0, n=0)
+    else:
+        t0 = time.perf_counter_ns()
+        result = compute(spec, method, n, s)
+        elapsed = max(1, time.perf_counter_ns() - t0)
     abs_err = abs(result.value - ref_value)
     rel_err = abs_err / abs(ref_value) if ref_value != 0 else abs_err
     order = s + 1.0 + min(1.0 + args.alpha, 1.0)
@@ -292,9 +339,8 @@ def _cmd_sweep_w(args, out, err) -> int:
 
     def runner(task):
         w, m = task
-        ref = cache.get(args, w)
         label = args.problem if args.problem else "custom"
-        return _run_one(args, label, m, args.n, args.s, w, ref)
+        return _run_one(args, label, m, args.n, args.s, w, cache)
 
     _emit_records(args, tasks, runner, out)
     return 0
@@ -312,9 +358,8 @@ def _cmd_sweep_n(args, out, err) -> int:
 
     def runner(task):
         n, m = task
-        ref = cache.get(args, args.w)
         label = args.problem if args.problem else "custom"
-        return _run_one(args, label, m, n, args.s, args.w, ref)
+        return _run_one(args, label, m, n, args.s, args.w, cache)
 
     _emit_records(args, tasks, runner, out)
     return 0
@@ -323,7 +368,7 @@ def _cmd_sweep_n(args, out, err) -> int:
 def _cmd_compare(args, out, err) -> int:
     spec, label = _build_spec(args, args.w)
     cache = _RefCache()
-    ref_value, ref_kind = cache.get(args, args.w)
+    _, ref_kind = cache.get(args, args.w)
     err.write(f"# ref_kind={ref_kind}\n")
     methods = ["levin"]
     if spec.oscillator.poly is not None and np.trim_zeros(spec.oscillator.poly, "b").size <= 2:
@@ -332,7 +377,7 @@ def _cmd_compare(args, out, err) -> int:
         methods.append("oracle")
 
     def runner(m):
-        return _run_one(args, label, m, args.n, args.s, args.w, (ref_value, ref_kind))
+        return _run_one(args, label, m, args.n, args.s, args.w, cache)
 
     _emit_records(args, methods, runner, out)
     return 0

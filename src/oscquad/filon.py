@@ -252,12 +252,13 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     return y * scale
 
 
-def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
+def quad_filon(spec: ProblemSpec, data: HermiteData, f2: Optional[Amplitude] = None) -> QuadratureResult:
     """Filon-type quadrature from Hermite data.
 
     Algebraic kind: ``sum_j p_j mu_j`` times the phase shift.  Logarithmic
     kind: the algebraic rule applied to the regularized f2 amplitude plus
-    ``sum_j p_j nu_j``.
+    ``sum_j p_j nu_j``; ``f2`` is that amplitude when the caller already
+    holds it from :func:`oscquad.problem.make_f1_f2`.
     """
     p = hermite_solve(data, spec)
     table = build_moment_table(spec, p.size)
@@ -266,7 +267,7 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     s = int(data.mults[0]) - 1
     diagnostics = {"basis_size": int(p.size)}
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        sub = f2_problem(spec)
+        sub = f2_problem(spec) if f2 is None else _sub_problem(spec, f2)
         p2 = hermite_solve(build_hermite_data(sub, npts, s), sub)
         value = np.dot(p2, table.mu) + np.dot(p, table.nu)
         diagnostics["basis_size_f2"] = int(p2.size)

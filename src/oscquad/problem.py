@@ -94,10 +94,21 @@ class Amplitude:
         Local-series builder ``(xs, m) -> (len(xs), m)`` array whose row i
         holds the Taylor coefficients of f at ``xs[i]`` (a 1-D float array)
         up to order m - 1.  Without it only order 0, the value, is known.
+    complex_value : callable, optional
+        Vectorized map z -> complex of f's analytic continuation off the
+        real axis, for methods that integrate along complex paths
+        (:func:`oscquad.baselines.reference_nsd`).  Without it f is known on
+        [0, a] only.
+    singular_points : tuple of complex
+        Where the continuation is not analytic (poles and branch points,
+        with principal-branch cuts running away from [0, a]); empty for an
+        entire f.  Read only together with ``complex_value``.
     """
 
     value: Callable
     series_fn: Optional[Callable] = None
+    complex_value: Optional[Callable] = None
+    singular_points: tuple = ()
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[complex]) -> "Amplitude":
@@ -112,7 +123,10 @@ class Amplitude:
         def series(xs, m):
             return poly_taylor(coeffs.real, xs, m) + 1j * poly_taylor(coeffs.imag, xs, m)
 
-        return cls(value=value, series_fn=series)
+        def complex_value(z):
+            return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), coeffs)
+
+        return cls(value=value, series_fn=series, complex_value=complex_value)
 
     @classmethod
     def with_fd(cls, value: Callable) -> "Amplitude":
@@ -430,7 +444,12 @@ def _rational_inv_one_plus_x2() -> Amplitude:
         one[:, 0] = 1.0
         return ps_div(one, poly_taylor(den, xs, m).astype(complex))
 
-    return Amplitude(value=value, series_fn=series)
+    def complex_value(z):
+        z = np.asarray(z, dtype=complex)
+        return 1.0 / (1.0 + z * z)
+
+    return Amplitude(value=value, series_fn=series, complex_value=complex_value,
+                     singular_points=(1j, -1j))
 
 
 def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
@@ -445,7 +464,13 @@ def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
         pw = ps_pow(poly_taylor(np.array([2.0, -1.0]), xs, m), alpha).astype(complex)
         return const * ps_mul(lin, pw)
 
-    return Amplitude(value=value, series_fn=series)
+    def complex_value(z):
+        # The principal power's cut, 2 - z <= 0, is the ray z >= 2.
+        z = np.asarray(z, dtype=complex)
+        return const * (1.0 - z) * (2.0 - z) ** alpha
+
+    return Amplitude(value=value, series_fn=series, complex_value=complex_value,
+                     singular_points=(2.0 + 0j,))
 
 
 BUILTIN_IDS = ("ex51", "ex52", "ex53a", "ex53b", "ex54")

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import oscquad.baselines
 import oscquad.benchcli
 from oscquad.baselines import reference_oracle
 from oscquad.benchcli import (
@@ -210,24 +211,77 @@ class TestSweeps:
 
 class TestCompare:
     def test_compare_emits_ref_kind(self):
+        # |w| g(a) = 50 is below the NSD crossover: the oracle is the reference.
         code, out, err = run(
             ["compare", "--problem", "ex51", "--alpha", "0.5",
-             "--w", "100", "--n", "8"]
+             "--w", "50", "--n", "8"]
         )
         assert code == 0
         assert "# ref_kind=oracle" in err
         recs = parse_csv(out)
         assert {r.method for r in recs} >= {"levin-physical", "cmfp", "oracle"}
 
-    def test_compare_high_w_self_reference(self):
+    def test_compare_nsd_reference(self):
+        # Above the crossover the reference is NSD; the oracle row (still
+        # under the phase cap) agrees with it.
         code, out, err = run(
-            ["compare", "--problem", "ex51", "--alpha", "0.5",
-             "--w", "1e5", "--n", "8"]
+            ["compare", "--problem", "ex53a", "--alpha", "-0.5",
+             "--w", "500", "--n", "8"]
+        )
+        assert code == 0
+        assert "# ref_kind=nsd" in err
+        recs = parse_csv(out)
+        oracle = next(r for r in recs if r.method == "oracle")
+        assert oracle.rel_err <= 1e-13
+
+    def test_compare_high_w_self_reference(self):
+        # A cubic g is outside NSD's scope, so above the oracle's phase cap
+        # the reference is the n=32, s=2 Levin value.
+        code, out, err = run(
+            ["compare", "--f-poly", "1,0.5", "--g-poly", "0,1,0.5,0.25",
+             "--alpha", "0.5", "--w", "2e4", "--n", "8"]
         )
         assert code == 0
         assert "# ref_kind=levin-n32-s2" in err
         recs = parse_csv(out)
         assert "oracle" not in {r.method for r in recs}
+
+    def test_nsd_refusal_falls_back(self):
+        # ex52 below |w| = 70 puts its pole too close to NSD's nodes: the
+        # reference falls back to the oracle, rows and exit code unchanged.
+        argv = ["compare", "--problem", "ex52", "--alpha", "0.5", "--w", "60", "--n", "8"]
+        code, _, err = run(argv)
+        assert code == 0
+        assert "# ref_kind=oracle" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--problem", "ex53a", "--alpha", "-0.5", "--w", "30", "--n", "8"],
+        ["compare", "--problem", "ex53a", "--alpha", "-0.5", "--w", "500", "--n", "8"],
+        ["sweep-w", "--problem", "ex51", "--alpha", "0.5", "--w", "20,300,300",
+         "--n", "8", "--method", "oracle,levin"],
+    ])
+    def test_one_oracle_call_per_spec(self, monkeypatch, argv):
+        # The oracle row reuses the reference's oracle value and its time.
+        calls = []
+        original = oscquad.benchcli.reference_oracle
+
+        def counting(spec):
+            calls.append(spec.w)
+            return original(spec)
+
+        for module in (oscquad.benchcli, oscquad.baselines):
+            monkeypatch.setattr(module, "reference_oracle", counting)
+        code, out, _ = run(argv)
+        assert code == 0
+        assert len(calls) == len(set(calls))
+        recs = parse_csv(out)
+        assert len(calls) == len({r.w for r in recs if r.method == "oracle"})
+        monkeypatch.undo()
+        for rec in recs:
+            if rec.method == "oracle":
+                spec = builtin_problem(rec.problem, rec.alpha, rec.w)
+                assert complex(rec.value_re, rec.value_im) == reference_oracle(spec)
+                assert rec.time_ns > 0
 
 
 class TestParserOncePerProcess:

@@ -1,6 +1,7 @@
 """Smoke tests of tools/outputs_digest.py: the bit-identity printout and its
 comparison of two printouts."""
 
+import ast
 import importlib.util
 import os
 import sys
@@ -66,6 +67,33 @@ def test_compare_counts_changed_values(tool):
     assert result.pop("lines") == (6, 1)
     changed = {key: row for key, row in result.items() if row[1]}
     assert len(changed) == 1
-    (workload, _), (_, count, largest) = next(iter(changed.items()))
-    assert workload == "points-hermite" and count == 1
+    (workload, _, group), (_, count, largest) = next(iter(changed.items()))
+    assert workload == "points-hermite" and group == "value" and count == 1
     assert 1e-12 < largest < 3e-12
+
+
+def test_compare_splits_cli_values_from_errors(tool):
+    # A CLI row whose error columns moved (a new reference) and whose values
+    # did not is reported under "error" only.
+    before = list(islice(tool.operation_lines(oscquad, "sweep-cli", 1, 1), 2))
+    key, outcome = before[0].split(": ", 1)
+    code, rows = ast.literal_eval(outcome)
+    header = rows[0].split(",")
+    fields = rows[1].split(",")
+    col = header.index("abs_err")
+    fields[col] = repr(float(fields[col]) * 2.0 + 1e-300)
+    moved = (code, (rows[0], ",".join(fields), *rows[2:]))
+    after = [f"{key}: {moved!r}"] + before[1:]
+
+    result = tool.compare(before, after)
+    assert result.pop("lines") == (2, 1)
+    groups = {group for (_, _, group) in result}
+    assert groups == {"value", "error"}
+    changed = {k: row for k, row in result.items() if row[1]}
+    assert list(changed) == [(k[0], k[1], "error") for k in changed]
+    assert sum(row[1] for row in changed.values()) == 1
+    values = [row for (_, _, group), row in result.items() if group == "value"]
+    assert sum(row[0] for row in values) == len(rows) - 1 + sum(
+        len(ast.literal_eval(line.split(": ", 1)[1])[1]) - 1 for line in before[1:]
+    )
+    assert all(row[1] == 0 for row in values)

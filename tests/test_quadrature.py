@@ -208,7 +208,8 @@ class TestOneOperatorPerLevinCall:
 
 class TestOneAmplitudeBuildPerLevinCall:
     @pytest.mark.parametrize(
-        "method, n, s", [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 8, 2)]
+        "method, n, s",
+        [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 8, 2), (Method.FILON, 6, 1)],
     )
     def test_log_kind_builds_amplitudes_once_per_problem(self, monkeypatch, method, n, s):
         # The f2 amplitude that builds the sub-problem is the one already
@@ -221,7 +222,7 @@ class TestOneAmplitudeBuildPerLevinCall:
             kinds.append(spec.kind)
             return original(spec)
 
-        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
+        for module in (oscquad.problem, oscquad.levin, oscquad.filon, oscquad.quadrature):
             monkeypatch.setattr(module, "make_f1_f2", counting)
         spec = builtin_problem("ex53b", 0.5, 200.0)
         res = compute(spec, method, n, s)

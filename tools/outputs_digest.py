@@ -16,11 +16,15 @@ bit-identical outputs when a ``diff`` of their printouts is empty.
 
     python3 tools/outputs_digest.py --compare BEFORE.txt AFTER.txt
 
-reads two such printouts and reports, for each workload and method, how
-many values changed and the largest relative change among them.  A value is
-a point operation's result, or the numbers of one row of a CLI operation's
-table (grouped by the row's method).  The last line counts the operation
-lines that differ in anything, diagnostics included.
+reads two such printouts and reports, for each workload, method and column
+group, how many values changed and the largest relative change among them.
+A value is a point operation's result (group ``value``), or one row of a CLI
+operation's table, grouped by the row's method and split into its computed
+value (``value``: ``value_re``, ``value_im``) and its errors against the
+reference (``error``: ``abs_err``, ``rel_err``, ``scaled_err``).  So a change
+of reference shows as changed ``error`` rows beside unchanged ``value`` rows.
+The last line counts the operation lines that differ in anything,
+diagnostics included.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import workloads as wl  # noqa: E402
 
 SEEDS = (1, 2)
 PASSES = (1, 2)
+# CLI columns compared, by group.
+CLI_COLUMNS = {"value": ("value_re", "value_im"), "error": ("abs_err", "rel_err", "scaled_err")}
 
 
 def _outcome(oq, specs, op):
@@ -82,20 +88,21 @@ def digest(lines) -> str:
 
 
 def _values(workload: str, seed: int, pass_index: int, op_index: int, outcome: str, describe):
-    # (method, numbers) for every value of one operation line's outcome.
+    # (method, column group, numbers) for every value of one operation
+    # line's outcome.
     op = describe(workload, seed, pass_index).ops[op_index]
     if isinstance(op, wl.CliOp):
         code, rows = ast.literal_eval(outcome)
         header = rows[0].split(",") if rows else []
         for row in rows[1:]:
             fields = dict(zip(header, row.split(",")))
-            numbers = [float(v) for k, v in fields.items() if k.startswith(("value", "abs", "rel", "scaled"))]
-            yield f"cli:{fields.get('method', '?')}", numbers
+            for group, columns in CLI_COLUMNS.items():
+                yield f"cli:{fields.get('method', '?')}", group, [float(fields[c]) for c in columns]
     elif outcome.startswith("'("):
         value = complex(outcome[1 : outcome.index("'", 1)])
-        yield op.method, [value.real, value.imag]
+        yield op.method, "value", [value.real, value.imag]
     else:  # the operation raised; its error is compared as text
-        yield op.method, []
+        yield op.method, "value", []
 
 
 def _relative_change(x: float, y: float) -> float:
@@ -105,9 +112,9 @@ def _relative_change(x: float, y: float) -> float:
 
 
 def compare(before, after) -> dict:
-    """Per (workload, method): ``[values, changed, largest relative change]``
-    between two printouts given as lines, plus ``"lines"``: ``(operation
-    lines, lines that differ)``."""
+    """Per (workload, method, column group): ``[values, changed, largest
+    relative change]`` between two printouts given as lines, plus
+    ``"lines"``: ``(operation lines, lines that differ)``."""
     def parse(lines):
         out = {}
         for line in lines:
@@ -128,8 +135,8 @@ def compare(before, after) -> dict:
         workload, *fields = key.split()  # "W seed=S pass=P op=I"
         ids = (workload, *(int(field.split("=")[1]) for field in fields))
         outcomes = [outcome.split(" {", 1)[0] for outcome in (a[key], b[key])]
-        for (method, xs), (_, ys) in zip(*(_values(*ids, o, describe) for o in outcomes)):
-            row = table[workload, method]
+        for (method, group, xs), (_, _, ys) in zip(*(_values(*ids, o, describe) for o in outcomes)):
+            row = table[workload, method, group]
             row[0] += 1
             if not same and (len(xs) != len(ys) or any(map(_relative_change, xs, ys))):
                 row[1] += 1
@@ -158,9 +165,10 @@ def main(argv=None) -> int:
         before, after = (path.read_text().splitlines() for path in args.compare)
         result = compare(before, after)
         lines, differing = result.pop("lines")
-        print(f"{'workload':<16}{'method':<22}{'values':>7}{'changed':>9}  largest relative change")
-        for (workload, method), (count, changed, largest) in sorted(result.items()):
-            print(f"{workload:<16}{method:<22}{count:>7}{changed:>9}  {largest:.3g}")
+        print(f"{'workload':<16}{'method':<22}{'columns':<8}{'values':>7}{'changed':>9}  "
+              "largest relative change")
+        for (workload, method, group), (count, changed, largest) in sorted(result.items()):
+            print(f"{workload:<16}{method:<22}{group:<8}{count:>7}{changed:>9}  {largest:.3g}")
         print(f"{differing} of {lines} operation lines differ")
         return 0
     oq = import_program(args.root)
