@@ -22,7 +22,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.special import digamma, roots_genlaguerre, roots_legendre
@@ -42,15 +41,14 @@ __all__ = [
     "reference_oracle",
     "reference_nsd",
     "ORACLE_PHASE_CAP",
-    "NSD_ORDER",
 ]
 
 ORACLE_PHASE_CAP = 2.0e4
 
-# Nodes per path of reference_nsd, and the most the log kind accepts: its
-# product weights lose digits as m grows (2e-15 at 30, 3.5e-15 at 40 for
-# alpha = -0.5); at 22 the values stay within 2e-15 of 40-digit ones.
-NSD_ORDER = 22
+# Nodes per path of reference_nsd.  The log kind's product weights lose
+# digits as the order grows (2e-15 at 30, 3.5e-15 at 40 for alpha = -0.5);
+# at 22 the values stay within 2e-15 of 40-digit ones.
+_NSD_ORDER = 22
 # reference_nsd refuses when a singularity's estimated effect (_rule_error)
 # on a Gauss rule or on the log kind's product rule exceeds these.  Against
 # 40-digit values of the four built-ins (alpha = +-0.5, +-0.9, |w| g(a) from
@@ -61,7 +59,7 @@ _NSD_GAUSS_TOL = 1e-17
 _NSD_PRODUCT_TOL = 1e-14
 # Slope Re/Im of g along the tilted ray from 0 (see reference_nsd).  The
 # tilt leaves a factor e^{i tilt r} in the integrand, which the product rule
-# (exact to degree m - 1 only) resolves to round-off for tilt <= 0.1.
+# (exact to degree _NSD_ORDER - 1 only) resolves to round-off for tilt <= 0.1.
 _NSD_TILT = 0.1
 
 # Sub-panels per evaluation block of graded_integral (24 nodes each at the
@@ -433,13 +431,14 @@ def reference_oracle(
 
 
 @functools.lru_cache(maxsize=64)
-def _laguerre_rule(m: int, alpha: float):
+def _laguerre_rule(alpha: float):
     # Generalised Gauss-Laguerre nodes and weights for p^alpha e^{-p} on
     # (0, inf), and the product weights of p^alpha log(p) e^{-p} on the same
     # nodes: log p expanded in L_j^{(alpha)}, j < m, whose coefficients are
     # closed form, int p^alpha log(p) L_j e^{-p} dp = -Gamma(alpha+1)/j for
-    # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0.  Cached per (m, alpha)
-    # and returned read-only.
+    # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0; m = _NSD_ORDER.
+    # Cached per alpha and returned read-only.
+    m = _NSD_ORDER
     nodes, weights = roots_genlaguerre(m, alpha)
     acc = np.full(m, digamma(alpha + 1.0))
     prev, lag = np.ones(m), 1.0 + alpha - nodes
@@ -461,26 +460,26 @@ def _path_slope(t, g1: float, g2: float):
     return 2.0 / (g1 + root), root
 
 
-def _rule_error(t, w: float, turn: complex, m: int, alpha: float, product: bool = False) -> float:
+def _rule_error(t, w: float, turn: complex, alpha: float, product: bool = False) -> float:
     # Estimated relative error that singularities at g(x) - g(c) = t cause in
-    # an m-point Laguerre rule in r, where p = turn r and g(x) = g(c) + i p / w.
-    # A singularity at z in the r-plane costs a Gauss rule about
-    # e^{-Re z} e^{-2 sqrt(nu) Re sqrt(-z)}, nu = 4m + 2 alpha + 2 (Perron's
-    # asymptotics of the rule's error kernel); the first factor is dropped
-    # for Re z < 0, where it holds only for |z| much smaller than nu.  A
-    # product rule on the same nodes is exact to degree m - 1 only, not
+    # the m-point Laguerre rule in r, m = _NSD_ORDER, where p = turn r and
+    # g(x) = g(c) + i p / w.  A singularity at z in the r-plane costs a
+    # Gauss rule about e^{-Re z} e^{-2 sqrt(nu) Re sqrt(-z)},
+    # nu = 4m + 2 alpha + 2 (Perron's asymptotics of the rule's error
+    # kernel); the first factor is dropped for Re z < 0, where it holds only
+    # for |z| much smaller than nu.  A product rule on the same nodes is exact to degree m - 1 only, not
     # 2m - 1, and converges at half that rate.
     with np.errstate(over="ignore", invalid="ignore"):
         z = -1j * w * np.asarray(t, dtype=complex) / turn
     z = z[np.isfinite(z)]  # beyond the float range: no effect on the rule
     if z.size == 0:
         return 0.0
-    nu = 4.0 * m + 2.0 * alpha + 2.0
+    nu = 4.0 * _NSD_ORDER + 2.0 * alpha + 2.0
     exponent = -np.maximum(z.real, 0.0) - 2.0 * math.sqrt(nu) * np.sqrt(-z).real
     return float(np.exp(exponent.max() / (2.0 if product else 1.0)))
 
 
-def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
+def reference_nsd(spec: ProblemSpec) -> complex:
     """Reference value by numerical steepest descent, for large |w| g(a).
 
     The integral over [0, a] is the difference of two path integrals, one
@@ -490,9 +489,9 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
     Math. 112, 2009).  For a polynomial g of degree <= 2 each path is
     inverted in closed form, ``x = c + 2t / (g'(c) + sqrt(g'(c)^2 + 4 g2 t))``
     with ``t = g(x) - g(c)``.  The path from 0 carries ``x^alpha`` as the
-    weight ``p^alpha e^{-p}`` of an m-point generalised Gauss-Laguerre rule
-    (the log kind adds the product rule of ``p^alpha log(p) e^{-p}``, for
-    m <= 22); the path from a uses the plain Gauss-Laguerre rule.  The cost
+    weight ``p^alpha e^{-p}`` of a 22-point generalised Gauss-Laguerre rule
+    (the log kind adds the product rule of ``p^alpha log(p) e^{-p}`` on the
+    same nodes); the path from a uses the plain Gauss-Laguerre rule.  The cost
     does not depend on w.
 
     The amplitude must carry its continuation off the real axis
@@ -512,16 +511,10 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
         of the path where g' = 0, and x = 0 on the path from a) lies so close
         to a rule's nodes that the rule's estimated error exceeds its bound
         (``_NSD_GAUSS_TOL``, ``_NSD_PRODUCT_TOL``).
-    ParameterError
-        For an m that is not a positive integer, or above 22 in the log kind.
     AccuracyError
         When the value is not finite.
     """
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
-    if log_kind and m > NSD_ORDER:
-        raise ParameterError(f"the log-kind rule supports m <= {NSD_ORDER}, got {m}")
     amp = spec.amplitude
     if amp.complex_value is None:
         raise CapabilityError("NSD needs the amplitude's complex-argument evaluator")
@@ -543,7 +536,7 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
         t_branch = -g1 * g1 / (4.0 * g2) if g2 else math.inf
         branch.append([t_branch] if math.isfinite(t_branch) else [])
     t_end = np.concatenate([u - g_a, branch[1], [-g_a]])  # x = 0 is singular on the path from a
-    if _rule_error(t_end, w, 1.0, m, 0.0) > _NSD_GAUSS_TOL:
+    if _rule_error(t_end, w, 1.0, 0.0) > _NSD_GAUSS_TOL:
         raise CapabilityError("a singularity lies too close to the nodes of the path from a")
     t_zero = np.concatenate([u, branch[0]])
     # The log kind's product rule is the slower of its two rules from 0.
@@ -558,7 +551,7 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
         left = tilt * height
         inside = (height >= 0) & (np.minimum(left, g_a) <= u.real) & (u.real <= np.maximum(left, g_a))
         turn = 1.0 - 1j * sign * tilt
-        if not np.any(inside & on_branch) and _rule_error(t_zero, w, turn, m, alpha, log_kind) <= tol_zero:
+        if not np.any(inside & on_branch) and _rule_error(t_zero, w, turn, alpha, log_kind) <= tol_zero:
             break
     else:
         raise CapabilityError(
@@ -566,7 +559,7 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
             "region or too close to the rule's nodes"
         )
 
-    r0, w0, log_w0 = _laguerre_rule(m, alpha)
+    r0, w0, log_w0 = _laguerre_rule(alpha)
     slope0, root0 = _path_slope(1j * turn * r0 / w, slopes[0], g2)
     x_over_r = 1j * turn / w * slope0
     x0 = r0 * x_over_r
@@ -579,7 +572,7 @@ def reference_nsd(spec: ProblemSpec, m: int = NSD_ORDER) -> complex:
     else:
         from_zero = w0 @ h0
 
-    ra, wa, _ = _laguerre_rule(m, 0.0)
+    ra, wa, _ = _laguerre_rule(0.0)
     t_a = 1j * ra / w
     slope_a, root_a = _path_slope(t_a, slopes[1], g2)
     xa = a + t_a * slope_a

@@ -252,22 +252,34 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     return y * scale
 
 
-def quad_filon(spec: ProblemSpec, data: HermiteData, f2: Optional[Amplitude] = None) -> QuadratureResult:
+def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     """Filon-type quadrature from Hermite data.
 
     Algebraic kind: ``sum_j p_j mu_j`` times the phase shift.  Logarithmic
     kind: the algebraic rule applied to the regularized f2 amplitude plus
-    ``sum_j p_j nu_j``; ``f2`` is that amplitude when the caller already
-    holds it from :func:`oscquad.problem.make_f1_f2`.
+    ``sum_j p_j nu_j``.
     """
+    sub = f2_problem(spec) if spec.kind is SingKind.ALGEBRAIC_LOG else None
+    return _filon_rule(spec, data, sub)
+
+
+def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
+    # compute(FILON): f1 and f2 from one make_f1_f2, as levin.solve_log does.
+    f1, f2 = make_f1_f2(spec)
+    sub = None if f2 is None else _sub_problem(spec, f2)
+    return _filon_rule(spec, build_hermite_data(spec, npts, s, amplitude=f1), sub)
+
+
+def _filon_rule(spec: ProblemSpec, data: HermiteData, sub: Optional[ProblemSpec]) -> QuadratureResult:
+    # quad_filon given the f2 sub-problem of a logarithmic-kind spec (None
+    # for the algebraic kind).
     p = hermite_solve(data, spec)
     table = build_moment_table(spec, p.size)
     value = np.dot(p, table.mu)
     npts = int(data.nodes.size)
     s = int(data.mults[0]) - 1
     diagnostics = {"basis_size": int(p.size)}
-    if spec.kind is SingKind.ALGEBRAIC_LOG:
-        sub = f2_problem(spec) if f2 is None else _sub_problem(spec, f2)
+    if sub is not None:
         p2 = hermite_solve(build_hermite_data(sub, npts, s), sub)
         value = np.dot(p2, table.mu) + np.dot(p, table.nu)
         diagnostics["basis_size_f2"] = int(p2.size)

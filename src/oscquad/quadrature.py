@@ -22,9 +22,9 @@ import numpy as np
 from ._result import Method, QuadratureResult
 from .boundary import EndData, levin_value
 from .errors import CapabilityError, ParameterError
-from .filon import build_hermite_data, quad_filon, quad_freq
+from .filon import _filon, quad_freq
 from .levin import LevinSolution, solve_alg, solve_log
-from .problem import ProblemSpec, SingKind, make_f1_f2
+from .problem import ProblemSpec, SingKind
 
 __all__ = [
     "Method",
@@ -148,8 +148,7 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
     if method is Method.LEVIN_FREQ:
         return quad_freq(spec, n, s)
     if method is Method.FILON:
-        f1, f2 = make_f1_f2(spec)
-        return quad_filon(spec, build_hermite_data(spec, n, s, amplitude=f1), f2)
+        return _filon(spec, n, s)
     if method is Method.CMFP:
         from .baselines import cmfp, default_cmfp_params
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscquad import Method, compute
-from oscquad.baselines import NSD_ORDER, reference_nsd, reference_oracle
+from oscquad.baselines import reference_nsd, reference_oracle
 from oscquad.benchcli import NSD_CROSSOVER
-from oscquad.errors import CapabilityError, ParameterError
+from oscquad.errors import CapabilityError
 from oscquad.problem import (
     BUILTIN_IDS,
     Amplitude,
@@ -155,15 +155,6 @@ class TestRefusals:
                            1.0, 0.5, SingKind.ALGEBRAIC, 1e3)
         with pytest.raises(CapabilityError, match="complex-argument"):
             reference_nsd(fd)
-
-    def test_bad_m(self):
-        spec = builtin_problem("ex53b", 0.5, 1e3)
-        for m in (0, 2.0, True):
-            with pytest.raises(ParameterError):
-                reference_nsd(spec, m)
-        with pytest.raises(ParameterError):
-            reference_nsd(spec, NSD_ORDER + 1)
-        reference_nsd(builtin_problem("ex53a", 0.5, 1e3), NSD_ORDER + 8)
 
 
 # Random complex quadratic f and increasing quadratic g on [0, a]: g'(0) in

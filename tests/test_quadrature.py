@@ -222,7 +222,7 @@ class TestOneAmplitudeBuildPerLevinCall:
             kinds.append(spec.kind)
             return original(spec)
 
-        for module in (oscquad.problem, oscquad.levin, oscquad.filon, oscquad.quadrature):
+        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
             monkeypatch.setattr(module, "make_f1_f2", counting)
         spec = builtin_problem("ex53b", 0.5, 200.0)
         res = compute(spec, method, n, s)
