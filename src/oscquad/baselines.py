@@ -185,10 +185,10 @@ class CMFPParams:
     """Parameters of the composite CMFP rule.
 
     n geometric panels carry the moment-free Filon part, s graded panels
-    the Gauss-Legendre part, with m1 / m2 points per panel.  The grading
-    exponent is p = (2 m1 + 1)/(1 + mu_index); w_r = max(k sigma_r, k)
-    for k = |w g'(0)| and lambda_r = w_r^{-1/(r+1)}, with the stationary
-    order r fixed at 0.
+    the Gauss-Legendre part, with m1 / m2 points per panel, and p is the
+    grading exponent.  :func:`cmfp` derives the scales from the problem:
+    w_r = k for k = |w g'(0)| and lambda_r = 1/w_r (stationary order
+    r = 0, for which w_r = max(k sigma_r, k) with sigma_r = 1).
     """
 
     n: int
@@ -196,11 +196,6 @@ class CMFPParams:
     m1: int
     m2: int
     p: float
-    mu_index: float
-    r: int
-    sigma_r: float
-    w_r: float
-    lambda_r: float
 
 
 def _linear_slope(spec: ProblemSpec) -> float:
@@ -229,45 +224,24 @@ def _singular_amplitude_fn(spec: ProblemSpec):
 
 
 def default_cmfp_params(spec: ProblemSpec, n1: int) -> CMFPParams:
-    """Benchmark-configuration parameters: n = s = n1, m1 = m2 = 4."""
+    """Benchmark-configuration parameters: n = s = n1, m1 = m2 = 4, and
+    p = (2 m1 + 1)/(1 + alpha)."""
     if n1 < 1:
         raise ParameterError("n1 must be at least 1")
-    beta = _linear_slope(spec)
     m1 = 4
-    w_r = abs(spec.w * beta)
-    return CMFPParams(
-        n=n1,
-        s=n1,
-        m1=m1,
-        m2=4,
-        p=(2.0 * m1 + 1.0) / (1.0 + spec.alpha),
-        mu_index=spec.alpha,
-        r=0,
-        sigma_r=1.0,
-        w_r=w_r,
-        lambda_r=1.0 / w_r,
-    )
+    return CMFPParams(n=n1, s=n1, m1=m1, m2=4, p=(2.0 * m1 + 1.0) / (1.0 + spec.alpha))
 
 
-def _validate_cmfp(params: CMFPParams, w_eff: float) -> None:
-    if params.r != 0:
-        raise ParameterError("only stationary order r = 0 is supported")
+def _validate_cmfp(params: CMFPParams) -> None:
     if params.n < 1 or params.s < 1:
         raise ParameterError("n and s must be at least 1")
     if params.m1 < 1 or params.m2 < 1:
         raise ParameterError("m1 and m2 must be at least 1")
     if not params.p > 0:
         raise ParameterError("grading exponent p must be positive")
-    expected_wr = max(abs(w_eff) * params.sigma_r, abs(w_eff))
-    if abs(params.w_r - expected_wr) > 1e-9 * expected_wr:
-        raise ParameterError(
-            f"w_r={params.w_r!r} inconsistent with max(k sigma_r, k)={expected_wr!r}"
-        )
-    if abs(params.lambda_r * params.w_r - 1.0) > 1e-9:
-        raise ParameterError("lambda_r must equal 1/w_r for r = 0")
 
 
-def cmfp(spec: ProblemSpec, params: CMFPParams, n_sub=None) -> QuadratureResult:
+def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     """Composite moment-free Filon-type quadrature for linear oscillators.
 
     The value is the graded Gauss-Legendre part
@@ -278,19 +252,18 @@ def cmfp(spec: ProblemSpec, params: CMFPParams, n_sub=None) -> QuadratureResult:
     (the innermost panel is truncated, its contribution vanishing with the
     grading) plus the composite moment-free Filon part on the geometric
     mesh y_j = w_r^{(j-n)/n} covering [1/w_r, 1].  Each geometric panel is
-    refined into N_j equal moment-free sub-panels of m2 points.
-
-    ``n_sub`` overrides the refinement counts (one integer per geometric
-    panel).  The default resolves each panel against its own width ratio,
-    N_j = ceil(q^{m2/(m2-1)}) with q = y_j / y_{j-1} = w_r^{1/n}; the
-    defining formula's per-panel count is stated in terms of an
-    inverse-oscillator ratio that degenerates for a linear oscillator, so
-    the count is exposed here as a direct tuning sequence.
+    refined into N_j equal moment-free sub-panels of m2 points.  Each
+    panel is resolved against its own width ratio, N_j = ceil(q^{m2/(m2-1)})
+    with q = y_j / y_{j-1} = w_r^{1/n}; the defining formula's per-panel
+    count is stated in terms of an inverse-oscillator ratio that
+    degenerates for a linear oscillator.  Here w_r = |w g'(0)| and
+    lambda_r = 1/w_r.
     """
     beta = _linear_slope(spec)
     w_eff = spec.w * beta
-    _validate_cmfp(params, w_eff)
-    lam = params.lambda_r
+    _validate_cmfp(params)
+    w_r = abs(w_eff)
+    lam = 1.0 / w_r
     gl_part = 0.0 + 0.0j
     points = 0
     if params.s >= 2:
@@ -305,20 +278,16 @@ def cmfp(spec: ProblemSpec, params: CMFPParams, n_sub=None) -> QuadratureResult:
         per_panel = half * (vals @ wgl)
         gl_part = lam * np.sum(per_panel)
         points += pts.size
-    yedges = params.w_r ** ((np.arange(params.n + 1, dtype=float) - params.n) / params.n)
-    if n_sub is None:
-        ratio = params.w_r ** (1.0 / params.n)
-        n_sub = [int(np.ceil(ratio ** (params.m2 / (params.m2 - 1.0))))] * params.n
-    n_sub = [int(c) for c in n_sub]
-    if len(n_sub) != params.n or any(c < 1 for c in n_sub):
-        raise ParameterError("n_sub needs one positive count per geometric panel")
+    yedges = w_r ** ((np.arange(params.n + 1, dtype=float) - params.n) / params.n)
+    ratio = w_r ** (1.0 / params.n)
+    n_sub = int(np.ceil(ratio ** (params.m2 / (params.m2 - 1.0))))
     edges = np.concatenate(
-        [np.linspace(yedges[j], yedges[j + 1], n_sub[j] + 1)[:-1] for j in range(params.n)]
+        [np.linspace(yedges[j], yedges[j + 1], n_sub + 1)[:-1] for j in range(params.n)]
         + [yedges[-1:]]
     )
     cmf_vals = _cmf_panels(_singular_amplitude_fn(spec), w_eff, edges, params.m2)
     cmf_part = np.sum(cmf_vals)
-    points += sum(n_sub) * params.m2
+    points += params.n * n_sub * params.m2
     value = (gl_part + cmf_part) * spec.phase_shift
     # The result's s is the asymptotic-order parameter, which the
     # composite rule does not have; params.s counts graded panels.
@@ -329,7 +298,7 @@ def cmfp(spec: ProblemSpec, params: CMFPParams, n_sub=None) -> QuadratureResult:
         n=params.n,
         diagnostics={
             "points": points,
-            "w_r": params.w_r,
+            "w_r": w_r,
             "graded_panels": params.s,
         },
     )
@@ -340,7 +309,6 @@ def graded_integral(
     a: float,
     alpha: float,
     osc_rate: float = 0.0,
-    depth=None,
     gl_order: int = 24,
     cap_factor: float = 0.25,
 ) -> complex:
@@ -364,8 +332,7 @@ def graded_integral(
         raise ParameterError("a must be positive")
     if not alpha > -1:
         raise ParameterError("alpha must exceed -1 for an integrable endpoint")
-    if depth is None:
-        depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
+    depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
     xg, wgl = roots_legendre(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     hi = a * 0.5 ** np.arange(depth, dtype=float)
@@ -398,16 +365,12 @@ def graded_integral(
     return complex(math.fsum(vals.real) + 1j * math.fsum(vals.imag))
 
 
-def reference_oracle(
-    spec: ProblemSpec,
-    depth=None,
-    gl_order: int = 24,
-    cap_factor: float = 0.25,
-) -> complex:
+def reference_oracle(spec: ProblemSpec) -> complex:
     """Ground-truth value by graded brute force, for moderate frequencies.
 
-    Declared accuracy ~1e-11 relative, cross-validated by doubling depth
-    and order.  Refuses |w| g(a) beyond the phase cap, where panel counts
+    Declared accuracy ~1e-11 relative, cross-validated against a finer
+    :func:`graded_integral` rule (more nodes per sub-panel, sub-panels half
+    as wide).  Refuses |w| g(a) beyond the phase cap, where panel counts
     and round-off accumulation defeat the declared accuracy.
     """
     phase_range = abs(spec.w) * spec.g_end()
@@ -423,9 +386,6 @@ def reference_oracle(
         spec.a,
         spec.alpha,
         osc_rate=abs(spec.w) * gp_max,
-        depth=depth,
-        gl_order=gl_order,
-        cap_factor=cap_factor,
     )
     return complex(value * spec.phase_shift)
 

@@ -9,14 +9,15 @@ both endpoints and serves the frequency-space (Hermite) collocation methods.
 The differentiation matrix is built barycentrically in the physical
 variable, which sidesteps the orientation and sign ambiguities of mapping a
 reference-variable matrix.  A closed-form reference-variable matrix and the
-closed-form origin-extrapolation weights are implemented as well and checked
-against the barycentric construction at grid build time.
+closed-form origin-extrapolation weights are implemented as well; the tests
+check the barycentric construction against them.
 
 A grid depends on (n, a) only, so :func:`radau_grid` and
 :func:`lobatto_grid` validate their arguments and then return a cached grid:
 each family keeps the last ``GRID_CACHE_SIZE`` grids built, keyed on
 ``(int(n), float(a))``, and every array of a returned grid is read-only.
-The closed-form checks therefore run once per distinct grid.
+An ``a`` so small or so large that an array of the grid is not finite is
+refused.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import FormulaMismatchError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "GridFamily",
@@ -207,17 +208,6 @@ def radau_origin_weights_closed(n: int) -> np.ndarray:
     return r
 
 
-def _validate_grid(nodes: np.ndarray, diff: np.ndarray, interior: np.ndarray) -> None:
-    if not np.all(np.diff(nodes) > 0) or nodes[0] != 0.0:
-        raise ParameterError("nodes must be strictly increasing from 0")
-    # Scale-aware: entries grow like n^2/a, so summation-order round-off in
-    # the row sums grows with them even though the diagonal is constructed
-    # to cancel the off-diagonals exactly.
-    row_sums = np.abs(diff @ np.ones(interior.size)).max()
-    if row_sums > 1e-12 * max(1.0, float(np.abs(diff).max())):
-        raise FormulaMismatchError(f"differentiation rows do not annihilate constants ({row_sums:.2e})")
-
-
 def _grid_key(n, a) -> tuple[int, float]:
     # Checked before the cache lookup: hash(8.0) == hash(8), so an unchecked
     # 8.0 would be handed the n=8 grid.
@@ -242,6 +232,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _read_only_grid(family: GridFamily, n: int, a: float, nodes, interior, diff, origin_weights) -> ChebGrid:
     arrays = (nodes, interior, diff, origin_weights, barycentric_weights(nodes))
+    # At an extreme a the nodes coincide or overflow, or the matrix entries
+    # (of order n^2/a) overflow; every such grid has a non-finite entry.
+    if not all(arr is None or np.isfinite(arr).all() for arr in arrays):
+        raise ParameterError(f"a = {a!r} is outside the range the n = {n} grid can represent")
     return ChebGrid(family, n, a, *(None if arr is None else _read_only(arr) for arr in arrays))
 
 
@@ -266,10 +260,8 @@ def radau_grid(n: int, a: float) -> ChebGrid:
     Raises
     ------
     ParameterError
-        If n is not an integer of at least 2 or a is not positive and finite.
-    FormulaMismatchError
-        If the barycentric construction disagrees with the closed-form
-        reference matrix or origin weights beyond 1e-9.
+        If n is not an integer of at least 2, a is not positive and finite,
+        or an array of the grid is not finite at this a.
     """
     return _radau_grid(*_grid_key(n, a))
 
@@ -279,21 +271,10 @@ def _radau_grid(n: int, a: float) -> ChebGrid:
     t = radau_reference_nodes(n)
     xs = a * (1.0 - t[::-1]) / 2.0
     D = barycentric_diff(xs)
-    # Cross-check against the reference-variable closed form: with x(t) =
-    # a(1-t)/2 and the ascending reordering R, D = (-2/a) R D_ref R.
-    _, Dref = radau_reference_diff(n)
-    mapped = (-2.0 / a) * Dref[::-1, ::-1]
-    scale = np.abs(mapped).max()
-    if np.abs(D - mapped).max() > 1e-9 * max(scale, 1.0):
-        raise FormulaMismatchError("barycentric and closed-form Radau matrices disagree")
     lam = barycentric_weights(xs)
     mu = lam / (0.0 - xs)
     r = mu / mu.sum()
-    r_closed = radau_origin_weights_closed(n)
-    if np.abs(r - r_closed).max() > 1e-9:
-        raise FormulaMismatchError("barycentric and closed-form origin weights disagree")
     nodes = np.concatenate(([0.0], xs))
-    _validate_grid(nodes, D, xs)
     return _read_only_grid(GridFamily.RADAU_MODIFIED, n, a, nodes, xs, D, r)
 
 
@@ -319,5 +300,4 @@ def _lobatto_grid(n: int, a: float) -> ChebGrid:
     nodes[0] = 0.0
     nodes[-1] = a
     D = barycentric_diff(nodes)
-    _validate_grid(nodes, D, nodes)
     return _read_only_grid(GridFamily.LOBATTO_MODIFIED, n, a, nodes, nodes, D, None)

@@ -28,7 +28,9 @@ class AccuracyError(OscquadError):
 
 
 class DegenerateSystemError(AccuracyError):
-    """All singular values of a collocation system fell below threshold."""
+    """A collocation system cannot be solved: all its singular values fell
+    below threshold, or its factorisation (SVD or LU solve) failed with
+    ``numpy.linalg.LinAlgError``."""
 
 
 class FormulaMismatchError(AccuracyError):

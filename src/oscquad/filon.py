@@ -28,14 +28,8 @@ import numpy as np
 
 from ._result import Method, QuadratureResult
 from ._series import ps_mul
-from .baselines import graded_integral
-from .cheb import lobatto_grid
-from .errors import (
-    CapabilityError,
-    DegenerateSystemError,
-    FormulaMismatchError,
-    ParameterError,
-)
+from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
+from .errors import CapabilityError, DegenerateSystemError, ParameterError
 from .boundary import EndData, levin_value
 from .levin import TsvdFactor, tsvd_factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
@@ -64,10 +58,10 @@ __all__ = [
 ]
 
 MAX_BASIS_SIZE = 40
-# Chebyshev Taylor tables kept, one per (node, length, basis size, a).  The
-# built-ins (a = 1) need a few hundred; the bound stops tables of one-off
-# custom a from piling up.
-SERIES_TABLE_CACHE_SIZE = 512
+# Chebyshev Taylor tables kept, one per (grid, length, basis size): as many
+# as the grids each family keeps.  The bound stops tables of one-off custom
+# a from piling up.
+SERIES_TABLE_CACHE_SIZE = GRID_CACHE_SIZE
 
 
 @dataclass(frozen=True)
@@ -130,14 +124,11 @@ def moments_nu(
     g_a: float,
     mu: np.ndarray,
     count: Optional[int] = None,
-    validate: bool = False,
 ) -> np.ndarray:
     """Logarithmic moments nu_1..nu_count.
 
     ``nu_1`` combines the mu_1 closed form with an equal-parameter 2F2 term;
-    the recurrence adds a ``-mu_j/(iw)`` coupling.  With ``validate=True``
-    the nu_1 value is checked against brute-force quadrature of its
-    defining integral and a mismatch raises FormulaMismatchError.
+    the recurrence adds a ``-mu_j/(iw)`` coupling.
     """
     mu = np.asarray(mu, dtype=complex)
     if count is None:
@@ -151,14 +142,6 @@ def moments_nu(
         np.log(g_a) * (gamma_real(1.0 + alpha) - upper) / neg_iw_pow(1.0 + alpha, w)
         - g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22
     )
-    if validate:
-        oracle = graded_integral(
-            lambda u: u**alpha * np.log(u) * np.exp(1j * w * u), g_a, alpha, osc_rate=abs(w)
-        )
-        if abs(nu[0] - oracle) > 1e-9 * max(1.0, abs(oracle)):
-            raise FormulaMismatchError(
-                f"nu_1 closed form {nu[0]!r} disagrees with quadrature oracle {oracle!r}"
-            )
     log_end = np.log(g_a) * np.exp(1j * w * g_a)
     for j in range(1, count):
         nu[j] = (
@@ -169,13 +152,13 @@ def moments_nu(
     return nu
 
 
-def build_moment_table(spec: ProblemSpec, count: int, validate: bool = False) -> MomentTable:
+def build_moment_table(spec: ProblemSpec, count: int) -> MomentTable:
     """Moment table of a problem, with nu present for the logarithmic kind."""
     g_a = spec.g_end()
     mu = moments_mu(spec.alpha, spec.w, g_a, count)
     nu = None
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        nu = moments_nu(spec.alpha, spec.w, g_a, mu, count, validate=validate)
+        nu = moments_nu(spec.alpha, spec.w, g_a, mu, count)
     return MomentTable(mu=mu, nu=nu, alpha=spec.alpha, w=spec.w, g_a=g_a)
 
 
@@ -293,17 +276,21 @@ def _filon_rule(spec: ProblemSpec, data: HermiteData, sub: Optional[ProblemSpec]
 
 
 @functools.lru_cache(maxsize=SERIES_TABLE_CACHE_SIZE)
-def _cheb_series_table(x0: float, m: int, count: int, a: float) -> np.ndarray:
-    # Taylor series at x0 (length m) of T_0..T_{count-1}(2x/a - 1), one per
-    # row, via the three-term recurrence carried out in series space; stable
-    # at degrees where conversion to the monomial basis is not.  Depends on
-    # its arguments only, so it is cached and returned read-only.
-    u = np.zeros(m)
-    u[0] = 2.0 * x0 / a - 1.0
+def _cheb_series_table(npts: int, m: int, count: int, a: float) -> np.ndarray:
+    # Taylor series (length m) of T_0..T_{count-1}(2x/a - 1) at the npts
+    # Lobatto nodes on [0, a]: out[k, l] is that of T_k at node l.  The
+    # three-term recurrence is carried out in series space, for all nodes
+    # at once; stable at degrees where conversion to the monomial basis is
+    # not.  Depends on its arguments only, so it is cached and returned
+    # read-only.  The nodes are those of the cached grid, whose arguments
+    # the caller's lobatto_grid call has already checked.
+    nodes = _lobatto_grid(npts - 1, a).nodes
+    u = np.zeros((npts, m))
+    u[:, 0] = 2.0 * nodes / a - 1.0
     if m > 1:
-        u[1] = 2.0 / a
-    out = np.zeros((count, m))
-    out[0, 0] = 1.0
+        u[:, 1] = 2.0 / a
+    out = np.zeros((count, npts, m))
+    out[0, :, 0] = 1.0
     if count >= 2:
         out[1] = u
     for k in range(2, count):
@@ -363,7 +350,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
     ggprime = ps_mul(gg, gprime)
-    tables = np.stack([_cheb_series_table(float(x), s + 2, M, spec.a) for x in nodes], axis=1)
+    tables = _cheb_series_table(npts, s + 2, M, spec.a)
     P = tables[:, :, : s + 1]
     dP = np.arange(1, s + 2) * tables[:, :, 1:]
     rows = np.empty((npts, s + 1, M + 1), dtype=complex)

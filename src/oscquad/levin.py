@@ -173,12 +173,16 @@ def tsvd_factor(L: np.ndarray) -> TsvdFactor:
     Raises
     ------
     DegenerateSystemError
-        If every singular value falls below the threshold.
+        If every singular value falls below the threshold, or the SVD does
+        not converge (as for a matrix with non-finite entries).
     """
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ParameterError("tsvd_solve expects a square system")
-    U, S, Vh = np.linalg.svd(L)
+    try:
+        U, S, Vh = np.linalg.svd(L)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystemError(f"SVD of the collocation system failed: {exc}") from exc
     keep = S >= TSVD_THRESHOLD * S[0]
     if S[0] == 0.0 or not keep.any():
         raise DegenerateSystemError("all singular values below TSVD threshold")

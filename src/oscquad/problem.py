@@ -272,12 +272,12 @@ def build_problem(
     oscillator : Oscillator
         May have g(0) != 0 or g decreasing; both are normalized here.
     a : float
-        Positive interval end.
+        Positive, finite interval end.
     alpha : float
         Exponent with 0 < |alpha| < 1.
     kind : SingKind
     w : float
-        Nonzero frequency (sign flips together with a decreasing g).
+        Nonzero, finite frequency (sign flips together with a decreasing g).
 
     Raises
     ------
@@ -288,18 +288,16 @@ def build_problem(
     """
     if not 0.0 < abs(alpha) < 1.0:
         raise ParameterError(f"alpha must satisfy 0<|alpha|<1, got {alpha}")
-    if not a > 0:
-        raise ParameterError("a must be positive")
-    if w == 0:
-        raise ParameterError("w must be nonzero")
+    if not (a > 0 and math.isfinite(a)):
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
+    if not (w != 0 and math.isfinite(w)):
+        raise ParameterError(f"w must be nonzero and finite, got {w!r}")
     if not isinstance(kind, SingKind):
         raise ParameterError(f"kind must be a SingKind, got {kind!r}")
     osc, w_used, phase = _normalize_oscillator(oscillator, a, w)
     gp0 = osc.series_at(0.0, 2)[1]
     if not gp0 > 0:
         raise InvalidOscillatorError(f"g'(0) must be positive, got {gp0}")
-    if abs(abs(phase) - 1.0) > 1e-15:
-        raise ParameterError("phase shift lost unit modulus")
     if not np.isfinite(complex(amplitude.value(a / 2.0))):
         raise ParameterError("amplitude not finite on (0,a)")
     return ProblemSpec(

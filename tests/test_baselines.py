@@ -164,14 +164,6 @@ class TestCmfp:
         with pytest.raises(CapabilityError):
             cmfp(nonlinear, params)
 
-    def test_n_sub_validation(self):
-        spec = builtin_problem("ex54", -0.5, 100.0)
-        params = default_cmfp_params(spec, 4)
-        with pytest.raises(ParameterError):
-            cmfp(spec, params, n_sub=[1, 1])
-        with pytest.raises(ParameterError):
-            cmfp(spec, params, n_sub=[0] * params.n)
-
     def test_params_validation(self):
         spec = builtin_problem("ex54", -0.5, 100.0)
         good = default_cmfp_params(spec, 4)
@@ -322,11 +314,19 @@ class TestGradedIntegralBatched:
                 compute(spec, Method.ORACLE, 0, 0)
 
 
+def _finer_oracle(spec):
+    # reference_oracle's rule with more nodes per sub-panel and sub-panels
+    # half as wide.
+    value = graded_integral(lambda x: integrand(spec, x), spec.a, spec.alpha,
+                            osc_rate=_oracle_rate(spec), gl_order=32, cap_factor=0.125)
+    return value * spec.phase_shift
+
+
 class TestReferenceOracle:
     def test_depth_doubling_stability(self):
         spec = builtin_problem("ex51", 0.5, 10.0)
         v1 = reference_oracle(spec)
-        v2 = reference_oracle(spec, gl_order=32, cap_factor=0.125)
+        v2 = _finer_oracle(spec)
         assert abs(v1 - v2) <= 1e-11 * abs(v1)
 
     def test_doubling_across_builtins(self):
@@ -337,7 +337,7 @@ class TestReferenceOracle:
         ):
             spec = builtin_problem(pid, alpha, w)
             v1 = reference_oracle(spec)
-            v2 = reference_oracle(spec, gl_order=32, cap_factor=0.125)
+            v2 = _finer_oracle(spec)
             assert abs(v1 - v2) <= 1e-11 * max(abs(v1), 1e-3)
 
     def test_phase_cap(self):

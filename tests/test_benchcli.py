@@ -135,6 +135,36 @@ class TestEval:
         assert code == 2
         assert "method" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "ex52", "--w", "nan"],
+        ["--problem", "ex52", "--w", "inf"],
+        ["--problem", "ex51", "--w=-inf"],
+        ["--f-poly", "1,-1", "--g-poly", "0,1,1", "--w", "10", "--a", "inf"],
+        ["--f-poly", "1,-1", "--g-poly", "0,1,1", "--w", "10", "--a", "1e308"],
+    ])
+    def test_non_finite_or_extreme_argument_exit_2(self, argv):
+        # A non-finite w or a is refused by build_problem; an a at which the
+        # grid's entries overflow is refused by the grid builder.
+        with np.errstate(all="ignore"):
+            code, _, err = run(["eval", "--alpha", "0.5", "--n", "8"] + argv)
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("problem, w, method", [
+        ("ex53a", "1.7e308", "levin"),
+        ("ex53a", "1e306", "levin-freq"),
+        ("ex53b", "1e306", "levin-freq"),
+    ])
+    def test_svd_failure_exit_4(self, problem, w, method):
+        # The collocation matrix overflows, its SVD does not converge, and
+        # the call is an accuracy failure rather than a traceback.
+        with np.errstate(all="ignore"):
+            code, _, err = run(["eval", "--problem", problem, "--alpha", "0.5",
+                                "--w", w, "--n", "8", "--s", "1" if method == "levin-freq" else "0",
+                                "--method", method])
+        assert code == 4
+        assert "SVD" in err
+
     def test_capability_refusal_exit_3(self):
         # CMFP on a nonlinear oscillator.
         code, _, err = run(
@@ -194,11 +224,14 @@ class TestSweeps:
         assert max(vals) / min(vals) <= 10.0
 
     def test_empty_w_list_exit_2(self):
-        code, _, err = run(
-            ["sweep-w", "--problem", "ex51", "--alpha", "0.5",
-             "--w", "", "--n", "8", "--method", "levin"]
-        )
-        assert code == 2
+        # ex52's amplitude does not depend on w, so only the check of w
+        # itself refuses a non-finite one.
+        for problem, w in (("ex51", ""), ("ex52", "10,nan"), ("ex52", "10,inf")):
+            code, _, err = run(
+                ["sweep-w", "--problem", problem, "--alpha", "0.5",
+                 "--w", w, "--n", "8", "--method", "levin"]
+            )
+            assert code == 2
 
     def test_determinism_modulo_time(self):
         argv = ["sweep-n", "--problem", "ex51", "--alpha", "-0.5",

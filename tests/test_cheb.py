@@ -20,7 +20,7 @@ from oscquad.cheb import (
     radau_reference_diff,
     radau_reference_nodes,
 )
-from oscquad.errors import FormulaMismatchError, ParameterError
+from oscquad.errors import ParameterError
 
 
 # The loop forms the vectorised builders replaced; each must agree with them
@@ -313,15 +313,14 @@ class TestGridCache:
             build(4, 1.0 + k / 64.0)
         assert getattr(oscquad.cheb, cached).cache_info().currsize <= GRID_CACHE_SIZE
 
-    def test_failed_build_is_not_cached(self, monkeypatch):
-        # A build that fails its closed-form check raises on every call, and
-        # the key builds normally once the check passes again.
-        key = (7, 1.0 + 1.0 / 3.0)
-        closed = oscquad.cheb.radau_origin_weights_closed
-        monkeypatch.setattr(oscquad.cheb, "radau_origin_weights_closed", lambda n: closed(n) + 1.0)
+    def test_failed_build_is_not_cached(self):
+        # A build that fails its finiteness check (matrix entries of order
+        # n^2/a overflow) raises on every call and leaves no cache entry.
         clear_grid_caches()
-        for _ in range(2):
-            with pytest.raises(FormulaMismatchError):
-                radau_grid(*key)
-        monkeypatch.setattr(oscquad.cheb, "radau_origin_weights_closed", closed)
-        assert radau_grid(*key).n == 7
+        for build, cached in ((radau_grid, "_radau_grid"), (lobatto_grid, "_lobatto_grid")):
+            build(7, 1.0)
+            with np.errstate(all="ignore"):
+                for _ in range(2):
+                    with pytest.raises(ParameterError, match="outside the range"):
+                        build(32, 1e-306)
+            assert getattr(oscquad.cheb, cached).cache_info().currsize == 1

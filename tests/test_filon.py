@@ -28,6 +28,7 @@ from oscquad.problem import (
     builtin_problem,
 )
 from oscquad.baselines import reference_oracle
+from oscquad.cheb import lobatto_grid
 
 mp.mp.dps = 40
 
@@ -82,16 +83,11 @@ class TestMomentsMu:
 
 class TestMomentsNu:
     def test_nu1_vs_oracle(self):
-        mu = moments_mu(0.5, 20.0, 1.0, 1)
-        nu = moments_nu(0.5, 20.0, 1.0, mu)
-        ref = mp_moment(0.5, 20.0, 1.0, 1, log=True)
-        assert abs(nu[0] - ref) <= 1e-9 * max(abs(ref), 1.0)
-
-    def test_validate_flag_accepts_good_formula(self):
-        mu = moments_mu(-0.5, 15.0, 1.0, 2)
-        nu = moments_nu(-0.5, 15.0, 1.0, mu, validate=True)
-        ref = mp_moment(-0.5, 15.0, 1.0, 1, log=True)
-        assert abs(nu[0] - ref) <= 1e-9 * max(abs(ref), 1.0)
+        for alpha, w in ((0.5, 20.0), (-0.5, 15.0)):
+            mu = moments_mu(alpha, w, 1.0, 1)
+            nu = moments_nu(alpha, w, 1.0, mu)
+            ref = mp_moment(alpha, w, 1.0, 1, log=True)
+            assert abs(nu[0] - ref) <= 1e-9 * max(abs(ref), 1.0)
 
     def test_nu2_recurrence_residual(self):
         alpha, w, g_a = 0.5, 25.0, 1.0
@@ -271,7 +267,9 @@ class TestChebSeriesTable:
     table = staticmethod(oscquad.filon._cheb_series_table)
 
     def test_matches_list_recurrence(self):
-        # The list form the 2-D table replaced, row for row and bit for bit.
+        # The per-node list form the batched table replaced, node by node,
+        # row for row and bit for bit, on the tables of every operator with
+        # npts = 3..20 and s = 0..3.
         def loop_table(x0, m, count, a):
             u = np.zeros(m)
             u[0] = 2.0 * x0 / a - 1.0
@@ -285,16 +283,19 @@ class TestChebSeriesTable:
                 out.append(2.0 * oscquad.filon.ps_mul(u, out[-1]) - out[-2])
             return out
 
-        for x0, m, count, a in ((0.0, 2, 5, 1.0), (0.3, 3, 12, 1.0), (1.7, 4, 33, 1.7), (0.9, 1, 2, 2.0)):
-            got = self.table(x0, m, count, a)
-            want = loop_table(x0, m, count, a)
-            assert got.shape == (count, m)
-            for row, ref in zip(got, want):
-                assert row.tobytes() == ref.tobytes()
+        cases = [(npts, s + 2, npts - 1 + 2 * s, a)
+                 for a in (1.0, 0.37, 2.5, 1.7319) for npts in range(3, 21) for s in range(4)]
+        for npts, m, count, a in cases + [(34, 4, 33, 1.7), (3, 1, 2, 2.0)]:
+            got = self.table(npts, m, count, a)
+            assert got.shape == (count, npts, m)
+            for node, x0 in enumerate(lobatto_grid(npts - 1, a).nodes):
+                want = loop_table(float(x0), m, count, a)
+                for row, ref in zip(got[:, node], want):
+                    assert row.tobytes() == ref.tobytes(), (npts, m, count, a)
 
     def test_cached_and_read_only(self):
-        t = self.table(0.25, 4, 10, 1.0)
-        assert self.table(0.25, 4, 10, 1.0) is t
+        t = self.table(5, 4, 10, 1.0)
+        assert self.table(5, 4, 10, 1.0) is t
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 2.0
@@ -305,7 +306,7 @@ class TestChebSeriesTable:
 
     def test_cache_bounded(self):
         for k in range(SERIES_TABLE_CACHE_SIZE + 10):
-            self.table(k / (SERIES_TABLE_CACHE_SIZE + 10), 2, 3, 1.0)
+            self.table(3, 2, 3, 1.0 + k / (SERIES_TABLE_CACHE_SIZE + 10))
         assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE
 
 
@@ -322,13 +323,13 @@ def _loop_operator(spec, npts, s):
     nodes, mults = filon._collocation_nodes(npts, s, spec.a)
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
+    tables = filon._cheb_series_table(npts, s + 2, M, spec.a)
     rows = []
-    for x, mult in zip(nodes, mults):
+    for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
         gp = _derivative(gser)
         gg = gser[: s + 1]
         ggp = filon.ps_mul(gg, gp)
-        table = filon._cheb_series_table(float(x), s + 2, M, spec.a)
         images = []
         for T in table:
             P = T[: s + 1]
@@ -354,13 +355,13 @@ def _operator_term_sizes(spec, npts, s):
     nodes, mults = filon._collocation_nodes(npts, s, spec.a)
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
+    tables = np.abs(filon._cheb_series_table(npts, s + 2, M, spec.a))
     rows = []
-    for x, mult in zip(nodes, mults):
+    for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
         gp = np.abs(_derivative(gser))
         gg = np.abs(gser[: s + 1])
         ggp = np.abs(filon.ps_mul(gser[: s + 1], _derivative(gser)))
-        table = np.abs(filon._cheb_series_table(float(x), s + 2, M, spec.a))
         for j in range(int(mult)):
             row = np.zeros(M + 1)
             for k, T in enumerate(table):

@@ -1,5 +1,6 @@
 """Top-level quadrature assembly and method dispatch."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ import oscquad.levin
 import oscquad.problem
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
-from oscquad.cheb import barycentric_eval
-from oscquad.errors import AccuracyError, CapabilityError, ParameterError
+from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
+from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
 from oscquad.levin import solve_alg
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
@@ -166,6 +167,57 @@ class TestNonFiniteValue:
         spec = builtin_problem("ex51", -0.99, 1.0)
         with np.errstate(all="ignore"), pytest.raises(AccuracyError):
             compute(spec, Method.ORACLE, 8, 0)
+
+
+class TestDomainEdges:
+    """At the edges of the documented domain a call works or is refused
+    with a package error."""
+
+    # (n, s) per method: s = 1 where the method supports it.
+    N_S = {Method.LEVIN_PHYSICAL: (8, 0), Method.LEVIN_FREQ: (8, 1), Method.FILON: (8, 1),
+           Method.CMFP: (4, 0), Method.ORACLE: (0, 0)}
+
+    @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b", "ex54"])
+    @pytest.mark.parametrize("w", [1e-3, 1e14, math.nan, math.inf])
+    def test_every_method_finite_or_refused(self, pid, w):
+        with np.errstate(all="ignore"):
+            if not math.isfinite(w):
+                with pytest.raises(ParameterError, match="w must be"):
+                    builtin_problem(pid, 0.5, w)
+                return
+            for alpha in (0.5, -0.5):
+                spec = builtin_problem(pid, alpha, w)
+                for method in Method:
+                    try:
+                        value = compute(spec, method, *self.N_S[method]).value
+                    except OscquadError:
+                        continue
+                    assert np.isfinite(value), (alpha, method)
+
+    def test_non_finite_a_refused(self):
+        for a in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="a must be"):
+                build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0]),
+                              a=a, alpha=0.5, kind=SingKind.ALGEBRAIC, w=10.0)
+
+    # The (grid, n, a) of the test below whose entries all stay finite.
+    FINITE_GRIDS = {(radau_grid, 2, 1e-306), (radau_grid, 8, 1e-306), (lobatto_grid, 2, 1e-306),
+                    (lobatto_grid, 8, 1e-306), (lobatto_grid, 2, 1e308), (lobatto_grid, 2, 1.79e308)}
+
+    @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
+    @pytest.mark.parametrize("a", [5e-324, 1e-306, 1e308, 1.79e308])
+    def test_extreme_a_grid_finite_or_refused(self, build, a):
+        # Where the nodes coincide or overflow, or the matrix entries (of
+        # order n^2/a) overflow, the grid is refused; otherwise it is
+        # returned as built, with every entry finite.
+        with np.errstate(all="ignore"):
+            for n in (2, 8, 32, 64):
+                if (build, n, a) in self.FINITE_GRIDS:
+                    g = build(n, a)
+                    assert all(np.isfinite(arr).all() for arr in (g.nodes, g.diff, g.bary_full))
+                else:
+                    with pytest.raises(ParameterError, match="outside the range"):
+                        build(n, a)
 
 
 class TestIntegerParameters:
