@@ -185,8 +185,8 @@ class CMFPParams:
     """Parameters of the composite CMFP rule.
 
     n geometric panels carry the moment-free Filon part, s graded panels
-    the Gauss-Legendre part, with m1 / m2 points per panel, and p is the
-    grading exponent.  :func:`cmfp` derives the scales from the problem:
+    the Gauss-Legendre part, with m1 >= 1 / m2 >= 2 points per panel, and p
+    is the grading exponent.  :func:`cmfp` derives the scales from the problem:
     w_r = k for k = |w g'(0)| and lambda_r = 1/w_r (stationary order
     r = 0, for which w_r = max(k sigma_r, k) with sigma_r = 1).
     """
@@ -235,8 +235,10 @@ def default_cmfp_params(spec: ProblemSpec, n1: int) -> CMFPParams:
 def _validate_cmfp(params: CMFPParams) -> None:
     if params.n < 1 or params.s < 1:
         raise ParameterError("n and s must be at least 1")
-    if params.m1 < 1 or params.m2 < 1:
-        raise ParameterError("m1 and m2 must be at least 1")
+    if params.m1 < 1:
+        raise ParameterError("m1 must be at least 1")
+    if params.m2 < 2:
+        raise ParameterError("m2 must be at least 2 (the sub-panel count q^(m2/(m2-1)) needs m2 > 1)")
     if not params.p > 0:
         raise ParameterError("grading exponent p must be positive")
 

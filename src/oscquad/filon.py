@@ -29,7 +29,7 @@ import numpy as np
 from ._result import Method, QuadratureResult
 from ._series import ps_mul
 from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
-from .errors import CapabilityError, DegenerateSystemError, ParameterError
+from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .boundary import EndData, levin_value
 from .levin import TsvdFactor, tsvd_factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
@@ -97,6 +97,14 @@ class HermiteData:
         return int(self.mults.sum())
 
 
+def _moment_scale(alpha: float, w: float) -> complex:
+    # (-iw)^{1+alpha}, the divisor of the closed forms of mu_1 and nu_1.
+    scale = neg_iw_pow(1.0 + alpha, w)
+    if scale == 0:
+        raise AccuracyError(f"(-iw)^(1+alpha) underflows to 0 at w = {w!r}")
+    return scale
+
+
 def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     """Moments mu_1..mu_count by closed form plus forward recurrence.
 
@@ -111,7 +119,7 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
         raise ParameterError("count must be at least 1")
     mu = np.zeros(count, dtype=complex)
     upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
-    mu[0] = (gamma_real(1.0 + alpha) - upper) / neg_iw_pow(1.0 + alpha, w)
+    mu[0] = (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
     phase_end = np.exp(1j * w * g_a)
     for j in range(1, count):
         mu[j] = -((j + alpha) / (1j * w)) * mu[j - 1] + g_a ** (j + alpha) * phase_end / (1j * w)
@@ -139,7 +147,7 @@ def moments_nu(
     upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
     f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * g_a)
     nu[0] = (
-        np.log(g_a) * (gamma_real(1.0 + alpha) - upper) / neg_iw_pow(1.0 + alpha, w)
+        np.log(g_a) * (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
         - g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22
     )
     log_end = np.log(g_a) * np.exp(1j * w * g_a)

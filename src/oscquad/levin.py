@@ -13,7 +13,9 @@ solved by truncated SVD, since exactly one near-null direction appears at
 large n (the discrete trace of the continuous one-parameter solution
 family).  The operator depends on (g, alpha, w, a, n) only, so the
 logarithmic kind factorises it once and applies the factors to all three of
-its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).
+its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).  Each
+call evaluates g and g' at the nodes once, for the operator and every
+right-hand side.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -28,7 +30,7 @@ import numpy as np
 
 from .cheb import ChebGrid, GridFamily, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import ProblemSpec, _sub_problem, make_f1_f2
+from .problem import ProblemSpec, _node_amplitudes, _sub_problem, make_f1_f2
 
 __all__ = [
     "LevinSolution",
@@ -124,14 +126,17 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
-    L = _operator(spec, grid)
+    nodes = _node_data(spec, grid)
+    L = _operator(spec, grid, nodes)
     f1, _ = make_f1_f2(spec)
-    return L, _amplitude_rhs(f1, grid)
+    xs, gx, _, _ = nodes
+    return L, _rhs(f1, grid, _node_amplitudes(spec, xs, gx, False)[0])
 
 
-def _operator(spec: ProblemSpec, grid: ChebGrid) -> np.ndarray:
-    # The matrix of assemble_L, which every right-hand side shares.
-    xs, gx, gpx, gp0 = _node_data(spec, grid)
+def _operator(spec: ProblemSpec, grid: ChebGrid, nodes) -> np.ndarray:
+    # The matrix of assemble_L, which every right-hand side shares, from
+    # _node_data's values.
+    xs, gx, gpx, gp0 = nodes
     n = xs.size
     alpha = spec.alpha
     w = spec.w
@@ -145,11 +150,12 @@ def _operator(spec: ProblemSpec, grid: ChebGrid) -> np.ndarray:
     return L
 
 
-def _amplitude_rhs(amplitude, grid: ChebGrid) -> np.ndarray:
-    # Right-hand side of an amplitude at the origin row and the interior nodes.
-    rhs = np.zeros(grid.interior.size + 1, dtype=complex)
+def _rhs(amplitude, grid: ChebGrid, node_values) -> np.ndarray:
+    # Right-hand side of an amplitude: its value at the origin row, from a
+    # scalar call, and its given values at the interior nodes.
+    rhs = np.empty(grid.interior.size + 1, dtype=complex)
     rhs[0] = complex(amplitude.value(0.0))
-    rhs[1:] = np.asarray(amplitude.value(grid.interior), dtype=complex)
+    rhs[1:] = node_values
     return rhs
 
 
@@ -234,18 +240,20 @@ def solve_log(spec: ProblemSpec, n: int):
     (LevinSolution, LevinSolution, LevinSolution)
     """
     grid = radau_grid(n, spec.a)
-    L = _operator(spec, grid)
+    nodes = _node_data(spec, grid)
+    L = _operator(spec, grid, nodes)
     f1, f2 = make_f1_f2(spec)
     factor = tsvd_factor(L)
-    first = _solution_from(L, factor, _amplitude_rhs(f1, grid), grid)
-    xs, _, gpx, gp0 = _node_data(spec, grid)
+    xs, gx, gpx, gp0 = nodes
+    f1x, f21x = _node_amplitudes(spec, xs, gx, True)
+    first = _solution_from(L, factor, _rhs(f1, grid, f1x), grid)
     q1_origin = complex(np.dot(grid.origin_weights, first.q1_values))
     rhs2 = np.empty(xs.size + 1, dtype=complex)
     rhs2[0] = -q1_origin * gp0
     rhs2[1:] = -first.q1_values * gpx
     second = _solution_from(L, factor, rhs2, grid)
     f21, _ = make_f1_f2(_sub_problem(spec, f2))
-    third = _solution_from(L, factor, _amplitude_rhs(f21, grid), grid)
+    third = _solution_from(L, factor, _rhs(f21, grid, f21x), grid)
     return first, second, third
 
 
@@ -282,7 +290,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
     alpha = spec.alpha
     w = spec.w
     f1, _ = make_f1_f2(spec)
-    f1x = np.asarray(f1.value(xs), dtype=complex)
+    f1x = np.asarray(_node_amplitudes(spec, xs, gx, False)[0], dtype=complex)
     f10 = complex(f1.value(0.0))
     r = grid.origin_weights
     q1 = np.zeros(xs.size, dtype=complex)

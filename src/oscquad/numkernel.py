@@ -123,6 +123,15 @@ def _check_gamma_domain(a: float, z: complex) -> None:
         raise ParameterError("z on the negative real axis (branch cut)")
 
 
+def _power(z: complex, a: float) -> complex:
+    # z**a of both Gamma(a, z) routes, where Python's complex power raises
+    # OverflowError (|z| near the ends of the float range).
+    try:
+        return z**a
+    except OverflowError:
+        raise AccuracyError(f"z**a overflows in Gamma({a}, z) at |z| = {abs(z):.3g}") from None
+
+
 def _upper_gamma_series(a: float, z: complex, max_terms: int = 400):
     # Gamma(a,z) = Gamma(a) - gamma(a,z), lower gamma by the ascending series
     # gamma(a,z) = z^a e^{-z} sum_n z^n / (a(a+1)...(a+n)).
@@ -132,7 +141,7 @@ def _upper_gamma_series(a: float, z: complex, max_terms: int = 400):
         term *= z / (a + n)
         total += term
         if abs(term) <= _EPS * abs(total):
-            lower = z**a * np.exp(-z) * total
+            lower = _power(z, a) * np.exp(-z) * total
             return gamma_real(a) - lower, n + 1, abs(term) / max(abs(total), _EPS)
     raise AccuracyError(
         f"incomplete gamma series stalled at |z|={abs(z):.3g} "
@@ -161,7 +170,7 @@ def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 4 * _EPS:
-            return z**a * np.exp(-z) * h, i, abs(delta - 1.0)
+            return _power(z, a) * np.exp(-z) * h, i, abs(delta - 1.0)
     return None, max_iter, abs(delta - 1.0)
 
 
@@ -199,6 +208,12 @@ def upper_gamma_complex(
     -------
     value : complex
     diag : KernelDiag
+
+    Raises
+    ------
+    AccuracyError
+        When ``z**a`` overflows: |z| near the top of the float range with
+        a > 1, or near its bottom with a < 0.
 
     Notes
     -----

@@ -58,6 +58,15 @@ def _factorials(m: int) -> np.ndarray:
     return out
 
 
+def _horner(coeffs: np.ndarray, x):
+    # numpy.polynomial.polynomial.polyval(x, coeffs) for 1-D coeffs and an
+    # array x, in its operation order, so the values are the same bits.
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
+
+
 def _series_rows(series_fn, x0, m: int, dtype, what: str, value=None) -> np.ndarray:
     # The one derivative-data form: series_fn(xs, m) gives a (len(xs), m)
     # array for a 1-D float array xs.  A scalar x0 gets its row alone.
@@ -118,13 +127,13 @@ class Amplitude:
             raise ParameterError("empty coefficient list")
 
         def value(x):
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+            return _horner(coeffs, np.asarray(x, dtype=float))
 
         def series(xs, m):
             return poly_taylor(coeffs.real, xs, m) + 1j * poly_taylor(coeffs.imag, xs, m)
 
         def complex_value(z):
-            return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), coeffs)
+            return _horner(coeffs, np.asarray(z, dtype=complex))
 
         return cls(value=value, series_fn=series, complex_value=complex_value)
 
@@ -166,12 +175,17 @@ class Oscillator:
     Same ``series_fn`` contract as :class:`Amplitude`, but real-valued.
     ``poly`` holds ascending polynomial coefficients when the oscillator is
     polynomial, enabling exact normalization and the identity-oscillator
-    fast paths.
+    fast paths; :meth:`deriv1` then uses derivative coefficients formed
+    once, at construction.
     """
 
     value: Callable
     series_fn: Optional[Callable] = None
     poly: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.poly is not None:
+            object.__setattr__(self, "_dpoly", np.polynomial.polynomial.polyder(self.poly))
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
@@ -180,7 +194,7 @@ class Oscillator:
             raise ParameterError("empty coefficient list")
 
         def value(x):
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+            return _horner(coeffs, np.asarray(x, dtype=float))
 
         def series(xs, m):
             return poly_taylor(coeffs, xs, m)
@@ -201,8 +215,7 @@ class Oscillator:
     def deriv1(self, x):
         """Vectorized g'(x)."""
         if self.poly is not None:
-            d = np.polynomial.polynomial.polyder(self.poly) if self.poly.size > 1 else np.zeros(1)
-            return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
+            return _horner(self._dpoly, np.asarray(x, dtype=float))
         xs = np.asarray(x, dtype=float)
         return self.series_at(xs.ravel(), 2)[:, 1].reshape(xs.shape)[()]
 
@@ -295,7 +308,7 @@ def build_problem(
     if not isinstance(kind, SingKind):
         raise ParameterError(f"kind must be a SingKind, got {kind!r}")
     osc, w_used, phase = _normalize_oscillator(oscillator, a, w)
-    gp0 = osc.series_at(0.0, 2)[1]
+    gp0 = osc.deriv1(0.0)
     if not gp0 > 0:
         raise InvalidOscillatorError(f"g'(0) must be positive, got {gp0}")
     if not np.isfinite(complex(amplitude.value(a / 2.0))):
@@ -350,20 +363,22 @@ def make_f1_f2(spec: ProblemSpec):
                 series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
             )
         return f1, f2
-    gp0 = float(osc.series_at(0.0, 2)[1])
+    gp0 = float(osc.deriv1(0.0))
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
 
-    def ratio_pow(x):
+    def factor(x, log: bool):
+        # _ratio_factor at the points x, with its limit at x = 0.
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty(xs.shape, dtype=float)
         pos = xs > 0
-        out[pos] = (xs[pos] / np.asarray(osc.value(xs[pos]), dtype=float)) ** alpha
-        out[~pos] = gp0 ** (-alpha)
+        if pos.any():
+            out[pos] = _ratio_factor(xs[pos], np.asarray(osc.value(xs[pos]), dtype=float), alpha, log)
+        out[~pos] = -math.log(gp0) if log else gp0 ** (-alpha)
         return out if np.ndim(x) else out[0]
 
     def f1_value(x):
-        return np.asarray(f.value(x)) * ratio_pow(x)
+        return np.asarray(f.value(x)) * factor(x, False)
 
     def f1_series(xs, m):
         return ps_mul(f.series_at(xs, m), ps_pow(_ratio_series(osc, xs, m), alpha))
@@ -373,21 +388,37 @@ def make_f1_f2(spec: ProblemSpec):
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         return f1, None
 
-    def log_ratio(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(xs.shape, dtype=float)
-        pos = xs > 0
-        out[pos] = np.log(xs[pos] / np.asarray(osc.value(xs[pos]), dtype=float))
-        out[~pos] = -math.log(gp0)
-        return out if np.ndim(x) else out[0]
-
     def f2_value(x):
-        return np.asarray(f.value(x)) * log_ratio(x)
+        return np.asarray(f.value(x)) * factor(x, True)
 
     def f2_series(xs, m):
         return ps_mul(f.series_at(xs, m), ps_log(_ratio_series(osc, xs, m)))
 
     return f1, Amplitude(value=f2_value, series_fn=f2_series)
+
+
+def _ratio_factor(xs: np.ndarray, gx: np.ndarray, alpha: float, log: bool) -> np.ndarray:
+    # (x/g)^alpha, or log(x/g) with log, at points xs > 0 where g = gx: the
+    # factors that take f to f1 and f2 (make_f1_f2) away from the origin.
+    ratio = xs / gx
+    return np.log(ratio) if log else ratio**alpha
+
+
+def _node_amplitudes(spec: ProblemSpec, xs: np.ndarray, gx: np.ndarray, with_f2: bool):
+    """Values at points ``xs > 0``, where g = ``gx``, of f1 and, with
+    ``with_f2``, of ``f2 (x/g)^alpha``, which is the f1 of :func:`f2_problem`;
+    None in its place otherwise.
+
+    The same bits as the ``value`` of those amplitudes at ``xs``, with g
+    evaluated by the caller instead of once per amplitude.
+    """
+    fx = np.asarray(spec.amplitude.value(xs))
+    if spec.oscillator.is_identity:
+        return fx, np.zeros(xs.shape, dtype=complex) if with_f2 else None
+    power = _ratio_factor(xs, gx, spec.alpha, False)
+    if not with_f2:
+        return fx * power, None
+    return fx * power, fx * _ratio_factor(xs, gx, spec.alpha, True) * power
 
 
 def f2_problem(spec: ProblemSpec) -> ProblemSpec:

@@ -172,6 +172,10 @@ class TestCmfp:
         bad = dataclasses.replace(good, m1=0)
         with pytest.raises(ParameterError):
             cmfp(spec, bad)
+        # The sub-panel count q^(m2/(m2-1)) divides by zero at m2 = 1.
+        with pytest.raises(ParameterError, match="m2 must be at least 2"):
+            cmfp(spec, dataclasses.replace(good, m2=1))
+        assert np.isfinite(cmfp(spec, dataclasses.replace(good, m2=2)).value)
 
 
 class TestGradedIntegral:

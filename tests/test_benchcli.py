@@ -165,6 +165,16 @@ class TestEval:
         assert code == 4
         assert "SVD" in err
 
+    @pytest.mark.parametrize("w", ["1e306", "1e-300"])
+    def test_filon_outside_documented_w_exit_4(self, w):
+        # The moments' incomplete gamma overflows, or (-iw)^(1+alpha)
+        # underflows: an accuracy failure, not a traceback.
+        with np.errstate(all="ignore"):
+            code, _, err = run(["eval", "--problem", "ex51", "--alpha", "0.5", "--w", w,
+                                "--n", "8", "--s", "1", "--method", "filon"])
+        assert code == 4
+        assert "accuracy error" in err
+
     def test_capability_refusal_exit_3(self):
         # CMFP on a nonlinear oscillator.
         code, _, err = run(

@@ -1,10 +1,14 @@
 """Physical-space collocation solver tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oscquad.levin
+import oscquad.problem
+from oscquad import Method, compute
 from oscquad.cheb import radau_grid
 from oscquad.errors import DegenerateSystemError, ParameterError
 from oscquad.levin import (
@@ -20,7 +24,9 @@ from oscquad.levin import (
 from oscquad.problem import (
     Amplitude,
     Oscillator,
+    BUILTIN_IDS,
     SingKind,
+    _node_amplitudes,
     build_problem,
     builtin_problem,
     f2_problem,
@@ -254,6 +260,58 @@ class TestSolveLog:
         vec, _ = tsvd_solve(L, np.concatenate(([rhs0], rhs_vals)))
         assert abs(vec[0] - sol2.c0) <= 1e-11 * max(abs(sol2.c0), 1.0)
         assert np.abs(vec[1:] - sol2.q1_values).max() <= 1e-11
+
+
+class TestOneNodePassPerCall:
+    """g, g' and f are evaluated at the Radau nodes once per physical call,
+    for the operator and every right-hand side."""
+
+    @pytest.mark.parametrize("kind", [SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG])
+    def test_evaluation_counts(self, monkeypatch, kind):
+        n = 16
+        interior = radau_grid(n, 1.0).interior
+        counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "_node_data", "g at nodes"), 0)
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        osc = Oscillator.from_poly([0.0, 1.0, 0.5])
+
+        def g(x):
+            counts["g at nodes"] += np.array_equal(x, interior)
+            return osc.value(x)
+
+        spec = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), dataclasses.replace(osc, value=g),
+                             a=1.0, alpha=0.5, kind=kind, w=50.0)
+        P = np.polynomial.polynomial
+        monkeypatch.setattr(P, "polyval", counting("polyval", P.polyval))
+        monkeypatch.setattr(P, "polyder", counting("polyder", P.polyder))
+        monkeypatch.setattr(oscquad.problem, "poly_taylor", counting("poly_taylor", oscquad.problem.poly_taylor))
+        monkeypatch.setattr(oscquad.levin, "_node_data", counting("_node_data", oscquad.levin._node_data))
+        value = compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
+        # One series of g at a, for the boundary bracket.
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 1, "_node_data": 1, "g at nodes": 1}
+        monkeypatch.undo()
+        assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
+
+    @pytest.mark.parametrize("pid", BUILTIN_IDS)
+    def test_node_amplitudes_are_the_amplitude_values(self, pid):
+        # The shared node values equal those of make_f1_f2's closures, bit
+        # for bit, for f1 and for the f2 sub-problem's f1.
+        for alpha in (0.5, -0.7):
+            spec = builtin_problem(pid, alpha, 30.0)
+            xs = radau_grid(12, spec.a).interior
+            gx = spec.oscillator.value(xs)
+            log = spec.kind is SingKind.ALGEBRAIC_LOG
+            f1x, f21x = _node_amplitudes(spec, xs, gx, log)
+            want = [make_f1_f2(spec)[0]] + ([make_f1_f2(f2_problem(spec))[0]] if log else [])
+            got = [f1x] + ([f21x] if log else [])
+            for amp, values in zip(want, got):
+                assert np.asarray(amp.value(xs), dtype=complex).tobytes() == \
+                    np.asarray(values, dtype=complex).tobytes()
 
 
 class TestPicardIterate:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oscquad.errors import ParameterError
+from oscquad.errors import AccuracyError, ParameterError
 from oscquad.numkernel import (
     GAMMA_CROSSOVER,
     HYP2F2_SERIES_MAX,
@@ -116,6 +116,13 @@ class TestUpperGammaComplex:
             upper_gamma_complex(2.5, 1.0 + 0.0j)
         with pytest.raises(ParameterError):
             upper_gamma_complex(-0.5, 0.0 + 0.0j)
+
+    @pytest.mark.parametrize("a, z", [(1.5, -1e306j), (-0.99, -1e-320j)])
+    def test_power_overflow_is_accuracy_error(self, a, z):
+        # z**a overflows on the continued fraction (|z| = 1e306, a > 1) and
+        # on the series (|z| = 1e-320, a < 0).
+        with pytest.raises(AccuracyError, match="overflows"):
+            upper_gamma_complex(a, z)
 
 
 class TestHyp2F2Equal:

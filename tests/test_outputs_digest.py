@@ -97,3 +97,13 @@ def test_compare_splits_cli_values_from_errors(tool):
         len(ast.literal_eval(line.split(": ", 1)[1])[1]) - 1 for line in before[1:]
     )
     assert all(row[1] == 0 for row in values)
+
+
+def test_compare_skips_lines_that_are_not_operations(tool):
+    # NumPy warnings captured with 2>&1 sit between the operation lines.
+    before = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 4))
+    warning = ["/x/problem.py:532: RuntimeWarning: divide by zero encountered in power",
+               "  weight = x**spec.alpha"]
+    noisy = before[:2] + warning + before[2:] + [f"sha256 {tool.digest(before)} over 4 operations"]
+    assert tool.parse(noisy) == (tool.parse(before)[0], 2)
+    assert tool.compare(noisy, before) == tool.compare(before, before)

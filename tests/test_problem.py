@@ -6,6 +6,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
@@ -355,3 +358,31 @@ class TestSeriesContract:
         for x, row in zip(xs, rows):
             assert_allclose(row, amp.series_at(float(x), 3), rtol=1e-12)
         assert_allclose(rows[:, 1], np.cos(xs), rtol=1e-9)
+
+
+_COEFFS = hnp.arrays(float, st.integers(1, 7), elements=st.floats(-1e3, 1e3))
+_POINTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3).map(np.array),
+    hnp.arrays(float, st.integers(0, 5), elements=st.floats(-1e3, 1e3)),
+)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_COEFFS, _COEFFS, _POINTS)
+def test_polynomial_evaluation_is_polyval(re, im, x):
+    # Degrees 0-6 at a Python float, a 0-d array or a 1-d array: the
+    # polynomial amplitudes and oscillators give numpy's polyval bit for bit.
+    P = np.polynomial.polynomial
+    xf = np.asarray(x, dtype=float)
+    osc = Oscillator.from_poly(re)
+    assert _same_bits(osc.value(x), P.polyval(xf, re))
+    assert _same_bits(osc.deriv1(x), P.polyval(xf, P.polyder(re)))
+    size = min(re.size, im.size)
+    for coeffs in (re, re[:size] + 1j * im[:size]):
+        assert _same_bits(Amplitude.from_poly(coeffs).value(x), P.polyval(xf, coeffs.astype(complex)))

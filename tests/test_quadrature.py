@@ -194,6 +194,17 @@ class TestDomainEdges:
                         continue
                     assert np.isfinite(value), (alpha, method)
 
+    @pytest.mark.parametrize("w, match", [(1e306, "overflows"), (1e-300, "underflows")])
+    @pytest.mark.parametrize("pid", ["ex51", "ex53b"])
+    def test_filon_outside_documented_w_refused(self, pid, w, match):
+        # Gamma(1+alpha, -iw g(a)) overflows at |w| = 1e306; (-iw)^(1+alpha)
+        # underflows to 0 at |w| = 1e-300.
+        spec = builtin_problem(pid, 0.5, w)
+        with np.errstate(all="ignore"):
+            for s in (1, 2):
+                with pytest.raises(AccuracyError, match=match):
+                    compute(spec, Method.FILON, 8, s)
+
     def test_non_finite_a_refused(self):
         for a in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="a must be"):

@@ -24,7 +24,9 @@ value (``value``: ``value_re``, ``value_im``) and its errors against the
 reference (``error``: ``abs_err``, ``rel_err``, ``scaled_err``).  So a change
 of reference shows as changed ``error`` rows beside unchanged ``value`` rows.
 The last line counts the operation lines that differ in anything,
-diagnostics included.
+diagnostics included.  Only operation lines and the final ``sha256`` line
+are read; any other line, such as a NumPy warning captured with ``2>&1``,
+is skipped and counted.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import functools
 import hashlib
 import importlib
 import math
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -111,19 +114,29 @@ def _relative_change(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+_OPERATION = re.compile(r"(\S+ seed=\d+ pass=\d+ op=\d+): (.*)")
+
+
+def parse(lines):
+    """``({key: outcome}, skipped)`` of a printout given as lines: its
+    operation lines by ``"W seed=S pass=P op=I"`` key, and the number of
+    lines that are neither those nor the ``sha256`` line."""
+    out = {}
+    skipped = 0
+    for line in lines:
+        match = _OPERATION.fullmatch(line.rstrip("\n"))
+        if match:
+            out[match[1]] = match[2]
+        elif not line.startswith("sha256 "):
+            skipped += 1
+    return out, skipped
+
+
 def compare(before, after) -> dict:
     """Per (workload, method, column group): ``[values, changed, largest
     relative change]`` between two printouts given as lines, plus
     ``"lines"``: ``(operation lines, lines that differ)``."""
-    def parse(lines):
-        out = {}
-        for line in lines:
-            if not line.startswith("sha256 ") and line.strip():
-                key, outcome = line.rstrip("\n").split(": ", 1)
-                out[key] = outcome
-        return out
-
-    a, b = parse(before), parse(after)
+    (a, _), (b, _) = parse(before), parse(after)
     if a.keys() != b.keys():
         raise ValueError(f"the printouts cover different operations ({len(a)} and {len(b)} lines)")
     describe = functools.lru_cache(maxsize=None)(wl.describe)
@@ -163,6 +176,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (path.read_text().splitlines() for path in args.compare)
+        for path, lines in zip(args.compare, (before, after)):
+            skipped = parse(lines)[1]
+            if skipped:
+                print(f"{path}: skipped {skipped} lines that are not operation lines")
         result = compare(before, after)
         lines, differing = result.pop("lines")
         print(f"{'workload':<16}{'method':<22}{'columns':<8}{'values':>7}{'changed':>9}  "
