@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 ORACLE_PHASE_CAP = 2.0e4
+# The largest |w| the package documents; cmfp refuses a mesh finer than
+# this frequency needs at the given n.
+_CMFP_MAX_W = 1e14
 
 # Nodes per path of reference_nsd.  The log kind's product weights lose
 # digits as the order grows (2e-15 at 30, 3.5e-15 at 40 for alpha = -0.5);
@@ -243,6 +246,15 @@ def _validate_cmfp(params: CMFPParams) -> None:
         raise ParameterError("grading exponent p must be positive")
 
 
+def _sub_panels(w_r: float, params: CMFPParams) -> float:
+    # N_j = ceil(q^{m2/(m2-1)}), q = w_r^{1/n}, the same for every panel;
+    # inf where it does not fit a float.
+    try:
+        return math.ceil((w_r ** (1.0 / params.n)) ** (params.m2 / (params.m2 - 1.0)))
+    except OverflowError:
+        return math.inf
+
+
 def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     """Composite moment-free Filon-type quadrature for linear oscillators.
 
@@ -259,12 +271,19 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     with q = y_j / y_{j-1} = w_r^{1/n}; the defining formula's per-panel
     count is stated in terms of an inverse-oscillator ratio that
     degenerates for a linear oscillator.  Here w_r = |w g'(0)| and
-    lambda_r = 1/w_r.
+    lambda_r = 1/w_r.  A count above what |w| = 1e14 needs at this n is
+    refused with :class:`CapabilityError` before the mesh is built.
     """
     beta = _linear_slope(spec)
     w_eff = spec.w * beta
     _validate_cmfp(params)
     w_r = abs(w_eff)
+    n_sub = _sub_panels(w_r, params)
+    if n_sub > _sub_panels(_CMFP_MAX_W * beta, params):
+        raise CapabilityError(
+            f"the composite baseline needs {n_sub:.3g} sub-panels per panel at n = {params.n}, "
+            f"more than |w| = {_CMFP_MAX_W:.0e} needs; raise n"
+        )
     lam = 1.0 / w_r
     gl_part = 0.0 + 0.0j
     points = 0
@@ -281,8 +300,6 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
         gl_part = lam * np.sum(per_panel)
         points += pts.size
     yedges = w_r ** ((np.arange(params.n + 1, dtype=float) - params.n) / params.n)
-    ratio = w_r ** (1.0 / params.n)
-    n_sub = int(np.ceil(ratio ** (params.m2 / (params.m2 - 1.0))))
     edges = np.concatenate(
         [np.linspace(yedges[j], yedges[j + 1], n_sub + 1)[:-1] for j in range(params.n)]
         + [yedges[-1:]]

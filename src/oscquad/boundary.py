@@ -80,14 +80,17 @@ def levin_value(
 
     q(a) and l(a) come from :func:`upper_end_value`, which avoids the
     cancellation between c0 and g(a) q1(a) at large w; g(a) and g'(a) are
-    read once for all solves.  The value is returned times the phase shift.
+    read once for all solves, g(a) by :meth:`ProblemSpec.g_end` as the
+    moments and the references read it.  The value is returned times the
+    phase shift.
     """
     alpha, w = spec.alpha, spec.w
     g_a = spec.g_end()
-    g_series = spec.oscillator.series_at(spec.a, 2)
+    # g'(a) a NumPy scalar: upper_end_value divides by iw g'(a) in NumPy.
+    ends = (g_a, np.float64(spec.oscillator.deriv1(spec.a)))
 
     def algebraic(end: EndData):
-        value = upper_end_value(spec, end, *g_series) * g_a**alpha * np.exp(1j * w * g_a)
+        value = upper_end_value(spec, end, *ends) * g_a**alpha * np.exp(1j * w * g_a)
         if end.c0 != 0:
             value += end.c0 * kernel_k_alg(alpha, w, g_a)
         return value
@@ -96,8 +99,8 @@ def levin_value(
         value = algebraic(first)
     else:
         c0, d0 = first.c0, second.c0
-        q_end = upper_end_value(spec, first, *g_series)
-        l_end = upper_end_value(spec, second, *g_series)
+        q_end = upper_end_value(spec, first, *ends)
+        l_end = upper_end_value(spec, second, *ends)
         log_g = np.log(g_a)
         value = g_a**alpha * (q_end * log_g + l_end) * np.exp(1j * w * g_a)
         if c0 != 0 or d0 != 0:

@@ -1,7 +1,7 @@
-"""Chebyshev collocation grids on [0, a].
+"""Chebyshev collocation grids on [0, 1].
 
 Two families are provided.  The modified Gauss-Radau family places ``n``
-nodes in (0, a] with ``x_n = a`` and the origin deliberately excluded; the
+nodes in (0, 1] with ``x_n = 1`` and the origin deliberately excluded; the
 physical-space Levin solver differentiates on these nodes and reaches the
 origin through extrapolation weights.  The modified Lobatto family includes
 both endpoints and serves the frequency-space (Hermite) collocation methods.
@@ -12,12 +12,11 @@ reference-variable matrix.  A closed-form reference-variable matrix and the
 closed-form origin-extrapolation weights are implemented as well; the tests
 check the barycentric construction against them.
 
-A grid depends on (n, a) only, so :func:`radau_grid` and
-:func:`lobatto_grid` validate their arguments and then return a cached grid:
-each family keeps the last ``GRID_CACHE_SIZE`` grids built, keyed on
-``(int(n), float(a))``, and every array of a returned grid is read-only.
-An ``a`` so small or so large that an array of the grid is not finite is
-refused.
+Every problem is mapped onto [0, 1] before the solve, so a grid depends
+on n only: :func:`radau_grid` and :func:`lobatto_grid` validate n and
+return a cached grid.  Each family keeps the last ``GRID_CACHE_SIZE``
+grids built, keyed on ``int(n)``, and every array of a returned grid is
+read-only.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -45,8 +44,7 @@ __all__ = [
     "lobatto_grid",
 ]
 
-# Grids kept per family.  Built-in problems share a = 1 and a few n; custom
-# problems draw a fresh a, so the caches are bounded.
+# Grids kept per family, one per n.
 GRID_CACHE_SIZE = 64
 
 
@@ -65,8 +63,6 @@ class ChebGrid:
     n : int
         Family parameter: number of Radau nodes, or Lobatto index (node
         count minus one).
-    a : float
-        Interval end.
     nodes : ndarray
         Full ascending node set starting at 0.
     interior : ndarray
@@ -81,7 +77,6 @@ class ChebGrid:
 
     family: GridFamily
     n: int
-    a: float
     nodes: np.ndarray
     interior: np.ndarray
     diff: np.ndarray
@@ -130,7 +125,7 @@ def barycentric_eval(grid: ChebGrid, values, x: float) -> complex:
     values : array_like
         Function values at ``grid.nodes`` (same length).
     x : float
-        Query point in [0, a].
+        Query point in [0, 1].
 
     Returns
     -------
@@ -208,19 +203,14 @@ def radau_origin_weights_closed(n: int) -> np.ndarray:
     return r
 
 
-def _grid_key(n, a) -> tuple[int, float]:
+def _grid_key(n) -> int:
     # Checked before the cache lookup: hash(8.0) == hash(8), so an unchecked
     # 8.0 would be handed the n=8 grid.
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ParameterError("n must be at least 2")
-    if isinstance(a, bool) or not isinstance(a, Real):
-        raise ParameterError(f"a must be a real number, got {a!r}")
-    a = float(a)
-    if not (math.isfinite(a) and a > 0):
-        raise ParameterError(f"a must be positive and finite, got {a!r}")
-    return int(n), a
+    return int(n)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -230,74 +220,65 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
-def _read_only_grid(family: GridFamily, n: int, a: float, nodes, interior, diff, origin_weights) -> ChebGrid:
+def _read_only_grid(family: GridFamily, n: int, nodes, interior, diff, origin_weights) -> ChebGrid:
     arrays = (nodes, interior, diff, origin_weights, barycentric_weights(nodes))
-    # At an extreme a the nodes coincide or overflow, or the matrix entries
-    # (of order n^2/a) overflow; every such grid has a non-finite entry.
-    if not all(arr is None or np.isfinite(arr).all() for arr in arrays):
-        raise ParameterError(f"a = {a!r} is outside the range the n = {n} grid can represent")
-    return ChebGrid(family, n, a, *(None if arr is None else _read_only(arr) for arr in arrays))
+    return ChebGrid(family, n, *(None if arr is None else _read_only(arr) for arr in arrays))
 
 
-def radau_grid(n: int, a: float) -> ChebGrid:
-    """Modified Chebyshev-Gauss-Radau grid with the origin excluded.
+def radau_grid(n: int) -> ChebGrid:
+    """Modified Chebyshev-Gauss-Radau grid on [0, 1] with the origin excluded.
 
     Parameters
     ----------
     n : int
         Number of Radau nodes, at least 2.
-    a : float
-        Positive, finite interval end.
 
     Returns
     -------
     ChebGrid
         ``nodes`` = {0} followed by the ascending mapped Radau points (the
-        largest equals ``a``); ``diff`` acts on the mapped points;
+        largest equals 1); ``diff`` acts on the mapped points;
         ``origin_weights`` extrapolate values there to x=0.  The grid is
-        cached per (n, a) and its arrays are read-only.
+        cached per n and its arrays are read-only.
 
     Raises
     ------
     ParameterError
-        If n is not an integer of at least 2, a is not positive and finite,
-        or an array of the grid is not finite at this a.
+        If n is not an integer of at least 2.
     """
-    return _radau_grid(*_grid_key(n, a))
+    return _radau_grid(_grid_key(n))
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _radau_grid(n: int, a: float) -> ChebGrid:
+def _radau_grid(n: int) -> ChebGrid:
     t = radau_reference_nodes(n)
-    xs = a * (1.0 - t[::-1]) / 2.0
+    xs = (1.0 - t[::-1]) / 2.0
     D = barycentric_diff(xs)
     lam = barycentric_weights(xs)
     mu = lam / (0.0 - xs)
     r = mu / mu.sum()
     nodes = np.concatenate(([0.0], xs))
-    return _read_only_grid(GridFamily.RADAU_MODIFIED, n, a, nodes, xs, D, r)
+    return _read_only_grid(GridFamily.RADAU_MODIFIED, n, nodes, xs, D, r)
 
 
-def lobatto_grid(n: int, a: float) -> ChebGrid:
-    """Modified Chebyshev-Lobatto grid with both endpoints included.
+def lobatto_grid(n: int) -> ChebGrid:
+    """Modified Chebyshev-Lobatto grid on [0, 1] with both endpoints included.
 
-    The grid is cached per (n, a) and its arrays are read-only.
+    The grid is cached per n and its arrays are read-only.
 
     Parameters
     ----------
     n : int
-        Lobatto index; the grid has ``n+1`` nodes a(1-cos(j pi/n))/2.
-    a : float
-        Positive, finite interval end.
+        Lobatto index; the grid has ``n+1`` nodes (1-cos(j pi/n))/2.
     """
-    return _lobatto_grid(*_grid_key(n, a))
+    return _lobatto_grid(_grid_key(n))
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _lobatto_grid(n: int, a: float) -> ChebGrid:
+def _lobatto_grid(n: int) -> ChebGrid:
     j = np.arange(n + 1)
-    nodes = a * (1.0 - np.cos(j * np.pi / n)) / 2.0
+    nodes = (1.0 - np.cos(j * np.pi / n)) / 2.0
     nodes[0] = 0.0
-    nodes[-1] = a
+    nodes[-1] = 1.0
     D = barycentric_diff(nodes)
-    return _read_only_grid(GridFamily.LOBATTO_MODIFIED, n, a, nodes, nodes, D, None)
+    return _read_only_grid(GridFamily.LOBATTO_MODIFIED, n, nodes, nodes, D, None)

@@ -8,10 +8,10 @@ collocate on ``npts`` modified Chebyshev-Lobatto points with multiplicities
 The Filon route interpolates the regularized amplitude f1 in the basis
 Psi = {g', g' g, g' g^2, ...} and integrates exactly against the
 generalized moments mu_j (and nu_j for the logarithmic weight).  The Levin
-route expands q1 in the Chebyshev polynomials T_k(2x/a - 1) and collocates
-the model ODE; all derivative conditions are generated by truncated power
-series arithmetic, which stays stable at degrees where naive
-Chebyshev-to-monomial conversion does not; the operator rows are array
+route expands q1 in the Chebyshev polynomials T_k(2t - 1) on [0, 1] and
+collocates the model ODE; all derivative conditions are generated by
+truncated power series arithmetic, which stays stable at degrees where
+naive Chebyshev-to-monomial conversion does not; the operator rows are array
 products over the whole basis and all nodes.  The three solves of the logarithmic kind
 share one collocation operator and one factorisation; their data at x = a
 go to the bracket of :mod:`oscquad.boundary`, which the physical-space
@@ -21,6 +21,7 @@ route shares.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .problem import (
     SingKind,
     _factorials,
     _sub_problem,
+    _unit_interval,
     f2_problem,
     make_f1_f2,
 )
@@ -59,8 +61,7 @@ __all__ = [
 
 MAX_BASIS_SIZE = 40
 # Chebyshev Taylor tables kept, one per (grid, length, basis size): as many
-# as the grids each family keeps.  The bound stops tables of one-off custom
-# a from piling up.
+# as the grids each family keeps.
 SERIES_TABLE_CACHE_SIZE = GRID_CACHE_SIZE
 
 
@@ -105,11 +106,41 @@ def _moment_scale(alpha: float, w: float) -> complex:
     return scale
 
 
+def _recurrence_amplifies(alpha: float, w: float, g_a: float, count: int) -> bool:
+    # The forward recurrences multiply an error in moment j by
+    # (j+alpha)/(|w| g_a); True where the product over the table,
+    # Gamma(count+alpha) / (Gamma(1+alpha) (|w| g_a)^(count-1)), exceeds 1.
+    log_phase = math.log(abs(w)) + math.log(g_a)
+    return math.lgamma(count + alpha) - math.lgamma(1.0 + alpha) > (count - 1) * log_phase
+
+
+def _moment_series(alpha: float, w: float, g_a: float, count: int, log: bool) -> np.ndarray:
+    # mu_j, or nu_j with ``log``, from the power series of e^{iwu}: the sum
+    # over k of (iw)^k g_a^p / (k! p), p = j + alpha + k + 1, each term times
+    # (log g_a - 1/p) for nu_j.  Summed until k exceeds |w| g_a and
+    # (iw g_a)^k / k! is below round-off.  (-iw)^{1+alpha} underflowing
+    # marks a w below any the closed forms represent, refused on both routes.
+    _moment_scale(alpha, w)
+    z = 1j * w * g_a
+    p = np.arange(count) + alpha + 1.0
+    head = g_a**p
+    out = np.zeros(count, dtype=complex)
+    term, k = 1.0 + 0.0j, 0
+    while k <= abs(z) or abs(term) > 1e-17:
+        out += term * head / (p + k) * ((np.log(g_a) - 1.0 / (p + k)) if log else 1.0)
+        k += 1
+        term *= z / k
+    return out
+
+
 def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     """Moments mu_1..mu_count by closed form plus forward recurrence.
 
     ``mu_1 = (Gamma(1+alpha) - Gamma(1+alpha, -iw g_a)) / (-iw)^{1+alpha}``
     and ``mu_{j+1} = -((j+alpha)/(iw)) mu_j + g_a^{j+alpha} e^{iw g_a}/(iw)``.
+    Where the recurrence would amplify errors (the product of
+    (j+alpha)/(|w| g_a) over the table exceeds 1, as at small |w| g_a),
+    every moment comes from the power series of e^{iwu} instead.
     """
     if w == 0:
         raise ParameterError("w must be nonzero")
@@ -117,6 +148,8 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
         raise ParameterError("g_a must be positive")
     if count < 1:
         raise ParameterError("count must be at least 1")
+    if _recurrence_amplifies(alpha, w, g_a, count):
+        return _moment_series(alpha, w, g_a, count, False)
     mu = np.zeros(count, dtype=complex)
     upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
     mu[0] = (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
@@ -136,13 +169,16 @@ def moments_nu(
     """Logarithmic moments nu_1..nu_count.
 
     ``nu_1`` combines the mu_1 closed form with an equal-parameter 2F2 term;
-    the recurrence adds a ``-mu_j/(iw)`` coupling.
+    the recurrence adds a ``-mu_j/(iw)`` coupling.  Where it would amplify
+    errors, the power series replaces both, as in :func:`moments_mu`.
     """
     mu = np.asarray(mu, dtype=complex)
     if count is None:
         count = mu.size
     if count > mu.size:
         raise ParameterError("count exceeds available mu entries")
+    if _recurrence_amplifies(alpha, w, g_a, count):
+        return _moment_series(alpha, w, g_a, count, True)
     nu = np.zeros(count, dtype=complex)
     upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
     f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * g_a)
@@ -170,12 +206,12 @@ def build_moment_table(spec: ProblemSpec, count: int) -> MomentTable:
     return MomentTable(mu=mu, nu=nu, alpha=spec.alpha, w=spec.w, g_a=g_a)
 
 
-def _collocation_nodes(npts: int, s: int, a: float):
+def _collocation_nodes(npts: int, s: int):
     if npts < 3:
         raise ParameterError("need at least 3 collocation points")
     if s < 0:
         raise ParameterError("s must be nonnegative")
-    nodes = lobatto_grid(npts - 1, a).nodes
+    nodes = lobatto_grid(npts - 1).nodes
     mults = np.ones(npts, dtype=int)
     mults[0] = s + 1
     mults[-1] = s + 1
@@ -193,7 +229,8 @@ def build_hermite_data(
     Endpoint multiplicities are s+1, interior ones 1.  Derivatives come
     from the amplitude's exact local series.
     """
-    nodes, mults = _collocation_nodes(npts, s, spec.a)
+    nodes, mults = _collocation_nodes(npts, s)
+    nodes = spec.a * nodes
     amp = amplitude if amplitude is not None else make_f1_f2(spec)[0]
     values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
     return HermiteData(nodes=nodes, mults=mults, values=values)
@@ -284,19 +321,19 @@ def _filon_rule(spec: ProblemSpec, data: HermiteData, sub: Optional[ProblemSpec]
 
 
 @functools.lru_cache(maxsize=SERIES_TABLE_CACHE_SIZE)
-def _cheb_series_table(npts: int, m: int, count: int, a: float) -> np.ndarray:
-    # Taylor series (length m) of T_0..T_{count-1}(2x/a - 1) at the npts
-    # Lobatto nodes on [0, a]: out[k, l] is that of T_k at node l.  The
+def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
+    # Taylor series (length m) of T_0..T_{count-1}(2t - 1) at the npts
+    # Lobatto nodes on [0, 1]: out[k, l] is that of T_k at node l.  The
     # three-term recurrence is carried out in series space, for all nodes
     # at once; stable at degrees where conversion to the monomial basis is
     # not.  Depends on its arguments only, so it is cached and returned
     # read-only.  The nodes are those of the cached grid, whose arguments
     # the caller's lobatto_grid call has already checked.
-    nodes = _lobatto_grid(npts - 1, a).nodes
+    nodes = _lobatto_grid(npts - 1).nodes
     u = np.zeros((npts, m))
-    u[:, 0] = 2.0 * nodes / a - 1.0
+    u[:, 0] = 2.0 * nodes - 1.0
     if m > 1:
-        u[:, 1] = 2.0 / a
+        u[:, 1] = 2.0
     out = np.zeros((count, npts, m))
     out[0, :, 0] = 1.0
     if count >= 2:
@@ -312,9 +349,10 @@ class _FreqOperator:
     """Factorised collocation operator of the frequency-space Levin route.
 
     ``tables[k, l]`` holds the Taylor series (length s+2) of the basis
-    function T_k(2x/a - 1) at node l, and ``gprime[l]`` that of g' (length
-    s+1).  The operator depends on (g, alpha, w, a, npts, s) only; every
-    right-hand side that shares them is solved against ``factor``.
+    function T_k(2t - 1) at node l, and ``gprime[l]`` that of g' (length
+    s+1).  ``factor`` factorises the operator with each row divided by
+    ``row_scale``.  The operator depends on (g, alpha, w, npts, s) only;
+    every right-hand side that shares them is solved against ``factor``.
     """
 
     nodes: np.ndarray
@@ -322,18 +360,19 @@ class _FreqOperator:
     fact: np.ndarray
     tables: np.ndarray
     gprime: np.ndarray
+    row_scale: np.ndarray
     factor: TsvdFactor
 
     def solve(self, series) -> tuple:
         """``(c0, q1 coefficients)`` for the right-hand side whose Taylor
         series at node l is row l of ``series`` (length s+1)."""
         rhs = (self.fact * np.asarray(series, dtype=complex))[_conditions(self.mults, self.fact.size)]
-        sol = self.factor.solve(rhs)
+        sol = self.factor.solve(rhs / self.row_scale)
         return complex(sol[0]), sol[1:]
 
     def solve_amplitude(self, amplitude: Amplitude) -> tuple:
         """:meth:`solve` with the right-hand side ``amplitude``, plus the
-        amplitude's value at the last node, x = a."""
+        amplitude's value at the last node, t = 1."""
         series = amplitude.series_at(self.nodes, self.fact.size)
         return self.solve(series) + (series[-1, 0],)
 
@@ -345,10 +384,12 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
     # basis and all nodes at once (orders j > 0 of interior nodes are formed
     # and dropped): each Cauchy product is summed over table columns in
     # ps_mul's order.  Only endpoint sums have more than one term; there
-    # ps_mul's dot product may fuse a multiply-add, so for a general g or a
-    # the entries can differ from it in the last bits (for a = 1 the
-    # products are exact).
-    nodes, mults = _collocation_nodes(npts, s, spec.a)
+    # ps_mul's dot product may fuse a multiply-add, so for a general g the
+    # entries can differ from it in the last bits.  Row j grows like k^{2j}:
+    # each row is divided by the power of two just above its largest entry.
+    if spec.a != 1.0:
+        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
+    nodes, mults = _collocation_nodes(npts, s)
     M = int(mults.sum()) - 1
     if M > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
@@ -358,7 +399,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
     ggprime = ps_mul(gg, gprime)
-    tables = _cheb_series_table(npts, s + 2, M, spec.a)
+    tables = _cheb_series_table(npts, s + 2, M)
     P = tables[:, :, : s + 1]
     dP = np.arange(1, s + 2) * tables[:, :, 1:]
     rows = np.empty((npts, s + 1, M + 1), dtype=complex)
@@ -370,19 +411,21 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
-    factor = tsvd_factor(rows[_conditions(mults, s + 1)])
-    return _FreqOperator(nodes=nodes, mults=mults, fact=fact, tables=tables, gprime=gprime, factor=factor)
+    A = rows[_conditions(mults, s + 1)]
+    row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
+    factor = tsvd_factor(A / row_scale[:, None])
+    return _FreqOperator(nodes, mults, fact, tables, gprime, row_scale, factor)
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
     """Frequency-space Levin collocation for (c0, q1).
 
     q1 is expanded in the ``M = npts - 1 + 2s`` Chebyshev polynomials
-    T_k(2x/a - 1); the model ODE and its first s derivatives are collocated
-    at the endpoints (interior nodes carry single conditions), with the
-    regularized amplitude f1 of ``spec`` on the right-hand side.  Returns
-    ``(c0, coeffs, diag)`` where ``coeffs`` are the q1 expansion
-    coefficients.
+    T_k(2t - 1) on [0, 1] (``spec.a`` must be 1); the model ODE and its
+    first s derivatives are collocated at the endpoints (interior nodes
+    carry single conditions), with the regularized amplitude f1 of
+    ``spec`` on the right-hand side.  Returns ``(c0, coeffs, diag)`` where
+    ``coeffs`` are the q1 expansion coefficients.
 
     Parameters
     ----------
@@ -399,14 +442,14 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
 
 
 def _end_data(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, rhs_end: complex) -> EndData:
-    # q1(a) of the expansion with coefficients ``coeffs``, and q1'(a) from
-    # the differentiated expansion.
+    # A solve on [0, 1] read at x = a: c0 times a, q1(a) of the expansion
+    # with coefficients ``coeffs``, and q1'(a) from the differentiated one.
     k = np.arange(coeffs.size)
     cheb = np.polynomial.chebyshev
     q1_end = complex(cheb.chebval(1.0, coeffs))
     dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0 / spec.a
     dq1_size = float(np.abs(coeffs) @ k**2) * 2.0 / spec.a  # T_k'(1) = k^2
-    return EndData(c0, q1_end, dq1_end, dq1_size, rhs_end)
+    return EndData(c0 * spec.a, q1_end, dq1_end, dq1_size, rhs_end)
 
 
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
@@ -418,8 +461,9 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     and :func:`oscquad.boundary.levin_value` turns their data at x = a into
     the value.
     """
-    f1, f2 = make_f1_f2(spec)
-    op = _freq_operator(spec, npts, s)
+    unit = _unit_interval(spec)
+    f1, f2 = make_f1_f2(unit)
+    op = _freq_operator(unit, npts, s)
     c0, coeffs, f1_end = op.solve_amplitude(f1)
     ends = [_end_data(spec, c0, coeffs, f1_end)]
     diag = op.factor.diag
@@ -434,7 +478,7 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
         d0, lcoeffs = op.solve(-ps_mul(q1_series, op.gprime))
         gp_a = float(spec.oscillator.deriv1(spec.a))
         ends.append(_end_data(spec, d0, lcoeffs, -ends[0].q1 * gp_a))
-        f21, _ = make_f1_f2(_sub_problem(spec, f2))
+        f21, _ = make_f1_f2(_sub_problem(unit, f2))
         ends.append(_end_data(spec, *op.solve_amplitude(f21)))
         # The second solve shares the operator, so its spectrum is the same.
         diagnostics["smallest_sv_second"] = diag.smallest_sv

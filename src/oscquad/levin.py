@@ -8,14 +8,15 @@ into the explicit kernel) satisfying
 
 Collocation runs on the modified Gauss-Radau nodes, which exclude the
 origin; the condition at x=0 replaces q1(0) by the extrapolation
-r^T q1 through the grid's origin weights.  The resulting square system is
-solved by truncated SVD, since exactly one near-null direction appears at
-large n (the discrete trace of the continuous one-parameter solution
-family).  The operator depends on (g, alpha, w, a, n) only, so the
-logarithmic kind factorises it once and applies the factors to all three of
-its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).  Each
-call evaluates g and g' at the nodes once, for the operator and every
-right-hand side.
+r^T q1 through the grid's origin weights; a problem with a != 1 is
+refused (the rules map it onto [0, 1] first).  The resulting square
+system is solved by truncated SVD, since exactly one near-null direction
+appears at large n (the discrete trace of the continuous one-parameter
+solution family).  The operator depends on (g, alpha, w, n) only, so the
+logarithmic kind factorises it once and applies the factors to all three
+of its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).
+Each call evaluates g and g' at the nodes once, for the operator and
+every right-hand side.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -90,7 +91,7 @@ class LevinSolution:
 
     ``residual_norm`` is the max collocation residual
     |W[c0,q1](x_j) - f1(x_j)| over all rows including the origin row.
-    ``rhs_end`` is the right-hand side at the last node, x_n = a.
+    ``rhs_end`` is the right-hand side at the last node, x_n = 1.
     """
 
     c0: complex
@@ -105,6 +106,8 @@ class LevinSolution:
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
     if grid.family is not GridFamily.RADAU_MODIFIED:
         raise ParameterError("physical-space solver requires a Radau grid")
+    if spec.a != 1.0:
+        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
     xs = grid.interior
     gx = np.asarray(spec.oscillator.value(xs), dtype=float)
     gp = np.asarray(spec.oscillator.deriv1(np.concatenate(([0.0], xs))), dtype=float)
@@ -221,7 +224,7 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
     n : int
         Number of Radau nodes.
     """
-    grid = radau_grid(n, spec.a)
+    grid = radau_grid(n)
     L, rhs = assemble_L(spec, grid)
     return _solution_from(L, tsvd_factor(L), rhs, grid)
 
@@ -239,7 +242,7 @@ def solve_log(spec: ProblemSpec, n: int):
     -------
     (LevinSolution, LevinSolution, LevinSolution)
     """
-    grid = radau_grid(n, spec.a)
+    grid = radau_grid(n)
     nodes = _node_data(spec, grid)
     L = _operator(spec, grid, nodes)
     f1, f2 = make_f1_f2(spec)

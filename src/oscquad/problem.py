@@ -185,7 +185,8 @@ class Oscillator:
 
     def __post_init__(self):
         if self.poly is not None:
-            object.__setattr__(self, "_dpoly", np.polynomial.polynomial.polyder(self.poly))
+            p = self.poly  # polyder's coefficients j c_j, without its argument handling
+            object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
@@ -437,6 +438,22 @@ def f2_problem(spec: ProblemSpec) -> ProblemSpec:
 def _sub_problem(spec: ProblemSpec, f2: Amplitude) -> ProblemSpec:
     # f2_problem for a caller that already holds make_f1_f2(spec)'s f2.
     return replace(spec, amplitude=f2, kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
+
+
+def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
+    """``spec`` on [0, 1] by x = a t: amplitude f(a t), oscillator g(a t)/a,
+    frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
+    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a."""
+    a, f, g = spec.a, spec.amplitude, spec.oscillator
+    if not math.isfinite(spec.w * a):
+        raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
+    # Taylor coefficient k in t is a^k times that in x.
+    amplitude = Amplitude(lambda t: f.value(a * t), lambda ts, m: f.series_at(a * ts, m) * a ** np.arange(m))
+    if g.poly is not None:
+        osc = Oscillator.from_poly(np.concatenate((g.poly[:1], g.poly[1:] * a ** np.arange(g.poly.size - 1.0))))
+    else:
+        osc = Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
+    return replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a)
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

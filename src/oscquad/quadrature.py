@@ -24,7 +24,7 @@ from .boundary import EndData, levin_value
 from .errors import CapabilityError, ParameterError
 from .filon import _filon, quad_freq
 from .levin import LevinSolution, solve_alg, solve_log
-from .problem import ProblemSpec, SingKind
+from .problem import ProblemSpec, SingKind, _unit_interval
 
 __all__ = [
     "Method",
@@ -35,18 +35,19 @@ __all__ = [
 ]
 
 
-def _end_data(sol: LevinSolution) -> EndData:
-    # q1(a) at the last Radau node x_n = a, with q1'(a) from the last row
-    # of the differentiation matrix.
+def _end_data(sol: LevinSolution, a: float) -> EndData:
+    # A solve on [0, 1] read at x = a: c0 times a, q1(a) at the last node,
+    # and q1'(a) from the last row of the differentiation matrix over a.
     q1 = sol.q1_values
     row = sol.grid.diff[-1]
-    return EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
+    return EndData(sol.c0 * a, complex(q1[-1]), complex(row @ q1) / a, float(np.abs(row) @ np.abs(q1)) / a, sol.rhs_end)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
-    # The s = 0 rule of either kind: the physical-space solves, read off
-    # the bracket at x = a by boundary.levin_value.
-    sols = (solve_alg(spec, n),) if spec.kind is SingKind.ALGEBRAIC else solve_log(spec, n)
+    # The s = 0 rule of either kind: the physical-space solves on [0, 1],
+    # read off the bracket at x = a by boundary.levin_value.
+    unit = _unit_interval(spec)
+    sols = (solve_alg(unit, n),) if spec.kind is SingKind.ALGEBRAIC else solve_log(unit, n)
     first = sols[0]
     diagnostics = {
         "residual_norm": first.residual_norm,
@@ -57,7 +58,7 @@ def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
         diagnostics["residual_norm_second"] = sols[1].residual_norm
         diagnostics["residual_norm_f2"] = sols[2].residual_norm
     return QuadratureResult(
-        value=levin_value(spec, *map(_end_data, sols)),
+        value=levin_value(spec, *(_end_data(sol, spec.a) for sol in sols)),
         method=Method.LEVIN_PHYSICAL,
         s=0,
         n=n,

@@ -348,7 +348,7 @@ def test_criterion_8_solution_decay_and_picard():
         sol = solve_alg(spec, 6)
         q1_norms.append(float(np.abs(sol.q1_values).max()))
         c0_mags.append(abs(sol.c0))
-        grid = radau_grid(6, spec.a)
+        grid = radau_grid(6)
         c0_p, q1_p = picard_iterate(spec, grid, 3)[2]
         picard_gaps.append(max(abs(c0_p - sol.c0),
                                float(np.abs(q1_p - sol.q1_values).max())))

@@ -157,6 +157,17 @@ class TestCmfp:
         res = cmfp(spec, params)
         assert np.isfinite(res.value)
 
+    def test_mesh_beyond_documented_w_refused(self):
+        # At w = 1e200, n1 = 4 would need 4.6e66 sub-panels per panel; the
+        # call is refused before the mesh is built.  A larger n1 needs no
+        # more than w = 1e14 does and is computed.
+        from oscquad import Method, compute
+
+        spec = builtin_problem("ex54", 0.5, 1e200)
+        with pytest.raises(CapabilityError, match="sub-panels"):
+            compute(spec, Method.CMFP, 4, 0)
+        assert np.isfinite(compute(builtin_problem("ex54", 0.5, 1e14), Method.CMFP, 4, 0).value)
+
     def test_nonlinear_oscillator_rejected(self):
         linear = builtin_problem("ex54", 0.5, 100.0)
         params = default_cmfp_params(linear, 4)

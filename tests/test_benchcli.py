@@ -143,12 +143,26 @@ class TestEval:
         ["--f-poly", "1,-1", "--g-poly", "0,1,1", "--w", "10", "--a", "1e308"],
     ])
     def test_non_finite_or_extreme_argument_exit_2(self, argv):
-        # A non-finite w or a is refused by build_problem; an a at which the
-        # grid's entries overflow is refused by the grid builder.
+        # A non-finite w or a is refused by build_problem; an a at which
+        # w a overflows is refused when the problem is mapped onto [0, 1].
         with np.errstate(all="ignore"):
             code, _, err = run(["eval", "--alpha", "0.5", "--n", "8"] + argv)
         assert code == 2
         assert "error:" in err
+
+    def test_overflowing_w_a_exit_2(self):
+        with np.errstate(all="ignore"):  # g' overflows in build_problem's monotonicity check
+            code, _, err = run(["eval", "--alpha", "0.5", "--n", "8", "--f-poly", "1,-1",
+                                "--g-poly", "0,1,1", "--w", "10", "--a", "1e308"])
+        assert code == 2
+        assert "w a = 10.0 * 1e+308 overflows" in err
+
+    def test_cmfp_mesh_beyond_documented_w_exit_3(self):
+        code, out, err = run(["eval", "--problem", "ex54", "--alpha", "0.5",
+                              "--w", "1e200", "--n", "4", "--method", "cmfp"])
+        assert code == 3
+        assert out == ""
+        assert "sub-panels" in err
 
     @pytest.mark.parametrize("problem, w, method", [
         ("ex53a", "1.7e308", "levin"),

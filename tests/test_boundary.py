@@ -9,7 +9,7 @@ from oscquad import Method, compute
 from oscquad.boundary import EndData, levin_value, upper_end_value
 from oscquad.levin import solve_alg
 from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
-from oscquad.problem import Oscillator, builtin_problem, make_f1_f2
+from oscquad.problem import Oscillator, ProblemSpec, builtin_problem, make_f1_f2
 
 BUILTINS = ("ex51", "ex52", "ex53a", "ex53b")
 LEVIN_CALLS = ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 9, 2))
@@ -131,16 +131,20 @@ class TestLevinValue:
         assert len(seen) == 1
 
     def test_oscillator_read_once_at_upper_end(self, monkeypatch):
-        # The three solves of a physical ex53b call share one g(a), g'(a).
+        # The three solves of a physical ex53b call share one g(a), g'(a):
+        # g(a) by g_end, as the moments and the references read it, and
+        # g'(a) by deriv1; no series of g is formed at x = a.
         spec = builtin_problem("ex53b", 0.5, 200.0)
         at_end = []
-        real = Oscillator.series_at
 
-        def counting(self, x0, m):
-            if np.ndim(x0) == 0 and x0 == spec.a:
-                at_end.append(m)
-            return real(self, x0, m)
+        def counting(name, real):
+            def wrapper(self, *args):
+                if name == "g_end" or (np.ndim(args[0]) == 0 and args[0] == spec.a):
+                    at_end.append(name)
+                return real(self, *args)
+            return wrapper
 
-        monkeypatch.setattr(Oscillator, "series_at", counting)
+        for cls, name in ((Oscillator, "series_at"), (Oscillator, "deriv1"), (ProblemSpec, "g_end")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
         compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
-        assert at_end == [2]
+        assert at_end == ["g_end", "deriv1"]

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscquad.filon
+from oscquad import Method, compute
 from oscquad.errors import CapabilityError
 from oscquad.filon import (
     SERIES_TABLE_CACHE_SIZE,
@@ -24,10 +25,11 @@ from oscquad.problem import (
     Amplitude,
     Oscillator,
     SingKind,
+    _unit_interval,
     build_problem,
     builtin_problem,
 )
-from oscquad.baselines import reference_oracle
+from oscquad.baselines import reference_nsd, reference_oracle
 from oscquad.cheb import lobatto_grid
 
 mp.mp.dps = 40
@@ -79,6 +81,43 @@ class TestMomentsMu:
                 - g_a ** (j + alpha) * phase / (1j * w)
             )
             assert abs(resid) <= 1e-12 * abs(mu[j])
+
+
+class TestSmallFrequency:
+    """Where the forward recurrence would amplify errors, the moments come
+    from the power series of e^{iwu}."""
+
+    @pytest.mark.parametrize("alpha, w, g_a", [(0.5, 1e-3, 1.0), (-0.5, -0.2, 0.8), (0.3, 1.0, 1.7)])
+    def test_series_moments_vs_oracle(self, alpha, w, g_a):
+        count = 6
+        assert oscquad.filon._recurrence_amplifies(alpha, w, g_a, count)
+        mu = moments_mu(alpha, w, g_a, count)
+        nu = moments_nu(alpha, w, g_a, mu)
+        for j in range(1, count + 1):
+            for got, log in ((mu[j - 1], False), (nu[j - 1], True)):
+                ref = mp_moment(alpha, w, g_a, j, log)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (j, log)
+
+    def test_series_agrees_with_recurrence(self):
+        # |w| g_a = 5 and 8 moments: the recurrence is used and damps errors,
+        # and the series loses at most e^5-fold round-off.
+        alpha, w, g_a, count = 0.5, 5.0, 1.0, 8
+        assert not oscquad.filon._recurrence_amplifies(alpha, w, g_a, count)
+        mu = moments_mu(alpha, w, g_a, count)
+        nu = moments_nu(alpha, w, g_a, mu)
+        for log, want in ((False, mu), (True, nu)):
+            got = oscquad.filon._moment_series(alpha, w, g_a, count, log)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("pid, tol", [("ex51", 1e-10), ("ex52", 1e-7)])
+    def test_filon_at_small_w(self, pid, tol):
+        # The recurrence divides by iw: at w = 1e-3 it was off by 1.7e17
+        # (ex51) and 1.1e20 (ex52) relative.  The series gives the errors of
+        # w = 1.
+        spec = builtin_problem(pid, 0.5, 1e-3)
+        ref = reference_oracle(spec)
+        value = compute(spec, Method.FILON, 8, 1).value
+        assert abs(value - ref) <= tol * abs(ref)
 
 
 class TestMomentsNu:
@@ -270,11 +309,11 @@ class TestChebSeriesTable:
         # The per-node list form the batched table replaced, node by node,
         # row for row and bit for bit, on the tables of every operator with
         # npts = 3..20 and s = 0..3.
-        def loop_table(x0, m, count, a):
+        def loop_table(x0, m, count):
             u = np.zeros(m)
-            u[0] = 2.0 * x0 / a - 1.0
+            u[0] = 2.0 * x0 - 1.0
             if m > 1:
-                u[1] = 2.0 / a
+                u[1] = 2.0
             out = [np.zeros(m)]
             out[0][0] = 1.0
             if count >= 2:
@@ -283,19 +322,18 @@ class TestChebSeriesTable:
                 out.append(2.0 * oscquad.filon.ps_mul(u, out[-1]) - out[-2])
             return out
 
-        cases = [(npts, s + 2, npts - 1 + 2 * s, a)
-                 for a in (1.0, 0.37, 2.5, 1.7319) for npts in range(3, 21) for s in range(4)]
-        for npts, m, count, a in cases + [(34, 4, 33, 1.7), (3, 1, 2, 2.0)]:
-            got = self.table(npts, m, count, a)
+        cases = [(npts, s + 2, npts - 1 + 2 * s) for npts in range(3, 21) for s in range(4)]
+        for npts, m, count in cases + [(34, 4, 33), (3, 1, 2)]:
+            got = self.table(npts, m, count)
             assert got.shape == (count, npts, m)
-            for node, x0 in enumerate(lobatto_grid(npts - 1, a).nodes):
-                want = loop_table(float(x0), m, count, a)
+            for node, x0 in enumerate(lobatto_grid(npts - 1).nodes):
+                want = loop_table(float(x0), m, count)
                 for row, ref in zip(got[:, node], want):
-                    assert row.tobytes() == ref.tobytes(), (npts, m, count, a)
+                    assert row.tobytes() == ref.tobytes(), (npts, m, count)
 
     def test_cached_and_read_only(self):
-        t = self.table(5, 4, 10, 1.0)
-        assert self.table(5, 4, 10, 1.0) is t
+        t = self.table(5, 4, 10)
+        assert self.table(5, 4, 10) is t
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0, 0] = 2.0
@@ -305,8 +343,8 @@ class TestChebSeriesTable:
             t.flags.writeable = True
 
     def test_cache_bounded(self):
-        for k in range(SERIES_TABLE_CACHE_SIZE + 10):
-            self.table(3, 2, 3, 1.0 + k / (SERIES_TABLE_CACHE_SIZE + 10))
+        for count in range(1, SERIES_TABLE_CACHE_SIZE + 11):
+            self.table(3, 2, count)
         assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE
 
 
@@ -320,10 +358,10 @@ def _loop_operator(spec, npts, s):
     # ps_mul calls per Chebyshev polynomial per node.  The array form in
     # filon._freq_operator is checked against it.
     filon = oscquad.filon
-    nodes, mults = filon._collocation_nodes(npts, s, spec.a)
+    nodes, mults = filon._collocation_nodes(npts, s)
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
-    tables = filon._cheb_series_table(npts, s + 2, M, spec.a)
+    tables = filon._cheb_series_table(npts, s + 2, M)
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
@@ -352,10 +390,10 @@ def _operator_term_sizes(spec, npts, s):
     # Sum of the magnitudes of the products that make up each entry of the
     # operator, for a round-off bound on its columns 1..M.
     filon = oscquad.filon
-    nodes, mults = filon._collocation_nodes(npts, s, spec.a)
+    nodes, mults = filon._collocation_nodes(npts, s)
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
-    tables = np.abs(filon._cheb_series_table(npts, s + 2, M, spec.a))
+    tables = np.abs(filon._cheb_series_table(npts, s + 2, M))
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
@@ -375,7 +413,8 @@ def _operator_term_sizes(spec, npts, s):
 
 
 def _captured_operator(monkeypatch, spec, npts, s):
-    # The matrix _freq_operator hands to the factorisation.
+    # The matrix _freq_operator hands to the factorisation, before its rows
+    # are scaled: the scales are powers of two, so undoing them is exact.
     seen = []
     real = oscquad.filon.tsvd_factor
 
@@ -384,10 +423,10 @@ def _captured_operator(monkeypatch, spec, npts, s):
         return real(A)
 
     monkeypatch.setattr(oscquad.filon, "tsvd_factor", capture)
-    oscquad.filon._freq_operator(spec, npts, s)
+    op = oscquad.filon._freq_operator(spec, npts, s)
     monkeypatch.undo()
     assert len(seen) == 1
-    return seen[0]
+    return seen[0] * op.row_scale[:, None]
 
 
 class TestFreqOperatorRows:
@@ -395,8 +434,9 @@ class TestFreqOperatorRows:
 
     @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
     def test_builtins_bit_identical_to_loop_form(self, monkeypatch, pid):
-        # For a = 1 every product summed at the endpoints is exact, so the
-        # array form reproduces the per-basis-function loop bit for bit.
+        # For the built-ins every product summed at the endpoints is exact,
+        # so the array form reproduces the per-basis-function loop bit for
+        # bit.
         spec = builtin_problem(pid, 0.3, 170.0)
         for npts in (3, 5, 8, 13, 20):
             for s in (0, 1, 2, 3):
@@ -409,19 +449,20 @@ class TestFreqOperatorRows:
 
     @pytest.mark.parametrize("a", [0.37, 2.5])
     def test_general_g_within_round_off_of_loop_form(self, monkeypatch, a):
-        # Inexact coefficients and a != 1: the endpoint sums round each
-        # product where the loop form's dot product may fuse them, so the
-        # entries agree to a few ulps of the sum of their term sizes.
+        # Inexact coefficients (those of g mapped from [0, a] to [0, 1]): the
+        # endpoint sums round each product where the loop form's dot product
+        # may fuse them, so the entries agree to a few ulps of the sum of
+        # their term sizes.
         eps = np.finfo(float).eps
         for kind in (SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG):
-            spec = build_problem(
+            spec = _unit_interval(build_problem(
                 Amplitude.from_poly([1.0, 0.2]),
                 Oscillator.from_poly([0.0, 1.0, 0.3, 0.1]),
                 a=a,
                 alpha=-0.4,
                 kind=kind,
                 w=93.0,
-            )
+            ))
             for npts in (3, 5, 8, 13):
                 for s in (0, 1, 2, 3):
                     got = _captured_operator(monkeypatch, spec, npts, s)
@@ -470,3 +511,32 @@ class TestFreqOperatorRows:
         monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
         oscquad.filon._freq_operator(spec, npts, s)
         assert 0 < len(calls) <= npts
+
+
+class TestEquilibratedRows:
+    """The frequency-space operator's rows, and their right-hand sides, are
+    divided by a power of two near each row's largest entry."""
+
+    def test_row_scales(self, monkeypatch):
+        spec = builtin_problem("ex53b", 0.5, 300.0)
+        seen = []
+        real = oscquad.filon.tsvd_factor
+
+        def capture(A):
+            seen.append(np.array(A))
+            return real(A)
+
+        monkeypatch.setattr(oscquad.filon, "tsvd_factor", capture)
+        op = oscquad.filon._freq_operator(spec, 20, 2)
+        mantissa, _ = np.frexp(op.row_scale)
+        assert np.all(mantissa == 0.5)
+        largest = np.abs(seen[0]).max(axis=1)
+        assert np.all((0.5 <= largest) & (largest < 1.0))
+
+    @pytest.mark.parametrize("pid, alpha, w", [("ex53a", 0.5, 1e2), ("ex53a", -0.5, 1e4), ("ex53a", -0.5, 1e8)])
+    def test_n32_accuracy(self, pid, alpha, w):
+        # Unscaled, the j-th derivative rows grow like k^{2j} and n = 32,
+        # s = 2 was 3.0e-8, 1.1e-10 and 6.3e-11 off the NSD reference.
+        spec = builtin_problem(pid, alpha, w)
+        ref = reference_nsd(spec)
+        assert abs(compute(spec, Method.LEVIN_FREQ, 32, 2).value - ref) <= 1e-11 * abs(ref)

@@ -1,7 +1,5 @@
 """Physical-space collocation solver tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +25,7 @@ from oscquad.problem import (
     BUILTIN_IDS,
     SingKind,
     _node_amplitudes,
+    _unit_interval,
     build_problem,
     builtin_problem,
     f2_problem,
@@ -54,7 +53,7 @@ class TestAssembleL:
         # ex51 integrand oscillates as e^{-iwx}.
         spec = builtin_problem("ex51", 0.5, 40.0)
         w = spec.w
-        grid = radau_grid(5, 1.0)
+        grid = radau_grid(5)
         L, _ = assemble_L(spec, grid)
         x = grid.interior
         assert_allclose(L[1:, 0], 1j * w * np.ones(5), rtol=1e-14)
@@ -66,7 +65,7 @@ class TestAssembleL:
 
     def test_zero_amplitude_rhs(self):
         spec = zero_amplitude_spec()
-        grid = radau_grid(6, 1.0)
+        grid = radau_grid(6)
         _, rhs = assemble_L(spec, grid)
         assert np.abs(rhs).max() == 0.0
 
@@ -82,7 +81,7 @@ class TestAssembleL:
             w=50.0,
         )
         n = 6
-        grid = radau_grid(n, 1.0)
+        grid = radau_grid(n)
         q_coef = np.array([0.3, -1.0, 0.7, 0.2, -0.4, 0.1])
         c0 = 0.8 - 0.6j
         x = grid.interior
@@ -123,10 +122,10 @@ class TestAssembleL:
             w=3.1e3,
         )
         specs = [builtin_problem(pid, alpha, w) for pid in ("ex51", "ex52", "ex53a", "ex53b")
-                 for alpha, w in ((0.5, 40.0), (-0.73, 2.2e6))] + [custom]
+                 for alpha, w in ((0.5, 40.0), (-0.73, 2.2e6))] + [_unit_interval(custom)]
         for spec in specs:
             for n in (2, 8, 16, 33):
-                grid = radau_grid(n, spec.a)
+                grid = radau_grid(n)
                 L, _ = assemble_L(spec, grid)
                 assert L.tobytes() == loop_L(spec, grid).tobytes()
 
@@ -166,7 +165,7 @@ class TestTsvdSolve:
         # collapses and it is well separated from the bulk.
         for w in (10.0, 30.0):
             spec = builtin_problem("ex51", 0.5, w)
-            grid = radau_grid(30, 1.0)
+            grid = radau_grid(30)
             L, _ = assemble_L(spec, grid)
             sv = np.linalg.svd(L, compute_uv=False)
             rel = sv / sv[0]
@@ -179,7 +178,7 @@ class TestTsvdSolve:
         spec = builtin_problem("ex51", 0.5, 100.0)
         tails = []
         for n in (16, 24, 32):
-            L, _ = assemble_L(spec, radau_grid(n, 1.0))
+            L, _ = assemble_L(spec, radau_grid(n))
             sv = np.linalg.svd(L, compute_uv=False)
             tails.append(sv[-1] / sv[0])
         assert tails[1] < 0.4 * tails[0]
@@ -269,7 +268,7 @@ class TestOneNodePassPerCall:
     @pytest.mark.parametrize("kind", [SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG])
     def test_evaluation_counts(self, monkeypatch, kind):
         n = 16
-        interior = radau_grid(n, 1.0).interior
+        interior = radau_grid(n).interior
         counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "_node_data", "g at nodes"), 0)
 
         def counting(name, function):
@@ -278,22 +277,24 @@ class TestOneNodePassPerCall:
                 return function(*args, **kwargs)
             return wrapper
 
-        osc = Oscillator.from_poly([0.0, 1.0, 0.5])
+        horner = oscquad.problem._horner
 
-        def g(x):
-            counts["g at nodes"] += np.array_equal(x, interior)
-            return osc.value(x)
+        def g_horner(coeffs, x):
+            # g is the one real polynomial evaluated at the interior nodes.
+            counts["g at nodes"] += coeffs.dtype == float and np.array_equal(x, interior)
+            return horner(coeffs, x)
 
-        spec = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), dataclasses.replace(osc, value=g),
+        spec = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                              a=1.0, alpha=0.5, kind=kind, w=50.0)
         P = np.polynomial.polynomial
         monkeypatch.setattr(P, "polyval", counting("polyval", P.polyval))
         monkeypatch.setattr(P, "polyder", counting("polyder", P.polyder))
         monkeypatch.setattr(oscquad.problem, "poly_taylor", counting("poly_taylor", oscquad.problem.poly_taylor))
         monkeypatch.setattr(oscquad.levin, "_node_data", counting("_node_data", oscquad.levin._node_data))
+        monkeypatch.setattr(oscquad.problem, "_horner", g_horner)
         value = compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
-        # One series of g at a, for the boundary bracket.
-        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 1, "_node_data": 1, "g at nodes": 1}
+        # The boundary bracket reads g(a) and g'(a) by Horner.
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "_node_data": 1, "g at nodes": 1}
         monkeypatch.undo()
         assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
 
@@ -303,7 +304,7 @@ class TestOneNodePassPerCall:
         # for bit, for f1 and for the f2 sub-problem's f1.
         for alpha in (0.5, -0.7):
             spec = builtin_problem(pid, alpha, 30.0)
-            xs = radau_grid(12, spec.a).interior
+            xs = radau_grid(12).interior
             gx = spec.oscillator.value(xs)
             log = spec.kind is SingKind.ALGEBRAIC_LOG
             f1x, f21x = _node_amplitudes(spec, xs, gx, log)
@@ -317,7 +318,7 @@ class TestOneNodePassPerCall:
 class TestPicardIterate:
     def test_first_iterate_closed_form(self):
         spec = builtin_problem("ex51", 0.5, 500.0)
-        grid = radau_grid(8, 1.0)
+        grid = radau_grid(8)
         iters = picard_iterate(spec, grid, 1)
         f1, _ = make_f1_f2(spec)
         gp0 = spec.oscillator.deriv1(0.0)
@@ -326,7 +327,7 @@ class TestPicardIterate:
 
     def test_k_too_large(self):
         spec = builtin_problem("ex51", 0.5, 500.0)
-        grid = radau_grid(6, 1.0)
+        grid = radau_grid(6)
         with pytest.raises(ParameterError):
             picard_iterate(spec, grid, 4)
 
@@ -335,7 +336,7 @@ class TestPicardIterate:
         # collocation solution.
         w = 1e4
         spec = builtin_problem("ex51", 0.5, w)
-        grid = radau_grid(8, 1.0)
+        grid = radau_grid(8)
         sol = solve_alg(spec, 8)
         iters = picard_iterate(spec, grid, 3)
         errs = [np.abs(it[1] - sol.q1_values).max() for it in iters]

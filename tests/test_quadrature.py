@@ -1,10 +1,14 @@
 """Top-level quadrature assembly and method dispatch."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oscquad.cheb
@@ -15,12 +19,14 @@ from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
 from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
-from oscquad.levin import solve_alg
+from oscquad.filon import solve_freq
+from oscquad.levin import assemble_L, picard_iterate, solve_alg, solve_log
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
     Amplitude,
     Oscillator,
     SingKind,
+    _unit_interval,
     build_problem,
     builtin_problem,
 )
@@ -211,24 +217,97 @@ class TestDomainEdges:
                 build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0]),
                               a=a, alpha=0.5, kind=SingKind.ALGEBRAIC, w=10.0)
 
-    # The (grid, n, a) of the test below whose entries all stay finite.
-    FINITE_GRIDS = {(radau_grid, 2, 1e-306), (radau_grid, 8, 1e-306), (lobatto_grid, 2, 1e-306),
-                    (lobatto_grid, 8, 1e-306), (lobatto_grid, 2, 1e308), (lobatto_grid, 2, 1.79e308)}
+    # The methods that collocate on each grid family, with s per method.
+    GRID_METHODS = {radau_grid: ((Method.LEVIN_PHYSICAL, 0),),
+                    lobatto_grid: ((Method.LEVIN_FREQ, 1), (Method.FILON, 1))}
 
     @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
     @pytest.mark.parametrize("a", [5e-324, 1e-306, 1e308, 1.79e308])
     def test_extreme_a_grid_finite_or_refused(self, build, a):
-        # Where the nodes coincide or overflow, or the matrix entries (of
-        # order n^2/a) overflow, the grid is refused; otherwise it is
-        # returned as built, with every entry finite.
+        # Grids no longer depend on a: the methods on them map [0, a] onto
+        # [0, 1] (FILON scales the nodes by a), so at an extreme a the grid
+        # stays finite and each call gives a finite value or a package error.
         with np.errstate(all="ignore"):
+            specs = [build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]),
+                                   a=a, alpha=0.5, kind=kind, w=100.0) for kind in SingKind]
             for n in (2, 8, 32, 64):
-                if (build, n, a) in self.FINITE_GRIDS:
-                    g = build(n, a)
-                    assert all(np.isfinite(arr).all() for arr in (g.nodes, g.diff, g.bary_full))
-                else:
-                    with pytest.raises(ParameterError, match="outside the range"):
-                        build(n, a)
+                g = build(n)
+                assert all(np.isfinite(arr).all() for arr in (g.nodes, g.diff, g.bary_full))
+                for spec in specs:
+                    for method, s in self.GRID_METHODS[build]:
+                        try:
+                            value = compute(spec, method, n + s, s).value
+                        except OscquadError:
+                            continue
+                        assert np.isfinite(value), (method, spec.kind, n)
+
+
+def _short_interval_spec(a, alpha, kind, w=100.0, g=(0.0, 1.0, 1.0)):
+    # (1 - x) x^alpha [log x] e^{iwg(x)} on [0, a].
+    return build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly(g),
+                         a=a, alpha=alpha, kind=kind, w=w)
+
+
+class TestShortIntervals:
+    """Both Levin routes collocate on [0, 1]; a problem on [0, a] is mapped
+    there by x = a t, so a short interval loses no accuracy."""
+
+    ENTRIES = json.loads((Path(__file__).parent / "data" / "short_interval_exact.json").read_text())["entries"]
+
+    @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 16, 2)])
+    def test_levin_routes_meet_exact_values(self, method, n, s):
+        # a from 1e-3 down to 1e-200; the physical route was 7.3e-5 off at
+        # a = 1e-10 and the frequency route 100% off at a = 1e-6.
+        for e in self.ENTRIES:
+            kind = SingKind.ALGEBRAIC_LOG if e["log_kind"] else SingKind.ALGEBRAIC
+            value = compute(_short_interval_spec(e["a"], e["alpha"], kind, e["w"]), method, n, s).value
+            exact = complex(float(e["re"]), float(e["im"]))
+            assert abs(value - exact) <= 1e-13 * abs(exact), (e["a"], e["alpha"], kind)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(-12, 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0),
+           st.sampled_from([0.5, -0.5]), st.sampled_from(list(SingKind)))
+    def test_property_routes_agree_with_oracle(self, decade, digits, b, log10_phase, alpha, kind):
+        # a log-uniform in [1e-12, 1e2].  g = x + (b/a) x^2 maps to t + b t^2
+        # on [0, 1] for every a, and w is set by |w| g(a) in [1, 1e3], so the
+        # accuracy should not depend on a.
+        a = 10.0 ** (decade + digits)
+        g_a = a + b * a
+        spec = _short_interval_spec(a, alpha, kind, 10.0**log10_phase / g_a, (0.0, 1.0, b / a))
+        ref = reference_oracle(spec)
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 20, 2)):
+            value = compute(spec, method, n, s).value
+            assert abs(value - ref) <= 1e-10 * abs(ref), (method, a)
+
+    @pytest.mark.parametrize("a", [1e-6, 0.5])
+    def test_non_polynomial_oscillator(self, a):
+        # g(x) = e^x - 1 through its series hook: the map divides g(a t) by
+        # a and scales its Taylor coefficients, with no coefficients to
+        # rescale.
+        def series(xs, m):
+            out = np.exp(xs)[:, None] / oscquad.problem._factorials(m)
+            out[:, 0] = np.expm1(xs)
+            return out
+
+        osc = Oscillator(value=lambda x: np.expm1(np.asarray(x, dtype=float)), series_fn=series)
+        for kind in SingKind:
+            spec = build_problem(Amplitude.from_poly([1.0, -1.0]), osc, a=a, alpha=-0.5, kind=kind, w=100.0)
+            ref = reference_oracle(spec)
+            for method, n, s in ((Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 20, 2)):
+                assert abs(compute(spec, method, n, s).value - ref) <= 1e-10 * abs(ref), (method, kind)
+
+    def test_solvers_refuse_a_not_one(self):
+        # The solvers below the rules work on [0, 1] only.
+        spec = _short_interval_spec(0.5, 0.5, SingKind.ALGEBRAIC_LOG)
+        calls = [lambda: assemble_L(spec, radau_grid(8)), lambda: solve_alg(spec, 8),
+                 lambda: solve_log(spec, 8), lambda: picard_iterate(spec, radau_grid(8), 2),
+                 lambda: solve_freq(spec, 8, 1)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="work on \\[0, 1\\]"):
+                call()
+        unit = _unit_interval(spec)
+        assert unit.a == 1.0 and unit.w == 50.0
+        assert np.isfinite(solve_alg(unit, 8).c0) and np.isfinite(solve_freq(unit, 8, 1)[0])
 
 
 class TestIntegerParameters:
