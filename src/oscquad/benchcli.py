@@ -13,6 +13,11 @@ compare
     Levin vs the composite baseline (where applicable) vs the oracle at a
     single configuration; CSV output with errors against the reference.
 
+The three CSV commands run one row loop over ``(w, n, method)``.  The CSV
+columns are the fields of :class:`RunRecord`, in order.  Each invocation
+builds its problem once per distinct frequency and shares it between the
+reference and the rows.
+
 Reference values for error columns come from one of three tiers, chosen by
 the phase range |w| g(a) and reported as ``ref_kind``:
 
@@ -45,7 +50,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -64,8 +70,6 @@ from .quadrature import Method, QuadratureResult, compute
 
 __all__ = ["RunRecord", "write_csv", "run_command", "main", "CSV_HEADER"]
 
-CSV_HEADER = "problem,method,kind,alpha,s,n,w,value_re,value_im,abs_err,rel_err,scaled_err,time_ns"
-
 _REF_N = 32
 _REF_S = 2
 # |w| g(a) above which the error columns use the NSD reference.  Measured
@@ -79,7 +83,7 @@ NSD_CROSSOVER = 100.0
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One benchmark measurement, matching the CSV columns."""
+    """One benchmark measurement; its fields, in order, are the CSV columns."""
 
     problem: str
     method: str
@@ -96,6 +100,10 @@ class RunRecord:
     time_ns: int
 
 
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
+_COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -109,25 +117,7 @@ def write_csv(records, sink) -> None:
     """
     sink.write(CSV_HEADER + "\n")
     for r in records:
-        row = ",".join(
-            _fmt(v)
-            for v in (
-                r.problem,
-                r.method,
-                r.kind,
-                r.alpha,
-                r.s,
-                r.n,
-                r.w,
-                r.value_re,
-                r.value_im,
-                r.abs_err,
-                r.rel_err,
-                r.scaled_err,
-                r.time_ns,
-            )
-        )
-        sink.write(row + "\n")
+        sink.write(",".join(map(_fmt, astuple(r))) + "\n")
 
 
 def parse_csv(text: str) -> list:
@@ -135,27 +125,7 @@ def parse_csv(text: str) -> list:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ParameterError("missing or unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        p = ln.split(",")
-        out.append(
-            RunRecord(
-                problem=p[0],
-                method=p[1],
-                kind=p[2],
-                alpha=float(p[3]),
-                s=int(p[4]),
-                n=int(p[5]),
-                w=float(p[6]),
-                value_re=float(p[7]),
-                value_im=float(p[8]),
-                abs_err=float(p[9]),
-                rel_err=float(p[10]),
-                scaled_err=float(p[11]),
-                time_ns=int(p[12]),
-            )
-        )
-    return out
+    return [RunRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, ln.split(",")))) for ln in lines[1:]]
 
 
 def _jsonable(obj):
@@ -193,68 +163,61 @@ def _resolve_method(name: str, s: int) -> Method:
     return table[key]
 
 
-def _parse_complex_list(text: str) -> list:
+def _parse_list(text: str, type, what: str) -> list:
+    # A comma-separated option value; empty items are skipped, and a list
+    # with none left is refused.
     try:
-        return [complex(tok) for tok in text.split(",") if tok.strip()]
+        items = [type(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ParameterError(f"bad coefficient list {text!r}: {exc}") from exc
+        raise ParameterError(f"bad {what} list {text!r}: {exc}") from exc
+    if not items:
+        raise ParameterError(f"{what} list is empty")
+    return items
 
 
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad number list {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad integer list {text!r}: {exc}") from exc
-
-
-def _build_spec(args, w: float):
+def _build_spec(args, w: float) -> ProblemSpec:
     if args.problem:
-        return builtin_problem(args.problem, args.alpha, w), args.problem
+        return builtin_problem(args.problem, args.alpha, w)
     if args.f_poly and args.g_poly:
-        amp = Amplitude.from_poly(_parse_complex_list(args.f_poly))
-        osc = Oscillator.from_poly([float(c.real) for c in _parse_complex_list(args.g_poly)])
-        spec = build_problem(
-            amp,
-            osc,
-            a=args.a,
-            alpha=args.alpha,
-            kind=SingKind(args.kind),
-            w=w,
-        )
-        return spec, "custom"
+        amp = Amplitude.from_poly(_parse_list(args.f_poly, complex, "coefficient"))
+        osc = Oscillator.from_poly([c.real for c in _parse_list(args.g_poly, complex, "coefficient")])
+        return build_problem(amp, osc, a=args.a, alpha=args.alpha, kind=SingKind(args.kind), w=w)
     raise ParameterError("specify --problem ID or both --f-poly and --g-poly")
 
 
 class _RefCache:
-    # Per-invocation memo of the reference values and of the oracle.
-    def __init__(self):
+    # Per-invocation memo, by frequency, of the problem, the reference
+    # value and the oracle.
+    def __init__(self, args):
+        self._args = args
+        self._specs = {}
         self._values = {}
         self._oracle = {}
 
-    def oracle(self, spec, w: float):
-        """``(value, time_ns)`` of the oracle on ``spec`` (built for w)."""
+    def spec(self, w: float) -> ProblemSpec:
+        """The problem of the invocation at frequency w."""
+        if w not in self._specs:
+            self._specs[w] = _build_spec(self._args, w)
+        return self._specs[w]
+
+    def oracle(self, w: float):
+        """``(value, time_ns)`` of the oracle at frequency w."""
         if w not in self._oracle:
+            spec = self.spec(w)
             t0 = time.perf_counter_ns()
             value = reference_oracle(spec)
             self._oracle[w] = (value, max(1, time.perf_counter_ns() - t0))
         return self._oracle[w]
 
-    def get(self, args, w: float):
+    def get(self, w: float):
         """``(value, ref_kind)`` of the reference at frequency w."""
         if w not in self._values:
-            spec, _ = _build_spec(args, w)
-            self._values[w] = self._reference(spec, w)
+            self._values[w] = self._reference(w)
         return self._values[w]
 
-    def _reference(self, spec, w: float):
+    def _reference(self, w: float):
         # The three tiers of the module docstring, in order.
+        spec = self.spec(w)
         phase = abs(spec.w) * spec.g_end()
         if phase > NSD_CROSSOVER:
             try:
@@ -262,56 +225,36 @@ class _RefCache:
             except (CapabilityError, AccuracyError):
                 pass  # outside NSD's scope: the next tier decides
         if phase <= ORACLE_PHASE_CAP:
-            return self.oracle(spec, w)[0], "oracle"
+            return self.oracle(w)[0], "oracle"
         return compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S).value, f"levin-n{_REF_N}-s{_REF_S}"
 
 
-def _run_one(args, label: str, method_name: str, n: int, s: int, w: float, cache: _RefCache) -> RunRecord:
-    ref_value, _ = cache.get(args, w)
-    spec, _ = _build_spec(args, w)
-    method = _resolve_method(method_name, s)
+def _run_one(args, cache: _RefCache, w: float, n: int, method_name: str) -> RunRecord:
+    ref_value, _ = cache.get(w)
+    spec = cache.spec(w)
+    method = _resolve_method(method_name, args.s)
     if method is Method.ORACLE:
         # The oracle is deterministic: the row reuses the cached call, and
         # QuadratureResult still refuses a non-finite value.
-        value, elapsed = cache.oracle(spec, w)
+        value, elapsed = cache.oracle(w)
         result = QuadratureResult(value=value, method=Method.ORACLE, s=0, n=0)
     else:
         t0 = time.perf_counter_ns()
-        result = compute(spec, method, n, s)
+        result = compute(spec, method, n, args.s)
         elapsed = max(1, time.perf_counter_ns() - t0)
     abs_err = abs(result.value - ref_value)
     rel_err = abs_err / abs(ref_value) if ref_value != 0 else abs_err
-    order = s + 1.0 + min(1.0 + args.alpha, 1.0)
+    order = args.s + 1.0 + min(1.0 + args.alpha, 1.0)
     scaled = abs_err * abs(w) ** order / delta_alpha(args.alpha, abs(w))
     return RunRecord(
-        problem=label,
-        method=result.method.value,
-        kind=spec.kind.value,
-        alpha=args.alpha,
-        s=result.s,
-        n=result.n,
-        w=w,
-        value_re=result.value.real,
-        value_im=result.value.imag,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        scaled_err=scaled,
-        time_ns=elapsed,
+        args.problem or "custom", result.method.value, spec.kind.value, args.alpha,
+        result.s, result.n, w, result.value.real, result.value.imag,
+        abs_err, rel_err, scaled, elapsed,
     )
 
 
-def _emit_records(args, tasks, runner, out) -> None:
-    # Rows are computed as they are written.
-    records = map(runner, tasks)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, out)
-
-
 def _cmd_eval(args, out, err) -> int:
-    spec, _ = _build_spec(args, args.w)
+    spec = _build_spec(args, args.w)
     method = _resolve_method(args.method, args.s)
     result = compute(spec, method, args.n, args.s)
     diagnostics = _jsonable(result.diagnostics)
@@ -327,72 +270,56 @@ def _cmd_eval(args, out, err) -> int:
     return 0
 
 
-def _cmd_sweep_w(args, out, err) -> int:
-    ws = _parse_float_list(args.w)
-    if not ws:
-        raise ParameterError("w list is empty")
-    methods = [m for m in args.method.split(",") if m.strip()]
-    if not methods:
-        raise ParameterError("method list is empty")
-    cache = _RefCache()
-    tasks = [(w, m) for w in ws for m in methods]
-
-    def runner(task):
-        w, m = task
-        label = args.problem if args.problem else "custom"
-        return _run_one(args, label, m, args.n, args.s, w, cache)
-
-    _emit_records(args, tasks, runner, out)
+def _cmd_rows(args, out, err) -> int:
+    # sweep-w, sweep-n and compare: one CSV row per (w, n, method), computed
+    # as it is written.
+    cache = _RefCache(args)
+    ws = _parse_list(args.w, float, "w") if args.command == "sweep-w" else [args.w]
+    ns = _parse_list(args.n, int, "n") if args.command == "sweep-n" else [args.n]
+    if args.command == "compare":
+        # Levin, CMFP where g is linear, and the oracle under its cap.
+        spec = cache.spec(args.w)
+        err.write(f"# ref_kind={cache.get(args.w)[1]}\n")
+        methods = ["levin"]
+        if spec.oscillator.poly is not None and np.trim_zeros(spec.oscillator.poly, "b").size <= 2:
+            methods.append("cmfp")
+        if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
+            methods.append("oracle")
+    else:
+        methods = _parse_list(args.method, str, "method")
+    records = (_run_one(args, cache, w, n, m) for w in ws for n in ns for m in methods)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write_csv(records, fh)
+    else:
+        write_csv(records, out)
     return 0
 
 
-def _cmd_sweep_n(args, out, err) -> int:
-    ns = _parse_int_list(args.n)
-    if not ns:
-        raise ParameterError("n list is empty")
-    methods = [m for m in args.method.split(",") if m.strip()]
-    if not methods:
-        raise ParameterError("method list is empty")
-    cache = _RefCache()
-    tasks = [(n, m) for n in ns for m in methods]
-
-    def runner(task):
-        n, m = task
-        label = args.problem if args.problem else "custom"
-        return _run_one(args, label, m, n, args.s, args.w, cache)
-
-    _emit_records(args, tasks, runner, out)
-    return 0
-
-
-def _cmd_compare(args, out, err) -> int:
-    spec, label = _build_spec(args, args.w)
-    cache = _RefCache()
-    _, ref_kind = cache.get(args, args.w)
-    err.write(f"# ref_kind={ref_kind}\n")
-    methods = ["levin"]
-    if spec.oscillator.poly is not None and np.trim_zeros(spec.oscillator.poly, "b").size <= 2:
-        methods.append("cmfp")
-    if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
-        methods.append("oracle")
-
-    def runner(m):
-        return _run_one(args, label, m, args.n, args.s, args.w, cache)
-
-    _emit_records(args, methods, runner, out)
-    return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", help="built-in problem id (ex51, ex52, ex53a, ex53b, ex54)")
-    sub.add_argument("--f-poly", help="amplitude polynomial coefficients, ascending, comma-separated")
-    sub.add_argument("--g-poly", help="oscillator polynomial coefficients, ascending, comma-separated")
-    sub.add_argument("--kind", choices=[k.value for k in SingKind], default="algebraic", help="singularity kind for polynomial problems")
-    sub.add_argument("--a", type=float, default=1.0, help="interval end for polynomial problems")
-    sub.add_argument("--alpha", type=float, required=True, help="singularity exponent, 0<|alpha|<1")
-    sub.add_argument("--s", type=int, default=0, help="asymptotic-order parameter")
-    sub.add_argument("--config", help="key=value file seeding any long option")
-    sub.add_argument("--output", help="write CSV to this path instead of stdout")
+_COMMON_OPTIONS = (
+    ("--problem", dict(help="built-in problem id (ex51, ex52, ex53a, ex53b, ex54)")),
+    ("--f-poly", dict(help="amplitude polynomial coefficients, ascending, comma-separated")),
+    ("--g-poly", dict(help="oscillator polynomial coefficients, ascending, comma-separated")),
+    ("--kind", dict(choices=[k.value for k in SingKind], default="algebraic",
+                    help="singularity kind for polynomial problems")),
+    ("--a", dict(type=float, default=1.0, help="interval end for polynomial problems")),
+    ("--alpha", dict(type=float, required=True, help="singularity exponent, 0<|alpha|<1")),
+    ("--s", dict(type=int, default=0, help="asymptotic-order parameter")),
+    ("--config", dict(help="key=value file seeding any long option")),
+    ("--output", dict(help="write CSV to this path instead of stdout")),
+)
+_W = ("--w", dict(type=float, required=True))
+_N = ("--n", dict(type=int, required=True))
+_METHOD = ("--method", dict(default="levin"))
+# (name, help, handler, options after the common ones)
+_SUBCOMMANDS = (
+    ("eval", "evaluate one integral", _cmd_eval, (_W, _N, _METHOD)),
+    ("sweep-w", "sweep over frequencies", _cmd_rows,
+     (("--w", dict(required=True, help="comma-separated frequency list")), _N, _METHOD)),
+    ("sweep-n", "sweep over node counts", _cmd_rows,
+     (("--n", dict(required=True, help="comma-separated node-count list")), _W, _METHOD)),
+    ("compare", "compare methods against the reference", _cmd_rows, (_W, _N)),
+)
 
 
 @functools.lru_cache(maxsize=1)
@@ -404,34 +331,11 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Benchmark CLI for singular oscillatory quadrature.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = subs.add_parser("eval", help="evaluate one integral")
-    _add_common(p_eval)
-    p_eval.add_argument("--w", type=float, required=True)
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--method", default="levin")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_sw = subs.add_parser("sweep-w", help="sweep over frequencies")
-    _add_common(p_sw)
-    p_sw.add_argument("--w", required=True, help="comma-separated frequency list")
-    p_sw.add_argument("--n", type=int, required=True)
-    p_sw.add_argument("--method", default="levin")
-    p_sw.set_defaults(func=_cmd_sweep_w)
-
-    p_sn = subs.add_parser("sweep-n", help="sweep over node counts")
-    _add_common(p_sn)
-    p_sn.add_argument("--n", required=True, help="comma-separated node-count list")
-    p_sn.add_argument("--w", type=float, required=True)
-    p_sn.add_argument("--method", default="levin")
-    p_sn.set_defaults(func=_cmd_sweep_n)
-
-    p_cmp = subs.add_parser("compare", help="compare methods against the reference")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--w", type=float, required=True)
-    p_cmp.add_argument("--n", type=int, required=True)
-    p_cmp.set_defaults(func=_cmd_compare)
-
+    for name, help_text, handler, options in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON_OPTIONS + options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=handler)
     return parser
 
 

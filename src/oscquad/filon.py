@@ -164,19 +164,15 @@ def moments_nu(
     w: float,
     g_a: float,
     mu: np.ndarray,
-    count: Optional[int] = None,
 ) -> np.ndarray:
-    """Logarithmic moments nu_1..nu_count.
+    """Logarithmic moments nu_1..nu_count, one for each entry of ``mu``.
 
     ``nu_1`` combines the mu_1 closed form with an equal-parameter 2F2 term;
     the recurrence adds a ``-mu_j/(iw)`` coupling.  Where it would amplify
     errors, the power series replaces both, as in :func:`moments_mu`.
     """
     mu = np.asarray(mu, dtype=complex)
-    if count is None:
-        count = mu.size
-    if count > mu.size:
-        raise ParameterError("count exceeds available mu entries")
+    count = mu.size
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, True)
     nu = np.zeros(count, dtype=complex)
@@ -202,7 +198,7 @@ def build_moment_table(spec: ProblemSpec, count: int) -> MomentTable:
     mu = moments_mu(spec.alpha, spec.w, g_a, count)
     nu = None
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        nu = moments_nu(spec.alpha, spec.w, g_a, mu, count)
+        nu = moments_nu(spec.alpha, spec.w, g_a, mu)
     return MomentTable(mu=mu, nu=nu, alpha=spec.alpha, w=spec.w, g_a=g_a)
 
 
@@ -229,6 +225,10 @@ def build_hermite_data(
     Endpoint multiplicities are s+1, interior ones 1.  Derivatives come
     from the amplitude's exact local series.
     """
+    g_a = spec.g_end()
+    if not math.isfinite(g_a):
+        # g increases on [0, a], so a finite g(a) bounds g at every node.
+        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {spec.a!r}")
     nodes, mults = _collocation_nodes(npts, s)
     nodes = spec.a * nodes
     amp = amplitude if amplitude is not None else make_f1_f2(spec)[0]

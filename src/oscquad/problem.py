@@ -445,6 +445,8 @@ def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
     frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
     solve gives the q1 of ``spec`` and its c0 (and d0) divided by a."""
     a, f, g = spec.a, spec.amplitude, spec.oscillator
+    if a == 1.0:
+        return spec
     if not math.isfinite(spec.w * a):
         raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
     # Taylor coefficient k in t is a^k times that in x.

@@ -340,6 +340,27 @@ class TestCompare:
                 assert complex(rec.value_re, rec.value_im) == reference_oracle(spec)
                 assert rec.time_ns > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-n", "--problem", "ex51", "--alpha", "-0.5", "--w", "300",
+         "--n", "4,8,12", "--method", "levin,filon"],
+        ["sweep-w", "--problem", "ex53a", "--alpha", "0.5", "--w", "50,500",
+         "--n", "8", "--method", "levin,oracle"],
+        ["compare", "--problem", "ex51", "--alpha", "0.5", "--w", "50", "--n", "8"],
+    ])
+    def test_one_problem_build_per_frequency(self, monkeypatch, argv):
+        # The reference and every row at one w share one built problem.
+        calls = []
+        original = oscquad.benchcli.builtin_problem
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oscquad.benchcli, "builtin_problem", counting)
+        code, out, _ = run(argv)
+        assert code == 0
+        assert len(calls) == len({r.w for r in parse_csv(out)})
+
 
 class TestParserOncePerProcess:
     def test_reused_parser_matches_fresh_parsers(self, monkeypatch):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import oscquad.filon
 from oscquad import Method, compute
-from oscquad.errors import CapabilityError
+from oscquad.errors import CapabilityError, ParameterError
 from oscquad.filon import (
     SERIES_TABLE_CACHE_SIZE,
     build_hermite_data,
@@ -275,6 +275,17 @@ class TestQuadFilon:
         data = build_hermite_data(spec, 6, 2)
         err = abs(quad_filon(spec, data).value - ref)
         assert 0.8 * 1.3454e-07 <= err <= 1.25 * 1.3454e-07
+
+    @pytest.mark.parametrize("kind", list(SingKind))
+    @pytest.mark.parametrize("a", [1e200, 1e308])
+    def test_overflowing_g_end_named(self, kind, a):
+        # g = x + x^2 overflows at these a: the refusal names g(a), not the
+        # power series it would otherwise break.
+        with np.errstate(all="ignore"):
+            spec = build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]),
+                                 a=a, alpha=0.5, kind=kind, w=100.0)
+            with pytest.raises(ParameterError, match=r"g\(a\) = inf is not finite"):
+                compute(spec, Method.FILON, 8, 1)
 
 
 class TestSolveFreq:

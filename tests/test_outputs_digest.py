@@ -107,3 +107,17 @@ def test_compare_skips_lines_that_are_not_operations(tool):
     noisy = before[:2] + warning + before[2:] + [f"sha256 {tool.digest(before)} over 4 operations"]
     assert tool.parse(noisy) == (tool.parse(before)[0], 2)
     assert tool.compare(noisy, before) == tool.compare(before, before)
+
+
+def test_compare_exit_status(tool, tmp_path, capsys):
+    # 0 for bit-identical printouts, 1 when any operation line differs.
+    before = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 3))
+    key, outcome = before[1].split(": ", 1)
+    after = before[:1] + [f"{key}: {outcome} "] + before[2:]
+    paths = []
+    for name, lines in (("before.txt", before), ("after.txt", after)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(lines) + "\n")
+    assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "1 of 3 operation lines differ"

@@ -24,9 +24,11 @@ value (``value``: ``value_re``, ``value_im``) and its errors against the
 reference (``error``: ``abs_err``, ``rel_err``, ``scaled_err``).  So a change
 of reference shows as changed ``error`` rows beside unchanged ``value`` rows.
 The last line counts the operation lines that differ in anything,
-diagnostics included.  Only operation lines and the final ``sha256`` line
-are read; any other line, such as a NumPy warning captured with ``2>&1``,
-is skipped and counted.
+diagnostics included, and the exit status is 1 when that count is not zero
+(0 when the printouts are bit-identical), so the comparison can gate a
+script.  Only operation lines and the final ``sha256`` line are read; any
+other line, such as a NumPy warning captured with ``2>&1``, is skipped and
+counted.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def main(argv=None) -> int:
         for (workload, method, group), (count, changed, largest) in sorted(result.items()):
             print(f"{workload:<16}{method:<22}{group:<8}{count:>7}{changed:>9}  {largest:.3g}")
         print(f"{differing} of {lines} operation lines differ")
-        return 0
+        return 1 if differing else 0
     oq = import_program(args.root)
     lines = []
     for seed in SEEDS:
