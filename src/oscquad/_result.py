@@ -5,10 +5,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
-from .errors import AccuracyError
+from .errors import AccuracyError, ParameterError
 
-__all__ = ["Method", "QuadratureResult"]
+__all__ = ["Method", "QuadratureResult", "check_counts"]
 
 
 class Method(Enum):
@@ -45,3 +46,11 @@ class QuadratureResult:
     def __post_init__(self):
         if not cmath.isfinite(self.value):
             raise AccuracyError("quadrature value must be finite")
+
+
+def check_counts(**counts) -> None:
+    """Refuse a node count or order that is not an integer (bool included),
+    naming the parameter and the value passed."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")

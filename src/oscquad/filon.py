@@ -1,4 +1,4 @@
-"""Frequency-space collocation: Hermite Filon rules and the Levin solve.
+"""Frequency-space collocation: Hermite Filon rules and the Levin operator.
 
 These are the methods that support endpoint multiplicities s >= 1.  Both
 collocate on ``npts`` modified Chebyshev-Lobatto points with multiplicities
@@ -7,15 +7,16 @@ collocate on ``npts`` modified Chebyshev-Lobatto points with multiplicities
 
 The Filon route interpolates the regularized amplitude f1 in the basis
 Psi = {g', g' g, g' g^2, ...} and integrates exactly against the
-generalized moments mu_j (and nu_j for the logarithmic weight).  The Levin
-route expands q1 in the Chebyshev polynomials T_k(2t - 1) on [0, 1] and
-collocates the model ODE; all derivative conditions are generated by
-truncated power series arithmetic, which stays stable at degrees where
-naive Chebyshev-to-monomial conversion does not; the operator rows are array
-products over the whole basis and all nodes.  The three solves of the logarithmic kind
-share one collocation operator and one factorisation; their data at x = a
-go to the bracket of :mod:`oscquad.boundary`, which the physical-space
-route shares.
+generalized moments mu_j (and nu_j for the logarithmic weight); the
+logarithmic kind interpolates f1 and the f2 sub-problem's amplitude f21
+with one Hermite matrix.  The Levin route expands q1 in the Chebyshev
+polynomials T_k(2t - 1) on [0, 1] and collocates the model ODE; all
+derivative conditions are generated by truncated power series arithmetic,
+which stays stable at degrees where naive Chebyshev-to-monomial
+conversion does not; the operator rows are array products over the whole
+basis and all nodes.  The route is only that operator,
+:class:`_FreqOperator`: :func:`quad_freq` runs it through the Levin
+pipeline of :mod:`oscquad.levin`, which the physical-space route shares.
 """
 
 from __future__ import annotations
@@ -27,23 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._result import Method, QuadratureResult
+from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
 from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .boundary import EndData, levin_value
-from .levin import TsvdFactor, tsvd_factor
+from .boundary import EndData
+from .levin import TsvdFactor, _quad_levin, tsvd_factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
-from .problem import (
-    Amplitude,
-    ProblemSpec,
-    SingKind,
-    _factorials,
-    _sub_problem,
-    _unit_interval,
-    f2_problem,
-    make_f1_f2,
-)
+from .problem import Amplitude, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
     "MomentTable",
@@ -231,7 +223,7 @@ def build_hermite_data(
         raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {spec.a!r}")
     nodes, mults = _collocation_nodes(npts, s)
     nodes = spec.a * nodes
-    amp = amplitude if amplitude is not None else make_f1_f2(spec)[0]
+    amp = amplitude if amplitude is not None else _regularised(spec)[0]
     values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
     return HermiteData(nodes=nodes, mults=mults, values=values)
 
@@ -249,6 +241,12 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     posteriori; failure raises DegenerateSystemError (reduce the basis
     size).
     """
+    return _hermite_solve(data, spec, data.values)[0]
+
+
+def _hermite_solve(data: HermiteData, spec: ProblemSpec, *values: np.ndarray) -> list:
+    # hermite_solve for each table of ``values`` (shaped as data.values) on
+    # the nodes and multiplicities of ``data``, with one Hermite matrix.
     M1 = data.basis_size
     if M1 > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
@@ -267,17 +265,20 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
         phik = ps_mul(phik, base)
     node, order = _conditions(data.mults, width)
     A = fact[order, None] * cols[:, node, order].T * scale
-    b = data.values[node, order]
-    try:
-        y = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(f"singular Hermite system: {exc}") from exc
-    resid = np.abs(A @ y - b).max()
-    if resid > 1e-9 * max(1.0, np.abs(b).max()):
-        raise DegenerateSystemError(
-            f"Hermite interpolation conditions violated ({resid:.2e}); reduce the basis size"
-        )
-    return y * scale
+    out = []
+    for table in values:
+        b = table[node, order]
+        try:
+            y = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError(f"singular Hermite system: {exc}") from exc
+        resid = np.abs(A @ y - b).max()
+        if resid > 1e-9 * max(1.0, np.abs(b).max()):
+            raise DegenerateSystemError(
+                f"Hermite interpolation conditions violated ({resid:.2e}); reduce the basis size"
+            )
+        out.append(y * scale)
+    return out
 
 
 def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
@@ -287,30 +288,31 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     kind: the algebraic rule applied to the regularized f2 amplitude plus
     ``sum_j p_j nu_j``.
     """
-    sub = f2_problem(spec) if spec.kind is SingKind.ALGEBRAIC_LOG else None
-    return _filon_rule(spec, data, sub)
+    return _filon_rule(spec, data, _regularised(spec)[1])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
-    # compute(FILON): f1 and f2 from one make_f1_f2, as levin.solve_log does.
-    f1, f2 = make_f1_f2(spec)
-    sub = None if f2 is None else _sub_problem(spec, f2)
-    return _filon_rule(spec, build_hermite_data(spec, npts, s, amplitude=f1), sub)
+    # compute(FILON): f1 and f21 from one _regularised, as the Levin rules.
+    f1, f21 = _regularised(spec)
+    return _filon_rule(spec, build_hermite_data(spec, npts, s, amplitude=f1), f21)
 
 
-def _filon_rule(spec: ProblemSpec, data: HermiteData, sub: Optional[ProblemSpec]) -> QuadratureResult:
-    # quad_filon given the f2 sub-problem of a logarithmic-kind spec (None
-    # for the algebraic kind).
-    p = hermite_solve(data, spec)
-    table = build_moment_table(spec, p.size)
-    value = np.dot(p, table.mu)
+def _filon_rule(spec: ProblemSpec, data: HermiteData, f21: Optional[Amplitude]) -> QuadratureResult:
+    # quad_filon given the f1 of the f2 sub-problem of a logarithmic-kind
+    # spec (None for the algebraic kind).  Both interpolate on data's nodes,
+    # so one Hermite matrix serves them.
     npts = int(data.nodes.size)
     s = int(data.mults[0]) - 1
+    tables = [data.values]
+    if f21 is not None:
+        tables.append(f21.series_at(data.nodes, s + 1) * _factorials(s + 1))
+    p, *p2 = _hermite_solve(data, spec, *tables)
+    table = build_moment_table(spec, p.size)
+    value = np.dot(p, table.mu)
     diagnostics = {"basis_size": int(p.size)}
-    if sub is not None:
-        p2 = hermite_solve(build_hermite_data(sub, npts, s), sub)
-        value = np.dot(p2, table.mu) + np.dot(p, table.nu)
-        diagnostics["basis_size_f2"] = int(p2.size)
+    if p2:
+        value = np.dot(p2[0], table.mu) + np.dot(p, table.nu)
+        diagnostics["basis_size_f2"] = int(p2[0].size)
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.FILON,
@@ -363,18 +365,45 @@ class _FreqOperator:
     row_scale: np.ndarray
     factor: TsvdFactor
 
-    def solve(self, series) -> tuple:
-        """``(c0, q1 coefficients)`` for the right-hand side whose Taylor
-        series at node l is row l of ``series`` (length s+1)."""
+    def _solve(self, series, rhs_end) -> tuple:
+        # (c0, q1 coefficients, rhs_end) for the right-hand side whose
+        # Taylor series at node l is row l of ``series`` (length s+1).
         rhs = (self.fact * np.asarray(series, dtype=complex))[_conditions(self.mults, self.fact.size)]
         sol = self.factor.solve(rhs / self.row_scale)
-        return complex(sol[0]), sol[1:]
+        return complex(sol[0]), sol[1:], rhs_end
 
     def solve_amplitude(self, amplitude: Amplitude) -> tuple:
-        """:meth:`solve` with the right-hand side ``amplitude``, plus the
-        amplitude's value at the last node, t = 1."""
+        """``(c0, q1 coefficients, rhs_end)`` of the right-hand side
+        ``amplitude``, with its value at the last node, t = 1."""
         series = amplitude.series_at(self.nodes, self.fact.size)
-        return self.solve(series) + (series[-1, 0],)
+        return self._solve(series, series[-1, 0])
+
+    def solve_coupled(self, first: tuple) -> tuple:
+        """The solve with right-hand side ``-q1 g'`` for the q1 of ``first``."""
+        coeffs = first[1]
+        # Taylor series of q1 at each node, summed over the basis in order
+        # (a reduction over the leading axis adds its slices one by one).
+        q1_series = (coeffs[:, None, None] * self.tables[:, :, : self.fact.size]).sum(axis=0)
+        q1_end = complex(np.polynomial.chebyshev.chebval(1.0, coeffs))
+        return self._solve(-ps_mul(q1_series, self.gprime), -q1_end * self.gprime[-1, 0])
+
+    def end(self, sol: tuple) -> EndData:
+        """Data at t = 1 of the expansion, where T_k(2t - 1) is 1 and its
+        t-derivative 2 k^2."""
+        c0, coeffs, rhs_end = sol
+        k = np.arange(coeffs.size)
+        cheb = np.polynomial.chebyshev
+        q1_end = complex(cheb.chebval(1.0, coeffs))
+        dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0
+        return EndData(c0, q1_end, dq1_end, float(np.abs(coeffs) @ k**2) * 2.0, rhs_end)
+
+    def diagnostics(self, sols) -> dict:
+        diag = self.factor.diag
+        out = {"smallest_sv": diag.smallest_sv, "tsvd_truncated": diag.truncated}
+        if len(sols) == 3:
+            # The second solve shares the operator, so its spectrum is the same.
+            out["smallest_sv_second"] = diag.smallest_sv
+        return out
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
@@ -435,57 +464,19 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
     s : int
         Endpoint multiplicity parameter.
     """
-    f1, _ = make_f1_f2(spec)
+    f1, _ = _regularised(spec)
     op = _freq_operator(spec, npts, s)
     c0, coeffs, _ = op.solve_amplitude(f1)
     return c0, coeffs, op.factor.diag
 
 
-def _end_data(spec: ProblemSpec, c0: complex, coeffs: np.ndarray, rhs_end: complex) -> EndData:
-    # A solve on [0, 1] read at x = a: c0 times a, q1(a) of the expansion
-    # with coefficients ``coeffs``, and q1'(a) from the differentiated one.
-    k = np.arange(coeffs.size)
-    cheb = np.polynomial.chebyshev
-    q1_end = complex(cheb.chebval(1.0, coeffs))
-    dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0 / spec.a
-    dq1_size = float(np.abs(coeffs) @ k**2) * 2.0 / spec.a  # T_k'(1) = k^2
-    return EndData(c0 * spec.a, q1_end, dq1_end, dq1_size, rhs_end)
-
-
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     """Frequency-space Levin quadrature (algebraic or logarithmic kind).
 
-    The logarithmic kind performs the coupled second solve with right-hand
-    side ``-q1 g'`` and the solve of the regularized f2 amplitude, mirroring
-    the physical-space assembly.  All solves share one factorised operator,
-    and :func:`oscquad.boundary.levin_value` turns their data at x = a into
-    the value.
+    The Levin rule of :func:`oscquad.levin._quad_levin` on the operator of
+    this route: the f1 solve, and for the logarithmic kind the coupled
+    solve with right-hand side ``-q1 g'`` and the f21 solve, all against
+    one factorised operator.
     """
-    unit = _unit_interval(spec)
-    f1, f2 = make_f1_f2(unit)
-    op = _freq_operator(unit, npts, s)
-    c0, coeffs, f1_end = op.solve_amplitude(f1)
-    ends = [_end_data(spec, c0, coeffs, f1_end)]
-    diag = op.factor.diag
-    diagnostics = {
-        "smallest_sv": diag.smallest_sv,
-        "tsvd_truncated": diag.truncated,
-    }
-    if spec.kind is SingKind.ALGEBRAIC_LOG:
-        # Taylor series of q1 at each node, summed over the basis in order
-        # (a reduction over the leading axis adds its slices one by one).
-        q1_series = (coeffs[:, None, None] * op.tables[:, :, : s + 1]).sum(axis=0)
-        d0, lcoeffs = op.solve(-ps_mul(q1_series, op.gprime))
-        gp_a = float(spec.oscillator.deriv1(spec.a))
-        ends.append(_end_data(spec, d0, lcoeffs, -ends[0].q1 * gp_a))
-        f21, _ = make_f1_f2(_sub_problem(unit, f2))
-        ends.append(_end_data(spec, *op.solve_amplitude(f21)))
-        # The second solve shares the operator, so its spectrum is the same.
-        diagnostics["smallest_sv_second"] = diag.smallest_sv
-    return QuadratureResult(
-        value=levin_value(spec, *ends),
-        method=Method.LEVIN_FREQ,
-        s=s,
-        n=npts,
-        diagnostics=diagnostics,
-    )
+    check_counts(npts=npts, s=s)
+    return _quad_levin(spec, lambda unit: _freq_operator(unit, npts, s), Method.LEVIN_FREQ, npts, s)

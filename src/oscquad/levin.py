@@ -1,8 +1,16 @@
-"""Physical-space Levin collocation for the separated model ODE.
+"""The Levin pipeline of both routes, and physical-space collocation.
 
-The unknowns are the constant c0 and the non-oscillatory factor q1 of the
-ansatz p = q g^alpha + h (with q = c0 (1 - e^{-iwg}) g^{-alpha}... folded
-into the explicit kernel) satisfying
+Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
+f1 and, for the logarithmic kind, the f2 sub-problem's amplitude f21 once
+(:func:`oscquad.problem._regularised`), solve for f1, -q1 g' and f21 on
+one factorised operator, and read the bracket at x = a
+(:func:`oscquad.boundary.levin_value`).  A route is only its operator,
+:class:`_PhysicalOperator` or ``filon._FreqOperator``.
+
+In physical space the unknowns are the constant c0 and the
+non-oscillatory factor q1 of the ansatz p = q g^alpha + h (with
+q = c0 (1 - e^{-iwg}) g^{-alpha}... folded into the explicit kernel)
+satisfying
 
     iw g'(x) c0 + g(x) q1'(x) + [1 + alpha + iw g(x)] g'(x) q1(x) = f1(x).
 
@@ -12,11 +20,9 @@ r^T q1 through the grid's origin weights; a problem with a != 1 is
 refused (the rules map it onto [0, 1] first).  The resulting square
 system is solved by truncated SVD, since exactly one near-null direction
 appears at large n (the discrete trace of the continuous one-parameter
-solution family).  The operator depends on (g, alpha, w, n) only, so the
-logarithmic kind factorises it once and applies the factors to all three
-of its right-hand sides (f1, -q1 g' and the regularised f2 amplitude).
-Each call evaluates g and g' at the nodes once, for the operator and
-every right-hand side.
+solution family).  The operator depends on (g, alpha, w, n) only and
+evaluates g and g' at the nodes once; each amplitude is evaluated once
+at all nodes, origin first, which is the order of the unknowns.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -25,13 +31,15 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._result import Method, QuadratureResult
+from .boundary import EndData, levin_value
 from .cheb import ChebGrid, GridFamily, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import ProblemSpec, _node_amplitudes, _sub_problem, make_f1_f2
+from .problem import Amplitude, ProblemSpec, _regularised, _unit_interval
 
 __all__ = [
     "LevinSolution",
@@ -104,17 +112,16 @@ class LevinSolution:
 
 
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
+    # g at the interior nodes and g' at all of grid.nodes, origin first.
     if grid.family is not GridFamily.RADAU_MODIFIED:
         raise ParameterError("physical-space solver requires a Radau grid")
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    xs = grid.interior
-    gx = np.asarray(spec.oscillator.value(xs), dtype=float)
-    gp = np.asarray(spec.oscillator.deriv1(np.concatenate(([0.0], xs))), dtype=float)
-    gp0, gpx = float(gp[0]), gp[1:]
-    if gp0 <= 0 or np.any(gpx <= 0):
+    gx = np.asarray(spec.oscillator.value(grid.interior), dtype=float)
+    gp = np.asarray(spec.oscillator.deriv1(grid.nodes), dtype=float)
+    if np.any(gp <= 0):
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
-    return xs, gx, gpx, gp0
+    return gx, gp
 
 
 def assemble_L(spec: ProblemSpec, grid: ChebGrid):
@@ -129,37 +136,25 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
-    nodes = _node_data(spec, grid)
-    L = _operator(spec, grid, nodes)
-    f1, _ = make_f1_f2(spec)
-    xs, gx, _, _ = nodes
-    return L, _rhs(f1, grid, _node_amplitudes(spec, xs, gx, False)[0])
+    L, _ = _operator(spec, grid)
+    return L, np.asarray(_regularised(spec)[0].value(grid.nodes), dtype=complex)
 
 
-def _operator(spec: ProblemSpec, grid: ChebGrid, nodes) -> np.ndarray:
-    # The matrix of assemble_L, which every right-hand side shares, from
-    # _node_data's values.
-    xs, gx, gpx, gp0 = nodes
-    n = xs.size
+def _operator(spec: ProblemSpec, grid: ChebGrid):
+    # The matrix of assemble_L, which every right-hand side shares, and g'
+    # at grid.nodes.
+    gx, gp = _node_data(spec, grid)
+    n = gx.size
     alpha = spec.alpha
     w = spec.w
     L = np.zeros((n + 1, n + 1), dtype=complex)
-    L[0, 0] = 1j * w * gp0
-    L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
-    L[1:, 0] = 1j * w * gpx
+    L[0, 0] = 1j * w * gp[0]
+    L[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
+    L[1:, 0] = 1j * w * gp[1:]
     L[1:, 1:] += gx[:, None] * grid.diff
     rows = np.arange(1, n + 1)
-    L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gpx
-    return L
-
-
-def _rhs(amplitude, grid: ChebGrid, node_values) -> np.ndarray:
-    # Right-hand side of an amplitude: its value at the origin row, from a
-    # scalar call, and its given values at the interior nodes.
-    rhs = np.empty(grid.interior.size + 1, dtype=complex)
-    rhs[0] = complex(amplitude.value(0.0))
-    rhs[1:] = node_values
-    return rhs
+    L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gp[1:]
+    return L, gp
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
@@ -198,19 +193,82 @@ def tsvd_factor(L: np.ndarray) -> TsvdFactor:
     return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep)
 
 
-def _solution_from(L, factor: TsvdFactor, rhs, grid) -> LevinSolution:
-    sol = factor.solve(rhs)
-    residual = float(np.abs(L @ sol - rhs).max())
-    diag = factor.diag
-    return LevinSolution(
-        c0=complex(sol[0]),
-        q1_values=sol[1:],
-        residual_norm=residual,
-        tsvd_truncated=diag.truncated,
-        smallest_sv=diag.smallest_sv,
-        grid=grid,
-        rhs_end=complex(rhs[-1]),
-    )
+@dataclass(frozen=True)
+class _PhysicalOperator:
+    """The physical-space Levin route: the matrix ``L`` of :func:`assemble_L`
+    on ``grid``, its truncated SVD ``factor``, and g' at ``grid.nodes``,
+    origin first, which is the order of the rows and of the unknowns."""
+
+    grid: ChebGrid
+    L: np.ndarray
+    factor: TsvdFactor
+    gprime: np.ndarray
+
+    @classmethod
+    def build(cls, spec: ProblemSpec, n: int) -> "_PhysicalOperator":
+        grid = radau_grid(n)
+        L, gprime = _operator(spec, grid)
+        return cls(grid, L, tsvd_factor(L), gprime)
+
+    def _solve(self, rhs: np.ndarray) -> LevinSolution:
+        sol, diag = self.factor.solve(rhs), self.factor.diag
+        residual = float(np.abs(self.L @ sol - rhs).max())
+        return LevinSolution(complex(sol[0]), sol[1:], residual, diag.truncated, diag.smallest_sv,
+                             self.grid, complex(rhs[-1]))
+
+    def solve_amplitude(self, amplitude: Amplitude) -> LevinSolution:
+        """The solve with right-hand side ``amplitude``, evaluated once at
+        the nodes."""
+        return self._solve(np.asarray(amplitude.value(self.grid.nodes), dtype=complex))
+
+    def solve_coupled(self, first: LevinSolution) -> LevinSolution:
+        """The solve with right-hand side ``-q1 g'`` for the q1 of ``first``,
+        q1(0) extrapolated through the origin weights."""
+        q1 = first.q1_values
+        q1_origin = complex(np.dot(self.grid.origin_weights, q1))
+        return self._solve(-np.concatenate(([q1_origin], q1)) * self.gprime)
+
+    def end(self, sol: LevinSolution) -> EndData:
+        """Data at t = 1: q1'(1) from the last row of the differentiation
+        matrix."""
+        q1 = sol.q1_values
+        row = self.grid.diff[-1]
+        return EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
+
+    def diagnostics(self, sols) -> dict:
+        first = sols[0]
+        out = {"residual_norm": first.residual_norm, "smallest_sv": first.smallest_sv,
+               "tsvd_truncated": first.tsvd_truncated}
+        if len(sols) == 3:
+            out.update(residual_norm_second=sols[1].residual_norm, residual_norm_f2=sols[2].residual_norm)
+        return out
+
+
+def _solves(op, spec: ProblemSpec) -> list:
+    # The solves of the paper's method on the operator ``op`` of ``spec``:
+    # f1; for the logarithmic kind also -q1 g' and f21 (problem._regularised).
+    f1, f21 = _regularised(spec)
+    sols = [op.solve_amplitude(f1)]
+    if f21 is not None:
+        sols += [op.solve_coupled(sols[0]), op.solve_amplitude(f21)]
+    return sols
+
+
+def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> QuadratureResult:
+    # The Levin rule of either route.  ``operator`` maps ``spec`` on [0, 1]
+    # to the route's factorised operator; its solves give the q1 of ``spec``
+    # and its c0, d0 divided by a, so the end data is scaled by a once here.
+    unit = _unit_interval(spec)
+    op = operator(unit)
+    sols = _solves(op, unit)
+    a = spec.a
+    ends = [replace(e, c0=e.c0 * a, dq1=e.dq1 / a, dq1_size=e.dq1_size / a) for e in map(op.end, sols)]
+    return QuadratureResult(levin_value(spec, *ends), method, s, n, op.diagnostics(sols))
+
+
+def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
+    # The s = 0 rule of either kind.
+    return _quad_levin(spec, lambda unit: _PhysicalOperator.build(unit, n), Method.LEVIN_PHYSICAL, n, 0)
 
 
 def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
@@ -224,9 +282,7 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
     n : int
         Number of Radau nodes.
     """
-    grid = radau_grid(n)
-    L, rhs = assemble_L(spec, grid)
-    return _solution_from(L, tsvd_factor(L), rhs, grid)
+    return _PhysicalOperator.build(spec, n).solve_amplitude(_regularised(spec)[0])
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -242,22 +298,7 @@ def solve_log(spec: ProblemSpec, n: int):
     -------
     (LevinSolution, LevinSolution, LevinSolution)
     """
-    grid = radau_grid(n)
-    nodes = _node_data(spec, grid)
-    L = _operator(spec, grid, nodes)
-    f1, f2 = make_f1_f2(spec)
-    factor = tsvd_factor(L)
-    xs, gx, gpx, gp0 = nodes
-    f1x, f21x = _node_amplitudes(spec, xs, gx, True)
-    first = _solution_from(L, factor, _rhs(f1, grid, f1x), grid)
-    q1_origin = complex(np.dot(grid.origin_weights, first.q1_values))
-    rhs2 = np.empty(xs.size + 1, dtype=complex)
-    rhs2[0] = -q1_origin * gp0
-    rhs2[1:] = -first.q1_values * gpx
-    second = _solution_from(L, factor, rhs2, grid)
-    f21, _ = make_f1_f2(_sub_problem(spec, f2))
-    third = _solution_from(L, factor, _rhs(f21, grid, f21x), grid)
-    return first, second, third
+    return tuple(_solves(_PhysicalOperator.build(spec, n), spec))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
@@ -289,14 +330,14 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:
         raise ParameterError(f"k={k} too large for an n={grid.interior.size} grid")
-    xs, gx, gpx, gp0 = _node_data(spec, grid)
+    gx, gp = _node_data(spec, grid)
+    gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w
-    f1, _ = make_f1_f2(spec)
-    f1x = np.asarray(_node_amplitudes(spec, xs, gx, False)[0], dtype=complex)
-    f10 = complex(f1.value(0.0))
+    f1 = np.asarray(_regularised(spec)[0].value(grid.nodes), dtype=complex)
+    f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
-    q1 = np.zeros(xs.size, dtype=complex)
+    q1 = np.zeros(gx.size, dtype=complex)
     out = []
     for _ in range(k):
         phi = (f1x - gx * (grid.diff @ q1) - (1.0 + alpha) * gpx * q1) / (1j * w * gpx)

@@ -337,6 +337,59 @@ def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int) -> np.ndarray:
     return ps_div(num, np.where(origin[:, None], gser[:, 1:], gser[:, :m]))
 
 
+def _separated(spec: ProblemSpec, f2_power: bool):
+    """f1 and, for the logarithmic kind, f log(x/g), times (x/g)^alpha
+    too with ``f2_power``; None in its place for the algebraic kind.
+
+    Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  A
+    value call evaluates g once, and a series call forms the series of x/g
+    once.  For the identity oscillator the factors are 1 and 0 exactly: f1
+    is f itself and the second amplitude is zero.
+    """
+    f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
+    log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
+    if osc.is_identity:
+        zero = Amplitude(
+            value=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
+            series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
+        )
+        return f, zero if log_kind else None
+    gp0 = float(osc.deriv1(0.0))
+    if not gp0 > 0:
+        raise InvalidOscillatorError("g'(0) must be positive")
+
+    def factor(xs, pos, away, origin):
+        # ``away`` at the points xs > 0 and the limit ``origin`` at x = 0.
+        out = np.full(xs.shape, origin)
+        out[pos] = away
+        return out
+
+    def amplitude(log: bool, power: bool) -> Amplitude:
+        def value(x):
+            xs = np.asarray(x, dtype=float)
+            pos = xs > 0
+            ratio = xs[pos] / np.asarray(osc.value(xs[pos]), dtype=float) if pos.any() else xs[pos]
+            out = np.asarray(f.value(x))
+            if log:
+                out = out * factor(xs, pos, np.log(ratio), -math.log(gp0))
+            if power:
+                out = out * factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
+            return out
+
+        def series(xs, m):
+            out = f.series_at(xs, m)
+            ratio = _ratio_series(osc, xs, m)
+            if log:
+                out = ps_mul(out, ps_log(ratio))
+            if power:
+                out = ps_mul(out, ps_pow(ratio, alpha))
+            return out
+
+        return Amplitude(value=value, series_fn=series)
+
+    return amplitude(False, True), amplitude(True, f2_power) if log_kind else None
+
+
 def make_f1_f2(spec: ProblemSpec):
     """Regularized amplitudes of the separated singularities.
 
@@ -352,74 +405,17 @@ def make_f1_f2(spec: ProblemSpec):
     -----
     For the identity oscillator, ``f1 = f`` and ``f2 = 0`` exactly.
     """
-    alpha = spec.alpha
-    f = spec.amplitude
-    osc = spec.oscillator
-    if osc.is_identity:
-        f1 = f
-        f2 = None
-        if spec.kind is SingKind.ALGEBRAIC_LOG:
-            f2 = Amplitude(
-                value=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
-                series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
-            )
-        return f1, f2
-    gp0 = float(osc.deriv1(0.0))
-    if not gp0 > 0:
-        raise InvalidOscillatorError("g'(0) must be positive")
-
-    def factor(x, log: bool):
-        # _ratio_factor at the points x, with its limit at x = 0.
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(xs.shape, dtype=float)
-        pos = xs > 0
-        if pos.any():
-            out[pos] = _ratio_factor(xs[pos], np.asarray(osc.value(xs[pos]), dtype=float), alpha, log)
-        out[~pos] = -math.log(gp0) if log else gp0 ** (-alpha)
-        return out if np.ndim(x) else out[0]
-
-    def f1_value(x):
-        return np.asarray(f.value(x)) * factor(x, False)
-
-    def f1_series(xs, m):
-        return ps_mul(f.series_at(xs, m), ps_pow(_ratio_series(osc, xs, m), alpha))
-
-    f1 = Amplitude(value=f1_value, series_fn=f1_series)
-
-    if spec.kind is not SingKind.ALGEBRAIC_LOG:
-        return f1, None
-
-    def f2_value(x):
-        return np.asarray(f.value(x)) * factor(x, True)
-
-    def f2_series(xs, m):
-        return ps_mul(f.series_at(xs, m), ps_log(_ratio_series(osc, xs, m)))
-
-    return f1, Amplitude(value=f2_value, series_fn=f2_series)
+    return _separated(spec, False)
 
 
-def _ratio_factor(xs: np.ndarray, gx: np.ndarray, alpha: float, log: bool) -> np.ndarray:
-    # (x/g)^alpha, or log(x/g) with log, at points xs > 0 where g = gx: the
-    # factors that take f to f1 and f2 (make_f1_f2) away from the origin.
-    ratio = xs / gx
-    return np.log(ratio) if log else ratio**alpha
+def _regularised(spec: ProblemSpec):
+    """The amplitudes the Levin solves need: ``(f1, f21)``.
 
-
-def _node_amplitudes(spec: ProblemSpec, xs: np.ndarray, gx: np.ndarray, with_f2: bool):
-    """Values at points ``xs > 0``, where g = ``gx``, of f1 and, with
-    ``with_f2``, of ``f2 (x/g)^alpha``, which is the f1 of :func:`f2_problem`;
-    None in its place otherwise.
-
-    The same bits as the ``value`` of those amplitudes at ``xs``, with g
-    evaluated by the caller instead of once per amplitude.
+    f1 is that of :func:`make_f1_f2`, and ``f21 = f log(x/g) (x/g)^alpha``
+    is the f1 of :func:`f2_problem` as one amplitude, with the same values
+    and series bit for bit; f21 is None for the algebraic kind.
     """
-    fx = np.asarray(spec.amplitude.value(xs))
-    if spec.oscillator.is_identity:
-        return fx, np.zeros(xs.shape, dtype=complex) if with_f2 else None
-    power = _ratio_factor(xs, gx, spec.alpha, False)
-    if not with_f2:
-        return fx * power, None
-    return fx * power, fx * _ratio_factor(xs, gx, spec.alpha, True) * power
+    return _separated(spec, True)
 
 
 def f2_problem(spec: ProblemSpec) -> ProblemSpec:
@@ -432,12 +428,7 @@ def f2_problem(spec: ProblemSpec) -> ProblemSpec:
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("f2_problem requires a logarithmic-kind problem")
-    return _sub_problem(spec, make_f1_f2(spec)[1])
-
-
-def _sub_problem(spec: ProblemSpec, f2: Amplitude) -> ProblemSpec:
-    # f2_problem for a caller that already holds make_f1_f2(spec)'s f2.
-    return replace(spec, amplitude=f2, kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
+    return replace(spec, amplitude=make_f1_f2(spec)[1], kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
 
 
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:

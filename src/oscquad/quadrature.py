@@ -1,11 +1,13 @@
-"""Top-level quadrature operators assembling solver output into values.
+"""The public quadrature rules.
 
-The two public rules are ``quad_alg`` and ``quad_log``; both take the node
-count n and the asymptotic-order parameter s and dispatch on s: s = 0 runs
-the derivative-free physical-space collocation, s >= 1 the frequency-space
-Hermite path (the two coincide in value for linear oscillators).
-``compute`` adds method selection on top, including the composite baseline
-and the brute-force oracle.
+``quad_alg`` and ``quad_log`` take the node count n and the
+asymptotic-order parameter s and dispatch on s: s = 0 runs the
+derivative-free physical-space collocation, s >= 1 the frequency-space
+Hermite path (the two coincide in value for linear oscillators).  Both run
+the one Levin pipeline of :mod:`oscquad.levin` on their route's operator.
+``compute`` adds method selection on top, including the Filon rule, the
+composite baseline and the brute-force oracle.  Every rule refuses an n or
+s that is not an integer.
 
 The lower integration endpoint is handled analytically: every bracket term
 of the antiderivative vanishes as x -> 0+ for alpha > -1, so only the
@@ -15,16 +17,11 @@ evaluating g(x)^alpha at the singular point.
 
 from __future__ import annotations
 
-from numbers import Integral
-
-import numpy as np
-
-from ._result import Method, QuadratureResult
-from .boundary import EndData, levin_value
+from ._result import Method, QuadratureResult, check_counts
 from .errors import CapabilityError, ParameterError
 from .filon import _filon, quad_freq
-from .levin import LevinSolution, solve_alg, solve_log
-from .problem import ProblemSpec, SingKind, _unit_interval
+from .levin import _quad_physical
+from .problem import ProblemSpec, SingKind
 
 __all__ = [
     "Method",
@@ -35,35 +32,15 @@ __all__ = [
 ]
 
 
-def _end_data(sol: LevinSolution, a: float) -> EndData:
-    # A solve on [0, 1] read at x = a: c0 times a, q1(a) at the last node,
-    # and q1'(a) from the last row of the differentiation matrix over a.
-    q1 = sol.q1_values
-    row = sol.grid.diff[-1]
-    return EndData(sol.c0 * a, complex(q1[-1]), complex(row @ q1) / a, float(np.abs(row) @ np.abs(q1)) / a, sol.rhs_end)
-
-
-def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
-    # The s = 0 rule of either kind: the physical-space solves on [0, 1],
-    # read off the bracket at x = a by boundary.levin_value.
-    unit = _unit_interval(spec)
-    sols = (solve_alg(unit, n),) if spec.kind is SingKind.ALGEBRAIC else solve_log(unit, n)
-    first = sols[0]
-    diagnostics = {
-        "residual_norm": first.residual_norm,
-        "smallest_sv": first.smallest_sv,
-        "tsvd_truncated": first.tsvd_truncated,
-    }
-    if spec.kind is SingKind.ALGEBRAIC_LOG:
-        diagnostics["residual_norm_second"] = sols[1].residual_norm
-        diagnostics["residual_norm_f2"] = sols[2].residual_norm
-    return QuadratureResult(
-        value=levin_value(spec, *(_end_data(sol, spec.a) for sol in sols)),
-        method=Method.LEVIN_PHYSICAL,
-        s=0,
-        n=n,
-        diagnostics=diagnostics,
-    )
+def _levin_rule(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
+    # quad_alg and quad_log once the kind is checked: s = 0 runs the
+    # physical-space rule, s >= 1 the frequency-space one.
+    check_counts(n=n, s=s)
+    if s < 0:
+        raise ParameterError("s must be nonnegative")
+    if s >= 1:
+        return quad_freq(spec, n, s)
+    return _quad_physical(spec, n)
 
 
 def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
@@ -86,11 +63,7 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """
     if spec.kind is not SingKind.ALGEBRAIC:
         raise ParameterError("quad_alg requires an algebraic-kind problem")
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    if s >= 1:
-        return quad_freq(spec, n, s)
-    return _quad_physical(spec, n)
+    return _levin_rule(spec, n, s)
 
 
 def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
@@ -106,11 +79,7 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("quad_log requires a logarithmic-kind problem")
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    if s >= 1:
-        return quad_freq(spec, n, s)
-    return _quad_physical(spec, n)
+    return _levin_rule(spec, n, s)
 
 
 def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResult:
@@ -136,9 +105,7 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
         When the computed value is not finite (for example the oracle near
         alpha = -1).
     """
-    for name, value in (("n", n), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    check_counts(n=n, s=s)
     if method is Method.LEVIN_PHYSICAL:
         if s != 0:
             raise CapabilityError(

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import oscquad.filon
-import oscquad.quadrature
+import oscquad.levin
 from oscquad import Method, compute
 from oscquad.boundary import EndData, levin_value, upper_end_value
 from oscquad.levin import solve_alg
@@ -67,8 +66,7 @@ def _recorded_levin_calls(monkeypatch):
         seen.append((spec, ends, value))
         return value
 
-    for module in (oscquad.quadrature, oscquad.filon):
-        monkeypatch.setattr(module, "levin_value", recording)
+    monkeypatch.setattr(oscquad.levin, "levin_value", recording)
     return seen
 
 

@@ -490,17 +490,17 @@ class TestFreqOperatorRows:
         filon = oscquad.filon
         spec = builtin_problem(pid, 0.4, 80.0)
         seen = []
-        real = filon._FreqOperator.solve
+        real = filon._FreqOperator._solve
 
-        def capture(op, series):
+        def capture(op, series, rhs_end):
             seen.append((op, np.array(series)))
-            return real(op, series)
+            return real(op, series, rhs_end)
 
-        monkeypatch.setattr(filon._FreqOperator, "solve", capture)
+        monkeypatch.setattr(filon._FreqOperator, "_solve", capture)
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
         (op, _), (_, rhs2) = seen[:2]
-        coeffs = real(op, seen[0][1])[1]
+        coeffs = real(op, seen[0][1], 0.0)[1]
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(coeffs, op.tables[:, l]))
             assert rhs2[l].tobytes() == (-filon.ps_mul(q1[: s + 1], op.gprime[l])).tobytes()

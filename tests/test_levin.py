@@ -1,5 +1,7 @@
 """Physical-space collocation solver tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 import oscquad.levin
 import oscquad.problem
 from oscquad import Method, compute
-from oscquad.cheb import radau_grid
+from oscquad.cheb import lobatto_grid, radau_grid
 from oscquad.errors import DegenerateSystemError, ParameterError
 from oscquad.levin import (
     TSVD_THRESHOLD,
@@ -24,7 +26,7 @@ from oscquad.problem import (
     Oscillator,
     BUILTIN_IDS,
     SingKind,
-    _node_amplitudes,
+    _regularised,
     _unit_interval,
     build_problem,
     builtin_problem,
@@ -102,7 +104,8 @@ class TestAssembleL:
     def test_bit_identical_to_loop_form(self):
         # The row loop that the array expressions replaced.
         def loop_L(spec, grid):
-            _, gx, gpx, gp0 = oscquad.levin._node_data(spec, grid)
+            gx, gp = oscquad.levin._node_data(spec, grid)
+            gpx, gp0 = gp[1:], gp[0]
             n, alpha, w = gx.size, spec.alpha, spec.w
             L = np.zeros((n + 1, n + 1), dtype=complex)
             L[0, 0] = 1j * w * gp0
@@ -262,14 +265,14 @@ class TestSolveLog:
 
 
 class TestOneNodePassPerCall:
-    """g, g' and f are evaluated at the Radau nodes once per physical call,
-    for the operator and every right-hand side."""
+    """g and g' are evaluated at the Radau nodes once per physical call for
+    the operator, and each regularised amplitude evaluates g there once."""
 
     @pytest.mark.parametrize("kind", [SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG])
     def test_evaluation_counts(self, monkeypatch, kind):
         n = 16
-        interior = radau_grid(n).interior
-        counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "_node_data", "g at nodes"), 0)
+        grid = radau_grid(n)
+        counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "_node_data", "g at nodes", "g' at nodes"), 0)
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -278,14 +281,15 @@ class TestOneNodePassPerCall:
             return wrapper
 
         horner = oscquad.problem._horner
-
-        def g_horner(coeffs, x):
-            # g is the one real polynomial evaluated at the interior nodes.
-            counts["g at nodes"] += coeffs.dtype == float and np.array_equal(x, interior)
-            return horner(coeffs, x)
-
         spec = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                              a=1.0, alpha=0.5, kind=kind, w=50.0)
+
+        def g_horner(coeffs, x):
+            # g at the interior nodes; g' at all nodes, origin first.
+            counts["g at nodes"] += coeffs is spec.oscillator.poly and np.array_equal(x, grid.interior)
+            counts["g' at nodes"] += coeffs is spec.oscillator._dpoly and np.array_equal(x, grid.nodes)
+            return horner(coeffs, x)
+
         P = np.polynomial.polynomial
         monkeypatch.setattr(P, "polyval", counting("polyval", P.polyval))
         monkeypatch.setattr(P, "polyder", counting("polyder", P.polyder))
@@ -293,26 +297,41 @@ class TestOneNodePassPerCall:
         monkeypatch.setattr(oscquad.levin, "_node_data", counting("_node_data", oscquad.levin._node_data))
         monkeypatch.setattr(oscquad.problem, "_horner", g_horner)
         value = compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
-        # The boundary bracket reads g(a) and g'(a) by Horner.
-        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "_node_data": 1, "g at nodes": 1}
+        # The boundary bracket reads g(a) and g'(a) by Horner.  g at the
+        # nodes: once for the operator, once for f1 and once for f21.
+        amplitudes = 2 if kind is SingKind.ALGEBRAIC_LOG else 1
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "_node_data": 1,
+                          "g at nodes": 1 + amplitudes, "g' at nodes": 1}
         monkeypatch.undo()
         assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
 
+    @staticmethod
+    def assert_regularised_is_sub_problem_f1(spec):
+        # f1 equals make_f1_f2's and f21 the f2 sub-problem's f1, bit for
+        # bit: in value at the Radau nodes, the origin included, and in
+        # series of length 3 at the Lobatto nodes.
+        f1, f21 = _regularised(spec)
+        radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
+        assert radau[0] == 0.0
+        for got, want in ((f1, make_f1_f2(spec)[0]), (f21, make_f1_f2(f2_problem(spec))[0])):
+            for x in (radau, 0.0, radau[5]):
+                assert np.asarray(got.value(x), dtype=complex).tobytes() == \
+                    np.asarray(want.value(x), dtype=complex).tobytes()
+            assert got.series_at(lobatto, 3).tobytes() == want.series_at(lobatto, 3).tobytes()
+
     @pytest.mark.parametrize("pid", BUILTIN_IDS)
     def test_node_amplitudes_are_the_amplitude_values(self, pid):
-        # The shared node values equal those of make_f1_f2's closures, bit
-        # for bit, for f1 and for the f2 sub-problem's f1.
-        for alpha in (0.5, -0.7):
-            spec = builtin_problem(pid, alpha, 30.0)
-            xs = radau_grid(12).interior
-            gx = spec.oscillator.value(xs)
-            log = spec.kind is SingKind.ALGEBRAIC_LOG
-            f1x, f21x = _node_amplitudes(spec, xs, gx, log)
-            want = [make_f1_f2(spec)[0]] + ([make_f1_f2(f2_problem(spec))[0]] if log else [])
-            got = [f1x] + ([f21x] if log else [])
-            for amp, values in zip(want, got):
-                assert np.asarray(amp.value(xs), dtype=complex).tobytes() == \
-                    np.asarray(values, dtype=complex).tobytes()
+        # Every built-in, as the logarithmic kind.
+        for alpha in (0.5, -0.5, -0.7):
+            spec = replace(builtin_problem(pid, alpha, 30.0), kind=SingKind.ALGEBRAIC_LOG)
+            self.assert_regularised_is_sub_problem_f1(spec)
+            assert _regularised(replace(spec, kind=SingKind.ALGEBRAIC))[1] is None
+
+    def test_custom_g_on_short_interval(self):
+        for alpha in (0.5, -0.5):
+            spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
+                                 a=0.7, alpha=alpha, kind=SingKind.ALGEBRAIC_LOG, w=40.0)
+            self.assert_regularised_is_sub_problem_f1(_unit_interval(spec))
 
 
 class TestPicardIterate:

@@ -19,7 +19,7 @@ from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
 from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
-from oscquad.filon import solve_freq
+from oscquad.filon import quad_freq, solve_freq
 from oscquad.levin import assemble_L, picard_iterate, solve_alg, solve_log
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
@@ -322,6 +322,44 @@ class TestIntegerParameters:
                 compute(spec, method, n, s)
 
 
+    @pytest.mark.parametrize("rule", ["quad_alg", "quad_log", "quad_freq"])
+    @pytest.mark.parametrize("n, s", [(8, 1.5), (8, True), (8.0, 1), (8, 1.0)])
+    def test_public_rules_name_the_value_passed(self, rule, n, s):
+        # Each rule checks n and s itself, as compute does: no TypeError from
+        # a float count, no result with s=True, no message about n - 1.
+        spec = builtin_problem("ex52" if rule == "quad_log" else "ex51", 0.5, 10.0)
+        call = {"quad_alg": quad_alg, "quad_log": quad_log, "quad_freq": quad_freq}[rule]
+        passed = n if type(n) is not int else s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"must be an integer, got {passed!r}$"):
+                call(spec, n, s)
+
+
+class TestLinearityInF:
+    """Q(f + c h) = Q(f) + c Q(h) through the Levin pipeline of both routes,
+    on any [0, a] and either kind."""
+
+    complex_ = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(complex_, min_size=3, max_size=3), st.lists(complex_, min_size=3, max_size=3), complex_,
+           st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(0.1, 0.9), st.booleans(), st.floats(0.0, 5.0),
+           st.sampled_from(list(SingKind)))
+    def test_property_linear_in_f(self, f, h, c, b, a, alpha, negative, log10_w, kind):
+        alpha = -alpha if negative else alpha
+
+        def value(coeffs, method, n, s):
+            spec = build_problem(Amplitude.from_poly(coeffs), Oscillator.from_poly([0.0, 1.0, b]),
+                                 a=a, alpha=alpha, kind=kind, w=10.0**log10_w)
+            return compute(spec, method, n, s).value
+
+        both = [fj + c * hj for fj, hj in zip(f, h)]
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 10, 2)):
+            qf, qh = value(f, method, n, s), c * value(h, method, n, s)
+            assert abs(value(both, method, n, s) - (qf + qh)) <= 1e-12 * (abs(qf) + abs(qh)), (method, n, s)
+
+
 class TestOneOperatorPerLevinCall:
     @pytest.mark.parametrize(
         "method, n, s, grid_name",
@@ -354,21 +392,20 @@ class TestOneAmplitudeBuildPerLevinCall:
         [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 8, 2), (Method.FILON, 6, 1)],
     )
     def test_log_kind_builds_amplitudes_once_per_problem(self, monkeypatch, method, n, s):
-        # The f2 amplitude that builds the sub-problem is the one already
-        # built for the f1 solve: one make_f1_f2 on the problem and one on
-        # the sub-problem.
+        # f1 and the f2 sub-problem's amplitude f21 come from one
+        # _regularised call on the problem.
         kinds = []
-        original = oscquad.problem.make_f1_f2
+        original = oscquad.problem._regularised
 
         def counting(spec):
             kinds.append(spec.kind)
             return original(spec)
 
         for module in (oscquad.problem, oscquad.levin, oscquad.filon):
-            monkeypatch.setattr(module, "make_f1_f2", counting)
+            monkeypatch.setattr(module, "_regularised", counting)
         spec = builtin_problem("ex53b", 0.5, 200.0)
         res = compute(spec, method, n, s)
-        assert kinds == [SingKind.ALGEBRAIC_LOG, SingKind.ALGEBRAIC]
+        assert kinds == [SingKind.ALGEBRAIC_LOG]
         monkeypatch.undo()
         assert res.value == compute(spec, method, n, s).value
 
