@@ -36,7 +36,6 @@ from .errors import (
     AccuracyError,
     CapabilityError,
     DegenerateSystemError,
-    FormulaMismatchError,
     InvalidOscillatorError,
     OscquadError,
     ParameterError,
@@ -105,7 +104,6 @@ __all__ = [
     "AccuracyError",
     "CapabilityError",
     "DegenerateSystemError",
-    "FormulaMismatchError",
     "InvalidOscillatorError",
     "OscquadError",
     "ParameterError",

@@ -333,16 +333,23 @@ def graded_integral(
 ) -> complex:
     """Brute-force ``int_0^a func`` for an endpoint-singular integrand.
 
-    Geometric panels [a 2^{-k-1}, a 2^{-k}] (innermost tail truncated at a
-    depth that makes the x^alpha log x remainder negligible), each split
-    further so no sub-panel spans more than ``cap_factor`` of an
+    Geometric panels [a 2^{-k-1}, a 2^{-k}] for k below a depth of 120,
+    each split further so no sub-panel spans more than ``cap_factor`` of an
     oscillation period of rate ``osc_rate``, then Gauss-Legendre of order
     ``gl_order`` per sub-panel.  The sub-panel edges of all panels are built
     at once with ``np.linspace``'s arithmetic, so the nodes are those of a
     per-panel ``linspace``; ``func`` is then evaluated on consecutive blocks
     of at most ``_BLOCK_SUBPANELS`` sub-panels, which bounds the memory of
-    one call.  The sub-panel values are summed exactly (``math.fsum``), so
-    their order does not matter.
+    one call.
+
+    The innermost [0, eps], eps = a 2^{-depth}, is integrated in closed
+    form: with p = 1 + alpha and ``func ~ x^alpha (A + B log x)`` fitted at
+    eps and eps 2^{-64} (one last call of ``func``), it is
+    ``eps^p (A/p + B (log eps/p - 1/p^2))``, whose neglected terms are
+    O(eps) relative.  Where eps 2^{-64} would leave the normal float range
+    (a below about 1e-252), the depth is smaller.  The sub-panel values and
+    the tail are summed exactly (``math.fsum``), so their order does not
+    matter.
 
     ``func`` must accept numpy arrays.  ``osc_rate = 0`` disables the
     oscillation cap, which also makes w = 0 integrands usable.
@@ -351,7 +358,7 @@ def graded_integral(
         raise ParameterError("a must be positive")
     if not alpha > -1:
         raise ParameterError("alpha must exceed -1 for an integrable endpoint")
-    depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
+    depth = min(120, max(0, math.floor(math.log2(a)) - np.finfo(float).minexp - 64))
     xg, wgl = roots_legendre(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     hi = a * 0.5 ** np.arange(depth, dtype=float)
@@ -379,6 +386,13 @@ def graded_integral(
         pts = mid[blk, None] + half[blk, None] * xg[None, :]
         fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
         vals[blk] = half[blk] * (fv @ wgl)
+    eps, p = a * 0.5**depth, 1.0 + alpha
+    x = np.array([eps, eps * 0.5**64])
+    u = np.asarray(func(x), dtype=complex) / x**alpha
+    log_x = np.log(x)
+    B = (u[0] - u[1]) / (log_x[0] - log_x[1])
+    A = u[0] - B * log_x[0]
+    vals = np.append(vals, eps**p * (A / p + B * (log_x[0] / p - 1.0 / p**2)))
     # Exact (compensated) summation: the oracle floor is set by per-panel
     # rounding, not by the running sum.
     return complex(math.fsum(vals.real) + 1j * math.fsum(vals.imag))
@@ -396,7 +410,7 @@ def reference_oracle(spec: ProblemSpec) -> complex:
     if phase_range > ORACLE_PHASE_CAP:
         raise CapabilityError(
             f"oracle refuses |w| g(a) = {phase_range:.3g} > {ORACLE_PHASE_CAP:.3g}; "
-            "use the high-order self-reference instead"
+            "use reference_nsd instead"
         )
     sample = np.linspace(0.0, spec.a, 257)
     gp_max = float(np.max(np.abs(spec.oscillator.deriv1(sample))))

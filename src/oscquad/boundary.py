@@ -56,9 +56,7 @@ def upper_end_value(spec: ProblemSpec, end: EndData, g_a: float, gp_a: float) ->
     return (end.rhs - g_a * end.dq1 - linear) / (1j * spec.w * gp_a)
 
 
-def levin_value(
-    spec: ProblemSpec, first: EndData, second: EndData | None = None, f2: EndData | None = None
-) -> complex:
+def levin_value(spec: ProblemSpec, first: EndData, second: EndData | None = None) -> complex:
     """The integral of ``spec`` from its Levin solves' data at x = a.
 
     Algebraic kind (``first`` only): the antiderivative bracket
@@ -70,43 +68,37 @@ def levin_value(
         q(a) g(a)^alpha e^{iwg(a)} + c0 K(g(a)).
 
     Logarithmic kind: from the first solve (c0, q) and the second (d0, l),
-    the bracket of the logarithmic kernel reduces to
+    whose right-hand side ``f21 - q1 g'`` folds the f2 sub-problem
+    (:func:`oscquad.problem.f2_problem`) into the coupled l-equation, the
+    bracket of the logarithmic kernel reduces to
 
         g^alpha (q(a) log g + l(a)) e^{iwg} + (c0 log g + d0 + c0/alpha) K
             + (c0/alpha) g^alpha 2F2(alpha,alpha;1+alpha,1+alpha;iwg)
 
-    at g = g(a), and the algebraic value of the ``f2`` solve (the f2
-    sub-problem, :func:`oscquad.problem.f2_problem`) is added to it.
+    at g = g(a).  ``q(a) log g + l(a)`` is read as the q(a) of the combined
+    end data ``log g * first + second``, which is linear in both solves, so
+    its O(1/w) parts cancel before they are rounded.
 
-    q(a) and l(a) come from :func:`upper_end_value`, which avoids the
-    cancellation between c0 and g(a) q1(a) at large w; g(a) and g'(a) are
-    read once for all solves, g(a) by :meth:`ProblemSpec.g_end` as the
-    moments and the references read it.  The value is returned times the
-    phase shift.
+    q(a) comes from :func:`upper_end_value`, which avoids the cancellation
+    between c0 and g(a) q1(a) at large w; g(a) and g'(a) are read once, g(a)
+    by :meth:`ProblemSpec.g_end` as the moments and the references read it.
+    The value is returned times the phase shift.
     """
     alpha, w = spec.alpha, spec.w
     g_a = spec.g_end()
-    # g'(a) a NumPy scalar: upper_end_value divides by iw g'(a) in NumPy.
-    ends = (g_a, np.float64(spec.oscillator.deriv1(spec.a)))
-
-    def algebraic(end: EndData):
-        value = upper_end_value(spec, end, *ends) * g_a**alpha * np.exp(1j * w * g_a)
-        if end.c0 != 0:
-            value += end.c0 * kernel_k_alg(alpha, w, g_a)
-        return value
-
-    if second is None:
-        value = algebraic(first)
-    else:
-        c0, d0 = first.c0, second.c0
-        q_end = upper_end_value(spec, first, *ends)
-        l_end = upper_end_value(spec, second, *ends)
+    c0 = first.c0
+    end, kernel = first, c0
+    if second is not None:
         log_g = np.log(g_a)
-        value = g_a**alpha * (q_end * log_g + l_end) * np.exp(1j * w * g_a)
-        if c0 != 0 or d0 != 0:
-            value += (c0 * log_g + d0 + c0 / alpha) * kernel_k_alg(alpha, w, g_a)
-        if c0 != 0:
-            f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
-            value += (c0 / alpha) * g_a**alpha * f22
-        value += algebraic(f2)
+        end = EndData(c0 * log_g + second.c0, first.q1 * log_g + second.q1, first.dq1 * log_g + second.dq1,
+                      abs(log_g) * first.dq1_size + second.dq1_size, first.rhs * log_g + second.rhs)
+        kernel = end.c0 + c0 / alpha
+    # g'(a) a NumPy scalar: upper_end_value divides by iw g'(a) in NumPy.
+    gp_a = np.float64(spec.oscillator.deriv1(spec.a))
+    value = upper_end_value(spec, end, g_a, gp_a) * g_a**alpha * np.exp(1j * w * g_a)
+    if kernel != 0:
+        value += kernel * kernel_k_alg(alpha, w, g_a)
+    if second is not None and c0 != 0:
+        f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
+        value += (c0 / alpha) * g_a**alpha * f22
     return complex(value * spec.phase_shift)

@@ -31,7 +31,3 @@ class DegenerateSystemError(AccuracyError):
     """A collocation system cannot be solved: all its singular values fell
     below threshold, or its factorisation (SVD or LU solve) failed with
     ``numpy.linalg.LinAlgError``."""
-
-
-class FormulaMismatchError(AccuracyError):
-    """A closed-form kernel disagrees with its defining integral."""

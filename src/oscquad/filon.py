@@ -378,14 +378,16 @@ class _FreqOperator:
         series = amplitude.series_at(self.nodes, self.fact.size)
         return self._solve(series, series[-1, 0])
 
-    def solve_coupled(self, first: tuple) -> tuple:
-        """The solve with right-hand side ``-q1 g'`` for the q1 of ``first``."""
+    def solve_coupled(self, first: tuple, f21: Amplitude) -> tuple:
+        """The solve with right-hand side ``f21 - q1 g'``, q1 that of ``first``."""
         coeffs = first[1]
         # Taylor series of q1 at each node, summed over the basis in order
         # (a reduction over the leading axis adds its slices one by one).
         q1_series = (coeffs[:, None, None] * self.tables[:, :, : self.fact.size]).sum(axis=0)
         q1_end = complex(np.polynomial.chebyshev.chebval(1.0, coeffs))
-        return self._solve(-ps_mul(q1_series, self.gprime), -q1_end * self.gprime[-1, 0])
+        f21_series = f21.series_at(self.nodes, self.fact.size)
+        rhs_end = f21_series[-1, 0] - q1_end * self.gprime[-1, 0]
+        return self._solve(f21_series - ps_mul(q1_series, self.gprime), rhs_end)
 
     def end(self, sol: tuple) -> EndData:
         """Data at t = 1 of the expansion, where T_k(2t - 1) is 1 and its
@@ -399,11 +401,7 @@ class _FreqOperator:
 
     def diagnostics(self, sols) -> dict:
         diag = self.factor.diag
-        out = {"smallest_sv": diag.smallest_sv, "tsvd_truncated": diag.truncated}
-        if len(sols) == 3:
-            # The second solve shares the operator, so its spectrum is the same.
-            out["smallest_sv_second"] = diag.smallest_sv
-        return out
+        return {"smallest_sv": diag.smallest_sv, "tsvd_truncated": diag.truncated}
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
@@ -475,8 +473,8 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
 
     The Levin rule of :func:`oscquad.levin._quad_levin` on the operator of
     this route: the f1 solve, and for the logarithmic kind the coupled
-    solve with right-hand side ``-q1 g'`` and the f21 solve, all against
-    one factorised operator.
+    solve with right-hand side ``f21 - q1 g'``, both against one
+    factorised operator.
     """
     check_counts(npts=npts, s=s)
     return _quad_levin(spec, lambda unit: _freq_operator(unit, npts, s), Method.LEVIN_FREQ, npts, s)

@@ -2,7 +2,7 @@
 
 Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
 f1 and, for the logarithmic kind, the f2 sub-problem's amplitude f21 once
-(:func:`oscquad.problem._regularised`), solve for f1, -q1 g' and f21 on
+(:func:`oscquad.problem._regularised`), solve for f1 and f21 - q1 g' on
 one factorised operator, and read the bracket at x = a
 (:func:`oscquad.boundary.levin_value`).  A route is only its operator,
 :class:`_PhysicalOperator` or ``filon._FreqOperator``.
@@ -221,12 +221,13 @@ class _PhysicalOperator:
         the nodes."""
         return self._solve(np.asarray(amplitude.value(self.grid.nodes), dtype=complex))
 
-    def solve_coupled(self, first: LevinSolution) -> LevinSolution:
-        """The solve with right-hand side ``-q1 g'`` for the q1 of ``first``,
-        q1(0) extrapolated through the origin weights."""
+    def solve_coupled(self, first: LevinSolution, f21: Amplitude) -> LevinSolution:
+        """The solve with right-hand side ``f21 - q1 g'`` for the q1 of
+        ``first``, q1(0) extrapolated through the origin weights."""
         q1 = first.q1_values
         q1_origin = complex(np.dot(self.grid.origin_weights, q1))
-        return self._solve(-np.concatenate(([q1_origin], q1)) * self.gprime)
+        f21_nodes = np.asarray(f21.value(self.grid.nodes), dtype=complex)
+        return self._solve(f21_nodes - np.concatenate(([q1_origin], q1)) * self.gprime)
 
     def end(self, sol: LevinSolution) -> EndData:
         """Data at t = 1: q1'(1) from the last row of the differentiation
@@ -239,18 +240,18 @@ class _PhysicalOperator:
         first = sols[0]
         out = {"residual_norm": first.residual_norm, "smallest_sv": first.smallest_sv,
                "tsvd_truncated": first.tsvd_truncated}
-        if len(sols) == 3:
-            out.update(residual_norm_second=sols[1].residual_norm, residual_norm_f2=sols[2].residual_norm)
+        if len(sols) == 2:
+            out["residual_norm_second"] = sols[1].residual_norm
         return out
 
 
 def _solves(op, spec: ProblemSpec) -> list:
     # The solves of the paper's method on the operator ``op`` of ``spec``:
-    # f1; for the logarithmic kind also -q1 g' and f21 (problem._regularised).
+    # f1; for the logarithmic kind also f21 - q1 g' (problem._regularised).
     f1, f21 = _regularised(spec)
     sols = [op.solve_amplitude(f1)]
     if f21 is not None:
-        sols += [op.solve_coupled(sols[0]), op.solve_amplitude(f21)]
+        sols.append(op.solve_coupled(sols[0], f21))
     return sols
 
 
@@ -286,17 +287,17 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
 
 
 def solve_log(spec: ProblemSpec, n: int):
-    """The three solves of the logarithmic kind, on one factorised operator.
+    """The two solves of the logarithmic kind, on one factorised operator.
 
     The first solve is :func:`solve_alg` on f1.  The second uses the same
-    operator with right-hand side ``-q1(x) g'(x)`` (origin row:
-    ``-q1(0) g'(0)`` with q1(0) extrapolated), yielding (d0, l1).  The third
-    is :func:`solve_alg` on the f2 sub-problem (:func:`problem.f2_problem`),
-    whose operator is the same as well.
+    operator with right-hand side ``f21(x) - q1(x) g'(x)`` (q1(0)
+    extrapolated), f21 being the f1 of the f2 sub-problem
+    (:func:`problem.f2_problem`): by linearity the sum of the coupled
+    solve (d0, l1) for ``-q1 g'`` and the f2 sub-problem's solve.
 
     Returns
     -------
-    (LevinSolution, LevinSolution, LevinSolution)
+    (LevinSolution, LevinSolution)
     """
     return tuple(_solves(_PhysicalOperator.build(spec, n), spec))
 

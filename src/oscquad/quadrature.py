@@ -69,13 +69,13 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
 def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """Quadrature for the algebraic-logarithmic kind.
 
-    For s = 0 the coupled physical-space solves produce (c0, q1) and
-    (d0, l1); the value adds the boundary bracket with the logarithmic
-    kernel (:func:`oscquad.boundary.levin_value`, from q(a) and l(a) of the
-    two solves, as in :func:`quad_alg`) to the algebraic rule applied to the
-    f2 amplitude, whose solve shares the operator of the other two (it
-    differs from ``spec`` in the amplitude only).  For s >= 1 the
-    frequency-space path performs the analogous assembly.
+    For s = 0 two physical-space solves on one operator produce (c0, q1)
+    from f1 and (d0, l1) from ``f21 - q1 g'``, which by linearity folds in
+    the f2 amplitude's algebraic problem.  The value is the boundary
+    bracket with the logarithmic kernel (:func:`oscquad.boundary.levin_value`),
+    which reads ``q(a) log g(a) + l(a)`` as one end value, as in
+    :func:`quad_alg`.  For s >= 1 the frequency-space path performs the
+    analogous assembly.
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("quad_log requires a logarithmic-kind problem")

@@ -208,9 +208,10 @@ class TestGradedIntegral:
 
 def _per_panel_graded(func, a, alpha, osc_rate, gl_order=24, cap_factor=0.25):
     # The oracle's rule one geometric panel at a time, with np.linspace per
-    # panel: returns the value, the sum of |sub-panel values| and the nodes
-    # in the order func saw them.
-    depth = max(120, int(np.ceil(60.0 / (1.0 + alpha))) + 40)
+    # panel, then the closed-form tail on [0, eps] from two samples: returns
+    # the value, the sum of |sub-panel values| and the nodes in the order
+    # func saw them.
+    depth = 120  # for every a above about 1e-252, as in the tests here
     xg, wgl = roots_legendre(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     pieces, nodes = [], []
@@ -225,6 +226,14 @@ def _per_panel_graded(func, a, alpha, osc_rate, gl_order=24, cap_factor=0.25):
         nodes.append(pts.ravel())
         fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
         pieces.append(half * (fv @ wgl))
+    eps, p = a * 0.5**depth, 1.0 + alpha
+    x = np.array([eps, eps * 0.5**64])
+    nodes.append(x)
+    # func(x) / x^alpha = A + B log x at both samples.
+    u = np.asarray(func(x), dtype=complex) / x**alpha
+    B = (u[0] - u[1]) / (np.log(x[0]) - np.log(x[1]))
+    A = u[0] - B * np.log(x[0])
+    pieces.append(np.array([eps**p * (A / p + B * (np.log(eps) / p - 1.0 / p**2))]))
     flat = np.concatenate(pieces[::-1])
     value = complex(math.fsum(flat.real) + 1j * math.fsum(flat.imag))
     return value, math.fsum(np.abs(flat)), np.concatenate(nodes)
@@ -268,7 +277,7 @@ class TestGradedIntegralBatched:
     )
     def test_nodes_bit_identical_to_linspace(self, pid, alpha, w):
         # Covers a panel split across blocks (ex53b at the phase cap) and
-        # panels that underflow to subnormal and zero widths (alpha=-0.99).
+        # the closed-form tail's two samples, which come last.
         spec = builtin_problem(pid, alpha, w)
         rate = _oracle_rate(spec)
         calls = []
@@ -308,25 +317,25 @@ class TestGradedIntegralBatched:
         calls = []
         graded_integral(_spy(spec, calls), spec.a, 0.5, osc_rate=_oracle_rate(spec),
                         gl_order=gl_order)
-        sizes = [c.size for c in calls]
+        # The last call samples the closed-form tail at two points.
+        assert calls[-1].size == 2
+        sizes = [c.size for c in calls[:-1]]
         assert len(sizes) > 1
         assert max(sizes) <= _BLOCK_SUBPANELS * gl_order
         assert sum(sizes) % gl_order == 0
 
     @pytest.mark.parametrize("alpha", [-0.95, -0.99])
     def test_finiteness_near_minus_one_unchanged(self, alpha):
-        # The geometric depth underflows to zero-width panels at x = 0 for
-        # these alpha, so the value is not finite with either form of the
-        # rule, and compute(ORACLE) refuses it.
+        # A geometric depth grown with 1/(1 + alpha) underflowed to
+        # zero-width panels at x = 0 for these alpha; the fixed depth and
+        # the closed-form tail keep both forms of the rule finite and equal.
         spec = builtin_problem("ex51", alpha, 10.0)
         rate = _oracle_rate(spec)
-        with np.errstate(all="ignore"):
-            got = graded_integral(lambda x: integrand(spec, x), spec.a, alpha, osc_rate=rate)
-            ref, _, _ = _per_panel_graded(lambda x: integrand(spec, x), spec.a, alpha, rate)
-            assert np.isfinite(got) == np.isfinite(ref)
-            assert not np.isfinite(got)
-            with pytest.raises(AccuracyError):
-                compute(spec, Method.ORACLE, 0, 0)
+        got = graded_integral(lambda x: integrand(spec, x), spec.a, alpha, osc_rate=rate)
+        ref, size, _ = _per_panel_graded(lambda x: integrand(spec, x), spec.a, alpha, rate)
+        assert np.isfinite(got) and np.isfinite(ref)
+        assert abs(got - ref) <= 4.0 * np.finfo(float).eps * size
+        assert compute(spec, Method.ORACLE, 0, 0).value == got * spec.phase_shift
 
 
 def _finer_oracle(spec):
@@ -357,5 +366,28 @@ class TestReferenceOracle:
 
     def test_phase_cap(self):
         spec = builtin_problem("ex51", 0.5, 10.0 * ORACLE_PHASE_CAP)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match="reference_nsd"):
             reference_oracle(spec)
+
+    @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+    def test_near_minus_one_within_route_gap(self, pid):
+        # The closed-form tail carries most of the integral here (at
+        # alpha = -0.999 the panels cover [a 2^-120, a], about 8% of it).
+        # The oracle is within twice the gap between the two Levin routes of
+        # the frequency route, or within 2e-14 where the gap is smaller.
+        for alpha in (-0.999, -0.99, -0.95, -0.945):
+            for w in (1e-3, 1.0, 1e2, 1e3):
+                spec = builtin_problem(pid, alpha, w)
+                freq = compute(spec, Method.LEVIN_FREQ, 16, 1).value
+                gap = abs(compute(spec, Method.LEVIN_PHYSICAL, 24, 0).value - freq)
+                assert abs(reference_oracle(spec) - freq) <= 2.0 * max(gap, 1e-14), (alpha, w)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-260, 1e-300])
+    def test_tiny_interval_depth(self, a):
+        # Below a ~ 1e-252 the depth shrinks so that both tail samples stay
+        # normal floats; the value keeps the a^(1 + alpha) scale of the
+        # exact integral of x^alpha, here with f = 1 and w ~ 0.
+        for alpha in (-0.9, -0.5):
+            got = graded_integral(lambda x: x**alpha + 0j, a, alpha)
+            exact = a ** (1.0 + alpha) / (1.0 + alpha)
+            assert abs(got - exact) <= 1e-14 * exact, (alpha, got, exact)

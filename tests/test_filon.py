@@ -484,9 +484,9 @@ class TestFreqOperatorRows:
 
     @pytest.mark.parametrize("pid", ["ex52", "ex53b"])
     def test_log_kind_rhs_equals_per_node_sums(self, monkeypatch, pid):
-        # The second right-hand side -q1 g' sums q1's series over the basis
-        # for all nodes at once; it equals the per-node running sum in basis
-        # order bit for bit.
+        # The second right-hand side f21 - q1 g' sums q1's series over the
+        # basis for all nodes at once; it equals the per-node running sum in
+        # basis order bit for bit.
         filon = oscquad.filon
         spec = builtin_problem(pid, 0.4, 80.0)
         seen = []
@@ -499,11 +499,12 @@ class TestFreqOperatorRows:
         monkeypatch.setattr(filon._FreqOperator, "_solve", capture)
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
-        (op, _), (_, rhs2) = seen[:2]
+        (op, _), (_, rhs2) = seen
         coeffs = real(op, seen[0][1], 0.0)[1]
+        f21 = filon._regularised(spec)[1].series_at(op.nodes, s + 1)
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(coeffs, op.tables[:, l]))
-            assert rhs2[l].tobytes() == (-filon.ps_mul(q1[: s + 1], op.gprime[l])).tobytes()
+            assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], op.gprime[l])).tobytes()
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' once per node; the images take none (the loop form takes

@@ -121,3 +121,33 @@ def test_compare_exit_status(tool, tmp_path, capsys):
     assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert tool.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "1 of 3 operation lines differ"
+
+
+def test_compare_reports_diagnostics(tool, tmp_path, capsys):
+    # A line whose diagnostics lost one key and gained another, beside an
+    # unchanged value, is counted under "diagnostics" with both keys named.
+    before = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 3))
+    key, outcome = before[1].split(": ", 1)
+    value, diagnostics = outcome.split(" ", 1)
+    moved = ast.literal_eval(diagnostics)
+    dropped = next(iter(moved))
+    moved["new_key"] = moved.pop(dropped)
+    after = before[:1] + [f"{key}: {value} {moved!r}"] + before[2:]
+
+    values = tool.compare(before, after)
+    assert values.pop("lines") == (3, 1)
+    assert all(row[1] == 0 for row in values.values())
+    result = tool.compare_diagnostics(before, after)
+    assert sum(row[0] for row in result.values()) == 3
+    changed = [row for row in result.values() if row[1]]
+    assert changed == [[changed[0][0], 1, ["new_key"], [dropped]]]
+    assert all(row[1:] == [0, [], []] for row in tool.compare_diagnostics(before, before).values())
+
+    paths = []
+    for name, lines in (("before.txt", before), ("after.txt", after)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(lines) + "\n")
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.split()[2:] == ["diagnostics", str(changed[0][0]), "1", "added", "new_key;", "removed",
+                                    dropped] for line in out)

@@ -23,6 +23,8 @@ operation's table, grouped by the row's method and split into its computed
 value (``value``: ``value_re``, ``value_im``) and its errors against the
 reference (``error``: ``abs_err``, ``rel_err``, ``scaled_err``).  So a change
 of reference shows as changed ``error`` rows beside unchanged ``value`` rows.
+Each point method also gets a ``diagnostics`` row: how many of its operations
+have diagnostics that differ, and the diagnostic keys added or removed.
 The last line counts the operation lines that differ in anything,
 diagnostics included, and the exit status is 1 when that count is not zero
 (0 when the printouts are bit-identical), so the comparison can gate a
@@ -92,10 +94,9 @@ def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _values(workload: str, seed: int, pass_index: int, op_index: int, outcome: str, describe):
-    # (method, column group, numbers) for every value of one operation
-    # line's outcome.
-    op = describe(workload, seed, pass_index).ops[op_index]
+def _values(op, outcome: str):
+    # (method, column group, numbers) for every value of the outcome of one
+    # operation line of ``op``.
     if isinstance(op, wl.CliOp):
         code, rows = ast.literal_eval(outcome)
         header = rows[0].split(",") if rows else []
@@ -108,6 +109,13 @@ def _values(workload: str, seed: int, pass_index: int, op_index: int, outcome: s
         yield op.method, "value", [value.real, value.imag]
     else:  # the operation raised; its error is compared as text
         yield op.method, "value", []
+
+
+def _operation(key: str, describe):
+    # (workload, op) of a "W seed=S pass=P op=I" key.
+    workload, *fields = key.split()
+    seed, pass_index, op_index = (int(field.split("=")[1]) for field in fields)
+    return workload, describe(workload, seed, pass_index).ops[op_index]
 
 
 def _relative_change(x: float, y: float) -> float:
@@ -147,16 +155,40 @@ def compare(before, after) -> dict:
     for key in a:
         same = a[key] == b[key]
         differing += not same
-        workload, *fields = key.split()  # "W seed=S pass=P op=I"
-        ids = (workload, *(int(field.split("=")[1]) for field in fields))
+        workload, op = _operation(key, describe)
         outcomes = [outcome.split(" {", 1)[0] for outcome in (a[key], b[key])]
-        for (method, group, xs), (_, _, ys) in zip(*(_values(*ids, o, describe) for o in outcomes)):
+        for (method, group, xs), (_, _, ys) in zip(*(_values(op, o) for o in outcomes)):
             row = table[workload, method, group]
             row[0] += 1
             if not same and (len(xs) != len(ys) or any(map(_relative_change, xs, ys))):
                 row[1] += 1
                 row[2] = max([row[2], *map(_relative_change, xs, ys)])
     return {**table, "lines": (len(a), differing)}
+
+
+_DIAGNOSTIC_KEY = re.compile(r"'(\w+)': ")
+
+
+def compare_diagnostics(before, after) -> dict:
+    """Per (workload, method) of the point operations: ``[operations,
+    operations whose diagnostics differ, keys added, keys removed]`` between
+    two printouts given as lines; the keys are sorted lists."""
+    (a, _), (b, _) = parse(before), parse(after)
+    describe = functools.lru_cache(maxsize=None)(wl.describe)
+    table = {}
+    for key in a:
+        workload, op = _operation(key, describe)
+        if isinstance(op, wl.CliOp):
+            continue
+        diagnostics = [outcome.partition(" {")[2] for outcome in (a[key], b[key])]
+        old, new = (set(_DIAGNOSTIC_KEY.findall(d)) for d in diagnostics)
+        row = table.setdefault((workload, op.method), [0, 0, set(), set()])
+        row[0] += 1
+        row[1] += diagnostics[0] != diagnostics[1]
+        row[2] |= new - old
+        row[3] |= old - new
+    return {key: [count, differ, sorted(added), sorted(removed)]
+            for key, (count, differ, added, removed) in table.items()}
 
 
 def import_program(root: Path):
@@ -184,10 +216,14 @@ def main(argv=None) -> int:
                 print(f"{path}: skipped {skipped} lines that are not operation lines")
         result = compare(before, after)
         lines, differing = result.pop("lines")
-        print(f"{'workload':<16}{'method':<22}{'columns':<8}{'values':>7}{'changed':>9}  "
-              "largest relative change")
+        print(f"{'workload':<16}{'method':<22}{'columns':<12}{'values':>7}{'changed':>9}  "
+              "largest relative change, or diagnostic keys added and removed")
         for (workload, method, group), (count, changed, largest) in sorted(result.items()):
-            print(f"{workload:<16}{method:<22}{group:<8}{count:>7}{changed:>9}  {largest:.3g}")
+            print(f"{workload:<16}{method:<22}{group:<12}{count:>7}{changed:>9}  {largest:.3g}")
+        for (workload, method), (count, changed, added, removed) in sorted(
+                compare_diagnostics(before, after).items()):
+            keys = f"added {', '.join(added) or '-'}; removed {', '.join(removed) or '-'}"
+            print(f"{workload:<16}{method:<22}{'diagnostics':<12}{count:>7}{changed:>9}  {keys}")
         print(f"{differing} of {lines} operation lines differ")
         return 1 if differing else 0
     oq = import_program(args.root)
