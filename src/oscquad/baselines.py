@@ -344,10 +344,11 @@ def graded_integral(
 
     The innermost [0, eps], eps = a 2^{-depth}, is integrated in closed
     form: with p = 1 + alpha and ``func ~ x^alpha (A + B log x)`` fitted at
-    eps and eps 2^{-64} (one last call of ``func``), it is
+    eps and eps 2^{-k} (one last call of ``func``), it is
     ``eps^p (A/p + B (log eps/p - 1/p^2))``, whose neglected terms are
-    O(eps) relative.  Where eps 2^{-64} would leave the normal float range
-    (a below about 1e-252), the depth is smaller.  The sub-panel values and
+    O(eps) relative.  Both samples stay normal floats: below a ~ 1e-252 the
+    depth is smaller, and below a ~ 4e-289 (depth 0) k falls from 64 to
+    what keeps eps 2^{-k} normal.  The sub-panel values and
     the tail are summed exactly (``math.fsum``), so their order does not
     matter.
 
@@ -358,7 +359,12 @@ def graded_integral(
         raise ParameterError("a must be positive")
     if not alpha > -1:
         raise ParameterError("alpha must exceed -1 for an integrable endpoint")
-    depth = min(120, max(0, math.floor(math.log2(a)) - np.finfo(float).minexp - 64))
+    minexp = np.finfo(float).minexp
+    depth = min(120, max(0, math.floor(math.log2(a)) - minexp - 64))
+    eps = a * 0.5**depth
+    k = min(64, math.frexp(eps)[1] - minexp - 1)
+    if k < 1:
+        raise ParameterError(f"a = {a!r} leaves no normal float below it for the tail fit")
     xg, wgl = roots_legendre(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     hi = a * 0.5 ** np.arange(depth, dtype=float)
@@ -386,8 +392,8 @@ def graded_integral(
         pts = mid[blk, None] + half[blk, None] * xg[None, :]
         fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
         vals[blk] = half[blk] * (fv @ wgl)
-    eps, p = a * 0.5**depth, 1.0 + alpha
-    x = np.array([eps, eps * 0.5**64])
+    p = 1.0 + alpha
+    x = np.array([eps, eps * 0.5**k])
     u = np.asarray(func(x), dtype=complex) / x**alpha
     log_x = np.log(x)
     B = (u[0] - u[1]) / (log_x[0] - log_x[1])

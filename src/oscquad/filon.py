@@ -33,7 +33,7 @@ from ._series import ps_mul
 from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .boundary import EndData
-from .levin import TsvdFactor, _quad_levin, tsvd_factor
+from .levin import TsvdFactor, _LuFactor, _quad_levin, factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, ProblemSpec, SingKind, _factorials, _regularised
 
@@ -352,9 +352,10 @@ class _FreqOperator:
 
     ``tables[k, l]`` holds the Taylor series (length s+2) of the basis
     function T_k(2t - 1) at node l, and ``gprime[l]`` that of g' (length
-    s+1).  ``factor`` factorises the operator with each row divided by
-    ``row_scale``.  The operator depends on (g, alpha, w, npts, s) only;
-    every right-hand side that shares them is solved against ``factor``.
+    s+1).  ``factor`` is the :func:`oscquad.levin.factor` (LU, or truncated
+    SVD where the operator is near-singular) of the operator with each row
+    divided by ``row_scale``.  The operator depends on (g, alpha, w, npts, s)
+    only; every right-hand side that shares them is solved against ``factor``.
     """
 
     nodes: np.ndarray
@@ -363,7 +364,7 @@ class _FreqOperator:
     tables: np.ndarray
     gprime: np.ndarray
     row_scale: np.ndarray
-    factor: TsvdFactor
+    factor: _LuFactor | TsvdFactor
 
     def _solve(self, series, rhs_end) -> tuple:
         # (c0, q1 coefficients, rhs_end) for the right-hand side whose
@@ -400,8 +401,7 @@ class _FreqOperator:
         return EndData(c0, q1_end, dq1_end, float(np.abs(coeffs) @ k**2) * 2.0, rhs_end)
 
     def diagnostics(self, sols) -> dict:
-        diag = self.factor.diag
-        return {"smallest_sv": diag.smallest_sv, "tsvd_truncated": diag.truncated}
+        return self.factor.diag.diagnostics()
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
@@ -440,8 +440,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
         rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
     A = rows[_conditions(mults, s + 1)]
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
-    factor = tsvd_factor(A / row_scale[:, None])
-    return _FreqOperator(nodes, mults, fact, tables, gprime, row_scale, factor)
+    return _FreqOperator(nodes, mults, fact, tables, gprime, row_scale, factor(A / row_scale[:, None]))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):

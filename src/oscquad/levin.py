@@ -18,10 +18,12 @@ Collocation runs on the modified Gauss-Radau nodes, which exclude the
 origin; the condition at x=0 replaces q1(0) by the extrapolation
 r^T q1 through the grid's origin weights; a problem with a != 1 is
 refused (the rules map it onto [0, 1] first).  The resulting square
-system is solved by truncated SVD, since exactly one near-null direction
-appears at large n (the discrete trace of the continuous one-parameter
-solution family).  The operator depends on (g, alpha, w, n) only and
-evaluates g and g' at the nodes once; each amplitude is evaluated once
+system is factorised once per operator by :func:`factor`: LU with partial
+pivoting where its condition estimate stays moderate, truncated SVD where
+the operator is near-singular, since exactly one near-null direction
+appears at large n and small w (the discrete trace of the continuous
+one-parameter solution family).  The operator depends on (g, alpha, w, n)
+only and evaluates g and g' at the nodes once; each amplitude is evaluated once
 at all nodes, origin first, which is the order of the unknowns.
 
 The successive-approximation iterates of the underlying existence proof are
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from ._result import Method, QuadratureResult
 from .boundary import EndData, levin_value
@@ -43,15 +46,16 @@ from .problem import Amplitude, ProblemSpec, _regularised, _unit_interval
 
 __all__ = [
     "LevinSolution",
-    "TsvdDiag",
+    "FactorDiag",
     "TsvdFactor",
     "assemble_L",
-    "tsvd_factor",
+    "factor",
     "tsvd_solve",
     "solve_alg",
     "solve_log",
     "picard_iterate",
     "TSVD_THRESHOLD",
+    "RCOND_THRESHOLD",
 ]
 
 # Relative drop tolerance of every truncated-SVD solve, on both Levin routes.
@@ -62,14 +66,46 @@ __all__ = [
 # least-squares regularization.
 TSVD_THRESHOLD = 1e-13
 
+# Smallest zgecon reciprocal condition estimate at which :func:`factor`
+# keeps the LU factor.  Over 1320 operators of both routes on the built-ins
+# (w from 1e-3 to 1e8), the 418 that truncate at TSVD_THRESHOLD all
+# estimate below 1.2e-13, 80 times under this bound.
+RCOND_THRESHOLD = 1e-11
+
 
 @dataclass(frozen=True)
-class TsvdDiag:
-    """Diagnostics of a truncated-SVD solve."""
+class FactorDiag:
+    """Diagnostics of a factorised operator: ``factor`` is ``"lu"`` or
+    ``"tsvd"``, ``cond`` the 1-norm condition estimate 1/rcond of LAPACK
+    zgecon on the LU factor (taken on both paths), ``truncated`` the
+    number of dropped singular directions (0 on the LU path)."""
 
-    smallest_sv: float
-    largest_sv: float
+    factor: str
+    cond: float
     truncated: int
+
+    def diagnostics(self) -> dict:
+        """The factor's keys in the diagnostics of a Levin result."""
+        return {"factor": self.factor, "cond": self.cond, "tsvd_truncated": self.truncated}
+
+
+@dataclass(frozen=True)
+class _LuFactor:
+    """LU factor with partial pivoting (zgetrf) of a square operator ``L``."""
+
+    L: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+    cond: float
+
+    @property
+    def diag(self) -> FactorDiag:
+        return FactorDiag("lu", self.cond, 0)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """zgetrs, then one step of iterative refinement on its residual."""
+        x = zgetrs(self.lu, self.piv, rhs)[0]
+        return x + zgetrs(self.lu, self.piv, rhs - self.L @ x)[0]
 
 
 @dataclass(frozen=True)
@@ -80,11 +116,11 @@ class TsvdFactor:
     S: np.ndarray
     Vh: np.ndarray
     keep: np.ndarray
+    cond: float
 
     @property
-    def diag(self) -> TsvdDiag:
-        S = self.S
-        return TsvdDiag(smallest_sv=float(S[-1]), largest_sv=float(S[0]), truncated=int((~self.keep).sum()))
+    def diag(self) -> FactorDiag:
+        return FactorDiag("tsvd", self.cond, int((~self.keep).sum()))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Minimum-norm solution over the kept singular directions."""
@@ -99,14 +135,14 @@ class LevinSolution:
 
     ``residual_norm`` is the max collocation residual
     |W[c0,q1](x_j) - f1(x_j)| over all rows including the origin row.
-    ``rhs_end`` is the right-hand side at the last node, x_n = 1.
+    ``diag`` describes the factorised operator, ``rhs_end`` is the
+    right-hand side at the last node, x_n = 1.
     """
 
     c0: complex
     q1_values: np.ndarray
     residual_norm: float
-    tsvd_truncated: int
-    smallest_sv: float
+    diag: FactorDiag
     grid: ChebGrid
     rhs_end: complex
 
@@ -158,31 +194,21 @@ def _operator(spec: ProblemSpec, grid: ChebGrid):
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
-    """Minimum-norm solve with singular values below ``TSVD_THRESHOLD * s_max`` dropped.
+    """Solve with singular values below ``TSVD_THRESHOLD * s_max`` dropped.
 
-    :func:`tsvd_factor` followed by :meth:`TsvdFactor.solve`.
+    :func:`factor` followed by its ``solve``: the minimum-norm truncated-SVD
+    solution where ``L`` is near-singular, the LU solution elsewhere.
 
     Returns
     -------
     x : ndarray
-    diag : TsvdDiag
+    diag : FactorDiag
     """
-    factor = tsvd_factor(L)
-    return factor.solve(rhs), factor.diag
+    f = factor(L)
+    return f.solve(rhs), f.diag
 
 
-def tsvd_factor(L: np.ndarray) -> TsvdFactor:
-    """SVD of ``L``, keeping the singular values from ``TSVD_THRESHOLD * s_max`` up.
-
-    Raises
-    ------
-    DegenerateSystemError
-        If every singular value falls below the threshold, or the SVD does
-        not converge (as for a matrix with non-finite entries).
-    """
-    L = np.asarray(L)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ParameterError("tsvd_solve expects a square system")
+def _tsvd(L: np.ndarray, rcond: float) -> TsvdFactor:
     try:
         U, S, Vh = np.linalg.svd(L)
     except np.linalg.LinAlgError as exc:
@@ -190,31 +216,57 @@ def tsvd_factor(L: np.ndarray) -> TsvdFactor:
     keep = S >= TSVD_THRESHOLD * S[0]
     if S[0] == 0.0 or not keep.any():
         raise DegenerateSystemError("all singular values below TSVD threshold")
-    return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep)
+    return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep, cond=1.0 / rcond if rcond > 0 else np.inf)
+
+
+def factor(L: np.ndarray):
+    """The factor of ``L`` that every right-hand side sharing it is solved against.
+
+    LU with partial pivoting where the factor is finite and nonsingular and
+    its reciprocal condition estimate exceeds ``RCOND_THRESHOLD``; elsewhere
+    the SVD, keeping the singular values from ``TSVD_THRESHOLD * s_max`` up.
+    Either has ``solve(rhs)`` and ``diag`` (:class:`FactorDiag`).
+
+    Raises
+    ------
+    DegenerateSystemError
+        If the SVD is needed and every singular value falls below the
+        threshold, or it does not converge (as for a matrix with
+        non-finite entries).
+    """
+    L = np.asarray(L)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise ParameterError("the Levin factorisation expects a square system")
+    lu, piv, info = zgetrf(L)
+    # zgecon's estimate of the 1-norm reciprocal condition; 0 for an exactly
+    # singular factor.
+    rcond = zgecon(lu, np.abs(L).sum(axis=0).max())[0] if info == 0 else 0.0
+    if rcond > RCOND_THRESHOLD and np.isfinite(lu).all():
+        return _LuFactor(L, lu, piv, 1.0 / rcond)
+    return _tsvd(L, rcond)
 
 
 @dataclass(frozen=True)
 class _PhysicalOperator:
     """The physical-space Levin route: the matrix ``L`` of :func:`assemble_L`
-    on ``grid``, its truncated SVD ``factor``, and g' at ``grid.nodes``,
+    on ``grid``, its :func:`factor`, and g' at ``grid.nodes``,
     origin first, which is the order of the rows and of the unknowns."""
 
     grid: ChebGrid
     L: np.ndarray
-    factor: TsvdFactor
+    factor: _LuFactor | TsvdFactor
     gprime: np.ndarray
 
     @classmethod
     def build(cls, spec: ProblemSpec, n: int) -> "_PhysicalOperator":
         grid = radau_grid(n)
         L, gprime = _operator(spec, grid)
-        return cls(grid, L, tsvd_factor(L), gprime)
+        return cls(grid, L, factor(L), gprime)
 
     def _solve(self, rhs: np.ndarray) -> LevinSolution:
-        sol, diag = self.factor.solve(rhs), self.factor.diag
+        sol = self.factor.solve(rhs)
         residual = float(np.abs(self.L @ sol - rhs).max())
-        return LevinSolution(complex(sol[0]), sol[1:], residual, diag.truncated, diag.smallest_sv,
-                             self.grid, complex(rhs[-1]))
+        return LevinSolution(complex(sol[0]), sol[1:], residual, self.factor.diag, self.grid, complex(rhs[-1]))
 
     def solve_amplitude(self, amplitude: Amplitude) -> LevinSolution:
         """The solve with right-hand side ``amplitude``, evaluated once at
@@ -237,9 +289,7 @@ class _PhysicalOperator:
         return EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
 
     def diagnostics(self, sols) -> dict:
-        first = sols[0]
-        out = {"residual_norm": first.residual_norm, "smallest_sv": first.smallest_sv,
-               "tsvd_truncated": first.tsvd_truncated}
+        out = {"residual_norm": sols[0].residual_norm, **self.factor.diag.diagnostics()}
         if len(sols) == 2:
             out["residual_norm_second"] = sols[1].residual_norm
         return out

@@ -1,6 +1,8 @@
 """Composite baselines: Gauss-Legendre, CMF, CMFP, and the reference oracle."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +25,11 @@ from oscquad.baselines import (
 )
 from oscquad.errors import AccuracyError, CapabilityError, ParameterError
 from oscquad.problem import builtin_problem, integrand
+
+# 40-digit values of the built-ins near alpha = -1, written by
+# tests/data/make_near_minus_one_exact.py.
+_NEAR_MINUS_ONE = json.loads(
+    (Path(__file__).parent / "data" / "near_minus_one_exact.json").read_text())["entries"]
 
 mp.mp.dps = 40
 
@@ -373,21 +380,32 @@ class TestReferenceOracle:
     def test_near_minus_one_within_route_gap(self, pid):
         # The closed-form tail carries most of the integral here (at
         # alpha = -0.999 the panels cover [a 2^-120, a], about 8% of it).
-        # The oracle is within twice the gap between the two Levin routes of
-        # the frequency route, or within 2e-14 where the gap is smaller.
-        for alpha in (-0.999, -0.99, -0.95, -0.945):
-            for w in (1e-3, 1.0, 1e2, 1e3):
-                spec = builtin_problem(pid, alpha, w)
-                freq = compute(spec, Method.LEVIN_FREQ, 16, 1).value
-                gap = abs(compute(spec, Method.LEVIN_PHYSICAL, 24, 0).value - freq)
-                assert abs(reference_oracle(spec) - freq) <= 2.0 * max(gap, 1e-14), (alpha, w)
+        # Judged against 40-digit values at alpha = -0.999, -0.99, -0.95,
+        # -0.945 and w = 1e-3, 1, 1e2, 1e3: the oracle is within
+        # max(4 eps |Q|, 1e-14), which is below twice the gap between the two
+        # Levin routes (or 2e-14) in every case; that gap is no yardstick
+        # once the routes agree more closely than the oracle's own rounding.
+        eps = np.finfo(float).eps
+        entries = [e for e in _NEAR_MINUS_ONE if e["problem"] == pid]
+        assert len(entries) == 16
+        for e in entries:
+            exact = complex(float(e["re"]), float(e["im"]))
+            got = reference_oracle(builtin_problem(pid, e["alpha"], e["w"]))
+            assert abs(got - exact) <= max(4.0 * eps * abs(exact), 1e-14), (e["alpha"], e["w"])
 
-    @pytest.mark.parametrize("a", [1e-200, 1e-260, 1e-300])
+    @pytest.mark.parametrize("a", [1e-200, 1e-260, 1e-300, 1e-305, 1e-307])
     def test_tiny_interval_depth(self, a):
-        # Below a ~ 1e-252 the depth shrinks so that both tail samples stay
+        # Below a ~ 1e-252 the depth shrinks, and below a ~ 4e-289 the
+        # second tail sample moves closer to eps, so that both samples stay
         # normal floats; the value keeps the a^(1 + alpha) scale of the
         # exact integral of x^alpha, here with f = 1 and w ~ 0.
         for alpha in (-0.9, -0.5):
             got = graded_integral(lambda x: x**alpha + 0j, a, alpha)
             exact = a ** (1.0 + alpha) / (1.0 + alpha)
             assert abs(got - exact) <= 1e-14 * exact, (alpha, got, exact)
+
+    @pytest.mark.parametrize("a", [2.3e-308, 1e-310])
+    def test_no_normal_float_below_a_refused(self, a):
+        # Below 2^-1021 no sample under a is a normal float.
+        with pytest.raises(ParameterError, match="no normal float"):
+            graded_integral(lambda x: x**-0.5 + 0j, a, -0.5)

@@ -1,14 +1,17 @@
 """The bracket at the upper endpoint that both Levin routes share."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import oscquad.boundary
+import oscquad.filon
 import oscquad.levin
 from oscquad import Method, compute
 from oscquad.baselines import reference_nsd
 from oscquad.boundary import EndData, levin_value, upper_end_value
-from oscquad.levin import TsvdFactor, solve_alg
+from oscquad.levin import solve_alg
 from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
 from oscquad.problem import Oscillator, ProblemSpec, builtin_problem, make_f1_f2
 
@@ -141,7 +144,9 @@ class TestLevinValue:
     def test_solves_and_end_values_per_call(self, monkeypatch, pid, method, n, s):
         # One solve against the factor and one q(a) for the algebraic kind;
         # the logarithmic kind adds one coupled solve, f21 - q1 g', and
-        # reads q(a) log g(a) + l(a) as one more q(a).
+        # reads q(a) log g(a) + l(a) as one more q(a).  The solves are
+        # counted on whichever factor (LU or truncated SVD) levin.factor
+        # returns.
         counts = {"solve": 0, "upper_end_value": 0}
 
         def counting(name, function):
@@ -150,7 +155,14 @@ class TestLevinValue:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(TsvdFactor, "solve", counting("solve", TsvdFactor.solve))
+        real_factor = oscquad.levin.factor
+
+        def counted_factor(L):
+            factor = real_factor(L)
+            return SimpleNamespace(diag=factor.diag, solve=counting("solve", factor.solve))
+
+        for module in (oscquad.levin, oscquad.filon):
+            monkeypatch.setattr(module, "factor", counted_factor)
         monkeypatch.setattr(oscquad.boundary, "upper_end_value",
                             counting("upper_end_value", oscquad.boundary.upper_end_value))
         compute(builtin_problem(pid, 0.5, 200.0), method, n, s)

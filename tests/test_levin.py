@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +19,6 @@ from oscquad.levin import (
     picard_iterate,
     solve_alg,
     solve_log,
-    tsvd_factor,
     tsvd_solve,
 )
 from oscquad.problem import (
@@ -145,7 +145,8 @@ class TestTsvdSolve:
         x, diag = tsvd_solve(L, np.array([1.0, 1.0], dtype=complex))
         assert diag.truncated == 1
         assert_allclose(x, [1.0, 0.0], atol=1e-12)
-        assert diag.smallest_sv <= 0.2 * TSVD_THRESHOLD
+        assert diag.factor == "tsvd"
+        assert diag.cond >= 5.0 / TSVD_THRESHOLD
 
     def test_all_singular_rejected(self):
         L = np.zeros((2, 2), dtype=complex)
@@ -156,7 +157,7 @@ class TestTsvdSolve:
         # One factorisation reproduces tsvd_solve bit for bit on each rhs.
         rng = np.random.default_rng(7)
         L = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        factor = tsvd_factor(L)
+        factor = oscquad.levin.factor(L)
         for _ in range(3):
             b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x, diag = tsvd_solve(L, b)
@@ -186,6 +187,88 @@ class TestTsvdSolve:
             tails.append(sv[-1] / sv[0])
         assert tails[1] < 0.4 * tails[0]
         assert tails[2] < 0.4 * tails[1]
+
+
+def _route_operators(monkeypatch):
+    # Every operator of both routes on the built-ins at alpha = +-0.5,
+    # +-0.9 and w from 1e-3 to 1e8 (1320 in all): (spec, route operator,
+    # the matrix it factorised).  A frequency-route matrix is row-scaled.
+    seen = []
+    real = oscquad.filon.factor
+
+    def capture(A):
+        seen.append(A)
+        return real(A)
+
+    monkeypatch.setattr(oscquad.filon, "factor", capture)
+    for pid in BUILTIN_IDS:
+        for alpha in (0.5, -0.5, 0.9, -0.9):
+            for w in (1e-3, 1.0, 10.0, 1e2, 1e4, 1e8):
+                spec = builtin_problem(pid, alpha, w)
+                for n in (4, 8, 16, 24, 32):
+                    op = oscquad.levin._PhysicalOperator.build(spec, n)
+                    yield spec, op, op.L
+                for npts, s in ((6, 1), (10, 2), (14, 1), (14, 2), (16, 1), (32, 2)):
+                    op = oscquad.filon._freq_operator(spec, npts, s)
+                    yield spec, op, seen.pop()
+
+
+class TestFactorRouting:
+    """LU where the operator is well conditioned, truncated SVD where it is
+    near-singular."""
+
+    def test_every_truncating_operator_takes_svd(self, monkeypatch):
+        routes = {"lu": 0, "tsvd": 0}
+        truncating = 0
+        for spec, op, L in _route_operators(monkeypatch):
+            sv = np.linalg.svd(L, compute_uv=False)
+            dropped = int((sv < TSVD_THRESHOLD * sv[0]).sum())
+            diag = op.factor.diag
+            routes[diag.factor] += 1
+            if dropped:
+                truncating += 1
+                assert (diag.factor, diag.truncated) == ("tsvd", dropped), (spec, L.shape)
+            assert diag.cond >= sv[0] / sv[-1] / L.shape[0]
+        assert truncating > 0 and routes["lu"] > routes["tsvd"] >= truncating
+
+    def test_lu_agrees_with_svd(self, monkeypatch):
+        # Both are backward stable, so the unknowns of the route's solves
+        # differ by at most a small multiple of eps * cond (92 at most on
+        # this grid).
+        eps = np.finfo(float).eps
+
+        def unknowns(sol):
+            # (c0, q1) of a physical LevinSolution or a frequency-route
+            # (c0, coefficients, rhs_end).
+            if isinstance(sol, LevinSolution):
+                return np.concatenate(([sol.c0], sol.q1_values))
+            return np.concatenate(([sol[0]], sol[1]))
+
+        for spec, op, L in _route_operators(monkeypatch):
+            diag = op.factor.diag
+            if diag.factor != "lu":
+                continue
+            svd = replace(op, factor=oscquad.levin._tsvd(L, 1.0 / diag.cond))
+            for lu_sol, svd_sol in zip(oscquad.levin._solves(op, spec), oscquad.levin._solves(svd, spec)):
+                x, y = unknowns(lu_sol), unknowns(svd_sol)
+                bound = max(1e-12, 128 * eps * diag.cond) * np.abs(y).max()
+                assert np.abs(x - y).max() <= bound, (spec, L.shape)
+
+    @pytest.mark.parametrize("pid, alpha, w, n", [
+        ("ex52", 0.9, 1e8, 24), ("ex52", 0.9, 10.0, 16), ("ex53b", 0.9, 10.0, 24), ("ex51", 0.9, 10.0, 16),
+    ])
+    def test_lu_at_least_as_accurate_as_svd(self, pid, alpha, w, n):
+        # Against the 40-digit solution of the same double-precision system.
+        spec = builtin_problem(pid, alpha, w)
+        op = oscquad.levin._PhysicalOperator.build(spec, n)
+        b = np.asarray(_regularised(spec)[0].value(op.grid.nodes), dtype=complex)
+        with mp.workdps(40):
+            exact = np.array(mp.lu_solve(mp.matrix(op.L.tolist()), mp.matrix(b.tolist())).tolist(),
+                             dtype=complex).ravel()
+        svd = oscquad.levin._tsvd(op.L, 1.0 / op.factor.diag.cond)
+        assert op.factor.diag.factor == "lu"
+        lu_err, svd_err = (np.abs(f.solve(b) - exact).max() for f in (op.factor, svd))
+        assert lu_err <= svd_err
 
 
 class TestSolveAlg:
@@ -221,8 +304,9 @@ class TestSolveAlg:
 
     def test_tsvd_idle_at_moderate_n(self):
         sol = solve_alg(builtin_problem("ex51", 0.5, 100.0), 10)
-        assert sol.tsvd_truncated == 0
-        assert sol.smallest_sv > 0.0
+        assert sol.diag.truncated == 0
+        assert sol.diag.factor == "lu"
+        assert np.isfinite(sol.diag.cond)
 
 
 class TestSolveLog:

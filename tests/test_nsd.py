@@ -77,6 +77,20 @@ def test_quadratic_table_guard():
         assert float(abs(value - table) / abs(table)) <= 1e-20
 
 
+@pytest.mark.parametrize("table, pid, alpha, log10_w", [
+    ("criterion3_exact.json", "ex52", -0.5, 3.0), ("quadratic_exact.json", "ex53b", 0.5, 2.0),
+])
+def test_near_minus_one_generator_reproduces_tables(table, pid, alpha, log10_w):
+    # The generator of near_minus_one_exact.json, whose endpoint term is in
+    # closed form, against a value of the other two table scripts.
+    gen = _generator("make_near_minus_one_exact")
+    entry = next(e for e in _entries(table) if (e["problem"], e["alpha"], e["log10_w"]) == (pid, alpha, log10_w))
+    value = gen.exact_value(pid, alpha, entry["w"])
+    with gen.mp.workdps(gen.DPS):
+        other = gen.mp.mpc(entry["re"], entry["im"])
+        assert float(abs(value - other) / abs(other)) <= 1e-20
+
+
 @pytest.mark.parametrize("pid", [p for p in BUILTIN_IDS if p != "ex54"])
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.5, 0.9])
 def test_agrees_with_oracle_above_crossover(pid, alpha):
