@@ -79,7 +79,6 @@ from .problem import (
     delta_alpha,
     f1_derivatives,
     integrand,
-    f2_problem,
     make_f1_f2,
 )
 from .quadrature import compute, quad_alg, quad_log
@@ -140,7 +139,6 @@ __all__ = [
     "f1_derivatives",
     "integrand",
     "make_f1_f2",
-    "f2_problem",
     "compute",
     "quad_alg",
     "quad_log",

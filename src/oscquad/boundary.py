@@ -68,9 +68,9 @@ def levin_value(spec: ProblemSpec, first: EndData, second: EndData | None = None
         q(a) g(a)^alpha e^{iwg(a)} + c0 K(g(a)).
 
     Logarithmic kind: from the first solve (c0, q) and the second (d0, l),
-    whose right-hand side ``f21 - q1 g'`` folds the f2 sub-problem
-    (:func:`oscquad.problem.f2_problem`) into the coupled l-equation, the
-    bracket of the logarithmic kernel reduces to
+    whose right-hand side ``f21 - q1 g'`` folds the f2 sub-problem (f21 is
+    its f1, :func:`oscquad.problem._regularised`) into the coupled
+    l-equation, the bracket of the logarithmic kernel reduces to
 
         g^alpha (q(a) log g + l(a)) e^{iwg} + (c0 log g + d0 + c0/alpha) K
             + (c0/alpha) g^alpha 2F2(alpha,alpha;1+alpha,1+alpha;iwg)

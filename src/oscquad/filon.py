@@ -14,9 +14,10 @@ polynomials T_k(2t - 1) on [0, 1] and collocates the model ODE; all
 derivative conditions are generated by truncated power series arithmetic,
 which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
-basis and all nodes.  The route is only that operator,
-:class:`_FreqOperator`: :func:`quad_freq` runs it through the Levin
-pipeline of :mod:`oscquad.levin`, which the physical-space route shares.
+basis and all nodes.  The route is only how it builds that operator
+(:func:`_freq_operator`, an ``oscquad.levin._Operator``): :func:`quad_freq`
+runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
+physical-space route shares.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
 from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .boundary import EndData
-from .levin import TsvdFactor, _LuFactor, _quad_levin, factor
+from .levin import _Operator, _quad_levin, factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, ProblemSpec, SingKind, _factorials, _regularised
 
@@ -346,74 +346,19 @@ def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
     return out.view()  # a view of a frozen array cannot be made writeable again
 
 
-@dataclass(frozen=True)
-class _FreqOperator:
-    """Factorised collocation operator of the frequency-space Levin route.
-
-    ``tables[k, l]`` holds the Taylor series (length s+2) of the basis
-    function T_k(2t - 1) at node l, and ``gprime[l]`` that of g' (length
-    s+1).  ``factor`` is the :func:`oscquad.levin.factor` (LU, or truncated
-    SVD where the operator is near-singular) of the operator with each row
-    divided by ``row_scale``.  The operator depends on (g, alpha, w, npts, s)
-    only; every right-hand side that shares them is solved against ``factor``.
-    """
-
-    nodes: np.ndarray
-    mults: np.ndarray
-    fact: np.ndarray
-    tables: np.ndarray
-    gprime: np.ndarray
-    row_scale: np.ndarray
-    factor: _LuFactor | TsvdFactor
-
-    def _solve(self, series, rhs_end) -> tuple:
-        # (c0, q1 coefficients, rhs_end) for the right-hand side whose
-        # Taylor series at node l is row l of ``series`` (length s+1).
-        rhs = (self.fact * np.asarray(series, dtype=complex))[_conditions(self.mults, self.fact.size)]
-        sol = self.factor.solve(rhs / self.row_scale)
-        return complex(sol[0]), sol[1:], rhs_end
-
-    def solve_amplitude(self, amplitude: Amplitude) -> tuple:
-        """``(c0, q1 coefficients, rhs_end)`` of the right-hand side
-        ``amplitude``, with its value at the last node, t = 1."""
-        series = amplitude.series_at(self.nodes, self.fact.size)
-        return self._solve(series, series[-1, 0])
-
-    def solve_coupled(self, first: tuple, f21: Amplitude) -> tuple:
-        """The solve with right-hand side ``f21 - q1 g'``, q1 that of ``first``."""
-        coeffs = first[1]
-        # Taylor series of q1 at each node, summed over the basis in order
-        # (a reduction over the leading axis adds its slices one by one).
-        q1_series = (coeffs[:, None, None] * self.tables[:, :, : self.fact.size]).sum(axis=0)
-        q1_end = complex(np.polynomial.chebyshev.chebval(1.0, coeffs))
-        f21_series = f21.series_at(self.nodes, self.fact.size)
-        rhs_end = f21_series[-1, 0] - q1_end * self.gprime[-1, 0]
-        return self._solve(f21_series - ps_mul(q1_series, self.gprime), rhs_end)
-
-    def end(self, sol: tuple) -> EndData:
-        """Data at t = 1 of the expansion, where T_k(2t - 1) is 1 and its
-        t-derivative 2 k^2."""
-        c0, coeffs, rhs_end = sol
-        k = np.arange(coeffs.size)
-        cheb = np.polynomial.chebyshev
-        q1_end = complex(cheb.chebval(1.0, coeffs))
-        dq1_end = complex(cheb.chebval(1.0, cheb.chebder(coeffs))) * 2.0
-        return EndData(c0, q1_end, dq1_end, float(np.abs(coeffs) @ k**2) * 2.0, rhs_end)
-
-    def diagnostics(self, sols) -> dict:
-        return self.factor.diag.diagnostics()
-
-
-def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
-    # Rows: the model ODE and its first (mult - 1) derivatives at each node,
-    # applied to the unknowns (c0, q1 coefficients).  Column k + 1 holds the
-    # Levin image g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole
-    # basis and all nodes at once (orders j > 0 of interior nodes are formed
-    # and dropped): each Cauchy product is summed over table columns in
-    # ps_mul's order.  Only endpoint sums have more than one term; there
-    # ps_mul's dot product may fuse a multiply-add, so for a general g the
-    # entries can differ from it in the last bits.  Row j grows like k^{2j}:
-    # each row is divided by the power of two just above its largest entry.
+def _freq_rows(spec: ProblemSpec, npts: int, s: int):
+    # The collocation conditions of the route before equilibration:
+    # (nodes, mults, tables, g' series, matrix).  tables[k, l] is the Taylor
+    # series (length s+2) of T_k(2t - 1) at node l, the g' series at node l
+    # has length s+1.  Rows: the model ODE and its first (mult - 1)
+    # derivatives at each node, applied to the unknowns (c0, q1
+    # coefficients).  Column k + 1 holds the Levin image g q' + (1+alpha) g' q
+    # + iw g g' q of q = T_k, for the whole basis and all nodes at once
+    # (orders j > 0 of interior nodes are formed and dropped): each Cauchy
+    # product is summed over table columns in ps_mul's order.  Only endpoint
+    # sums have more than one term; there ps_mul's dot product may fuse a
+    # multiply-add, so for a general g the entries can differ from it in the
+    # last bits.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
     nodes, mults = _collocation_nodes(npts, s)
@@ -438,9 +383,33 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _FreqOperator:
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
-    A = rows[_conditions(mults, s + 1)]
+    return nodes, mults, tables, gprime, rows[_conditions(mults, s + 1)]
+
+
+def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
+    # The route's operator (g, alpha, w, npts, s).  Node data are Taylor
+    # series of length s+1 at the nodes; a right-hand side is their
+    # conditions times factorials.  Row j grows like k^{2j}: each row of the
+    # matrix, and of every right-hand side, is divided by the power of two
+    # just above its largest entry.  At t = 1, T_k(2t - 1) is 1 and its
+    # t-derivative 2 k^2.
+    nodes, mults, tables, gprime, A = _freq_rows(spec, npts, s)
+    m = s + 1
+    fact = _factorials(m)
+    conditions = _conditions(mults, m)
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
-    return _FreqOperator(nodes, mults, fact, tables, gprime, row_scale, factor(A / row_scale[:, None]))
+    L = A / row_scale[:, None]
+    k = np.arange(A.shape[1] - 1)
+
+    def q1_gprime(coeffs):
+        # The Taylor series of q1 at each node, summed over the basis in
+        # order (a reduction over the leading axis adds its slices one by
+        # one), times that of g'.
+        return ps_mul((coeffs[:, None, None] * tables[:, :, :m]).sum(axis=0), gprime)
+
+    return _Operator(L, factor(L), lambda amplitude: amplitude.series_at(nodes, m), q1_gprime,
+                     lambda data: (fact * np.asarray(data, dtype=complex))[conditions] / row_scale,
+                     (np.ones(k.size), 2.0 * k**2))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
@@ -461,10 +430,9 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
     s : int
         Endpoint multiplicity parameter.
     """
-    f1, _ = _regularised(spec)
     op = _freq_operator(spec, npts, s)
-    c0, coeffs, _ = op.solve_amplitude(f1)
-    return c0, coeffs, op.factor.diag
+    sol = op.solve(op.node_data(_regularised(spec)[0]))
+    return sol.c0, sol.q1, sol.diag
 
 
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:

@@ -4,8 +4,9 @@ Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
 f1 and, for the logarithmic kind, the f2 sub-problem's amplitude f21 once
 (:func:`oscquad.problem._regularised`), solve for f1 and f21 - q1 g' on
 one factorised operator, and read the bracket at x = a
-(:func:`oscquad.boundary.levin_value`).  A route is only its operator,
-:class:`_PhysicalOperator` or ``filon._FreqOperator``.
+(:func:`oscquad.boundary.levin_value`).  A route is only how it builds
+its :class:`_Operator`: :func:`_physical_operator` here, or
+``filon._freq_operator``.
 
 In physical space the unknowns are the constant c0 and the
 non-oscillatory factor q1 of the ansatz p = q g^alpha + h (with
@@ -33,6 +34,7 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,10 +68,10 @@ __all__ = [
 # least-squares regularization.
 TSVD_THRESHOLD = 1e-13
 
-# Smallest zgecon reciprocal condition estimate at which :func:`factor`
-# keeps the LU factor.  Over 1320 operators of both routes on the built-ins
-# (w from 1e-3 to 1e8), the 418 that truncate at TSVD_THRESHOLD all
-# estimate below 1.2e-13, 80 times under this bound.
+# zgecon reciprocal condition estimate above which :func:`factor` keeps the
+# LU factor without taking the SVD.  Over 1320 operators of both routes on
+# the built-ins (w from 1e-3 to 1e8), the 418 that truncate at
+# TSVD_THRESHOLD all estimate below 1.2e-13, 80 times under this bound.
 RCOND_THRESHOLD = 1e-11
 
 
@@ -131,19 +133,21 @@ class TsvdFactor:
 
 @dataclass(frozen=True)
 class LevinSolution:
-    """Collocation solution (c0, q1 at the grid's interior nodes).
+    """One Levin solve on either route: the constant c0 and the unknowns of q1.
 
-    ``residual_norm`` is the max collocation residual
-    |W[c0,q1](x_j) - f1(x_j)| over all rows including the origin row.
-    ``diag`` describes the factorised operator, ``rhs_end`` is the
-    right-hand side at the last node, x_n = 1.
+    ``q1`` holds q1 at the Radau grid's interior nodes on the physical
+    route and its coefficients in T_k(2t - 1) on the frequency route.
+    ``residual_norm`` is the max residual |L x - b| over all rows of the
+    system as factorised: the collocation residual, origin row included,
+    on the physical route, that of the row-equilibrated system on the
+    frequency route.  ``diag`` describes the factor, ``rhs_end`` is the
+    right-hand side at t = 1.
     """
 
     c0: complex
-    q1_values: np.ndarray
+    q1: np.ndarray
     residual_norm: float
     diag: FactorDiag
-    grid: ChebGrid
     rhs_end: complex
 
 
@@ -222,10 +226,12 @@ def _tsvd(L: np.ndarray, rcond: float) -> TsvdFactor:
 def factor(L: np.ndarray):
     """The factor of ``L`` that every right-hand side sharing it is solved against.
 
-    LU with partial pivoting where the factor is finite and nonsingular and
-    its reciprocal condition estimate exceeds ``RCOND_THRESHOLD``; elsewhere
-    the SVD, keeping the singular values from ``TSVD_THRESHOLD * s_max`` up.
-    Either has ``solve(rhs)`` and ``diag`` (:class:`FactorDiag`).
+    LU with partial pivoting where the factor is finite and nonsingular,
+    unless its reciprocal condition estimate is at most ``RCOND_THRESHOLD``
+    and the SVD drops singular values below ``TSVD_THRESHOLD * s_max``:
+    there the truncated SVD.  Where the SVD would drop nothing, the refined
+    LU solve is the more accurate of the two.  Either has ``solve(rhs)`` and
+    ``diag`` (:class:`FactorDiag`).
 
     Raises
     ------
@@ -241,85 +247,98 @@ def factor(L: np.ndarray):
     # zgecon's estimate of the 1-norm reciprocal condition; 0 for an exactly
     # singular factor.
     rcond = zgecon(lu, np.abs(L).sum(axis=0).max())[0] if info == 0 else 0.0
-    if rcond > RCOND_THRESHOLD and np.isfinite(lu).all():
+    lu_ok = info == 0 and np.isfinite(lu).all()
+    if lu_ok and rcond > RCOND_THRESHOLD:
         return _LuFactor(L, lu, piv, 1.0 / rcond)
-    return _tsvd(L, rcond)
+    svd = _tsvd(L, rcond)
+    if lu_ok and svd.keep.all():
+        return _LuFactor(L, lu, piv, svd.cond)
+    return svd
 
 
 @dataclass(frozen=True)
-class _PhysicalOperator:
-    """The physical-space Levin route: the matrix ``L`` of :func:`assemble_L`
-    on ``grid``, its :func:`factor`, and g' at ``grid.nodes``,
-    origin first, which is the order of the rows and of the unknowns."""
+class _Operator:
+    """The factorised collocation operator of a Levin route.
 
-    grid: ChebGrid
+    ``L`` is the matrix as factorised and ``factor`` its :func:`factor`;
+    every right-hand side that shares them is solved against ``factor``.
+    The rest is what tells the routes apart.  Node data ``data[l, j]`` is
+    the j-th Taylor coefficient of a right-hand side at node l (j = 0
+    only, its values, on the physical route): ``node_data(amplitude)`` is
+    that of an amplitude, ``q1_gprime(q1)`` that of q1 g' for the ``q1`` of
+    a solution, and ``rhs(data)`` the right-hand side it gives.  The two
+    rows of ``end_rows`` take q1 to q1(1) and q1'(1).
+    """
+
     L: np.ndarray
     factor: _LuFactor | TsvdFactor
-    gprime: np.ndarray
+    node_data: Callable[[Amplitude], np.ndarray]
+    q1_gprime: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray], np.ndarray]
+    end_rows: tuple[np.ndarray, np.ndarray]
 
-    @classmethod
-    def build(cls, spec: ProblemSpec, n: int) -> "_PhysicalOperator":
-        grid = radau_grid(n)
-        L, gprime = _operator(spec, grid)
-        return cls(grid, L, factor(L), gprime)
-
-    def _solve(self, rhs: np.ndarray) -> LevinSolution:
-        sol = self.factor.solve(rhs)
-        residual = float(np.abs(self.L @ sol - rhs).max())
-        return LevinSolution(complex(sol[0]), sol[1:], residual, self.factor.diag, self.grid, complex(rhs[-1]))
-
-    def solve_amplitude(self, amplitude: Amplitude) -> LevinSolution:
-        """The solve with right-hand side ``amplitude``, evaluated once at
-        the nodes."""
-        return self._solve(np.asarray(amplitude.value(self.grid.nodes), dtype=complex))
-
-    def solve_coupled(self, first: LevinSolution, f21: Amplitude) -> LevinSolution:
-        """The solve with right-hand side ``f21 - q1 g'`` for the q1 of
-        ``first``, q1(0) extrapolated through the origin weights."""
-        q1 = first.q1_values
-        q1_origin = complex(np.dot(self.grid.origin_weights, q1))
-        f21_nodes = np.asarray(f21.value(self.grid.nodes), dtype=complex)
-        return self._solve(f21_nodes - np.concatenate(([q1_origin], q1)) * self.gprime)
+    def solve(self, data: np.ndarray) -> LevinSolution:
+        """The solve with the right-hand side of node data ``data``."""
+        rhs = self.rhs(data)
+        x = self.factor.solve(rhs)
+        residual = float(np.abs(self.L @ x - rhs).max())
+        return LevinSolution(complex(x[0]), x[1:], residual, self.factor.diag, complex(data[-1, 0]))
 
     def end(self, sol: LevinSolution) -> EndData:
-        """Data at t = 1: q1'(1) from the last row of the differentiation
-        matrix."""
-        q1 = sol.q1_values
-        row = self.grid.diff[-1]
-        return EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
-
-    def diagnostics(self, sols) -> dict:
-        out = {"residual_norm": sols[0].residual_norm, **self.factor.diag.diagnostics()}
-        if len(sols) == 2:
-            out["residual_norm_second"] = sols[1].residual_norm
-        return out
+        """The data of ``sol`` at t = 1."""
+        q1 = sol.q1
+        value, slope = self.end_rows
+        return EndData(sol.c0, complex(value @ q1), complex(slope @ q1), float(np.abs(slope) @ np.abs(q1)),
+                       sol.rhs_end)
 
 
-def _solves(op, spec: ProblemSpec) -> list:
+def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
+    # The matrix of assemble_L on the Radau grid of n nodes.  Node data are
+    # values at grid.nodes, origin first, the order of the rows and of the
+    # unknowns; q1(1) is the last unknown, q1'(1) the last row of the
+    # differentiation matrix applied to q1.
+    grid = radau_grid(n)
+    L, gprime = _operator(spec, grid)
+    nodes, origin = grid.nodes, grid.origin_weights
+    last = np.zeros(n)
+    last[-1] = 1.0
+
+    def q1_gprime(q1):
+        # q1(0) extrapolated through the origin weights.
+        return (np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime)[:, None]
+
+    return _Operator(L, factor(L), lambda amplitude: np.asarray(amplitude.value(nodes), dtype=complex)[:, None],
+                     q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
+
+
+def _solves(op: _Operator, spec: ProblemSpec) -> list:
     # The solves of the paper's method on the operator ``op`` of ``spec``:
     # f1; for the logarithmic kind also f21 - q1 g' (problem._regularised).
     f1, f21 = _regularised(spec)
-    sols = [op.solve_amplitude(f1)]
+    sols = [op.solve(op.node_data(f1))]
     if f21 is not None:
-        sols.append(op.solve_coupled(sols[0], f21))
+        sols.append(op.solve(op.node_data(f21) - op.q1_gprime(sols[0].q1)))
     return sols
 
 
 def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route.  ``operator`` maps ``spec`` on [0, 1]
-    # to the route's factorised operator; its solves give the q1 of ``spec``
-    # and its c0, d0 divided by a, so the end data is scaled by a once here.
+    # to the route's _Operator; its solves give the q1 of ``spec`` and its
+    # c0, d0 divided by a, so the end data is scaled by a once here.
     unit = _unit_interval(spec)
     op = operator(unit)
     sols = _solves(op, unit)
     a = spec.a
     ends = [replace(e, c0=e.c0 * a, dq1=e.dq1 / a, dq1_size=e.dq1_size / a) for e in map(op.end, sols)]
-    return QuadratureResult(levin_value(spec, *ends), method, s, n, op.diagnostics(sols))
+    diagnostics = {"residual_norm": sols[0].residual_norm, **op.factor.diag.diagnostics()}
+    if len(sols) == 2:
+        diagnostics["residual_norm_second"] = sols[1].residual_norm
+    return QuadratureResult(levin_value(spec, *ends), method, s, n, diagnostics)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
     # The s = 0 rule of either kind.
-    return _quad_levin(spec, lambda unit: _PhysicalOperator.build(unit, n), Method.LEVIN_PHYSICAL, n, 0)
+    return _quad_levin(spec, lambda unit: _physical_operator(unit, n), Method.LEVIN_PHYSICAL, n, 0)
 
 
 def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
@@ -333,7 +352,8 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
     n : int
         Number of Radau nodes.
     """
-    return _PhysicalOperator.build(spec, n).solve_amplitude(_regularised(spec)[0])
+    op = _physical_operator(spec, n)
+    return op.solve(op.node_data(_regularised(spec)[0]))
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -341,15 +361,16 @@ def solve_log(spec: ProblemSpec, n: int):
 
     The first solve is :func:`solve_alg` on f1.  The second uses the same
     operator with right-hand side ``f21(x) - q1(x) g'(x)`` (q1(0)
-    extrapolated), f21 being the f1 of the f2 sub-problem
-    (:func:`problem.f2_problem`): by linearity the sum of the coupled
-    solve (d0, l1) for ``-q1 g'`` and the f2 sub-problem's solve.
+    extrapolated), f21 being the f1 of the algebraic-kind sub-problem of
+    the f2 amplitude of :func:`problem.make_f1_f2`: by linearity the sum
+    of the coupled solve (d0, l1) for ``-q1 g'`` and that sub-problem's
+    solve.
 
     Returns
     -------
     (LevinSolution, LevinSolution)
     """
-    return tuple(_solves(_PhysicalOperator.build(spec, n), spec))
+    return tuple(_solves(_physical_operator(spec, n), spec))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):

@@ -35,7 +35,6 @@ __all__ = [
     "ProblemSpec",
     "build_problem",
     "make_f1_f2",
-    "f2_problem",
     "f1_derivatives",
     "delta_alpha",
     "builtin_problem",
@@ -412,23 +411,13 @@ def _regularised(spec: ProblemSpec):
     """The amplitudes the Levin solves need: ``(f1, f21)``.
 
     f1 is that of :func:`make_f1_f2`, and ``f21 = f log(x/g) (x/g)^alpha``
-    is the f1 of :func:`f2_problem` as one amplitude, with the same values
-    and series bit for bit; f21 is None for the algebraic kind.
+    is, as one amplitude, the f1 of the f2 sub-problem: the algebraic-kind
+    problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` that singularity
+    separation leaves, with the f2 of :func:`make_f1_f2` as its amplitude
+    and the g, a, alpha and w of ``spec``.  Its values and series are those
+    of that f1 bit for bit; f21 is None for the algebraic kind.
     """
     return _separated(spec, True)
-
-
-def f2_problem(spec: ProblemSpec) -> ProblemSpec:
-    """Algebraic-kind sub-problem of a logarithmic-kind problem's f2 amplitude.
-
-    Singularity separation leaves ``int_0^a f2(x) x^alpha e^{iwg(x)} dx``,
-    with ``f2 = f log(x/g)`` from :func:`make_f1_f2`, to be added to the
-    logarithmic bracket.  The sub-problem shares g, a, alpha and w with
-    ``spec``, and so every collocation operator; only the amplitude differs.
-    """
-    if spec.kind is not SingKind.ALGEBRAIC_LOG:
-        raise ParameterError("f2_problem requires a logarithmic-kind problem")
-    return replace(spec, amplitude=make_f1_f2(spec)[1], kind=SingKind.ALGEBRAIC, phase_shift=1.0 + 0.0j)
 
 
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:

@@ -3,10 +3,10 @@
 ``quad_alg`` and ``quad_log`` take the node count n and the
 asymptotic-order parameter s and dispatch on s: s = 0 runs the
 derivative-free physical-space collocation, s >= 1 the frequency-space
-Hermite path (the two coincide in value for linear oscillators).  Both run
-the one Levin pipeline of :mod:`oscquad.levin` on their route's operator.
-``compute`` adds method selection on top, including the Filon rule, the
-composite baseline and the brute-force oracle.  Every rule refuses an n or
+Hermite path (the two coincide in value for linear oscillators), both by
+``compute``, which runs the one Levin pipeline of :mod:`oscquad.levin` on
+the route's operator and also selects the Filon rule, the composite
+baseline and the brute-force oracle.  Every rule refuses an n or
 s that is not an integer.
 
 The lower integration endpoint is handled analytically: every bracket term
@@ -32,17 +32,6 @@ __all__ = [
 ]
 
 
-def _levin_rule(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
-    # quad_alg and quad_log once the kind is checked: s = 0 runs the
-    # physical-space rule, s >= 1 the frequency-space one.
-    check_counts(n=n, s=s)
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    if s >= 1:
-        return quad_freq(spec, n, s)
-    return _quad_physical(spec, n)
-
-
 def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """Quadrature for the algebraic kind.
 
@@ -63,7 +52,7 @@ def quad_alg(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """
     if spec.kind is not SingKind.ALGEBRAIC:
         raise ParameterError("quad_alg requires an algebraic-kind problem")
-    return _levin_rule(spec, n, s)
+    return compute(spec, Method.LEVIN_PHYSICAL if s == 0 else Method.LEVIN_FREQ, n, s)
 
 
 def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
@@ -79,7 +68,7 @@ def quad_log(spec: ProblemSpec, n: int, s: int) -> QuadratureResult:
     """
     if spec.kind is not SingKind.ALGEBRAIC_LOG:
         raise ParameterError("quad_log requires a logarithmic-kind problem")
-    return _levin_rule(spec, n, s)
+    return compute(spec, Method.LEVIN_PHYSICAL if s == 0 else Method.LEVIN_FREQ, n, s)
 
 
 def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResult:

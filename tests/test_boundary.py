@@ -11,6 +11,7 @@ import oscquad.levin
 from oscquad import Method, compute
 from oscquad.baselines import reference_nsd
 from oscquad.boundary import EndData, levin_value, upper_end_value
+from oscquad.cheb import radau_grid
 from oscquad.levin import solve_alg
 from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
 from oscquad.problem import Oscillator, ProblemSpec, builtin_problem, make_f1_f2
@@ -88,7 +89,7 @@ class TestUpperEndValue:
         # the collocated ODE at x = a.
         spec = builtin_problem("ex53a", 0.5, w)
         sol = solve_alg(spec, n)
-        q1, row = sol.q1_values, sol.grid.diff[-1]
+        q1, row = sol.q1, radau_grid(n).diff[-1]
         g, gp = spec.g_end(), float(spec.oscillator.deriv1(spec.a))
         assert sol.rhs_end == complex(make_f1_f2(spec)[0].value(spec.a))
         end = EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)

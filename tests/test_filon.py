@@ -368,7 +368,7 @@ def _derivative(p):
 def _loop_operator(spec, npts, s):
     # The per-basis-function form of the frequency-space Levin operator: three
     # ps_mul calls per Chebyshev polynomial per node.  The array form in
-    # filon._freq_operator is checked against it.
+    # filon._freq_rows is checked against it.
     filon = oscquad.filon
     nodes, mults = filon._collocation_nodes(npts, s)
     M = int(mults.sum()) - 1
@@ -424,28 +424,11 @@ def _operator_term_sizes(spec, npts, s):
     return np.array(rows)
 
 
-def _captured_operator(monkeypatch, spec, npts, s):
-    # The matrix _freq_operator hands to the factorisation, before its rows
-    # are scaled: the scales are powers of two, so undoing them is exact.
-    seen = []
-    real = oscquad.filon.factor
-
-    def capture(A):
-        seen.append(np.array(A))
-        return real(A)
-
-    monkeypatch.setattr(oscquad.filon, "factor", capture)
-    op = oscquad.filon._freq_operator(spec, npts, s)
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0] * op.row_scale[:, None]
-
-
 class TestFreqOperatorRows:
     """The operator rows are array products over the whole basis."""
 
     @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
-    def test_builtins_bit_identical_to_loop_form(self, monkeypatch, pid):
+    def test_builtins_bit_identical_to_loop_form(self, pid):
         # For the built-ins every product summed at the endpoints is exact,
         # so the array form reproduces the per-basis-function loop bit for
         # bit.
@@ -454,13 +437,13 @@ class TestFreqOperatorRows:
             for s in (0, 1, 2, 3):
                 if npts - 1 + 2 * s > oscquad.filon.MAX_BASIS_SIZE:
                     continue
-                got = _captured_operator(monkeypatch, spec, npts, s)
+                got = oscquad.filon._freq_rows(spec, npts, s)[-1]
                 want = _loop_operator(spec, npts, s)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (pid, npts, s)
 
     @pytest.mark.parametrize("a", [0.37, 2.5])
-    def test_general_g_within_round_off_of_loop_form(self, monkeypatch, a):
+    def test_general_g_within_round_off_of_loop_form(self, a):
         # Inexact coefficients (those of g mapped from [0, a] to [0, 1]): the
         # endpoint sums round each product where the loop form's dot product
         # may fuse them, so the entries agree to a few ulps of the sum of
@@ -477,7 +460,7 @@ class TestFreqOperatorRows:
             ))
             for npts in (3, 5, 8, 13):
                 for s in (0, 1, 2, 3):
-                    got = _captured_operator(monkeypatch, spec, npts, s)
+                    got = oscquad.filon._freq_rows(spec, npts, s)[-1]
                     want = _loop_operator(spec, npts, s)
                     bound = 4.0 * eps * _operator_term_sizes(spec, npts, s)
                     assert got[:, 0].tobytes() == want[:, 0].tobytes()
@@ -491,21 +474,22 @@ class TestFreqOperatorRows:
         filon = oscquad.filon
         spec = builtin_problem(pid, 0.4, 80.0)
         seen = []
-        real = filon._FreqOperator._solve
+        real = filon._Operator.solve
 
-        def capture(op, series, rhs_end):
-            seen.append((op, np.array(series)))
-            return real(op, series, rhs_end)
+        def capture(op, data):
+            sol = real(op, data)
+            seen.append((np.array(data), sol))
+            return sol
 
-        monkeypatch.setattr(filon._FreqOperator, "_solve", capture)
+        monkeypatch.setattr(filon._Operator, "solve", capture)
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
-        (op, _), (_, rhs2) = seen
-        coeffs = real(op, seen[0][1], 0.0)[1]
-        f21 = filon._regularised(spec)[1].series_at(op.nodes, s + 1)
+        (_, first), (rhs2, _) = seen
+        nodes, _, tables, gprime, _ = filon._freq_rows(spec, npts, s)
+        f21 = filon._regularised(spec)[1].series_at(nodes, s + 1)
         for l in range(npts):
-            q1 = sum(c * T for c, T in zip(coeffs, op.tables[:, l]))
-            assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], op.gprime[l])).tobytes()
+            q1 = sum(c * T for c, T in zip(first.q1, tables[:, l]))
+            assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], gprime[l])).tobytes()
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' once per node; the images take none (the loop form takes
@@ -530,21 +514,16 @@ class TestEquilibratedRows:
     """The frequency-space operator's rows, and their right-hand sides, are
     divided by a power of two near each row's largest entry."""
 
-    def test_row_scales(self, monkeypatch):
+    def test_row_scales(self):
+        # Each row of the factorised matrix is that of _freq_rows divided by
+        # a power of two, which multiplying back undoes exactly.
         spec = builtin_problem("ex53b", 0.5, 300.0)
-        seen = []
-        real = oscquad.filon.factor
-
-        def capture(A):
-            seen.append(np.array(A))
-            return real(A)
-
-        monkeypatch.setattr(oscquad.filon, "factor", capture)
-        op = oscquad.filon._freq_operator(spec, 20, 2)
-        mantissa, _ = np.frexp(op.row_scale)
-        assert np.all(mantissa == 0.5)
-        largest = np.abs(seen[0]).max(axis=1)
+        A = oscquad.filon._freq_rows(spec, 20, 2)[-1]
+        L = oscquad.filon._freq_operator(spec, 20, 2).L
+        largest = np.abs(L).max(axis=1)
         assert np.all((0.5 <= largest) & (largest < 1.0))
+        scale = 2.0 ** np.round(np.log2(np.abs(A).max(axis=1) / largest))
+        assert (L * scale[:, None]).tobytes() == A.tobytes()
 
     @pytest.mark.parametrize("pid, alpha, w", [("ex53a", 0.5, 1e2), ("ex53a", -0.5, 1e4), ("ex53a", -0.5, 1e8)])
     def test_n32_accuracy(self, pid, alpha, w):

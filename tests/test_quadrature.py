@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oscquad.filon import quad_freq, solve_freq
 from oscquad.levin import assemble_L, picard_iterate, solve_alg, solve_log
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
+    BUILTIN_IDS,
     Amplitude,
     Oscillator,
     SingKind,
@@ -110,13 +112,13 @@ class TestBracketLowerLimit:
         sol = solve_alg(spec, 14)
         alpha, w = spec.alpha, spec.w
         c0 = sol.c0
-        full = np.concatenate(([sol.grid.origin_weights @ sol.q1_values],
-                               sol.q1_values))
+        grid = radau_grid(14)
+        full = np.concatenate(([grid.origin_weights @ sol.q1], sol.q1))
         mags = []
         for k in range(4, 9):
             x = 10.0 ** (-k)
             g = float(spec.oscillator.value(x))
-            q1 = barycentric_eval(sol.grid, full, x)
+            q1 = barycentric_eval(grid, full, x)
             bracket = (
                 g ** (alpha + 1.0) * q1
                 + c0 * (1.0 - np.exp(-1j * w * g)) * g**alpha
@@ -157,6 +159,48 @@ class TestCompute:
             a = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
             b = compute(spec, Method.LEVIN_FREQ, 12, 0)
             assert abs(a.value - b.value) <= 1e-9 * max(abs(a.value), 1e-30)
+
+
+class TestLevinDiagnostics:
+    """Both Levin routes report the same keys: each solve's residual and the
+    factor's."""
+
+    @pytest.mark.parametrize("pid", BUILTIN_IDS)
+    def test_routes_report_the_same_keys(self, pid):
+        spec = builtin_problem(pid, 0.5, 200.0)
+        keys = {"residual_norm", "factor", "cond", "tsvd_truncated"}
+        if spec.kind is SingKind.ALGEBRAIC_LOG:
+            keys.add("residual_norm_second")
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2)):
+            assert set(compute(spec, method, n, s).diagnostics) == keys, method
+
+    def test_freq_residual_within_round_off(self, monkeypatch):
+        # Each solve's residual in the row-equilibrated system, against the
+        # largest entry of the right-hand side it was solved for (2.2e-15 at
+        # most on this grid).
+        real = oscquad.filon.factor
+        rhs_sizes = []
+
+        def recording(L):
+            factor = real(L)
+
+            def solve(rhs):
+                rhs_sizes.append(np.abs(rhs).max())
+                return factor.solve(rhs)
+
+            return SimpleNamespace(diag=factor.diag, solve=solve)
+
+        monkeypatch.setattr(oscquad.filon, "factor", recording)
+        for pid in BUILTIN_IDS:
+            for alpha in (0.5, -0.5, 0.9, -0.9):
+                for w in (1e2, 1e4):
+                    for npts, s in ((6, 1), (10, 2), (16, 1), (32, 2)):
+                        rhs_sizes.clear()
+                        diag = compute(builtin_problem(pid, alpha, w), Method.LEVIN_FREQ, npts, s).diagnostics
+                        residuals = [diag[k] for k in ("residual_norm", "residual_norm_second") if k in diag]
+                        assert len(residuals) == len(rhs_sizes)
+                        for residual, size in zip(residuals, rhs_sizes):
+                            assert residual <= 1e-12 * size, (pid, alpha, w, npts, s)
 
 
 class TestNonFiniteValue:
