@@ -201,15 +201,17 @@ class CMFPParams:
     p: float
 
 
-def _linear_slope(spec: ProblemSpec) -> float:
+def cmfp_applies(spec: ProblemSpec) -> bool:
+    """Whether the composite baselines take ``spec``: g = beta x with beta > 0."""
     poly = spec.oscillator.poly
-    if poly is not None:
-        coeffs = np.trim_zeros(np.asarray(poly, dtype=float), "b")
-        if coeffs.size == 2 and coeffs[0] == 0.0 and coeffs[1] > 0.0:
-            return float(coeffs[1])
-    raise CapabilityError(
-        "the composite baseline supports linear oscillators only"
-    )
+    coeffs = None if poly is None else np.trim_zeros(np.asarray(poly, dtype=float), "b")
+    return bool(coeffs is not None and coeffs.size == 2 and coeffs[0] == 0.0 and coeffs[1] > 0.0)
+
+
+def _linear_slope(spec: ProblemSpec) -> float:
+    if not cmfp_applies(spec):
+        raise CapabilityError("the composite baseline supports linear oscillators only")
+    return float(spec.oscillator.poly[1])
 
 
 def _singular_amplitude_fn(spec: ProblemSpec):

@@ -55,7 +55,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baselines import ORACLE_PHASE_CAP, reference_nsd, reference_oracle
+from .baselines import ORACLE_PHASE_CAP, cmfp_applies, reference_nsd, reference_oracle
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import (
     Amplitude,
@@ -281,7 +281,7 @@ def _cmd_rows(args, out, err) -> int:
         spec = cache.spec(args.w)
         err.write(f"# ref_kind={cache.get(args.w)[1]}\n")
         methods = ["levin"]
-        if spec.oscillator.poly is not None and np.trim_zeros(spec.oscillator.poly, "b").size <= 2:
+        if cmfp_applies(spec):
             methods.append("cmfp")
         if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
             methods.append("oracle")

@@ -265,20 +265,18 @@ def _hermite_solve(data: HermiteData, spec: ProblemSpec, *values: np.ndarray) ->
         phik = ps_mul(phik, base)
     node, order = _conditions(data.mults, width)
     A = fact[order, None] * cols[:, node, order].T * scale
-    out = []
-    for table in values:
-        b = table[node, order]
-        try:
-            y = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSystemError(f"singular Hermite system: {exc}") from exc
-        resid = np.abs(A @ y - b).max()
-        if resid > 1e-9 * max(1.0, np.abs(b).max()):
+    # One right-hand-side column per table, so A is factorised once.
+    b = np.stack([table[node, order] for table in values], axis=1)
+    try:
+        y = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystemError(f"singular Hermite system: {exc}") from exc
+    for resid, bound in zip(np.abs(A @ y - b).max(axis=0), 1e-9 * np.maximum(1.0, np.abs(b).max(axis=0))):
+        if resid > bound:
             raise DegenerateSystemError(
                 f"Hermite interpolation conditions violated ({resid:.2e}); reduce the basis size"
             )
-        out.append(y * scale)
-    return out
+    return list((y * scale[:, None]).T)
 
 
 def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:

@@ -110,7 +110,7 @@ _SLOPE_CONFIGS = {
 }
 
 # Exact values of the 28 criterion-3 integrals (ex51 and ex52, alpha = +-0.5,
-# w = 10^{2, 2.5, ..., 5}), written by tests/data/make_criterion3_exact.py.
+# w = 10^{2, 2.5, ..., 5}), written by tests/data/make_exact.py.
 _EXACT_TABLE = Path(__file__).parent / "data" / "criterion3_exact.json"
 # Errors at or below this many eps |Q| count as round-off, not truncation;
 # the largest error of the 12 configurations that is not falling any more
@@ -210,8 +210,7 @@ def test_criterion_3_exact_table_guard():
     # Two entries of the criterion-3 table recomputed in 40-digit
     # arithmetic on the cross-check contour angle.
     pytest.importorskip("mpmath")
-    spec = importlib.util.spec_from_file_location(
-        "make_criterion3_exact", _EXACT_TABLE.with_name("make_criterion3_exact.py"))
+    spec = importlib.util.spec_from_file_location("make_exact", _EXACT_TABLE.with_name("make_exact.py"))
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     entries = _table_entries()

@@ -27,7 +27,7 @@ from oscquad.errors import AccuracyError, CapabilityError, ParameterError
 from oscquad.problem import builtin_problem, integrand
 
 # 40-digit values of the built-ins near alpha = -1, written by
-# tests/data/make_near_minus_one_exact.py.
+# tests/data/make_exact.py.
 _NEAR_MINUS_ONE = json.loads(
     (Path(__file__).parent / "data" / "near_minus_one_exact.json").read_text())["entries"]
 

@@ -278,6 +278,19 @@ class TestCompare:
         recs = parse_csv(out)
         assert {r.method for r in recs} >= {"levin-physical", "cmfp", "oracle"}
 
+    @pytest.mark.parametrize("problem", [["--problem", pid] for pid in ("ex51", "ex52", "ex53a", "ex53b", "ex54")]
+                             + [["--f-poly", "1,-1", "--g-poly", g]
+                                for g in ("0,1", "0,2.5,0,0", "3,-1", "1,2", "0,1,0.3", "0,1,0,0.1")])
+    def test_cmfp_row_where_g_is_linear(self, problem):
+        # compare lists cmfp exactly where the problem's g is linear once
+        # build_problem has shifted it to g(0) = 0 and made it increasing.
+        argv = ["compare", *problem, "--alpha", "0.5", "--w", "50", "--n", "4"]
+        code, out, _ = run(argv)
+        assert code == 0
+        poly = oscquad.benchcli._build_spec(oscquad.benchcli._make_parser().parse_args(argv), 50.0).oscillator.poly
+        linear = poly is not None and np.trim_zeros(poly, "b").size <= 2
+        assert ("cmfp" in {r.method for r in parse_csv(out)}) == linear
+
     def test_compare_nsd_reference(self):
         # Above the crossover the reference is NSD; the oracle row (still
         # under the phase cap) agrees with it.

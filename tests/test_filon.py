@@ -223,6 +223,21 @@ class TestHermiteSolve:
         assert len(calls) == data.basis_size
         assert all(shape == (6, 3) for shape in calls)
 
+    @pytest.mark.parametrize("pid, columns", [("ex51", 1), ("ex52", 2)])
+    def test_one_solve_for_every_table(self, monkeypatch, pid, columns):
+        # The log kind's f1 and f21 tables share the Hermite matrix: one
+        # solve with a right-hand-side column per table.
+        calls = []
+        real = np.linalg.solve
+
+        def counting(A, b):
+            calls.append(np.shape(b)[1:])
+            return real(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        compute(builtin_problem(pid, 0.5, 100.0), Method.FILON, 8, 1)
+        assert calls == [(columns,)]
+
     def test_basis_cap(self):
         spec = builtin_problem("ex51", 0.5, 100.0)
         data = build_hermite_data(spec, 45, 0)
