@@ -70,6 +70,16 @@ _NSD_TILT = 0.1
 _BLOCK_SUBPANELS = 2048
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(m: int):
+    # Gauss-Legendre nodes and weights of order m on [-1, 1], cached per
+    # order and returned read-only.
+    rule = roots_legendre(m)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def gauss_legendre(f, a: float, b: float, m: int) -> complex:
     """m-point Gauss-Legendre value of ``int_a^b f``.
 
@@ -79,7 +89,7 @@ def gauss_legendre(f, a: float, b: float, m: int) -> complex:
         raise ParameterError("m must be at least 1")
     if not a < b:
         raise ParameterError("need a < b")
-    xg, wg = roots_legendre(m)
+    xg, wg = _legendre_rule(m)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     vals = np.asarray(f(mid + half * xg), dtype=complex)
@@ -290,7 +300,7 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     gl_part = 0.0 + 0.0j
     points = 0
     if params.s >= 2:
-        xg, wgl = roots_legendre(params.m1)
+        xg, wgl = _legendre_rule(params.m1)
         grading = (np.arange(params.s + 1, dtype=float) / params.s) ** params.p
         lo = grading[1:-1]
         hi = grading[2:]
@@ -367,7 +377,7 @@ def graded_integral(
     k = min(64, math.frexp(eps)[1] - minexp - 1)
     if k < 1:
         raise ParameterError(f"a = {a!r} leaves no normal float below it for the tail fit")
-    xg, wgl = roots_legendre(gl_order)
+    xg, wgl = _legendre_rule(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     hi = a * 0.5 ** np.arange(depth, dtype=float)
     lo = 0.5 * hi

@@ -50,7 +50,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -101,6 +102,8 @@ class RunRecord:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
+# A record's fields in column order, as a shallow tuple.
+_columns = attrgetter(*CSV_HEADER.split(","))
 _COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
 
 
@@ -117,7 +120,7 @@ def write_csv(records, sink) -> None:
     """
     sink.write(CSV_HEADER + "\n")
     for r in records:
-        sink.write(",".join(map(_fmt, astuple(r))) + "\n")
+        sink.write(",".join(map(_fmt, _columns(r))) + "\n")
 
 
 def parse_csv(text: str) -> list:

@@ -17,7 +17,10 @@ conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only how it builds that operator
 (:func:`_freq_operator`, an ``oscquad.levin._Operator``): :func:`quad_freq`
 runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
-physical-space route shares.
+physical-space route shares.  The parts of both rules that depend on g
+alone, the Levin images' three terms and the Hermite matrix, are built once
+per polynomial g and grid (``problem._oscillator_table``) and combined with
+alpha and w on each call.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _Operator, _quad_levin, factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
-from .problem import Amplitude, ProblemSpec, SingKind, _factorials, _regularised
+from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _oscillator_table, _regularised
 
 __all__ = [
     "MomentTable",
@@ -244,27 +247,37 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     return _hermite_solve(data, spec, data.values)[0]
 
 
-def _hermite_solve(data: HermiteData, spec: ProblemSpec, *values: np.ndarray) -> list:
-    # hermite_solve for each table of ``values`` (shaped as data.values) on
-    # the nodes and multiplicities of ``data``, with one Hermite matrix.
-    M1 = data.basis_size
-    if M1 > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
-    g_a = spec.g_end()
-    width = int(data.mults.max())
+@_oscillator_table
+def _hermite_matrix(osc: Oscillator, a: float, nodes: np.ndarray, mults: np.ndarray) -> tuple:
+    # The Hermite matrix of hermite_solve on [0, a] for the interpolation
+    # conditions of ``nodes`` and ``mults``, column-scaled, and its column
+    # scales g(a)^{1-k}.
+    M1 = int(mults.sum())
+    g_a = float(osc.value(a))
+    width = int(mults.max())
     fact = _factorials(width)
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
     # per basis function covers all nodes.
-    gser = spec.oscillator.series_at(data.nodes, width + 1)
+    gser = osc.series_at(nodes, width + 1)
     base = gser[:, :width]
     phik = np.arange(1, width + 1) * gser[:, 1:]
     cols = np.empty((M1,) + phik.shape)
     for k in range(M1):
         cols[k] = phik
         phik = ps_mul(phik, base)
-    node, order = _conditions(data.mults, width)
-    A = fact[order, None] * cols[:, node, order].T * scale
+    node, order = _conditions(mults, width)
+    return fact[order, None] * cols[:, node, order].T * scale, scale
+
+
+def _hermite_solve(data: HermiteData, spec: ProblemSpec, *values: np.ndarray) -> list:
+    # hermite_solve for each table of ``values`` (shaped as data.values) on
+    # the nodes and multiplicities of ``data``, with one Hermite matrix.
+    M1 = data.basis_size
+    if M1 > MAX_BASIS_SIZE:
+        raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
+    A, scale = _hermite_matrix(spec.oscillator, spec.a, data.nodes, data.mults)
+    node, order = _conditions(data.mults, int(data.mults.max()))
     # One right-hand-side column per table, so A is factorised once.
     b = np.stack([table[node, order] for table in values], axis=1)
     try:
@@ -344,6 +357,38 @@ def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
     return out.view()  # a view of a frozen array cannot be made writeable again
 
 
+@_oscillator_table
+def _freq_images(osc: Oscillator, nodes: np.ndarray, mults: np.ndarray) -> tuple:
+    # The parts of _freq_rows that depend on g alone, on the collocation
+    # nodes and multiplicities of (npts, s): the g' series (length s+1) at
+    # the nodes, and the three terms of the Levin images of T_0 .. T_{M-1},
+    # sum_i g_i P'_{j-i}, g'_i P_{j-i} and (g g')_i P_{j-i}, at the
+    # collocation conditions, one row per condition (orders j > 0 of
+    # interior nodes are formed and dropped).  Each Cauchy product is summed
+    # over table columns in ps_mul's order.  Only endpoint sums have more
+    # than one term; there ps_mul's dot product may fuse a multiply-add, so
+    # for a general g the sums can differ from it in the last bits.
+    npts, s = nodes.size, int(mults[0]) - 1
+    M = int(mults.sum()) - 1
+    gser = osc.series_at(nodes, s + 2)
+    gg = gser[:, : s + 1]
+    gprime = np.arange(1, s + 2) * gser[:, 1:]
+    ggprime = ps_mul(gg, gprime)
+    tables = _cheb_series_table(npts, s + 2, M)
+    P = tables[:, :, : s + 1]
+    dP = np.arange(1, s + 2) * tables[:, :, 1:]
+    terms = np.empty((3, npts, s + 1, M))
+    for j in range(s + 1):
+        t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
+        for i in range(j + 1):
+            t1 = t1 + gg[:, i] * dP[:, :, j - i]
+            t2 = t2 + gprime[:, i] * P[:, :, j - i]
+            t3 = t3 + ggprime[:, i] * P[:, :, j - i]
+        terms[:, :, j] = t1.T, t2.T, t3.T
+    node, order = _conditions(mults, s + 1)
+    return gprime, terms[:, node, order]
+
+
 def _freq_rows(spec: ProblemSpec, npts: int, s: int):
     # The collocation conditions of the route before equilibration:
     # (nodes, mults, tables, g' series, matrix).  tables[k, l] is the Taylor
@@ -351,12 +396,8 @@ def _freq_rows(spec: ProblemSpec, npts: int, s: int):
     # has length s+1.  Rows: the model ODE and its first (mult - 1)
     # derivatives at each node, applied to the unknowns (c0, q1
     # coefficients).  Column k + 1 holds the Levin image g q' + (1+alpha) g' q
-    # + iw g g' q of q = T_k, for the whole basis and all nodes at once
-    # (orders j > 0 of interior nodes are formed and dropped): each Cauchy
-    # product is summed over table columns in ps_mul's order.  Only endpoint
-    # sums have more than one term; there ps_mul's dot product may fuse a
-    # multiply-add, so for a general g the entries can differ from it in the
-    # last bits.
+    # + iw g g' q of q = T_k, for the whole basis: the terms of
+    # _freq_images, kept per g, combined with alpha and w.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
     nodes, mults = _collocation_nodes(npts, s)
@@ -364,24 +405,13 @@ def _freq_rows(spec: ProblemSpec, npts: int, s: int):
     if M > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
     w = spec.w
-    fact = _factorials(s + 1)
-    gser = spec.oscillator.series_at(nodes, s + 2)
-    gg = gser[:, : s + 1]
-    gprime = np.arange(1, s + 2) * gser[:, 1:]
-    ggprime = ps_mul(gg, gprime)
-    tables = _cheb_series_table(npts, s + 2, M)
-    P = tables[:, :, : s + 1]
-    dP = np.arange(1, s + 2) * tables[:, :, 1:]
-    rows = np.empty((npts, s + 1, M + 1), dtype=complex)
-    rows[:, :, 0] = 1j * w * fact * gprime
-    for j in range(s + 1):
-        t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
-        for i in range(j + 1):
-            t1 = t1 + gg[:, i] * dP[:, :, j - i]
-            t2 = t2 + gprime[:, i] * P[:, :, j - i]
-            t3 = t3 + ggprime[:, i] * P[:, :, j - i]
-        rows[:, j, 1:] = fact[j] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3).T
-    return nodes, mults, tables, gprime, rows[_conditions(mults, s + 1)]
+    gprime, (t1, t2, t3) = _freq_images(spec.oscillator, nodes, mults)
+    node, order = _conditions(mults, s + 1)
+    fact = _factorials(s + 1)[order]
+    rows = np.empty((node.size, M + 1), dtype=complex)
+    rows[:, 0] = 1j * w * fact * gprime[node, order]
+    rows[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
+    return nodes, mults, _cheb_series_table(npts, s + 2, M), gprime, rows
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:

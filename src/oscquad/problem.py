@@ -13,12 +13,18 @@ carry derivative data in one form: a series builder ``series_fn(xs, m)``
 that returns one row of Taylor coefficients per point.  A finite-difference
 builder exists for amplitudes supplied only as values; it is opt-in and its
 accuracy caveat is documented on :meth:`Amplitude.with_fd`.
+
+Tables that depend on a polynomial g alone, such as the series of x/g at a
+set of nodes, are built once per g and reused for every w and alpha
+(:func:`_oscillator_table`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -43,6 +49,8 @@ __all__ = [
 ]
 
 _MONOTONICITY_SAMPLES = 256
+# Tables kept per oscillator table, as many as the grids each family keeps.
+OSCILLATOR_TABLE_CACHE_SIZE = 64
 
 
 class SingKind(Enum):
@@ -175,7 +183,8 @@ class Oscillator:
     ``poly`` holds ascending polynomial coefficients when the oscillator is
     polynomial, enabling exact normalization and the identity-oscillator
     fast paths; :meth:`deriv1` then uses derivative coefficients formed
-    once, at construction.
+    once, at construction, and the tables of :func:`_oscillator_table` are
+    kept per coefficient vector.
     """
 
     value: Callable
@@ -183,9 +192,14 @@ class Oscillator:
     poly: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        key = None
         if self.poly is not None:
             p = self.poly  # polyder's coefficients j c_j, without its argument handling
             object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
+            key = np.asarray(p, dtype=float).tobytes()
+        # What identifies g to _oscillator_table: its coefficient bytes, or
+        # None where g is not a polynomial.
+        object.__setattr__(self, "_key", key)
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
@@ -234,6 +248,49 @@ class ProblemSpec:
 
     def g_end(self) -> float:
         return float(self.oscillator.value(self.a))
+
+
+def _oscillator_table(build):
+    """Memoise ``build(osc, *args)``, a tuple of arrays that depends on the
+    oscillator only through g and on hashable or array ``args``.
+
+    Tables are kept per (g's coefficient bytes, args), an array argument
+    keyed by its dtype, shape and bytes, for the last
+    ``OSCILLATOR_TABLE_CACHE_SIZE`` keys used; a miss builds the table from
+    the oscillator at hand.  A non-polynomial g has no key, and its table
+    is built on every call.  Every array of a returned table is read-only;
+    ``.cache`` is the dictionary of kept tables.
+    """
+    cache = OrderedDict()
+
+    @functools.wraps(build)
+    def table(osc: Oscillator, *args):
+        if osc._key is None:
+            return _read_only(build(osc, *args))
+        key = (osc._key, *((x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x for x in args))
+        out = cache.pop(key, None)
+        if out is None:
+            out = _read_only(build(osc, *args))
+        cache[key] = out
+        if len(cache) > OSCILLATOR_TABLE_CACHE_SIZE:
+            cache.popitem(last=False)
+        return out
+
+    table.cache = cache
+    return table
+
+
+def _read_only(table: tuple) -> tuple:
+    # The arrays of a table frozen, a view first copied so that the frozen
+    # array owns its data; a view of a frozen array cannot be made writeable
+    # again.
+    def freeze(x):
+        if x.base is not None:
+            x = x.copy()
+        x.flags.writeable = False
+        return x.view()
+
+    return tuple(map(freeze, table))
 
 
 def _normalize_oscillator(osc: Oscillator, a: float, w: float):
@@ -324,16 +381,19 @@ def build_problem(
     )
 
 
-def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int) -> np.ndarray:
-    """Taylor coefficients of x/g(x), one row per point of xs; the row of
-    x = 0 is that of the limit 1/(g(x)/x), with head 1/g'(0)."""
+@_oscillator_table
+def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, log: bool) -> tuple:
+    """Taylor coefficients of x/g(x), and with ``log`` also of log(x/g(x)),
+    one row per point of xs; the row of x = 0 is that of the limit
+    1/(g(x)/x), with head 1/g'(0)."""
     gser = osc.series_at(xs, m + 1)
     origin = xs == 0.0
     num = np.zeros((xs.size, m))
     num[:, 0] = np.where(origin, 1.0, xs)
     if m > 1:
         num[~origin, 1] = 1.0
-    return ps_div(num, np.where(origin[:, None], gser[:, 1:], gser[:, :m]))
+    ratio = ps_div(num, np.where(origin[:, None], gser[:, 1:], gser[:, :m]))
+    return (ratio, ps_log(ratio)) if log else (ratio,)
 
 
 def _separated(spec: ProblemSpec, f2_power: bool):
@@ -342,8 +402,9 @@ def _separated(spec: ProblemSpec, f2_power: bool):
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  A
     value call evaluates g once, and a series call forms the series of x/g
-    once.  For the identity oscillator the factors are 1 and 0 exactly: f1
-    is f itself and the second amplitude is zero.
+    once (kept per polynomial g, nodes and length by _ratio_series).  For
+    the identity oscillator the factors are 1 and 0 exactly: f1 is f itself
+    and the second amplitude is zero.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
@@ -377,11 +438,11 @@ def _separated(spec: ProblemSpec, f2_power: bool):
 
         def series(xs, m):
             out = f.series_at(xs, m)
-            ratio = _ratio_series(osc, xs, m)
+            ratio = _ratio_series(osc, xs, m, log)
             if log:
-                out = ps_mul(out, ps_log(ratio))
+                out = ps_mul(out, ratio[1])
             if power:
-                out = ps_mul(out, ps_pow(ratio, alpha))
+                out = ps_mul(out, ps_pow(ratio[0], alpha))
             return out
 
         return Amplitude(value=value, series_fn=series)

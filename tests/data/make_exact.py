@@ -46,6 +46,10 @@ CHECK_ANGLE = (1, 3)
 # |W| (the poles of ex52 at small w); e^{-256 sin(pi/4)} is far below 40
 # digits of the integral.
 _S_BREAKS = [mp.mpf(0)] + [mp.mpf(2) ** k for k in range(-4, 9)] + [mp.inf]
+# |w| g(a) of the oracle_crossover table: just above the NSD crossover of
+# the CLI's error columns (oscquad.benchcli.NSD_CROSSOVER = 100) and up to
+# 300, where NSD takes every built-in.
+_CROSSOVER_PHASES = (100.0 * 1.01, 150.0, 200.0, 250.0, 300.0)
 # Series terms of series_value: |w| g(a) <= 0.2 makes term k below 0.2^k / k!.
 _TERMS = 60
 
@@ -247,6 +251,11 @@ TABLES = {
     "alpha_near_one": _nsd_table(
         "Exact values of the ex53a and ex53b integrals at alpha = 0.9, 0.99 and w = 1e4, 1e8",
         _nsd_grid(("ex53a", "ex53b"), (0.9, 0.99), (1e4, 1e8))),
+    "oracle_crossover": _nsd_table(
+        "Exact values of the built-in integrals at alpha = -0.9, -0.5, 0.5, 0.9 and "
+        "|w| g(a) = 101, 150, 200, 250, 300",
+        [{"problem": p, "alpha": alpha, "phase": phase, "w": phase / (2.0 if p.startswith("ex53") else 1.0)}
+         for p in PROBLEMS for alpha in (-0.9, -0.5, 0.5, 0.9) for phase in _CROSSOVER_PHASES]),
 }
 
 

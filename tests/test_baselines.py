@@ -69,6 +69,22 @@ class TestGaussLegendre:
         with pytest.raises(ParameterError):
             gauss_legendre(np.exp, 0.0, 1.0, 0)
 
+    def test_rule_kept_per_order_and_read_only(self):
+        # One rule per order, the bits of scipy's, which no caller can
+        # change; the value is that of a freshly solved rule.
+        import oscquad.baselines
+
+        rule = oscquad.baselines._legendre_rule(24)
+        assert oscquad.baselines._legendre_rule(24) is rule
+        for kept, fresh in zip(rule, roots_legendre(24)):
+            assert kept.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+        xg, wg = roots_legendre(24)
+        mid, half = 0.5 * (0.2 + 1.6), 0.5 * (1.6 - 0.2)
+        want = complex(half * np.dot(wg, np.asarray(np.exp(mid + half * xg), dtype=complex)))
+        assert gauss_legendre(np.exp, 0.2, 1.6, 24) == want
+
 
 class TestExponentialMoments:
     def mp_moment(self, theta, k):

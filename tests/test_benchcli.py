@@ -73,6 +73,17 @@ class TestCsv:
         assert text.count("\n") == 10001
         assert parse_csv(text)[-1].n == 9999
 
+    def test_rows_are_the_fields_in_order(self):
+        # Each row is the record's fields in column order, as the deep
+        # dataclasses.astuple copy wrote them, including non-finite floats.
+        from dataclasses import astuple
+
+        recs = [sample_record(), sample_record(value_re=-0.0, abs_err=math.inf, rel_err=math.nan, n=-3)]
+        sink = io.StringIO()
+        write_csv(recs, sink)
+        rows = [",".join(map(oscquad.benchcli._fmt, astuple(r))) for r in recs]
+        assert sink.getvalue() == "\n".join([CSV_HEADER, *rows]) + "\n"
+
     def test_bad_header_rejected(self):
         from oscquad.errors import ParameterError
 

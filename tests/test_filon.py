@@ -208,9 +208,11 @@ class TestHermiteSolve:
 
     def test_one_ps_mul_per_basis_column(self, monkeypatch):
         # The column recurrence phi_{k+1} = phi_k g covers all nodes with one
-        # ps_mul per basis function.
+        # ps_mul per basis function when the matrix is built; a call that
+        # finds it kept for this g takes none.
         spec = builtin_problem("ex53a", 0.5, 100.0)
         data = build_hermite_data(spec, 6, 2)
+        oscquad.filon._hermite_matrix.cache.clear()
         calls = []
         real = oscquad.filon.ps_mul
 
@@ -222,6 +224,9 @@ class TestHermiteSolve:
         hermite_solve(data, spec)
         assert len(calls) == data.basis_size
         assert all(shape == (6, 3) for shape in calls)
+        calls.clear()
+        hermite_solve(data, spec)
+        assert calls == []
 
     @pytest.mark.parametrize("pid, columns", [("ex51", 1), ("ex52", 2)])
     def test_one_solve_for_every_table(self, monkeypatch, pid, columns):
@@ -507,12 +512,15 @@ class TestFreqOperatorRows:
             assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], gprime[l])).tobytes()
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
-        # g g' once per node; the images take none (the loop form takes
-        # 3 M + 1 per node).  The first call fills the Chebyshev table cache,
-        # whose misses use ps_mul for the recurrence.
+        # g g' once per node when the oscillator's images are built; the
+        # images take none (the loop form takes 3 M + 1 per node), and a
+        # call that finds them kept for this g takes none at all.  The first
+        # call fills the Chebyshev table cache, whose misses use ps_mul for
+        # the recurrence.
         spec = builtin_problem("ex53a", 0.5, 50.0)
         npts, s = 9, 2
         oscquad.filon._freq_operator(spec, npts, s)
+        oscquad.filon._freq_images.cache.clear()
         calls = []
         real = oscquad.filon.ps_mul
 
@@ -523,6 +531,9 @@ class TestFreqOperatorRows:
         monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
         oscquad.filon._freq_operator(spec, npts, s)
         assert 0 < len(calls) <= npts
+        calls.clear()
+        oscquad.filon._freq_operator(spec, npts, s)
+        assert calls == []
 
 
 class TestEquilibratedRows:

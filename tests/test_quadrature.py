@@ -459,6 +459,23 @@ class TestOneAmplitudeBuildPerLevinCall:
         assert res.value == compute(spec, method, n, s).value
 
 
+# The tables kept per polynomial oscillator.
+_OSCILLATOR_TABLES = (oscquad.filon._freq_images, oscquad.filon._hermite_matrix, oscquad.problem._ratio_series)
+
+
+def _clear_caches():
+    oscquad.cheb._radau_grid.cache_clear()
+    oscquad.cheb._lobatto_grid.cache_clear()
+    oscquad.filon._cheb_series_table.cache_clear()
+    for table in _OSCILLATOR_TABLES:
+        table.cache.clear()
+
+
+def _outcome(spec, method, n, s):
+    res = compute(spec, method, n, s)
+    return repr(res.value), repr(res.diagnostics)
+
+
 class TestCachesChangeNoOutput:
     @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
     def test_cold_and_warm_caches_agree(self, pid):
@@ -466,20 +483,79 @@ class TestCachesChangeNoOutput:
         # (every lookup a hit) give the same bits.
         calls = [(builtin_problem(pid, alpha, w), method, n, s)
                  for alpha, w in ((0.5, 200.0), (-0.3, 4.0e5))
-                 for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 10, 2))]
+                 for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 10, 2),
+                                      (Method.FILON, 6, 1))]
+        cold = []
+        for args in calls:
+            _clear_caches()
+            cold.append(_outcome(*args))
+        assert [_outcome(*args) for args in calls] == cold
 
-        def run():
-            out = []
-            for args in calls:
-                res = compute(*args)
-                out.append((repr(res.value), repr(res.diagnostics)))
+    @pytest.mark.parametrize("kind", list(SingKind))
+    def test_non_polynomial_g_is_never_kept(self, kind):
+        # g = e^x - 1 has no coefficient vector, so its tables are built on
+        # every call and no cache holds one.
+        def series(xs, m):
+            k = np.arange(m)
+            out = np.exp(xs)[:, None] / np.array([math.factorial(j) for j in k], dtype=float)
+            out[:, 0] -= 1.0
             return out
 
-        oscquad.cheb._radau_grid.cache_clear()
-        oscquad.cheb._lobatto_grid.cache_clear()
-        oscquad.filon._cheb_series_table.cache_clear()
-        cold = run()
-        assert run() == cold
+        osc = Oscillator(np.expm1, series)
+        assert osc._key is None
+        spec = build_problem(Amplitude.from_poly([1.0, 0.5]), osc, 1.0, 0.5, kind, 60.0)
+        _clear_caches()
+        for method, n, s in ((Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)):
+            first = _outcome(spec, method, n, s)
+            assert _outcome(spec, method, n, s) == first
+        assert all(not table.cache for table in _OSCILLATOR_TABLES)
+
+    @pytest.mark.parametrize("kind", list(SingKind))
+    def test_one_ulp_apart_is_another_g(self, kind):
+        # Two g one ulp apart in one coefficient have an entry each, and the
+        # second gives its own bits after the first has filled the caches.
+        specs = [build_problem(Amplitude.from_poly([1.0, 0.5]), Oscillator.from_poly([0.0, 1.0, c]), 1.0, 0.5,
+                               kind, 60.0) for c in (0.5, np.nextafter(0.5, 1.0))]
+        calls = [(Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)]
+        _clear_caches()
+        cold = [_outcome(specs[1], *call) for call in calls]
+        one_g = [len(table.cache) for table in _OSCILLATOR_TABLES]
+        assert all(one_g)
+        _clear_caches()
+        for call in calls:
+            _outcome(specs[0], *call)
+        assert [_outcome(specs[1], *call) for call in calls] == cold
+        assert [len(table.cache) for table in _OSCILLATOR_TABLES] == [2 * k for k in one_g]
+
+    def test_kept_tables_are_read_only(self):
+        _clear_caches()
+        for kind in SingKind:
+            spec = build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0, 0.5]), 1.0, 0.5,
+                                 kind, 60.0)
+            compute(spec, Method.LEVIN_FREQ, 8, 1)
+            compute(spec, Method.FILON, 6, 1)
+        for table in _OSCILLATOR_TABLES:
+            assert table.cache
+            for kept in table.cache.values():
+                for x in kept:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError):
+                        x.flat[0] = 1.0
+                    with pytest.raises(ValueError):
+                        x.flags.writeable = True
+
+    def test_kept_tables_are_bounded(self):
+        size = oscquad.problem.OSCILLATOR_TABLE_CACHE_SIZE
+        oscs = [Oscillator.from_poly([0.0, 1.0, 0.01 * k]) for k in range(size + 10)]
+        nodes, mults = oscquad.filon._collocation_nodes(3, 0)
+        for osc in oscs:
+            oscquad.filon._freq_images(osc, nodes, mults)
+            oscquad.filon._hermite_matrix(osc, 1.0, nodes, mults)
+            oscquad.problem._ratio_series(osc, np.array([0.5]), 2, False)
+        for table in _OSCILLATOR_TABLES:
+            assert len(table.cache) == size
+            # The last g used is kept.
+            assert next(reversed(table.cache))[0] == oscs[-1]._key
 
 
 class TestConvergenceInN:
