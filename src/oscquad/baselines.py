@@ -19,13 +19,13 @@ turns into exponential decay; its cost does not grow with the frequency.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, roots_genlaguerre, roots_legendre
 
+from ._kept import kept
 from ._result import Method, QuadratureResult
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import ProblemSpec, SingKind, integrand
@@ -70,14 +70,10 @@ _NSD_TILT = 0.1
 _BLOCK_SUBPANELS = 2048
 
 
-@functools.lru_cache(maxsize=64)
+@kept
 def _legendre_rule(m: int):
-    # Gauss-Legendre nodes and weights of order m on [-1, 1], cached per
-    # order and returned read-only.
-    rule = roots_legendre(m)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    # Gauss-Legendre nodes and weights of order m on [-1, 1], kept per order.
+    return roots_legendre(m)
 
 
 def gauss_legendre(f, a: float, b: float, m: int) -> complex:
@@ -137,18 +133,14 @@ def exponential_moments(theta, count: int) -> np.ndarray:
     return out
 
 
-_CHEB_CACHE: dict = {}
-
-
+@kept
 def _cheb_interp_setup(m: int):
     # Chebyshev-Gauss reference points and the inverse Vandermonde mapping
-    # point values to monomial coefficients on [-1, 1].
-    if m not in _CHEB_CACHE:
-        i = np.arange(1, m + 1)
-        xi = np.sort(np.cos((2 * i - 1) * np.pi / (2 * m)))
-        vinv = np.linalg.inv(np.vander(xi, m, increasing=True))
-        _CHEB_CACHE[m] = (xi, vinv.T.copy())
-    return _CHEB_CACHE[m]
+    # point values to monomial coefficients on [-1, 1], kept per m.
+    i = np.arange(1, m + 1)
+    xi = np.sort(np.cos((2 * i - 1) * np.pi / (2 * m)))
+    vinv = np.linalg.inv(np.vander(xi, m, increasing=True))
+    return xi, vinv.T.copy()
 
 
 def _cmf_panels(amp, w_eff: float, edges: np.ndarray, m: int) -> np.ndarray:
@@ -441,14 +433,14 @@ def reference_oracle(spec: ProblemSpec) -> complex:
     return complex(value * spec.phase_shift)
 
 
-@functools.lru_cache(maxsize=64)
+@kept
 def _laguerre_rule(alpha: float):
     # Generalised Gauss-Laguerre nodes and weights for p^alpha e^{-p} on
     # (0, inf), and the product weights of p^alpha log(p) e^{-p} on the same
     # nodes: log p expanded in L_j^{(alpha)}, j < m, whose coefficients are
     # closed form, int p^alpha log(p) L_j e^{-p} dp = -Gamma(alpha+1)/j for
     # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0; m = _NSD_ORDER.
-    # Cached per alpha and returned read-only.
+    # Kept per alpha.
     m = _NSD_ORDER
     nodes, weights = roots_genlaguerre(m, alpha)
     acc = np.full(m, digamma(alpha + 1.0))
@@ -458,10 +450,7 @@ def _laguerre_rule(alpha: float):
         ratio *= j / (j + alpha)
         acc -= ratio / j * lag
         prev, lag = lag, ((2 * j + 1 + alpha - nodes) * lag - (j + alpha) * prev) / (j + 1)
-    rule = (nodes, weights, weights * acc)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return nodes, weights, weights * acc
 
 
 def _path_slope(t, g1: float, g2: float):

@@ -46,7 +46,6 @@ any long option; explicit flags override it.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -56,6 +55,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from ._kept import kept
 from .baselines import ORACLE_PHASE_CAP, cmfp_applies, reference_nsd, reference_oracle
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import (
@@ -325,7 +325,7 @@ _SUBCOMMANDS = (
 )
 
 
-@functools.lru_cache(maxsize=1)
+@kept
 def _make_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing does not change the parser, and
     # building it costs more than parsing an invocation.

@@ -14,14 +14,11 @@ check the barycentric construction against them.
 
 Every problem is mapped onto [0, 1] before the solve, so a grid depends
 on n only: :func:`radau_grid` and :func:`lobatto_grid` validate n and
-return a cached grid.  Each family keeps the last ``GRID_CACHE_SIZE``
-grids built, keyed on ``int(n)``, and every array of a returned grid is
-read-only.
+return the grid kept for ``int(n)`` by :func:`oscquad._kept.kept`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
+from ._kept import kept
 from .errors import ParameterError
 
 __all__ = [
@@ -43,10 +41,6 @@ __all__ = [
     "radau_grid",
     "lobatto_grid",
 ]
-
-# Grids kept per family, one per n.
-GRID_CACHE_SIZE = 64
-
 
 class GridFamily(Enum):
     RADAU_MODIFIED = "radau-modified"
@@ -204,25 +198,13 @@ def radau_origin_weights_closed(n: int) -> np.ndarray:
 
 
 def _grid_key(n) -> int:
-    # Checked before the cache lookup: hash(8.0) == hash(8), so an unchecked
+    # Checked before the memo's lookup: hash(8.0) == hash(8), so an unchecked
     # 8.0 would be handed the n=8 grid.
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ParameterError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ParameterError("n must be at least 2")
     return int(n)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    # A view of the frozen array: unlike an array that owns its data, it
-    # cannot be made writeable again, so no caller can alter a cached grid.
-    arr.flags.writeable = False
-    return arr.view()
-
-
-def _read_only_grid(family: GridFamily, n: int, nodes, interior, diff, origin_weights) -> ChebGrid:
-    arrays = (nodes, interior, diff, origin_weights, barycentric_weights(nodes))
-    return ChebGrid(family, n, *(None if arr is None else _read_only(arr) for arr in arrays))
 
 
 def radau_grid(n: int) -> ChebGrid:
@@ -239,7 +221,7 @@ def radau_grid(n: int) -> ChebGrid:
         ``nodes`` = {0} followed by the ascending mapped Radau points (the
         largest equals 1); ``diff`` acts on the mapped points;
         ``origin_weights`` extrapolate values there to x=0.  The grid is
-        cached per n and its arrays are read-only.
+        kept per n and its arrays are read-only.
 
     Raises
     ------
@@ -249,7 +231,7 @@ def radau_grid(n: int) -> ChebGrid:
     return _radau_grid(_grid_key(n))
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+@kept
 def _radau_grid(n: int) -> ChebGrid:
     t = radau_reference_nodes(n)
     xs = (1.0 - t[::-1]) / 2.0
@@ -258,13 +240,13 @@ def _radau_grid(n: int) -> ChebGrid:
     mu = lam / (0.0 - xs)
     r = mu / mu.sum()
     nodes = np.concatenate(([0.0], xs))
-    return _read_only_grid(GridFamily.RADAU_MODIFIED, n, nodes, xs, D, r)
+    return ChebGrid(GridFamily.RADAU_MODIFIED, n, nodes, xs, D, r, barycentric_weights(nodes))
 
 
 def lobatto_grid(n: int) -> ChebGrid:
     """Modified Chebyshev-Lobatto grid on [0, 1] with both endpoints included.
 
-    The grid is cached per n and its arrays are read-only.
+    The grid is kept per n and its arrays are read-only.
 
     Parameters
     ----------
@@ -274,11 +256,11 @@ def lobatto_grid(n: int) -> ChebGrid:
     return _lobatto_grid(_grid_key(n))
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+@kept
 def _lobatto_grid(n: int) -> ChebGrid:
     j = np.arange(n + 1)
     nodes = (1.0 - np.cos(j * np.pi / n)) / 2.0
     nodes[0] = 0.0
     nodes[-1] = 1.0
     D = barycentric_diff(nodes)
-    return _read_only_grid(GridFamily.LOBATTO_MODIFIED, n, nodes, nodes, D, None)
+    return ChebGrid(GridFamily.LOBATTO_MODIFIED, n, nodes, nodes, D, None, barycentric_weights(nodes))

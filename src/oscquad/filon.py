@@ -18,27 +18,27 @@ basis and all nodes.  The route is only how it builds that operator
 (:func:`_freq_operator`, an ``oscquad.levin._Operator``): :func:`quad_freq`
 runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
 physical-space route shares.  The parts of both rules that depend on g
-alone, the Levin images' three terms and the Hermite matrix, are built once
-per polynomial g and grid (``problem._oscillator_table``) and combined with
-alpha and w on each call.
+alone, the Levin images' three terms and the Hermite matrix, are kept per
+polynomial g and grid, and the Chebyshev Taylor tables per grid
+(:func:`oscquad._kept.kept`); each call combines them with alpha and w.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._kept import kept
 from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
-from .cheb import GRID_CACHE_SIZE, _lobatto_grid, lobatto_grid
+from .cheb import _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _Operator, _quad_levin, factor
 from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
-from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _oscillator_table, _regularised
+from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
     "MomentTable",
@@ -55,9 +55,6 @@ __all__ = [
 ]
 
 MAX_BASIS_SIZE = 40
-# Chebyshev Taylor tables kept, one per (grid, length, basis size): as many
-# as the grids each family keeps.
-SERIES_TABLE_CACHE_SIZE = GRID_CACHE_SIZE
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     return _hermite_solve(data, spec, data.values)[0]
 
 
-@_oscillator_table
+@kept
 def _hermite_matrix(osc: Oscillator, a: float, nodes: np.ndarray, mults: np.ndarray) -> tuple:
     # The Hermite matrix of hermite_solve on [0, a] for the interpolation
     # conditions of ``nodes`` and ``mults``, column-scaled, and its column
@@ -333,15 +330,15 @@ def _filon_rule(spec: ProblemSpec, data: HermiteData, f21: Optional[Amplitude]) 
     )
 
 
-@functools.lru_cache(maxsize=SERIES_TABLE_CACHE_SIZE)
+@kept
 def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
     # Taylor series (length m) of T_0..T_{count-1}(2t - 1) at the npts
     # Lobatto nodes on [0, 1]: out[k, l] is that of T_k at node l.  The
     # three-term recurrence is carried out in series space, for all nodes
     # at once; stable at degrees where conversion to the monomial basis is
-    # not.  Depends on its arguments only, so it is cached and returned
-    # read-only.  The nodes are those of the cached grid, whose arguments
-    # the caller's lobatto_grid call has already checked.
+    # not.  Depends on its arguments only, so it is kept.  The nodes are
+    # those of the kept grid, whose arguments the caller's lobatto_grid call
+    # has already checked.
     nodes = _lobatto_grid(npts - 1).nodes
     u = np.zeros((npts, m))
     u[:, 0] = 2.0 * nodes - 1.0
@@ -353,11 +350,10 @@ def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
         out[1] = u
     for k in range(2, count):
         out[k] = 2.0 * ps_mul(u, out[k - 1]) - out[k - 2]
-    out.flags.writeable = False
-    return out.view()  # a view of a frozen array cannot be made writeable again
+    return out
 
 
-@_oscillator_table
+@kept
 def _freq_images(osc: Oscillator, nodes: np.ndarray, mults: np.ndarray) -> tuple:
     # The parts of _freq_rows that depend on g alone, on the collocation
     # nodes and multiplicities of (npts, s): the g' series (length s+1) at

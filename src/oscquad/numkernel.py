@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as _gamma, psi as _psi, roots_laguerre
 
+from ._kept import freeze
 from .errors import AccuracyError, CapabilityError, ParameterError
 
 __all__ = [
@@ -174,7 +175,8 @@ def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
     return None, max_iter, abs(delta - 1.0)
 
 
-_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = roots_laguerre(180)
+# Read by every rotated-path call, so frozen: no caller can alter the rule.
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = freeze(roots_laguerre(180))
 
 
 def _upper_gamma_rotated(a: float, z: complex):

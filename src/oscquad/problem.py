@@ -15,22 +15,21 @@ builder exists for amplitudes supplied only as values; it is opt-in and its
 accuracy caveat is documented on :meth:`Amplitude.with_fd`.
 
 Tables that depend on a polynomial g alone, such as the series of x/g at a
-set of nodes, are built once per g and reused for every w and alpha
-(:func:`_oscillator_table`).
+set of nodes, are kept per g by :func:`oscquad._kept.kept` and reused for
+every w and alpha.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._kept import kept
 from ._series import poly_taylor, ps_div, ps_log, ps_mul, ps_pow
 from .errors import CapabilityError, InvalidOscillatorError, ParameterError
 
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 _MONOTONICITY_SAMPLES = 256
-# Tables kept per oscillator table, as many as the grids each family keeps.
-OSCILLATOR_TABLE_CACHE_SIZE = 64
 
 
 class SingKind(Enum):
@@ -183,8 +180,8 @@ class Oscillator:
     ``poly`` holds ascending polynomial coefficients when the oscillator is
     polynomial, enabling exact normalization and the identity-oscillator
     fast paths; :meth:`deriv1` then uses derivative coefficients formed
-    once, at construction, and the tables of :func:`_oscillator_table` are
-    kept per coefficient vector.
+    once, at construction, and the tables that depend on g alone are kept
+    per coefficient vector (:func:`oscquad._kept.kept`).
     """
 
     value: Callable
@@ -197,8 +194,8 @@ class Oscillator:
             p = self.poly  # polyder's coefficients j c_j, without its argument handling
             object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
             key = np.asarray(p, dtype=float).tobytes()
-        # What identifies g to _oscillator_table: its coefficient bytes, or
-        # None where g is not a polynomial.
+        # What identifies g to the memo of kept tables: its coefficient
+        # bytes, or None where g is not a polynomial.
         object.__setattr__(self, "_key", key)
 
     @classmethod
@@ -248,49 +245,6 @@ class ProblemSpec:
 
     def g_end(self) -> float:
         return float(self.oscillator.value(self.a))
-
-
-def _oscillator_table(build):
-    """Memoise ``build(osc, *args)``, a tuple of arrays that depends on the
-    oscillator only through g and on hashable or array ``args``.
-
-    Tables are kept per (g's coefficient bytes, args), an array argument
-    keyed by its dtype, shape and bytes, for the last
-    ``OSCILLATOR_TABLE_CACHE_SIZE`` keys used; a miss builds the table from
-    the oscillator at hand.  A non-polynomial g has no key, and its table
-    is built on every call.  Every array of a returned table is read-only;
-    ``.cache`` is the dictionary of kept tables.
-    """
-    cache = OrderedDict()
-
-    @functools.wraps(build)
-    def table(osc: Oscillator, *args):
-        if osc._key is None:
-            return _read_only(build(osc, *args))
-        key = (osc._key, *((x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x for x in args))
-        out = cache.pop(key, None)
-        if out is None:
-            out = _read_only(build(osc, *args))
-        cache[key] = out
-        if len(cache) > OSCILLATOR_TABLE_CACHE_SIZE:
-            cache.popitem(last=False)
-        return out
-
-    table.cache = cache
-    return table
-
-
-def _read_only(table: tuple) -> tuple:
-    # The arrays of a table frozen, a view first copied so that the frozen
-    # array owns its data; a view of a frozen array cannot be made writeable
-    # again.
-    def freeze(x):
-        if x.base is not None:
-            x = x.copy()
-        x.flags.writeable = False
-        return x.view()
-
-    return tuple(map(freeze, table))
 
 
 def _normalize_oscillator(osc: Oscillator, a: float, w: float):
@@ -381,7 +335,7 @@ def build_problem(
     )
 
 
-@_oscillator_table
+@kept
 def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, log: bool) -> tuple:
     """Taylor coefficients of x/g(x), and with ``log`` also of log(x/g(x)),
     one row per point of xs; the row of x = 0 is that of the limit
@@ -402,9 +356,10 @@ def _separated(spec: ProblemSpec, f2_power: bool):
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  A
     value call evaluates g once, and a series call forms the series of x/g
-    once (kept per polynomial g, nodes and length by _ratio_series).  For
-    the identity oscillator the factors are 1 and 0 exactly: f1 is f itself
-    and the second amplitude is zero.
+    once (kept per polynomial g, nodes and length by _ratio_series).  The
+    two amplitudes of the logarithmic kind share f's series on the same
+    nodes and length, formed once.  For the identity oscillator the factors
+    are 1 and 0 exactly: f1 is f itself and the second amplitude is zero.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
@@ -417,6 +372,7 @@ def _separated(spec: ProblemSpec, f2_power: bool):
     gp0 = float(osc.deriv1(0.0))
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
+    f_series = kept(f.series_at) if log_kind else f.series_at
 
     def factor(xs, pos, away, origin):
         # ``away`` at the points xs > 0 and the limit ``origin`` at x = 0.
@@ -437,7 +393,7 @@ def _separated(spec: ProblemSpec, f2_power: bool):
             return out
 
         def series(xs, m):
-            out = f.series_at(xs, m)
+            out = f_series(xs, m)
             ratio = _ratio_series(osc, xs, m, log)
             if log:
                 out = ps_mul(out, ratio[1])

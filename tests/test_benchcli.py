@@ -410,7 +410,7 @@ class TestParserOncePerProcess:
             return out
 
         reused = run_all()
-        assert oscquad.benchcli._make_parser.cache_info().currsize == 1
+        assert len(oscquad.benchcli._make_parser.cache) == 1
         monkeypatch.setattr(
             oscquad.benchcli, "_make_parser", oscquad.benchcli._make_parser.__wrapped__
         )

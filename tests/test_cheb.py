@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oscquad.cheb
+from oscquad._kept import KEPT_SIZE
 from oscquad.cheb import (
-    GRID_CACHE_SIZE,
     GridFamily,
     barycentric_diff,
     barycentric_eval,
@@ -72,8 +72,8 @@ def same_bits(a, b):
 
 
 def clear_grid_caches():
-    oscquad.cheb._radau_grid.cache_clear()
-    oscquad.cheb._lobatto_grid.cache_clear()
+    oscquad.cheb._radau_grid.cache.clear()
+    oscquad.cheb._lobatto_grid.cache.clear()
 
 
 class TestRadauReference:
@@ -303,6 +303,6 @@ class TestGridCache:
         "build, cached", [(radau_grid, "_radau_grid"), (lobatto_grid, "_lobatto_grid")]
     )
     def test_cache_bounded(self, build, cached):
-        for n in range(2, GRID_CACHE_SIZE + 12):
+        for n in range(2, KEPT_SIZE + 12):
             build(n)
-        assert getattr(oscquad.cheb, cached).cache_info().currsize <= GRID_CACHE_SIZE
+        assert len(getattr(oscquad.cheb, cached).cache) <= KEPT_SIZE

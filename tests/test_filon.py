@@ -11,7 +11,6 @@ import oscquad.filon
 from oscquad import Method, compute
 from oscquad.errors import CapabilityError, ParameterError
 from oscquad.filon import (
-    SERIES_TABLE_CACHE_SIZE,
     build_hermite_data,
     build_moment_table,
     hermite_solve,
@@ -362,22 +361,6 @@ class TestChebSeriesTable:
                 want = loop_table(float(x0), m, count)
                 for row, ref in zip(got[:, node], want):
                     assert row.tobytes() == ref.tobytes(), (npts, m, count)
-
-    def test_cached_and_read_only(self):
-        t = self.table(5, 4, 10)
-        assert self.table(5, 4, 10) is t
-        assert not t.flags.writeable
-        with pytest.raises(ValueError):
-            t[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            t[3][1] = 2.0
-        with pytest.raises(ValueError):
-            t.flags.writeable = True
-
-    def test_cache_bounded(self):
-        for count in range(1, SERIES_TABLE_CACHE_SIZE + 11):
-            self.table(3, 2, count)
-        assert self.table.cache_info().currsize <= SERIES_TABLE_CACHE_SIZE
 
 
 def _derivative(p):

@@ -1,0 +1,134 @@
+"""The contract of the one memo, oscquad._kept.kept, over every kept table,
+and the guard that keeps it the only memo in the package."""
+
+import ast
+import dataclasses
+import importlib
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oscquad
+import oscquad.baselines
+import oscquad.benchcli
+import oscquad.cheb
+import oscquad.filon
+import oscquad.problem
+from oscquad._kept import KEPT_SIZE
+from oscquad.problem import Oscillator
+
+_NODES, _MULTS = oscquad.filon._collocation_nodes(3, 0)
+
+
+def _osc(i):
+    # A new object each call; equal i give equal coefficients, so one key.
+    return Oscillator.from_poly([0.0, 1.0, 0.01 * i])
+
+
+# Each kept table and its i-th key's arguments, distinct for distinct i.
+KEPT_TABLES = {
+    "radau_grid": (oscquad.cheb._radau_grid, lambda i: (i + 2,)),
+    "lobatto_grid": (oscquad.cheb._lobatto_grid, lambda i: (i + 2,)),
+    "cheb_series_table": (oscquad.filon._cheb_series_table, lambda i: (3, 2, i + 1)),
+    "freq_images": (oscquad.filon._freq_images, lambda i: (_osc(i), _NODES, _MULTS)),
+    "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, _NODES, _MULTS)),
+    "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, True)),
+    "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
+    "laguerre_rule": (oscquad.baselines._laguerre_rule, lambda i: (-0.9 + 0.02 * i,)),
+    "cheb_interp_setup": (oscquad.baselines._cheb_interp_setup, lambda i: (i + 1,)),
+}
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return tuple((field.name, _bits(getattr(value, field.name))) for field in dataclasses.fields(value))
+    return value
+
+
+@pytest.mark.parametrize("name", list(KEPT_TABLES))
+class TestKeptContract:
+    def test_hit_returns_same_object(self, name):
+        memo, args = KEPT_TABLES[name]
+        assert memo(*args(0)) is memo(*args(0))
+
+    def test_bounded_and_keeps_last_key(self, name):
+        memo, args = KEPT_TABLES[name]
+        memo.cache.clear()
+        outs = [memo(*args(i)) for i in range(KEPT_SIZE + 10)]
+        assert len({id(out) for out in outs}) == len(outs)
+        assert len(memo.cache) == KEPT_SIZE
+        assert memo(*args(KEPT_SIZE + 9)) is outs[-1]
+        assert memo(*args(0)) is not outs[0]
+
+    def test_arrays_refuse_writes(self, name):
+        memo, args = KEPT_TABLES[name]
+        arrays = list(_arrays(memo(*args(1))))
+        assert arrays
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x.flat[0] = 1.0
+            with pytest.raises(ValueError):
+                x.flags.writeable = True
+
+    def test_cold_and_warm_give_same_bits(self, name):
+        memo, args = KEPT_TABLES[name]
+        memo.cache.clear()
+        cold = memo(*args(2))
+        warm = memo(*args(2))
+        assert warm is cold
+        assert _bits(warm) == _bits(memo.__wrapped__(*args(2)))
+
+
+def test_every_memo_is_under_contract():
+    # The memos of the package: every table of KEPT_TABLES, and the CLI's
+    # parser, whose one key holds no array.
+    found = set()
+    for info in pkgutil.iter_modules(oscquad.__path__):
+        module = importlib.import_module(f"oscquad.{info.name}")
+        found |= {id(obj) for obj in vars(module).values() if hasattr(obj, "cache") and hasattr(obj, "__wrapped__")}
+    want = {id(memo) for memo, _ in KEPT_TABLES.values()} | {id(oscquad.benchcli._make_parser)}
+    assert found == want
+
+
+def _private_memo_or_freeze(tree):
+    # Lines that use functools.lru_cache or functools.cache, or set an
+    # array's writeable flag.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if {alias.name for alias in node.names} & {"lru_cache", "cache"}:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute):
+            if node.attr in ("lru_cache", "cache") and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+            elif node.attr == "writeable" and isinstance(node.ctx, ast.Store):
+                yield node.lineno
+            elif node.attr == "setflags":
+                yield node.lineno
+
+
+def test_no_memo_outside_kept():
+    src = Path(oscquad.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name != "_kept.py":
+            lines = list(_private_memo_or_freeze(ast.parse(path.read_text())))
+            if lines:
+                found[path.name] = lines
+    assert found == {}, f"memo or freeze outside oscquad._kept: {found}"

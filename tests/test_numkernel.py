@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad.numkernel
 from oscquad.errors import AccuracyError, ParameterError
 from oscquad.numkernel import (
     GAMMA_CROSSOVER,
@@ -155,6 +156,15 @@ class TestHyp2F2Equal:
             v1, _ = hyp2f2_equal(b, 1j * y, series_max=1e9)
             v2, _ = hyp2f2_equal(b, 1j * y, series_max=1e-9)
             assert abs(v1 - v2) <= 1e-9 * max(abs(v1), abs(v2), 1.0)
+
+
+def test_rotated_path_rule_is_read_only():
+    # Every rotated-path upper_gamma_complex and hyp2f2_equal call reads it.
+    for x in (oscquad.numkernel._LAGUERRE_NODES, oscquad.numkernel._LAGUERRE_WEIGHTS):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            x.flags.writeable = True
 
 
 class TestNegIwPow:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from oscquad import Method, compute
 from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
 from oscquad.problem import (
     BUILTIN_IDS,
@@ -201,6 +202,22 @@ class TestMakeF1F2:
         )
         rhs = np.array([spec.amplitude.value(x) for x in xs]) * xs**alpha * np.log(xs)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_FREQ, 10, 2), (Method.FILON, 6, 1)])
+    def test_log_kind_forms_f_series_once(self, method, n, s):
+        # f1 and f21 take their series on the same nodes: f's is formed
+        # once per call, and the value is that of a second call.
+        calls = []
+
+        def series(xs, m):
+            calls.append(m)
+            return _inv1px2_series(xs, m)
+
+        spec = build_problem(Amplitude(value=lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), series_fn=series),
+                             Oscillator.from_poly([0.0, 1.0, 1.0]), 1.0, 0.5, SingKind.ALGEBRAIC_LOG, 50.0)
+        value = compute(spec, method, n, s).value
+        assert calls == [s + 1]
+        assert compute(spec, method, n, s).value == value
 
 
 class TestF1Derivatives:

@@ -464,10 +464,8 @@ _OSCILLATOR_TABLES = (oscquad.filon._freq_images, oscquad.filon._hermite_matrix,
 
 
 def _clear_caches():
-    oscquad.cheb._radau_grid.cache_clear()
-    oscquad.cheb._lobatto_grid.cache_clear()
-    oscquad.filon._cheb_series_table.cache_clear()
-    for table in _OSCILLATOR_TABLES:
+    for table in (oscquad.cheb._radau_grid, oscquad.cheb._lobatto_grid, oscquad.filon._cheb_series_table,
+                  *_OSCILLATOR_TABLES):
         table.cache.clear()
 
 
@@ -526,36 +524,6 @@ class TestCachesChangeNoOutput:
             _outcome(specs[0], *call)
         assert [_outcome(specs[1], *call) for call in calls] == cold
         assert [len(table.cache) for table in _OSCILLATOR_TABLES] == [2 * k for k in one_g]
-
-    def test_kept_tables_are_read_only(self):
-        _clear_caches()
-        for kind in SingKind:
-            spec = build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0, 0.5]), 1.0, 0.5,
-                                 kind, 60.0)
-            compute(spec, Method.LEVIN_FREQ, 8, 1)
-            compute(spec, Method.FILON, 6, 1)
-        for table in _OSCILLATOR_TABLES:
-            assert table.cache
-            for kept in table.cache.values():
-                for x in kept:
-                    assert not x.flags.writeable
-                    with pytest.raises(ValueError):
-                        x.flat[0] = 1.0
-                    with pytest.raises(ValueError):
-                        x.flags.writeable = True
-
-    def test_kept_tables_are_bounded(self):
-        size = oscquad.problem.OSCILLATOR_TABLE_CACHE_SIZE
-        oscs = [Oscillator.from_poly([0.0, 1.0, 0.01 * k]) for k in range(size + 10)]
-        nodes, mults = oscquad.filon._collocation_nodes(3, 0)
-        for osc in oscs:
-            oscquad.filon._freq_images(osc, nodes, mults)
-            oscquad.filon._hermite_matrix(osc, 1.0, nodes, mults)
-            oscquad.problem._ratio_series(osc, np.array([0.5]), 2, False)
-        for table in _OSCILLATOR_TABLES:
-            assert len(table.cache) == size
-            # The last g used is kept.
-            assert next(reversed(table.cache))[0] == oscs[-1]._key
 
 
 class TestConvergenceInN:
