@@ -217,15 +217,20 @@ def build_hermite_data(
     Endpoint multiplicities are s+1, interior ones 1.  Derivatives come
     from the amplitude's exact local series.
     """
+    nodes, mults = _hermite_nodes(spec, npts, s)
+    amp = amplitude if amplitude is not None else _regularised(spec).f1
+    values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
+    return HermiteData(nodes=nodes, mults=mults, values=values)
+
+
+def _hermite_nodes(spec: ProblemSpec, npts: int, s: int):
+    # The collocation nodes on [0, a] and their multiplicities.
     g_a = spec.g_end()
     if not math.isfinite(g_a):
         # g increases on [0, a], so a finite g(a) bounds g at every node.
         raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {spec.a!r}")
     nodes, mults = _collocation_nodes(npts, s)
-    nodes = spec.a * nodes
-    amp = amplitude if amplitude is not None else _regularised(spec)[0]
-    values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
-    return HermiteData(nodes=nodes, mults=mults, values=values)
+    return spec.a * nodes, mults
 
 
 def _conditions(mults: np.ndarray, width: int):
@@ -296,25 +301,26 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     kind: the algebraic rule applied to the regularized f2 amplitude plus
     ``sum_j p_j nu_j``.
     """
-    return _filon_rule(spec, data, _regularised(spec)[1])
+    f21 = _regularised(spec).second
+    m = int(data.mults[0])
+    return _filon_rule(spec, data, [] if f21 is None else [f21.series_at(data.nodes, m) * _factorials(m)])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
-    # compute(FILON): f1 and f21 from one _regularised, as the Levin rules.
-    f1, f21 = _regularised(spec)
-    return _filon_rule(spec, build_hermite_data(spec, npts, s, amplitude=f1), f21)
+    # compute(FILON): the series of f1 and f21 from one _regularised, as the
+    # Levin rules, formed together on the nodes.
+    nodes, mults = _hermite_nodes(spec, npts, s)
+    f1, *f21 = (series * _factorials(s + 1) for series in _regularised(spec).at(nodes, s + 1))
+    return _filon_rule(spec, HermiteData(nodes=nodes, mults=mults, values=f1), f21)
 
 
-def _filon_rule(spec: ProblemSpec, data: HermiteData, f21: Optional[Amplitude]) -> QuadratureResult:
-    # quad_filon given the f1 of the f2 sub-problem of a logarithmic-kind
-    # spec (None for the algebraic kind).  Both interpolate on data's nodes,
-    # so one Hermite matrix serves them.
+def _filon_rule(spec: ProblemSpec, data: HermiteData, f21: list) -> QuadratureResult:
+    # quad_filon given the Hermite values of the f1 of the f2 sub-problem
+    # of a logarithmic-kind spec (an empty list for the algebraic kind).
+    # Both interpolate on data's nodes, so one Hermite matrix serves them.
     npts = int(data.nodes.size)
     s = int(data.mults[0]) - 1
-    tables = [data.values]
-    if f21 is not None:
-        tables.append(f21.series_at(data.nodes, s + 1) * _factorials(s + 1))
-    p, *p2 = _hermite_solve(data, spec, *tables)
+    p, *p2 = _hermite_solve(data, spec, data.values, *f21)
     table = build_moment_table(spec, p.size)
     value = np.dot(p, table.mu)
     diagnostics = {"basis_size": int(p.size)}
@@ -431,7 +437,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
         # one), times that of g'.
         return ps_mul((coeffs[:, None, None] * tables[:, :, :m]).sum(axis=0), gprime)
 
-    return _Operator(L, factor(L), lambda amplitude: amplitude.series_at(nodes, m), q1_gprime,
+    return _Operator(L, factor(L), lambda amplitudes: amplitudes.at(nodes, m), q1_gprime,
                      lambda data: (fact * np.asarray(data, dtype=complex))[conditions] / row_scale,
                      (np.ones(k.size), 2.0 * k**2))
 
@@ -455,7 +461,7 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     op = _freq_operator(spec, npts, s)
-    sol = op.solve(op.node_data(_regularised(spec)[0]))
+    sol = op.solve(op.node_data(_regularised(spec))[0])
     return sol.c0, sol.q1, sol.diag
 
 

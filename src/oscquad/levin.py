@@ -24,7 +24,9 @@ pivoting where its condition estimate stays moderate, truncated SVD where
 the operator is near-singular, since exactly one near-null direction
 appears at large n and small w (the discrete trace of the continuous
 one-parameter solution family).  The operator depends on (g, alpha, w, n)
-only and evaluates g and g' at the nodes once; each amplitude is evaluated once
+only.  Its parts that depend on g alone, g and g' at the nodes and g D, are
+kept per polynomial g and n (:func:`oscquad._kept.kept`), and each call adds
+the (1+alpha) g' and iw terms; both amplitudes are evaluated together, once,
 at all nodes, origin first, which is the order of the unknowns.
 
 The successive-approximation iterates of the underlying existence proof are
@@ -40,11 +42,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
+from ._kept import kept
 from ._result import Method, QuadratureResult
 from .boundary import EndData, levin_value
-from .cheb import ChebGrid, GridFamily, radau_grid
+from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Amplitude, ProblemSpec, _regularised, _unit_interval
+from .problem import Oscillator, ProblemSpec, _regularised, _Separated, _unit_interval
 
 __all__ = [
     "LevinSolution",
@@ -151,17 +154,26 @@ class LevinSolution:
     rhs_end: complex
 
 
+@kept
+def _physical_table(osc: Oscillator, n: int) -> tuple:
+    # The parts of the physical operator on the Radau grid of n nodes that
+    # depend on g alone: g at the interior nodes, g' at all nodes, origin
+    # first, and g D.  A g with g' <= 0 at a node raises, so is never kept.
+    grid = _radau_grid(n)
+    gx = np.asarray(osc.value(grid.interior), dtype=float)
+    gp = np.asarray(osc.deriv1(grid.nodes), dtype=float)
+    if np.any(gp <= 0):
+        raise InvalidOscillatorError("g' must be positive at all collocation nodes")
+    return gx, gp, gx[:, None] * grid.diff
+
+
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
-    # g at the interior nodes and g' at all of grid.nodes, origin first.
+    # The _physical_table of spec's g on the Radau grid ``grid``.
     if grid.family is not GridFamily.RADAU_MODIFIED:
         raise ParameterError("physical-space solver requires a Radau grid")
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    gx = np.asarray(spec.oscillator.value(grid.interior), dtype=float)
-    gp = np.asarray(spec.oscillator.deriv1(grid.nodes), dtype=float)
-    if np.any(gp <= 0):
-        raise InvalidOscillatorError("g' must be positive at all collocation nodes")
-    return gx, gp
+    return _physical_table(spec.oscillator, grid.n)
 
 
 def assemble_L(spec: ProblemSpec, grid: ChebGrid):
@@ -177,13 +189,13 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     rhs : ndarray, shape (n+1,)
     """
     L, _ = _operator(spec, grid)
-    return L, np.asarray(_regularised(spec)[0].value(grid.nodes), dtype=complex)
+    return L, np.asarray(_regularised(spec).f1.value(grid.nodes), dtype=complex)
 
 
 def _operator(spec: ProblemSpec, grid: ChebGrid):
     # The matrix of assemble_L, which every right-hand side shares, and g'
     # at grid.nodes.
-    gx, gp = _node_data(spec, grid)
+    gx, gp, gD = _node_data(spec, grid)
     n = gx.size
     alpha = spec.alpha
     w = spec.w
@@ -191,7 +203,7 @@ def _operator(spec: ProblemSpec, grid: ChebGrid):
     L[0, 0] = 1j * w * gp[0]
     L[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
     L[1:, 0] = 1j * w * gp[1:]
-    L[1:, 1:] += gx[:, None] * grid.diff
+    L[1:, 1:] += gD
     rows = np.arange(1, n + 1)
     L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gp[1:]
     return L, gp
@@ -264,15 +276,16 @@ class _Operator:
     every right-hand side that shares them is solved against ``factor``.
     The rest is what tells the routes apart.  Node data ``data[l, j]`` is
     the j-th Taylor coefficient of a right-hand side at node l (j = 0
-    only, its values, on the physical route): ``node_data(amplitude)`` is
-    that of an amplitude, ``q1_gprime(q1)`` that of q1 g' for the ``q1`` of
-    a solution, and ``rhs(data)`` the right-hand side it gives.  The two
-    rows of ``end_rows`` take q1 to q1(1) and q1'(1).
+    only, its values, on the physical route): ``node_data(amplitudes)`` is
+    the list of those of the amplitudes of a :class:`_Separated`, formed
+    together, ``q1_gprime(q1)`` that of q1 g' for the ``q1`` of a solution,
+    and ``rhs(data)`` the right-hand side it gives.  The two rows of
+    ``end_rows`` take q1 to q1(1) and q1'(1).
     """
 
     L: np.ndarray
     factor: _LuFactor | TsvdFactor
-    node_data: Callable[[Amplitude], np.ndarray]
+    node_data: Callable[[_Separated], list]
     q1_gprime: Callable[[np.ndarray], np.ndarray]
     rhs: Callable[[np.ndarray], np.ndarray]
     end_rows: tuple[np.ndarray, np.ndarray]
@@ -307,17 +320,19 @@ def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
         # q1(0) extrapolated through the origin weights.
         return (np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime)[:, None]
 
-    return _Operator(L, factor(L), lambda amplitude: np.asarray(amplitude.value(nodes), dtype=complex)[:, None],
-                     q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
+    def node_data(amplitudes):
+        return [np.asarray(values, dtype=complex)[:, None] for values in amplitudes.at(nodes, 0)]
+
+    return _Operator(L, factor(L), node_data, q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
 
 
 def _solves(op: _Operator, spec: ProblemSpec) -> list:
     # The solves of the paper's method on the operator ``op`` of ``spec``:
     # f1; for the logarithmic kind also f21 - q1 g' (problem._regularised).
-    f1, f21 = _regularised(spec)
-    sols = [op.solve(op.node_data(f1))]
-    if f21 is not None:
-        sols.append(op.solve(op.node_data(f21) - op.q1_gprime(sols[0].q1)))
+    f1, *f21 = op.node_data(_regularised(spec))
+    sols = [op.solve(f1)]
+    for data in f21:
+        sols.append(op.solve(data - op.q1_gprime(sols[0].q1)))
     return sols
 
 
@@ -329,7 +344,9 @@ def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> 
     op = operator(unit)
     sols = _solves(op, unit)
     a = spec.a
-    ends = [replace(e, c0=e.c0 * a, dq1=e.dq1 / a, dq1_size=e.dq1_size / a) for e in map(op.end, sols)]
+    ends = list(map(op.end, sols))
+    if a != 1.0:
+        ends = [replace(e, c0=e.c0 * a, dq1=e.dq1 / a, dq1_size=e.dq1_size / a) for e in ends]
     diagnostics = {"residual_norm": sols[0].residual_norm, **op.factor.diag.diagnostics()}
     if len(sols) == 2:
         diagnostics["residual_norm_second"] = sols[1].residual_norm
@@ -353,7 +370,7 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
         Number of Radau nodes.
     """
     op = _physical_operator(spec, n)
-    return op.solve(op.node_data(_regularised(spec)[0]))
+    return op.solve(op.node_data(_regularised(spec))[0])
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -402,11 +419,11 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:
         raise ParameterError(f"k={k} too large for an n={grid.interior.size} grid")
-    gx, gp = _node_data(spec, grid)
+    gx, gp, _ = _node_data(spec, grid)
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w
-    f1 = np.asarray(_regularised(spec)[0].value(grid.nodes), dtype=complex)
+    f1 = np.asarray(_regularised(spec).f1.value(grid.nodes), dtype=complex)
     f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
     q1 = np.zeros(gx.size, dtype=complex)

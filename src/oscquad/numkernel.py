@@ -13,7 +13,11 @@ incomplete gamma (small ``|z|``), a Lentz-style continued fraction (large
 when the continued fraction stalls.  ``hyp2f2_equal`` uses a compensated
 Maclaurin series for small ``|z|`` and a rotated-path representation for
 large purely imaginary ``z``, the regime the oscillatory kernels live in.
-Every result carries a :class:`KernelDiag` describing what was used.
+The two rotated paths have a Gauss-Laguerre rule each: 180 nodes for the
+incomplete gamma, 32 for 2F2, whose integrand along its ray is smooth
+enough that 32 nodes reach round-off (``tests/test_numkernel.py`` pins
+both against 40-digit values).  Every result carries a :class:`KernelDiag`
+describing what was used.
 """
 
 from __future__ import annotations
@@ -175,8 +179,10 @@ def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
     return None, max_iter, abs(delta - 1.0)
 
 
-# Read by every rotated-path call, so frozen: no caller can alter the rule.
+# The rules of the rotated paths of upper_gamma_complex and hyp2f2_equal.
+# Read by every rotated-path call, so frozen: no caller can alter a rule.
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = freeze(roots_laguerre(180))
+_HYP2F2_NODES, _HYP2F2_WEIGHTS = freeze(roots_laguerre(32))
 
 
 def _upper_gamma_rotated(a: float, z: complex):
@@ -269,9 +275,9 @@ def _hyp2f2_core_rotated(beta: float, z: complex):
         * Y ** (-beta)
         * (math.log(Y) - _psi(beta) - 1j * math.pi / 2.0)
     )
-    v = 1.0 + 1j * _LAGUERRE_NODES / Y
+    v = 1.0 + 1j * _HYP2F2_NODES / Y
     gvals = v ** (beta - 1.0) * (-np.log(v))
-    i1 = 1j * np.exp(1j * Y) * np.dot(_LAGUERRE_WEIGHTS, gvals) / Y
+    i1 = 1j * np.exp(1j * Y) * np.dot(_HYP2F2_WEIGHTS, gvals) / Y
     return i0 - i1
 
 
@@ -325,7 +331,7 @@ def hyp2f2_equal(
         core = (lower_combo - zi * _hyp2f2_core_rotated(alpha + 1.0, zi)) / alpha
     if conjugate:
         core = core.conjugate()
-    return alpha**2 * core, KernelDiag(Strategy.ROTATED_PATH, _LAGUERRE_NODES.size, 1e-12)
+    return alpha**2 * core, KernelDiag(Strategy.ROTATED_PATH, _HYP2F2_NODES.size, 1e-12)
 
 
 def kernel_k_alg(alpha: float, w: float, gx: float) -> complex:

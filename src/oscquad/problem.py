@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -350,16 +350,28 @@ def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, log: bool) -> tuple:
     return (ratio, ps_log(ratio)) if log else (ratio,)
 
 
-def _separated(spec: ProblemSpec, f2_power: bool):
+class _Separated(NamedTuple):
+    """The amplitudes of :func:`_separated`: ``f1``, ``second`` (None for
+    the algebraic kind), and ``at(xs, m)``, the list of the data of both at
+    the points xs, formed together: values for m = 0, series of length m
+    otherwise.  ``at(xs, m, False)`` forms f1's alone."""
+
+    f1: Amplitude
+    second: Optional[Amplitude]
+    at: Callable[[np.ndarray, int], list]
+
+
+def _separated(spec: ProblemSpec, f2_power: bool) -> _Separated:
     """f1 and, for the logarithmic kind, f log(x/g), times (x/g)^alpha
     too with ``f2_power``; None in its place for the algebraic kind.
 
-    Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  A
-    value call evaluates g once, and a series call forms the series of x/g
-    once (kept per polynomial g, nodes and length by _ratio_series).  The
-    two amplitudes of the logarithmic kind share f's series on the same
-    nodes and length, formed once.  For the identity oscillator the factors
-    are 1 and 0 exactly: f1 is f itself and the second amplitude is zero.
+    Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  One
+    ``at`` call forms f, x/g, log(x/g) and (x/g)^alpha once on its points
+    (the series of x/g kept per polynomial g, nodes and length by
+    _ratio_series) and both amplitudes from them; the value and series of
+    each amplitude alone are its entry of an ``at`` call.  For the identity
+    oscillator the factors are 1 and 0 exactly: f1 is f itself and the
+    second amplitude is zero.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
@@ -368,11 +380,14 @@ def _separated(spec: ProblemSpec, f2_power: bool):
             value=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
             series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
         )
-        return f, zero if log_kind else None
+
+        def exact(x, m, second=log_kind):
+            return [a.series_at(x, m) if m else a.value(x) for a in (f, zero)[: 1 + second]]
+
+        return _Separated(f, zero if log_kind else None, exact)
     gp0 = float(osc.deriv1(0.0))
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
-    f_series = kept(f.series_at) if log_kind else f.series_at
 
     def factor(xs, pos, away, origin):
         # ``away`` at the points xs > 0 and the limit ``origin`` at x = 0.
@@ -380,30 +395,31 @@ def _separated(spec: ProblemSpec, f2_power: bool):
         out[pos] = away
         return out
 
-    def amplitude(log: bool, power: bool) -> Amplitude:
-        def value(x):
+    def at(x, m, second=log_kind):
+        # f1's data at x and, with ``second``, the second amplitude's.
+        if m:
+            mul = ps_mul
+            out = f.series_at(x, m)
+            ratio = _ratio_series(osc, x, m, second)
+            log = ratio[1] if second else None
+            power = ps_pow(ratio[0], alpha)
+        else:
+            mul = np.multiply
             xs = np.asarray(x, dtype=float)
             pos = xs > 0
             ratio = xs[pos] / np.asarray(osc.value(xs[pos]), dtype=float) if pos.any() else xs[pos]
             out = np.asarray(f.value(x))
-            if log:
-                out = out * factor(xs, pos, np.log(ratio), -math.log(gp0))
-            if power:
-                out = out * factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
-            return out
+            log = factor(xs, pos, np.log(ratio), -math.log(gp0)) if second else None
+            power = factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
+        data = [mul(out, power)]
+        if second:
+            out = mul(out, log)
+            data.append(mul(out, power) if f2_power else out)
+        return data
 
-        def series(xs, m):
-            out = f_series(xs, m)
-            ratio = _ratio_series(osc, xs, m, log)
-            if log:
-                out = ps_mul(out, ratio[1])
-            if power:
-                out = ps_mul(out, ps_pow(ratio[0], alpha))
-            return out
-
-        return Amplitude(value=value, series_fn=series)
-
-    return amplitude(False, True), amplitude(True, f2_power) if log_kind else None
+    f1 = Amplitude(value=lambda x: at(x, 0, False)[0], series_fn=lambda xs, m: at(xs, m, False)[0])
+    second = Amplitude(value=lambda x: at(x, 0)[1], series_fn=lambda xs, m: at(xs, m)[1]) if log_kind else None
+    return _Separated(f1, second, at)
 
 
 def make_f1_f2(spec: ProblemSpec):
@@ -421,11 +437,13 @@ def make_f1_f2(spec: ProblemSpec):
     -----
     For the identity oscillator, ``f1 = f`` and ``f2 = 0`` exactly.
     """
-    return _separated(spec, False)
+    return _separated(spec, False)[:2]
 
 
 def _regularised(spec: ProblemSpec):
-    """The amplitudes the Levin solves need: ``(f1, f21)``.
+    """The amplitudes the Levin and Filon rules need: f1 and f21, as the
+    ``f1`` and ``second`` of a :class:`_Separated`, whose ``at`` forms the
+    data of both on a route's nodes at once.
 
     f1 is that of :func:`make_f1_f2`, and ``f21 = f log(x/g) (x/g)^alpha``
     is, as one amplitude, the f1 of the f2 sub-problem: the algebraic-kind

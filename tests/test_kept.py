@@ -15,6 +15,7 @@ import oscquad.baselines
 import oscquad.benchcli
 import oscquad.cheb
 import oscquad.filon
+import oscquad.levin
 import oscquad.problem
 from oscquad._kept import KEPT_SIZE
 from oscquad.problem import Oscillator
@@ -35,6 +36,7 @@ KEPT_TABLES = {
     "freq_images": (oscquad.filon._freq_images, lambda i: (_osc(i), _NODES, _MULTS)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, _NODES, _MULTS)),
     "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, True)),
+    "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
     "laguerre_rule": (oscquad.baselines._laguerre_rule, lambda i: (-0.9 + 0.02 * i,)),
     "cheb_interp_setup": (oscquad.baselines._cheb_interp_setup, lambda i: (i + 1,)),
@@ -123,12 +125,61 @@ def _private_memo_or_freeze(tree):
                 yield node.lineno
 
 
+def _outside_functions(node):
+    # node and its descendants outside the bodies of functions, lambdas and
+    # classes.
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _outside_functions(child)
+
+
+def _kept_off_module_level(tree):
+    # Lines that name kept anywhere but in the decorators of a module-level
+    # function or in a module-level statement outside any function: a memo
+    # made there would be made per call (or per class) and kept nothing
+    # between calls.
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots = stmt.decorator_list
+        else:
+            roots = [] if isinstance(stmt, ast.ClassDef) else [stmt]
+        for root in roots:
+            allowed |= {id(node) for node in _outside_functions(root)}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "kept" and id(node) not in allowed:
+            yield node.lineno
+
+
 def test_no_memo_outside_kept():
     src = Path(oscquad.__file__).parent
     found = {}
     for path in sorted(src.glob("*.py")):
         if path.name != "_kept.py":
-            lines = list(_private_memo_or_freeze(ast.parse(path.read_text())))
+            tree = ast.parse(path.read_text())
+            lines = [*_private_memo_or_freeze(tree), *_kept_off_module_level(tree)]
             if lines:
                 found[path.name] = lines
-    assert found == {}, f"memo or freeze outside oscquad._kept: {found}"
+    assert found == {}, f"memo or freeze outside oscquad._kept, or kept off module level: {found}"
+
+
+def test_kept_off_module_level_is_found():
+    # The scan finds kept applied per call, in a function, a method or a
+    # lambda, and passes it as a decorator or a call at module level.
+    tree = ast.parse(
+        "from ._kept import kept\n"
+        "@kept\n"
+        "def table(n):\n"
+        "    return n\n"
+        "rule = kept(table)\n"
+        "def per_call(f):\n"
+        "    return kept(f.series_at)\n"
+        "class Tables:\n"
+        "    @kept\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "lazy = lambda f: _kept.kept(f)\n"
+    )
+    assert sorted(_kept_off_module_level(tree)) == [7, 9, 12]

@@ -11,7 +11,7 @@ import oscquad.levin
 import oscquad.problem
 from oscquad import Method, compute
 from oscquad.cheb import lobatto_grid, radau_grid
-from oscquad.errors import DegenerateSystemError, ParameterError
+from oscquad.errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
 from oscquad.levin import (
     TSVD_THRESHOLD,
     LevinSolution,
@@ -103,7 +103,7 @@ class TestAssembleL:
     def test_bit_identical_to_loop_form(self):
         # The row loop that the array expressions replaced.
         def loop_L(spec, grid):
-            gx, gp = oscquad.levin._node_data(spec, grid)
+            gx, gp, _ = oscquad.levin._node_data(spec, grid)
             gpx, gp0 = gp[1:], gp[0]
             n, alpha, w = gx.size, spec.alpha, spec.w
             L = np.zeros((n + 1, n + 1), dtype=complex)
@@ -255,7 +255,7 @@ class TestFactorRouting:
         # Against the 40-digit solution of the same double-precision system.
         spec = builtin_problem(pid, alpha, w)
         op = oscquad.levin._physical_operator(spec, n)
-        b = op.rhs(op.node_data(_regularised(spec)[0]))
+        b = op.rhs(op.node_data(_regularised(spec))[0])
         exact = _solve_40_digits(op.L, b)
         svd = oscquad.levin._tsvd(op.L, 1.0 / op.factor.diag.cond)
         assert op.factor.diag.factor == "lu"
@@ -270,7 +270,7 @@ class TestFactorRouting:
         # 40-digit integral, 9.1e-14 by the SVD.
         spec = builtin_problem("ex51", 0.9, 10.0)
         op = oscquad.filon._freq_operator(spec, 16, 1)
-        b = op.rhs(op.node_data(_regularised(spec)[0]))
+        b = op.rhs(op.node_data(_regularised(spec))[0])
         exact = _solve_40_digits(op.L, b)
         assert (op.factor.diag.factor, op.factor.diag.truncated) == ("lu", 0)
         assert np.abs(op.factor.solve(b) - exact).max() <= 5e-7 * np.abs(exact).max()
@@ -368,14 +368,15 @@ class TestSolveLog:
 
 
 class TestOneNodePassPerCall:
-    """g and g' are evaluated at the Radau nodes once per physical call for
-    the operator, and each regularised amplitude evaluates g there once."""
+    """g and g' are evaluated at the Radau nodes once per (g, n) for the
+    operator's kept table, and the regularised amplitudes evaluate g there
+    once per physical call, together."""
 
     @pytest.mark.parametrize("kind", [SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG])
     def test_evaluation_counts(self, monkeypatch, kind):
         n = 16
         grid = radau_grid(n)
-        counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "_node_data", "g at nodes", "g' at nodes"), 0)
+        counts = dict.fromkeys(("polyval", "polyder", "poly_taylor", "g at nodes", "g' at nodes"), 0)
 
         def counting(name, function):
             def wrapper(*args, **kwargs):
@@ -397,23 +398,39 @@ class TestOneNodePassPerCall:
         monkeypatch.setattr(P, "polyval", counting("polyval", P.polyval))
         monkeypatch.setattr(P, "polyder", counting("polyder", P.polyder))
         monkeypatch.setattr(oscquad.problem, "poly_taylor", counting("poly_taylor", oscquad.problem.poly_taylor))
-        monkeypatch.setattr(oscquad.levin, "_node_data", counting("_node_data", oscquad.levin._node_data))
         monkeypatch.setattr(oscquad.problem, "_horner", g_horner)
+        oscquad.levin._physical_table.cache.clear()
         value = compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
-        # The boundary bracket reads g(a) and g'(a) by Horner.  g at the
-        # nodes: once for the operator, once for f1 and once for f21.
-        amplitudes = 2 if kind is SingKind.ALGEBRAIC_LOG else 1
-        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "_node_data": 1,
-                          "g at nodes": 1 + amplitudes, "g' at nodes": 1}
+        # The boundary bracket reads g(a) and g'(a) by Horner.  On a cold
+        # call g at the nodes: once for the kept table and once for both
+        # amplitudes; g' once, for the table.
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 2, "g' at nodes": 1}
+        counts.update(dict.fromkeys(counts, 0))
+        # On a warm call the table is kept: g at the nodes once, for both
+        # amplitudes, and g' not at all.
+        assert compute(spec, Method.LEVIN_PHYSICAL, n, 0).value == value
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 1, "g' at nodes": 0}
         monkeypatch.undo()
         assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
+
+    def test_g_decreasing_at_a_node_raises_and_is_never_kept(self):
+        # g = x - x^2 has g' = 1 - 2x <= 0 on [1/2, 1], which build_problem's
+        # sampled check refuses, so the spec is built with replace.  The
+        # table build raises on every call, and nothing is kept for this g.
+        spec = replace(builtin_problem("ex53a", 0.5, 50.0), oscillator=Oscillator.from_poly([0.0, 1.0, -1.0]))
+        table = oscquad.levin._physical_table
+        table.cache.clear()
+        for _ in range(2):
+            with pytest.raises(InvalidOscillatorError):
+                oscquad.levin._physical_operator(spec, 8)
+            assert not table.cache
 
     @staticmethod
     def assert_regularised_is_sub_problem_f1(spec):
         # f1 equals make_f1_f2's and f21 the f2 sub-problem's f1, bit for
         # bit: in value at the Radau nodes, the origin included, and in
         # series of length 3 at the Lobatto nodes.
-        f1, f21 = _regularised(spec)
+        f1, f21, _ = _regularised(spec)
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
         assert radau[0] == 0.0
         for got, want in ((f1, make_f1_f2(spec)[0]), (f21, make_f1_f2(f2_sub_problem(spec))[0])):

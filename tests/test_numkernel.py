@@ -157,10 +157,27 @@ class TestHyp2F2Equal:
             v2, _ = hyp2f2_equal(b, 1j * y, series_max=1e-9)
             assert abs(v1 - v2) <= 1e-9 * max(abs(v1), abs(v2), 1.0)
 
+    @pytest.mark.parametrize("beta", [-0.95, -0.5, -0.05, 0.05, 0.5, 0.95, 1.5, 1.95])
+    def test_rotated_path_vs_mpmath(self, beta):
+        # The rotated path's 32-node rule against 40-digit values, on both
+        # sides of the beta < 0 reduction and from just past the series
+        # radius to Y = 1e8.  At beta = -0.05, Y = 1e8 the reduction's
+        # division by beta loses a digit: 6.8e-15 on the 32- and the
+        # 180-node rule alike.
+        b = mp.mpf(beta)
+        for Y in (10.01, 10.5, 30.0, 1e3, 1e6, 1e8):
+            val, diag = hyp2f2_equal(beta, 1j * Y)
+            ref = complex(mp.hyp2f2(b, b, 1 + b, 1 + b, mp.mpc(0, Y)))
+            assert diag.strategy is Strategy.ROTATED_PATH
+            bound = 1e-14 if (beta, Y) == (-0.05, 1e8) else 1e-15
+            assert abs(val - ref) <= bound * abs(ref), Y
+
 
 def test_rotated_path_rule_is_read_only():
-    # Every rotated-path upper_gamma_complex and hyp2f2_equal call reads it.
-    for x in (oscquad.numkernel._LAGUERRE_NODES, oscquad.numkernel._LAGUERRE_WEIGHTS):
+    # Every rotated-path upper_gamma_complex call reads the first rule and
+    # every rotated-path hyp2f2_equal call the second.
+    nk = oscquad.numkernel
+    for x in (nk._LAGUERRE_NODES, nk._LAGUERRE_WEIGHTS, nk._HYP2F2_NODES, nk._HYP2F2_WEIGHTS):
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):

@@ -460,7 +460,8 @@ class TestOneAmplitudeBuildPerLevinCall:
 
 
 # The tables kept per polynomial oscillator.
-_OSCILLATOR_TABLES = (oscquad.filon._freq_images, oscquad.filon._hermite_matrix, oscquad.problem._ratio_series)
+_OSCILLATOR_TABLES = (oscquad.filon._freq_images, oscquad.filon._hermite_matrix, oscquad.problem._ratio_series,
+                      oscquad.levin._physical_table)
 
 
 def _clear_caches():
@@ -503,7 +504,7 @@ class TestCachesChangeNoOutput:
         assert osc._key is None
         spec = build_problem(Amplitude.from_poly([1.0, 0.5]), osc, 1.0, 0.5, kind, 60.0)
         _clear_caches()
-        for method, n, s in ((Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)):
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)):
             first = _outcome(spec, method, n, s)
             assert _outcome(spec, method, n, s) == first
         assert all(not table.cache for table in _OSCILLATOR_TABLES)
@@ -514,7 +515,7 @@ class TestCachesChangeNoOutput:
         # second gives its own bits after the first has filled the caches.
         specs = [build_problem(Amplitude.from_poly([1.0, 0.5]), Oscillator.from_poly([0.0, 1.0, c]), 1.0, 0.5,
                                kind, 60.0) for c in (0.5, np.nextafter(0.5, 1.0))]
-        calls = [(Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)]
+        calls = [(Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)]
         _clear_caches()
         cold = [_outcome(specs[1], *call) for call in calls]
         one_g = [len(table.cache) for table in _OSCILLATOR_TABLES]
