@@ -11,10 +11,13 @@ primitives, so derivative values come out to machine precision instead of
 finite-difference accuracy.
 
 All helpers return arrays of the broadcast shape of their inputs and promote
-to complex when any input is complex.  Each batch row comes out bit for bit
-as it would alone: products are summed by BLAS dot products (through
-``matmul`` on stacked vectors) and powers by libm, the same routines a
-single series uses.
+to complex when any input is complex.  An ndarray with at least one axis is
+used as it is; lists, scalars and 0-d arrays become arrays of at least one
+axis first, and batch shapes are broadcast only where they differ, so the
+collocation routes, which pass equal-shape arrays, pay for neither.  Each
+batch row comes out bit for bit as it would alone: products are summed by
+BLAS dot products (through ``matmul`` on stacked vectors) and powers by
+libm, the same routines a single series uses.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ __all__ = [
 
 
 def _as_series(p) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(p))
+    # An ndarray with an axis is what np.atleast_1d(np.asarray(p)) returns
+    # for it, so it passes as itself.
+    arr = p if type(p) is np.ndarray and p.ndim else np.atleast_1d(np.asarray(p))
     if arr.shape[-1] == 0:
         raise ParameterError("series must be non-empty")
     return arr
@@ -47,7 +52,8 @@ def _pair(a, b):
     b = _as_series(b)
     if a.shape[-1] != b.shape[-1]:
         raise ParameterError("series lengths must match")
-    return a, b, np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b, float))
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    return a, b, np.zeros(shape, dtype=np.result_type(a, b, float))
 
 
 def _positive_head(a: np.ndarray, name: str) -> None:

@@ -17,10 +17,12 @@ conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only how it builds that operator
 (:func:`_freq_operator`, an ``oscquad.levin._Operator``): :func:`quad_freq`
 runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
-physical-space route shares.  The parts of both rules that depend on g
-alone, the Levin images' three terms and the Hermite matrix, are kept per
-polynomial g and grid, and the Chebyshev Taylor tables per grid
-(:func:`oscquad._kept.kept`); each call combines them with alpha and w.
+physical-space route shares.  Everything of both rules that alpha and w
+leave alone is kept (:func:`oscquad._kept.kept`): the collocation layout of
+(npts, s) that both share, the Chebyshev Taylor tables per grid, and, per
+polynomial g and (npts, s), the Levin operator's g' and image terms and
+FILON's Hermite matrix on [0, a].  A call only combines them with alpha, w
+and f.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class HermiteData:
 
     ``values[l, j]`` holds the j-th derivative of the interpolated
     amplitude at node l; the conditions are those with j < mults[l].
+    :func:`hermite_solve` and :func:`quad_filon` take the nodes and
+    multiplicities of :func:`build_hermite_data` only.
     """
 
     nodes: np.ndarray
@@ -217,9 +221,10 @@ def build_hermite_data(
     Endpoint multiplicities are s+1, interior ones 1.  Derivatives come
     from the amplitude's exact local series.
     """
+    check_counts(npts=npts, s=s)
     nodes, mults = _hermite_nodes(spec, npts, s)
     amp = amplitude if amplitude is not None else _regularised(spec).f1
-    values = amp.series_at(nodes, s + 1) * _factorials(s + 1)
+    values = amp.series_at(nodes, s + 1) * _layout(npts, s).fact
     return HermiteData(nodes=nodes, mults=mults, values=values)
 
 
@@ -229,8 +234,19 @@ def _hermite_nodes(spec: ProblemSpec, npts: int, s: int):
     if not math.isfinite(g_a):
         # g increases on [0, a], so a finite g(a) bounds g at every node.
         raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {spec.a!r}")
-    nodes, mults = _collocation_nodes(npts, s)
-    return spec.a * nodes, mults
+    layout = _layout(npts, s)
+    return spec.a * layout.nodes, layout.mults
+
+
+def _hermite_layout(data: HermiteData, spec: ProblemSpec) -> tuple:
+    # (npts, s) of ``data``, whose nodes and multiplicities must be those
+    # build_hermite_data gives for spec: the kept Hermite matrix is that of
+    # those conditions.
+    npts, s = data.nodes.size, int(data.mults[0]) - 1
+    nodes, mults = _hermite_nodes(spec, npts, s)
+    if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, mults)):
+        raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
+    return npts, s
 
 
 def _conditions(mults: np.ndarray, width: int):
@@ -246,42 +262,41 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     posteriori; failure raises DegenerateSystemError (reduce the basis
     size).
     """
-    return _hermite_solve(data, spec, data.values)[0]
+    return _hermite_solve(spec, *_hermite_layout(data, spec), data.values)[0]
 
 
 @kept
-def _hermite_matrix(osc: Oscillator, a: float, nodes: np.ndarray, mults: np.ndarray) -> tuple:
+def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # The Hermite matrix of hermite_solve on [0, a] for the interpolation
-    # conditions of ``nodes`` and ``mults``, column-scaled, and its column
-    # scales g(a)^{1-k}.
-    M1 = int(mults.sum())
+    # conditions of (npts, s), column-scaled, and its column scales
+    # g(a)^{1-k}.
+    layout = _layout(npts, s)
+    M1 = int(layout.mults.sum())
     g_a = float(osc.value(a))
-    width = int(mults.max())
-    fact = _factorials(width)
+    width = s + 1
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
     # per basis function covers all nodes.
-    gser = osc.series_at(nodes, width + 1)
+    gser = osc.series_at(a * layout.nodes, width + 1)
     base = gser[:, :width]
     phik = np.arange(1, width + 1) * gser[:, 1:]
     cols = np.empty((M1,) + phik.shape)
     for k in range(M1):
         cols[k] = phik
         phik = ps_mul(phik, base)
-    node, order = _conditions(mults, width)
-    return fact[order, None] * cols[:, node, order].T * scale, scale
+    return layout.fact[layout.order, None] * cols[:, layout.node, layout.order].T * scale, scale
 
 
-def _hermite_solve(data: HermiteData, spec: ProblemSpec, *values: np.ndarray) -> list:
-    # hermite_solve for each table of ``values`` (shaped as data.values) on
-    # the nodes and multiplicities of ``data``, with one Hermite matrix.
-    M1 = data.basis_size
+def _hermite_solve(spec: ProblemSpec, npts: int, s: int, *values: np.ndarray) -> list:
+    # hermite_solve for each table of ``values`` (Hermite values at the
+    # nodes of (npts, s)), with one Hermite matrix.
+    M1 = npts + 2 * s
     if M1 > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
-    A, scale = _hermite_matrix(spec.oscillator, spec.a, data.nodes, data.mults)
-    node, order = _conditions(data.mults, int(data.mults.max()))
+    A, scale = _hermite_matrix(spec.oscillator, spec.a, npts, s)
+    layout = _layout(npts, s)
     # One right-hand-side column per table, so A is factorised once.
-    b = np.stack([table[node, order] for table in values], axis=1)
+    b = np.stack([table[layout.node, layout.order] for table in values], axis=1)
     try:
         y = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -302,25 +317,26 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     ``sum_j p_j nu_j``.
     """
     f21 = _regularised(spec).second
-    m = int(data.mults[0])
-    return _filon_rule(spec, data, [] if f21 is None else [f21.series_at(data.nodes, m) * _factorials(m)])
+    npts, s = _hermite_layout(data, spec)
+    fact = _layout(npts, s).fact
+    return _filon_rule(spec, npts, s, data.values, [] if f21 is None else [f21.series_at(data.nodes, s + 1) * fact])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # compute(FILON): the series of f1 and f21 from one _regularised, as the
     # Levin rules, formed together on the nodes.
-    nodes, mults = _hermite_nodes(spec, npts, s)
-    f1, *f21 = (series * _factorials(s + 1) for series in _regularised(spec).at(nodes, s + 1))
-    return _filon_rule(spec, HermiteData(nodes=nodes, mults=mults, values=f1), f21)
+    nodes, _ = _hermite_nodes(spec, npts, s)
+    fact = _layout(npts, s).fact
+    f1, *f21 = (series * fact for series in _regularised(spec).at(nodes, s + 1))
+    return _filon_rule(spec, npts, s, f1, f21)
 
 
-def _filon_rule(spec: ProblemSpec, data: HermiteData, f21: list) -> QuadratureResult:
-    # quad_filon given the Hermite values of the f1 of the f2 sub-problem
-    # of a logarithmic-kind spec (an empty list for the algebraic kind).
-    # Both interpolate on data's nodes, so one Hermite matrix serves them.
-    npts = int(data.nodes.size)
-    s = int(data.mults[0]) - 1
-    p, *p2 = _hermite_solve(data, spec, data.values, *f21)
+def _filon_rule(spec: ProblemSpec, npts: int, s: int, f1: np.ndarray, f21: list) -> QuadratureResult:
+    # quad_filon given the Hermite values of f1 and of the f1 of the f2
+    # sub-problem of a logarithmic-kind spec (an empty list for the
+    # algebraic kind) at the nodes of (npts, s).  Both interpolate on those
+    # nodes, so one Hermite matrix serves them.
+    p, *p2 = _hermite_solve(spec, npts, s, f1, *f21)
     table = build_moment_table(spec, p.size)
     value = np.dot(p, table.mu)
     diagnostics = {"basis_size": int(p.size)}
@@ -359,19 +375,48 @@ def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The collocation layout of (npts, s) on [0, 1], which both rules
+    share: the Lobatto ``nodes`` and their ``mults``, the ``node`` and
+    ``order`` of every condition, node by node, the factorials ``fact``
+    0! .. s!, and the ``end_rows`` that take the Levin route's Chebyshev
+    coefficients to q1(1) and q1'(1)."""
+
+    nodes: np.ndarray
+    mults: np.ndarray
+    node: np.ndarray
+    order: np.ndarray
+    fact: np.ndarray
+    end_rows: tuple
+
+
 @kept
-def _freq_images(osc: Oscillator, nodes: np.ndarray, mults: np.ndarray) -> tuple:
-    # The parts of _freq_rows that depend on g alone, on the collocation
-    # nodes and multiplicities of (npts, s): the g' series (length s+1) at
-    # the nodes, and the three terms of the Levin images of T_0 .. T_{M-1},
-    # sum_i g_i P'_{j-i}, g'_i P_{j-i} and (g g')_i P_{j-i}, at the
-    # collocation conditions, one row per condition (orders j > 0 of
-    # interior nodes are formed and dropped).  Each Cauchy product is summed
-    # over table columns in ps_mul's order.  Only endpoint sums have more
-    # than one term; there ps_mul's dot product may fuse a multiply-add, so
-    # for a general g the sums can differ from it in the last bits.
-    npts, s = nodes.size, int(mults[0]) - 1
-    M = int(mults.sum()) - 1
+def _layout(npts: int, s: int) -> _Layout:
+    # A bad (npts, s) raises in _collocation_nodes, so is never kept.  At
+    # t = 1, T_k(2t - 1) is 1 and its t-derivative 2 k^2.
+    nodes, mults = _collocation_nodes(npts, s)
+    k = np.arange(int(mults.sum()) - 1)
+    return _Layout(nodes, mults, *_conditions(mults, s + 1), _factorials(s + 1), (np.ones(k.size), 2.0 * k**2))
+
+
+@kept
+def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
+    # The parts of _freq_rows that depend on g alone, at the conditions of
+    # (npts, s): the g' series (length s+1) at the nodes, the factorials and
+    # g' at the conditions, and the three terms of the Levin images of
+    # T_0 .. T_{M-1}, sum_i g_i P'_{j-i}, g'_i P_{j-i} and (g g')_i P_{j-i},
+    # one row per condition (orders j > 0 of interior nodes are formed and
+    # dropped).  Each Cauchy product is summed over table columns in
+    # ps_mul's order.  Only endpoint sums have more than one term; there
+    # ps_mul's dot product may fuse a multiply-add, so for a general g the
+    # sums can differ from it in the last bits.  A basis over the cap
+    # raises, so is never kept.
+    layout = _layout(npts, s)
+    nodes, node, order = layout.nodes, layout.node, layout.order
+    M = int(layout.mults.sum()) - 1
+    if M > MAX_BASIS_SIZE:
+        raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
     gser = osc.series_at(nodes, s + 2)
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
@@ -387,8 +432,7 @@ def _freq_images(osc: Oscillator, nodes: np.ndarray, mults: np.ndarray) -> tuple
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         terms[:, :, j] = t1.T, t2.T, t3.T
-    node, order = _conditions(mults, s + 1)
-    return gprime, terms[:, node, order]
+    return gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
 
 
 def _freq_rows(spec: ProblemSpec, npts: int, s: int):
@@ -399,21 +443,16 @@ def _freq_rows(spec: ProblemSpec, npts: int, s: int):
     # derivatives at each node, applied to the unknowns (c0, q1
     # coefficients).  Column k + 1 holds the Levin image g q' + (1+alpha) g' q
     # + iw g g' q of q = T_k, for the whole basis: the terms of
-    # _freq_images, kept per g, combined with alpha and w.
+    # _freq_table, kept per g, combined with alpha and w.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    nodes, mults = _collocation_nodes(npts, s)
-    M = int(mults.sum()) - 1
-    if M > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
+    gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
     w = spec.w
-    gprime, (t1, t2, t3) = _freq_images(spec.oscillator, nodes, mults)
-    node, order = _conditions(mults, s + 1)
-    fact = _factorials(s + 1)[order]
-    rows = np.empty((node.size, M + 1), dtype=complex)
-    rows[:, 0] = 1j * w * fact * gprime[node, order]
+    rows = np.empty((fact.size, t1.shape[1] + 1), dtype=complex)
+    rows[:, 0] = 1j * w * fact * gprime_at
     rows[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
-    return nodes, mults, _cheb_series_table(npts, s + 2, M), gprime, rows
+    layout = _layout(npts, s)
+    return layout.nodes, layout.mults, _cheb_series_table(npts, s + 2, t1.shape[1]), gprime, rows
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
@@ -421,25 +460,23 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
     # series of length s+1 at the nodes; a right-hand side is their
     # conditions times factorials.  Row j grows like k^{2j}: each row of the
     # matrix, and of every right-hand side, is divided by the power of two
-    # just above its largest entry.  At t = 1, T_k(2t - 1) is 1 and its
-    # t-derivative 2 k^2.
-    nodes, mults, tables, gprime, A = _freq_rows(spec, npts, s)
+    # just above its largest entry.
+    nodes, _, tables, gprime, A = _freq_rows(spec, npts, s)
+    layout = _layout(npts, s)
+    node, order, fact = layout.node, layout.order, layout.fact
     m = s + 1
-    fact = _factorials(m)
-    conditions = _conditions(mults, m)
+    P = tables[:, :, :m]
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     L = A / row_scale[:, None]
-    k = np.arange(A.shape[1] - 1)
 
     def q1_gprime(coeffs):
         # The Taylor series of q1 at each node, summed over the basis in
         # order (a reduction over the leading axis adds its slices one by
         # one), times that of g'.
-        return ps_mul((coeffs[:, None, None] * tables[:, :, :m]).sum(axis=0), gprime)
+        return ps_mul((coeffs[:, None, None] * P).sum(axis=0), gprime)
 
     return _Operator(L, factor(L), lambda amplitudes: amplitudes.at(nodes, m), q1_gprime,
-                     lambda data: (fact * np.asarray(data, dtype=complex))[conditions] / row_scale,
-                     (np.ones(k.size), 2.0 * k**2))
+                     lambda data: (fact * np.asarray(data, dtype=complex))[node, order] / row_scale, layout.end_rows)
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
@@ -460,6 +497,7 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
     s : int
         Endpoint multiplicity parameter.
     """
+    check_counts(npts=npts, s=s)
     op = _freq_operator(spec, npts, s)
     sol = op.solve(op.node_data(_regularised(spec))[0])
     return sol.c0, sol.q1, sol.diag

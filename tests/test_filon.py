@@ -1,6 +1,7 @@
 """Frequency-space Hermite collocation, moments, and Filon quadrature."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -503,7 +504,7 @@ class TestFreqOperatorRows:
         spec = builtin_problem("ex53a", 0.5, 50.0)
         npts, s = 9, 2
         oscquad.filon._freq_operator(spec, npts, s)
-        oscquad.filon._freq_images.cache.clear()
+        oscquad.filon._freq_table.cache.clear()
         calls = []
         real = oscquad.filon.ps_mul
 
@@ -517,6 +518,81 @@ class TestFreqOperatorRows:
         calls.clear()
         oscquad.filon._freq_operator(spec, npts, s)
         assert calls == []
+
+
+class TestKeptLayout:
+    """A LEVIN_FREQ or FILON call after one at the same (g, npts, s) forms
+    only what depends on alpha, w and f."""
+
+    @pytest.mark.parametrize(
+        "method, pid, npts, s",
+        [(Method.LEVIN_FREQ, "ex53a", 8, 1), (Method.LEVIN_FREQ, "ex53b", 10, 2), (Method.FILON, "ex53a", 6, 2),
+         (Method.FILON, "ex53b", 8, 1)],
+    )
+    def test_warm_call_builds_no_layout(self, monkeypatch, method, pid, npts, s):
+        # No collocation nodes, conditions or factorials, and no memo lookup
+        # keyed by a node array but that of the x/g series; the warm value is
+        # the cold one, bit for bit.
+        filon = oscquad.filon
+        for table in (filon._layout, filon._freq_table, filon._hermite_matrix):
+            table.cache.clear()
+        spec = builtin_problem(pid, 0.5, 200.0)
+        cold = compute(spec, method, npts, s)
+        calls, array_keys, ratio_calls = [], [], []
+
+        def counting(name, fn, seen):
+            def wrapper(*args):
+                seen.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_collocation_nodes", "_conditions", "_factorials"):
+            monkeypatch.setattr(filon, name, counting(name, getattr(filon, name), calls))
+        real_key = oscquad._kept._arg_key
+
+        def key(arg):
+            if isinstance(arg, np.ndarray):
+                array_keys.append(arg.shape)
+            return real_key(arg)
+
+        monkeypatch.setattr(oscquad._kept, "_arg_key", key)
+        ratio = oscquad.problem._ratio_series
+        monkeypatch.setattr(oscquad.problem, "_ratio_series", counting("ratio", ratio, ratio_calls))
+        compute(builtin_problem(pid, -0.3, 4.0e5), method, npts, s)
+        warm = compute(spec, method, npts, s)
+        assert calls == []
+        assert len(array_keys) == len(ratio_calls) > 0
+        assert (repr(warm.value), repr(warm.diagnostics)) == (repr(cold.value), repr(cold.diagnostics))
+
+    def test_bad_counts_raise_on_every_call_and_are_never_kept(self):
+        # 8.0 is refused although the kept (8, 1) has an equal key.
+        spec = builtin_problem("ex53a", 0.5, 200.0)
+        solve_freq(spec, 8, 1)
+        for npts, s, error in ((2, 1, ParameterError), (8, -1, ParameterError), (8.0, 1, ParameterError),
+                               (40, 1, CapabilityError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    solve_freq(spec, npts, s)
+                with pytest.raises(error):
+                    compute(spec, Method.LEVIN_FREQ, npts, s)
+        g = spec.oscillator._key
+        assert not {(2, 1), (8, -1)} & set(oscquad.filon._layout.cache)
+        assert not {(g, 2, 1), (g, 8, -1), (g, 40, 1)} & set(oscquad.filon._freq_table.cache)
+
+    def test_hermite_data_off_the_layout_is_refused(self):
+        # The kept Hermite matrix is that of build_hermite_data's nodes and
+        # multiplicities, so data on others is refused, not misread.
+        spec = builtin_problem("ex53a", 0.5, 100.0)
+        data = build_hermite_data(spec, 6, 1)
+        other_a = build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]), 0.5, 0.5,
+                                SingKind.ALGEBRAIC, 100.0)
+        for bad, on in ((replace(data, nodes=0.5 * data.nodes), spec), (replace(data, mults=2 + 0 * data.mults), spec),
+                        (data, other_a)):
+            with pytest.raises(ParameterError, match="build_hermite_data"):
+                hermite_solve(bad, on)
+            with pytest.raises(ParameterError, match="build_hermite_data"):
+                quad_filon(on, bad)
 
 
 class TestEquilibratedRows:

@@ -20,9 +20,6 @@ import oscquad.problem
 from oscquad._kept import KEPT_SIZE
 from oscquad.problem import Oscillator
 
-_NODES, _MULTS = oscquad.filon._collocation_nodes(3, 0)
-
-
 def _osc(i):
     # A new object each call; equal i give equal coefficients, so one key.
     return Oscillator.from_poly([0.0, 1.0, 0.01 * i])
@@ -33,8 +30,9 @@ KEPT_TABLES = {
     "radau_grid": (oscquad.cheb._radau_grid, lambda i: (i + 2,)),
     "lobatto_grid": (oscquad.cheb._lobatto_grid, lambda i: (i + 2,)),
     "cheb_series_table": (oscquad.filon._cheb_series_table, lambda i: (3, 2, i + 1)),
-    "freq_images": (oscquad.filon._freq_images, lambda i: (_osc(i), _NODES, _MULTS)),
-    "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, _NODES, _MULTS)),
+    "layout": (oscquad.filon._layout, lambda i: (i + 3, 0)),
+    "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
+    "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
     "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, True)),
     "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),

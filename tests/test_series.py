@@ -220,6 +220,64 @@ class TestBatched:
             ps_mul(np.ones((3, 2)), np.ones((3, 3)))
 
 
+class TestInputForms:
+    """Arrays with an axis pass into the helpers as they are, and equal batch
+    shapes are not broadcast; every other input form and every refusal
+    behaves as before."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ps_mul([], []),
+            lambda: ps_div(np.ones((3, 0)), np.ones((3, 0))),
+            lambda: ps_pow(np.array([]), 0.5),
+            lambda: ps_log(np.ones((2, 0))),
+            lambda: ps_mul(np.ones((3, 2)), np.ones((3, 3))),
+            lambda: ps_div(np.ones(2), [1.0, 2.0, 3.0]),
+            lambda: ps_pow(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.5),
+            lambda: ps_pow(np.array([-1.0, 0.0]), 0.5),
+            lambda: ps_log(np.array([[1.0, 0.0], [-0.5, 1.0]])),
+            lambda: ps_log(np.array([1.0 + 1e-3j, 0.0])),
+        ],
+    )
+    def test_refusals(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+    @pytest.mark.parametrize("name", ["ps_mul", "ps_div"])
+    def test_batch_shapes_that_do_not_broadcast(self, name):
+        with pytest.raises(ValueError):
+            HELPERS[name](np.ones((3, 2)), np.ones((4, 2)))
+
+    def test_lists_and_zero_d_inputs(self):
+        assert ps_mul([1.0, 2.0], [3.0, 4.0]).tolist() == [3.0, 10.0]
+        assert ps_div([3.0, 10.0], [1.0, 2.0]).tolist() == [3.0, 4.0]
+        assert ps_pow([4.0, 4.0], 0.5).tolist() == [2.0, 1.0]
+        assert ps_log([1.0, 2.0]).tolist() == [0.0, 2.0]
+        assert ps_mul(np.array(2.0), 3.0).tolist() == [6.0]
+        assert ps_div(np.array(6.0), np.float64(3.0)).tolist() == [2.0]
+        assert ps_pow(np.array(4.0), 0.5).tolist() == [2.0]
+        assert ps_log(np.float64(1.0)).tolist() == [0.0]
+
+    @pytest.mark.parametrize("name", sorted(HELPERS))
+    def test_forms_equal_single_rows(self, name):
+        # Equal-shape arrays, nested lists and, for the products and
+        # quotients, a batch against one series give, bit for bit, the
+        # series the helper gives one row at a time.
+        rng = np.random.default_rng(11)
+        for m in range(1, 6):
+            a = _batch(rng, 7, m, True)
+            b = _batch(rng, 7, m, False)
+            b[:, 0] = rng.uniform(0.5, 3.0, 7)
+            forms = [(a, b, list(zip(a, b))), (a.tolist(), b.tolist(), list(zip(a, b)))]
+            if name in ("ps_mul", "ps_div"):
+                forms += [(a, b[3], [(row, b[3]) for row in a]), (a[:1], b, [(a[0], row) for row in b])]
+            for x, y, pairs in forms:
+                want = np.array([HELPERS[name](ra, rb) for ra, rb in pairs])
+                got = HELPERS[name](x, y)
+                assert got.tobytes() == want.tobytes(), (name, m)
+
+
 @st.composite
 def _series_pairs(draw):
     # Two (N, m) batches, each real or complex; the second has a positive
