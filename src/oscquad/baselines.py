@@ -23,12 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, roots_genlaguerre, roots_legendre
+from scipy.linalg.lapack import dsterf
+from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 
 from ._kept import kept
 from ._result import Method, QuadratureResult
 from .errors import AccuracyError, CapabilityError, ParameterError
-from .problem import ProblemSpec, SingKind, integrand
+from .problem import ProblemSpec, SingKind, _horner, integrand
 
 __all__ = [
     "CMFPParams",
@@ -66,8 +67,11 @@ _NSD_PRODUCT_TOL = 1e-14
 _NSD_TILT = 0.1
 
 # Sub-panels per evaluation block of graded_integral (24 nodes each at the
-# default order); bounds the memory of one oracle call.
-_BLOCK_SUBPANELS = 2048
+# default order): 3072 nodes, 49 KB per complex temporary, which stay in
+# cache.  Over 200 random built-in oracle calls, 128 to 512 were level and
+# the fastest of the powers of two from 64 to 2048; 2048 took 15-40% longer
+# above |w| g(a) = 300.  Every power of two tried gave the same bits.
+_BLOCK_SUBPANELS = 128
 
 
 @kept
@@ -436,13 +440,42 @@ def reference_oracle(spec: ProblemSpec) -> complex:
 @kept
 def _laguerre_rule(alpha: float):
     # Generalised Gauss-Laguerre nodes and weights for p^alpha e^{-p} on
-    # (0, inf), and the product weights of p^alpha log(p) e^{-p} on the same
+    # (0, inf), m = _NSD_ORDER, kept per alpha.  These are the steps of
+    # scipy.special.roots_genlaguerre, without its wrapper, so the same
+    # bits: the eigenvalues of the Jacobi matrix (diagonal 2k + alpha + 1,
+    # off-diagonal sqrt(k (k + alpha))) by LAPACK dsterf, one Newton step
+    # on L_m, and weights 1 / (L_{m-1} L_m') log-normalised and scaled to
+    # Gamma(alpha + 1) (Golub & Welsch, Math. Comp. 23, 1969).
+    m = _NSD_ORDER
+    k = np.arange(m, dtype=float)
+    nodes, info = dsterf(2 * k + alpha + 1, np.sqrt(k[1:] * (k[1:] + alpha)))
+    if info:
+        raise AccuracyError(f"the Laguerre rule's eigenvalues did not converge at alpha = {alpha!r}")
+    lag = eval_genlaguerre(m, alpha, nodes)
+    dlag = (m * lag - (m + alpha) * eval_genlaguerre(m - 1, alpha, nodes)) / nodes
+    nodes -= lag / dlag
+    prev = eval_genlaguerre(m - 1, alpha, nodes)
+    log_prev = np.log(np.abs(prev))
+    log_dlag = np.log(np.abs(dlag))
+    prev /= np.exp((log_prev.max() + log_prev.min()) / 2.0)
+    dlag /= np.exp((log_dlag.max() + log_dlag.min()) / 2.0)
+    weights = 1.0 / (prev * dlag)
+    weights *= gamma(alpha + 1) / weights.sum()
+    return nodes, weights
+
+
+@kept
+def _laguerre_log_weights(alpha: float):
+    # The product weights of p^alpha log(p) e^{-p} on _laguerre_rule's
     # nodes: log p expanded in L_j^{(alpha)}, j < m, whose coefficients are
     # closed form, int p^alpha log(p) L_j e^{-p} dp = -Gamma(alpha+1)/j for
     # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0; m = _NSD_ORDER.
-    # Kept per alpha.
+    # The three-term recurrence keeps the log moments within 1.6e-14
+    # relative at alpha = 0, +-0.05, +-0.5, +-0.9, +-0.999; eval_genlaguerre
+    # on the (j, node) grid is off by up to 2.5e-12 there.  Kept per alpha;
+    # only the log kind builds it.
     m = _NSD_ORDER
-    nodes, weights = roots_genlaguerre(m, alpha)
+    nodes, weights = _laguerre_rule(alpha)
     acc = np.full(m, digamma(alpha + 1.0))
     prev, lag = np.ones(m), 1.0 + alpha - nodes
     ratio = 1.0  # Gamma(alpha+1) j! / Gamma(j+alpha+1)
@@ -450,7 +483,7 @@ def _laguerre_rule(alpha: float):
         ratio *= j / (j + alpha)
         acc -= ratio / j * lag
         prev, lag = lag, ((2 * j + 1 + alpha - nodes) * lag - (j + alpha) * prev) / (j + 1)
-    return nodes, weights, weights * acc
+    return weights * acc
 
 
 def _path_slope(t, g1: float, g2: float):
@@ -519,16 +552,17 @@ def reference_nsd(spec: ProblemSpec) -> complex:
     if amp.complex_value is None:
         raise CapabilityError("NSD needs the amplitude's complex-argument evaluator")
     poly = spec.oscillator.poly
-    coeffs = None if poly is None else np.trim_zeros(np.asarray(poly, dtype=float), "b")
-    if coeffs is None or coeffs.size > 3:
+    coeffs = None if poly is None else np.asarray(poly, dtype=float)
+    if coeffs is None or (coeffs.size > 3 and coeffs[3:].any()):
         raise CapabilityError("NSD inverts polynomial oscillators of degree <= 2 only")
-    g2 = float(coeffs[2]) if coeffs.size == 3 else 0.0
+    g2 = float(coeffs[2]) if coeffs.size >= 3 else 0.0
+    coeffs = coeffs[:3] if g2 else coeffs[:2]  # without trailing zeros
     a, w, alpha = spec.a, spec.w, spec.alpha
     sign = 1.0 if w > 0 else -1.0
     g_a = spec.g_end()
     slopes = (float(coeffs[1]), float(coeffs[1]) + 2.0 * g2 * a)  # g'(0), g'(a)
     sing = np.asarray(amp.singular_points, dtype=complex)
-    u = np.polynomial.polynomial.polyval(sing, coeffs)  # g at the singular points
+    u = _horner(coeffs, sing)  # g at the singular points
     # Where g' = 0 the path inverse branches; in t = g - g(c) that is at
     # -g'(c)^2 / (4 g2) (none for linear g, nor beyond the float range).
     branch = []
@@ -559,7 +593,7 @@ def reference_nsd(spec: ProblemSpec) -> complex:
             "region or too close to the rule's nodes"
         )
 
-    r0, w0, log_w0 = _laguerre_rule(alpha)
+    r0, w0 = _laguerre_rule(alpha)
     slope0, root0 = _path_slope(1j * turn * r0 / w, slopes[0], g2)
     x_over_r = 1j * turn / w * slope0
     x0 = r0 * x_over_r
@@ -568,11 +602,11 @@ def reference_nsd(spec: ProblemSpec) -> complex:
         h0 = h0 * np.exp(1j * sign * tilt * r0)
     if log_kind:
         # x^alpha log x = r^alpha (x/r)^alpha (log r + log(x/r))
-        from_zero = log_w0 @ h0 + w0 @ (h0 * np.log(x_over_r))
+        from_zero = _laguerre_log_weights(alpha) @ h0 + w0 @ (h0 * np.log(x_over_r))
     else:
         from_zero = w0 @ h0
 
-    ra, wa, _ = _laguerre_rule(0.0)
+    ra, wa = _laguerre_rule(0.0)
     t_a = 1j * ra / w
     slope_a, root_a = _path_slope(t_a, slopes[1], g2)
     xa = a + t_a * slope_a

@@ -76,9 +76,11 @@ _REF_S = 2
 # |w| g(a) above which the error columns use the NSD reference.  Measured
 # against 40-digit values of the built-ins (alpha = +-0.5, +-0.9): where NSD
 # accepts a problem above 100 it is within 2e-15 relative, while the oracle
-# is off by up to 1.6e-13 at |w| g(a) = 70-150 and grows with w; below 100
-# a first oracle call costs 0.14-0.18 ms against 0.21 ms for NSD with a new
-# alpha, and NSD refuses ex52, ex53a and ex53b below 70.
+# is off by up to 1.6e-13 at |w| g(a) = 70-150 and grows with w.  Accuracy
+# sets the value, not cost: at |w| g(a) = 70-150 a first oracle call costs
+# 0.25-0.30 ms and an algebraic-kind NSD call with a new alpha 0.14-0.23 ms
+# (best of 7 calls on a 2-core x86_64 machine).  At alpha = +-0.5, +-0.9
+# NSD refuses ex52 and ex53a below about 60, and ex53b below about 170.
 NSD_CROSSOVER = 100.0
 
 

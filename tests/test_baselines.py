@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
+import oscquad.baselines
 from oscquad import Method, compute
 from oscquad.baselines import (
     _BLOCK_SUBPANELS,
@@ -359,6 +360,16 @@ class TestGradedIntegralBatched:
         assert np.isfinite(got) and np.isfinite(ref)
         assert abs(got - ref) <= 4.0 * np.finfo(float).eps * size
         assert compute(spec, Method.ORACLE, 0, 0).value == got * spec.phase_shift
+
+
+@pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+def test_oracle_does_not_depend_on_block_size(pid, monkeypatch):
+    # About 1e4 sub-panels: many blocks of either size.
+    spec = builtin_problem(pid, 0.5, 1e4 / builtin_problem(pid, 0.5, 1.0).g_end())
+    value = reference_oracle(spec)
+    monkeypatch.setattr(oscquad.baselines, "_BLOCK_SUBPANELS", 2048)
+    assert oscquad.baselines._BLOCK_SUBPANELS != _BLOCK_SUBPANELS
+    assert abs(reference_oracle(spec) - value) <= 1e-15 * abs(value)
 
 
 def _finer_oracle(spec):

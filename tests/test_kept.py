@@ -37,6 +37,7 @@ KEPT_TABLES = {
     "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
     "laguerre_rule": (oscquad.baselines._laguerre_rule, lambda i: (-0.9 + 0.02 * i,)),
+    "laguerre_log_weights": (oscquad.baselines._laguerre_log_weights, lambda i: (-0.9 + 0.02 * i,)),
     "cheb_interp_setup": (oscquad.baselines._cheb_interp_setup, lambda i: (i + 1,)),
 }
 

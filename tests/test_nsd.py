@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, gamma, roots_genlaguerre
 
 from oscquad import Method, compute
-from oscquad.baselines import reference_nsd, reference_oracle
+from oscquad.baselines import (
+    _NSD_ORDER,
+    _laguerre_log_weights,
+    _laguerre_rule,
+    reference_nsd,
+    reference_oracle,
+)
 from oscquad.benchcli import NSD_CROSSOVER
 from oscquad.errors import CapabilityError
 from oscquad.problem import (
@@ -210,6 +217,41 @@ class TestRefusals:
                            1.0, 0.5, SingKind.ALGEBRAIC, 1e3)
         with pytest.raises(CapabilityError, match="complex-argument"):
             reference_nsd(fd)
+
+    @pytest.mark.parametrize("kind", list(SingKind))
+    def test_degree_ignores_trailing_zeros(self, kind):
+        def spec(g):
+            return build_problem(Amplitude.from_poly([1.0, 0.5j]), Oscillator.from_poly(g),
+                                 1.0, 0.5, kind, 1e3)
+
+        padded = reference_nsd(spec([0.0, 1.0, 0.3, 0.0]))
+        trimmed = reference_nsd(spec([0.0, 1.0, 0.3]))
+        assert np.array_equal(np.array([padded]).view(np.uint64), np.array([trimmed]).view(np.uint64))
+        with pytest.raises(CapabilityError, match="degree"):
+            reference_nsd(spec([0.0, 1.0, 0.0, 1e-3]))
+
+
+class TestLaguerreRules:
+    ALPHAS = [0.0, *np.round(np.linspace(-0.999, 0.999, 40), 6).tolist()]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_rule_is_scipy_rule(self, alpha):
+        nodes, weights = _laguerre_rule(alpha)
+        ref_nodes, ref_weights = roots_genlaguerre(_NSD_ORDER, alpha)
+        assert np.array_equal(nodes.view(np.uint64), ref_nodes.view(np.uint64))
+        assert np.array_equal(weights.view(np.uint64), ref_weights.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.999, -0.999])
+    def test_log_weights_reproduce_log_moments(self, alpha):
+        # int p^(alpha+k) log(p) e^-p dp = Gamma(alpha+k+1) psi(alpha+k+1),
+        # exact for the product rule up to k = m - 1; the recurrence is
+        # within 1.6e-14 of it on this grid.
+        nodes, _ = _laguerre_rule(alpha)
+        log_weights = _laguerre_log_weights(alpha)
+        for k in range(_NSD_ORDER):
+            powers = nodes**k
+            exact = gamma(alpha + k + 1) * digamma(alpha + k + 1)
+            assert abs(log_weights @ powers - exact) <= 5e-14 * (np.abs(log_weights) @ powers), k
 
 
 # Random complex quadratic f and increasing quadratic g on [0, a]: g'(0) in
