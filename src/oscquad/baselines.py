@@ -210,8 +210,7 @@ class CMFPParams:
 def cmfp_applies(spec: ProblemSpec) -> bool:
     """Whether the composite baselines take ``spec``: g = beta x with beta > 0."""
     poly = spec.oscillator.poly
-    coeffs = None if poly is None else np.trim_zeros(np.asarray(poly, dtype=float), "b")
-    return bool(coeffs is not None and coeffs.size == 2 and coeffs[0] == 0.0 and coeffs[1] > 0.0)
+    return bool(poly is not None and poly.size >= 2 and poly[0] == 0.0 and poly[1] > 0.0 and not poly[2:].any())
 
 
 def _linear_slope(spec: ProblemSpec) -> float:
@@ -609,10 +608,14 @@ def reference_nsd(spec: ProblemSpec) -> complex:
     ra, wa = _laguerre_rule(0.0)
     t_a = 1j * ra / w
     slope_a, root_a = _path_slope(t_a, slopes[1], g2)
-    xa = a + t_a * slope_a
+    y = t_a * slope_a
+    xa = a + y
     ha = amp.complex_value(xa) * xa**alpha / root_a
     if log_kind:
-        ha = ha * np.log(xa)
+        # x = a (1 + u), |u| ~ 1/w: NumPy's complex log and log1p round |x| to a.
+        u = y / a
+        ha = ha * (math.log(a) + 0.5 * np.log1p(2.0 * u.real + u.real**2 + u.imag**2)
+                   + 1j * np.arctan2(u.imag, 1.0 + u.real))
     from_a = cmath.exp(1j * w * g_a) * (wa @ ha) * (1j / w)
     value = complex((from_zero - from_a) * spec.phase_shift)
     if not cmath.isfinite(value):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import hyp2f2_equal, kernel_k_alg
+from .numkernel import kernel_k_alg, kernel_k_log
 from .problem import ProblemSpec
 
 __all__ = ["EndData", "upper_end_value", "levin_value"]
@@ -56,49 +56,37 @@ def upper_end_value(spec: ProblemSpec, end: EndData, g_a: float, gp_a: float) ->
     return (end.rhs - g_a * end.dq1 - linear) / (1j * spec.w * gp_a)
 
 
-def levin_value(spec: ProblemSpec, first: EndData, second: EndData | None = None) -> complex:
+def levin_value(spec: ProblemSpec, g_a: float, first: EndData, second: EndData | None = None) -> complex:
     """The integral of ``spec`` from its Levin solves' data at x = a.
 
-    Algebraic kind (``first`` only): the antiderivative bracket
-    ``g^{1+alpha} q1 + c0 (1 - e^{-iwg}) g^alpha + h`` at x = a reduces to
-    ``q(a) g^alpha + c0 e^{-iwg} K`` with
+    ``g_a`` is g(a) by :meth:`ProblemSpec.g_end`.  Algebraic kind (``first``
+    only): the bracket ``g^{1+alpha} q1 + c0 (1 - e^{-iwg}) g^alpha + h``
+    at x = a reduces to ``q(a) g^alpha + c0 e^{-iwg} K`` with
     ``K = alpha [Gamma(alpha,-iwg) - Gamma(alpha)] / (-iw)^alpha``, so the
     value is
 
         q(a) g(a)^alpha e^{iwg(a)} + c0 K(g(a)).
 
     Logarithmic kind: from the first solve (c0, q) and the second (d0, l),
-    whose right-hand side ``f21 - q1 g'`` folds the f2 sub-problem (f21 is
-    its f1, :func:`oscquad.problem._regularised`) into the coupled
-    l-equation, the bracket of the logarithmic kernel reduces to
+    of right-hand side ``f21 - q1 g'`` with f21 = f log(g(a) x/g) (x/g)^alpha
+    (:func:`oscquad.problem._regularised`), the bracket reduces to
 
-        g^alpha (q(a) log g + l(a)) e^{iwg} + (c0 log g + d0 + c0/alpha) K
-            + (c0/alpha) g^alpha 2F2(alpha,alpha;1+alpha,1+alpha;iwg)
+        l(a) g^alpha e^{iwg} + d0 K + c0 iw K_log(g),   g = g(a),
 
-    at g = g(a).  ``q(a) log g + l(a)`` is read as the q(a) of the combined
-    end data ``log g * first + second``, which is linear in both solves, so
-    its O(1/w) parts cancel before they are rounded.
+    with K_log of :func:`oscquad.numkernel.kernel_k_log`; l(a) is the q(a)
+    of the second solve alone, so its O(1/w) parts cancel before rounding.
 
     q(a) comes from :func:`upper_end_value`, which avoids the cancellation
-    between c0 and g(a) q1(a) at large w; g(a) and g'(a) are read once, g(a)
-    by :meth:`ProblemSpec.g_end` as the moments and the references read it.
-    The value is returned times the phase shift.
+    between c0 and g(a) q1(a) at large w.  The value is returned times the
+    phase shift.
     """
     alpha, w = spec.alpha, spec.w
-    g_a = spec.g_end()
-    c0 = first.c0
-    end, kernel = first, c0
-    if second is not None:
-        log_g = np.log(g_a)
-        end = EndData(c0 * log_g + second.c0, first.q1 * log_g + second.q1, first.dq1 * log_g + second.dq1,
-                      abs(log_g) * first.dq1_size + second.dq1_size, first.rhs * log_g + second.rhs)
-        kernel = end.c0 + c0 / alpha
+    end = first if second is None else second
     # g'(a) a NumPy scalar: upper_end_value divides by iw g'(a) in NumPy.
     gp_a = np.float64(spec.oscillator.deriv1(spec.a))
     value = upper_end_value(spec, end, g_a, gp_a) * g_a**alpha * np.exp(1j * w * g_a)
-    if kernel != 0:
-        value += kernel * kernel_k_alg(alpha, w, g_a)
-    if second is not None and c0 != 0:
-        f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
-        value += (c0 / alpha) * g_a**alpha * f22
+    if end.c0 != 0:
+        value += end.c0 * kernel_k_alg(alpha, w, g_a)
+    if second is not None and first.c0 != 0:
+        value += first.c0 * (1j * w) * kernel_k_log(alpha, w, g_a)
     return complex(value * spec.phase_shift)

@@ -39,7 +39,7 @@ from ._series import ps_mul
 from .cheb import _lobatto_grid, lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _Operator, _quad_levin, factor
-from .numkernel import gamma_real, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
+from .numkernel import gamma_real, kernel_k_log, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
@@ -163,21 +163,17 @@ def moments_nu(
 ) -> np.ndarray:
     """Logarithmic moments nu_1..nu_count, one for each entry of ``mu``.
 
-    ``nu_1`` combines the mu_1 closed form with an equal-parameter 2F2 term;
-    the recurrence adds a ``-mu_j/(iw)`` coupling.  Where it would amplify
-    errors, the power series replaces both, as in :func:`moments_mu`.
+    ``nu_1 = log(g_a) mu_1 + int_0^{g_a} u^alpha log(u/g_a) e^{iwu} du``, the
+    last term by :func:`oscquad.numkernel.kernel_k_log`; the recurrence adds
+    a ``-mu_j/(iw)`` coupling.  Where it would amplify errors, the power
+    series replaces both, as in :func:`moments_mu`.
     """
     mu = np.asarray(mu, dtype=complex)
     count = mu.size
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, True)
     nu = np.zeros(count, dtype=complex)
-    upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
-    f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * g_a)
-    nu[0] = (
-        np.log(g_a) * (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
-        - g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22
-    )
+    nu[0] = np.log(g_a) * mu[0] + kernel_k_log(alpha, w, g_a)
     log_end = np.log(g_a) * np.exp(1j * w * g_a)
     for j in range(1, count):
         nu[j] = (

@@ -1,9 +1,9 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
 Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
-f1 and, for the logarithmic kind, the f2 sub-problem's amplitude f21 once
-(:func:`oscquad.problem._regularised`), solve for f1 and f21 - q1 g' on
-one factorised operator, and read the bracket at x = a
+f1 and, for the logarithmic kind, the amplitude f21 = f log(g(a) x/g)
+(x/g)^alpha once (:func:`oscquad.problem._regularised`), solve for f1 and
+f21 - q1 g' on one factorised operator, and read the bracket at x = a
 (:func:`oscquad.boundary.levin_value`).  A route is only how it builds
 its :class:`_Operator`: :func:`_physical_operator` here, or
 ``filon._freq_operator``.
@@ -326,10 +326,10 @@ def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
     return _Operator(L, factor(L), node_data, q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
 
 
-def _solves(op: _Operator, spec: ProblemSpec) -> list:
-    # The solves of the paper's method on the operator ``op`` of ``spec``:
-    # f1; for the logarithmic kind also f21 - q1 g' (problem._regularised).
-    f1, *f21 = op.node_data(_regularised(spec))
+def _solves(op: _Operator, amplitudes: _Separated) -> list:
+    # The solves on ``op`` for problem._regularised's f1 and, for the
+    # logarithmic kind, f21 - q1 g'.
+    f1, *f21 = op.node_data(amplitudes)
     sols = [op.solve(f1)]
     for data in f21:
         sols.append(op.solve(data - op.q1_gprime(sols[0].q1)))
@@ -339,10 +339,12 @@ def _solves(op: _Operator, spec: ProblemSpec) -> list:
 def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route.  ``operator`` maps ``spec`` on [0, 1]
     # to the route's _Operator; its solves give the q1 of ``spec`` and its
-    # c0, d0 divided by a, so the end data is scaled by a once here.
+    # c0, d0 divided by a, so the end data is scaled by a once here.  f21
+    # carries log g(a) of ``spec``.
     unit = _unit_interval(spec)
     op = operator(unit)
-    sols = _solves(op, unit)
+    g_a = spec.g_end()
+    sols = _solves(op, _regularised(unit, g_a))
     a = spec.a
     ends = list(map(op.end, sols))
     if a != 1.0:
@@ -350,7 +352,7 @@ def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> 
     diagnostics = {"residual_norm": sols[0].residual_norm, **op.factor.diag.diagnostics()}
     if len(sols) == 2:
         diagnostics["residual_norm_second"] = sols[1].residual_norm
-    return QuadratureResult(levin_value(spec, *ends), method, s, n, diagnostics)
+    return QuadratureResult(levin_value(spec, g_a, *ends), method, s, n, diagnostics)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
@@ -387,7 +389,7 @@ def solve_log(spec: ProblemSpec, n: int):
     -------
     (LevinSolution, LevinSolution)
     """
-    return tuple(_solves(_physical_operator(spec, n), spec))
+    return tuple(_solves(_physical_operator(spec, n), _regularised(spec)))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):

@@ -40,6 +40,7 @@ __all__ = [
     "upper_gamma_complex",
     "hyp2f2_equal",
     "kernel_k_alg",
+    "kernel_k_log",
     "kernel_h_alg",
     "kernel_h_log",
     "GAMMA_CROSSOVER",
@@ -291,8 +292,8 @@ def hyp2f2_equal(
     Parameters
     ----------
     alpha : float
-        Parameter in (-1, 2) excluding 0 (the quadratures use alpha and
-        1+alpha).
+        Parameter in (-1, 2) excluding 0 (the quadratures use 1+alpha, in
+        :func:`kernel_k_log`).
     z : complex
         Argument.  Arbitrary for ``|z| <= series_max``; purely imaginary
         otherwise (the rotated-path representation assumes it).
@@ -365,20 +366,24 @@ def kernel_h_alg(c0: complex, alpha: float, w: float, gx: float) -> complex:
     return c0 * np.exp(-1j * w * gx) * _bracket_alg(alpha, w, gx)
 
 
-def kernel_h_log(c0: complex, c1: complex, alpha: float, w: float, gx: float) -> complex:
-    """Boundary kernel h(x) of the logarithmic-singularity quadrature.
+def kernel_k_log(alpha: float, w: float, gx: float) -> complex:
+    """``int_0^gx t^alpha log(t/gx) e^{iwt} dt``, the log kind's part of the
+    end value and of nu_1, as ``-gx^{1+alpha} 2F2(1+alpha, 1+alpha; 2+alpha,
+    2+alpha; iw gx) / (1+alpha)^2``: no 1/alpha, unlike the equal pair
+    ``(K + gx^alpha 2F2(alpha, alpha; 1+alpha, 1+alpha; iw gx)) / (iw alpha)``."""
+    f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * gx)
+    return -(gx ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
 
-    Combines the algebraic bracket scaled by ``c0 log gx + c1 + c0/alpha``
-    with the 2F2 correction term ``(c0/alpha) gx^alpha (2F2(...; iw gx) - 1)``,
-    all times ``e^{-iw gx}``.
-    """
+
+def kernel_h_log(c0: complex, c1: complex, alpha: float, w: float, gx: float) -> complex:
+    """Boundary kernel h(x) of the logarithmic-singularity quadrature: the
+    algebraic bracket times ``c0 log gx + c1``, plus ``c0 iw``
+    :func:`kernel_k_log`, all times ``e^{-iw gx}``."""
     if c0 == 0 and c1 == 0:
         return 0.0 + 0.0j
     if not gx > 0:
         raise ParameterError("kernel_h_log requires gx > 0")
-    bracket = _bracket_alg(alpha, w, gx)
-    out = (c0 * np.log(gx) + c1 + c0 / alpha) * bracket
+    out = (c0 * np.log(gx) + c1) * _bracket_alg(alpha, w, gx)
     if c0 != 0:
-        f22, _ = hyp2f2_equal(alpha, 1j * w * gx)
-        out += (c0 / alpha) * gx**alpha * (f22 - 1.0)
+        out += c0 * (1j * w) * kernel_k_log(alpha, w, gx)
     return np.exp(-1j * w * gx) * out

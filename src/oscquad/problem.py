@@ -336,18 +336,19 @@ def build_problem(
 
 
 @kept
-def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, log: bool) -> tuple:
-    """Taylor coefficients of x/g(x), and with ``log`` also of log(x/g(x)),
-    one row per point of xs; the row of x = 0 is that of the limit
-    1/(g(x)/x), with head 1/g'(0)."""
+def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
+    """Taylor coefficients of x/g(x), and for c > 0 also of log(c x/g(x))
+    (the log of the quotient (c x)/g(x)), one row per point of xs; the row
+    of x = 0 is that of the limit 1/(g(x)/x), with head 1/g'(0)."""
     gser = osc.series_at(xs, m + 1)
     origin = xs == 0.0
     num = np.zeros((xs.size, m))
     num[:, 0] = np.where(origin, 1.0, xs)
     if m > 1:
         num[~origin, 1] = 1.0
-    ratio = ps_div(num, np.where(origin[:, None], gser[:, 1:], gser[:, :m]))
-    return (ratio, ps_log(ratio)) if log else (ratio,)
+    den = np.where(origin[:, None], gser[:, 1:], gser[:, :m])
+    ratio = ps_div(num, den)
+    return (ratio, ps_log(ps_div(c * num, den))) if c else (ratio,)
 
 
 class _Separated(NamedTuple):
@@ -361,30 +362,29 @@ class _Separated(NamedTuple):
     at: Callable[[np.ndarray, int], list]
 
 
-def _separated(spec: ProblemSpec, f2_power: bool) -> _Separated:
-    """f1 and, for the logarithmic kind, f log(x/g), times (x/g)^alpha
+def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
+    """f1 and, for the logarithmic kind, f log(c x/g), times (x/g)^alpha
     too with ``f2_power``; None in its place for the algebraic kind.
 
-    Each factor takes its limit at x = 0 (g'(0)^-alpha, -log g'(0)).  One
-    ``at`` call forms f, x/g, log(x/g) and (x/g)^alpha once on its points
-    (the series of x/g kept per polynomial g, nodes and length by
-    _ratio_series) and both amplitudes from them; the value and series of
-    each amplitude alone are its entry of an ``at`` call.  For the identity
-    oscillator the factors are 1 and 0 exactly: f1 is f itself and the
-    second amplitude is zero.
+    Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
+    ``at`` call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points
+    (the series of x/g and of log(c x/g) kept per polynomial g, nodes,
+    length and c by _ratio_series) and both amplitudes from them; the value
+    and series of each amplitude alone are its entry of an ``at`` call.  For
+    the identity oscillator the factors are 1 and log c exactly: f1 is f
+    itself and the second amplitude is f log c.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
     if osc.is_identity:
-        zero = Amplitude(
-            value=lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex),
-            series_fn=lambda xs, m: np.zeros((xs.size, m), dtype=complex),
-        )
+        log_c = math.log(c)
 
         def exact(x, m, second=log_kind):
-            return [a.series_at(x, m) if m else a.value(x) for a in (f, zero)[: 1 + second]]
+            out = f.series_at(x, m) if m else f.value(x)
+            return [out, log_c * np.asarray(out, dtype=complex)] if second else [out]
 
-        return _Separated(f, zero if log_kind else None, exact)
+        f2 = Amplitude(value=lambda x: exact(x, 0)[1], series_fn=lambda xs, m: exact(xs, m)[1]) if log_kind else None
+        return _Separated(f, f2, exact)
     gp0 = float(osc.deriv1(0.0))
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
@@ -400,16 +400,17 @@ def _separated(spec: ProblemSpec, f2_power: bool) -> _Separated:
         if m:
             mul = ps_mul
             out = f.series_at(x, m)
-            ratio = _ratio_series(osc, x, m, second)
+            ratio = _ratio_series(osc, x, m, c if second else 0.0)
             log = ratio[1] if second else None
             power = ps_pow(ratio[0], alpha)
         else:
             mul = np.multiply
             xs = np.asarray(x, dtype=float)
             pos = xs > 0
-            ratio = xs[pos] / np.asarray(osc.value(xs[pos]), dtype=float) if pos.any() else xs[pos]
+            gx = np.asarray(osc.value(xs[pos]), dtype=float) if pos.any() else xs[pos]
+            ratio = xs[pos] / gx
             out = np.asarray(f.value(x))
-            log = factor(xs, pos, np.log(ratio), -math.log(gp0)) if second else None
+            log = factor(xs, pos, np.log(c * xs[pos] / gx), math.log(c) - math.log(gp0)) if second else None
             power = factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
         data = [mul(out, power)]
         if second:
@@ -437,22 +438,23 @@ def make_f1_f2(spec: ProblemSpec):
     -----
     For the identity oscillator, ``f1 = f`` and ``f2 = 0`` exactly.
     """
-    return _separated(spec, False)[:2]
+    return _separated(spec, False, 1.0)[:2]
 
 
-def _regularised(spec: ProblemSpec):
+def _regularised(spec: ProblemSpec, c: float = 1.0):
     """The amplitudes the Levin and Filon rules need: f1 and f21, as the
     ``f1`` and ``second`` of a :class:`_Separated`, whose ``at`` forms the
     data of both on a route's nodes at once.
 
-    f1 is that of :func:`make_f1_f2`, and ``f21 = f log(x/g) (x/g)^alpha``
-    is, as one amplitude, the f1 of the f2 sub-problem: the algebraic-kind
-    problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` that singularity
-    separation leaves, with the f2 of :func:`make_f1_f2` as its amplitude
-    and the g, a, alpha and w of ``spec``.  Its values and series are those
-    of that f1 bit for bit; f21 is None for the algebraic kind.
+    f1 is that of :func:`make_f1_f2`, and ``f21 = f log(c x/g) (x/g)^alpha``
+    (None for the algebraic kind).  With c = 1, f21 is, bit for bit, the f1
+    of the f2 sub-problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` (f2 of
+    :func:`make_f1_f2`; the g, a, alpha and w of ``spec``).  The Levin rule
+    takes c = g(a) of the problem on [0, a], adding log g(a) f1, so that its
+    second solve holds the whole log part: for a = 1 and a polynomial g,
+    f21(1) = 0 exactly.
     """
-    return _separated(spec, True)
+    return _separated(spec, True, c)
 
 
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:

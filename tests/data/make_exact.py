@@ -251,6 +251,10 @@ TABLES = {
     "alpha_near_one": _nsd_table(
         "Exact values of the ex53a and ex53b integrals at alpha = 0.9, 0.99 and w = 1e4, 1e8",
         _nsd_grid(("ex53a", "ex53b"), (0.9, 0.99), (1e4, 1e8))),
+    "small_alpha": _nsd_table(
+        "Exact values of the ex52 and ex53b integrals at alpha = +-1e-3, +-1e-6, +-1e-9 "
+        "and w = 1, 1e2, 1e4, 1e8",
+        _nsd_grid(("ex52", "ex53b"), (1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9), (1.0, 1e2, 1e4, 1e8))),
     "oracle_crossover": _nsd_table(
         "Exact values of the built-in integrals at alpha = -0.9, -0.5, 0.5, 0.9 and "
         "|w| g(a) = 101, 150, 200, 250, 300",

@@ -1,5 +1,7 @@
 """The bracket at the upper endpoint that both Levin routes share."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,10 +22,10 @@ BUILTINS = ("ex51", "ex52", "ex53a", "ex53b")
 LEVIN_CALLS = ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 9, 2))
 
 
-# The assembly that levin_value replaced, kept as the reference: q(a)
-# reads g(a) and g'(a) anew, and the logarithmic kind reads
-# q(a) log g(a) + l(a) off the end data log g(a) * first + second, whose
-# second solve holds the f2 sub-problem too.
+# The assembly of levin_value, kept as the reference: q(a) reads g(a) and
+# g'(a) anew, and the logarithmic kind reads q(a) off the second solve's
+# end data, whose amplitude holds the log g(a) part of the weight, and adds
+# c0 iw int_0^g t^alpha log(t/g) e^{iwt} dt by its 2F2 closed form.
 def _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size):
     g_a, gp_a = spec.oscillator.series_at(spec.a, 2)
     linear = (1.0 + spec.alpha) * gp_a * q1_end
@@ -33,39 +35,19 @@ def _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size):
     return (rhs_end - g_a * dq1_end - linear) / (1j * spec.w * gp_a)
 
 
-def _reference_alg_boundary_value(spec, c0, q_end):
-    g_a = spec.g_end()
-    value = q_end * g_a**spec.alpha * np.exp(1j * spec.w * g_a)
-    if c0 != 0:
-        value += c0 * kernel_k_alg(spec.alpha, spec.w, g_a)
-    return value
-
-
-def _reference_log_boundary_value(spec, c0, d0, ql_end):
+def _reference_value(spec, ends):
+    first, *second = ends
+    end = second[0] if second else first
     g_a = spec.g_end()
     alpha = spec.alpha
     w = spec.w
-    log_g = np.log(g_a)
-    value = ql_end * g_a**alpha * np.exp(1j * w * g_a)
-    if c0 != 0 or d0 != 0:
-        value += (c0 * log_g + d0 + c0 / alpha) * kernel_k_alg(alpha, w, g_a)
-    if c0 != 0:
-        f22, _ = hyp2f2_equal(alpha, 1j * w * g_a)
-        value += (c0 / alpha) * g_a**alpha * f22
-    return value
-
-
-def _reference_value(spec, ends):
-    first = ends[0]
-    if len(ends) == 1:
-        q_end = _reference_upper_end_value(spec, first.c0, first.q1, first.rhs, first.dq1, first.dq1_size)
-        return complex(_reference_alg_boundary_value(spec, first.c0, q_end) * spec.phase_shift)
-    (second,) = ends[1:]
-    log_g = np.log(spec.g_end())
-    ql_end = _reference_upper_end_value(
-        spec, first.c0 * log_g + second.c0, first.q1 * log_g + second.q1, first.rhs * log_g + second.rhs,
-        first.dq1 * log_g + second.dq1, abs(log_g) * first.dq1_size + second.dq1_size)
-    value = _reference_log_boundary_value(spec, first.c0, second.c0, ql_end)
+    q_end = _reference_upper_end_value(spec, end.c0, end.q1, end.rhs, end.dq1, end.dq1_size)
+    value = q_end * g_a**alpha * np.exp(1j * w * g_a)
+    if end.c0 != 0:
+        value += end.c0 * kernel_k_alg(alpha, w, g_a)
+    if second and first.c0 != 0:
+        f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * g_a)
+        value += first.c0 * (1j * w) * -(g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
     return complex(value * spec.phase_shift)
 
 
@@ -73,8 +55,9 @@ def _recorded_levin_calls(monkeypatch):
     # Every levin_value call of either route, as (spec, end data, value).
     seen = []
 
-    def recording(spec, *ends):
-        value = levin_value(spec, *ends)
+    def recording(spec, g_a, *ends):
+        assert g_a == spec.g_end()
+        value = levin_value(spec, g_a, *ends)
         seen.append((spec, ends, value))
         return value
 
@@ -119,7 +102,7 @@ class TestLevinValue:
     @pytest.mark.parametrize("pid", BUILTINS)
     def test_bit_identical_to_separate_brackets(self, monkeypatch, pid):
         # Small and large w take both forms of q(a); both routes and both
-        # kinds give the value of the separate brackets bit for bit.
+        # kinds give the value of the reference assembly bit for bit.
         seen = _recorded_levin_calls(monkeypatch)
         for alpha, w in ((0.5, 8.0), (-0.4, 300.0), (0.7, 1e5)):
             spec = builtin_problem(pid, alpha, w)
@@ -145,9 +128,8 @@ class TestLevinValue:
     def test_solves_and_end_values_per_call(self, monkeypatch, pid, method, n, s):
         # One solve against the factor and one q(a) for the algebraic kind;
         # the logarithmic kind adds one coupled solve, f21 - q1 g', and
-        # reads q(a) log g(a) + l(a) as one more q(a).  The solves are
-        # counted on whichever factor (LU or truncated SVD) levin.factor
-        # returns.
+        # reads its q(a) in place of the first's.  The solves are counted on
+        # whichever factor (LU or truncated SVD) levin.factor returns.
         counts = {"solve": 0, "upper_end_value": 0}
 
         def counting(name, function):
@@ -193,7 +175,8 @@ class TestLevinValue:
 class TestLogKindAtLargeW:
     # ex53b's f x^alpha log x vanishes at x = a = 1, so the integral is
     # O(1/w^2) while each solve's end terms are O(1/w): they cancel in the
-    # combined end data log g(a) * first + second before q(a) is rounded.
+    # second solve's end data, whose amplitude vanishes at x = 1 too, before
+    # q(a) is rounded.
     @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 14, 2),
                                               (Method.LEVIN_FREQ, 32, 2)])
     def test_within_1e10_of_nsd(self, method, n, s):
@@ -203,3 +186,26 @@ class TestLogKindAtLargeW:
                 ref = reference_nsd(spec)
                 value = compute(spec, method, n, s).value
                 assert abs(value - ref) <= 1e-10 * abs(ref), (alpha, w)
+
+
+_SMALL_ALPHA = json.loads((Path(__file__).parent / "data" / "small_alpha_exact.json").read_text())["entries"]
+
+
+class TestLogKindAtSmallAlpha:
+    # The log kind's end value holds no c0/alpha pair, whose two terms of
+    # size |c0/alpha| cancel to O(c0): both routes stay at round-off as
+    # alpha -> 0 (the pair lost about eps/|alpha|, 2e-7 at alpha = 1e-9).
+    # At w <= 1e2, LEVIN_FREQ (14, 2) stays near its own truncation error,
+    # 3e-11 on ex53b at any alpha, and is printed only.
+    @pytest.mark.parametrize("entry", _SMALL_ALPHA,
+                             ids=[f"{e['problem']}-{e['alpha']}-{e['w']:.0e}" for e in _SMALL_ALPHA])
+    def test_small_alpha_table(self, entry):
+        spec = builtin_problem(entry["problem"], entry["alpha"], entry["w"])
+        exact = complex(float(entry["re"]), float(entry["im"]))
+        physical, freq = (abs(compute(spec, method, n, s).value - exact) / abs(exact)
+                          for method, n, s in ((Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 14, 2)))
+        print(f"small alpha: {entry['problem']} alpha={entry['alpha']} w={entry['w']:.0e}: "
+              f"LEVIN_PHYSICAL n=24 {physical:.1e}, LEVIN_FREQ (14, 2) {freq:.1e}")
+        assert physical <= 2e-14
+        if entry["w"] >= 1e4:
+            assert freq <= 1e-14

@@ -33,7 +33,7 @@ KEPT_TABLES = {
     "layout": (oscquad.filon._layout, lambda i: (i + 3, 0)),
     "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
-    "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, True)),
+    "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, 1.0)),
     "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
     "laguerre_rule": (oscquad.baselines._laguerre_rule, lambda i: (-0.9 + 0.02 * i,)),

@@ -243,7 +243,8 @@ class TestFactorRouting:
             if diag.factor != "lu":
                 continue
             svd = replace(op, factor=oscquad.levin._tsvd(op.L, 1.0 / diag.cond))
-            for lu_sol, svd_sol in zip(oscquad.levin._solves(op, spec), oscquad.levin._solves(svd, spec)):
+            amplitudes = _regularised(spec, spec.g_end())
+            for lu_sol, svd_sol in zip(oscquad.levin._solves(op, amplitudes), oscquad.levin._solves(svd, amplitudes)):
                 x, y = (np.concatenate(([sol.c0], sol.q1)) for sol in (lu_sol, svd_sol))
                 bound = max(1e-12, 128 * eps * diag.cond) * np.abs(y).max()
                 assert np.abs(x - y).max() <= bound, (spec, L.shape)
@@ -452,6 +453,28 @@ class TestOneNodePassPerCall:
             spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  a=0.7, alpha=alpha, kind=SingKind.ALGEBRAIC_LOG, w=40.0)
             self.assert_regularised_is_sub_problem_f1(_unit_interval(spec))
+
+    @pytest.mark.parametrize("g, a", [([0.0, 1.0, 1.0], 1.0), ([0.0, 1.0, 0.5], 0.7), ([0.0, 1.0], 0.7)])
+    def test_levin_f21_carries_log_g_end(self, g, a):
+        # The Levin rule's f21 on [0, 1], log(c t/g_u(t)) with c = g(a) of
+        # the problem on [0, a], is the sub-problem's f21 plus log g(a) f1:
+        # to round-off in value at the Radau nodes (origin included), and in
+        # series at the Lobatto nodes to the ~eps/t the higher coefficients
+        # of x/g lose to cancellation near t = 0 in either form.  For a = 1
+        # it is exactly 0 at t = 1.
+        spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly(g), a=a, alpha=0.5,
+                             kind=SingKind.ALGEBRAIC_LOG, w=40.0)
+        unit, c = _unit_interval(spec), spec.g_end()
+        f1, f21, _ = _regularised(unit)
+        levin = _regularised(unit, c).second
+        radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
+        for got, want, bound in ((levin.value(radau), f21.value(radau) + np.log(c) * f1.value(radau), 2e-15),
+                                 (levin.series_at(lobatto, 3),
+                                  f21.series_at(lobatto, 3) + np.log(c) * f1.series_at(lobatto, 3), 1e-12)):
+            assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
+        if a == 1.0:
+            assert levin.value(np.array([1.0]))[0] == 0.0
+            assert levin.series_at(1.0, 3)[0] == 0.0
 
 
 class TestPicardIterate:

@@ -117,26 +117,22 @@ def test_near_minus_one_generator_reproduces_tables(table, pid, alpha, log10_w):
         assert float(abs(value - other) / abs(other)) <= 1e-20
 
 
-# NSD's log kind near alpha = 1 is 1e-12 off at w = 1e8.
-_NSD_LOG_FLOOR = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                   reason="ROADMAP item 3: NSD's log kind near alpha = 1 at w = 1e8")
-
-
 @pytest.mark.parametrize("entry", [
-    pytest.param(e, id=f"{e['problem']}-{e['alpha']}-{e['w']:.0e}",
-                 marks=_NSD_LOG_FLOOR if (e["problem"], e["w"]) == ("ex53b", 1e8) else ())
-    for e in _entries("alpha_near_one_exact.json")])
+    pytest.param(e, id=f"{e['problem']}-{e['alpha']}-{e['w']:.0e}") for e in _entries("alpha_near_one_exact.json")])
 def test_alpha_near_one_table(entry):
-    # ex53a to 1e-15 and ex53b to 1e-14 near alpha = 1; the Levin routes'
-    # errors are printed beside NSD's.
+    # NSD: ex53a to 1e-15 and ex53b to 1e-14 near alpha = 1.  The Levin
+    # routes, LEVIN_PHYSICAL n = 32 and LEVIN_FREQ (14, 2), to 1e-14: at
+    # w = 1e8 ex53b's value is O(1/w^2), formed from solves whose end terms
+    # are O(1/w).  LEVIN_PHYSICAL n = 24 is printed beside them.
     spec = builtin_problem(entry["problem"], entry["alpha"], entry["w"])
     exact = complex(float(entry["re"]), float(entry["im"]))
     nsd = _rel(reference_nsd(spec), exact)
-    physical = _rel(compute(spec, Method.LEVIN_PHYSICAL, 24, 0).value, exact)
+    physical = [_rel(compute(spec, Method.LEVIN_PHYSICAL, n, 0).value, exact) for n in (24, 32)]
     freq = _rel(compute(spec, Method.LEVIN_FREQ, 14, 2).value, exact)
     print(f"alpha near 1: {entry['problem']} alpha={entry['alpha']} w={entry['w']:.0e}: nsd {nsd:.1e}, "
-          f"LEVIN_PHYSICAL n=24 {physical:.1e}, LEVIN_FREQ (14, 2) {freq:.1e}")
+          f"LEVIN_PHYSICAL n=24 {physical[0]:.1e}, n=32 {physical[1]:.1e}, LEVIN_FREQ (14, 2) {freq:.1e}")
     assert nsd <= (1e-15 if entry["problem"] == "ex53a" else 1e-14)
+    assert max(physical[1], freq) <= 1e-14
 
 
 @pytest.mark.parametrize("pid", [p for p in BUILTIN_IDS if p != "ex54"])

@@ -1,14 +1,18 @@
 """Special-function kernel tests: gamma routes, 2F2, and h-solutions."""
 
 import cmath
+import importlib
 import math
+import pkgutil
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscquad
 import oscquad.numkernel
+from oscquad import Method, compute
 from oscquad.errors import AccuracyError, ParameterError
 from oscquad.numkernel import (
     GAMMA_CROSSOVER,
@@ -18,9 +22,12 @@ from oscquad.numkernel import (
     hyp2f2_equal,
     kernel_h_alg,
     kernel_h_log,
+    kernel_k_alg,
+    kernel_k_log,
     neg_iw_pow,
     upper_gamma_complex,
 )
+from oscquad.problem import builtin_problem
 
 mp.mp.dps = 40
 
@@ -284,3 +291,57 @@ class TestKernelHLog:
         for prev, cur in zip(mags, mags[1:]):
             assert cur <= 0.55 * prev
         assert mags[-1] <= 0.05
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    def test_matches_the_c0_over_alpha_pair(self, alpha):
+        # The bracket (c0 log gx + c1 + c0/alpha) (gx^alpha + K) plus
+        # (c0/alpha) gx^alpha (2F2(alpha, alpha; 1+alpha, 1+alpha; iw gx) - 1)
+        # that c0 iw kernel_k_log replaces.
+        for c0, c1 in ((1.0, 0.0), (0.3 - 0.2j, 1.5j)):
+            for w in (3.0, 25.0, -400.0, 1e5):
+                for gx in (0.3, 1.0, 2.0):
+                    bracket = gx**alpha + kernel_k_alg(alpha, w, gx)
+                    f22, _ = hyp2f2_equal(alpha, 1j * w * gx)
+                    pair = (c0 * np.log(gx) + c1 + c0 / alpha) * bracket + (c0 / alpha) * gx**alpha * (f22 - 1.0)
+                    want = np.exp(-1j * w * gx) * pair
+                    got = kernel_h_log(c0, c1, alpha, w, gx)
+                    assert abs(got - want) <= 1e-13 * abs(want), (c0, c1, w, gx)
+
+
+class TestKernelKLog:
+    @pytest.mark.parametrize("alpha", [-0.999, -1e-6, 1e-6, 0.5, 0.999])
+    def test_vs_mpmath(self, alpha):
+        # -gx^{1+alpha} 2F2(1+alpha, 1+alpha; 2+alpha, 2+alpha; iw gx) /
+        # (1+alpha)^2 in 40 digits, on the series (|w gx| <= 10) and the
+        # rotated path, for both signs of w.
+        b = 1 + mp.mpf(alpha)
+        for gx in (0.5, 2.0):
+            for w in (10.0, 1e4, -1e4, 1e8):
+                got = kernel_k_log(alpha, w, gx)
+                z = mp.mpc(0, mp.mpf(w) * gx)
+                want = complex(-mp.power(gx, b) * mp.hyp2f2(b, b, 1 + b, 1 + b, z) / b**2)
+                assert abs(got - want) <= 1e-14 * abs(want), (gx, w)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_quadratures_pass_hyp2f2_a_positive_parameter(monkeypatch, alpha):
+    # Every 2F2 of both Levin routes and FILON is taken at 1 + alpha, by
+    # kernel_k_log, so hyp2f2_equal's reduction for a parameter below 0
+    # serves its own callers only.  Every module of the package that holds
+    # the name is patched.
+    params = []
+    real = hyp2f2_equal
+
+    def recording(beta, z, *args):
+        params.append(beta)
+        return real(beta, z, *args)
+
+    for info in pkgutil.iter_modules(oscquad.__path__):
+        module = importlib.import_module(f"oscquad.{info.name}")
+        if hasattr(module, "hyp2f2_equal"):
+            monkeypatch.setattr(module, "hyp2f2_equal", recording)
+    for pid in ("ex51", "ex52", "ex53a", "ex53b"):
+        spec = builtin_problem(pid, alpha, 200.0)
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2), (Method.FILON, 8, 1)):
+            compute(spec, method, n, s)
+    assert len(params) == 6 and min(params) > 0

@@ -449,9 +449,9 @@ class TestOneAmplitudeBuildPerLevinCall:
         kinds = []
         original = oscquad.problem._regularised
 
-        def counting(spec):
+        def counting(spec, *args):
             kinds.append(spec.kind)
-            return original(spec)
+            return original(spec, *args)
 
         for module in (oscquad.problem, oscquad.levin, oscquad.filon):
             monkeypatch.setattr(module, "_regularised", counting)
