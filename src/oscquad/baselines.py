@@ -1,10 +1,10 @@
 """Comparison methods and the brute-force reference oracle.
 
 The composite moment-free Filon-type quadrature (CMFP) is implemented for
-linear oscillators and a singular endpoint of order r = 0, the exact
-configuration used by the benchmark comparison.  It combines a graded
-Gauss-Legendre part near the singularity with a composite moment-free
-Filon part on a geometric mesh reaching the outer endpoint.
+linear oscillators on [0, 1] with |w| g'(0) >= 1 and a singular endpoint of
+order r = 0, the exact configuration used by the benchmark comparison.  It
+combines a graded Gauss-Legendre part near the singularity with a composite
+moment-free Filon part on a geometric mesh reaching the outer endpoint.
 
 The reference oracle integrates the full singular integrand by brute
 force on a geometric mesh (ratio 1/2) with oscillation-capped
@@ -175,7 +175,9 @@ def cmf_composite(target, n: int, m: int, a: float, b: float, w=None) -> complex
     if not a < b:
         raise ParameterError("need a < b")
     if isinstance(target, ProblemSpec):
-        beta = _linear_slope(target)
+        beta = _slope(target)
+        if not beta:
+            raise CapabilityError("the composite baseline supports linear oscillators only")
         w_eff = target.w * beta
         amp = _singular_amplitude_fn(target)
         shift = target.phase_shift
@@ -208,15 +210,17 @@ class CMFPParams:
 
 
 def cmfp_applies(spec: ProblemSpec) -> bool:
-    """Whether the composite baselines take ``spec``: g = beta x with beta > 0."""
+    """Whether :func:`cmfp` takes ``spec``: g = beta x with beta > 0 on
+    [0, 1] and |w| beta >= 1, so that its geometric mesh [1/(|w| beta), 1]
+    lies in the interval."""
+    return spec.a == 1.0 and abs(spec.w) * _slope(spec) >= 1.0
+
+
+def _slope(spec: ProblemSpec) -> float:
+    # beta where g = beta x with beta > 0, and 0 for any other g.
     poly = spec.oscillator.poly
-    return bool(poly is not None and poly.size >= 2 and poly[0] == 0.0 and poly[1] > 0.0 and not poly[2:].any())
-
-
-def _linear_slope(spec: ProblemSpec) -> float:
-    if not cmfp_applies(spec):
-        raise CapabilityError("the composite baseline supports linear oscillators only")
-    return float(spec.oscillator.poly[1])
+    linear = poly is not None and poly.size >= 2 and poly[0] == 0.0 and poly[1] > 0.0 and not poly[2:].any()
+    return float(poly[1]) if linear else 0.0
 
 
 def _singular_amplitude_fn(spec: ProblemSpec):
@@ -278,10 +282,14 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     with q = y_j / y_{j-1} = w_r^{1/n}; the defining formula's per-panel
     count is stated in terms of an inverse-oscillator ratio that
     degenerates for a linear oscillator.  Here w_r = |w g'(0)| and
-    lambda_r = 1/w_r.  A count above what |w| = 1e14 needs at this n is
-    refused with :class:`CapabilityError` before the mesh is built.
+    lambda_r = 1/w_r.  A problem outside :func:`cmfp_applies` (at a != 1,
+    or at w_r < 1, where [1/w_r, 1] is inverted and reaches past a), and a
+    count above what |w| = 1e14 needs at this n, are refused with
+    :class:`CapabilityError` before the mesh is built.
     """
-    beta = _linear_slope(spec)
+    if not cmfp_applies(spec):
+        raise CapabilityError("the composite baseline supports g = beta x, beta > 0, on [0, 1] with |w| beta >= 1")
+    beta = _slope(spec)
     w_eff = spec.w * beta
     _validate_cmfp(params)
     w_r = abs(w_eff)

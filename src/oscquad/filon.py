@@ -19,10 +19,10 @@ basis and all nodes.  The route is only how it builds that operator
 runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
 physical-space route shares.  Everything of both rules that alpha and w
 leave alone is kept (:func:`oscquad._kept.kept`): the collocation layout of
-(npts, s) that both share, the Chebyshev Taylor tables per grid, and, per
-polynomial g and (npts, s), the Levin operator's g' and image terms and
-FILON's Hermite matrix on [0, a].  A call only combines them with alpha, w
-and f.
+(npts, s) that both share, with the Chebyshev Taylor table of its nodes,
+and, per polynomial g and (npts, s), the layout beside the Levin operator's
+g' and image terms or beside FILON's Hermite matrix on [0, a].  A call reads
+one kept table and only combines it with alpha, w and f.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import numpy as np
 from ._kept import kept
 from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
-from .cheb import _lobatto_grid, lobatto_grid
+from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _Operator, _quad_levin, factor
-from .numkernel import gamma_real, kernel_k_log, neg_iw_pow, upper_gamma_complex
+from .numkernel import _power, gamma_real, kernel_k_log, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
@@ -151,7 +151,7 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     mu[0] = (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
     phase_end = np.exp(1j * w * g_a)
     for j in range(1, count):
-        mu[j] = -((j + alpha) / (1j * w)) * mu[j - 1] + g_a ** (j + alpha) * phase_end / (1j * w)
+        mu[j] = -((j + alpha) / (1j * w)) * mu[j - 1] + _power(g_a, j + alpha) * phase_end / (1j * w)
     return mu
 
 
@@ -179,7 +179,7 @@ def moments_nu(
         nu[j] = (
             -((j + alpha) / (1j * w)) * nu[j - 1]
             - mu[j - 1] / (1j * w)
-            + g_a ** (j + alpha) * log_end / (1j * w)
+            + _power(g_a, j + alpha) * log_end / (1j * w)
         )
     return nu
 
@@ -194,18 +194,6 @@ def build_moment_table(spec: ProblemSpec, count: int) -> MomentTable:
     return MomentTable(mu=mu, nu=nu, alpha=spec.alpha, w=spec.w, g_a=g_a)
 
 
-def _collocation_nodes(npts: int, s: int):
-    if npts < 3:
-        raise ParameterError("need at least 3 collocation points")
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    nodes = lobatto_grid(npts - 1).nodes
-    mults = np.ones(npts, dtype=int)
-    mults[0] = s + 1
-    mults[-1] = s + 1
-    return nodes, mults
-
-
 def build_hermite_data(
     spec: ProblemSpec,
     npts: int,
@@ -218,36 +206,31 @@ def build_hermite_data(
     from the amplitude's exact local series.
     """
     check_counts(npts=npts, s=s)
-    nodes, mults = _hermite_nodes(spec, npts, s)
+    layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
     amp = amplitude if amplitude is not None else _regularised(spec).f1
-    values = amp.series_at(nodes, s + 1) * _layout(npts, s).fact
-    return HermiteData(nodes=nodes, mults=mults, values=values)
+    values = amp.series_at(nodes, s + 1) * layout.fact
+    return HermiteData(nodes=nodes, mults=layout.mults, values=values)
 
 
-def _hermite_nodes(spec: ProblemSpec, npts: int, s: int):
-    # The collocation nodes on [0, a] and their multiplicities.
-    g_a = spec.g_end()
+def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int):
+    # The layout of (npts, s) and its nodes on [0, a].
+    g_a = float(osc.value(a))
     if not math.isfinite(g_a):
         # g increases on [0, a], so a finite g(a) bounds g at every node.
-        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {spec.a!r}")
+        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
     layout = _layout(npts, s)
-    return spec.a * layout.nodes, layout.mults
+    return layout, a * layout.nodes
 
 
-def _hermite_layout(data: HermiteData, spec: ProblemSpec) -> tuple:
-    # (npts, s) of ``data``, whose nodes and multiplicities must be those
-    # build_hermite_data gives for spec: the kept Hermite matrix is that of
-    # those conditions.
+def _hermite_table(data: HermiteData, spec: ProblemSpec) -> tuple:
+    # The _hermite_matrix of ``data``, whose nodes and multiplicities must
+    # be those build_hermite_data gives for spec: the kept Hermite matrix is
+    # that of those conditions.
     npts, s = data.nodes.size, int(data.mults[0]) - 1
-    nodes, mults = _hermite_nodes(spec, npts, s)
-    if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, mults)):
+    layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
+    if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, layout.mults)):
         raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
-    return npts, s
-
-
-def _conditions(mults: np.ndarray, width: int):
-    # (node, order) of every collocation condition, node by node.
-    return np.nonzero(np.arange(width) < mults[:, None])
+    return _hermite_matrix(spec.oscillator, spec.a, npts, s)
 
 
 def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
@@ -258,41 +241,41 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     posteriori; failure raises DegenerateSystemError (reduce the basis
     size).
     """
-    return _hermite_solve(spec, *_hermite_layout(data, spec), data.values)[0]
+    return _hermite_solve(_hermite_table(data, spec), data.values)[0]
 
 
 @kept
 def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
-    # The Hermite matrix of hermite_solve on [0, a] for the interpolation
-    # conditions of (npts, s), column-scaled, and its column scales
-    # g(a)^{1-k}.
-    layout = _layout(npts, s)
+    # The layout of (npts, s), its nodes on [0, a], the Hermite matrix of
+    # hermite_solve there for its interpolation conditions, column-scaled,
+    # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s)
+    # or a basis over the cap raises, in that order, so is never kept.
+    layout, nodes = _hermite_nodes(osc, a, npts, s)
     M1 = int(layout.mults.sum())
+    if M1 > MAX_BASIS_SIZE:
+        raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
     g_a = float(osc.value(a))
     width = s + 1
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
     # per basis function covers all nodes.
-    gser = osc.series_at(a * layout.nodes, width + 1)
+    gser = osc.series_at(nodes, width + 1)
     base = gser[:, :width]
     phik = np.arange(1, width + 1) * gser[:, 1:]
     cols = np.empty((M1,) + phik.shape)
     for k in range(M1):
         cols[k] = phik
         phik = ps_mul(phik, base)
-    return layout.fact[layout.order, None] * cols[:, layout.node, layout.order].T * scale, scale
+    A = layout.fact[layout.order, None] * cols[:, layout.node, layout.order].T * scale
+    return layout, nodes, A, scale
 
 
-def _hermite_solve(spec: ProblemSpec, npts: int, s: int, *values: np.ndarray) -> list:
+def _hermite_solve(table: tuple, *values: np.ndarray) -> list:
     # hermite_solve for each table of ``values`` (Hermite values at the
-    # nodes of (npts, s)), with one Hermite matrix.
-    M1 = npts + 2 * s
-    if M1 > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
-    A, scale = _hermite_matrix(spec.oscillator, spec.a, npts, s)
-    layout = _layout(npts, s)
+    # nodes of a _hermite_matrix ``table``), with its one Hermite matrix.
+    layout, _, A, scale = table
     # One right-hand-side column per table, so A is factorised once.
-    b = np.stack([table[layout.node, layout.order] for table in values], axis=1)
+    b = np.stack([v[layout.node, layout.order] for v in values], axis=1)
     try:
         y = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -313,56 +296,53 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     ``sum_j p_j nu_j``.
     """
     f21 = _regularised(spec).second
-    npts, s = _hermite_layout(data, spec)
-    fact = _layout(npts, s).fact
-    return _filon_rule(spec, npts, s, data.values, [] if f21 is None else [f21.series_at(data.nodes, s + 1) * fact])
+    table = _hermite_table(data, spec)
+    fact = table[0].fact
+    return _filon_rule(spec, table, data.values, [] if f21 is None else [f21.series_at(data.nodes, fact.size) * fact])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # compute(FILON): the series of f1 and f21 from one _regularised, as the
-    # Levin rules, formed together on the nodes.
-    nodes, _ = _hermite_nodes(spec, npts, s)
-    fact = _layout(npts, s).fact
-    f1, *f21 = (series * fact for series in _regularised(spec).at(nodes, s + 1))
-    return _filon_rule(spec, npts, s, f1, f21)
+    # Levin rules, formed together on the nodes of the one table read.
+    table = _hermite_matrix(spec.oscillator, spec.a, npts, s)
+    layout, nodes = table[:2]
+    f1, *f21 = (series * layout.fact for series in _regularised(spec).at(nodes, s + 1))
+    return _filon_rule(spec, table, f1, f21)
 
 
-def _filon_rule(spec: ProblemSpec, npts: int, s: int, f1: np.ndarray, f21: list) -> QuadratureResult:
+def _filon_rule(spec: ProblemSpec, table: tuple, f1: np.ndarray, f21: list) -> QuadratureResult:
     # quad_filon given the Hermite values of f1 and of the f1 of the f2
     # sub-problem of a logarithmic-kind spec (an empty list for the
-    # algebraic kind) at the nodes of (npts, s).  Both interpolate on those
-    # nodes, so one Hermite matrix serves them.
-    p, *p2 = _hermite_solve(spec, npts, s, f1, *f21)
-    table = build_moment_table(spec, p.size)
-    value = np.dot(p, table.mu)
+    # algebraic kind) at the nodes of the _hermite_matrix ``table``.  Both
+    # interpolate on those nodes, so its one Hermite matrix serves them.
+    p, *p2 = _hermite_solve(table, f1, *f21)
+    moments = build_moment_table(spec, p.size)
+    value = np.dot(p, moments.mu)
     diagnostics = {"basis_size": int(p.size)}
     if p2:
-        value = np.dot(p2[0], table.mu) + np.dot(p, table.nu)
+        value = np.dot(p2[0], moments.mu) + np.dot(p, moments.nu)
         diagnostics["basis_size_f2"] = int(p2[0].size)
+    layout = table[0]
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.FILON,
-        s=s,
-        n=npts,
+        s=layout.fact.size - 1,
+        n=layout.nodes.size,
         diagnostics=diagnostics,
     )
 
 
-@kept
-def _cheb_series_table(npts: int, m: int, count: int) -> np.ndarray:
-    # Taylor series (length m) of T_0..T_{count-1}(2t - 1) at the npts
-    # Lobatto nodes on [0, 1]: out[k, l] is that of T_k at node l.  The
+def _cheb_series_table(nodes: np.ndarray, m: int, count: int) -> np.ndarray:
+    # Taylor series (length m) of T_0..T_{count-1}(2t - 1) at the points
+    # ``nodes`` of [0, 1]: out[k, l] is that of T_k at nodes[l].  The
     # three-term recurrence is carried out in series space, for all nodes
     # at once; stable at degrees where conversion to the monomial basis is
-    # not.  Depends on its arguments only, so it is kept.  The nodes are
-    # those of the kept grid, whose arguments the caller's lobatto_grid call
-    # has already checked.
-    nodes = _lobatto_grid(npts - 1).nodes
-    u = np.zeros((npts, m))
+    # not.
+    u = np.zeros((nodes.size, m))
     u[:, 0] = 2.0 * nodes - 1.0
     if m > 1:
         u[:, 1] = 2.0
-    out = np.zeros((count, npts, m))
+    out = np.zeros((count, nodes.size, m))
     out[0, :, 0] = 1.0
     if count >= 2:
         out[1] = u
@@ -376,50 +356,61 @@ class _Layout:
     """The collocation layout of (npts, s) on [0, 1], which both rules
     share: the Lobatto ``nodes`` and their ``mults``, the ``node`` and
     ``order`` of every condition, node by node, the factorials ``fact``
-    0! .. s!, and the ``end_rows`` that take the Levin route's Chebyshev
-    coefficients to q1(1) and q1'(1)."""
+    0! .. s!, the Taylor series ``cheb[k, l]`` (length s+2) of
+    T_k(2t - 1) at node l for the Levin route's M = npts - 1 + 2s basis
+    functions, and the ``end_rows`` that take their coefficients to q1(1)
+    and q1'(1)."""
 
     nodes: np.ndarray
     mults: np.ndarray
     node: np.ndarray
     order: np.ndarray
     fact: np.ndarray
+    cheb: np.ndarray
     end_rows: tuple
 
 
 @kept
 def _layout(npts: int, s: int) -> _Layout:
-    # A bad (npts, s) raises in _collocation_nodes, so is never kept.  At
-    # t = 1, T_k(2t - 1) is 1 and its t-derivative 2 k^2.
-    nodes, mults = _collocation_nodes(npts, s)
-    k = np.arange(int(mults.sum()) - 1)
-    return _Layout(nodes, mults, *_conditions(mults, s + 1), _factorials(s + 1), (np.ones(k.size), 2.0 * k**2))
+    # A bad (npts, s) raises, so is never kept.  At t = 1, T_k(2t - 1) is 1
+    # and its t-derivative 2 k^2.
+    if npts < 3:
+        raise ParameterError("need at least 3 collocation points")
+    if s < 0:
+        raise ParameterError("s must be nonnegative")
+    nodes = lobatto_grid(npts - 1).nodes
+    mults = np.ones(npts, dtype=int)
+    mults[[0, -1]] = s + 1
+    node, order = np.nonzero(np.arange(s + 1) < mults[:, None])
+    k = np.arange(npts - 1 + 2 * s)
+    return _Layout(nodes, mults, node, order, _factorials(s + 1), _cheb_series_table(nodes, s + 2, k.size),
+                   (np.ones(k.size), 2.0 * k**2))
 
 
 @kept
 def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
-    # The parts of _freq_rows that depend on g alone, at the conditions of
-    # (npts, s): the g' series (length s+1) at the nodes, the factorials and
-    # g' at the conditions, and the three terms of the Levin images of
-    # T_0 .. T_{M-1}, sum_i g_i P'_{j-i}, g'_i P_{j-i} and (g g')_i P_{j-i},
-    # one row per condition (orders j > 0 of interior nodes are formed and
-    # dropped).  Each Cauchy product is summed over table columns in
-    # ps_mul's order.  Only endpoint sums have more than one term; there
-    # ps_mul's dot product may fuse a multiply-add, so for a general g the
-    # sums can differ from it in the last bits.  A basis over the cap
-    # raises, so is never kept.
+    # The layout of (npts, s) and the parts of _freq_operator that depend
+    # on g alone, at its conditions: the g' series (length s+1) at the
+    # nodes, the factorials and g' at the conditions, and the three terms
+    # of the Levin images of T_0 .. T_{M-1}, sum_i g_i P'_{j-i},
+    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition (orders
+    # j > 0 of interior nodes are formed and dropped).  Each Cauchy product
+    # is summed over table columns in ps_mul's order.  Only endpoint sums
+    # have more than one term; there ps_mul's dot product may fuse a
+    # multiply-add, so for a general g the sums can differ from it in the
+    # last bits.  A bad (npts, s), then a basis over the cap, raises, so is
+    # never kept.
     layout = _layout(npts, s)
     nodes, node, order = layout.nodes, layout.node, layout.order
-    M = int(layout.mults.sum()) - 1
+    M = layout.cheb.shape[0]
     if M > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
     gser = osc.series_at(nodes, s + 2)
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
     ggprime = ps_mul(gg, gprime)
-    tables = _cheb_series_table(npts, s + 2, M)
-    P = tables[:, :, : s + 1]
-    dP = np.arange(1, s + 2) * tables[:, :, 1:]
+    P = layout.cheb[:, :, : s + 1]
+    dP = np.arange(1, s + 2) * layout.cheb[:, :, 1:]
     terms = np.empty((3, npts, s + 1, M))
     for j in range(s + 1):
         t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
@@ -428,42 +419,30 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         terms[:, :, j] = t1.T, t2.T, t3.T
-    return gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
-
-
-def _freq_rows(spec: ProblemSpec, npts: int, s: int):
-    # The collocation conditions of the route before equilibration:
-    # (nodes, mults, tables, g' series, matrix).  tables[k, l] is the Taylor
-    # series (length s+2) of T_k(2t - 1) at node l, the g' series at node l
-    # has length s+1.  Rows: the model ODE and its first (mult - 1)
-    # derivatives at each node, applied to the unknowns (c0, q1
-    # coefficients).  Column k + 1 holds the Levin image g q' + (1+alpha) g' q
-    # + iw g g' q of q = T_k, for the whole basis: the terms of
-    # _freq_table, kept per g, combined with alpha and w.
-    if spec.a != 1.0:
-        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
-    w = spec.w
-    rows = np.empty((fact.size, t1.shape[1] + 1), dtype=complex)
-    rows[:, 0] = 1j * w * fact * gprime_at
-    rows[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
-    layout = _layout(npts, s)
-    return layout.nodes, layout.mults, _cheb_series_table(npts, s + 2, t1.shape[1]), gprime, rows
+    return layout, gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
-    # The route's operator (g, alpha, w, npts, s).  Node data are Taylor
-    # series of length s+1 at the nodes; a right-hand side is their
-    # conditions times factorials.  Row j grows like k^{2j}: each row of the
-    # matrix, and of every right-hand side, is divided by the power of two
-    # just above its largest entry.
-    nodes, _, tables, gprime, A = _freq_rows(spec, npts, s)
-    layout = _layout(npts, s)
-    node, order, fact = layout.node, layout.order, layout.fact
-    m = s + 1
-    P = tables[:, :, :m]
+    # The route's operator (g, alpha, w, npts, s).  Rows: the model ODE and
+    # its first (mult - 1) derivatives at each node, applied to the
+    # unknowns (c0, q1 coefficients); column k + 1 holds the Levin image
+    # g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole basis: the
+    # terms of _freq_table, kept per g, combined with alpha and w.  Node
+    # data are Taylor series of length s+1 at the nodes; a right-hand side
+    # is their conditions times factorials.  Row j grows like k^{2j}: each
+    # row of the matrix, and of every right-hand side, is divided by the
+    # power of two just above its largest entry.
+    if spec.a != 1.0:
+        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
+    layout, gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
+    w = spec.w
+    A = np.empty((fact.size, t1.shape[1] + 1), dtype=complex)
+    A[:, 0] = 1j * w * fact * gprime_at
+    A[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     L = A / row_scale[:, None]
+    nodes, node, order, m = layout.nodes, layout.node, layout.order, s + 1
+    P = layout.cheb[:, :, :m]
 
     def q1_gprime(coeffs):
         # The Taylor series of q1 at each node, summed over the basis in
@@ -472,7 +451,8 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
         return ps_mul((coeffs[:, None, None] * P).sum(axis=0), gprime)
 
     return _Operator(L, factor(L), lambda amplitudes: amplitudes.at(nodes, m), q1_gprime,
-                     lambda data: (fact * np.asarray(data, dtype=complex))[node, order] / row_scale, layout.end_rows)
+                     lambda data: (layout.fact * np.asarray(data, dtype=complex))[node, order] / row_scale,
+                     layout.end_rows)
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):

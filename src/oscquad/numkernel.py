@@ -130,12 +130,13 @@ def _check_gamma_domain(a: float, z: complex) -> None:
 
 
 def _power(z: complex, a: float) -> complex:
-    # z**a of both Gamma(a, z) routes, where Python's complex power raises
-    # OverflowError (|z| near the ends of the float range).
+    # z**a where Python's float or complex power raises OverflowError (|z|
+    # near the ends of the float range): both Gamma(a, z) routes, the
+    # moments' g(a)^(j+alpha) and kernel_k_log's gx^(1+alpha).
     try:
         return z**a
     except OverflowError:
-        raise AccuracyError(f"z**a overflows in Gamma({a}, z) at |z| = {abs(z):.3g}") from None
+        raise AccuracyError(f"z**a overflows at |z| = {abs(z):.3g}, a = {a:g}") from None
 
 
 def _upper_gamma_series(a: float, z: complex, max_terms: int = 400):
@@ -370,9 +371,10 @@ def kernel_k_log(alpha: float, w: float, gx: float) -> complex:
     """``int_0^gx t^alpha log(t/gx) e^{iwt} dt``, the log kind's part of the
     end value and of nu_1, as ``-gx^{1+alpha} 2F2(1+alpha, 1+alpha; 2+alpha,
     2+alpha; iw gx) / (1+alpha)^2``: no 1/alpha, unlike the equal pair
-    ``(K + gx^alpha 2F2(alpha, alpha; 1+alpha, 1+alpha; iw gx)) / (iw alpha)``."""
+    ``(K + gx^alpha 2F2(alpha, alpha; 1+alpha, 1+alpha; iw gx)) / (iw alpha)``.
+    Raises AccuracyError where gx^(1+alpha) overflows."""
     f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * gx)
-    return -(gx ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
+    return -(_power(gx, 1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
 
 
 def kernel_h_log(c0: complex, c1: complex, alpha: float, w: float, gx: float) -> complex:

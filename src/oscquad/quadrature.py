@@ -79,8 +79,8 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
     spec : ProblemSpec
     method : Method
         LEVIN_PHYSICAL requires s = 0.  CMFP requires a linear oscillator
-        (n is its number of geometric panels n1).  ORACLE requires
-        |w| g(a) within the brute-force cap.
+        on [0, 1] with |w| g'(0) >= 1 (n is its number of geometric panels
+        n1).  ORACLE requires |w| g(a) within the brute-force cap.
     n, s : int
         Node count / panel count and asymptotic-order parameter.
 

@@ -190,23 +190,26 @@ class TestEval:
         assert code == 4
         assert "SVD" in err
 
-    @pytest.mark.parametrize("w", ["1e306", "1e-300"])
-    def test_filon_outside_documented_w_exit_4(self, w):
-        # The moments' incomplete gamma overflows, or (-iw)^(1+alpha)
-        # underflows: an accuracy failure, not a traceback.
+    @pytest.mark.parametrize("problem", [
+        pytest.param(["--problem", "ex51", "--w", "1e306"], id="1e306"),
+        pytest.param(["--problem", "ex51", "--w", "1e-300"], id="1e-300"),
+        pytest.param(["--f-poly", "1", "--g-poly", "0,1", "--a", "1e33", "--w", "10"], id="a1e33"),
+    ])
+    def test_filon_outside_documented_w_exit_4(self, problem):
+        # The moments' incomplete gamma overflows, (-iw)^(1+alpha)
+        # underflows, or, at w a = 1e34, g(a)^(j+alpha) overflows: an
+        # accuracy failure, not a traceback.
         with np.errstate(all="ignore"):
-            code, _, err = run(["eval", "--problem", "ex51", "--alpha", "0.5", "--w", w,
-                                "--n", "8", "--s", "1", "--method", "filon"])
+            code, _, err = run(["eval", *problem, "--alpha", "0.5", "--n", "8", "--s", "1", "--method", "filon"])
         assert code == 4
         assert "accuracy error" in err
 
     def test_capability_refusal_exit_3(self):
-        # CMFP on a nonlinear oscillator.
-        code, _, err = run(
-            ["eval", "--problem", "ex53a", "--alpha", "0.5",
-             "--w", "100", "--n", "4", "--method", "cmfp"]
-        )
-        assert code == 3
+        # CMFP on a nonlinear oscillator, and on a linear one on [0, 2],
+        # whose meshes on [0, 1] would miss (1, 2].
+        for problem in (["--problem", "ex53a"], ["--f-poly", "1,-0.3", "--g-poly", "0,1", "--a", "2"]):
+            code, _, err = run(["eval", *problem, "--alpha", "0.5", "--w", "100", "--n", "4", "--method", "cmfp"])
+            assert code == 3
 
     def test_non_finite_value_exit_4(self):
         # The oracle reference is not finite at alpha = -0.99: an accuracy
@@ -291,16 +294,22 @@ class TestCompare:
 
     @pytest.mark.parametrize("problem", [["--problem", pid] for pid in ("ex51", "ex52", "ex53a", "ex53b", "ex54")]
                              + [["--f-poly", "1,-1", "--g-poly", g]
-                                for g in ("0,1", "0,2.5,0,0", "3,-1", "1,2", "0,1,0.3", "0,1,0,0.1")])
+                                for g in ("0,1", "0,2.5,0,0", "3,-1", "1,2", "0,1,0.3", "0,1,0,0.1")]
+                             + [["--f-poly", "1,-0.3", "--g-poly", "0,1", "--a", "2"],
+                                ["--f-poly", "1,-0.3", "--g-poly", "0,1", "--w", "1e-3"]])
     def test_cmfp_row_where_g_is_linear(self, problem):
         # compare lists cmfp exactly where the problem's g is linear once
-        # build_problem has shifted it to g(0) = 0 and made it increasing.
-        argv = ["compare", *problem, "--alpha", "0.5", "--w", "50", "--n", "4"]
+        # build_problem has shifted it to g(0) = 0 and made it increasing,
+        # on [0, 1] and with |w| g'(0) >= 1 (a later --w replaces 50).
+        argv = ["compare", "--alpha", "0.5", "--w", "50", "--n", "4", *problem]
         code, out, _ = run(argv)
         assert code == 0
-        poly = oscquad.benchcli._build_spec(oscquad.benchcli._make_parser().parse_args(argv), 50.0).oscillator.poly
+        args = oscquad.benchcli._make_parser().parse_args(argv)
+        spec = oscquad.benchcli._build_spec(args, args.w)
+        poly = spec.oscillator.poly
         linear = poly is not None and np.trim_zeros(poly, "b").size <= 2
-        assert ("cmfp" in {r.method for r in parse_csv(out)}) == linear
+        applies = linear and spec.a == 1.0 and abs(spec.w) * poly[1] >= 1.0
+        assert ("cmfp" in {r.method for r in parse_csv(out)}) == applies
 
     def test_compare_nsd_reference(self):
         # Above the crossover the reference is NSD; the oracle row (still

@@ -356,7 +356,7 @@ class TestChebSeriesTable:
 
         cases = [(npts, s + 2, npts - 1 + 2 * s) for npts in range(3, 21) for s in range(4)]
         for npts, m, count in cases + [(34, 4, 33), (3, 1, 2)]:
-            got = self.table(npts, m, count)
+            got = self.table(lobatto_grid(npts - 1).nodes, m, count)
             assert got.shape == (count, npts, m)
             for node, x0 in enumerate(lobatto_grid(npts - 1).nodes):
                 want = loop_table(float(x0), m, count)
@@ -372,12 +372,12 @@ def _derivative(p):
 def _loop_operator(spec, npts, s):
     # The per-basis-function form of the frequency-space Levin operator: three
     # ps_mul calls per Chebyshev polynomial per node.  The array form in
-    # filon._freq_rows is checked against it.
+    # filon._freq_operator is checked against it.
     filon = oscquad.filon
-    nodes, mults = filon._collocation_nodes(npts, s)
+    layout = filon._layout(npts, s)
+    nodes, mults, tables = layout.nodes, layout.mults, layout.cheb
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
-    tables = filon._cheb_series_table(npts, s + 2, M)
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
@@ -406,10 +406,10 @@ def _operator_term_sizes(spec, npts, s):
     # Sum of the magnitudes of the products that make up each entry of the
     # operator, for a round-off bound on its columns 1..M.
     filon = oscquad.filon
-    nodes, mults = filon._collocation_nodes(npts, s)
+    layout = filon._layout(npts, s)
+    nodes, mults, tables = layout.nodes, layout.mults, np.abs(layout.cheb)
     M = int(mults.sum()) - 1
     fact = filon._factorials(s + 1)
-    tables = np.abs(filon._cheb_series_table(npts, s + 2, M))
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
         gser = spec.oscillator.series_at(float(x), s + 2)
@@ -428,6 +428,15 @@ def _operator_term_sizes(spec, npts, s):
     return np.array(rows)
 
 
+def _unscaled_rows(spec, npts, s, want):
+    # The rows of filon._freq_operator's matrix before equilibration, given
+    # that each was divided by the power of two just above the largest
+    # entry of that row of ``want``; a row scaled otherwise comes back off
+    # by a factor of two.
+    L = oscquad.filon._freq_operator(spec, npts, s).L
+    return L * np.ldexp(1.0, np.frexp(np.abs(want).max(axis=1))[1])[:, None]
+
+
 class TestFreqOperatorRows:
     """The operator rows are array products over the whole basis."""
 
@@ -441,8 +450,8 @@ class TestFreqOperatorRows:
             for s in (0, 1, 2, 3):
                 if npts - 1 + 2 * s > oscquad.filon.MAX_BASIS_SIZE:
                     continue
-                got = oscquad.filon._freq_rows(spec, npts, s)[-1]
                 want = _loop_operator(spec, npts, s)
+                got = _unscaled_rows(spec, npts, s, want)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (pid, npts, s)
 
@@ -464,8 +473,8 @@ class TestFreqOperatorRows:
             ))
             for npts in (3, 5, 8, 13):
                 for s in (0, 1, 2, 3):
-                    got = oscquad.filon._freq_rows(spec, npts, s)[-1]
                     want = _loop_operator(spec, npts, s)
+                    got = _unscaled_rows(spec, npts, s, want)
                     bound = 4.0 * eps * _operator_term_sizes(spec, npts, s)
                     assert got[:, 0].tobytes() == want[:, 0].tobytes()
                     assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= bound[:, 1:]), (a, npts, s)
@@ -489,7 +498,8 @@ class TestFreqOperatorRows:
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
         (_, first), (rhs2, _) = seen
-        nodes, _, tables, gprime, _ = filon._freq_rows(spec, npts, s)
+        layout, gprime = filon._freq_table(spec.oscillator, npts, s)[:2]
+        nodes, tables = layout.nodes, layout.cheb
         f21 = filon._regularised(spec, spec.g_end())[1].series_at(nodes, s + 1)
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(first.q1, tables[:, l]))
@@ -499,8 +509,8 @@ class TestFreqOperatorRows:
         # g g' once per node when the oscillator's images are built; the
         # images take none (the loop form takes 3 M + 1 per node), and a
         # call that finds them kept for this g takes none at all.  The first
-        # call fills the Chebyshev table cache, whose misses use ps_mul for
-        # the recurrence.
+        # call keeps the layout, whose Chebyshev table's recurrence uses
+        # ps_mul.
         spec = builtin_problem("ex53a", 0.5, 50.0)
         npts, s = 9, 2
         oscquad.filon._freq_operator(spec, npts, s)
@@ -530,9 +540,9 @@ class TestKeptLayout:
          (Method.FILON, "ex53b", 8, 1)],
     )
     def test_warm_call_builds_no_layout(self, monkeypatch, method, pid, npts, s):
-        # No collocation nodes, conditions or factorials, and no memo lookup
-        # keyed by a node array but that of the x/g series; the warm value is
-        # the cold one, bit for bit.
+        # No collocation nodes, Chebyshev table or factorials, and no memo
+        # lookup keyed by a node array but that of the x/g series; the warm
+        # value is the cold one, bit for bit.
         filon = oscquad.filon
         for table in (filon._layout, filon._freq_table, filon._hermite_matrix):
             table.cache.clear()
@@ -547,7 +557,7 @@ class TestKeptLayout:
 
             return wrapper
 
-        for name in ("_collocation_nodes", "_conditions", "_factorials"):
+        for name in ("lobatto_grid", "_cheb_series_table", "_factorials"):
             monkeypatch.setattr(filon, name, counting(name, getattr(filon, name), calls))
         real_key = oscquad._kept._arg_key
 
@@ -600,10 +610,11 @@ class TestEquilibratedRows:
     divided by a power of two near each row's largest entry."""
 
     def test_row_scales(self):
-        # Each row of the factorised matrix is that of _freq_rows divided by
-        # a power of two, which multiplying back undoes exactly.
+        # Each row of the factorised matrix is that of the loop form (equal
+        # bit for bit on the built-ins) divided by a power of two, which
+        # multiplying back undoes exactly.
         spec = builtin_problem("ex53b", 0.5, 300.0)
-        A = oscquad.filon._freq_rows(spec, 20, 2)[-1]
+        A = _loop_operator(spec, 20, 2)
         L = oscquad.filon._freq_operator(spec, 20, 2).L
         largest = np.abs(L).max(axis=1)
         assert np.all((0.5 <= largest) & (largest < 1.0))

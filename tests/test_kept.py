@@ -17,6 +17,7 @@ import oscquad.cheb
 import oscquad.filon
 import oscquad.levin
 import oscquad.problem
+from oscquad import Method, builtin_problem, compute
 from oscquad._kept import KEPT_SIZE
 from oscquad.problem import Oscillator
 
@@ -29,7 +30,6 @@ def _osc(i):
 KEPT_TABLES = {
     "radau_grid": (oscquad.cheb._radau_grid, lambda i: (i + 2,)),
     "lobatto_grid": (oscquad.cheb._lobatto_grid, lambda i: (i + 2,)),
-    "cheb_series_table": (oscquad.filon._cheb_series_table, lambda i: (3, 2, i + 1)),
     "layout": (oscquad.filon._layout, lambda i: (i + 3, 0)),
     "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
@@ -182,3 +182,41 @@ def test_kept_off_module_level_is_found():
         "lazy = lambda f: _kept.kept(f)\n"
     )
     assert sorted(_kept_off_module_level(tree)) == [7, 9, 12]
+
+
+def _memo_reads(monkeypatch) -> list:
+    # Every binding of every memo in the package replaced by one that
+    # records the memo's name on each call; the list of those names.
+    reads = []
+
+    def reading(memo):
+        def wrapper(*args):
+            reads.append(f"{memo.__module__}.{memo.__name__}")
+            return memo(*args)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(oscquad.__path__):
+        module = importlib.import_module(f"oscquad.{info.name}")
+        for name, obj in list(vars(module).items()):
+            if hasattr(obj, "cache") and hasattr(obj, "__wrapped__"):
+                monkeypatch.setattr(module, name, reading(obj))
+    return reads
+
+
+@pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+@pytest.mark.parametrize("method, n, s, tables", [
+    (Method.LEVIN_PHYSICAL, 12, 0, ["oscquad.cheb._radau_grid", "oscquad.levin._physical_table"]),
+    (Method.LEVIN_FREQ, 10, 2, ["oscquad.filon._freq_table"]),
+    (Method.FILON, 6, 1, ["oscquad.filon._hermite_matrix"]),
+])
+def test_warm_call_reads_one_table_per_route(monkeypatch, pid, method, n, s, tables):
+    # A call after one at the same (g, n, s) reads its route's kept tables
+    # once each, and the frequency-space routes the x/g series where g is
+    # not the identity (ex53a and ex53b).
+    spec = builtin_problem(pid, 0.5, 200.0)
+    compute(spec, method, n, s)
+    reads = _memo_reads(monkeypatch)
+    compute(spec, method, n, s)
+    ratio = ["oscquad.problem._ratio_series"] if pid in ("ex53a", "ex53b") and s else []
+    assert sorted(reads) == sorted(tables + ratio)

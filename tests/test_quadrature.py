@@ -268,14 +268,18 @@ class TestDomainEdges:
                     lobatto_grid: ((Method.LEVIN_FREQ, 1), (Method.FILON, 1))}
 
     @pytest.mark.parametrize("build", [radau_grid, lobatto_grid])
-    @pytest.mark.parametrize("a", [5e-324, 1e-306, 1e308, 1.79e308])
+    @pytest.mark.parametrize("a", [5e-324, 1e-306, 1e33, 1e150, 1e206, 1e308, 1.79e308])
     def test_extreme_a_grid_finite_or_refused(self, build, a):
         # Grids no longer depend on a: the methods on them map [0, a] onto
         # [0, 1] (FILON scales the nodes by a), so at an extreme a the grid
-        # stays finite and each call gives a finite value or a package error.
+        # stays finite and each call gives a finite value or a package error,
+        # also where a power of g(a) overflows: FILON's moments at
+        # g(a) = a + a^2 = 1e66 or 1e300, the log kind's end value at
+        # g(a) = a = 1e206.
         with np.errstate(all="ignore"):
-            specs = [build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]),
-                                   a=a, alpha=0.5, kind=kind, w=100.0) for kind in SingKind]
+            specs = [build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly(g),
+                                   a=a, alpha=0.5, kind=kind, w=100.0)
+                     for g in ([0.0, 1.0, 1.0], [0.0, 1.0]) for kind in SingKind]
             for n in (2, 8, 32, 64):
                 g = build(n)
                 assert all(np.isfinite(arr).all() for arr in (g.nodes, g.diff, g.bary_full))
@@ -416,8 +420,9 @@ class TestOneOperatorPerLevinCall:
         # operator, so one grid is built and one factorisation
         # (levin.factor: LU, or truncated SVD) is taken.  The frequency
         # route looks its grid up only when it builds its kept layout, so
-        # that layout is cleared first.
+        # that layout and the table that holds it are cleared first.
         oscquad.filon._layout.cache.clear()
+        oscquad.filon._freq_table.cache.clear()
         counts = {"factor": 0, "grid": 0}
 
         def counting(key, fn):
@@ -468,8 +473,7 @@ _OSCILLATOR_TABLES = (oscquad.filon._freq_table, oscquad.filon._hermite_matrix, 
 
 
 def _clear_caches():
-    for table in (oscquad.cheb._radau_grid, oscquad.cheb._lobatto_grid, oscquad.filon._cheb_series_table,
-                  oscquad.filon._layout, *_OSCILLATOR_TABLES):
+    for table in (oscquad.cheb._radau_grid, oscquad.cheb._lobatto_grid, oscquad.filon._layout, *_OSCILLATOR_TABLES):
         table.cache.clear()
 
 
