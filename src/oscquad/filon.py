@@ -19,9 +19,9 @@ basis and all nodes.  The route is only how it builds that operator
 runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
 physical-space route shares.  Everything of both rules that alpha and w
 leave alone is kept (:func:`oscquad._kept.kept`): the collocation layout of
-(npts, s) that both share, with the Chebyshev Taylor table of its nodes,
-and, per polynomial g and (npts, s), the layout beside the Levin operator's
-g' and image terms or beside FILON's Hermite matrix on [0, a].  A call reads
+(npts, s) that both share, and, per polynomial g and (npts, s), the layout
+beside the Levin operator's Chebyshev Taylor table, g' and image terms, or
+beside FILON's Hermite matrix on [0, a].  A call reads
 one kept table and only combines it with alpha, w and f.
 """
 
@@ -206,31 +206,31 @@ def build_hermite_data(
     from the amplitude's exact local series.
     """
     check_counts(npts=npts, s=s)
-    layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
+    _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
     amp = amplitude if amplitude is not None else _regularised(spec).f1
     values = amp.series_at(nodes, s + 1) * layout.fact
     return HermiteData(nodes=nodes, mults=layout.mults, values=values)
 
 
 def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int):
-    # The layout of (npts, s) and its nodes on [0, a].
+    # g(a), the layout of (npts, s) and its nodes on [0, a].
     g_a = float(osc.value(a))
     if not math.isfinite(g_a):
         # g increases on [0, a], so a finite g(a) bounds g at every node.
         raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
     layout = _layout(npts, s)
-    return layout, a * layout.nodes
+    return g_a, layout, a * layout.nodes
 
 
 def _hermite_table(data: HermiteData, spec: ProblemSpec) -> tuple:
-    # The _hermite_matrix of ``data``, whose nodes and multiplicities must
-    # be those build_hermite_data gives for spec: the kept Hermite matrix is
-    # that of those conditions.
+    # (npts, s) of ``data`` and its _hermite_matrix; the nodes and
+    # multiplicities of ``data`` must be those build_hermite_data gives for
+    # spec: the kept Hermite matrix is that of those conditions.
     npts, s = data.nodes.size, int(data.mults[0]) - 1
-    layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
+    _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
     if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, layout.mults)):
         raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
-    return _hermite_matrix(spec.oscillator, spec.a, npts, s)
+    return npts, s, _hermite_matrix(spec.oscillator, spec.a, npts, s)
 
 
 def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
@@ -241,7 +241,7 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
     posteriori; failure raises DegenerateSystemError (reduce the basis
     size).
     """
-    return _hermite_solve(_hermite_table(data, spec), data.values)[0]
+    return _hermite_solve(_hermite_table(data, spec)[2], data.values)[0]
 
 
 @kept
@@ -250,11 +250,10 @@ def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # hermite_solve there for its interpolation conditions, column-scaled,
     # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s)
     # or a basis over the cap raises, in that order, so is never kept.
-    layout, nodes = _hermite_nodes(osc, a, npts, s)
+    g_a, layout, nodes = _hermite_nodes(osc, a, npts, s)
     M1 = int(layout.mults.sum())
     if M1 > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
-    g_a = float(osc.value(a))
     width = s + 1
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
@@ -296,9 +295,10 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     ``sum_j p_j nu_j``.
     """
     f21 = _regularised(spec).second
-    table = _hermite_table(data, spec)
+    npts, s, table = _hermite_table(data, spec)
     fact = table[0].fact
-    return _filon_rule(spec, table, data.values, [] if f21 is None else [f21.series_at(data.nodes, fact.size) * fact])
+    return _filon_rule(spec, npts, s, table, data.values,
+                       [] if f21 is None else [f21.series_at(data.nodes, s + 1) * fact])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
@@ -307,14 +307,15 @@ def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     table = _hermite_matrix(spec.oscillator, spec.a, npts, s)
     layout, nodes = table[:2]
     f1, *f21 = (series * layout.fact for series in _regularised(spec).at(nodes, s + 1))
-    return _filon_rule(spec, table, f1, f21)
+    return _filon_rule(spec, npts, s, table, f1, f21)
 
 
-def _filon_rule(spec: ProblemSpec, table: tuple, f1: np.ndarray, f21: list) -> QuadratureResult:
+def _filon_rule(spec: ProblemSpec, npts: int, s: int, table: tuple, f1: np.ndarray, f21: list) -> QuadratureResult:
     # quad_filon given the Hermite values of f1 and of the f1 of the f2
     # sub-problem of a logarithmic-kind spec (an empty list for the
-    # algebraic kind) at the nodes of the _hermite_matrix ``table``.  Both
-    # interpolate on those nodes, so its one Hermite matrix serves them.
+    # algebraic kind) at the nodes of the _hermite_matrix ``table`` of
+    # (npts, s).  Both interpolate on those nodes, so its one Hermite matrix
+    # serves them.
     p, *p2 = _hermite_solve(table, f1, *f21)
     moments = build_moment_table(spec, p.size)
     value = np.dot(p, moments.mu)
@@ -322,12 +323,11 @@ def _filon_rule(spec: ProblemSpec, table: tuple, f1: np.ndarray, f21: list) -> Q
     if p2:
         value = np.dot(p2[0], moments.mu) + np.dot(p, moments.nu)
         diagnostics["basis_size_f2"] = int(p2[0].size)
-    layout = table[0]
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
         method=Method.FILON,
-        s=layout.fact.size - 1,
-        n=layout.nodes.size,
+        s=s,
+        n=npts,
         diagnostics=diagnostics,
     )
 
@@ -356,17 +356,14 @@ class _Layout:
     """The collocation layout of (npts, s) on [0, 1], which both rules
     share: the Lobatto ``nodes`` and their ``mults``, the ``node`` and
     ``order`` of every condition, node by node, the factorials ``fact``
-    0! .. s!, the Taylor series ``cheb[k, l]`` (length s+2) of
-    T_k(2t - 1) at node l for the Levin route's M = npts - 1 + 2s basis
-    functions, and the ``end_rows`` that take their coefficients to q1(1)
-    and q1'(1)."""
+    0! .. s!, and the ``end_rows`` that take the Levin route's Chebyshev
+    coefficients to q1(1) and q1'(1)."""
 
     nodes: np.ndarray
     mults: np.ndarray
     node: np.ndarray
     order: np.ndarray
     fact: np.ndarray
-    cheb: np.ndarray
     end_rows: tuple
 
 
@@ -383,14 +380,15 @@ def _layout(npts: int, s: int) -> _Layout:
     mults[[0, -1]] = s + 1
     node, order = np.nonzero(np.arange(s + 1) < mults[:, None])
     k = np.arange(npts - 1 + 2 * s)
-    return _Layout(nodes, mults, node, order, _factorials(s + 1), _cheb_series_table(nodes, s + 2, k.size),
-                   (np.ones(k.size), 2.0 * k**2))
+    return _Layout(nodes, mults, node, order, _factorials(s + 1), (np.ones(k.size), 2.0 * k**2))
 
 
 @kept
 def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # The layout of (npts, s) and the parts of _freq_operator that depend
-    # on g alone, at its conditions: the g' series (length s+1) at the
+    # on g alone, at its conditions: the Taylor series cheb[k, l] (length
+    # s+2) of T_k(2t - 1) at node l for the M = npts - 1 + 2s basis
+    # functions, built once the cap has passed, the g' series (length s+1) at the
     # nodes, the factorials and g' at the conditions, and the three terms
     # of the Levin images of T_0 .. T_{M-1}, sum_i g_i P'_{j-i},
     # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition (orders
@@ -402,15 +400,16 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # never kept.
     layout = _layout(npts, s)
     nodes, node, order = layout.nodes, layout.node, layout.order
-    M = layout.cheb.shape[0]
+    M = int(layout.mults.sum()) - 1
     if M > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
+    cheb = _cheb_series_table(nodes, s + 2, M)
     gser = osc.series_at(nodes, s + 2)
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
     ggprime = ps_mul(gg, gprime)
-    P = layout.cheb[:, :, : s + 1]
-    dP = np.arange(1, s + 2) * layout.cheb[:, :, 1:]
+    P = cheb[:, :, : s + 1]
+    dP = np.arange(1, s + 2) * cheb[:, :, 1:]
     terms = np.empty((3, npts, s + 1, M))
     for j in range(s + 1):
         t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
@@ -419,7 +418,7 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
             t2 = t2 + gprime[:, i] * P[:, :, j - i]
             t3 = t3 + ggprime[:, i] * P[:, :, j - i]
         terms[:, :, j] = t1.T, t2.T, t3.T
-    return layout, gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
+    return layout, cheb, gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
@@ -434,7 +433,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
     # power of two just above its largest entry.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    layout, gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
+    layout, cheb, gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
     w = spec.w
     A = np.empty((fact.size, t1.shape[1] + 1), dtype=complex)
     A[:, 0] = 1j * w * fact * gprime_at
@@ -442,7 +441,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     L = A / row_scale[:, None]
     nodes, node, order, m = layout.nodes, layout.node, layout.order, s + 1
-    P = layout.cheb[:, :, :m]
+    P = cheb[:, :, :m]
 
     def q1_gprime(coeffs):
         # The Taylor series of q1 at each node, summed over the basis in

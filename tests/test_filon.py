@@ -375,8 +375,9 @@ def _loop_operator(spec, npts, s):
     # filon._freq_operator is checked against it.
     filon = oscquad.filon
     layout = filon._layout(npts, s)
-    nodes, mults, tables = layout.nodes, layout.mults, layout.cheb
+    nodes, mults = layout.nodes, layout.mults
     M = int(mults.sum()) - 1
+    tables = filon._cheb_series_table(nodes, s + 2, M)
     fact = filon._factorials(s + 1)
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
@@ -407,8 +408,9 @@ def _operator_term_sizes(spec, npts, s):
     # operator, for a round-off bound on its columns 1..M.
     filon = oscquad.filon
     layout = filon._layout(npts, s)
-    nodes, mults, tables = layout.nodes, layout.mults, np.abs(layout.cheb)
+    nodes, mults = layout.nodes, layout.mults
     M = int(mults.sum()) - 1
+    tables = np.abs(filon._cheb_series_table(nodes, s + 2, M))
     fact = filon._factorials(s + 1)
     rows = []
     for x, mult, table in zip(nodes, mults, tables.transpose(1, 0, 2)):
@@ -498,8 +500,8 @@ class TestFreqOperatorRows:
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
         (_, first), (rhs2, _) = seen
-        layout, gprime = filon._freq_table(spec.oscillator, npts, s)[:2]
-        nodes, tables = layout.nodes, layout.cheb
+        layout, tables, gprime = filon._freq_table(spec.oscillator, npts, s)[:3]
+        nodes = layout.nodes
         f21 = filon._regularised(spec, spec.g_end())[1].series_at(nodes, s + 1)
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(first.q1, tables[:, l]))
@@ -508,13 +510,15 @@ class TestFreqOperatorRows:
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' once per node when the oscillator's images are built; the
         # images take none (the loop form takes 3 M + 1 per node), and a
-        # call that finds them kept for this g takes none at all.  The first
-        # call keeps the layout, whose Chebyshev table's recurrence uses
-        # ps_mul.
+        # call that finds them kept for this g takes none at all.  The
+        # Chebyshev table, the same for every g, is served prebuilt: its
+        # recurrence takes one ps_mul per basis function for all nodes.
         spec = builtin_problem("ex53a", 0.5, 50.0)
         npts, s = 9, 2
         oscquad.filon._freq_operator(spec, npts, s)
         oscquad.filon._freq_table.cache.clear()
+        cheb = oscquad.filon._cheb_series_table(oscquad.filon._layout(npts, s).nodes, s + 2, npts - 1 + 2 * s)
+        monkeypatch.setattr(oscquad.filon, "_cheb_series_table", lambda nodes, m, count: cheb)
         calls = []
         real = oscquad.filon.ps_mul
 
@@ -580,15 +584,27 @@ class TestKeptLayout:
         spec = builtin_problem("ex53a", 0.5, 200.0)
         solve_freq(spec, 8, 1)
         for npts, s, error in ((2, 1, ParameterError), (8, -1, ParameterError), (8.0, 1, ParameterError),
-                               (40, 1, CapabilityError)):
+                               (40, 1, CapabilityError), (8, 10**4, CapabilityError)):
             for _ in range(2):
                 with pytest.raises(error):
                     solve_freq(spec, npts, s)
-                with pytest.raises(error):
-                    compute(spec, Method.LEVIN_FREQ, npts, s)
+                for method in (Method.LEVIN_FREQ, Method.FILON):
+                    with pytest.raises(error):
+                        compute(spec, method, npts, s)
         g = spec.oscillator._key
         assert not {(2, 1), (8, -1)} & set(oscquad.filon._layout.cache)
-        assert not {(g, 2, 1), (g, 8, -1), (g, 40, 1)} & set(oscquad.filon._freq_table.cache)
+        assert not {(g, 2, 1), (g, 8, -1), (g, 40, 1), (g, 8, 10**4)} & set(oscquad.filon._freq_table.cache)
+
+    def test_basis_over_the_cap_builds_no_chebyshev_table(self, monkeypatch):
+        # At s = 10**4 the table would take O(s^2 npts) memory and O(s^3
+        # npts) time; the cap refuses first, on every route.
+        spec = builtin_problem("ex53a", 0.5, 200.0)
+        built = []
+        monkeypatch.setattr(oscquad.filon, "_cheb_series_table", lambda *args: built.append(args))
+        for method in (Method.LEVIN_FREQ, Method.FILON):
+            with pytest.raises(CapabilityError):
+                compute(spec, method, 8, 10**4)
+        assert built == []
 
     def test_hermite_data_off_the_layout_is_refused(self):
         # The kept Hermite matrix is that of build_hermite_data's nodes and
