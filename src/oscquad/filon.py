@@ -212,12 +212,15 @@ def build_hermite_data(
     return HermiteData(nodes=nodes, mults=layout.mults, values=values)
 
 
-def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int):
-    # g(a), the layout of (npts, s) and its nodes on [0, a].
+def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int, size: int = 0):
+    # g(a), the layout of (npts, s) and its nodes on [0, a], for a basis of
+    # ``size`` functions: a non-finite g(a), a bad (npts, s) and a basis
+    # over the cap raise, in that order.
     g_a = float(osc.value(a))
     if not math.isfinite(g_a):
         # g increases on [0, a], so a finite g(a) bounds g at every node.
         raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
+    _check_basis(npts, s, size)
     layout = _layout(npts, s)
     return g_a, layout, a * layout.nodes
 
@@ -248,23 +251,24 @@ def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
 def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # The layout of (npts, s), its nodes on [0, a], the Hermite matrix of
     # hermite_solve there for its interpolation conditions, column-scaled,
-    # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s)
-    # or a basis over the cap raises, in that order, so is never kept.
-    g_a, layout, nodes = _hermite_nodes(osc, a, npts, s)
-    M1 = int(layout.mults.sum())
-    if M1 > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M1} exceeds the supported cap {MAX_BASIS_SIZE}")
+    # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s),
+    # a basis over the cap, or a g(a)^(M1 - 1) that overflows raises, in
+    # that order, so is never kept.  The last is about phi_M1 at x = a, the
+    # largest entry of the recurrence, refused with the AccuracyError of the
+    # moments g(a)^(j + alpha) of that basis before the recurrence runs.
+    M1 = npts + 2 * s
+    g_a, layout, nodes = _hermite_nodes(osc, a, npts, s, M1)
+    _power(g_a, M1 - 1.0)
     width = s + 1
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
-    # per basis function covers all nodes.
+    # per basis function after the first covers all nodes.
     gser = osc.series_at(nodes, width + 1)
     base = gser[:, :width]
-    phik = np.arange(1, width + 1) * gser[:, 1:]
-    cols = np.empty((M1,) + phik.shape)
-    for k in range(M1):
-        cols[k] = phik
-        phik = ps_mul(phik, base)
+    cols = np.empty((M1, nodes.size, width))
+    cols[0] = np.arange(1, width + 1) * gser[:, 1:]
+    for k in range(1, M1):
+        cols[k] = ps_mul(cols[k - 1], base)
     A = layout.fact[layout.order, None] * cols[:, layout.node, layout.order].T * scale
     return layout, nodes, A, scale
 
@@ -367,14 +371,23 @@ class _Layout:
     end_rows: tuple
 
 
-@kept
-def _layout(npts: int, s: int) -> _Layout:
-    # A bad (npts, s) raises, so is never kept.  At t = 1, T_k(2t - 1) is 1
-    # and its t-derivative 2 k^2.
+def _check_basis(npts: int, s: int, size: int = 0) -> None:
+    # Refuses a bad (npts, s), then a basis of ``size`` functions over the
+    # cap.  Each rule runs it before it reads the layout of (npts, s), whose
+    # factorials 0! .. s! overflow from s = 171 on.
     if npts < 3:
         raise ParameterError("need at least 3 collocation points")
     if s < 0:
         raise ParameterError("s must be nonnegative")
+    if size > MAX_BASIS_SIZE:
+        raise CapabilityError(f"basis size {size} exceeds the supported cap {MAX_BASIS_SIZE}")
+
+
+@kept
+def _layout(npts: int, s: int) -> _Layout:
+    # A bad (npts, s) raises, so is never kept.  At t = 1, T_k(2t - 1) is 1
+    # and its t-derivative 2 k^2.
+    _check_basis(npts, s)
     nodes = lobatto_grid(npts - 1).nodes
     mults = np.ones(npts, dtype=int)
     mults[[0, -1]] = s + 1
@@ -398,11 +411,10 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # multiply-add, so for a general g the sums can differ from it in the
     # last bits.  A bad (npts, s), then a basis over the cap, raises, so is
     # never kept.
+    M = npts - 1 + 2 * s
+    _check_basis(npts, s, M)
     layout = _layout(npts, s)
     nodes, node, order = layout.nodes, layout.node, layout.order
-    M = int(layout.mults.sum()) - 1
-    if M > MAX_BASIS_SIZE:
-        raise CapabilityError(f"basis size {M} exceeds the supported cap {MAX_BASIS_SIZE}")
     cheb = _cheb_series_table(nodes, s + 2, M)
     gser = osc.series_at(nodes, s + 2)
     gg = gser[:, : s + 1]

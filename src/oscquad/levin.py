@@ -24,10 +24,16 @@ pivoting where its condition estimate stays moderate, truncated SVD where
 the operator is near-singular, since exactly one near-null direction
 appears at large n and small w (the discrete trace of the continuous
 one-parameter solution family).  The operator depends on (g, alpha, w, n)
-only.  Its parts that depend on g alone, g and g' at the nodes and g D, are
-kept per polynomial g and n (:func:`oscquad._kept.kept`), and each call adds
-the (1+alpha) g' and iw terms; both amplitudes are evaluated together, once,
-at all nodes, origin first, which is the order of the unknowns.
+only.  Everything of it that depends on g alone is kept per polynomial g and
+n (:func:`oscquad._kept.kept`) in one ``_physical_table`` entry: g at the
+interior nodes, g' at all nodes and the complex matrix without its alpha and
+w terms, g D in the interior block and zeros elsewhere; at n = 32 that is
+256 + 264 + 17424 = 17944 bytes.  A call copies the matrix and writes the
+real (1+alpha) g' and imaginary w g', w g g' terms into it, and evaluates
+both amplitudes together, once, at all nodes, origin first, which is the
+order of the unknowns, with g at the nodes from the table.  Beyond the
+table a warm call evaluates g only at g(a), g'(a) and g'(0), each a Horner
+sum in Python floats.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -37,7 +43,7 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
@@ -96,16 +102,13 @@ class FactorDiag:
 
 @dataclass(frozen=True)
 class _LuFactor:
-    """LU factor with partial pivoting (zgetrf) of a square operator ``L``."""
+    """LU factor with partial pivoting (zgetrf) of a square operator ``L``,
+    and its diagnostics."""
 
     L: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
-    cond: float
-
-    @property
-    def diag(self) -> FactorDiag:
-        return FactorDiag("lu", self.cond, 0)
+    diag: FactorDiag
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """zgetrs, then one step of iterative refinement on its residual."""
@@ -158,13 +161,18 @@ class LevinSolution:
 def _physical_table(osc: Oscillator, n: int) -> tuple:
     # The parts of the physical operator on the Radau grid of n nodes that
     # depend on g alone: g at the interior nodes, g' at all nodes, origin
-    # first, and g D.  A g with g' <= 0 at a node raises, so is never kept.
+    # first, and the operator's matrix without its alpha and w terms, g D in
+    # the interior block (added to zeros, as the element-wise assembly did)
+    # and zeros elsewhere.  A g with g' <= 0 at a node raises, so is never
+    # kept.
     grid = _radau_grid(n)
     gx = np.asarray(osc.value(grid.interior), dtype=float)
     gp = np.asarray(osc.deriv1(grid.nodes), dtype=float)
     if np.any(gp <= 0):
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
-    return gx, gp, gx[:, None] * grid.diff
+    base = np.zeros((n + 1, n + 1), dtype=complex)
+    base[1:, 1:] += gx[:, None] * grid.diff
+    return gx, gp, base
 
 
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
@@ -193,20 +201,22 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
 
 
 def _operator(spec: ProblemSpec, grid: ChebGrid):
-    # The matrix of assemble_L, which every right-hand side shares, and g'
-    # at grid.nodes.
-    gx, gp, gD = _node_data(spec, grid)
-    n = gx.size
-    alpha = spec.alpha
-    w = spec.w
-    L = np.zeros((n + 1, n + 1), dtype=complex)
-    L[0, 0] = 1j * w * gp[0]
-    L[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
-    L[1:, 0] = 1j * w * gp[1:]
-    L[1:, 1:] += gD
-    rows = np.arange(1, n + 1)
-    L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gp[1:]
-    return L, gp
+    # The matrix of assemble_L, which every right-hand side shares, and the
+    # _physical_table it is written from: a copy of the table's matrix with
+    # the alpha and w terms written into row 0, column 0 and the diagonal,
+    # real and imaginary parts apart.  Each part is what the complex
+    # element-wise assembly rounds it to (its other terms are exact zeros),
+    # so the bits are the same.
+    table = _node_data(spec, grid)
+    gx, gp, base = table
+    alpha, w = spec.alpha, spec.w
+    L = base.copy()
+    L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
+    L.imag[:, 0] = w * gp
+    diag = L.reshape(-1)[gx.size + 2 :: gx.size + 2]
+    diag.real += (1.0 + alpha) * gp[1:]
+    diag.imag += w * gx * gp[1:]
+    return L, table
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
@@ -261,10 +271,10 @@ def factor(L: np.ndarray):
     rcond = zgecon(lu, np.abs(L).sum(axis=0).max())[0] if info == 0 else 0.0
     lu_ok = info == 0 and np.isfinite(lu).all()
     if lu_ok and rcond > RCOND_THRESHOLD:
-        return _LuFactor(L, lu, piv, 1.0 / rcond)
+        return _LuFactor(L, lu, piv, FactorDiag("lu", 1.0 / rcond, 0))
     svd = _tsvd(L, rcond)
     if lu_ok and svd.keep.all():
-        return _LuFactor(L, lu, piv, svd.cond)
+        return _LuFactor(L, lu, piv, FactorDiag("lu", svd.cond, 0))
     return svd
 
 
@@ -297,21 +307,26 @@ class _Operator:
         residual = float(np.abs(self.L @ x - rhs).max())
         return LevinSolution(complex(x[0]), x[1:], residual, self.factor.diag, complex(data[-1, 0]))
 
-    def end(self, sol: LevinSolution) -> EndData:
-        """The data of ``sol`` at t = 1."""
+    def end(self, sol: LevinSolution, a: float) -> EndData:
+        """The data of ``sol`` at t = 1, as the data at x = a of the problem
+        on [0, a] that x = a t maps onto [0, 1]: its c0 times a and its
+        q1'(1) divided by a."""
         q1 = sol.q1
         value, slope = self.end_rows
-        return EndData(sol.c0, complex(value @ q1), complex(slope @ q1), float(np.abs(slope) @ np.abs(q1)),
-                       sol.rhs_end)
+        c0, dq1, dq1_size = sol.c0, complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+        if a != 1.0:
+            c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
+        return EndData(c0, complex(value @ q1), dq1, dq1_size, sol.rhs_end)
 
 
 def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
     # The matrix of assemble_L on the Radau grid of n nodes.  Node data are
     # values at grid.nodes, origin first, the order of the rows and of the
-    # unknowns; q1(1) is the last unknown, q1'(1) the last row of the
-    # differentiation matrix applied to q1.
+    # unknowns, formed with g at the interior nodes from the kept table;
+    # q1(1) is the last unknown, q1'(1) the last row of the differentiation
+    # matrix applied to q1.
     grid = radau_grid(n)
-    L, gprime = _operator(spec, grid)
+    L, (gx, gprime, _) = _operator(spec, grid)
     nodes, origin = grid.nodes, grid.origin_weights
     last = np.zeros(n)
     last[-1] = 1.0
@@ -321,7 +336,7 @@ def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
         return (np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime)[:, None]
 
     def node_data(amplitudes):
-        return [np.asarray(values, dtype=complex)[:, None] for values in amplitudes.at(nodes, 0)]
+        return [np.asarray(values, dtype=complex)[:, None] for values in amplitudes.at(nodes, 0, g=gx)]
 
     return _Operator(L, factor(L), node_data, q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
 
@@ -339,16 +354,13 @@ def _solves(op: _Operator, amplitudes: _Separated) -> list:
 def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route.  ``operator`` maps ``spec`` on [0, 1]
     # to the route's _Operator; its solves give the q1 of ``spec`` and its
-    # c0, d0 divided by a, so the end data is scaled by a once here.  f21
-    # carries log g(a) of ``spec``.
+    # c0, d0 divided by a, which _Operator.end scales back.  f21 carries
+    # log g(a) of ``spec``.
     unit = _unit_interval(spec)
     op = operator(unit)
     g_a = spec.g_end()
     sols = _solves(op, _regularised(unit, g_a))
-    a = spec.a
-    ends = list(map(op.end, sols))
-    if a != 1.0:
-        ends = [replace(e, c0=e.c0 * a, dq1=e.dq1 / a, dq1_size=e.dq1_size / a) for e in ends]
+    ends = [op.end(sol, spec.a) for sol in sols]
     diagnostics = {"residual_norm": sols[0].residual_norm, **op.factor.diag.diagnostics()}
     if len(sols) == 2:
         diagnostics["residual_norm_second"] = sols[1].residual_norm

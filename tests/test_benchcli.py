@@ -483,3 +483,22 @@ class TestModuleEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["diagnostics"]["method"] == "levin-physical"
+
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(["--problem", "ex51", "--method", "levin-freq", "--w", "100", "--s", "3000"], 3,
+                     "capability error: basis size 6007 exceeds the supported cap 40", id="levin-freq-s3000"),
+        pytest.param(["--problem", "ex51", "--method", "filon", "--w", "100", "--s", "3000"], 3,
+                     "capability error: basis size 6008 exceeds the supported cap 40", id="filon-s3000"),
+        pytest.param(["--f-poly", "1", "--g-poly", "0,1", "--a", "1e33", "--method", "filon", "--w", "10", "--s", "1"],
+                     4, "accuracy error: z**a overflows at |z| = 1e+33, a = 9.5", id="filon-a1e33"),
+    ])
+    def test_refusal_writes_its_error_line_alone(self, argv, code, line):
+        # The basis cap refuses before the layout's factorials overflow (s >=
+        # 171), and g(a)^(j + alpha) overflows in the moments before FILON's
+        # column recurrence would: no NumPy warning reaches stderr.
+        import subprocess
+        import sys
+
+        proc = subprocess.run([sys.executable, "-m", "oscquad", "eval", *argv, "--alpha", "0.5", "--n", "8"],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")

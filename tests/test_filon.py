@@ -208,8 +208,9 @@ class TestHermiteSolve:
 
     def test_one_ps_mul_per_basis_column(self, monkeypatch):
         # The column recurrence phi_{k+1} = phi_k g covers all nodes with one
-        # ps_mul per basis function when the matrix is built; a call that
-        # finds it kept for this g takes none.
+        # ps_mul per basis function after the first when the matrix is
+        # built (none past the last); a call that finds it kept for this g
+        # takes none.
         spec = builtin_problem("ex53a", 0.5, 100.0)
         data = build_hermite_data(spec, 6, 2)
         oscquad.filon._hermite_matrix.cache.clear()
@@ -222,7 +223,7 @@ class TestHermiteSolve:
 
         monkeypatch.setattr(oscquad.filon, "ps_mul", counting)
         hermite_solve(data, spec)
-        assert len(calls) == data.basis_size
+        assert len(calls) == data.basis_size - 1
         assert all(shape == (6, 3) for shape in calls)
         calls.clear()
         hermite_solve(data, spec)
@@ -502,7 +503,7 @@ class TestFreqOperatorRows:
         (_, first), (rhs2, _) = seen
         layout, tables, gprime = filon._freq_table(spec.oscillator, npts, s)[:3]
         nodes = layout.nodes
-        f21 = filon._regularised(spec, spec.g_end())[1].series_at(nodes, s + 1)
+        f21 = filon._regularised(spec, spec.g_end()).second.series_at(nodes, s + 1)
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(first.q1, tables[:, l]))
             assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], gprime[l])).tobytes()

@@ -131,6 +131,33 @@ class TestAssembleL:
                 L, _ = assemble_L(spec, grid)
                 assert L.tobytes() == loop_L(spec, grid).tobytes()
 
+    @pytest.mark.parametrize("pid", BUILTIN_IDS)
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_operator_is_the_elementwise_assembly(self, pid, n):
+        # levin._operator writes the real and imaginary parts of the alpha
+        # and w terms into a copy of the kept matrix; the complex
+        # element-wise assembly it replaced, with g and g' evaluated afresh,
+        # is the reference, bit for bit (ex51 has w < 0).
+        def elementwise_L(spec, grid):
+            gx = np.asarray(spec.oscillator.value(grid.interior), dtype=float)
+            gp = np.asarray(spec.oscillator.deriv1(grid.nodes), dtype=float)
+            n, alpha, w = gx.size, spec.alpha, spec.w
+            L = np.zeros((n + 1, n + 1), dtype=complex)
+            L[0, 0] = 1j * w * gp[0]
+            L[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
+            L[1:, 0] = 1j * w * gp[1:]
+            L[1:, 1:] += gx[:, None] * grid.diff
+            rows = np.arange(1, n + 1)
+            L[rows, rows] += (1.0 + alpha + 1j * w * gx) * gp[1:]
+            return L
+
+        grid = radau_grid(n)
+        for alpha in (0.5, -0.5, 0.9):
+            for w in (1.0, 1e2, 1e8):
+                spec = builtin_problem(pid, alpha, w)
+                L, _ = oscquad.levin._operator(spec, grid)
+                assert L.tobytes() == elementwise_L(spec, grid).tobytes(), (alpha, w)
+
 
 class TestTsvdSolve:
     def test_identity_passthrough(self):
@@ -370,8 +397,8 @@ class TestSolveLog:
 
 class TestOneNodePassPerCall:
     """g and g' are evaluated at the Radau nodes once per (g, n) for the
-    operator's kept table, and the regularised amplitudes evaluate g there
-    once per physical call, together."""
+    operator's kept table, and the regularised amplitudes take g there from
+    that table."""
 
     @pytest.mark.parametrize("kind", [SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG])
     def test_evaluation_counts(self, monkeypatch, kind):
@@ -403,14 +430,13 @@ class TestOneNodePassPerCall:
         oscquad.levin._physical_table.cache.clear()
         value = compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
         # The boundary bracket reads g(a) and g'(a) by Horner.  On a cold
-        # call g at the nodes: once for the kept table and once for both
-        # amplitudes; g' once, for the table.
-        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 2, "g' at nodes": 1}
+        # call g and g' at the nodes once each, for the kept table, from
+        # which both amplitudes take g.
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 1, "g' at nodes": 1}
         counts.update(dict.fromkeys(counts, 0))
-        # On a warm call the table is kept: g at the nodes once, for both
-        # amplitudes, and g' not at all.
+        # On a warm call the table is kept: neither g nor g' at the nodes.
         assert compute(spec, Method.LEVIN_PHYSICAL, n, 0).value == value
-        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 1, "g' at nodes": 0}
+        assert counts == {"polyval": 0, "polyder": 0, "poly_taylor": 0, "g at nodes": 0, "g' at nodes": 0}
         monkeypatch.undo()
         assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
 
@@ -431,7 +457,8 @@ class TestOneNodePassPerCall:
         # f1 equals make_f1_f2's and f21 the f2 sub-problem's f1, bit for
         # bit: in value at the Radau nodes, the origin included, and in
         # series of length 3 at the Lobatto nodes.
-        f1, f21, _ = _regularised(spec)
+        amplitudes = _regularised(spec)
+        f1, f21 = amplitudes.f1, amplitudes.second
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
         assert radau[0] == 0.0
         for got, want in ((f1, make_f1_f2(spec)[0]), (f21, make_f1_f2(f2_sub_problem(spec))[0])):
@@ -446,7 +473,7 @@ class TestOneNodePassPerCall:
         for alpha in (0.5, -0.5, -0.7):
             spec = replace(builtin_problem(pid, alpha, 30.0), kind=SingKind.ALGEBRAIC_LOG)
             self.assert_regularised_is_sub_problem_f1(spec)
-            assert _regularised(replace(spec, kind=SingKind.ALGEBRAIC))[1] is None
+            assert _regularised(replace(spec, kind=SingKind.ALGEBRAIC)).second is None
 
     def test_custom_g_on_short_interval(self):
         for alpha in (0.5, -0.5):
@@ -465,7 +492,8 @@ class TestOneNodePassPerCall:
         spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly(g), a=a, alpha=0.5,
                              kind=SingKind.ALGEBRAIC_LOG, w=40.0)
         unit, c = _unit_interval(spec), spec.g_end()
-        f1, f21, _ = _regularised(unit)
+        amplitudes = _regularised(unit)
+        f1, f21 = amplitudes.f1, amplitudes.second
         levin = _regularised(unit, c).second
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
         for got, want, bound in ((levin.value(radau), f21.value(radau) + np.log(c) * f1.value(radau), 2e-15),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import oscquad.problem
 from oscquad import Method, compute
 from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
 from oscquad.problem import (
@@ -403,3 +404,26 @@ def test_polynomial_evaluation_is_polyval(re, im, x):
     size = min(re.size, im.size)
     for coeffs in (re, re[:size] + 1j * im[:size]):
         assert _same_bits(Amplitude.from_poly(coeffs).value(x), P.polyval(xf, coeffs.astype(complex)))
+
+
+_REAL_COEFFS = hnp.arrays(float, st.integers(1, 8),
+                          elements=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)))
+_SCALAR_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-320, 1.7e308, -1.7e308]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_REAL_COEFFS, _SCALAR_POINTS)
+def test_scalar_horner_is_the_array_path(coeffs, x):
+    # A 0-d real point runs Horner's rule in Python floats: the same bits,
+    # as an np.float64, as the point in a 1-element array, including the
+    # signed zeros, infinities and NaNs of points at 0, below 0 and near
+    # overflow.
+    with np.errstate(all="ignore"):
+        want = oscquad.problem._horner(coeffs, np.array([x]))[0]
+    got = oscquad.problem._horner(coeffs, np.asarray(x, dtype=float))
+    assert type(got) is np.float64
+    assert got.tobytes() == want.tobytes()
