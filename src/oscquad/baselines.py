@@ -29,7 +29,7 @@ from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 from ._kept import kept
 from ._result import Method, QuadratureResult
 from .errors import AccuracyError, CapabilityError, ParameterError
-from .problem import ProblemSpec, SingKind, _horner, integrand
+from .problem import ProblemSpec, SingKind, _horner_py, integrand
 
 __all__ = [
     "CMFPParams",
@@ -493,30 +493,79 @@ def _laguerre_log_weights(alpha: float):
     return weights * acc
 
 
-def _path_slope(t, g1: float, g2: float):
+def _path_slope(t, g1: float, g2: float, sqrt=np.sqrt):
     # y / t for the root y of g(c + y) - g(c) = g1 y + g2 y^2 = t that is 0
-    # at t = 0, without cancellation, and the root's sqrt = g'(c + y).
-    root = np.sqrt(g1 * g1 + 4.0 * g2 * t)
+    # at t = 0, without cancellation, and the root's sqrt = g'(c + y); on
+    # arrays with NumPy, on a Python complex with ``sqrt=cmath.sqrt``.
+    root = sqrt(g1 * g1 + 4.0 * g2 * t)
     return 2.0 / (g1 + root), root
 
 
 def _rule_error(t, w: float, turn: complex, alpha: float, product: bool = False) -> float:
-    # Estimated relative error that singularities at g(x) - g(c) = t cause in
-    # the m-point Laguerre rule in r, m = _NSD_ORDER, where p = turn r and
-    # g(x) = g(c) + i p / w.  A singularity at z in the r-plane costs a
-    # Gauss rule about e^{-Re z} e^{-2 sqrt(nu) Re sqrt(-z)},
-    # nu = 4m + 2 alpha + 2 (Perron's asymptotics of the rule's error
-    # kernel); the first factor is dropped for Re z < 0, where it holds only
-    # for |z| much smaller than nu.  A product rule on the same nodes is exact to degree m - 1 only, not
-    # 2m - 1, and converges at half that rate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = -1j * w * np.asarray(t, dtype=complex) / turn
-    z = z[np.isfinite(z)]  # beyond the float range: no effect on the rule
-    if z.size == 0:
-        return 0.0
-    nu = 4.0 * _NSD_ORDER + 2.0 * alpha + 2.0
-    exponent = -np.maximum(z.real, 0.0) - 2.0 * math.sqrt(nu) * np.sqrt(-z).real
-    return float(np.exp(exponent.max() / (2.0 if product else 1.0)))
+    # Estimated relative error that singularities at g(x) - g(c) = t (a
+    # sequence of Python numbers) cause in the m-point Laguerre rule in r,
+    # m = _NSD_ORDER, where p = turn r and g(x) = g(c) + i p / w.  A
+    # singularity at z in the r-plane costs a Gauss rule about
+    # e^{-Re z} e^{-2 sqrt(nu) Re sqrt(-z)}, nu = 4m + 2 alpha + 2 (Perron's
+    # asymptotics of the rule's error kernel); the first factor is dropped
+    # for Re z < 0, where it holds only for |z| much smaller than nu.  A
+    # product rule on the same nodes is exact to degree m - 1 only, not
+    # 2m - 1, and converges at half that rate.  A z beyond the float range
+    # has no effect on the rule.
+    to_r = -1j * w
+    decay = 2.0 * math.sqrt(4.0 * _NSD_ORDER + 2.0 * alpha + 2.0)
+    exponent = -math.inf
+    for ti in t:
+        z = to_r * ti / turn
+        if cmath.isfinite(z):
+            e = (-z.real if z.real > 0.0 else 0.0) - decay * cmath.sqrt(-z).real
+            if e > exponent:
+                exponent = e
+    return math.exp(exponent / (2.0 if product else 1.0))
+
+
+def _nsd_tilt(spec: ProblemSpec, coeffs: list, slopes: tuple, g_a: float) -> float:
+    # The scope gate of reference_nsd, in Python scalars: the tilt of the ray
+    # from 0 (0 or _NSD_TILT) for the g of ``coeffs`` (Python floats, degree
+    # <= 2, without trailing zeros), with g'(0), g'(a) = ``slopes`` and g(a)
+    # = ``g_a``, or CapabilityError.
+    w, alpha = spec.w, spec.alpha
+    log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
+    sign = 1.0 if w > 0 else -1.0
+    g2 = coeffs[2] if len(coeffs) > 2 else 0.0
+    sing = [complex(z) for z in spec.amplitude.singular_points]
+    u = [_horner_py(coeffs, z) for z in sing]  # g at the singular points
+    # Where g' = 0 the path inverse branches; in t = g - g(c) that is at
+    # -g'(c)^2 / (4 g2) (none for linear g, nor beyond the float range).
+    branch = []
+    for slope in slopes:
+        t_branch = -slope * slope / (4.0 * g2) if g2 else math.inf
+        branch.append([t_branch] if math.isfinite(t_branch) else [])
+    t_end = [ui - g_a for ui in u] + branch[1] + [-g_a]  # x = 0 is singular on the path from a
+    if _rule_error(t_end, w, 1.0, 0.0) > _NSD_GAUSS_TOL:
+        raise CapabilityError("a singularity lies too close to the nodes of the path from a")
+    t_zero = u + branch[0]
+    # The log kind's product rule is the slower of its two rules from 0.
+    tol_zero = _NSD_PRODUCT_TOL if log_kind else _NSD_GAUSS_TOL
+    # g maps the swept region onto the strip between the ray of g from 0 and
+    # the vertical ray from g(a), on the side sign(w) Im g >= 0; a singular
+    # point is inside when g takes it there on the branch of the inverse
+    # that is continuous from [0, a].  ``above`` holds (Re g, sign(w) Im g)
+    # of the points on that side and branch.
+    above = []
+    for ui, z in zip(u, sing):
+        height = sign * ui.imag
+        if height >= 0 and abs(ui * _path_slope(ui, slopes[0], g2, cmath.sqrt)[0] - z) <= 1e-9 * (1.0 + abs(z)):
+            above.append((ui.real, height))
+    for tilt in (0.0, _NSD_TILT):
+        inside = any(min(tilt * height, g_a) <= real <= max(tilt * height, g_a) for real, height in above)
+        turn = 1.0 - 1j * sign * tilt
+        if not inside and _rule_error(t_zero, w, turn, alpha, log_kind) <= tol_zero:
+            return tilt
+    raise CapabilityError(
+        "a singularity of the amplitude or of the path from 0 lies in the swept "
+        "region or too close to the rule's nodes"
+    )
 
 
 def reference_nsd(spec: ProblemSpec) -> complex:
@@ -559,46 +608,17 @@ def reference_nsd(spec: ProblemSpec) -> complex:
     if amp.complex_value is None:
         raise CapabilityError("NSD needs the amplitude's complex-argument evaluator")
     poly = spec.oscillator.poly
-    coeffs = None if poly is None else np.asarray(poly, dtype=float)
-    if coeffs is None or (coeffs.size > 3 and coeffs[3:].any()):
+    coeffs = None if poly is None else np.asarray(poly, dtype=float).tolist()
+    if coeffs is None or any(coeffs[3:]):
         raise CapabilityError("NSD inverts polynomial oscillators of degree <= 2 only")
-    g2 = float(coeffs[2]) if coeffs.size >= 3 else 0.0
+    g2 = coeffs[2] if len(coeffs) >= 3 else 0.0
     coeffs = coeffs[:3] if g2 else coeffs[:2]  # without trailing zeros
     a, w, alpha = spec.a, spec.w, spec.alpha
     sign = 1.0 if w > 0 else -1.0
-    g_a = spec.g_end()
-    slopes = (float(coeffs[1]), float(coeffs[1]) + 2.0 * g2 * a)  # g'(0), g'(a)
-    sing = np.asarray(amp.singular_points, dtype=complex)
-    u = _horner(coeffs, sing)  # g at the singular points
-    # Where g' = 0 the path inverse branches; in t = g - g(c) that is at
-    # -g'(c)^2 / (4 g2) (none for linear g, nor beyond the float range).
-    branch = []
-    for g1 in slopes:
-        t_branch = -g1 * g1 / (4.0 * g2) if g2 else math.inf
-        branch.append([t_branch] if math.isfinite(t_branch) else [])
-    t_end = np.concatenate([u - g_a, branch[1], [-g_a]])  # x = 0 is singular on the path from a
-    if _rule_error(t_end, w, 1.0, 0.0) > _NSD_GAUSS_TOL:
-        raise CapabilityError("a singularity lies too close to the nodes of the path from a")
-    t_zero = np.concatenate([u, branch[0]])
-    # The log kind's product rule is the slower of its two rules from 0.
-    tol_zero = _NSD_PRODUCT_TOL if log_kind else _NSD_GAUSS_TOL
-    # g maps the swept region onto the strip between the ray of g from 0 and
-    # the vertical ray from g(a), on the side sign(w) Im g >= 0; a singular
-    # point is inside when g takes it there on the branch of the inverse
-    # that is continuous from [0, a].
-    on_branch = np.abs(u * _path_slope(u, slopes[0], g2)[0] - sing) <= 1e-9 * (1.0 + np.abs(sing))
-    height = sign * u.imag
-    for tilt in (0.0, _NSD_TILT):
-        left = tilt * height
-        inside = (height >= 0) & (np.minimum(left, g_a) <= u.real) & (u.real <= np.maximum(left, g_a))
-        turn = 1.0 - 1j * sign * tilt
-        if not np.any(inside & on_branch) and _rule_error(t_zero, w, turn, alpha, log_kind) <= tol_zero:
-            break
-    else:
-        raise CapabilityError(
-            "a singularity of the amplitude or of the path from 0 lies in the swept "
-            "region or too close to the rule's nodes"
-        )
+    g_a = _horner_py(coeffs, a)  # for a g of Oscillator.from_poly, the bits of spec.g_end()
+    slopes = (coeffs[1], coeffs[1] + 2.0 * g2 * a)  # g'(0), g'(a)
+    tilt = _nsd_tilt(spec, coeffs, slopes, g_a)
+    turn = 1.0 - 1j * sign * tilt
 
     r0, w0 = _laguerre_rule(alpha)
     slope0, root0 = _path_slope(1j * turn * r0 / w, slopes[0], g2)

@@ -78,9 +78,11 @@ _REF_S = 2
 # accepts a problem above 100 it is within 2e-15 relative, while the oracle
 # is off by up to 1.6e-13 at |w| g(a) = 70-150 and grows with w.  Accuracy
 # sets the value, not cost: at |w| g(a) = 70-150 a first oracle call costs
-# 0.25-0.30 ms and an algebraic-kind NSD call with a new alpha 0.14-0.23 ms
-# (best of 7 calls on a 2-core x86_64 machine).  At alpha = +-0.5, +-0.9
-# NSD refuses ex52 and ex53a below about 60, and ex53b below about 170.
+# 0.27-0.55 ms and an algebraic-kind NSD call with a new alpha 0.14-0.32 ms
+# (ex51 and ex53a, best of 7 calls, three runs on a shared 2-core x86_64
+# machine whose speed varied by up to 2 times between runs).  At alpha =
+# +-0.5, +-0.9 NSD refuses ex52 and ex53a below about 60, and ex53b below
+# about 170.
 NSD_CROSSOVER = 100.0
 
 

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 MAX_BASIS_SIZE = 40
+# The largest k whose k! is a finite float.
+_MAX_FACTORIAL = 170
 
 
 @dataclass(frozen=True)
@@ -252,13 +254,16 @@ def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # The layout of (npts, s), its nodes on [0, a], the Hermite matrix of
     # hermite_solve there for its interpolation conditions, column-scaled,
     # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s),
-    # a basis over the cap, or a g(a)^(M1 - 1) that overflows raises, in
-    # that order, so is never kept.  The last is about phi_M1 at x = a, the
-    # largest entry of the recurrence, refused with the AccuracyError of the
-    # moments g(a)^(j + alpha) of that basis before the recurrence runs.
+    # a basis over the cap, or a g(a)^(M1 - 1) or g(a)^(1 - M1) that
+    # overflows raises, in that order, so is never kept.  The first power is
+    # about phi_M1 at x = a, the largest entry of the recurrence, and the
+    # second the largest column scale (a tiny g(a)); both are refused with
+    # the AccuracyError of the moments g(a)^(j + alpha) of that basis before
+    # the recurrence runs.
     M1 = npts + 2 * s
     g_a, layout, nodes = _hermite_nodes(osc, a, npts, s, M1)
     _power(g_a, M1 - 1.0)
+    _power(g_a, 1.0 - M1)
     width = s + 1
     scale = g_a ** (1.0 - np.arange(1, M1 + 1))
     # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
@@ -373,14 +378,16 @@ class _Layout:
 
 def _check_basis(npts: int, s: int, size: int = 0) -> None:
     # Refuses a bad (npts, s), then a basis of ``size`` functions over the
-    # cap.  Each rule runs it before it reads the layout of (npts, s), whose
-    # factorials 0! .. s! overflow from s = 171 on.
+    # cap, then an s whose factorials 0! .. s! overflow (s >= 171).  Each
+    # rule runs it before it reads the layout of (npts, s).
     if npts < 3:
         raise ParameterError("need at least 3 collocation points")
     if s < 0:
         raise ParameterError("s must be nonnegative")
     if size > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {size} exceeds the supported cap {MAX_BASIS_SIZE}")
+    if s > _MAX_FACTORIAL:
+        raise CapabilityError(f"s = {s} exceeds {_MAX_FACTORIAL}, above which s! overflows")
 
 
 @kept

@@ -68,11 +68,13 @@ def _horner(coeffs: np.ndarray, x):
     # 0-d real x with real coeffs runs the same operations in Python floats,
     # which round as NumPy's float64 does, about 5 times faster.
     if x.ndim == 0 and x.dtype.kind == "f" and coeffs.dtype.kind == "f":
-        cs, x = coeffs.tolist(), float(x)
-        out = cs[-1] + x * 0
-        for c in cs[-2::-1]:
-            out = c + out * x
-        return np.float64(out)
+        return np.float64(_horner_py(coeffs.tolist(), float(x)))
+    return _horner_py(coeffs, x)
+
+
+def _horner_py(coeffs, x):
+    # _horner's operations on any coefficient sequence and point: on a list
+    # of Python floats and a Python float or complex x, the bits of NumPy's.
     out = coeffs[-1] + x * 0
     for c in coeffs[-2::-1]:
         out = c + out * x
@@ -255,9 +257,13 @@ class ProblemSpec:
         return float(self.oscillator.value(self.a))
 
 
-def _normalize_oscillator(osc: Oscillator, a: float, w: float):
-    """Shift g so g(0)=0 and flip decreasing oscillators; return the new
-    oscillator, the possibly negated frequency, and the phase factor."""
+@kept
+def _normalization(osc: Oscillator, a: float) -> tuple:
+    """The part of the normalization that depends on g and a alone: g(0),
+    the sign of g' on [0, a] and the shifted (and, for a decreasing g,
+    flipped) oscillator, None where g needs neither.  Kept per polynomial g
+    and a; a g whose g' changes sign on the samples, or whose normalized
+    g'(0) is not positive, raises, so is never kept."""
     g0 = float(osc.value(0.0))
     xs = np.linspace(0.0, a, _MONOTONICITY_SAMPLES + 2)
     gp = np.asarray(osc.deriv1(xs), dtype=float)
@@ -267,25 +273,38 @@ def _normalize_oscillator(osc: Oscillator, a: float, w: float):
         sign = -1.0
     else:
         raise InvalidOscillatorError("g' changes sign (or vanishes) on the sampled grid")
-    phase = cmath.exp(1j * w * g0)
     if sign == 1.0 and g0 == 0.0:
-        return osc, w, phase
-    if osc.poly is not None:
+        shifted = None
+    elif osc.poly is not None:
         coeffs = sign * osc.poly.copy()
         coeffs[0] = 0.0
-        return Oscillator.from_poly(coeffs), sign * w, phase
+        shifted = Oscillator.from_poly(coeffs)
+    else:
+        old = osc
 
-    old = osc
+        def value(x):
+            return sign * (np.asarray(old.value(x)) - g0)
 
-    def value(x):
-        return sign * (np.asarray(old.value(x)) - g0)
+        def series_fn(xs, m):
+            s = sign * old.series_at(xs, m)
+            s[:, 0] -= sign * g0
+            return s
 
-    def series_fn(xs, m):
-        s = sign * old.series_at(xs, m)
-        s[:, 0] -= sign * g0
-        return s
+        shifted = Oscillator(value, series_fn)
+    gp0 = (osc if shifted is None else shifted).deriv1(0.0)
+    if not gp0 > 0:
+        raise InvalidOscillatorError(f"g'(0) must be positive, got {gp0}")
+    return g0, sign, shifted
 
-    return Oscillator(value, series_fn), sign * w, phase
+
+def _normalize_oscillator(osc: Oscillator, a: float, w: float):
+    """Shift g so g(0)=0 and flip decreasing oscillators; return the new
+    oscillator, the possibly negated frequency, and the phase factor."""
+    g0, sign, shifted = _normalization(osc, a)
+    phase = cmath.exp(1j * w * g0)
+    if shifted is None:
+        return osc, w, phase
+    return shifted, sign * w, phase
 
 
 def build_problem(
@@ -327,9 +346,6 @@ def build_problem(
     if not isinstance(kind, SingKind):
         raise ParameterError(f"kind must be a SingKind, got {kind!r}")
     osc, w_used, phase = _normalize_oscillator(oscillator, a, w)
-    gp0 = osc.deriv1(0.0)
-    if not gp0 > 0:
-        raise InvalidOscillatorError(f"g'(0) must be positive, got {gp0}")
     if not np.isfinite(complex(amplitude.value(a / 2.0))):
         raise ParameterError("amplitude not finite on (0,a)")
     return ProblemSpec(

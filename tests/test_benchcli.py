@@ -491,11 +491,15 @@ class TestModuleEntry:
                      "capability error: basis size 6008 exceeds the supported cap 40", id="filon-s3000"),
         pytest.param(["--f-poly", "1", "--g-poly", "0,1", "--a", "1e33", "--method", "filon", "--w", "10", "--s", "1"],
                      4, "accuracy error: z**a overflows at |z| = 1e+33, a = 9.5", id="filon-a1e33"),
+        pytest.param(["--f-poly", "1", "--g-poly", "0,1", "--a", "1e-40", "--method", "filon", "--w", "10", "--s", "1"],
+                     4, "accuracy error: z**a overflows at |z| = 1e-40, a = -9", id="filon-a1e-40"),
     ])
     def test_refusal_writes_its_error_line_alone(self, argv, code, line):
         # The basis cap refuses before the layout's factorials overflow (s >=
-        # 171), and g(a)^(j + alpha) overflows in the moments before FILON's
-        # column recurrence would: no NumPy warning reaches stderr.
+        # 171), g(a)^(j + alpha) overflows in the moments before FILON's
+        # column recurrence would, and a tiny g(a)'s largest column scale
+        # g(a)^(1 - M1) is refused before it is formed: no NumPy warning
+        # reaches stderr.
         import subprocess
         import sys
 

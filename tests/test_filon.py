@@ -249,6 +249,10 @@ class TestHermiteSolve:
         data = build_hermite_data(spec, 45, 0)
         with pytest.raises(CapabilityError):
             hermite_solve(data, spec)
+        # From s = 171 on the layout's factorials would overflow; s = 170 builds.
+        build_hermite_data(spec, 3, 170)
+        with pytest.raises(CapabilityError, match="s = 200 exceeds 170"):
+            build_hermite_data(spec, 8, 200)
 
 
 class TestQuadFilon:

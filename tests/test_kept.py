@@ -35,6 +35,7 @@ KEPT_TABLES = {
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
     "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, 1.0)),
     "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
+    "normalization": (oscquad.problem._normalization, lambda i: (Oscillator.from_poly([1.0, 1.0, 0.01 * i]), 1.0)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
     "laguerre_rule": (oscquad.baselines._laguerre_rule, lambda i: (-0.9 + 0.02 * i,)),
     "laguerre_log_weights": (oscquad.baselines._laguerre_log_weights, lambda i: (-0.9 + 0.02 * i,)),
@@ -54,6 +55,9 @@ def _arrays(value):
 
 
 def _bits(value):
+    # An oscillator is its coefficient bytes, the key the memos know it by.
+    if isinstance(value, Oscillator):
+        return value._key
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, tuple):

@@ -12,21 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, gamma, roots_genlaguerre
 
+import oscquad.baselines
 from oscquad import Method, compute
 from oscquad.baselines import (
+    _NSD_GAUSS_TOL,
     _NSD_ORDER,
+    _NSD_PRODUCT_TOL,
+    _NSD_TILT,
     _laguerre_log_weights,
     _laguerre_rule,
     reference_nsd,
     reference_oracle,
 )
 from oscquad.benchcli import NSD_CROSSOVER
-from oscquad.errors import CapabilityError
+from oscquad.errors import AccuracyError, CapabilityError
 from oscquad.problem import (
     BUILTIN_IDS,
     Amplitude,
     Oscillator,
     SingKind,
+    _horner,
     build_problem,
     builtin_problem,
 )
@@ -225,6 +230,124 @@ class TestRefusals:
         assert np.array_equal(np.array([padded]).view(np.uint64), np.array([trimmed]).view(np.uint64))
         with pytest.raises(CapabilityError, match="degree"):
             reference_nsd(spec([0.0, 1.0, 0.0, 1e-3]))
+
+
+def _array_path_slope(t, g1, g2):
+    root = np.sqrt(g1 * g1 + 4.0 * g2 * t)
+    return 2.0 / (g1 + root), root
+
+
+def _array_rule_error(t, w, turn, alpha, product=False):
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -1j * w * np.asarray(t, dtype=complex) / turn
+    z = z[np.isfinite(z)]
+    if z.size == 0:
+        return 0.0
+    nu = 4.0 * _NSD_ORDER + 2.0 * alpha + 2.0
+    exponent = -np.maximum(z.real, 0.0) - 2.0 * np.sqrt(nu) * np.sqrt(-z).real
+    return float(np.exp(exponent.max() / (2.0 if product else 1.0)))
+
+
+def _array_tilt(spec, coeffs, slopes, g_a):
+    # The scope gate of reference_nsd on NumPy arrays: the reference of
+    # baselines._nsd_tilt, with its signature.
+    log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
+    coeffs = np.asarray(coeffs, dtype=float)
+    g2 = float(coeffs[2]) if coeffs.size >= 3 else 0.0
+    w, alpha = spec.w, spec.alpha
+    sign = 1.0 if w > 0 else -1.0
+    sing = np.asarray(spec.amplitude.singular_points, dtype=complex)
+    u = _horner(coeffs, sing)
+    branch = []
+    for g1 in slopes:
+        t_branch = -g1 * g1 / (4.0 * g2) if g2 else np.inf
+        branch.append([t_branch] if np.isfinite(t_branch) else [])
+    t_end = np.concatenate([u - g_a, branch[1], [-g_a]])
+    if _array_rule_error(t_end, w, 1.0, 0.0) > _NSD_GAUSS_TOL:
+        raise CapabilityError("a singularity lies too close to the nodes of the path from a")
+    t_zero = np.concatenate([u, branch[0]])
+    tol_zero = _NSD_PRODUCT_TOL if log_kind else _NSD_GAUSS_TOL
+    on_branch = np.abs(u * _array_path_slope(u, slopes[0], g2)[0] - sing) <= 1e-9 * (1.0 + np.abs(sing))
+    height = sign * u.imag
+    for tilt in (0.0, _NSD_TILT):
+        left = tilt * height
+        inside = (height >= 0) & (np.minimum(left, g_a) <= u.real) & (u.real <= np.maximum(left, g_a))
+        turn = 1.0 - 1j * sign * tilt
+        if not np.any(inside & on_branch) and _array_rule_error(t_zero, w, turn, alpha, log_kind) <= tol_zero:
+            return tilt
+    raise CapabilityError(
+        "a singularity of the amplitude or of the path from 0 lies in the swept "
+        "region or too close to the rule's nodes"
+    )
+
+
+def _nsd_outcome(spec):
+    # The value's bits, or the class and message of the refusal.
+    try:
+        return np.array([reference_nsd(spec)]).view(np.uint64).tolist()
+    except (CapabilityError, AccuracyError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_gate_problems(count, seed=35):
+    # A pole 1/(x - p), p in [-1, 3] x [-2, 2]i, under a linear or quadratic
+    # increasing g on [0, a], a in [0.3, 3], with |w| g(a) from 1 to 1e7.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        a = rng.uniform(0.3, 3.0)
+        g1 = rng.uniform(0.5, 2.0)
+        g2 = rng.uniform(-0.45 * g1 / a, 1.0) if rng.random() < 0.5 else 0.0
+        g = [rng.uniform(-1.0, 1.0), g1, g2]
+        pole = complex(rng.uniform(-1.0, 3.0), rng.uniform(-2.0, 2.0))
+        alpha = float(rng.choice([-0.999, -0.9, -0.5, -0.05, 0.05, 0.37, 0.5, 0.9, 0.999]))
+        kind = list(SingKind)[rng.integers(2)]
+        w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 7.0) / (g1 * a + g2 * a * a)
+        yield build_problem(_pole_amplitude(pole), Oscillator.from_poly(g), a, alpha, kind, w)
+
+
+class TestScalarGate:
+    """reference_nsd's scope gate in Python scalars against the array gate
+    it replaced: the same value bits, or the same refusal class and message,
+    on every case."""
+
+    def _compare(self, monkeypatch, specs):
+        outcomes = []
+        for spec in specs:
+            scalar = _nsd_outcome(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(oscquad.baselines, "_nsd_tilt", _array_tilt)
+                array = _nsd_outcome(spec)
+            assert scalar == array, (spec.alpha, spec.w, spec.a, spec.oscillator.poly)
+            outcomes.append(scalar)
+        return outcomes
+
+    def test_builtins(self, monkeypatch):
+        ws = np.logspace(-1.0, 9.0, 41)
+        alphas = [-0.999, 0.999, -0.9, 0.9, -0.5, 0.5, -0.05, 0.05, 0.37]
+        specs = [builtin_problem(pid, alpha, w) for pid in BUILTIN_IDS for alpha in alphas for w in ws]
+        outcomes = self._compare(monkeypatch, specs)
+        refusals = {out for out in outcomes if isinstance(out, tuple)}
+        # Both gate refusals occur, and most cases are accepted.
+        assert {message for _, message in refusals} >= {
+            "a singularity lies too close to the nodes of the path from a",
+            "a singularity of the amplitude or of the path from 0 lies in the swept "
+            "region or too close to the rule's nodes",
+        }
+        assert sum(isinstance(out, list) for out in outcomes) > len(outcomes) / 2
+
+    def test_random_pole_problems(self, monkeypatch):
+        tilts = []
+        real_tilt = oscquad.baselines._nsd_tilt
+
+        def recording(*args):
+            tilts.append(real_tilt(*args))
+            return tilts[-1]
+
+        monkeypatch.setattr(oscquad.baselines, "_nsd_tilt", recording)
+        outcomes = self._compare(monkeypatch, list(_random_gate_problems(600)))
+        # Both rays from 0, and refusals, occur among the cases.
+        assert set(tilts) == {0.0, _NSD_TILT}
+        assert any(isinstance(out, tuple) for out in outcomes)
 
 
 class TestLaguerreRules:

@@ -123,6 +123,42 @@ class TestNormalization:
         assert spec.w == -30.0
         assert spec.oscillator.deriv1(0.5) > 0
 
+    def test_bad_oscillator_raises_on_every_build(self):
+        # A g whose g' changes sign raises on a second build too: the
+        # normalization keeps only a g that passed its checks.
+        osc = Oscillator.from_poly([0.0, 1.0, -1.0])
+        for _ in range(2):
+            with pytest.raises(InvalidOscillatorError, match="changes sign"):
+                build_problem(Amplitude.from_poly([1.0]), osc, 1.0, 0.5, SingKind.ALGEBRAIC, 10.0)
+        assert all(key[0] != osc._key for key in oscquad.problem._normalization.cache)
+
+    @pytest.mark.parametrize("g", [[1.0, 1.0, 1.0], [0.5, -1.0], [0.0, 2.0]])
+    def test_kept_normalization_gives_per_call_phase_and_w(self, g):
+        # The shifted g is kept per (g, a); the phase e^{iwg(0)} and the
+        # signed w are formed per call.
+        def build(w):
+            return build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly(g), 1.0, 0.5,
+                                 SingKind.ALGEBRAIC, w)
+
+        first, second = build(25.0), build(-7.0)
+        sign = 1.0 if g[1] > 0 else -1.0
+        assert (first.w, second.w) == (sign * 25.0, sign * -7.0)
+        assert (first.phase_shift, second.phase_shift) == (cmath.exp(25.0j * g[0]), cmath.exp(-7.0j * g[0]))
+        assert second.oscillator.value(0.0) == 0.0 and second.oscillator.deriv1(0.5) > 0
+        assert second.oscillator._key == first.oscillator._key
+
+    def test_nonpolynomial_oscillator_is_checked_on_every_build(self):
+        calls = []
+
+        def series(xs, m):
+            calls.append(xs.size)
+            return oscquad.problem.poly_taylor(np.array([0.0, 1.0]), xs, m)
+
+        osc = Oscillator(lambda x: np.asarray(x, dtype=float), series)
+        for _ in range(2):
+            build_problem(Amplitude.from_poly([1.0]), osc, 1.0, 0.5, SingKind.ALGEBRAIC, 10.0)
+        assert calls.count(oscquad.problem._MONOTONICITY_SAMPLES + 2) == 2
+
     def test_builtin_ids(self):
         assert set(BUILTIN_IDS) == {"ex51", "ex52", "ex53a", "ex53b", "ex54"}
         for pid in BUILTIN_IDS:
