@@ -330,20 +330,37 @@ _SUBCOMMANDS = (
 
 
 @kept
-def _make_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing does not change the parser, and
-    # building it costs more than parsing an invocation.
+def _make_parser() -> tuple:
+    # The parser and its subparsers by command name, built once per process:
+    # parsing does not change them, and building them costs more than
+    # parsing an invocation.
     parser = argparse.ArgumentParser(
         prog="oscquad-bench",
         description="Benchmark CLI for singular oscillatory quadrature.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text, handler, options in _SUBCOMMANDS:
-        sub = subs.add_parser(name, help=help_text)
+        sub = commands[name] = subs.add_parser(name, help=help_text)
         for flag, kwargs in _COMMON_OPTIONS + options:
             sub.add_argument(flag, **kwargs)
         sub.set_defaults(func=handler)
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    # parser.parse_args(argv) in one pass: the subparser that argv[0] names
+    # parses the rest, as the parser would hand it on, and arguments it does
+    # not know are refused by the parser, in its words.  Anything else (no
+    # argv, -h, an unknown command) goes to the parser itself.
+    parser, commands = _make_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _inject_config(argv: list) -> list:
@@ -376,10 +393,8 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     if argv is None:
         argv = sys.argv[1:]
-    parser = _make_parser()
     try:
-        argv = _inject_config(list(argv))
-        args = parser.parse_args(argv)
+        args = _parse(_inject_config(list(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except OSError as exc:

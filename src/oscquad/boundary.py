@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import kernel_k_alg, kernel_k_log
+from .numkernel import _end_k_alg, _end_k_log
 from .problem import ProblemSpec
 
 __all__ = ["EndData", "upper_end_value", "levin_value"]
@@ -77,8 +77,9 @@ def levin_value(spec: ProblemSpec, g_a: float, first: EndData, second: EndData |
     of the second solve alone, so its O(1/w) parts cancel before rounding.
 
     q(a) comes from :func:`upper_end_value`, which avoids the cancellation
-    between c0 and g(a) q1(a) at large w.  The value is returned times the
-    phase shift.
+    between c0 and g(a) q1(a) at large w.  K and K_log are kept per
+    (alpha, w, g(a)), so a second rule or node count on the same problem
+    reads them.  The value is returned times the phase shift.
     """
     alpha, w = spec.alpha, spec.w
     end = first if second is None else second
@@ -86,7 +87,7 @@ def levin_value(spec: ProblemSpec, g_a: float, first: EndData, second: EndData |
     gp_a = np.float64(spec.oscillator.deriv1(spec.a))
     value = upper_end_value(spec, end, g_a, gp_a) * g_a**alpha * np.exp(1j * w * g_a)
     if end.c0 != 0:
-        value += end.c0 * kernel_k_alg(alpha, w, g_a)
+        value += end.c0 * _end_k_alg(alpha, w, g_a)
     if second is not None and first.c0 != 0:
-        value += first.c0 * (1j * w) * kernel_k_log(alpha, w, g_a)
+        value += first.c0 * (1j * w) * _end_k_log(alpha, w, g_a)
     return complex(value * spec.phase_shift)

@@ -22,7 +22,10 @@ leave alone is kept (:func:`oscquad._kept.kept`): the collocation layout of
 (npts, s) that both share, and, per polynomial g and (npts, s), the layout
 beside the Levin operator's Chebyshev Taylor table, g' and image terms, or
 beside FILON's Hermite matrix on [0, a].  A call reads
-one kept table and only combines it with alpha, w and f.
+one kept table and only combines it with alpha, w and f, whose series at
+the nodes is kept per keyed amplitude (``problem._amplitude_series``).  The
+closed forms that start the moment recurrences, mu_1 and K_log, are kept
+per (alpha, w, g(a)), as the Levin rules' end kernels are.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from ._series import ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _Operator, _quad_levin, factor
-from .numkernel import _power, gamma_real, kernel_k_log, neg_iw_pow, upper_gamma_complex
+from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
@@ -131,6 +134,14 @@ def _moment_series(alpha: float, w: float, g_a: float, count: int, log: bool) ->
     return out
 
 
+@kept
+def _mu_1(alpha: float, w: float, g_a: float) -> complex:
+    # mu_1's closed form, kept per (alpha, w, g_a) as the end kernels are;
+    # an underflowing (-iw)^(1+alpha) raises on every call.
+    upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
+    return (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
+
+
 def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     """Moments mu_1..mu_count by closed form plus forward recurrence.
 
@@ -138,7 +149,8 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     and ``mu_{j+1} = -((j+alpha)/(iw)) mu_j + g_a^{j+alpha} e^{iw g_a}/(iw)``.
     Where the recurrence would amplify errors (the product of
     (j+alpha)/(|w| g_a) over the table exceeds 1, as at small |w| g_a),
-    every moment comes from the power series of e^{iwu} instead.
+    every moment comes from the power series of e^{iwu} instead.  mu_1 is
+    kept per (alpha, w, g_a).
     """
     if w == 0:
         raise ParameterError("w must be nonzero")
@@ -149,8 +161,7 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, False)
     mu = np.zeros(count, dtype=complex)
-    upper, _ = upper_gamma_complex(1.0 + alpha, -1j * w * g_a)
-    mu[0] = (gamma_real(1.0 + alpha) - upper) / _moment_scale(alpha, w)
+    mu[0] = _mu_1(alpha, w, g_a)
     phase_end = np.exp(1j * w * g_a)
     for j in range(1, count):
         mu[j] = -((j + alpha) / (1j * w)) * mu[j - 1] + _power(g_a, j + alpha) * phase_end / (1j * w)
@@ -166,7 +177,8 @@ def moments_nu(
     """Logarithmic moments nu_1..nu_count, one for each entry of ``mu``.
 
     ``nu_1 = log(g_a) mu_1 + int_0^{g_a} u^alpha log(u/g_a) e^{iwu} du``, the
-    last term by :func:`oscquad.numkernel.kernel_k_log`; the recurrence adds
+    last term by :func:`oscquad.numkernel.kernel_k_log`, kept per (alpha, w,
+    g_a) and shared with the Levin rules' end values; the recurrence adds
     a ``-mu_j/(iw)`` coupling.  Where it would amplify errors, the power
     series replaces both, as in :func:`moments_mu`.
     """
@@ -175,7 +187,7 @@ def moments_nu(
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, True)
     nu = np.zeros(count, dtype=complex)
-    nu[0] = np.log(g_a) * mu[0] + kernel_k_log(alpha, w, g_a)
+    nu[0] = np.log(g_a) * mu[0] + _end_k_log(alpha, w, g_a)
     log_end = np.log(g_a) * np.exp(1j * w * g_a)
     for j in range(1, count):
         nu[j] = (

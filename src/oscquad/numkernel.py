@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import gamma as _gamma, psi as _psi, roots_laguerre
 
-from ._kept import freeze
+from ._kept import freeze, kept
 from .errors import AccuracyError, CapabilityError, ParameterError
 
 __all__ = [
@@ -375,6 +375,15 @@ def kernel_k_log(alpha: float, w: float, gx: float) -> complex:
     Raises AccuracyError where gx^(1+alpha) overflows."""
     f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * gx)
     return -(_power(gx, 1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
+
+
+# K and K_log as the quadratures read them (boundary.levin_value and
+# filon.moments_nu), kept per (alpha, w, gx): every rule and node count at
+# one (alpha, w, g(a)) evaluates each once.  A call that raises, such as
+# kernel_k_log's AccuracyError where gx^(1+alpha) overflows, raises on every
+# call and is never kept.
+_end_k_alg = kept(kernel_k_alg)
+_end_k_log = kept(kernel_k_log)
 
 
 def kernel_h_log(c0: complex, c1: complex, alpha: float, w: float, gx: float) -> complex:

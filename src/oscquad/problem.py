@@ -16,7 +16,8 @@ accuracy caveat is documented on :meth:`Amplitude.with_fd`.
 
 Tables that depend on a polynomial g alone, such as the series of x/g at a
 set of nodes, are kept per g by :func:`oscquad._kept.kept` and reused for
-every w and alpha.
+every w and alpha; f's series at a set of nodes is kept in the same way per
+amplitude that has a key (:class:`Amplitude`).
 """
 
 from __future__ import annotations
@@ -126,17 +127,36 @@ class Amplitude:
         Where the continuation is not analytic (poles and branch points,
         with principal-branch cuts running away from [0, a]); empty for an
         entire f.  Read only together with ``complex_value``.
+
+    Notes
+    -----
+    f's Taylor rows at a route's nodes are kept per amplitude, nodes and
+    length (:func:`oscquad._kept.kept`) where the amplitude has a key: the
+    bytes of its coefficients for :meth:`from_poly` (which keeps its own
+    copy of them), so two amplitudes one ulp apart in one coefficient have
+    separate entries, and a fixed key or the (alpha, w) of the built-in
+    amplitudes of :func:`builtin_problem`.  Any other amplitude, a plain
+    one, one of :meth:`with_fd`, or one derived from another, has no key,
+    and its series are formed on every call.
     """
 
     value: Callable
     series_fn: Optional[Callable] = None
     complex_value: Optional[Callable] = None
     singular_points: tuple = ()
+    # What identifies f to the memo of kept tables, as Oscillator._key does
+    # g: None, so nothing of f is kept, unless set by _keyed.
+    _key = None
+
+    def _keyed(self, key) -> "Amplitude":
+        # This amplitude, with ``key``: for a constructor whose data fix f.
+        object.__setattr__(self, "_key", key)
+        return self
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[complex]) -> "Amplitude":
         """Amplitude from polynomial coefficients in ascending order."""
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        coeffs = np.array(coeffs, dtype=complex, ndmin=1)
         if coeffs.size == 0:
             raise ParameterError("empty coefficient list")
 
@@ -149,7 +169,7 @@ class Amplitude:
         def complex_value(z):
             return _horner(coeffs, np.asarray(z, dtype=complex))
 
-        return cls(value=value, series_fn=series, complex_value=complex_value)
+        return cls(value=value, series_fn=series, complex_value=complex_value)._keyed(coeffs.tobytes())
 
     @classmethod
     def with_fd(cls, value: Callable) -> "Amplitude":
@@ -210,7 +230,9 @@ class Oscillator:
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        # Its own copy, which the key is taken from: a caller's array may
+        # change after the call.
+        coeffs = np.array(coeffs, dtype=float, ndmin=1)
         if coeffs.size == 0:
             raise ParameterError("empty coefficient list")
 
@@ -360,6 +382,13 @@ def build_problem(
 
 
 @kept
+def _amplitude_series(f: Amplitude, xs: np.ndarray, m: int) -> np.ndarray:
+    """f's Taylor rows of length m at the points xs, kept per amplitude
+    key (:class:`Amplitude`), points and m."""
+    return f.series_at(xs, m)
+
+
+@kept
 def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
     """Taylor coefficients of x/g(x), and for c > 0 also of log(c x/g(x))
     (the log of the quotient (c x)/g(x)), one row per point of xs; the row
@@ -408,7 +437,8 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
     Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
     ``at`` call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points
     (the series of x/g and of log(c x/g) kept per polynomial g, nodes,
-    length and c by _ratio_series) and both amplitudes from them; the value
+    length and c by _ratio_series, and f's per keyed amplitude, nodes and
+    length by _amplitude_series) and both amplitudes from them; the value
     and series of each amplitude alone are its entry of an ``at`` call.  For
     the identity oscillator the factors are 1 and log c exactly: f1 is f
     itself and the second amplitude is f log c.
@@ -419,7 +449,7 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
         log_c = math.log(c)
 
         def exact(x, m, second=log_kind, g=None):
-            out = f.series_at(x, m) if m else f.value(x)
+            out = _amplitude_series(f, x, m) if m else f.value(x)
             return [out, log_c * np.asarray(out, dtype=complex)] if second else [out]
 
         return _Separated(exact, log_kind, f)
@@ -438,7 +468,7 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
         # is g at the points x > 0 where the caller holds it.
         if m:
             mul = ps_mul
-            out = f.series_at(x, m)
+            out = _amplitude_series(f, x, m)
             ratio = _ratio_series(osc, x, m, c if second else 0.0)
             log = ratio[1] if second else None
             power = ps_pow(ratio[0], alpha)
@@ -553,10 +583,12 @@ def _rational_inv_one_plus_x2() -> Amplitude:
         return 1.0 / (1.0 + z * z)
 
     return Amplitude(value=value, series_fn=series, complex_value=complex_value,
-                     singular_points=(1j, -1j))
+                     singular_points=(1j, -1j))._keyed("1/(1+x^2)")
 
 
 def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
+    # In floats, so that equal keys give equal bits.
+    alpha, w_user = float(alpha), float(w_user)
     const = cmath.exp(1j * w_user)
 
     def value(x):
@@ -574,7 +606,7 @@ def _ex51_amplitude(alpha: float, w_user: float) -> Amplitude:
         return const * (1.0 - z) * (2.0 - z) ** alpha
 
     return Amplitude(value=value, series_fn=series, complex_value=complex_value,
-                     singular_points=(2.0 + 0j,))
+                     singular_points=(2.0 + 0j,))._keyed(("ex51", alpha, w_user))
 
 
 BUILTIN_IDS = ("ex51", "ex52", "ex53a", "ex53b", "ex54")

@@ -304,7 +304,7 @@ class TestCompare:
         argv = ["compare", "--alpha", "0.5", "--w", "50", "--n", "4", *problem]
         code, out, _ = run(argv)
         assert code == 0
-        args = oscquad.benchcli._make_parser().parse_args(argv)
+        args = oscquad.benchcli._parse(argv)
         spec = oscquad.benchcli._build_spec(args, args.w)
         poly = spec.oscillator.poly
         linear = poly is not None and np.trim_zeros(poly, "b").size <= 2
@@ -425,6 +425,44 @@ class TestParserOncePerProcess:
         )
         assert run_all() == reused
         assert [code for code, _ in reused] == [0, 2, 0, 0]
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-w", "--problem", "ex51", "--alpha", "0.5", "--w", "10,100", "--n", "8"],
+        ["sweep-n", "--problem", "ex53a", "--alpha", "-0.5", "--w", "50", "--n", "8,10", "--method", "filon"],
+        ["eval", "--f-poly", "1,2", "--g-poly", "0,1", "--alpha", "0.5", "--w", "3", "--n", "6", "--s", "1"],
+    ])
+    def test_one_pass_namespace_is_the_parsers(self, argv):
+        parser, _ = oscquad.benchcli._make_parser()
+        assert vars(oscquad.benchcli._parse(argv)) == vars(parser.parse_known_args(argv)[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-w", "--problem", "ex51", "--alpha", "0.5", "--w", "10", "--n", "8", "--bogus", "1"],
+        ["sweep-n", "--problem", "ex51", "--alpha", "0.5"],
+        ["compare", "--problem", "ex53a", "--alpha", "-0.5", "--w", "50", "--n", "8", "--", "x"],
+        ["sweep-w", "--help"],
+        ["bogus"],
+        ["-h"],
+        [],
+    ])
+    def test_refusals_are_the_parsers(self, capsys, argv):
+        # Exit code, stdout and stderr of a refused or help invocation are
+        # those of the parser's own parse_args.
+        parser, _ = oscquad.benchcli._make_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        want = (exc.value.code, *capsys.readouterr())
+        out = io.StringIO()
+        code = run_command(argv, stdout=out, stderr=io.StringIO())
+        assert (code, *capsys.readouterr()) == want
+        assert out.getvalue() == ""
+
+    def test_unknown_flag_after_command_exit_2(self, capsys):
+        code, _, _ = run(["sweep-w", "--problem", "ex51", "--alpha", "0.5", "--w", "10", "--n", "8", "--bogus"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err[0].startswith("usage: oscquad-bench [-h] {eval,sweep-w,sweep-n,compare} ...")
+        assert err[-1] == "oscquad-bench: error: unrecognized arguments: --bogus"
 
 
 class TestConfigAndOutput:

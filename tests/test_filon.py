@@ -550,8 +550,8 @@ class TestKeptLayout:
     )
     def test_warm_call_builds_no_layout(self, monkeypatch, method, pid, npts, s):
         # No collocation nodes, Chebyshev table or factorials, and no memo
-        # lookup keyed by a node array but that of the x/g series; the warm
-        # value is the cold one, bit for bit.
+        # lookup keyed by a node array but those of the x/g series and of
+        # f's series; the warm value is the cold one, bit for bit.
         filon = oscquad.filon
         for table in (filon._layout, filon._freq_table, filon._hermite_matrix):
             table.cache.clear()
@@ -576,12 +576,14 @@ class TestKeptLayout:
             return real_key(arg)
 
         monkeypatch.setattr(oscquad._kept, "_arg_key", key)
-        ratio = oscquad.problem._ratio_series
-        monkeypatch.setattr(oscquad.problem, "_ratio_series", counting("ratio", ratio, ratio_calls))
+        for name in ("_ratio_series", "_amplitude_series"):
+            table = getattr(oscquad.problem, name)
+            monkeypatch.setattr(oscquad.problem, name, counting(name, table, ratio_calls))
         compute(builtin_problem(pid, -0.3, 4.0e5), method, npts, s)
         warm = compute(spec, method, npts, s)
         assert calls == []
         assert len(array_keys) == len(ratio_calls) > 0
+        assert sorted(set(ratio_calls)) == ["_amplitude_series", "_ratio_series"]
         assert (repr(warm.value), repr(warm.diagnostics)) == (repr(cold.value), repr(cold.diagnostics))
 
     def test_bad_counts_raise_on_every_call_and_are_never_kept(self):

@@ -16,10 +16,11 @@ import oscquad.benchcli
 import oscquad.cheb
 import oscquad.filon
 import oscquad.levin
+import oscquad.numkernel
 import oscquad.problem
 from oscquad import Method, builtin_problem, compute
 from oscquad._kept import KEPT_SIZE
-from oscquad.problem import Oscillator
+from oscquad.problem import Amplitude, Oscillator
 
 def _osc(i):
     # A new object each call; equal i give equal coefficients, so one key.
@@ -34,6 +35,11 @@ KEPT_TABLES = {
     "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
     "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, 1.0)),
+    "amplitude_series": (oscquad.problem._amplitude_series,
+                         lambda i: (Amplitude.from_poly([1.0, 0.01 * i]), np.array([0.0, 0.5]), 2)),
+    "end_k_alg": (oscquad.numkernel._end_k_alg, lambda i: (0.5, 10.0 + i, 1.0)),
+    "end_k_log": (oscquad.numkernel._end_k_log, lambda i: (0.5, 10.0 + i, 1.0)),
+    "mu_1": (oscquad.filon._mu_1, lambda i: (0.5, 10.0 + i, 1.0)),
     "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
     "normalization": (oscquad.problem._normalization, lambda i: (Oscillator.from_poly([1.0, 1.0, 0.01 * i]), 1.0)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
@@ -55,9 +61,12 @@ def _arrays(value):
 
 
 def _bits(value):
-    # An oscillator is its coefficient bytes, the key the memos know it by.
+    # An oscillator is its coefficient bytes, the key the memos know it by;
+    # a complex number is its repr, so a zero's sign shows.
     if isinstance(value, Oscillator):
         return value._key
+    if isinstance(value, complex):
+        return repr(value)
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, tuple):
@@ -83,9 +92,11 @@ class TestKeptContract:
         assert memo(*args(0)) is not outs[0]
 
     def test_arrays_refuse_writes(self, name):
+        # A kernel's value is one complex number, which no caller can alter.
         memo, args = KEPT_TABLES[name]
-        arrays = list(_arrays(memo(*args(1))))
-        assert arrays
+        value = memo(*args(1))
+        arrays = list(_arrays(value))
+        assert arrays or isinstance(value, complex)
         for x in arrays:
             with pytest.raises(ValueError):
                 x.flat[0] = 1.0
@@ -216,11 +227,108 @@ def _memo_reads(monkeypatch) -> list:
 ])
 def test_warm_call_reads_one_table_per_route(monkeypatch, pid, method, n, s, tables):
     # A call after one at the same (g, n, s) reads its route's kept tables
-    # once each, and the frequency-space routes the x/g series where g is
-    # not the identity (ex53a and ex53b).
+    # once each, and besides them: the frequency-space routes f's series
+    # (s > 0) and the x/g series where g is not the identity (ex53a and
+    # ex53b); the Levin rules K, and FILON mu_1; and for the log kind (ex52
+    # and ex53b) K_log.
     spec = builtin_problem(pid, 0.5, 200.0)
     compute(spec, method, n, s)
     reads = _memo_reads(monkeypatch)
     compute(spec, method, n, s)
-    ratio = ["oscquad.problem._ratio_series"] if pid in ("ex53a", "ex53b") and s else []
-    assert sorted(reads) == sorted(tables + ratio)
+    if s:
+        tables = tables + ["oscquad.problem._amplitude_series"]
+        if pid in ("ex53a", "ex53b"):
+            tables = tables + ["oscquad.problem._ratio_series"]
+    tables = tables + ["oscquad.filon._mu_1" if method is Method.FILON else "oscquad.numkernel.kernel_k_alg"]
+    if pid in ("ex52", "ex53b"):
+        tables = tables + ["oscquad.numkernel.kernel_k_log"]
+    assert sorted(reads) == sorted(tables)
+
+
+def _series_counted(amplitude: Amplitude) -> list:
+    # The calls of ``amplitude``'s series_fn, recorded from now on; its key
+    # stays, which a dataclasses.replace would drop.
+    calls = []
+    series_fn = amplitude.series_fn
+
+    def counting(xs, m):
+        calls.append(m)
+        return series_fn(xs, m)
+
+    object.__setattr__(amplitude, "series_fn", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pid", ["ex52", "ex53a", "ex53b"])
+@pytest.mark.parametrize("method, n, s", [(Method.LEVIN_FREQ, 10, 2), (Method.FILON, 6, 1)])
+def test_warm_call_forms_no_amplitude_series(pid, method, n, s):
+    # The built-in 1/(1 + x^2) has one key, so a warm call on a new
+    # instance of it at the same nodes forms no series of f; the value is
+    # the cold one, bit for bit.
+    oscquad.problem._amplitude_series.cache.clear()
+    cold = compute(builtin_problem(pid, 0.5, 200.0), method, n, s)
+    spec = builtin_problem(pid, 0.5, 200.0)
+    calls = _series_counted(spec.amplitude)
+    warm = compute(spec, method, n, s)
+    assert calls == []
+    assert (repr(warm.value), repr(warm.diagnostics)) == (repr(cold.value), repr(cold.diagnostics))
+
+
+class TestAmplitudeKeys:
+    XS = np.array([0.0, 0.25, 1.0])
+
+    def test_equal_coefficients_share_an_entry(self):
+        table = oscquad.problem._amplitude_series
+        first = table(Amplitude.from_poly([1.0, 0.5j, 2.0]), self.XS, 3)
+        assert table(Amplitude.from_poly(np.array([1.0, 0.5j, 2.0])), self.XS, 3) is first
+
+    def test_one_ulp_apart_have_separate_entries(self):
+        table = oscquad.problem._amplitude_series
+        table.cache.clear()
+        near = Amplitude.from_poly([1.0, np.nextafter(0.5, 1.0)])
+        outs = [table(f, self.XS, 2) for f in (Amplitude.from_poly([1.0, 0.5]), near)]
+        assert outs[0] is not outs[1] and len(table.cache) == 2
+        assert outs[1][0, 1] == np.nextafter(0.5, 1.0)
+
+    def test_from_poly_keeps_its_own_coefficients(self):
+        coeffs = np.array([1.0, 2.0], dtype=complex)
+        f = Amplitude.from_poly(coeffs)
+        coeffs[1] = 3.0
+        assert f._key == np.array([1.0, 2.0], dtype=complex).tobytes()
+        assert f.value(1.0) == 3.0
+
+    def test_oscillator_from_poly_keeps_its_own_coefficients(self):
+        # The caller's array changing after the call changes neither g nor
+        # its key, so a kept table of g stays that of g.
+        coeffs = np.array([0.0, 1.0, 0.5])
+        g = Oscillator.from_poly(coeffs)
+        spec = oscquad.build_problem(Amplitude.from_poly([1.0]), g, 1.0, 0.5, oscquad.SingKind.ALGEBRAIC, 100.0)
+        warm = compute(spec, Method.LEVIN_FREQ, 10, 1)
+        coeffs[2] = 0.25
+        assert g.value(1.0) == 1.5 and g._key == np.array([0.0, 1.0, 0.5]).tobytes()
+        oscquad.filon._freq_table.cache.clear()
+        assert repr(compute(spec, Method.LEVIN_FREQ, 10, 1).value) == repr(warm.value)
+
+    def test_builtin_keys(self):
+        assert builtin_problem("ex52", 0.5, 1.0).amplitude._key == builtin_problem("ex53a", -0.3, 9.0).amplitude._key
+        keys = {builtin_problem("ex51", alpha, w).amplitude._key for alpha, w in ((0.5, 1.0), (0.5, 2.0), (0.4, 1.0))}
+        assert len(keys) == 3 and None not in keys
+        assert builtin_problem("ex54", 0.5, 1.0).amplitude._key == builtin_problem("ex51", 0.5, 1.0).amplitude._key
+
+    @pytest.mark.parametrize("make", [
+        lambda: Amplitude(lambda x: np.ones_like(np.asarray(x, dtype=complex)),
+                          lambda xs, m: np.eye(1, m, dtype=complex).repeat(xs.size, axis=0)),
+        lambda: Amplitude.with_fd(lambda x: np.exp(np.asarray(x, dtype=float))),
+        lambda: oscquad.problem._unit_interval(oscquad.build_problem(
+            Amplitude.from_poly([1.0, 2.0]), Oscillator.from_poly([0.0, 1.0]), 2.0, 0.5,
+            oscquad.SingKind.ALGEBRAIC, 10.0)).amplitude,
+    ], ids=["callable", "with_fd", "unit_interval"])
+    def test_unkeyed_amplitudes_are_never_kept(self, make):
+        table = oscquad.problem._amplitude_series
+        f = make()
+        assert f._key is None
+        size = len(table.cache)
+        first = table(f, self.XS, 2)
+        assert table(f, self.XS, 2) is not first
+        assert len(table.cache) == size
+        assert np.array_equal(first, f.series_at(self.XS, 2))

@@ -328,7 +328,8 @@ def test_quadratures_pass_hyp2f2_a_positive_parameter(monkeypatch, alpha):
     # Every 2F2 of both Levin routes and FILON is taken at 1 + alpha, by
     # kernel_k_log, so hyp2f2_equal's reduction for a parameter below 0
     # serves its own callers only.  Every module of the package that holds
-    # the name is patched.
+    # the name is patched, and the kept K_log is cleared before each call,
+    # so that each log-kind call evaluates it.
     params = []
     real = hyp2f2_equal
 
@@ -343,5 +344,48 @@ def test_quadratures_pass_hyp2f2_a_positive_parameter(monkeypatch, alpha):
     for pid in ("ex51", "ex52", "ex53a", "ex53b"):
         spec = builtin_problem(pid, alpha, 200.0)
         for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2), (Method.FILON, 8, 1)):
+            oscquad.numkernel._end_k_log.cache.clear()
             compute(spec, method, n, s)
     assert len(params) == 6 and min(params) > 0
+
+
+@pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
+def test_second_rule_evaluates_no_kernel(monkeypatch, pid):
+    # The end kernels are kept per (alpha, w, g(a)): after each rule has run
+    # once on a problem, the rules at other node counts evaluate no
+    # incomplete gamma and no 2F2, and their values are those of a cold
+    # call; FILON after a Levin rule on the log kind takes K_log from it.
+    kernels = (oscquad.numkernel._end_k_alg, oscquad.numkernel._end_k_log, oscquad.filon._mu_1)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(oscquad.__path__):
+        module = importlib.import_module(f"oscquad.{info.name}")
+        for name in ("upper_gamma_complex", "hyp2f2_equal"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    spec = builtin_problem(pid, 0.37, 300.0)
+    log_kind = pid in ("ex52", "ex53b")
+    for kernel in kernels:
+        kernel.cache.clear()
+    compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
+    assert sorted(calls) == ["hyp2f2_equal", "upper_gamma_complex"][not log_kind:]
+    del calls[:]
+    compute(spec, Method.FILON, 8, 1)
+    assert calls == ["upper_gamma_complex"]
+    del calls[:]
+    compute(spec, Method.LEVIN_FREQ, 10, 2)
+    warm = [compute(spec, method, n, s) for method, n, s in
+            ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 2))]
+    assert calls == []
+    for kernel in kernels:
+        kernel.cache.clear()
+    cold = [compute(spec, method, n, s) for method, n, s in
+            ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 2))]
+    assert [repr(r.value) for r in warm] == [repr(r.value) for r in cold]

@@ -47,6 +47,21 @@ def test_first_operations_of_a_pass_are_reproducible(tool):
     assert len(tool.digest(first)) == 64
 
 
+def test_cold_lines_are_the_warm_ones(tool):
+    # --cold clears every kept memo before each operation, so after each
+    # cold line the memos hold only what that operation built; its lines
+    # are the warm ones.
+    memos = tool.kept_memos(oscquad)
+    names = {f"{memo.__module__}.{memo.__name__}" for memo in memos}
+    assert {"oscquad.problem._amplitude_series", "oscquad.filon._layout", "oscquad.benchcli._make_parser"} <= names
+    warm = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 12))
+    cold = []
+    for line in islice(tool.operation_lines(oscquad, "points-hermite", 1, 1, cold=True), 12):
+        cold.append(line)
+        assert len(oscquad.filon._layout.cache) == 1
+        assert len(oscquad.problem._amplitude_series.cache) <= 1
+    assert cold == warm
+
 
 def test_compare_counts_changed_values(tool):
     before = list(islice(tool.operation_lines(oscquad, "points-hermite", 1, 1), 6))

@@ -14,6 +14,13 @@ and, for point operations, the ``repr`` of the result's diagnostics.  The
 last line is the sha256 digest of the operation lines.  Two checkouts give
 bit-identical outputs when a ``diff`` of their printouts is empty.
 
+    python3 tools/outputs_digest.py --cold
+
+does the same with every kept table of the package (each memo of
+``oscquad._kept.kept``) cleared before each operation, so each operation
+builds every table it reads.  A kept table must never change an output, so
+the cold printout of a checkout must equal its warm one.
+
     python3 tools/outputs_digest.py --compare BEFORE.txt AFTER.txt
 
 reads two such printouts and reports, for each workload, method and column
@@ -41,6 +48,7 @@ import functools
 import hashlib
 import importlib
 import math
+import pkgutil
 import re
 import sys
 from collections import defaultdict
@@ -81,12 +89,28 @@ def _outcome(oq, specs, op):
     return f"{outcome} {results[-1].diagnostics!r}"
 
 
-def operation_lines(oq, workload: str, seed: int, pass_index: int):
+def kept_memos(oq) -> list:
+    """Every memo of ``oscquad._kept.kept`` in the modules of the package
+    ``oq``: the module-level objects with a ``cache`` and a ``__wrapped__``."""
+    memos = {}
+    for info in pkgutil.iter_modules(oq.__path__):
+        module = importlib.import_module(f"{oq.__name__}.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache") and hasattr(obj, "__wrapped__"):
+                memos[id(obj)] = obj
+    return list(memos.values())
+
+
+def operation_lines(oq, workload: str, seed: int, pass_index: int, cold: bool = False):
     """One line per operation of pass ``pass_index``, yielded in the order
-    the benchmark runs them."""
+    the benchmark runs them; with ``cold``, every kept memo of ``oq`` is
+    cleared before each operation."""
     desc = wl.describe(workload, seed, pass_index)
     specs = wl.materialize(oq, desc)
+    memos = kept_memos(oq) if cold else []
     for idx in desc.order:
+        for memo in memos:
+            memo.cache.clear()
         yield f"{workload} seed={seed} pass={pass_index} op={idx}: {_outcome(oq, specs, desc.ops[idx])}"
 
 
@@ -207,6 +231,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=HERE, help="checkout whose src/ is imported")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
                         help="report the changes between two printouts instead")
+    parser.add_argument("--cold", action="store_true",
+                        help="clear every kept table of the package before each operation")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (path.read_text().splitlines() for path in args.compare)
@@ -231,7 +257,7 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         for workload in wl.WORKLOADS:
             for pass_index in PASSES:
-                for line in operation_lines(oq, workload, seed, pass_index):
+                for line in operation_lines(oq, workload, seed, pass_index, args.cold):
                     print(line, flush=True)
                     lines.append(line)
     print(f"sha256 {digest(lines)} over {len(lines)} operations")
