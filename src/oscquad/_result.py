@@ -52,5 +52,7 @@ def check_counts(**counts) -> None:
     """Refuse a node count or order that is not an integer (bool included),
     naming the parameter and the value passed."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        # An exact int passes without the Integral ABC check, which costs
+        # about a microsecond per value.
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -1,7 +1,10 @@
 """The antiderivative bracket at x = a, which is the whole integral.
 
-Both Levin routes (:mod:`oscquad.levin`, :mod:`oscquad.filon`) turn their
-solves into :class:`EndData`; :func:`levin_value` assembles either kind.
+:func:`levin_value` assembles either kind from the :class:`EndData` of
+Levin solves.  A Levin call of either route (:func:`oscquad.levin._quad_levin`)
+hands :func:`_levin_value` the same data as plain values: the end data of
+the one solve whose q(a) is read, and for the logarithmic kind the first
+solve's c0.
 """
 
 from __future__ import annotations
@@ -49,11 +52,17 @@ def upper_end_value(spec: ProblemSpec, end: EndData, g_a: float, gp_a: float) ->
     q1'(a); it grows like n^2 |q1|, so at small w the sum is the better
     form.  The form with the smaller bound is returned.
     """
-    linear = (1.0 + spec.alpha) * gp_a * end.q1
-    phi_size = (abs(end.rhs) + g_a * end.dq1_size + abs(linear)) / (abs(spec.w) * gp_a)
-    if phi_size >= abs(end.c0) + g_a * abs(end.q1):
-        return end.c0 + g_a * end.q1
-    return (end.rhs - g_a * end.dq1 - linear) / (1j * spec.w * gp_a)
+    return _upper_end(spec, (end.c0, end.q1, end.dq1, end.dq1_size, end.rhs), g_a, gp_a)
+
+
+def _upper_end(spec: ProblemSpec, end: tuple, g_a: float, gp_a: float) -> complex:
+    # upper_end_value of the fields of an EndData, in their order.
+    c0, q1, dq1, dq1_size, rhs = end
+    linear = (1.0 + spec.alpha) * gp_a * q1
+    phi_size = (abs(rhs) + g_a * dq1_size + abs(linear)) / (abs(spec.w) * gp_a)
+    if phi_size >= abs(c0) + g_a * abs(q1):
+        return c0 + g_a * q1
+    return (rhs - g_a * dq1 - linear) / (1j * spec.w * gp_a)
 
 
 def levin_value(spec: ProblemSpec, g_a: float, first: EndData, second: EndData | None = None) -> complex:
@@ -81,13 +90,21 @@ def levin_value(spec: ProblemSpec, g_a: float, first: EndData, second: EndData |
     (alpha, w, g(a)), so a second rule or node count on the same problem
     reads them.  The value is returned times the phase shift.
     """
-    alpha, w = spec.alpha, spec.w
     end = first if second is None else second
-    # g'(a) a NumPy scalar: upper_end_value divides by iw g'(a) in NumPy.
+    return _levin_value(spec, g_a, (end.c0, end.q1, end.dq1, end.dq1_size, end.rhs),
+                        None if second is None else first.c0)
+
+
+def _levin_value(spec: ProblemSpec, g_a: float, end: tuple, first_c0: complex | None) -> complex:
+    # levin_value from the fields of the EndData whose q(a) is read, in their
+    # order, and the first solve's c0 (None for the algebraic kind).
+    alpha, w = spec.alpha, spec.w
+    # g'(a) a NumPy scalar: _upper_end divides by iw g'(a) in NumPy.
     gp_a = np.float64(spec.oscillator.deriv1(spec.a))
-    value = upper_end_value(spec, end, g_a, gp_a) * g_a**alpha * np.exp(1j * w * g_a)
-    if end.c0 != 0:
-        value += end.c0 * _end_k_alg(alpha, w, g_a)
-    if second is not None and first.c0 != 0:
-        value += first.c0 * (1j * w) * _end_k_log(alpha, w, g_a)
+    c0 = end[0]
+    value = _upper_end(spec, end, g_a, gp_a) * g_a**alpha * np.exp(1j * w * g_a)
+    if c0 != 0:
+        value += c0 * _end_k_alg(alpha, w, g_a)
+    if first_c0 is not None and first_c0 != 0:
+        value += first_c0 * (1j * w) * _end_k_log(alpha, w, g_a)
     return complex(value * spec.phase_shift)

@@ -14,12 +14,12 @@ polynomials T_k(2t - 1) on [0, 1] and collocates the model ODE; all
 derivative conditions are generated by truncated power series arithmetic,
 which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
-basis and all nodes.  The route is only how it builds that operator
-(:func:`_freq_operator`, an ``oscquad.levin._Operator``): :func:`quad_freq`
-runs it through the Levin pipeline of :mod:`oscquad.levin`, which the
-physical-space route shares.  Everything of both rules that alpha and w
-leave alone is kept (:func:`oscquad._kept.kept`): the collocation layout of
-(npts, s) that both share, and, per polynomial g and (npts, s), the layout
+basis and all nodes.  The route is only how it builds that operator and
+its maps (:func:`_freq_operator`): :func:`quad_freq` runs it through the
+Levin pipeline of :mod:`oscquad.levin`, which the physical-space route
+shares.  Everything of both rules that alpha and w leave alone is kept
+(:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
+both share, and, per polynomial g and (npts, s), the layout
 beside the Levin operator's Chebyshev Taylor table, g' and image terms, or
 beside FILON's Hermite matrix on [0, a].  A call reads
 one kept table and only combines it with alpha, w and f, whose series at
@@ -41,7 +41,7 @@ from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .levin import _Operator, _quad_levin, factor
+from .levin import _quad_levin, _solutions
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
@@ -452,16 +452,19 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     return layout, cheb, gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
 
 
-def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
-    # The route's operator (g, alpha, w, npts, s).  Rows: the model ODE and
-    # its first (mult - 1) derivatives at each node, applied to the
-    # unknowns (c0, q1 coefficients); column k + 1 holds the Levin image
-    # g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole basis: the
-    # terms of _freq_table, kept per g, combined with alpha and w.  Node
-    # data are Taylor series of length s+1 at the nodes; a right-hand side
-    # is their conditions times factorials.  Row j grows like k^{2j}: each
-    # row of the matrix, and of every right-hand side, is divided by the
-    # power of two just above its largest entry.
+def _freq_operator(spec: ProblemSpec, npts: int, s: int, amplitudes) -> tuple:
+    # The route's part of a Levin call (see levin._quad_levin) at (g, alpha,
+    # w, npts, s).  Rows: the model ODE and its first (mult - 1) derivatives
+    # at each node, applied to the unknowns (c0, q1 coefficients); column
+    # k + 1 holds the Levin image g q' + (1+alpha) g' q + iw g g' q of
+    # q = T_k, for the whole basis: the terms of _freq_table, kept per g,
+    # combined with alpha and w.  Node data of ``amplitudes`` (a
+    # problem._Separated) are Taylor series of length s+1 at the nodes; a
+    # right-hand side is their conditions times factorials.  Row j grows
+    # like k^{2j}: each row of the matrix, and of every right-hand side, is
+    # divided by the power of two just above its largest entry.  The end
+    # rows are the layout's, and the value at t = 1 is the first
+    # coefficient at the last node.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
     layout, cheb, gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
@@ -471,8 +474,11 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
     A[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     L = A / row_scale[:, None]
-    nodes, node, order, m = layout.nodes, layout.node, layout.order, s + 1
+    node, order, m = layout.node, layout.order, s + 1
     P = cheb[:, :, :m]
+
+    def rhs(data):
+        return (layout.fact * np.asarray(data, dtype=complex))[node, order] / row_scale
 
     def q1_gprime(coeffs):
         # The Taylor series of q1 at each node, summed over the basis in
@@ -480,9 +486,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int) -> _Operator:
         # one), times that of g'.
         return ps_mul((coeffs[:, None, None] * P).sum(axis=0), gprime)
 
-    return _Operator(L, factor(L), lambda amplitudes: amplitudes.at(nodes, m), q1_gprime,
-                     lambda data: (layout.fact * np.asarray(data, dtype=complex))[node, order] / row_scale,
-                     layout.end_rows)
+    return L, amplitudes.at(layout.nodes, m), rhs, q1_gprime, (*layout.end_rows, (-1, 0))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
@@ -504,8 +508,8 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     check_counts(npts=npts, s=s)
-    op = _freq_operator(spec, npts, s)
-    sol = op.solve(op.node_data(_regularised(spec))[0])
+    L, data, *route = _freq_operator(spec, npts, s, _regularised(spec))
+    sol = _solutions(L, data[:1], *route)[0]
     return sol.c0, sol.q1, sol.diag
 
 
@@ -518,4 +522,10 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     factorised operator.
     """
     check_counts(npts=npts, s=s)
-    return _quad_levin(spec, lambda unit: _freq_operator(unit, npts, s), Method.LEVIN_FREQ, npts, s)
+    return _quad_freq(spec, npts, s)
+
+
+def _quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
+    # quad_freq once its counts are checked, as compute(LEVIN_FREQ) runs it.
+    return _quad_levin(spec, lambda unit, amplitudes: _freq_operator(unit, npts, s, amplitudes),
+                       Method.LEVIN_FREQ, npts, s)

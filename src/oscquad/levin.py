@@ -4,9 +4,17 @@ Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
 f1 and, for the logarithmic kind, the amplitude f21 = f log(g(a) x/g)
 (x/g)^alpha once (:func:`oscquad.problem._regularised`), solve for f1 and
 f21 - q1 g' on one factorised operator, and read the bracket at x = a
-(:func:`oscquad.boundary.levin_value`).  A route is only how it builds
-its :class:`_Operator`: :func:`_physical_operator` here, or
-``filon._freq_operator``.
+(:func:`oscquad.boundary.levin_value`).  A route is only what it hands
+that one pass: its matrix, the node data of the amplitudes, the map from
+node data to a right-hand side, that from q1 to the node data of q1 g',
+and the end rows (:func:`_physical_operator` here, or
+``filon._freq_operator``).  A call goes from there to the value on plain
+arrays and scalars: the LAPACK factor and its diagnostics, each solve's
+solution and residual, and the end data of the one solve whose q(a) the
+bracket reads, with the first solve's c0 for the logarithmic kind.  The
+public :func:`factor`, :func:`solve_alg`, :func:`solve_log` and
+``filon.solve_freq`` wrap the same factorisation and solves in
+:class:`FactorDiag` and :class:`LevinSolution`.
 
 In physical space the unknowns are the constant c0 and the
 non-oscillatory factor q1 of the ansatz p = q g^alpha + h (with
@@ -42,7 +50,6 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +57,7 @@ from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from ._kept import kept
 from ._result import Method, QuadratureResult
-from .boundary import EndData, levin_value
+from .boundary import _levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
 from .problem import Oscillator, ProblemSpec, _regularised, _Separated, _unit_interval
@@ -112,8 +119,7 @@ class _LuFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """zgetrs, then one step of iterative refinement on its residual."""
-        x = zgetrs(self.lu, self.piv, rhs)[0]
-        return x + zgetrs(self.lu, self.piv, rhs - self.L @ x)[0]
+        return _solve(self.L, (self.lu, self.piv, None), rhs)
 
 
 @dataclass(frozen=True)
@@ -265,111 +271,128 @@ def factor(L: np.ndarray):
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ParameterError("the Levin factorisation expects a square system")
+    (lu, piv, svd), cond = _factorise(L)
+    return _LuFactor(L, lu, piv, FactorDiag("lu", cond, 0)) if svd is None else svd
+
+
+def _factorise(L: np.ndarray) -> tuple:
+    # factor's work as plain values, ((lu, piv, svd), cond): zgetrf's factor
+    # and pivots, the TsvdFactor where the truncated SVD solves and None
+    # where LU does, and the condition estimate of the factor's FactorDiag.
     lu, piv, info = zgetrf(L)
     # zgecon's estimate of the 1-norm reciprocal condition; 0 for an exactly
     # singular factor.
     rcond = zgecon(lu, np.abs(L).sum(axis=0).max())[0] if info == 0 else 0.0
     lu_ok = info == 0 and np.isfinite(lu).all()
     if lu_ok and rcond > RCOND_THRESHOLD:
-        return _LuFactor(L, lu, piv, FactorDiag("lu", 1.0 / rcond, 0))
+        return (lu, piv, None), 1.0 / rcond
     svd = _tsvd(L, rcond)
-    if lu_ok and svd.keep.all():
-        return _LuFactor(L, lu, piv, FactorDiag("lu", svd.cond, 0))
-    return svd
+    return (lu, piv, None if lu_ok and svd.keep.all() else svd), svd.cond
 
 
-@dataclass(frozen=True)
-class _Operator:
-    """The factorised collocation operator of a Levin route.
-
-    ``L`` is the matrix as factorised and ``factor`` its :func:`factor`;
-    every right-hand side that shares them is solved against ``factor``.
-    The rest is what tells the routes apart.  Node data ``data[l, j]`` is
-    the j-th Taylor coefficient of a right-hand side at node l (j = 0
-    only, its values, on the physical route): ``node_data(amplitudes)`` is
-    the list of those of the amplitudes of a :class:`_Separated`, formed
-    together, ``q1_gprime(q1)`` that of q1 g' for the ``q1`` of a solution,
-    and ``rhs(data)`` the right-hand side it gives.  The two rows of
-    ``end_rows`` take q1 to q1(1) and q1'(1).
-    """
-
-    L: np.ndarray
-    factor: _LuFactor | TsvdFactor
-    node_data: Callable[[_Separated], list]
-    q1_gprime: Callable[[np.ndarray], np.ndarray]
-    rhs: Callable[[np.ndarray], np.ndarray]
-    end_rows: tuple[np.ndarray, np.ndarray]
-
-    def solve(self, data: np.ndarray) -> LevinSolution:
-        """The solve with the right-hand side of node data ``data``."""
-        rhs = self.rhs(data)
-        x = self.factor.solve(rhs)
-        residual = float(np.abs(self.L @ x - rhs).max())
-        return LevinSolution(complex(x[0]), x[1:], residual, self.factor.diag, complex(data[-1, 0]))
-
-    def end(self, sol: LevinSolution, a: float) -> EndData:
-        """The data of ``sol`` at t = 1, as the data at x = a of the problem
-        on [0, a] that x = a t maps onto [0, 1]: its c0 times a and its
-        q1'(1) divided by a."""
-        q1 = sol.q1
-        value, slope = self.end_rows
-        c0, dq1, dq1_size = sol.c0, complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
-        if a != 1.0:
-            c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
-        return EndData(c0, complex(value @ q1), dq1, dq1_size, sol.rhs_end)
+def _solve(L: np.ndarray, fact: tuple, rhs: np.ndarray) -> np.ndarray:
+    # L x = rhs on the factor ``fact`` of _factorise: the truncated SVD's
+    # solution, or zgetrs and one step of iterative refinement on its
+    # residual.
+    lu, piv, svd = fact
+    if svd is not None:
+        return svd.solve(rhs)
+    x = zgetrs(lu, piv, rhs)[0]
+    return x + zgetrs(lu, piv, rhs - L @ x)[0]
 
 
-def _physical_operator(spec: ProblemSpec, n: int) -> _Operator:
-    # The matrix of assemble_L on the Radau grid of n nodes.  Node data are
+def _as_complex(values: np.ndarray) -> np.ndarray:
+    # The physical route's right-hand side of node data: the values.
+    return np.asarray(values, dtype=complex)
+
+
+def _physical_operator(spec: ProblemSpec, n: int, amplitudes: _Separated) -> tuple:
+    # The route's part of a Levin call (see _quad_levin) on the Radau grid
+    # of n nodes: the matrix of assemble_L; the node data of ``amplitudes``,
     # values at grid.nodes, origin first, the order of the rows and of the
     # unknowns, formed with g at the interior nodes from the kept table;
-    # q1(1) is the last unknown, q1'(1) the last row of the differentiation
-    # matrix applied to q1.
+    # those values as the right-hand side; and the end rows: q1(1) is the
+    # last unknown, q1'(1) the last row of the differentiation matrix
+    # applied to q1, and the right-hand side at t = 1 the last value.
     grid = radau_grid(n)
     L, (gx, gprime, _) = _operator(spec, grid)
-    nodes, origin = grid.nodes, grid.origin_weights
+    origin = grid.origin_weights
     last = np.zeros(n)
     last[-1] = 1.0
 
     def q1_gprime(q1):
         # q1(0) extrapolated through the origin weights.
-        return (np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime)[:, None]
+        return np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime
 
-    def node_data(amplitudes):
-        return [np.asarray(values, dtype=complex)[:, None] for values in amplitudes.at(nodes, 0, g=gx)]
-
-    return _Operator(L, factor(L), node_data, q1_gprime, lambda data: data[:, 0], (last, grid.diff[-1]))
+    return L, amplitudes.at(grid.nodes, 0, g=gx), _as_complex, q1_gprime, (last, grid.diff[-1], -1)
 
 
-def _solves(op: _Operator, amplitudes: _Separated) -> list:
-    # The solves on ``op`` for problem._regularised's f1 and, for the
-    # logarithmic kind, f21 - q1 g'.
-    f1, *f21 = op.node_data(amplitudes)
-    sols = [op.solve(f1)]
-    for data in f21:
-        sols.append(op.solve(data - op.q1_gprime(sols[0].q1)))
+def _solution(L: np.ndarray, fact: tuple, rhs, data: np.ndarray) -> tuple:
+    # The solve for node data ``data`` as (x, residual, data): the residual
+    # is the max of |L x - b| over all rows of the system as factorised.
+    b = rhs(data)
+    x = _solve(L, fact, b)
+    return x, float(np.abs(L @ x - b).max()), data
+
+
+def _solves(L: np.ndarray, fact: tuple, data: list, rhs, q1_gprime) -> list:
+    # The _solution on ``fact``, the _factorise of L, for the node data of
+    # problem._regularised's f1 and, for the logarithmic kind, of
+    # f21 - q1 g', from ``data``, the node data of f1 and f21.
+    f1, *f21 = data
+    sols = [_solution(L, fact, rhs, f1)]
+    for values in f21:
+        sols.append(_solution(L, fact, rhs, values - q1_gprime(sols[0][0][1:])))
     return sols
 
 
-def _quad_levin(spec: ProblemSpec, operator, method: Method, n: int, s: int) -> QuadratureResult:
-    # The Levin rule of either route.  ``operator`` maps ``spec`` on [0, 1]
-    # to the route's _Operator; its solves give the q1 of ``spec`` and its
-    # c0, d0 divided by a, which _Operator.end scales back.  f21 carries
+def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
+    # The Levin rule of either route, in one pass from operator to value.
+    # ``route(unit, amplitudes)`` gives, for ``spec`` on [0, 1] and its
+    # problem._regularised amplitudes, the tuple (L, data, rhs, q1_gprime,
+    # end rows): the matrix, the node data of the amplitudes, the map from
+    # node data to a right-hand side, that from q1 to the node data of
+    # q1 g', and the rows that take q1 to q1(1) and q1'(1) beside the index
+    # of the value at t = 1 in node data.  The solves give the q1 of
+    # ``spec`` and its c0, d0 divided by a, which are scaled back here.
+    # Only the solve whose q(a) the bracket reads has its end data formed;
+    # of the logarithmic kind's first solve it reads c0 alone.  f21 carries
     # log g(a) of ``spec``.
     unit = _unit_interval(spec)
-    op = operator(unit)
     g_a = spec.g_end()
-    sols = _solves(op, _regularised(unit, g_a))
-    ends = [op.end(sol, spec.a) for sol in sols]
-    diagnostics = {"residual_norm": sols[0].residual_norm, **op.factor.diag.diagnostics()}
+    L, data, rhs, q1_gprime, (q1_row, slope, at_end) = route(unit, _regularised(unit, g_a))
+    fact, cond = _factorise(L)
+    sols = _solves(L, fact, data, rhs, q1_gprime)
+    diagnostics = {"residual_norm": sols[0][1], "factor": "lu", "cond": cond, "tsvd_truncated": 0}
+    if fact[2] is not None:
+        diagnostics.update(fact[2].diag.diagnostics())
+    x, residual, values = sols[-1]
+    q1 = x[1:]
+    c0, dq1, dq1_size = complex(x[0]), complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+    first_c0 = None
     if len(sols) == 2:
-        diagnostics["residual_norm_second"] = sols[1].residual_norm
-    return QuadratureResult(levin_value(spec, g_a, *ends), method, s, n, diagnostics)
+        diagnostics["residual_norm_second"] = residual
+        first_c0 = complex(sols[0][0][0])
+    a = spec.a
+    if a != 1.0:
+        c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
+        first_c0 = None if first_c0 is None else first_c0 * a
+    end = (c0, complex(q1_row @ q1), dq1, dq1_size, complex(values[at_end]))
+    return QuadratureResult(_levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
     # The s = 0 rule of either kind.
-    return _quad_levin(spec, lambda unit: _physical_operator(unit, n), Method.LEVIN_PHYSICAL, n, 0)
+    return _quad_levin(spec, lambda unit, amplitudes: _physical_operator(unit, n, amplitudes),
+                       Method.LEVIN_PHYSICAL, n, 0)
+
+
+def _solutions(L: np.ndarray, data: list, rhs, q1_gprime, rows: tuple) -> list:
+    # The LevinSolution of each of the _solves of a route's tuple.
+    fact, cond = _factorise(L)
+    diag = FactorDiag("lu", cond, 0) if fact[2] is None else fact[2].diag
+    return [LevinSolution(complex(x[0]), x[1:], residual, diag, complex(values[rows[2]]))
+            for x, residual, values in _solves(L, fact, data, rhs, q1_gprime)]
 
 
 def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
@@ -383,8 +406,8 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
     n : int
         Number of Radau nodes.
     """
-    op = _physical_operator(spec, n)
-    return op.solve(op.node_data(_regularised(spec))[0])
+    L, data, *route = _physical_operator(spec, n, _regularised(spec))
+    return _solutions(L, data[:1], *route)[0]
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -401,7 +424,7 @@ def solve_log(spec: ProblemSpec, n: int):
     -------
     (LevinSolution, LevinSolution)
     """
-    return tuple(_solves(_physical_operator(spec, n), _regularised(spec)))
+    return tuple(_solutions(*_physical_operator(spec, n, _regularised(spec))))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):

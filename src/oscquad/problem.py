@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._kept import kept
+from ._kept import freeze, kept
 from ._series import poly_taylor, ps_div, ps_log, ps_mul, ps_pow
 from .errors import CapabilityError, InvalidOscillatorError, ParameterError
 
@@ -209,9 +209,12 @@ class Oscillator:
     Same ``series_fn`` contract as :class:`Amplitude`, but real-valued.
     ``poly`` holds ascending polynomial coefficients when the oscillator is
     polynomial, enabling exact normalization and the identity-oscillator
-    fast paths; :meth:`deriv1` then uses derivative coefficients formed
-    once, at construction, and the tables that depend on g alone are kept
-    per coefficient vector (:func:`oscquad._kept.kept`).
+    fast paths; ``value`` and ``series_fn`` must then compute the g that
+    ``poly`` describes.  The oscillator holds a read-only float copy of
+    ``poly``, taken at construction, so the caller's array may change
+    afterwards: :meth:`deriv1` uses derivative coefficients formed once
+    from that copy, and the tables that depend on g alone are kept per
+    its coefficient vector (:func:`oscquad._kept.kept`).
     """
 
     value: Callable
@@ -221,28 +224,32 @@ class Oscillator:
     def __post_init__(self):
         key = None
         if self.poly is not None:
-            p = self.poly  # polyder's coefficients j c_j, without its argument handling
+            p = freeze(np.array(self.poly, dtype=float, ndmin=1, copy=None))
+            if p.size == 0:
+                raise ParameterError("empty coefficient list")
+            object.__setattr__(self, "poly", p)
+            # polyder's coefficients j c_j, without its argument handling.
             object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
-            key = np.asarray(p, dtype=float).tobytes()
+            key = p.tobytes()
         # What identifies g to the memo of kept tables: its coefficient
         # bytes, or None where g is not a polynomial.
         object.__setattr__(self, "_key", key)
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
-        # Its own copy, which the key is taken from: a caller's array may
-        # change after the call.
-        coeffs = np.array(coeffs, dtype=float, ndmin=1)
-        if coeffs.size == 0:
-            raise ParameterError("empty coefficient list")
+        # g from the oscillator's own copy of the coefficients, held apart
+        # from the oscillator so that it and its functions form no cycle.
+        own = []
 
         def value(x):
-            return _horner(coeffs, np.asarray(x, dtype=float))
+            return _horner(own[0], np.asarray(x, dtype=float))
 
         def series(xs, m):
-            return poly_taylor(coeffs, xs, m)
+            return poly_taylor(own[0], xs, m)
 
-        return cls(value=value, series_fn=series, poly=coeffs)
+        osc = cls(value=value, series_fn=series, poly=coeffs)
+        own.append(osc.poly)
+        return osc
 
     @property
     def is_identity(self) -> bool:

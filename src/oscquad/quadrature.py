@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ._result import Method, QuadratureResult, check_counts
 from .errors import CapabilityError, ParameterError
-from .filon import _filon, quad_freq
+from .filon import _filon, _quad_freq
 from .levin import _quad_physical
 from .problem import ProblemSpec, SingKind
 
@@ -103,7 +103,7 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
             )
         return _quad_physical(spec, n)
     if method is Method.LEVIN_FREQ:
-        return quad_freq(spec, n, s)
+        return _quad_freq(spec, n, s)
     if method is Method.FILON:
         return _filon(spec, n, s)
     if method is Method.CMFP:

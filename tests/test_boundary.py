@@ -1,8 +1,8 @@
 """The bracket at the upper endpoint that both Levin routes share."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +13,21 @@ import oscquad.levin
 from oscquad import Method, compute
 from oscquad.baselines import reference_nsd
 from oscquad.boundary import EndData, levin_value, upper_end_value
-from oscquad.cheb import radau_grid
-from oscquad.levin import solve_alg
+from oscquad.cheb import lobatto_grid, radau_grid
+from oscquad.filon import solve_freq
+from oscquad.levin import LevinSolution, factor, solve_alg, solve_log
 from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
-from oscquad.problem import Oscillator, ProblemSpec, builtin_problem, make_f1_f2
+from oscquad.problem import (
+    Amplitude,
+    Oscillator,
+    ProblemSpec,
+    SingKind,
+    _regularised,
+    _unit_interval,
+    build_problem,
+    builtin_problem,
+    make_f1_f2,
+)
 
 BUILTINS = ("ex51", "ex52", "ex53a", "ex53b")
 LEVIN_CALLS = ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 9, 2))
@@ -35,33 +46,39 @@ def _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size):
     return (rhs_end - g_a * dq1_end - linear) / (1j * spec.w * gp_a)
 
 
-def _reference_value(spec, ends):
-    first, *second = ends
-    end = second[0] if second else first
+def _reference_value(spec, end, first_c0):
+    # ``end`` holds the fields of the EndData whose q(a) is read, in their
+    # order; ``first_c0`` is the first solve's c0, None for the algebraic
+    # kind.
+    c0, q1_end, dq1_end, dq1_size, rhs_end = end
     g_a = spec.g_end()
     alpha = spec.alpha
     w = spec.w
-    q_end = _reference_upper_end_value(spec, end.c0, end.q1, end.rhs, end.dq1, end.dq1_size)
+    q_end = _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size)
     value = q_end * g_a**alpha * np.exp(1j * w * g_a)
-    if end.c0 != 0:
-        value += end.c0 * kernel_k_alg(alpha, w, g_a)
-    if second and first.c0 != 0:
+    if c0 != 0:
+        value += c0 * kernel_k_alg(alpha, w, g_a)
+    if first_c0 is not None and first_c0 != 0:
         f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * g_a)
-        value += first.c0 * (1j * w) * -(g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
+        value += first_c0 * (1j * w) * -(g_a ** (1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
     return complex(value * spec.phase_shift)
 
 
 def _recorded_levin_calls(monkeypatch):
-    # Every levin_value call of either route, as (spec, end data, value).
+    # Every bracket of a Levin call of either route, as (spec, end data,
+    # first solve's c0, value): levin._quad_levin hands boundary._levin_value
+    # the one solve's end data whose q(a) is read, and the first solve's c0
+    # for the logarithmic kind.
     seen = []
+    real = oscquad.levin._levin_value
 
-    def recording(spec, g_a, *ends):
+    def recording(spec, g_a, end, first_c0):
         assert g_a == spec.g_end()
-        value = levin_value(spec, g_a, *ends)
-        seen.append((spec, ends, value))
+        value = real(spec, g_a, end, first_c0)
+        seen.append((spec, end, first_c0, value))
         return value
 
-    monkeypatch.setattr(oscquad.levin, "levin_value", recording)
+    monkeypatch.setattr(oscquad.levin, "_levin_value", recording)
     return seen
 
 
@@ -108,11 +125,12 @@ class TestLevinValue:
             spec = builtin_problem(pid, alpha, w)
             for method, n, s in LEVIN_CALLS:
                 result = compute(spec, method, n, s)
-                (called_spec, ends, value), = seen
+                (called_spec, end, first_c0, value), = seen
                 seen.clear()
                 assert called_spec is spec
-                assert len(ends) == (1 if pid in ("ex51", "ex53a") else 2)
-                want = _reference_value(spec, ends)
+                assert len(end) == 5
+                assert (first_c0 is None) == (pid in ("ex51", "ex53a"))
+                want = _reference_value(spec, end, first_c0)
                 assert np.array([value]).tobytes() == np.array([want]).tobytes(), (method, alpha, w)
                 assert result.value == value
 
@@ -129,7 +147,7 @@ class TestLevinValue:
         # One solve against the factor and one q(a) for the algebraic kind;
         # the logarithmic kind adds one coupled solve, f21 - q1 g', and
         # reads its q(a) in place of the first's.  The solves are counted on
-        # whichever factor (LU or truncated SVD) levin.factor returns.
+        # whichever factor (LU or truncated SVD) levin._factorise gives.
         counts = {"solve": 0, "upper_end_value": 0}
 
         def counting(name, function):
@@ -138,16 +156,8 @@ class TestLevinValue:
                 return function(*args)
             return wrapper
 
-        real_factor = oscquad.levin.factor
-
-        def counted_factor(L):
-            factor = real_factor(L)
-            return SimpleNamespace(diag=factor.diag, solve=counting("solve", factor.solve))
-
-        for module in (oscquad.levin, oscquad.filon):
-            monkeypatch.setattr(module, "factor", counted_factor)
-        monkeypatch.setattr(oscquad.boundary, "upper_end_value",
-                            counting("upper_end_value", oscquad.boundary.upper_end_value))
+        monkeypatch.setattr(oscquad.levin, "_solve", counting("solve", oscquad.levin._solve))
+        monkeypatch.setattr(oscquad.boundary, "_upper_end", counting("upper_end_value", oscquad.boundary._upper_end))
         compute(builtin_problem(pid, 0.5, 200.0), method, n, s)
         solves = 1 if pid in ("ex51", "ex53a") else 2
         assert counts == {"solve": solves, "upper_end_value": 1}
@@ -170,6 +180,118 @@ class TestLevinValue:
             monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
         compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
         assert at_end == ["g_end", "deriv1"]
+
+
+def _g_a_one(kind, w):
+    # f = 1 + 0.2 x, g = x + 2 x^2 on [0, 1/2]: a != 1 and g(a) = 1 exactly.
+    return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 2.0]),
+                         a=0.5, alpha=0.5, kind=kind, w=w)
+
+
+PIECES_SPECS = {
+    "ex51": lambda w: builtin_problem("ex51", 0.5, w),
+    "ex52": lambda w: builtin_problem("ex52", 0.5, w),
+    "alg-a-half": lambda w: _g_a_one(SingKind.ALGEBRAIC, w),
+    "log-a-half": lambda w: _g_a_one(SingKind.ALGEBRAIC_LOG, w),
+}
+
+
+def _public_solutions(unit, method, n, s):
+    # The solves of a Levin call on ``unit`` (a problem on [0, 1]) by the
+    # public pieces, and the rows that take q1 to q1(1) and q1'(1).  The
+    # call's f21 takes c = g(a) of the problem before mapping, solve_log's
+    # c = 1, so g(a) must be 1.  The frequency route has no public piece for
+    # the logarithmic kind's two solves: they are made on the route's matrix
+    # and maps with the public factor.
+    log_kind = unit.kind is SingKind.ALGEBRAIC_LOG
+    if method is Method.LEVIN_PHYSICAL:
+        last = np.zeros(n)
+        last[-1] = 1.0
+        rows = (last, radau_grid(n).diff[-1])
+        return (list(solve_log(unit, n)) if log_kind else [solve_alg(unit, n)]), rows
+    k = np.arange(n - 1 + 2 * s)
+    rows = (np.ones(k.size), 2.0 * k**2)
+    if not log_kind:
+        c0, coeffs, diag = solve_freq(unit, n, s)
+        rhs_end = complex(make_f1_f2(unit)[0].series_at(lobatto_grid(n - 1).nodes, s + 1)[-1, 0])
+        return [LevinSolution(c0, coeffs, np.nan, diag, rhs_end)], rows
+    L, (f1, f21), rhs, q1_gprime, _ = oscquad.filon._freq_operator(unit, n, s, _regularised(unit))
+    fact = factor(L)
+    x = fact.solve(rhs(f1))
+    data = f21 - q1_gprime(x[1:])
+    y = fact.solve(rhs(data))
+    return [LevinSolution(complex(x[0]), x[1:], np.nan, fact.diag, complex(f1[-1, 0])),
+            LevinSolution(complex(y[0]), y[1:], np.nan, fact.diag, complex(data[-1, 0]))], rows
+
+
+def _end_data(sol, q1_row, slope, a):
+    # The EndData at x = a of a solve of the problem mapped onto [0, 1]: its
+    # c0 times a and its q1'(1) divided by a.
+    q1 = sol.q1
+    c0, dq1, dq1_size = sol.c0, complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+    if a != 1.0:
+        c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
+    return EndData(c0, complex(q1_row @ q1), dq1, dq1_size, sol.rhs_end)
+
+
+class TestComputeFromPublicPieces:
+    """A Levin call equals, bit for bit, its solves by the public pieces,
+    their EndData and levin_value."""
+
+    @pytest.mark.parametrize("w, factor_kind", [(1.0, "tsvd"), (200.0, "lu")])
+    @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 14, 2)])
+    @pytest.mark.parametrize("name", PIECES_SPECS)
+    def test_value_and_diagnostics(self, name, method, n, s, w, factor_kind):
+        spec = PIECES_SPECS[name](w)
+        assert spec.g_end() == 1.0
+        sols, rows = _public_solutions(_unit_interval(spec), method, n, s)
+        value = levin_value(spec, spec.g_end(), *(_end_data(sol, *rows, spec.a) for sol in sols))
+        result = compute(spec, method, n, s)
+        assert np.array([result.value]).tobytes() == np.array([value]).tobytes()
+        diag = result.diagnostics
+        assert diag["factor"] == factor_kind
+        assert {k: diag[k] for k in ("factor", "cond", "tsvd_truncated")} == sols[0].diag.diagnostics()
+        if method is Method.LEVIN_PHYSICAL:
+            residuals = [diag[k] for k in ("residual_norm", "residual_norm_second") if k in diag]
+            assert residuals == [sol.residual_norm for sol in sols]
+
+
+class _CountedRow(np.ndarray):
+    # An end row that counts the NumPy operations that read it.
+    reads = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedRow.reads += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _CountedRow) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestEndRowsReadOnce:
+    @pytest.mark.parametrize("method, n, s", LEVIN_CALLS)
+    def test_log_kind_reads_them_as_the_algebraic_kind(self, monkeypatch, method, n, s):
+        # The logarithmic kind reads q(a) off its second solve alone, so the
+        # end rows, which take q1 to q1(1) and q1'(1), read that solve's q1
+        # only, as an algebraic-kind call reads its one solve's.  ex53a and
+        # ex53b share g, so their operators.  The physical route's slope row
+        # is the last row of its grid's differentiation matrix.
+        grid_of, table_of = oscquad.levin.radau_grid, oscquad.filon._freq_table
+
+        def counted_grid(n):
+            grid = grid_of(n)
+            return replace(grid, diff=grid.diff.view(_CountedRow))
+
+        def counted_table(osc, npts, s):
+            layout, *rest = table_of(osc, npts, s)
+            return (replace(layout, end_rows=tuple(row.view(_CountedRow) for row in layout.end_rows)), *rest)
+
+        monkeypatch.setattr(oscquad.levin, "radau_grid", counted_grid)
+        monkeypatch.setattr(oscquad.filon, "_freq_table", counted_table)
+        reads = {}
+        for pid in ("ex53a", "ex53b"):
+            _CountedRow.reads = 0
+            compute(builtin_problem(pid, 0.5, 200.0), method, n, s)
+            reads[pid] = _CountedRow.reads
+        assert reads["ex53b"] == reads["ex53a"] > 0
 
 
 class TestLogKindAtLargeW:

@@ -309,6 +309,25 @@ class TestAmplitudeKeys:
         oscquad.filon._freq_table.cache.clear()
         assert repr(compute(spec, Method.LEVIN_FREQ, 10, 1).value) == repr(warm.value)
 
+    def test_oscillator_built_directly_keeps_its_own_coefficients(self):
+        # Oscillator(value, series_fn, poly=arr) holds a read-only copy of
+        # arr: after arr changes, poly, the key and a warm LEVIN_FREQ value
+        # are those of the coefficients at construction, and the value is
+        # the cold one.  value and series_fn compute the g of those.
+        arr = np.array([0.0, 1.0, 0.5])
+        coeffs = arr.copy()
+        g = Oscillator(lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+                       lambda xs, m: oscquad.problem.poly_taylor(coeffs, xs, m), poly=arr)
+        spec = oscquad.build_problem(Amplitude.from_poly([1.0]), g, 1.0, 0.5, oscquad.SingKind.ALGEBRAIC, 100.0)
+        for memo, _ in KEPT_TABLES.values():
+            memo.cache.clear()
+        cold = compute(spec, Method.LEVIN_FREQ, 10, 1)
+        arr[2] = 0.25
+        assert g.poly.tolist() == [0.0, 1.0, 0.5] and g._key == coeffs.tobytes()
+        with pytest.raises(ValueError):
+            g.poly[2] = 0.25
+        assert repr(compute(spec, Method.LEVIN_FREQ, 10, 1).value) == repr(cold.value)
+
     def test_builtin_keys(self):
         assert builtin_problem("ex52", 0.5, 1.0).amplitude._key == builtin_problem("ex53a", -0.3, 9.0).amplitude._key
         keys = {builtin_problem("ex51", alpha, w).amplitude._key for alpha, w in ((0.5, 1.0), (0.5, 2.0), (0.4, 1.0))}

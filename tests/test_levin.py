@@ -223,16 +223,18 @@ def f2_sub_problem(spec):
 
 def _route_operators():
     # Every operator of both routes on the built-ins at alpha = +-0.5,
-    # +-0.9 and w from 1e-3 to 1e8 (1320 in all): (spec, operator).  A
-    # frequency-route matrix is row-scaled.
+    # +-0.9 and w from 1e-3 to 1e8 (1320 in all): (spec, the route's tuple
+    # of a Levin call, its matrix first).  A frequency-route matrix is
+    # row-scaled.
     for pid in BUILTIN_IDS:
         for alpha in (0.5, -0.5, 0.9, -0.9):
             for w in (1e-3, 1.0, 10.0, 1e2, 1e4, 1e8):
                 spec = builtin_problem(pid, alpha, w)
+                amplitudes = _regularised(spec, spec.g_end())
                 for n in (4, 8, 16, 24, 32):
-                    yield spec, oscquad.levin._physical_operator(spec, n)
+                    yield spec, oscquad.levin._physical_operator(spec, n, amplitudes)
                 for npts, s in ((6, 1), (10, 2), (14, 1), (14, 2), (16, 1), (32, 2)):
-                    yield spec, oscquad.filon._freq_operator(spec, npts, s)
+                    yield spec, oscquad.filon._freq_operator(spec, npts, s, amplitudes)
 
 
 def _solve_40_digits(L, b):
@@ -248,11 +250,10 @@ class TestFactorRouting:
     def test_every_truncating_operator_takes_svd(self):
         routes = {"lu": 0, "tsvd": 0}
         truncating = 0
-        for spec, op in _route_operators():
-            L = op.L
+        for spec, (L, *_) in _route_operators():
             sv = np.linalg.svd(L, compute_uv=False)
             dropped = int((sv < TSVD_THRESHOLD * sv[0]).sum())
-            diag = op.factor.diag
+            diag = oscquad.levin.factor(L).diag
             routes[diag.factor] += 1
             if dropped:
                 truncating += 1
@@ -265,15 +266,15 @@ class TestFactorRouting:
         # differ by at most a small multiple of eps * cond (92 at most on
         # this grid).
         eps = np.finfo(float).eps
-        for spec, op in _route_operators():
-            diag = op.factor.diag
-            if diag.factor != "lu":
+        levin = oscquad.levin
+        for spec, (L, data, rhs, q1_gprime, _) in _route_operators():
+            fact, cond = levin._factorise(L)
+            if fact[2] is not None:
                 continue
-            svd = replace(op, factor=oscquad.levin._tsvd(op.L, 1.0 / diag.cond))
-            amplitudes = _regularised(spec, spec.g_end())
-            for lu_sol, svd_sol in zip(oscquad.levin._solves(op, amplitudes), oscquad.levin._solves(svd, amplitudes)):
-                x, y = (np.concatenate(([sol.c0], sol.q1)) for sol in (lu_sol, svd_sol))
-                bound = max(1e-12, 128 * eps * diag.cond) * np.abs(y).max()
+            svd = (None, None, levin._tsvd(L, 1.0 / cond))
+            for (x, _, _), (y, _, _) in zip(levin._solves(L, fact, data, rhs, q1_gprime),
+                                            levin._solves(L, svd, data, rhs, q1_gprime)):
+                bound = max(1e-12, 128 * eps * cond) * np.abs(y).max()
                 assert np.abs(x - y).max() <= bound, (spec, L.shape)
 
     @pytest.mark.parametrize("pid, alpha, w, n", [
@@ -282,12 +283,13 @@ class TestFactorRouting:
     def test_lu_at_least_as_accurate_as_svd(self, pid, alpha, w, n):
         # Against the 40-digit solution of the same double-precision system.
         spec = builtin_problem(pid, alpha, w)
-        op = oscquad.levin._physical_operator(spec, n)
-        b = op.rhs(op.node_data(_regularised(spec))[0])
-        exact = _solve_40_digits(op.L, b)
-        svd = oscquad.levin._tsvd(op.L, 1.0 / op.factor.diag.cond)
-        assert op.factor.diag.factor == "lu"
-        lu_err, svd_err = (np.abs(f.solve(b) - exact).max() for f in (op.factor, svd))
+        L, data, rhs, *_ = oscquad.levin._physical_operator(spec, n, _regularised(spec))
+        b = rhs(data[0])
+        exact = _solve_40_digits(L, b)
+        factor = oscquad.levin.factor(L)
+        svd = oscquad.levin._tsvd(L, 1.0 / factor.diag.cond)
+        assert factor.diag.factor == "lu"
+        lu_err, svd_err = (np.abs(f.solve(b) - exact).max() for f in (factor, svd))
         assert lu_err <= svd_err
 
     def test_lu_where_svd_drops_nothing(self):
@@ -297,11 +299,12 @@ class TestFactorRouting:
         # same system, the SVD solve 1.4e-6; the value is 1.4e-15 off the
         # 40-digit integral, 9.1e-14 by the SVD.
         spec = builtin_problem("ex51", 0.9, 10.0)
-        op = oscquad.filon._freq_operator(spec, 16, 1)
-        b = op.rhs(op.node_data(_regularised(spec))[0])
-        exact = _solve_40_digits(op.L, b)
-        assert (op.factor.diag.factor, op.factor.diag.truncated) == ("lu", 0)
-        assert np.abs(op.factor.solve(b) - exact).max() <= 5e-7 * np.abs(exact).max()
+        L, data, rhs, *_ = oscquad.filon._freq_operator(spec, 16, 1, _regularised(spec))
+        b = rhs(data[0])
+        exact = _solve_40_digits(L, b)
+        factor = oscquad.levin.factor(L)
+        assert (factor.diag.factor, factor.diag.truncated) == ("lu", 0)
+        assert np.abs(factor.solve(b) - exact).max() <= 5e-7 * np.abs(exact).max()
         with mp.workdps(40):
             alpha = mp.mpf(9) / 10
             integral = complex(mp.quad(lambda x: (1 - x) * (2 - x)**alpha * x**alpha * mp.expj(10 * (1 - x)),
@@ -449,7 +452,7 @@ class TestOneNodePassPerCall:
         table.cache.clear()
         for _ in range(2):
             with pytest.raises(InvalidOscillatorError):
-                oscquad.levin._physical_operator(spec, 8)
+                oscquad.levin._physical_operator(spec, 8, _regularised(spec))
             assert not table.cache
 
     @staticmethod

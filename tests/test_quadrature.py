@@ -2,9 +2,9 @@
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ import oscquad.cheb
 import oscquad.filon
 import oscquad.levin
 import oscquad.problem
+import oscquad.quadrature
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
+from oscquad._result import check_counts
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
 from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
@@ -178,19 +180,14 @@ class TestLevinDiagnostics:
         # Each solve's residual in the row-equilibrated system, against the
         # largest entry of the right-hand side it was solved for (2.2e-15 at
         # most on this grid).
-        real = oscquad.filon.factor
+        real = oscquad.levin._solve
         rhs_sizes = []
 
-        def recording(L):
-            factor = real(L)
+        def recording(L, fact, rhs):
+            rhs_sizes.append(np.abs(rhs).max())
+            return real(L, fact, rhs)
 
-            def solve(rhs):
-                rhs_sizes.append(np.abs(rhs).max())
-                return factor.solve(rhs)
-
-            return SimpleNamespace(diag=factor.diag, solve=solve)
-
-        monkeypatch.setattr(oscquad.filon, "factor", recording)
+        monkeypatch.setattr(oscquad.levin, "_solve", recording)
         for pid in BUILTIN_IDS:
             for alpha in (0.5, -0.5, 0.9, -0.9):
                 for w in (1e2, 1e4):
@@ -386,6 +383,31 @@ class TestIntegerParameters:
                 call(spec, n, s)
 
 
+class TestCheckCounts:
+    @pytest.mark.parametrize("value", [3, np.int64(3)])
+    def test_integers_pass(self, value):
+        check_counts(n=value, s=value)
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3"])
+    def test_others_refused_naming_the_value(self, value):
+        with pytest.raises(ParameterError, match=f"^s must be an integer, got {re.escape(repr(value))}$"):
+            check_counts(n=3, s=value)
+
+    @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 8, 2),
+                                              (Method.FILON, 6, 1)])
+    def test_once_per_compute(self, monkeypatch, method, n, s):
+        calls = []
+
+        def counting(**counts):
+            calls.append(counts)
+            return check_counts(**counts)
+
+        for module in (oscquad.quadrature, oscquad.filon):
+            monkeypatch.setattr(module, "check_counts", counting)
+        compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
+        assert calls == [{"n": n, "s": s}]
+
+
 class TestLinearityInF:
     """Q(f + c h) = Q(f) + c Q(h) through the Levin pipeline of both routes,
     on any [0, a] and either kind."""
@@ -418,7 +440,7 @@ class TestOneOperatorPerLevinCall:
     def test_log_kind_builds_one_grid_and_one_svd(self, monkeypatch, method, n, s, grid_name):
         # The f1 solve and the coupled f21 - q1 g' solve share one
         # operator, so one grid is built and one factorisation
-        # (levin.factor: LU, or truncated SVD) is taken.  The frequency
+        # (levin._factorise: LU, or truncated SVD) is taken.  The frequency
         # route looks its grid up only when it builds its kept layout, so
         # that layout and the table that holds it are cleared first.
         oscquad.filon._layout.cache.clear()
@@ -432,9 +454,7 @@ class TestOneOperatorPerLevinCall:
 
             return wrapper
 
-        counted_factor = counting("factor", oscquad.levin.factor)
-        for module in (oscquad.levin, oscquad.filon):
-            monkeypatch.setattr(module, "factor", counted_factor)
+        monkeypatch.setattr(oscquad.levin, "_factorise", counting("factor", oscquad.levin._factorise))
         for module in (oscquad.cheb, oscquad.levin, oscquad.filon):
             if hasattr(module, grid_name):
                 monkeypatch.setattr(module, grid_name, counting("grid", getattr(module, grid_name)))
