@@ -42,7 +42,6 @@ from .errors import (
 )
 from .filon import (
     HermiteData,
-    MomentTable,
     build_hermite_data,
     build_moment_table,
     hermite_solve,
@@ -53,7 +52,6 @@ from .filon import (
     solve_freq,
 )
 from .levin import (
-    LevinSolution,
     assemble_L,
     picard_iterate,
     solve_alg,
@@ -107,7 +105,6 @@ __all__ = [
     "OscquadError",
     "ParameterError",
     "HermiteData",
-    "MomentTable",
     "build_hermite_data",
     "build_moment_table",
     "hermite_solve",
@@ -116,7 +113,6 @@ __all__ = [
     "quad_filon",
     "quad_freq",
     "solve_freq",
-    "LevinSolution",
     "assemble_L",
     "picard_iterate",
     "solve_alg",

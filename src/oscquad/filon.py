@@ -41,12 +41,11 @@ from ._result import Method, QuadratureResult, check_counts
 from ._series import ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .levin import _quad_levin, _solutions
+from .levin import _problem_solves, _quad_levin
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
 from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
-    "MomentTable",
     "HermiteData",
     "moments_mu",
     "moments_nu",
@@ -62,22 +61,6 @@ __all__ = [
 MAX_BASIS_SIZE = 40
 # The largest k whose k! is a finite float.
 _MAX_FACTORIAL = 170
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Generalized moments of the oscillatory weight.
-
-    ``mu[j]`` is ``int_0^a g' g^{j+alpha} e^{iwg} dx = int_0^{g_a}
-    u^{j+alpha} e^{iwu} du`` and ``nu[j]`` the same with an extra
-    ``log u`` factor, for j = 0..count-1.
-    """
-
-    mu: np.ndarray
-    nu: Optional[np.ndarray]
-    alpha: float
-    w: float
-    g_a: float
 
 
 @dataclass(frozen=True)
@@ -152,6 +135,7 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     every moment comes from the power series of e^{iwu} instead.  mu_1 is
     kept per (alpha, w, g_a).
     """
+    check_counts(count=count)
     if w == 0:
         raise ParameterError("w must be nonzero")
     if not g_a > 0:
@@ -198,14 +182,19 @@ def moments_nu(
     return nu
 
 
-def build_moment_table(spec: ProblemSpec, count: int) -> MomentTable:
-    """Moment table of a problem, with nu present for the logarithmic kind."""
+def build_moment_table(spec: ProblemSpec, count: int) -> tuple:
+    """The moments ``(mu, nu)`` of a problem for j = 0..count-1.
+
+    ``mu[j]`` is ``int_0^a g' g^{j+alpha} e^{iwg} dx = int_0^{g_a}
+    u^{j+alpha} e^{iwu} du`` (:func:`moments_mu`) and ``nu[j]`` the same
+    with an extra ``log u`` factor (:func:`moments_nu`) for the
+    logarithmic kind, None for the algebraic kind.
+    """
     g_a = spec.g_end()
     mu = moments_mu(spec.alpha, spec.w, g_a, count)
-    nu = None
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        nu = moments_nu(spec.alpha, spec.w, g_a, mu)
-    return MomentTable(mu=mu, nu=nu, alpha=spec.alpha, w=spec.w, g_a=g_a)
+        return mu, moments_nu(spec.alpha, spec.w, g_a, mu)
+    return mu, None
 
 
 def build_hermite_data(
@@ -338,11 +327,11 @@ def _filon_rule(spec: ProblemSpec, npts: int, s: int, table: tuple, f1: np.ndarr
     # (npts, s).  Both interpolate on those nodes, so its one Hermite matrix
     # serves them.
     p, *p2 = _hermite_solve(table, f1, *f21)
-    moments = build_moment_table(spec, p.size)
-    value = np.dot(p, moments.mu)
+    mu, nu = build_moment_table(spec, p.size)
+    value = np.dot(p, mu)
     diagnostics = {"basis_size": int(p.size)}
     if p2:
-        value = np.dot(p2[0], moments.mu) + np.dot(p, moments.nu)
+        value = np.dot(p2[0], mu) + np.dot(p, nu)
         diagnostics["basis_size_f2"] = int(p2[0].size)
     return QuadratureResult(
         value=complex(value * spec.phase_shift),
@@ -496,8 +485,10 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
     T_k(2t - 1) on [0, 1] (``spec.a`` must be 1); the model ODE and its
     first s derivatives are collocated at the endpoints (interior nodes
     carry single conditions), with the regularized amplitude f1 of
-    ``spec`` on the right-hand side.  Returns ``(c0, coeffs, diag)`` where
-    ``coeffs`` are the q1 expansion coefficients.
+    ``spec`` on the right-hand side.  Returns ``(c0, coeffs, diagnostics)``
+    where ``coeffs`` are the q1 expansion coefficients and ``diagnostics``
+    those of :func:`oscquad.levin.tsvd_solve`, ``residual_norm`` that of
+    the row-equilibrated system.
 
     Parameters
     ----------
@@ -508,9 +499,8 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     check_counts(npts=npts, s=s)
-    L, data, *route = _freq_operator(spec, npts, s, _regularised(spec))
-    sol = _solutions(L, data[:1], *route)[0]
-    return sol.c0, sol.q1, sol.diag
+    L, data, rhs, q1_gprime, _ = _freq_operator(spec, npts, s, _regularised(spec))
+    return _problem_solves(L, data[:1], rhs, q1_gprime)[0]
 
 
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:

@@ -12,9 +12,12 @@ and the end rows (:func:`_physical_operator` here, or
 arrays and scalars: the LAPACK factor and its diagnostics, each solve's
 solution and residual, and the end data of the one solve whose q(a) the
 bracket reads, with the first solve's c0 for the logarithmic kind.  The
-public :func:`factor`, :func:`solve_alg`, :func:`solve_log` and
-``filon.solve_freq`` wrap the same factorisation and solves in
-:class:`FactorDiag` and :class:`LevinSolution`.
+public :func:`tsvd_solve`, :func:`solve_alg`, :func:`solve_log` and
+``filon.solve_freq`` run the same factorisation and solves and return
+plain values: ``(x, diagnostics)`` for a matrix and right-hand side, and
+``(c0, q1, diagnostics)`` for each solve of a problem, where
+``diagnostics`` holds the solve's ``residual_norm`` and the factor's
+``factor``, ``cond`` and ``tsvd_truncated``, the keys of a Levin result.
 
 In physical space the unknowns are the constant c0 and the
 non-oscillatory factor q1 of the ansatz p = q g^alpha + h (with
@@ -27,16 +30,17 @@ Collocation runs on the modified Gauss-Radau nodes, which exclude the
 origin; the condition at x=0 replaces q1(0) by the extrapolation
 r^T q1 through the grid's origin weights; a problem with a != 1 is
 refused (the rules map it onto [0, 1] first).  The resulting square
-system is factorised once per operator by :func:`factor`: LU with partial
-pivoting where its condition estimate stays moderate, truncated SVD where
-the operator is near-singular, since exactly one near-null direction
-appears at large n and small w (the discrete trace of the continuous
-one-parameter solution family).  The operator depends on (g, alpha, w, n)
-only.  Everything of it that depends on g alone is kept per polynomial g and
-n (:func:`oscquad._kept.kept`) in one ``_physical_table`` entry: g at the
-interior nodes, g' at all nodes and the complex matrix without its alpha and
-w terms, g D in the interior block and zeros elsewhere; at n = 32 that is
-256 + 264 + 17424 = 17944 bytes.  A call copies the matrix and writes the
+system is factorised once per operator by :func:`_factorise`: LU with
+partial pivoting where its condition estimate stays moderate, truncated
+SVD where the operator is near-singular, since exactly one near-null
+direction appears at large n and small w (the discrete trace of the
+continuous one-parameter solution family).  The operator depends on
+(g, alpha, w, n) only.  Everything of it that depends on g alone is kept
+per polynomial g and n (:func:`oscquad._kept.kept`) in one
+``_physical_table`` entry: g at the interior nodes, g' at all nodes and
+the complex matrix without its alpha and w terms, g D in the interior
+block and zeros elsewhere; at n = 32 that is 256 + 264 + 17424 = 17944
+bytes.  A call copies the matrix and writes the
 real (1+alpha) g' and imaginary w g', w g g' terms into it, and evaluates
 both amplitudes together, once, at all nodes, origin first, which is the
 order of the unknowns, with g at the nodes from the table.  Beyond the
@@ -50,24 +54,18 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from ._kept import kept
-from ._result import Method, QuadratureResult
-from .boundary import _levin_value
+from ._result import Method, QuadratureResult, check_counts
+from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
 from .problem import Oscillator, ProblemSpec, _regularised, _Separated, _unit_interval
 
 __all__ = [
-    "LevinSolution",
-    "FactorDiag",
-    "TsvdFactor",
     "assemble_L",
-    "factor",
     "tsvd_solve",
     "solve_alg",
     "solve_log",
@@ -84,83 +82,11 @@ __all__ = [
 # least-squares regularization.
 TSVD_THRESHOLD = 1e-13
 
-# zgecon reciprocal condition estimate above which :func:`factor` keeps the
-# LU factor without taking the SVD.  Over 1320 operators of both routes on
-# the built-ins (w from 1e-3 to 1e8), the 418 that truncate at
+# zgecon reciprocal condition estimate above which :func:`_factorise` keeps
+# the LU factor without taking the SVD.  Over 1320 operators of both routes
+# on the built-ins (w from 1e-3 to 1e8), the 418 that truncate at
 # TSVD_THRESHOLD all estimate below 1.2e-13, 80 times under this bound.
 RCOND_THRESHOLD = 1e-11
-
-
-@dataclass(frozen=True)
-class FactorDiag:
-    """Diagnostics of a factorised operator: ``factor`` is ``"lu"`` or
-    ``"tsvd"``, ``cond`` the 1-norm condition estimate 1/rcond of LAPACK
-    zgecon on the LU factor (taken on both paths), ``truncated`` the
-    number of dropped singular directions (0 on the LU path)."""
-
-    factor: str
-    cond: float
-    truncated: int
-
-    def diagnostics(self) -> dict:
-        """The factor's keys in the diagnostics of a Levin result."""
-        return {"factor": self.factor, "cond": self.cond, "tsvd_truncated": self.truncated}
-
-
-@dataclass(frozen=True)
-class _LuFactor:
-    """LU factor with partial pivoting (zgetrf) of a square operator ``L``,
-    and its diagnostics."""
-
-    L: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
-    diag: FactorDiag
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """zgetrs, then one step of iterative refinement on its residual."""
-        return _solve(self.L, (self.lu, self.piv, None), rhs)
-
-
-@dataclass(frozen=True)
-class TsvdFactor:
-    """SVD ``L = U diag(S) Vh`` of a square operator and its kept directions."""
-
-    U: np.ndarray
-    S: np.ndarray
-    Vh: np.ndarray
-    keep: np.ndarray
-    cond: float
-
-    @property
-    def diag(self) -> FactorDiag:
-        return FactorDiag("tsvd", self.cond, int((~self.keep).sum()))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Minimum-norm solution over the kept singular directions."""
-        keep = self.keep
-        coeff = (self.U.conj().T @ rhs)[keep] / self.S[keep]
-        return self.Vh.conj().T[:, keep] @ coeff
-
-
-@dataclass(frozen=True)
-class LevinSolution:
-    """One Levin solve on either route: the constant c0 and the unknowns of q1.
-
-    ``q1`` holds q1 at the Radau grid's interior nodes on the physical
-    route and its coefficients in T_k(2t - 1) on the frequency route.
-    ``residual_norm`` is the max residual |L x - b| over all rows of the
-    system as factorised: the collocation residual, origin row included,
-    on the physical route, that of the row-equilibrated system on the
-    frequency route.  ``diag`` describes the factor, ``rhs_end`` is the
-    right-hand side at t = 1.
-    """
-
-    c0: complex
-    q1: np.ndarray
-    residual_norm: float
-    diag: FactorDiag
-    rhs_end: complex
 
 
 @kept
@@ -226,43 +152,29 @@ def _operator(spec: ProblemSpec, grid: ChebGrid):
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
-    """Solve with singular values below ``TSVD_THRESHOLD * s_max`` dropped.
-
-    :func:`factor` followed by its ``solve``: the minimum-norm truncated-SVD
-    solution where ``L`` is near-singular, the LU solution elsewhere.
-
-    Returns
-    -------
-    x : ndarray
-    diag : FactorDiag
-    """
-    f = factor(L)
-    return f.solve(rhs), f.diag
-
-
-def _tsvd(L: np.ndarray, rcond: float) -> TsvdFactor:
-    try:
-        U, S, Vh = np.linalg.svd(L)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(f"SVD of the collocation system failed: {exc}") from exc
-    keep = S >= TSVD_THRESHOLD * S[0]
-    if S[0] == 0.0 or not keep.any():
-        raise DegenerateSystemError("all singular values below TSVD threshold")
-    return TsvdFactor(U=U, S=S, Vh=Vh, keep=keep, cond=1.0 / rcond if rcond > 0 else np.inf)
-
-
-def factor(L: np.ndarray):
-    """The factor of ``L`` that every right-hand side sharing it is solved against.
+    """Solve ``L x = rhs`` on the factor a Levin call takes of ``L``.
 
     LU with partial pivoting where the factor is finite and nonsingular,
     unless its reciprocal condition estimate is at most ``RCOND_THRESHOLD``
     and the SVD drops singular values below ``TSVD_THRESHOLD * s_max``:
-    there the truncated SVD.  Where the SVD would drop nothing, the refined
-    LU solve is the more accurate of the two.  Either has ``solve(rhs)`` and
-    ``diag`` (:class:`FactorDiag`).
+    there the minimum-norm solution over the kept singular directions.
+    Where the SVD would drop nothing, the refined LU solve is the more
+    accurate of the two.
+
+    Returns
+    -------
+    x : ndarray
+    diagnostics : dict
+        ``residual_norm``, the largest entry of ``L x - rhs`` in modulus,
+        and the factor's ``factor`` (``"lu"`` or ``"tsvd"``), ``cond``
+        (1/rcond of LAPACK zgecon on the LU factor, taken on both paths)
+        and ``tsvd_truncated`` (dropped singular directions, 0 on the LU
+        path).
 
     Raises
     ------
+    ParameterError
+        If ``L`` is not a square matrix.
     DegenerateSystemError
         If the SVD is needed and every singular value falls below the
         threshold, or it does not converge (as for a matrix with
@@ -270,33 +182,50 @@ def factor(L: np.ndarray):
     """
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ParameterError("the Levin factorisation expects a square system")
-    (lu, piv, svd), cond = _factorise(L)
-    return _LuFactor(L, lu, piv, FactorDiag("lu", cond, 0)) if svd is None else svd
+        raise ParameterError(f"the Levin factorisation expects a square matrix, got shape {L.shape}")
+    return _results(L, [rhs], _as_complex, None)[0]
+
+
+def _tsvd(L: np.ndarray) -> tuple:
+    # The SVD L = U diag(S) Vh and the mask ``keep`` of its singular values
+    # from TSVD_THRESHOLD * s_max up, as (U, S, Vh, keep).
+    try:
+        U, S, Vh = np.linalg.svd(L)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystemError(f"SVD of the collocation system failed: {exc}") from exc
+    keep = S >= TSVD_THRESHOLD * S[0]
+    if S[0] == 0.0 or not keep.any():
+        raise DegenerateSystemError("all singular values below TSVD threshold")
+    return U, S, Vh, keep
 
 
 def _factorise(L: np.ndarray) -> tuple:
-    # factor's work as plain values, ((lu, piv, svd), cond): zgetrf's factor
-    # and pivots, the TsvdFactor where the truncated SVD solves and None
-    # where LU does, and the condition estimate of the factor's FactorDiag.
+    # The factor of tsvd_solve as ((lu, piv, svd), keys): zgetrf's factor
+    # and pivots, the _tsvd where the truncated SVD solves and None where
+    # LU does, and the factor's diagnostics, the one place they are formed.
     lu, piv, info = zgetrf(L)
     # zgecon's estimate of the 1-norm reciprocal condition; 0 for an exactly
     # singular factor.
     rcond = zgecon(lu, np.abs(L).sum(axis=0).max())[0] if info == 0 else 0.0
     lu_ok = info == 0 and np.isfinite(lu).all()
     if lu_ok and rcond > RCOND_THRESHOLD:
-        return (lu, piv, None), 1.0 / rcond
-    svd = _tsvd(L, rcond)
-    return (lu, piv, None if lu_ok and svd.keep.all() else svd), svd.cond
+        return (lu, piv, None), {"factor": "lu", "cond": 1.0 / rcond, "tsvd_truncated": 0}
+    svd = _tsvd(L)
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    dropped = int((~svd[3]).sum())
+    if lu_ok and not dropped:
+        return (lu, piv, None), {"factor": "lu", "cond": cond, "tsvd_truncated": 0}
+    return (lu, piv, svd), {"factor": "tsvd", "cond": cond, "tsvd_truncated": dropped}
 
 
 def _solve(L: np.ndarray, fact: tuple, rhs: np.ndarray) -> np.ndarray:
-    # L x = rhs on the factor ``fact`` of _factorise: the truncated SVD's
-    # solution, or zgetrs and one step of iterative refinement on its
-    # residual.
+    # L x = rhs on the factor ``fact`` of _factorise: the minimum-norm
+    # solution over the truncated SVD's kept directions, or zgetrs and one
+    # step of iterative refinement on its residual.
     lu, piv, svd = fact
     if svd is not None:
-        return svd.solve(rhs)
+        U, S, Vh, keep = svd
+        return Vh.conj().T[:, keep] @ ((U.conj().T @ rhs)[keep] / S[keep])
     x = zgetrs(lu, piv, rhs)[0]
     return x + zgetrs(lu, piv, rhs - L @ x)[0]
 
@@ -346,6 +275,17 @@ def _solves(L: np.ndarray, fact: tuple, data: list, rhs, q1_gprime) -> list:
     return sols
 
 
+def _results(L: np.ndarray, data: list, rhs, q1_gprime) -> list:
+    # The (x, diagnostics) of each of the _solves on one _factorise of L.
+    fact, keys = _factorise(L)
+    return [(x, {"residual_norm": residual, **keys}) for x, residual, _ in _solves(L, fact, data, rhs, q1_gprime)]
+
+
+def _problem_solves(L: np.ndarray, data: list, rhs, q1_gprime) -> list:
+    # The (c0, q1, diagnostics) of each of the _results.
+    return [(complex(x[0]), x[1:], diagnostics) for x, diagnostics in _results(L, data, rhs, q1_gprime)]
+
+
 def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route, in one pass from operator to value.
     # ``route(unit, amplitudes)`` gives, for ``spec`` on [0, 1] and its
@@ -361,11 +301,9 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
     unit = _unit_interval(spec)
     g_a = spec.g_end()
     L, data, rhs, q1_gprime, (q1_row, slope, at_end) = route(unit, _regularised(unit, g_a))
-    fact, cond = _factorise(L)
+    fact, keys = _factorise(L)
     sols = _solves(L, fact, data, rhs, q1_gprime)
-    diagnostics = {"residual_norm": sols[0][1], "factor": "lu", "cond": cond, "tsvd_truncated": 0}
-    if fact[2] is not None:
-        diagnostics.update(fact[2].diag.diagnostics())
+    diagnostics = {"residual_norm": sols[0][1], **keys}
     x, residual, values = sols[-1]
     q1 = x[1:]
     c0, dq1, dq1_size = complex(x[0]), complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
@@ -378,7 +316,7 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
         c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
         first_c0 = None if first_c0 is None else first_c0 * a
     end = (c0, complex(q1_row @ q1), dq1, dq1_size, complex(values[at_end]))
-    return QuadratureResult(_levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
+    return QuadratureResult(levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
@@ -387,15 +325,7 @@ def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
                        Method.LEVIN_PHYSICAL, n, 0)
 
 
-def _solutions(L: np.ndarray, data: list, rhs, q1_gprime, rows: tuple) -> list:
-    # The LevinSolution of each of the _solves of a route's tuple.
-    fact, cond = _factorise(L)
-    diag = FactorDiag("lu", cond, 0) if fact[2] is None else fact[2].diag
-    return [LevinSolution(complex(x[0]), x[1:], residual, diag, complex(values[rows[2]]))
-            for x, residual, values in _solves(L, fact, data, rhs, q1_gprime)]
-
-
-def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
+def solve_alg(spec: ProblemSpec, n: int):
     """Solve the collocation system for the regularized amplitude f1.
 
     Parameters
@@ -405,9 +335,16 @@ def solve_alg(spec: ProblemSpec, n: int) -> LevinSolution:
         the logarithmic path.
     n : int
         Number of Radau nodes.
+
+    Returns
+    -------
+    (c0, q1, diagnostics)
+        The constant c0, q1 at the Radau grid's interior nodes, and the
+        diagnostics of :func:`tsvd_solve`; ``residual_norm`` is the
+        collocation residual, origin row included.
     """
-    L, data, *route = _physical_operator(spec, n, _regularised(spec))
-    return _solutions(L, data[:1], *route)[0]
+    L, data, rhs, q1_gprime, _ = _physical_operator(spec, n, _regularised(spec))
+    return _problem_solves(L, data[:1], rhs, q1_gprime)[0]
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -415,16 +352,24 @@ def solve_log(spec: ProblemSpec, n: int):
 
     The first solve is :func:`solve_alg` on f1.  The second uses the same
     operator with right-hand side ``f21(x) - q1(x) g'(x)`` (q1(0)
-    extrapolated), f21 being the f1 of the algebraic-kind sub-problem of
-    the f2 amplitude of :func:`problem.make_f1_f2`: by linearity the sum
-    of the coupled solve (d0, l1) for ``-q1 g'`` and that sub-problem's
-    solve.
+    extrapolated), where ``f21 = f log(g(a) x/g) (x/g)^alpha`` is the
+    amplitude a Levin call takes (:func:`oscquad.problem._regularised`):
+    by linearity the sum of the coupled solve (d0, l1) for ``-q1 g'``, the
+    solve of the f1 of the algebraic-kind sub-problem of the f2 amplitude
+    of :func:`problem.make_f1_f2`, and log g(a) times the first solve.  So
+    for a problem on [0, 1], :func:`oscquad.boundary.levin_value` on the
+    two solves' end data is the value of ``compute``.  (``compute`` maps a
+    problem with a != 1 onto [0, 1] and keeps the g(a) of the problem
+    before mapping; this function, given the mapped problem, takes its
+    g(1) = g(a)/a.)
 
     Returns
     -------
-    (LevinSolution, LevinSolution)
+    ((c0, q1, diagnostics), (d0, l1, diagnostics))
+        As :func:`solve_alg`, each with its own ``residual_norm``.
     """
-    return tuple(_solutions(*_physical_operator(spec, n, _regularised(spec))))
+    L, data, rhs, q1_gprime, _ = _physical_operator(spec, n, _regularised(spec, spec.g_end()))
+    return tuple(_problem_solves(L, data, rhs, q1_gprime))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
@@ -452,6 +397,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
     list of (complex, ndarray)
         [(c0^[1], q1^[1]), ..., (c0^[k], q1^[k])] at the interior nodes.
     """
+    check_counts(k=k)
     if k < 1:
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kept import freeze, kept
+from ._result import check_counts
 from ._series import poly_taylor, ps_div, ps_log, ps_mul, ps_pow
 from .errors import CapabilityError, InvalidOscillatorError, ParameterError
 
@@ -557,6 +558,7 @@ def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:
     Computed from the truncated power series of ``f (x/g)^alpha`` at x,
     which handles the removable singularity at x=0 exactly.
     """
+    check_counts(max_order=max_order)
     if max_order < 0:
         raise ParameterError("max_order must be nonnegative")
     f1, _ = make_f1_f2(spec)

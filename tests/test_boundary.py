@@ -12,10 +12,10 @@ import oscquad.filon
 import oscquad.levin
 from oscquad import Method, compute
 from oscquad.baselines import reference_nsd
-from oscquad.boundary import EndData, levin_value, upper_end_value
+from oscquad.boundary import levin_value, upper_end_value
 from oscquad.cheb import lobatto_grid, radau_grid
 from oscquad.filon import solve_freq
-from oscquad.levin import LevinSolution, factor, solve_alg, solve_log
+from oscquad.levin import solve_alg, solve_log, tsvd_solve
 from oscquad.numkernel import hyp2f2_equal, kernel_k_alg
 from oscquad.problem import (
     Amplitude,
@@ -47,9 +47,9 @@ def _reference_upper_end_value(spec, c0, q1_end, rhs_end, dq1_end, dq1_size):
 
 
 def _reference_value(spec, end, first_c0):
-    # ``end`` holds the fields of the EndData whose q(a) is read, in their
-    # order; ``first_c0`` is the first solve's c0, None for the algebraic
-    # kind.
+    # ``end`` is the end data (c0, q1(a), q1'(a), dq1_size, rhs(a)) of the
+    # solve whose q(a) is read; ``first_c0`` is the first solve's c0, None
+    # for the algebraic kind.
     c0, q1_end, dq1_end, dq1_size, rhs_end = end
     g_a = spec.g_end()
     alpha = spec.alpha
@@ -66,19 +66,19 @@ def _reference_value(spec, end, first_c0):
 
 def _recorded_levin_calls(monkeypatch):
     # Every bracket of a Levin call of either route, as (spec, end data,
-    # first solve's c0, value): levin._quad_levin hands boundary._levin_value
+    # first solve's c0, value): levin._quad_levin hands boundary.levin_value
     # the one solve's end data whose q(a) is read, and the first solve's c0
     # for the logarithmic kind.
     seen = []
-    real = oscquad.levin._levin_value
+    real = oscquad.levin.levin_value
 
-    def recording(spec, g_a, end, first_c0):
+    def recording(spec, g_a, end, first_c0=None):
         assert g_a == spec.g_end()
         value = real(spec, g_a, end, first_c0)
         seen.append((spec, end, first_c0, value))
         return value
 
-    monkeypatch.setattr(oscquad.levin, "_levin_value", recording)
+    monkeypatch.setattr(oscquad.levin, "levin_value", recording)
     return seen
 
 
@@ -88,14 +88,17 @@ class TestUpperEndValue:
         # q(a) by upper_end_value, by the plain sum c0 + g(a) q1(a), and by
         # the collocated ODE at x = a.
         spec = builtin_problem("ex53a", 0.5, w)
-        sol = solve_alg(spec, n)
-        q1, row = sol.q1, radau_grid(n).diff[-1]
+        c0, q1, _ = solve_alg(spec, n)
+        row = radau_grid(n).diff[-1]
         g, gp = spec.g_end(), float(spec.oscillator.deriv1(spec.a))
-        assert sol.rhs_end == complex(make_f1_f2(spec)[0].value(spec.a))
-        end = EndData(sol.c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), sol.rhs_end)
+        rhs_end = complex(make_f1_f2(spec)[0].value(spec.a))
+        # The right-hand side at x = a that a Levin call reads is f1(a).
+        _, data, _, _, (_, _, at_end) = oscquad.levin._physical_operator(spec, n, _regularised(spec))
+        assert complex(data[0][at_end]) == rhs_end
+        end = (c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), rhs_end)
         picked = upper_end_value(spec, end, *spec.oscillator.series_at(spec.a, 2))
-        plain = sol.c0 + g * q1[-1]
-        ode = (sol.rhs_end - g * (row @ q1) - 1.5 * gp * q1[-1]) / (1j * spec.w * gp)
+        plain = c0 + g * q1[-1]
+        ode = (rhs_end - g * (row @ q1) - 1.5 * gp * q1[-1]) / (1j * spec.w * gp)
         return picked, plain, ode
 
     def test_forms_agree(self):
@@ -157,7 +160,8 @@ class TestLevinValue:
             return wrapper
 
         monkeypatch.setattr(oscquad.levin, "_solve", counting("solve", oscquad.levin._solve))
-        monkeypatch.setattr(oscquad.boundary, "_upper_end", counting("upper_end_value", oscquad.boundary._upper_end))
+        monkeypatch.setattr(oscquad.boundary, "upper_end_value",
+                            counting("upper_end_value", oscquad.boundary.upper_end_value))
         compute(builtin_problem(pid, 0.5, 200.0), method, n, s)
         solves = 1 if pid in ("ex51", "ex53a") else 2
         assert counts == {"solve": solves, "upper_end_value": 1}
@@ -182,8 +186,9 @@ class TestLevinValue:
         assert at_end == ["g_end", "deriv1"]
 
 
-def _g_a_one(kind, w):
-    # f = 1 + 0.2 x, g = x + 2 x^2 on [0, 1/2]: a != 1 and g(a) = 1 exactly.
+def _a_half(kind, w):
+    # f = 1 + 0.2 x, g = x + 2 x^2 on [0, 1/2]: a != 1, and g(a) = 1 while
+    # the problem mapped onto [0, 1] has g(1) = 2.
     return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 2.0]),
                          a=0.5, alpha=0.5, kind=kind, w=w)
 
@@ -191,69 +196,87 @@ def _g_a_one(kind, w):
 PIECES_SPECS = {
     "ex51": lambda w: builtin_problem("ex51", 0.5, w),
     "ex52": lambda w: builtin_problem("ex52", 0.5, w),
-    "alg-a-half": lambda w: _g_a_one(SingKind.ALGEBRAIC, w),
-    "log-a-half": lambda w: _g_a_one(SingKind.ALGEBRAIC_LOG, w),
+    # g(1) = 2, so f21's log g(a) term is not zero.
+    "ex53b": lambda w: builtin_problem("ex53b", 0.5, w),
+    "alg-a-half": lambda w: _a_half(SingKind.ALGEBRAIC, w),
+    "log-a-half": lambda w: _a_half(SingKind.ALGEBRAIC_LOG, w),
 }
 
 
-def _public_solutions(unit, method, n, s):
-    # The solves of a Levin call on ``unit`` (a problem on [0, 1]) by the
-    # public pieces, and the rows that take q1 to q1(1) and q1'(1).  The
-    # call's f21 takes c = g(a) of the problem before mapping, solve_log's
-    # c = 1, so g(a) must be 1.  The frequency route has no public piece for
-    # the logarithmic kind's two solves: they are made on the route's matrix
-    # and maps with the public factor.
-    log_kind = unit.kind is SingKind.ALGEBRAIC_LOG
+def _public_solves(spec, method, n, s):
+    # The solves of a Levin call on ``spec`` by the public pieces, each as
+    # (c0, q1, diagnostics), and the route's tuple for the problem mapped
+    # onto [0, 1] with the call's amplitudes.  The call's f21 takes
+    # c = g(a) of ``spec``, and solve_log takes g(1) of the problem it is
+    # given, which for the mapped problem is g(a)/a: solve_log serves a
+    # problem on [0, 1].  Elsewhere in the logarithmic kind, and on the
+    # frequency route, which has no public piece for it, the two solves are
+    # tsvd_solve's on the route's matrix and maps.
+    unit = _unit_interval(spec)
+    amplitudes = _regularised(unit, spec.g_end())
     if method is Method.LEVIN_PHYSICAL:
-        last = np.zeros(n)
-        last[-1] = 1.0
-        rows = (last, radau_grid(n).diff[-1])
-        return (list(solve_log(unit, n)) if log_kind else [solve_alg(unit, n)]), rows
-    k = np.arange(n - 1 + 2 * s)
-    rows = (np.ones(k.size), 2.0 * k**2)
-    if not log_kind:
-        c0, coeffs, diag = solve_freq(unit, n, s)
-        rhs_end = complex(make_f1_f2(unit)[0].series_at(lobatto_grid(n - 1).nodes, s + 1)[-1, 0])
-        return [LevinSolution(c0, coeffs, np.nan, diag, rhs_end)], rows
-    L, (f1, f21), rhs, q1_gprime, _ = oscquad.filon._freq_operator(unit, n, s, _regularised(unit))
-    fact = factor(L)
-    x = fact.solve(rhs(f1))
-    data = f21 - q1_gprime(x[1:])
-    y = fact.solve(rhs(data))
-    return [LevinSolution(complex(x[0]), x[1:], np.nan, fact.diag, complex(f1[-1, 0])),
-            LevinSolution(complex(y[0]), y[1:], np.nan, fact.diag, complex(data[-1, 0]))], rows
+        route = oscquad.levin._physical_operator(unit, n, amplitudes)
+    else:
+        route = oscquad.filon._freq_operator(unit, n, s, amplitudes)
+    if unit.kind is SingKind.ALGEBRAIC:
+        return [solve_alg(unit, n) if method is Method.LEVIN_PHYSICAL else solve_freq(unit, n, s)], route
+    if method is Method.LEVIN_PHYSICAL and spec.a == 1.0:
+        return list(solve_log(unit, n)), route
+    L, (f1, f21), rhs, q1_gprime, _ = route
+    x, first = tsvd_solve(L, rhs(f1))
+    y, second = tsvd_solve(L, rhs(f21 - q1_gprime(x[1:])))
+    return [(complex(x[0]), x[1:], first), (complex(y[0]), y[1:], second)], route
 
 
-def _end_data(sol, q1_row, slope, a):
-    # The EndData at x = a of a solve of the problem mapped onto [0, 1]: its
-    # c0 times a and its q1'(1) divided by a.
-    q1 = sol.q1
-    c0, dq1, dq1_size = sol.c0, complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+def _f1_end(unit, method, n, s):
+    # f1(1) of ``unit`` apart from the route's node data: make_f1_f2's f1
+    # at t = 1, on the frequency route its value in the series at the
+    # Lobatto nodes.
+    f1 = make_f1_f2(unit)[0]
+    if method is Method.LEVIN_PHYSICAL:
+        return complex(f1.value(1.0))
+    return complex(f1.series_at(lobatto_grid(n - 1).nodes, s + 1)[-1, 0])
+
+
+def _end_data(spec, method, n, s, sols, route):
+    # The end data at x = a of the solve whose q(a) is read, and the first
+    # solve's c0 for the logarithmic kind: c0 times a and q1'(1) divided by
+    # a, and the right-hand side at t = 1 read off the node data at the last
+    # node, whose f1 is f1(1) computed apart.
+    _, data, _, q1_gprime, (q1_row, slope, _) = route
+    end_node = -1 if method is Method.LEVIN_PHYSICAL else (-1, 0)
+    assert complex(data[0][end_node]) == _f1_end(_unit_interval(spec), method, n, s)
+    c0, q1, _ = sols[-1]
+    values = data[0] if len(sols) == 1 else data[1] - q1_gprime(sols[0][1])
+    first_c0 = None if len(sols) == 1 else sols[0][0]
+    dq1, dq1_size = complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+    a = spec.a
     if a != 1.0:
         c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
-    return EndData(c0, complex(q1_row @ q1), dq1, dq1_size, sol.rhs_end)
+        first_c0 = None if first_c0 is None else first_c0 * a
+    return (c0, complex(q1_row @ q1), dq1, dq1_size, complex(values[end_node])), first_c0
 
 
 class TestComputeFromPublicPieces:
     """A Levin call equals, bit for bit, its solves by the public pieces,
-    their EndData and levin_value."""
+    their end data and levin_value, g(a) = 2 (ex53b) included."""
 
     @pytest.mark.parametrize("w, factor_kind", [(1.0, "tsvd"), (200.0, "lu")])
     @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 14, 2)])
     @pytest.mark.parametrize("name", PIECES_SPECS)
     def test_value_and_diagnostics(self, name, method, n, s, w, factor_kind):
         spec = PIECES_SPECS[name](w)
-        assert spec.g_end() == 1.0
-        sols, rows = _public_solutions(_unit_interval(spec), method, n, s)
-        value = levin_value(spec, spec.g_end(), *(_end_data(sol, *rows, spec.a) for sol in sols))
+        sols, route = _public_solves(spec, method, n, s)
+        value = levin_value(spec, spec.g_end(), *_end_data(spec, method, n, s, sols, route))
         result = compute(spec, method, n, s)
         assert np.array([result.value]).tobytes() == np.array([value]).tobytes()
         diag = result.diagnostics
         assert diag["factor"] == factor_kind
-        assert {k: diag[k] for k in ("factor", "cond", "tsvd_truncated")} == sols[0].diag.diagnostics()
-        if method is Method.LEVIN_PHYSICAL:
-            residuals = [diag[k] for k in ("residual_norm", "residual_norm_second") if k in diag]
-            assert residuals == [sol.residual_norm for sol in sols]
+        for _, _, solve_diag in sols:
+            assert {k: diag[k] for k in ("factor", "cond", "tsvd_truncated")} == \
+                {k: solve_diag[k] for k in ("factor", "cond", "tsvd_truncated")}
+        residuals = [diag[k] for k in ("residual_norm", "residual_norm_second") if k in diag]
+        assert residuals == [solve_diag["residual_norm"] for _, _, solve_diag in sols]
 
 
 class _CountedRow(np.ndarray):

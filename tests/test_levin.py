@@ -14,7 +14,6 @@ from oscquad.cheb import lobatto_grid, radau_grid
 from oscquad.errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
 from oscquad.levin import (
     TSVD_THRESHOLD,
-    LevinSolution,
     assemble_L,
     picard_iterate,
     solve_alg,
@@ -164,15 +163,16 @@ class TestTsvdSolve:
         b = np.array([1.0 + 2.0j, -3.0j, 0.5])
         x, diag = tsvd_solve(np.eye(3, dtype=complex), b)
         assert_allclose(x, b, rtol=1e-14)
-        assert diag.truncated == 0
+        assert diag["tsvd_truncated"] == 0
+        assert diag["residual_norm"] == 0.0
 
     def test_forced_truncation(self):
         L = np.diag([1.0, 0.1 * TSVD_THRESHOLD]).astype(complex)
         x, diag = tsvd_solve(L, np.array([1.0, 1.0], dtype=complex))
-        assert diag.truncated == 1
+        assert diag["tsvd_truncated"] == 1
         assert_allclose(x, [1.0, 0.0], atol=1e-12)
-        assert diag.factor == "tsvd"
-        assert diag.cond >= 5.0 / TSVD_THRESHOLD
+        assert diag["factor"] == "tsvd"
+        assert diag["cond"] >= 5.0 / TSVD_THRESHOLD
 
     def test_all_singular_rejected(self):
         L = np.zeros((2, 2), dtype=complex)
@@ -183,12 +183,18 @@ class TestTsvdSolve:
         # One factorisation reproduces tsvd_solve bit for bit on each rhs.
         rng = np.random.default_rng(7)
         L = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        factor = oscquad.levin.factor(L)
+        fact, keys = oscquad.levin._factorise(L)
         for _ in range(3):
             b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             x, diag = tsvd_solve(L, b)
-            assert np.array_equal(factor.solve(b), x)
-            assert factor.diag == diag
+            assert np.array_equal(oscquad.levin._solve(L, fact, b), x)
+            assert diag == {"residual_norm": float(np.abs(L @ x - b).max()), **keys}
+
+    @pytest.mark.parametrize("L", [np.ones(3, dtype=complex), np.ones((2, 3), dtype=complex),
+                                   np.ones((2, 2, 2), dtype=complex)], ids=["1-d", "2x3", "3-d"])
+    def test_refuses_a_matrix_that_is_not_square(self, L):
+        with pytest.raises(ParameterError, match="square matrix"):
+            tsvd_solve(L, np.ones(len(L), dtype=complex))
 
     def test_high_n_spectrum_single_small_sv(self):
         # Once n over-resolves the oscillation, exactly one singular value
@@ -253,12 +259,12 @@ class TestFactorRouting:
         for spec, (L, *_) in _route_operators():
             sv = np.linalg.svd(L, compute_uv=False)
             dropped = int((sv < TSVD_THRESHOLD * sv[0]).sum())
-            diag = oscquad.levin.factor(L).diag
-            routes[diag.factor] += 1
+            _, diag = oscquad.levin._factorise(L)
+            routes[diag["factor"]] += 1
             if dropped:
                 truncating += 1
-                assert (diag.factor, diag.truncated) == ("tsvd", dropped), (spec, L.shape)
-            assert diag.cond >= sv[0] / sv[-1] / L.shape[0]
+                assert (diag["factor"], diag["tsvd_truncated"]) == ("tsvd", dropped), (spec, L.shape)
+            assert diag["cond"] >= sv[0] / sv[-1] / L.shape[0]
         assert truncating > 0 and routes["lu"] > routes["tsvd"] == truncating
 
     def test_lu_agrees_with_svd(self):
@@ -268,13 +274,13 @@ class TestFactorRouting:
         eps = np.finfo(float).eps
         levin = oscquad.levin
         for spec, (L, data, rhs, q1_gprime, _) in _route_operators():
-            fact, cond = levin._factorise(L)
+            fact, keys = levin._factorise(L)
             if fact[2] is not None:
                 continue
-            svd = (None, None, levin._tsvd(L, 1.0 / cond))
+            svd = (None, None, levin._tsvd(L))
             for (x, _, _), (y, _, _) in zip(levin._solves(L, fact, data, rhs, q1_gprime),
                                             levin._solves(L, svd, data, rhs, q1_gprime)):
-                bound = max(1e-12, 128 * eps * cond) * np.abs(y).max()
+                bound = max(1e-12, 128 * eps * keys["cond"]) * np.abs(y).max()
                 assert np.abs(x - y).max() <= bound, (spec, L.shape)
 
     @pytest.mark.parametrize("pid, alpha, w, n", [
@@ -286,10 +292,10 @@ class TestFactorRouting:
         L, data, rhs, *_ = oscquad.levin._physical_operator(spec, n, _regularised(spec))
         b = rhs(data[0])
         exact = _solve_40_digits(L, b)
-        factor = oscquad.levin.factor(L)
-        svd = oscquad.levin._tsvd(L, 1.0 / factor.diag.cond)
-        assert factor.diag.factor == "lu"
-        lu_err, svd_err = (np.abs(f.solve(b) - exact).max() for f in (factor, svd))
+        x, diag = tsvd_solve(L, b)
+        assert diag["factor"] == "lu"
+        y = oscquad.levin._solve(L, (None, None, oscquad.levin._tsvd(L)), b)
+        lu_err, svd_err = (np.abs(z - exact).max() for z in (x, y))
         assert lu_err <= svd_err
 
     def test_lu_where_svd_drops_nothing(self):
@@ -302,9 +308,9 @@ class TestFactorRouting:
         L, data, rhs, *_ = oscquad.filon._freq_operator(spec, 16, 1, _regularised(spec))
         b = rhs(data[0])
         exact = _solve_40_digits(L, b)
-        factor = oscquad.levin.factor(L)
-        assert (factor.diag.factor, factor.diag.truncated) == ("lu", 0)
-        assert np.abs(factor.solve(b) - exact).max() <= 5e-7 * np.abs(exact).max()
+        x, diag = tsvd_solve(L, b)
+        assert (diag["factor"], diag["tsvd_truncated"]) == ("lu", 0)
+        assert np.abs(x - exact).max() <= 5e-7 * np.abs(exact).max()
         with mp.workdps(40):
             alpha = mp.mpf(9) / 10
             integral = complex(mp.quad(lambda x: (1 - x) * (2 - x)**alpha * x**alpha * mp.expj(10 * (1 - x)),
@@ -314,88 +320,96 @@ class TestFactorRouting:
 
 class TestSolveAlg:
     def test_zero_amplitude(self):
-        sol = solve_alg(zero_amplitude_spec(), 8)
-        assert sol.c0 == 0.0
-        assert np.abs(sol.q1).max() == 0.0
+        c0, q1, _ = solve_alg(zero_amplitude_spec(), 8)
+        assert c0 == 0.0
+        assert np.abs(q1).max() == 0.0
 
     def test_residual_bound(self):
         spec = builtin_problem("ex51", 0.5, 100.0)
-        sol = solve_alg(spec, 12)
+        c0, q1, diag = solve_alg(spec, 12)
         f1, _ = make_f1_f2(spec)
         fmax = max(abs(complex(f1.value(x))) for x in radau_grid(12).interior)
-        assert sol.residual_norm <= 1e-10 * max(fmax, 1.0)
-        assert isinstance(sol, LevinSolution)
+        assert diag["residual_norm"] <= 1e-10 * max(fmax, 1.0)
+        assert isinstance(c0, complex) and q1.shape == (12,)
 
     def test_residual_bound_nonlinear_g(self):
         spec = builtin_problem("ex53a", -0.5, 200.0)
-        sol = solve_alg(spec, 14)
-        assert sol.residual_norm <= 1e-9
+        _, _, diag = solve_alg(spec, 14)
+        assert diag["residual_norm"] <= 1e-9
 
     def test_q1_frequency_decay(self):
         # Non-oscillatory solution bound: ||q1|| and |c0| scale as O(1/w).
         norms = []
         c0s = []
         for w in (1000.0, 2000.0, 4000.0, 8000.0):
-            sol = solve_alg(builtin_problem("ex51", 0.5, w), 10)
-            norms.append(np.abs(sol.q1).max())
-            c0s.append(abs(sol.c0))
+            c0, q1, _ = solve_alg(builtin_problem("ex51", 0.5, w), 10)
+            norms.append(np.abs(q1).max())
+            c0s.append(abs(c0))
         for seq in (norms, c0s):
             for hi, lo in zip(seq, seq[1:]):
                 assert 0.3 <= lo / hi <= 0.8
 
     def test_tsvd_idle_at_moderate_n(self):
-        sol = solve_alg(builtin_problem("ex51", 0.5, 100.0), 10)
-        assert sol.diag.truncated == 0
-        assert sol.diag.factor == "lu"
-        assert np.isfinite(sol.diag.cond)
+        _, _, diag = solve_alg(builtin_problem("ex51", 0.5, 100.0), 10)
+        assert diag["tsvd_truncated"] == 0
+        assert diag["factor"] == "lu"
+        assert np.isfinite(diag["cond"])
 
 
 class TestSolveLog:
     def test_zero_amplitude(self):
-        sol1, sol2 = solve_log(zero_amplitude_spec(SingKind.ALGEBRAIC_LOG), 8)
-        assert sol1.c0 == 0.0 and sol2.c0 == 0.0
-        assert np.abs(sol1.q1).max() == 0.0
-        assert np.abs(sol2.q1).max() == 0.0
+        (c0, q1, _), (d0, l1, _) = solve_log(zero_amplitude_spec(SingKind.ALGEBRAIC_LOG), 8)
+        assert c0 == 0.0 and d0 == 0.0
+        assert np.abs(q1).max() == 0.0
+        assert np.abs(l1).max() == 0.0
 
     def test_residuals(self):
         spec = builtin_problem("ex52", 0.5, 100.0)
-        sol1, sol2 = solve_log(spec, 12)
-        assert sol1.residual_norm <= 1e-9
-        assert sol2.residual_norm <= 1e-9
+        (_, _, first), (_, _, second) = solve_log(spec, 12)
+        assert first["residual_norm"] <= 1e-9
+        assert second["residual_norm"] <= 1e-9
 
     def test_f2_solve_is_solve_alg_of_sub_problem(self):
-        # By linearity the second solve, right-hand side f21 - q1 g', is the
-        # solve of -q1 g' alone plus the f2 sub-problem's own solution.  (At
-        # w = 3, n = 16 the smallest singular value is 3e-9, so small w is
-        # left out.)
+        # By linearity the second solve, right-hand side f21 - q1 g' with
+        # f21 = f log(g(a) x/g) (x/g)^alpha, is the solve of -q1 g' alone
+        # plus the f2 sub-problem's own solution plus log g(a) times the
+        # first solve; ex53b has g(1) = 2.  Each solve rounds on the scale
+        # of its size, most at the q1 nodes next to the origin, where the
+        # Radau differentiation's entries grow like n^2: the four round
+        # apart by up to 0.6 eps n^2 of their sizes summed (2.0e-14 of them
+        # at alpha = -0.6, w = 300, n = 16).
+        # (At w = 3, n = 16 the smallest singular value is 3e-9, so small w
+        # is left out.)
         for alpha in (0.4, -0.6, 0.9):
             for w in (300.0, 1e4, 1e6):
                 spec = builtin_problem("ex53b", alpha, w)
+                log_g_a = np.log(spec.g_end())
                 for n in (8, 10, 12, 16):
-                    sol1, sol2 = solve_log(spec, n)
+                    (c0, q1, _), (d0, l1, _) = solve_log(spec, n)
                     grid = radau_grid(n)
-                    q1 = sol1.q1
                     coupled, _ = tsvd_solve(assemble_L(spec, grid)[0], -np.concatenate(
                         ([grid.origin_weights @ q1], q1)) * spec.oscillator.deriv1(grid.nodes))
-                    f2 = solve_alg(f2_sub_problem(spec), n)
-                    got = np.concatenate(([sol2.c0], sol2.q1))
-                    want = coupled + np.concatenate(([f2.c0], f2.q1))
-                    assert np.abs(got - want).max() <= 1e-14 * np.abs(got).max(), (alpha, w, n)
+                    f2_c0, f2_q1, _ = solve_alg(f2_sub_problem(spec), n)
+                    terms = (np.concatenate(([d0], l1)), coupled, np.concatenate(([f2_c0], f2_q1)),
+                             log_g_a * np.concatenate(([c0], q1)))
+                    got, want = terms[0], sum(terms[1:])
+                    sizes = sum(np.abs(term).max() for term in terms)
+                    assert np.abs(got - want).max() <= np.finfo(float).eps * n**2 * sizes, (alpha, w, n)
 
     def test_second_solve_consistency(self):
         # Feeding f21 - q1 g' as a fresh algebraic problem's f1 reproduces
-        # (d0, l1): same operator, same data.  f21 is the f1 of the f2
-        # sub-problem.
+        # (d0, l1): same operator, same data.  ex52 has g(1) = 1, so f21 is
+        # the f1 of the f2 sub-problem.
         spec = builtin_problem("ex52", -0.5, 150.0)
         n = 12
-        sol1, sol2 = solve_log(spec, n)
+        (_, q1, _), (d0, l1, _) = solve_log(spec, n)
         grid = radau_grid(n)
         f21 = make_f1_f2(f2_sub_problem(spec))[0].value(grid.nodes)
-        q1 = np.concatenate(([grid.origin_weights @ sol1.q1], sol1.q1))
+        q1 = np.concatenate(([grid.origin_weights @ q1], q1))
         L, _ = assemble_L(spec, grid)
         vec, _ = tsvd_solve(L, f21 - q1 * spec.oscillator.deriv1(grid.nodes))
-        assert abs(vec[0] - sol2.c0) <= 1e-11 * max(abs(sol2.c0), 1.0)
-        assert np.abs(vec[1:] - sol2.q1).max() <= 1e-11
+        assert abs(vec[0] - d0) <= 1e-11 * max(abs(d0), 1.0)
+        assert np.abs(vec[1:] - l1).max() <= 1e-11
 
 
 class TestOneNodePassPerCall:
@@ -530,8 +544,8 @@ class TestPicardIterate:
         w = 1e4
         spec = builtin_problem("ex51", 0.5, w)
         grid = radau_grid(8)
-        sol = solve_alg(spec, 8)
+        _, q1, _ = solve_alg(spec, 8)
         iters = picard_iterate(spec, grid, 3)
-        errs = [np.abs(it[1] - sol.q1).max() for it in iters]
+        errs = [np.abs(it[1] - q1).max() for it in iters]
         assert errs[1] <= 0.1 * errs[0]
         assert errs[2] <= 0.1 * errs[1]

@@ -22,7 +22,7 @@ from oscquad._result import check_counts
 from oscquad.baselines import reference_oracle
 from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
 from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
-from oscquad.filon import quad_freq, solve_freq
+from oscquad.filon import build_moment_table, moments_mu, quad_freq, solve_freq
 from oscquad.levin import assemble_L, picard_iterate, solve_alg, solve_log
 from oscquad.numkernel import kernel_h_alg
 from oscquad.problem import (
@@ -33,6 +33,7 @@ from oscquad.problem import (
     _unit_interval,
     build_problem,
     builtin_problem,
+    f1_derivatives,
 )
 
 
@@ -111,11 +112,10 @@ class TestBracketLowerLimit:
         # Each term of the antiderivative bracket decays monotonically as
         # x -> 0+, justifying the analytic zero at the lower limit.
         spec = builtin_problem("ex51", -0.5, 300.0)
-        sol = solve_alg(spec, 14)
+        c0, q1_nodes, _ = solve_alg(spec, 14)
         alpha, w = spec.alpha, spec.w
-        c0 = sol.c0
         grid = radau_grid(14)
-        full = np.concatenate(([grid.origin_weights @ sol.q1], sol.q1))
+        full = np.concatenate(([grid.origin_weights @ q1_nodes], q1_nodes))
         mags = []
         for k in range(4, 9):
             x = 10.0 ** (-k)
@@ -354,7 +354,7 @@ class TestShortIntervals:
                 call()
         unit = _unit_interval(spec)
         assert unit.a == 1.0 and unit.w == 50.0
-        assert np.isfinite(solve_alg(unit, 8).c0) and np.isfinite(solve_freq(unit, 8, 1)[0])
+        assert np.isfinite(solve_alg(unit, 8)[0]) and np.isfinite(solve_freq(unit, 8, 1)[0])
 
 
 class TestIntegerParameters:
@@ -404,8 +404,11 @@ class TestCheckCounts:
 
         for module in (oscquad.quadrature, oscquad.filon):
             monkeypatch.setattr(module, "check_counts", counting)
-        compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
-        assert calls == [{"n": n, "s": s}]
+        result = compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
+        # n and s are checked once; the Filon rule reads its moments through
+        # the public moments_mu, which checks the basis size it is given.
+        moments = [{"count": result.diagnostics["basis_size"]}] if method is Method.FILON else []
+        assert calls == [{"n": n, "s": s}, *moments]
 
 
 class TestLinearityInF:
@@ -564,3 +567,18 @@ class TestConvergenceInN:
             errs.append(max(abs(res.value - ref), 1e-18))
         assert errs[2] <= 1e-2 * errs[0]
         assert errs[-1] <= 1e-12
+
+
+class TestNonIntegerCounts:
+    """Every count and order of the public pieces is refused unless it is an
+    integer, with a ParameterError that names the value."""
+
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda: build_moment_table(builtin_problem("ex52", 0.5, 100.0), 2.5), "count", 2.5),
+        (lambda: moments_mu(0.5, 100.0, 1.0, True), "count", True),
+        (lambda: picard_iterate(builtin_problem("ex51", 0.5, 100.0), radau_grid(8), 1.5), "k", 1.5),
+        (lambda: f1_derivatives(builtin_problem("ex51", 0.5, 100.0), 0.5, 2.5), "max_order", 2.5),
+    ], ids=["build_moment_table", "moments_mu", "picard_iterate", "f1_derivatives"])
+    def test_refused_naming_the_value(self, call, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call()
