@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dsterf
 from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 
 from ._kept import kept
-from ._result import Method, QuadratureResult
+from ._result import Method, QuadratureResult, check_counts
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import ProblemSpec, SingKind, _horner_py, integrand
 
@@ -85,6 +85,7 @@ def gauss_legendre(f, a: float, b: float, m: int) -> complex:
 
     Exact for polynomials of degree <= 2m - 1.
     """
+    check_counts(m=m)
     if m < 1:
         raise ParameterError("m must be at least 1")
     if not a < b:
@@ -162,33 +163,16 @@ def _cmf_panels(amp, w_eff: float, edges: np.ndarray, m: int) -> np.ndarray:
     return half * np.exp(1j * w_eff * mid) * np.sum(coeffs * mom, axis=1)
 
 
-def cmf_composite(target, n: int, m: int, a: float, b: float, w=None) -> complex:
-    """Composite moment-free Filon rule on [a, b] with n equal panels.
-
-    ``target`` is either a ProblemSpec with a linear oscillator (its
-    singular amplitude f(x) x^alpha (log x) is interpolated; the result
-    includes the problem's phase shift) or a plain non-oscillatory
-    callable, in which case ``w`` must be given.
-    """
+def cmf_composite(target, n: int, m: int, a: float, b: float, w: float) -> complex:
+    """Composite moment-free Filon rule for ``int_a^b target(x) e^{i w x} dx``
+    with n equal panels; ``target`` is a non-oscillatory callable on numpy
+    arrays, interpolated on each panel by a polynomial of degree m."""
+    check_counts(n=n, m=m)
     if n < 1 or m < 1:
         raise ParameterError("n and m must be at least 1")
     if not a < b:
         raise ParameterError("need a < b")
-    if isinstance(target, ProblemSpec):
-        beta = _slope(target)
-        if not beta:
-            raise CapabilityError("the composite baseline supports linear oscillators only")
-        w_eff = target.w * beta
-        amp = _singular_amplitude_fn(target)
-        shift = target.phase_shift
-    else:
-        if w is None:
-            raise ParameterError("w is required for a plain callable")
-        w_eff = float(w)
-        amp = target
-        shift = 1.0 + 0.0j
-    edges = np.linspace(a, b, n + 1)
-    return complex(np.sum(_cmf_panels(amp, w_eff, edges, m)) * shift)
+    return complex(np.sum(_cmf_panels(target, float(w), np.linspace(a, b, n + 1), m)))
 
 
 @dataclass(frozen=True)
@@ -247,6 +231,7 @@ def default_cmfp_params(spec: ProblemSpec, n1: int) -> CMFPParams:
 
 
 def _validate_cmfp(params: CMFPParams) -> None:
+    check_counts(n=params.n, s=params.s, m1=params.m1, m2=params.m2)
     if params.n < 1 or params.s < 1:
         raise ParameterError("n and s must be at least 1")
     if params.m1 < 1:
@@ -370,10 +355,17 @@ def graded_integral(
     ``func`` must accept numpy arrays.  ``osc_rate = 0`` disables the
     oscillation cap, which also makes w = 0 integrands usable.
     """
-    if not a > 0:
-        raise ParameterError("a must be positive")
+    check_counts(gl_order=gl_order)
+    if not (a > 0 and math.isfinite(a)):
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
     if not alpha > -1:
         raise ParameterError("alpha must exceed -1 for an integrable endpoint")
+    if gl_order < 1:
+        raise ParameterError(f"gl_order must be at least 1, got {gl_order!r}")
+    if not 0 <= osc_rate < math.inf:
+        raise ParameterError(f"osc_rate must be nonnegative and finite, got {osc_rate!r}")
+    if not 0 < cap_factor < math.inf:
+        raise ParameterError(f"cap_factor must be positive and finite, got {cap_factor!r}")
     minexp = np.finfo(float).minexp
     depth = min(120, max(0, math.floor(math.log2(a)) - minexp - 64))
     eps = a * 0.5**depth

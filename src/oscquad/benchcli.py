@@ -53,8 +53,6 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import get_type_hints
 
-import numpy as np
-
 from ._kept import kept
 from .baselines import ORACLE_PHASE_CAP, cmfp_applies, reference_nsd, reference_oracle
 from .errors import AccuracyError, CapabilityError, ParameterError
@@ -135,22 +133,6 @@ def parse_csv(text: str) -> list:
     return [RunRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, ln.split(",")))) for ln in lines[1:]]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    return str(obj)
-
-
 def _resolve_method(name: str, s: int) -> Method:
     key = name.strip().lower()
     if key == "levin":
@@ -187,7 +169,7 @@ def _build_spec(args, w: float) -> ProblemSpec:
         return builtin_problem(args.problem, args.alpha, w)
     if args.f_poly and args.g_poly:
         amp = Amplitude.from_poly(_parse_list(args.f_poly, complex, "coefficient"))
-        osc = Oscillator.from_poly([c.real for c in _parse_list(args.g_poly, complex, "coefficient")])
+        osc = Oscillator.from_poly(_parse_list(args.g_poly, float, "coefficient"))
         return build_problem(amp, osc, a=args.a, alpha=args.alpha, kind=SingKind(args.kind), w=w)
     raise ParameterError("specify --problem ID or both --f-poly and --g-poly")
 
@@ -264,14 +246,10 @@ def _cmd_eval(args, out, err) -> int:
     spec = _build_spec(args, args.w)
     method = _resolve_method(args.method, args.s)
     result = compute(spec, method, args.n, args.s)
-    diagnostics = _jsonable(result.diagnostics)
-    diagnostics["method"] = result.method.value
-    diagnostics["n"] = result.n
-    diagnostics["s"] = result.s
     payload = {
         "value_re": result.value.real,
         "value_im": result.value.imag,
-        "diagnostics": diagnostics,
+        "diagnostics": {**result.diagnostics, "method": result.method.value, "n": result.n, "s": result.s},
     }
     out.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
@@ -306,7 +284,7 @@ def _cmd_rows(args, out, err) -> int:
 _COMMON_OPTIONS = (
     ("--problem", dict(help="built-in problem id (ex51, ex52, ex53a, ex53b, ex54)")),
     ("--f-poly", dict(help="amplitude polynomial coefficients, ascending, comma-separated")),
-    ("--g-poly", dict(help="oscillator polynomial coefficients, ascending, comma-separated")),
+    ("--g-poly", dict(help="oscillator polynomial coefficients (real), ascending, comma-separated")),
     ("--kind", dict(choices=[k.value for k in SingKind], default="algebraic",
                     help="singularity kind for polynomial problems")),
     ("--a", dict(type=float, default=1.0, help="interval end for polynomial problems")),

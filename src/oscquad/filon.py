@@ -117,6 +117,17 @@ def _moment_series(alpha: float, w: float, g_a: float, count: int, log: bool) ->
     return out
 
 
+def _check_moment_args(w: float, g_a: float, count: int, too_few: str) -> None:
+    # The arguments both moment tables refuse: a zero or non-finite w, a
+    # g_a that is not positive and finite, and a table of no moments.
+    if not (w != 0 and math.isfinite(w)):
+        raise ParameterError(f"w must be nonzero and finite, got {w!r}")
+    if not (g_a > 0 and math.isfinite(g_a)):
+        raise ParameterError(f"g_a must be positive and finite, got {g_a!r}")
+    if count < 1:
+        raise ParameterError(too_few)
+
+
 @kept
 def _mu_1(alpha: float, w: float, g_a: float) -> complex:
     # mu_1's closed form, kept per (alpha, w, g_a) as the end kernels are;
@@ -136,12 +147,7 @@ def moments_mu(alpha: float, w: float, g_a: float, count: int) -> np.ndarray:
     kept per (alpha, w, g_a).
     """
     check_counts(count=count)
-    if w == 0:
-        raise ParameterError("w must be nonzero")
-    if not g_a > 0:
-        raise ParameterError("g_a must be positive")
-    if count < 1:
-        raise ParameterError("count must be at least 1")
+    _check_moment_args(w, g_a, count, "count must be at least 1")
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, False)
     mu = np.zeros(count, dtype=complex)
@@ -168,6 +174,7 @@ def moments_nu(
     """
     mu = np.asarray(mu, dtype=complex)
     count = mu.size
+    _check_moment_args(w, g_a, count, "mu must hold at least one moment")
     if _recurrence_amplifies(alpha, w, g_a, count):
         return _moment_series(alpha, w, g_a, count, True)
     nu = np.zeros(count, dtype=complex)
@@ -210,9 +217,8 @@ def build_hermite_data(
     """
     check_counts(npts=npts, s=s)
     _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
-    amp = amplitude if amplitude is not None else _regularised(spec).f1
-    values = amp.series_at(nodes, s + 1) * layout.fact
-    return HermiteData(nodes=nodes, mults=layout.mults, values=values)
+    series = _regularised(spec)(nodes, s + 1)[0] if amplitude is None else amplitude.series_at(nodes, s + 1)
+    return HermiteData(nodes=nodes, mults=layout.mults, values=series * layout.fact)
 
 
 def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int, size: int = 0):
@@ -232,6 +238,8 @@ def _hermite_table(data: HermiteData, spec: ProblemSpec) -> tuple:
     # (npts, s) of ``data`` and its _hermite_matrix; the nodes and
     # multiplicities of ``data`` must be those build_hermite_data gives for
     # spec: the kept Hermite matrix is that of those conditions.
+    if not data.mults.size:
+        raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
     npts, s = data.nodes.size, int(data.mults[0]) - 1
     _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
     if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, layout.mults)):
@@ -304,11 +312,9 @@ def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
     kind: the algebraic rule applied to the regularized f2 amplitude plus
     ``sum_j p_j nu_j``.
     """
-    f21 = _regularised(spec).second
     npts, s, table = _hermite_table(data, spec)
-    fact = table[0].fact
-    return _filon_rule(spec, npts, s, table, data.values,
-                       [] if f21 is None else [f21.series_at(data.nodes, s + 1) * fact])
+    f21 = _regularised(spec)(data.nodes, s + 1)[1:]
+    return _filon_rule(spec, npts, s, table, data.values, [series * table[0].fact for series in f21])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
@@ -316,7 +322,7 @@ def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # Levin rules, formed together on the nodes of the one table read.
     table = _hermite_matrix(spec.oscillator, spec.a, npts, s)
     layout, nodes = table[:2]
-    f1, *f21 = (series * layout.fact for series in _regularised(spec).at(nodes, s + 1))
+    f1, *f21 = (series * layout.fact for series in _regularised(spec)(nodes, s + 1))
     return _filon_rule(spec, npts, s, table, f1, f21)
 
 
@@ -412,13 +418,10 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # functions, built once the cap has passed, the g' series (length s+1) at the
     # nodes, the factorials and g' at the conditions, and the three terms
     # of the Levin images of T_0 .. T_{M-1}, sum_i g_i P'_{j-i},
-    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition (orders
-    # j > 0 of interior nodes are formed and dropped).  Each Cauchy product
-    # is summed over table columns in ps_mul's order.  Only endpoint sums
-    # have more than one term; there ps_mul's dot product may fuse a
-    # multiply-add, so for a general g the sums can differ from it in the
-    # last bits.  A bad (npts, s), then a basis over the cap, raises, so is
-    # never kept.
+    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition, each a
+    # ps_mul over the whole basis (orders j > 0 of interior nodes are
+    # formed and dropped).  A bad (npts, s),
+    # then a basis over the cap, raises, so is never kept.
     M = npts - 1 + 2 * s
     _check_basis(npts, s, M)
     layout = _layout(npts, s)
@@ -430,25 +433,18 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     ggprime = ps_mul(gg, gprime)
     P = cheb[:, :, : s + 1]
     dP = np.arange(1, s + 2) * cheb[:, :, 1:]
-    terms = np.empty((3, npts, s + 1, M))
-    for j in range(s + 1):
-        t1, t2, t3 = np.zeros((M, npts)), np.zeros((M, npts)), np.zeros((M, npts))
-        for i in range(j + 1):
-            t1 = t1 + gg[:, i] * dP[:, :, j - i]
-            t2 = t2 + gprime[:, i] * P[:, :, j - i]
-            t3 = t3 + ggprime[:, i] * P[:, :, j - i]
-        terms[:, :, j] = t1.T, t2.T, t3.T
-    return layout, cheb, gprime, layout.fact[order], gprime[node, order], terms[:, node, order]
+    terms = np.stack([ps_mul(gg, dP), ps_mul(gprime, P), ps_mul(ggprime, P)])[:, :, node, order]
+    return layout, cheb, gprime, layout.fact[order], gprime[node, order], terms.transpose(0, 2, 1)
 
 
-def _freq_operator(spec: ProblemSpec, npts: int, s: int, amplitudes) -> tuple:
+def _freq_operator(spec: ProblemSpec, npts: int, s: int, at) -> tuple:
     # The route's part of a Levin call (see levin._quad_levin) at (g, alpha,
     # w, npts, s).  Rows: the model ODE and its first (mult - 1) derivatives
     # at each node, applied to the unknowns (c0, q1 coefficients); column
     # k + 1 holds the Levin image g q' + (1+alpha) g' q + iw g g' q of
     # q = T_k, for the whole basis: the terms of _freq_table, kept per g,
-    # combined with alpha and w.  Node data of ``amplitudes`` (a
-    # problem._Separated) are Taylor series of length s+1 at the nodes; a
+    # combined with alpha and w.  Node data of ``at`` (a
+    # problem._regularised) are Taylor series of length s+1 at the nodes; a
     # right-hand side is their conditions times factorials.  Row j grows
     # like k^{2j}: each row of the matrix, and of every right-hand side, is
     # divided by the power of two just above its largest entry.  The end
@@ -475,7 +471,7 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, amplitudes) -> tuple:
         # one), times that of g'.
         return ps_mul((coeffs[:, None, None] * P).sum(axis=0), gprime)
 
-    return L, amplitudes.at(layout.nodes, m), rhs, q1_gprime, (*layout.end_rows, (-1, 0))
+    return L, at(layout.nodes, m), rhs, q1_gprime, (*layout.end_rows, (-1, 0))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
@@ -517,5 +513,5 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
 
 def _quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # quad_freq once its counts are checked, as compute(LEVIN_FREQ) runs it.
-    return _quad_levin(spec, lambda unit, amplitudes: _freq_operator(unit, npts, s, amplitudes),
+    return _quad_levin(spec, lambda unit, at: _freq_operator(unit, npts, s, at),
                        Method.LEVIN_FREQ, npts, s)

@@ -1,8 +1,9 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
-Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], build
-f1 and, for the logarithmic kind, the amplitude f21 = f log(g(a) x/g)
-(x/g)^alpha once (:func:`oscquad.problem._regularised`), solve for f1 and
+Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], form
+the node data of f1 and, for the logarithmic kind, of the amplitude
+f21 = f log(g(a) x/g) (x/g)^alpha in one call of the function that
+:func:`oscquad.problem._regularised` returns, solve for f1 and
 f21 - q1 g' on one factorised operator, and read the bracket at x = a
 (:func:`oscquad.boundary.levin_value`).  A route is only what it hands
 that one pass: its matrix, the node data of the amplitudes, the map from
@@ -62,7 +63,7 @@ from ._result import Method, QuadratureResult, check_counts
 from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Oscillator, ProblemSpec, _regularised, _Separated, _unit_interval
+from .problem import Oscillator, ProblemSpec, _regularised, _unit_interval
 
 __all__ = [
     "assemble_L",
@@ -129,7 +130,7 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     rhs : ndarray, shape (n+1,)
     """
     L, _ = _operator(spec, grid)
-    return L, np.asarray(_regularised(spec).f1.value(grid.nodes), dtype=complex)
+    return L, np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex)
 
 
 def _operator(spec: ProblemSpec, grid: ChebGrid):
@@ -174,7 +175,8 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
     Raises
     ------
     ParameterError
-        If ``L`` is not a square matrix.
+        If ``L`` is not a square matrix or ``rhs`` not a vector of its
+        size.
     DegenerateSystemError
         If the SVD is needed and every singular value falls below the
         threshold, or it does not converge (as for a matrix with
@@ -183,7 +185,11 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
     L = np.asarray(L)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ParameterError(f"the Levin factorisation expects a square matrix, got shape {L.shape}")
-    return _results(L, [rhs], _as_complex, None)[0]
+    if np.shape(rhs) != L.shape[:1]:
+        raise ParameterError(f"rhs must be a vector of {L.shape[0]} entries, got shape {np.shape(rhs)}")
+    fact, keys = _factorise(L)
+    x, residual, _ = _solution(L, fact, _as_complex, rhs)
+    return x, {"residual_norm": residual, **keys}
 
 
 def _tsvd(L: np.ndarray) -> tuple:
@@ -235,11 +241,12 @@ def _as_complex(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=complex)
 
 
-def _physical_operator(spec: ProblemSpec, n: int, amplitudes: _Separated) -> tuple:
+def _physical_operator(spec: ProblemSpec, n: int, at) -> tuple:
     # The route's part of a Levin call (see _quad_levin) on the Radau grid
-    # of n nodes: the matrix of assemble_L; the node data of ``amplitudes``,
-    # values at grid.nodes, origin first, the order of the rows and of the
-    # unknowns, formed with g at the interior nodes from the kept table;
+    # of n nodes: the matrix of assemble_L; the node data of ``at`` (a
+    # problem._regularised), values at grid.nodes, origin first, the order
+    # of the rows and of the unknowns, formed with g at the interior nodes
+    # from the kept table;
     # those values as the right-hand side; and the end rows: q1(1) is the
     # last unknown, q1'(1) the last row of the differentiation matrix
     # applied to q1, and the right-hand side at t = 1 the last value.
@@ -253,7 +260,7 @@ def _physical_operator(spec: ProblemSpec, n: int, amplitudes: _Separated) -> tup
         # q1(0) extrapolated through the origin weights.
         return np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime
 
-    return L, amplitudes.at(grid.nodes, 0, g=gx), _as_complex, q1_gprime, (last, grid.diff[-1], -1)
+    return L, at(grid.nodes, 0, g=gx), _as_complex, q1_gprime, (last, grid.diff[-1], -1)
 
 
 def _solution(L: np.ndarray, fact: tuple, rhs, data: np.ndarray) -> tuple:
@@ -275,29 +282,25 @@ def _solves(L: np.ndarray, fact: tuple, data: list, rhs, q1_gprime) -> list:
     return sols
 
 
-def _results(L: np.ndarray, data: list, rhs, q1_gprime) -> list:
-    # The (x, diagnostics) of each of the _solves on one _factorise of L.
-    fact, keys = _factorise(L)
-    return [(x, {"residual_norm": residual, **keys}) for x, residual, _ in _solves(L, fact, data, rhs, q1_gprime)]
-
-
 def _problem_solves(L: np.ndarray, data: list, rhs, q1_gprime) -> list:
-    # The (c0, q1, diagnostics) of each of the _results.
-    return [(complex(x[0]), x[1:], diagnostics) for x, diagnostics in _results(L, data, rhs, q1_gprime)]
+    # The (c0, q1, diagnostics) of each of the _solves on one _factorise of L.
+    fact, keys = _factorise(L)
+    return [(complex(x[0]), x[1:], {"residual_norm": residual, **keys})
+            for x, residual, _ in _solves(L, fact, data, rhs, q1_gprime)]
 
 
 def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route, in one pass from operator to value.
-    # ``route(unit, amplitudes)`` gives, for ``spec`` on [0, 1] and its
-    # problem._regularised amplitudes, the tuple (L, data, rhs, q1_gprime,
-    # end rows): the matrix, the node data of the amplitudes, the map from
-    # node data to a right-hand side, that from q1 to the node data of
-    # q1 g', and the rows that take q1 to q1(1) and q1'(1) beside the index
-    # of the value at t = 1 in node data.  The solves give the q1 of
-    # ``spec`` and its c0, d0 divided by a, which are scaled back here.
-    # Only the solve whose q(a) the bracket reads has its end data formed;
-    # of the logarithmic kind's first solve it reads c0 alone.  f21 carries
-    # log g(a) of ``spec``.
+    # ``route(unit, at)`` gives, for ``spec`` on [0, 1] and the
+    # problem._regularised ``at`` of its amplitudes, the tuple (L, data,
+    # rhs, q1_gprime, end rows): the matrix, the node data of the
+    # amplitudes, the map from node data to a right-hand side, that from q1
+    # to the node data of q1 g', and the rows that take q1 to q1(1) and
+    # q1'(1) beside the index of the value at t = 1 in node data.  The
+    # solves give the q1 of ``spec`` and its c0, d0 divided by a, which are
+    # scaled back here.  Only the solve whose q(a) the bracket reads has its
+    # end data formed; of the logarithmic kind's first solve it reads c0
+    # alone.  f21 carries log g(a) of ``spec``.
     unit = _unit_interval(spec)
     g_a = spec.g_end()
     L, data, rhs, q1_gprime, (q1_row, slope, at_end) = route(unit, _regularised(unit, g_a))
@@ -321,7 +324,7 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
     # The s = 0 rule of either kind.
-    return _quad_levin(spec, lambda unit, amplitudes: _physical_operator(unit, n, amplitudes),
+    return _quad_levin(spec, lambda unit, at: _physical_operator(unit, n, at),
                        Method.LEVIN_PHYSICAL, n, 0)
 
 
@@ -406,7 +409,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w
-    f1 = np.asarray(_regularised(spec).f1.value(grid.nodes), dtype=complex)
+    f1 = np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex)
     f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
     q1 = np.zeros(gx.size, dtype=complex)

@@ -118,7 +118,13 @@ def neg_iw_pow(alpha: float, w: float) -> complex:
     return complex(np.exp(alpha * (math.log(abs(w)) - 1j * (math.pi / 2) * math.copysign(1.0, w))))
 
 
+def _check_finite_z(z: complex) -> None:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParameterError(f"z must be finite, got {z!r}")
+
+
 def _check_gamma_domain(a: float, z: complex) -> None:
+    _check_finite_z(z)
     if not -1.0 < a < 2.0:
         raise ParameterError(f"upper_gamma_complex requires a in (-1,2), got {a}")
     if a == 0.0:
@@ -311,6 +317,7 @@ def hyp2f2_equal(
     if not -1.0 < alpha < 2.0 or alpha == 0.0:
         raise ParameterError(f"hyp2f2_equal requires alpha in (-1,2) excluding 0, got {alpha}")
     z = complex(z)
+    _check_finite_z(z)
     if z == 0:
         return 1.0 + 0.0j, KernelDiag(Strategy.SERIES, 1, 0.0)
     if abs(z) <= series_max:

@@ -412,55 +412,31 @@ def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
     return (ratio, ps_log(ps_div(c * num, den))) if c else (ratio,)
 
 
-class _Separated:
-    """The amplitudes of :func:`_separated`.  ``at(xs, m)`` is the list of
-    the data of f1 and of the second amplitude (absent for the algebraic
-    kind) at the points xs, formed together: values for m = 0, series of
-    length m otherwise; ``at(xs, m, False)`` forms f1's alone, and
-    ``at(xs, 0, g=gx)`` takes g at the points xs > 0 from the caller.
-    ``f1`` and ``second`` (None for the algebraic kind) are the amplitudes,
-    each its entry of an ``at`` call, built when read: the Levin and Filon
-    rules read ``at`` alone."""
-
-    __slots__ = ("at", "_f1", "_log_kind")
-
-    def __init__(self, at: Callable, log_kind: bool, f1: Optional[Amplitude] = None):
-        self.at, self._log_kind, self._f1 = at, log_kind, f1
-
-    @property
-    def f1(self) -> Amplitude:
-        at = self.at
-        return self._f1 or Amplitude(value=lambda x: at(x, 0, False)[0], series_fn=lambda xs, m: at(xs, m, False)[0])
-
-    @property
-    def second(self) -> Optional[Amplitude]:
-        at = self.at
-        return Amplitude(value=lambda x: at(x, 0)[1], series_fn=lambda xs, m: at(xs, m)[1]) if self._log_kind else None
-
-
-def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
-    """f1 and, for the logarithmic kind, f log(c x/g), times (x/g)^alpha
-    too with ``f2_power``; None in its place for the algebraic kind.
+def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
+    """The function ``at(xs, m)``: the list of the data of f1 and, for the
+    logarithmic kind, of f log(c x/g), times (x/g)^alpha too with
+    ``f2_power``, at the points xs: values for m = 0, series of length m
+    otherwise.  ``at(xs, 0, g=gx)`` takes g at the points xs > 0 from the
+    caller.
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
-    ``at`` call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points
-    (the series of x/g and of log(c x/g) kept per polynomial g, nodes,
-    length and c by _ratio_series, and f's per keyed amplitude, nodes and
-    length by _amplitude_series) and both amplitudes from them; the value
-    and series of each amplitude alone are its entry of an ``at`` call.  For
-    the identity oscillator the factors are 1 and log c exactly: f1 is f
-    itself and the second amplitude is f log c.
+    call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points (the
+    series of x/g and of log(c x/g) kept per polynomial g, nodes, length and
+    c by _ratio_series, and f's per keyed amplitude, nodes and length by
+    _amplitude_series) and both amplitudes from them.  For the identity
+    oscillator the factors are 1 and log c exactly: f1 is f itself and the
+    second amplitude is f log c.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
     if osc.is_identity:
         log_c = math.log(c)
 
-        def exact(x, m, second=log_kind, g=None):
+        def exact(x, m, g=None):
             out = _amplitude_series(f, x, m) if m else f.value(x)
-            return [out, log_c * np.asarray(out, dtype=complex)] if second else [out]
+            return [out, log_c * np.asarray(out, dtype=complex)] if log_kind else [out]
 
-        return _Separated(exact, log_kind, f)
+        return exact
     gp0 = float(osc.deriv1(0.0))
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
@@ -471,14 +447,12 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
         out[pos] = away
         return out
 
-    def at(x, m, second=log_kind, g=None):
-        # f1's data at x and, with ``second``, the second amplitude's; ``g``
-        # is g at the points x > 0 where the caller holds it.
+    def at(x, m, g=None):
         if m:
             mul = ps_mul
             out = _amplitude_series(f, x, m)
-            ratio = _ratio_series(osc, x, m, c if second else 0.0)
-            log = ratio[1] if second else None
+            ratio = _ratio_series(osc, x, m, c if log_kind else 0.0)
+            log = ratio[1] if log_kind else None
             power = ps_pow(ratio[0], alpha)
         else:
             mul = np.multiply
@@ -488,15 +462,15 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> _Separated:
             gx = g if g is not None else np.asarray(osc.value(away), dtype=float) if away.size else away
             ratio = away / gx
             out = np.asarray(f.value(x))
-            log = factor(xs, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if second else None
+            log = factor(xs, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if log_kind else None
             power = factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
         data = [mul(out, power)]
-        if second:
+        if log_kind:
             out = mul(out, log)
             data.append(mul(out, power) if f2_power else out)
         return data
 
-    return _Separated(at, log_kind)
+    return at
 
 
 def make_f1_f2(spec: ProblemSpec):
@@ -514,18 +488,23 @@ def make_f1_f2(spec: ProblemSpec):
     -----
     For the identity oscillator, ``f1 = f`` and ``f2 = 0`` exactly.
     """
-    amplitudes = _separated(spec, False, 1.0)
-    return amplitudes.f1, amplitudes.second
+    at = _separated(spec, False, 1.0)
+
+    def amplitude(i: int) -> Amplitude:
+        return Amplitude(value=lambda x: at(x, 0)[i], series_fn=lambda xs, m: at(xs, m)[i])
+
+    f1 = spec.amplitude if spec.oscillator.is_identity else amplitude(0)
+    return f1, amplitude(1) if spec.kind is SingKind.ALGEBRAIC_LOG else None
 
 
-def _regularised(spec: ProblemSpec, c: float = 1.0):
-    """The amplitudes the Levin and Filon rules need: f1 and f21, as the
-    ``f1`` and ``second`` of a :class:`_Separated`, whose ``at`` forms the
-    data of both on a route's nodes at once.
+def _regularised(spec: ProblemSpec, c: float = 1.0) -> Callable:
+    """The amplitudes the Levin and Filon rules need, f1 and f21, as the
+    ``at`` function of :func:`_separated`, which forms the data of both on
+    a route's nodes at once.
 
     f1 is that of :func:`make_f1_f2`, and ``f21 = f log(c x/g) (x/g)^alpha``
-    (None for the algebraic kind).  With c = 1, f21 is, bit for bit, the f1
-    of the f2 sub-problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` (f2 of
+    (absent for the algebraic kind).  With c = 1, f21 is, bit for bit, the
+    f1 of the f2 sub-problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` (f2 of
     :func:`make_f1_f2`; the g, a, alpha and w of ``spec``).  The Levin rule
     takes c = g(a) of the problem on [0, a], adding log g(a) f1, so that its
     second solve holds the whole log part: for a = 1 and a polynomial g,

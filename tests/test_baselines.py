@@ -152,8 +152,6 @@ class TestCmfComposite:
     def test_bad_args(self):
         with pytest.raises(ParameterError):
             cmf_composite(lambda x: x, 0, 4, 0.0, 1.0, w=1.0)
-        with pytest.raises(ParameterError):
-            cmf_composite(lambda x: x, 4, 4, 0.0, 1.0)
 
 
 class TestCmfp:

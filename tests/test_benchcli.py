@@ -19,6 +19,7 @@ from oscquad.benchcli import (
     write_csv,
 )
 from oscquad.problem import builtin_problem
+from oscquad.quadrature import Method, compute
 
 
 def run(argv):
@@ -138,6 +139,28 @@ class TestEval:
         ref = reference_oracle(spec)
         assert abs(got - ref) <= 1e-9 * abs(ref)
 
+    @pytest.mark.parametrize("pid, w, method, n, s", [
+        ("ex51", "100", "levin-physical", 12, 0),
+        ("ex51", "1", "levin-physical", 16, 0),
+        ("ex53b", "100", "levin-freq", 8, 1),
+        ("ex52", "100", "filon", 6, 1),
+        ("ex54", "100", "cmfp", 4, 0),
+        ("ex51", "50", "oracle", 8, 0),
+    ])
+    def test_prints_computes_diagnostics(self, pid, w, method, n, s):
+        # The printed line is json.dumps of compute's value and diagnostics,
+        # with the method, n and s beside them.  At w = 1 the ex51 operator
+        # is factored by truncated SVD.
+        code, out, _ = run(["eval", "--problem", pid, "--alpha", "0.5", "--w", w, "--n", str(n),
+                            "--s", str(s), "--method", method])
+        result = compute(builtin_problem(pid, 0.5, float(w)), Method(method), n, s)
+        if w == "1":
+            assert result.diagnostics["factor"] == "tsvd"
+        diagnostics = {**result.diagnostics, "method": method, "n": result.n, "s": result.s}
+        payload = {"value_re": result.value.real, "value_im": result.value.imag, "diagnostics": diagnostics}
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+
     def test_unknown_method_exit_2(self):
         code, _, err = run(
             ["eval", "--problem", "ex51", "--alpha", "0.5",
@@ -152,10 +175,13 @@ class TestEval:
         ["--problem", "ex51", "--w=-inf"],
         ["--f-poly", "1,-1", "--g-poly", "0,1,1", "--w", "10", "--a", "inf"],
         ["--f-poly", "1,-1", "--g-poly", "0,1,1", "--w", "10", "--a", "1e308"],
+        ["--f-poly", "1,-1", "--g-poly", "0,1+1j", "--w", "100"],
     ])
     def test_non_finite_or_extreme_argument_exit_2(self, argv):
         # A non-finite w or a is refused by build_problem; an a at which
-        # w a overflows is refused when the problem is mapped onto [0, 1].
+        # w a overflows is refused when the problem is mapped onto [0, 1];
+        # a g coefficient with an imaginary part makes a bad coefficient
+        # list rather than being cut to its real part.
         with np.errstate(all="ignore"):
             code, _, err = run(["eval", "--alpha", "0.5", "--n", "8"] + argv)
         assert code == 2

@@ -514,15 +514,16 @@ class TestFreqOperatorRows:
         (_, first), (rhs2, _) = seen
         layout, tables, gprime = filon._freq_table(spec.oscillator, npts, s)[:3]
         nodes = layout.nodes
-        f21 = filon._regularised(spec, spec.g_end()).second.series_at(nodes, s + 1)
+        f21 = filon._regularised(spec, spec.g_end())(nodes, s + 1)[1]
         for l in range(npts):
             q1 = sum(c * T for c, T in zip(first[1:], tables[:, l]))
             assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], gprime[l])).tobytes()
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
-        # g g' once per node when the oscillator's images are built; the
-        # images take none (the loop form takes 3 M + 1 per node), and a
-        # call that finds them kept for this g takes none at all.  The
+        # g g' and each of the three image terms once, for all nodes and
+        # the whole basis at once, when the oscillator's images are built
+        # (a per-node loop takes 3 M + 1 per node), and a call that finds
+        # them kept for this g takes none at all.  The
         # Chebyshev table, the same for every g, is served prebuilt: its
         # recurrence takes one ps_mul per basis function for all nodes.
         spec = builtin_problem("ex53a", 0.5, 50.0)

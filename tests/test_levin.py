@@ -471,18 +471,18 @@ class TestOneNodePassPerCall:
 
     @staticmethod
     def assert_regularised_is_sub_problem_f1(spec):
-        # f1 equals make_f1_f2's and f21 the f2 sub-problem's f1, bit for
-        # bit: in value at the Radau nodes, the origin included, and in
-        # series of length 3 at the Lobatto nodes.
-        amplitudes = _regularised(spec)
-        f1, f21 = amplitudes.f1, amplitudes.second
+        # The data of f1 from the _regularised function equal make_f1_f2's
+        # f1 and those of f21 the f2 sub-problem's f1, bit for bit: in value
+        # at the Radau nodes, the origin included, and in series of length 3
+        # at the Lobatto nodes.
+        at = _regularised(spec)
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
         assert radau[0] == 0.0
-        for got, want in ((f1, make_f1_f2(spec)[0]), (f21, make_f1_f2(f2_sub_problem(spec))[0])):
+        for i, want in enumerate((make_f1_f2(spec)[0], make_f1_f2(f2_sub_problem(spec))[0])):
             for x in (radau, 0.0, radau[5]):
-                assert np.asarray(got.value(x), dtype=complex).tobytes() == \
+                assert np.asarray(at(x, 0)[i], dtype=complex).tobytes() == \
                     np.asarray(want.value(x), dtype=complex).tobytes()
-            assert got.series_at(lobatto, 3).tobytes() == want.series_at(lobatto, 3).tobytes()
+            assert np.asarray(at(lobatto, 3)[i], dtype=complex).tobytes() == want.series_at(lobatto, 3).tobytes()
 
     @pytest.mark.parametrize("pid", BUILTIN_IDS)
     def test_node_amplitudes_are_the_amplitude_values(self, pid):
@@ -490,7 +490,9 @@ class TestOneNodePassPerCall:
         for alpha in (0.5, -0.5, -0.7):
             spec = replace(builtin_problem(pid, alpha, 30.0), kind=SingKind.ALGEBRAIC_LOG)
             self.assert_regularised_is_sub_problem_f1(spec)
-            assert _regularised(replace(spec, kind=SingKind.ALGEBRAIC)).second is None
+            # The algebraic kind has f1 alone.
+            at = _regularised(replace(spec, kind=SingKind.ALGEBRAIC))
+            assert len(at(radau_grid(12).nodes, 0)) == len(at(lobatto_grid(9).nodes, 3)) == 1
 
     def test_custom_g_on_short_interval(self):
         for alpha in (0.5, -0.5):
@@ -509,17 +511,15 @@ class TestOneNodePassPerCall:
         spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly(g), a=a, alpha=0.5,
                              kind=SingKind.ALGEBRAIC_LOG, w=40.0)
         unit, c = _unit_interval(spec), spec.g_end()
-        amplitudes = _regularised(unit)
-        f1, f21 = amplitudes.f1, amplitudes.second
-        levin = _regularised(unit, c).second
+        at, levin = _regularised(unit), _regularised(unit, c)
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
-        for got, want, bound in ((levin.value(radau), f21.value(radau) + np.log(c) * f1.value(radau), 2e-15),
-                                 (levin.series_at(lobatto, 3),
-                                  f21.series_at(lobatto, 3) + np.log(c) * f1.series_at(lobatto, 3), 1e-12)):
-            assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
+        for x, m, bound in ((radau, 0, 2e-15), (lobatto, 3, 1e-12)):
+            f1, f21 = at(x, m)
+            want = f21 + np.log(c) * f1
+            assert_allclose(levin(x, m)[1], want, rtol=0, atol=bound * np.abs(want).max())
         if a == 1.0:
-            assert levin.value(np.array([1.0]))[0] == 0.0
-            assert levin.series_at(1.0, 3)[0] == 0.0
+            assert levin(np.array([1.0]), 0)[1][0] == 0.0
+            assert levin(np.array([1.0]), 3)[1][0, 0] == 0.0
 
 
 class TestPicardIterate:
