@@ -15,7 +15,6 @@ from oscquad import (
     builtin_problem,
     cmfp,
     compute,
-    default_cmfp_params,
     reference_oracle,
 )
 
@@ -38,7 +37,7 @@ def main():
     for k in range(1, 18, 2):
         n1 = 2 ** k
         t0 = time.perf_counter()
-        val = cmfp(spec, default_cmfp_params(spec, n1)).value
+        val = cmfp(spec, n1).value
         ms = (time.perf_counter() - t0) * 1e3
         print(f"{n1:6d}  {abs(val - ref) / abs(ref):9.2e}  {ms:7.2f}")
 

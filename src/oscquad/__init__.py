@@ -22,7 +22,6 @@ benchmark CLI.
 
 from ._result import Method, QuadratureResult
 from .baselines import (
-    CMFPParams,
     cmf_composite,
     cmfp,
     default_cmfp_params,
@@ -41,7 +40,6 @@ from .errors import (
     ParameterError,
 )
 from .filon import (
-    HermiteData,
     build_hermite_data,
     build_moment_table,
     hermite_solve,
@@ -86,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Method",
     "QuadratureResult",
-    "CMFPParams",
     "cmf_composite",
     "cmfp",
     "default_cmfp_params",
@@ -104,7 +101,6 @@ __all__ = [
     "InvalidOscillatorError",
     "OscquadError",
     "ParameterError",
-    "HermiteData",
     "build_hermite_data",
     "build_moment_table",
     "hermite_solve",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dsterf
@@ -32,7 +31,6 @@ from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import ProblemSpec, SingKind, _horner_py, integrand
 
 __all__ = [
-    "CMFPParams",
     "default_cmfp_params",
     "gauss_legendre",
     "exponential_moments",
@@ -103,11 +101,15 @@ def exponential_moments(theta, count: int) -> np.ndarray:
     Vectorized over ``theta``.  The forward recurrence amplifies round-off
     by roughly k/|theta| per step, so it is used only where |theta|
     dominates the highest index; below that a Taylor series with an
-    adaptive term count takes over.
+    adaptive term count takes over.  A ``count`` that is not an integer of
+    at least 1, and a non-finite ``theta``, raise ParameterError.
     """
+    check_counts(count=count)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if count < 1:
         raise ParameterError("count must be at least 1")
+    if not np.isfinite(theta).all():
+        raise ParameterError("theta must be finite")
     out = np.empty((theta.size, count), dtype=complex)
     switch = max(0.5, 0.6 * count)
     big = np.abs(theta) >= switch
@@ -175,24 +177,6 @@ def cmf_composite(target, n: int, m: int, a: float, b: float, w: float) -> compl
     return complex(np.sum(_cmf_panels(target, float(w), np.linspace(a, b, n + 1), m)))
 
 
-@dataclass(frozen=True)
-class CMFPParams:
-    """Parameters of the composite CMFP rule.
-
-    n geometric panels carry the moment-free Filon part, s graded panels
-    the Gauss-Legendre part, with m1 >= 1 / m2 >= 2 points per panel, and p
-    is the grading exponent.  :func:`cmfp` derives the scales from the problem:
-    w_r = k for k = |w g'(0)| and lambda_r = 1/w_r (stationary order
-    r = 0, for which w_r = max(k sigma_r, k) with sigma_r = 1).
-    """
-
-    n: int
-    s: int
-    m1: int
-    m2: int
-    p: float
-
-
 def cmfp_applies(spec: ProblemSpec) -> bool:
     """Whether :func:`cmfp` takes ``spec``: g = beta x with beta > 0 on
     [0, 1] and |w| beta >= 1, so that its geometric mesh [1/(|w| beta), 1]
@@ -221,38 +205,32 @@ def _singular_amplitude_fn(spec: ProblemSpec):
     return amp
 
 
-def default_cmfp_params(spec: ProblemSpec, n1: int) -> CMFPParams:
-    """Benchmark-configuration parameters: n = s = n1, m1 = m2 = 4, and
+def default_cmfp_params(spec: ProblemSpec, n1: int) -> tuple:
+    """The benchmark configuration of :func:`cmfp` at ``n1`` geometric
+    panels, ``(n, s, m1, m2, p)``: n = s = n1 geometric and graded panels,
+    m1 = m2 = 4 points per panel and the grading exponent
     p = (2 m1 + 1)/(1 + alpha)."""
+    check_counts(n1=n1)
     if n1 < 1:
         raise ParameterError("n1 must be at least 1")
     m1 = 4
-    return CMFPParams(n=n1, s=n1, m1=m1, m2=4, p=(2.0 * m1 + 1.0) / (1.0 + spec.alpha))
+    return n1, n1, m1, 4, (2.0 * m1 + 1.0) / (1.0 + spec.alpha)
 
 
-def _validate_cmfp(params: CMFPParams) -> None:
-    check_counts(n=params.n, s=params.s, m1=params.m1, m2=params.m2)
-    if params.n < 1 or params.s < 1:
-        raise ParameterError("n and s must be at least 1")
-    if params.m1 < 1:
-        raise ParameterError("m1 must be at least 1")
-    if params.m2 < 2:
-        raise ParameterError("m2 must be at least 2 (the sub-panel count q^(m2/(m2-1)) needs m2 > 1)")
-    if not params.p > 0:
-        raise ParameterError("grading exponent p must be positive")
-
-
-def _sub_panels(w_r: float, params: CMFPParams) -> float:
+def _sub_panels(w_r: float, n: int, m2: int) -> float:
     # N_j = ceil(q^{m2/(m2-1)}), q = w_r^{1/n}, the same for every panel;
     # inf where it does not fit a float.
     try:
-        return math.ceil((w_r ** (1.0 / params.n)) ** (params.m2 / (params.m2 - 1.0)))
+        return math.ceil((w_r ** (1.0 / n)) ** (m2 / (m2 - 1.0)))
     except OverflowError:
         return math.inf
 
 
-def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
-    """Composite moment-free Filon-type quadrature for linear oscillators.
+def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
+    """Composite moment-free Filon-type quadrature for linear oscillators,
+    at the configuration :func:`default_cmfp_params` gives for ``n1``: n
+    geometric panels of m2 points per sub-panel, s graded panels of m1
+    points and the grading exponent p.
 
     The value is the graded Gauss-Legendre part
 
@@ -267,29 +245,31 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
     with q = y_j / y_{j-1} = w_r^{1/n}; the defining formula's per-panel
     count is stated in terms of an inverse-oscillator ratio that
     degenerates for a linear oscillator.  Here w_r = |w g'(0)| and
-    lambda_r = 1/w_r.  A problem outside :func:`cmfp_applies` (at a != 1,
-    or at w_r < 1, where [1/w_r, 1] is inverted and reaches past a), and a
-    count above what |w| = 1e14 needs at this n, are refused with
-    :class:`CapabilityError` before the mesh is built.
+    lambda_r = 1/w_r (stationary order r = 0).  An ``n1`` that is not an
+    integer of at least 1 raises ParameterError.  A problem outside
+    :func:`cmfp_applies` (at a != 1, or at w_r < 1, where [1/w_r, 1] is
+    inverted and reaches past a), and a count above what |w| = 1e14 needs
+    at this n, are refused with :class:`CapabilityError` before the mesh is
+    built.
     """
+    n, s, m1, m2, p = default_cmfp_params(spec, n1)
     if not cmfp_applies(spec):
         raise CapabilityError("the composite baseline supports g = beta x, beta > 0, on [0, 1] with |w| beta >= 1")
     beta = _slope(spec)
     w_eff = spec.w * beta
-    _validate_cmfp(params)
     w_r = abs(w_eff)
-    n_sub = _sub_panels(w_r, params)
-    if n_sub > _sub_panels(_CMFP_MAX_W * beta, params):
+    n_sub = _sub_panels(w_r, n, m2)
+    if n_sub > _sub_panels(_CMFP_MAX_W * beta, n, m2):
         raise CapabilityError(
-            f"the composite baseline needs {n_sub:.3g} sub-panels per panel at n = {params.n}, "
+            f"the composite baseline needs {n_sub:.3g} sub-panels per panel at n = {n}, "
             f"more than |w| = {_CMFP_MAX_W:.0e} needs; raise n"
         )
     lam = 1.0 / w_r
     gl_part = 0.0 + 0.0j
     points = 0
-    if params.s >= 2:
-        xg, wgl = _legendre_rule(params.m1)
-        grading = (np.arange(params.s + 1, dtype=float) / params.s) ** params.p
+    if s >= 2:
+        xg, wgl = _legendre_rule(m1)
+        grading = (np.arange(s + 1, dtype=float) / s) ** p
         lo = grading[1:-1]
         hi = grading[2:]
         mid = 0.5 * (hi + lo)
@@ -299,26 +279,27 @@ def cmfp(spec: ProblemSpec, params: CMFPParams) -> QuadratureResult:
         per_panel = half * (vals @ wgl)
         gl_part = lam * np.sum(per_panel)
         points += pts.size
-    yedges = w_r ** ((np.arange(params.n + 1, dtype=float) - params.n) / params.n)
+    yedges = w_r ** ((np.arange(n + 1, dtype=float) - n) / n)
     edges = np.concatenate(
-        [np.linspace(yedges[j], yedges[j + 1], n_sub + 1)[:-1] for j in range(params.n)]
+        [np.linspace(yedges[j], yedges[j + 1], n_sub + 1)[:-1] for j in range(n)]
         + [yedges[-1:]]
     )
-    cmf_vals = _cmf_panels(_singular_amplitude_fn(spec), w_eff, edges, params.m2)
+    cmf_vals = _cmf_panels(_singular_amplitude_fn(spec), w_eff, edges, m2)
     cmf_part = np.sum(cmf_vals)
-    points += params.n * n_sub * params.m2
+    points += n * n_sub * m2
     value = (gl_part + cmf_part) * spec.phase_shift
     # The result's s is the asymptotic-order parameter, which the
-    # composite rule does not have; params.s counts graded panels.
+    # composite rule does not have; the configuration's s counts graded
+    # panels.
     return QuadratureResult(
         value=complex(value),
         method=Method.CMFP,
         s=0,
-        n=params.n,
+        n=n,
         diagnostics={
             "points": points,
             "w_r": w_r,
-            "graded_panels": params.s,
+            "graded_panels": s,
         },
     )
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,10 +42,9 @@ from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _problem_solves, _quad_levin
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
-from .problem import Amplitude, Oscillator, ProblemSpec, SingKind, _factorials, _regularised
+from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
-    "HermiteData",
     "moments_mu",
     "moments_nu",
     "build_moment_table",
@@ -61,25 +59,6 @@ __all__ = [
 MAX_BASIS_SIZE = 40
 # The largest k whose k! is a finite float.
 _MAX_FACTORIAL = 170
-
-
-@dataclass(frozen=True)
-class HermiteData:
-    """Interpolation data for the Filon rule.
-
-    ``values[l, j]`` holds the j-th derivative of the interpolated
-    amplitude at node l; the conditions are those with j < mults[l].
-    :func:`hermite_solve` and :func:`quad_filon` take the nodes and
-    multiplicities of :func:`build_hermite_data` only.
-    """
-
-    nodes: np.ndarray
-    mults: np.ndarray
-    values: np.ndarray
-
-    @property
-    def basis_size(self) -> int:
-        return int(self.mults.sum())
 
 
 def _moment_scale(alpha: float, w: float) -> complex:
@@ -204,58 +183,43 @@ def build_moment_table(spec: ProblemSpec, count: int) -> tuple:
     return mu, None
 
 
-def build_hermite_data(
-    spec: ProblemSpec,
-    npts: int,
-    s: int,
-    amplitude: Optional[Amplitude] = None,
-) -> HermiteData:
-    """Hermite interpolation data of f1 (or a supplied amplitude).
+def build_hermite_data(spec: ProblemSpec, npts: int, s: int) -> np.ndarray:
+    """Hermite interpolation data of f1: the ``(npts, s + 1)`` array whose
+    ``values[l, j]`` is the j-th derivative of f1 at node l.
 
-    Endpoint multiplicities are s+1, interior ones 1.  Derivatives come
-    from the amplitude's exact local series.
+    The nodes are the ``npts`` Chebyshev-Lobatto points on [0, a], with
+    multiplicities s + 1 at the ends and 1 inside; the conditions are the
+    entries with j below the node's multiplicity, the other entries are
+    not read.  Derivatives come from f1's exact local series.  The basis
+    cap of the Hermite matrix is checked here.
     """
     check_counts(npts=npts, s=s)
-    _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
-    series = _regularised(spec)(nodes, s + 1)[0] if amplitude is None else amplitude.series_at(nodes, s + 1)
-    return HermiteData(nodes=nodes, mults=layout.mults, values=series * layout.fact)
+    layout, nodes = _hermite_matrix(spec.oscillator, spec.a, npts, s)[:2]
+    return _regularised(spec)(nodes, s + 1)[0] * layout.fact
 
 
-def _hermite_nodes(osc: Oscillator, a: float, npts: int, s: int, size: int = 0):
-    # g(a), the layout of (npts, s) and its nodes on [0, a], for a basis of
-    # ``size`` functions: a non-finite g(a), a bad (npts, s) and a basis
-    # over the cap raise, in that order.
-    g_a = float(osc.value(a))
-    if not math.isfinite(g_a):
-        # g increases on [0, a], so a finite g(a) bounds g at every node.
-        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
-    _check_basis(npts, s, size)
-    layout = _layout(npts, s)
-    return g_a, layout, a * layout.nodes
+def _hermite_table(values, spec: ProblemSpec) -> tuple:
+    # The Hermite ``values`` of build_hermite_data as an array, the (npts,
+    # s) of their shape and the _hermite_matrix of spec there.
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise ParameterError(f"values must be a 2-D (npts, s + 1) array, got shape {values.shape}")
+    npts, width = values.shape
+    return values, npts, width - 1, _hermite_matrix(spec.oscillator, spec.a, npts, width - 1)
 
 
-def _hermite_table(data: HermiteData, spec: ProblemSpec) -> tuple:
-    # (npts, s) of ``data`` and its _hermite_matrix; the nodes and
-    # multiplicities of ``data`` must be those build_hermite_data gives for
-    # spec: the kept Hermite matrix is that of those conditions.
-    if not data.mults.size:
-        raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
-    npts, s = data.nodes.size, int(data.mults[0]) - 1
-    _, layout, nodes = _hermite_nodes(spec.oscillator, spec.a, npts, s)
-    if not (np.array_equal(data.nodes, nodes) and np.array_equal(data.mults, layout.mults)):
-        raise ParameterError("Hermite data must have the nodes and multiplicities of build_hermite_data")
-    return npts, s, _hermite_matrix(spec.oscillator, spec.a, npts, s)
-
-
-def hermite_solve(data: HermiteData, spec: ProblemSpec) -> np.ndarray:
-    """Interpolation coefficients in the basis phi_k = g' g^{k-1}.
+def hermite_solve(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Interpolation coefficients in the basis phi_k = g' g^{k-1} of the
+    Hermite ``values`` of :func:`build_hermite_data`, whose shape gives
+    (npts, s).
 
     The generalized Vandermonde system is column-scaled by g(a)^{1-k} for
     conditioning and the interpolation conditions are re-checked a
     posteriori; failure raises DegenerateSystemError (reduce the basis
     size).
     """
-    return _hermite_solve(_hermite_table(data, spec)[2], data.values)[0]
+    values, *_, table = _hermite_table(values, spec)
+    return _hermite_solve(table, values)[0]
 
 
 @kept
@@ -269,8 +233,14 @@ def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # second the largest column scale (a tiny g(a)); both are refused with
     # the AccuracyError of the moments g(a)^(j + alpha) of that basis before
     # the recurrence runs.
+    g_a = float(osc.value(a))
+    if not math.isfinite(g_a):
+        # g increases on [0, a], so a finite g(a) bounds g at every node.
+        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
     M1 = npts + 2 * s
-    g_a, layout, nodes = _hermite_nodes(osc, a, npts, s, M1)
+    _check_basis(npts, s, M1)
+    layout = _layout(npts, s)
+    nodes = a * layout.nodes
     _power(g_a, M1 - 1.0)
     _power(g_a, 1.0 - M1)
     width = s + 1
@@ -305,16 +275,17 @@ def _hermite_solve(table: tuple, *values: np.ndarray) -> list:
     return list((y * scale[:, None]).T)
 
 
-def quad_filon(spec: ProblemSpec, data: HermiteData) -> QuadratureResult:
-    """Filon-type quadrature from Hermite data.
+def quad_filon(spec: ProblemSpec, values: np.ndarray) -> QuadratureResult:
+    """Filon-type quadrature from the Hermite ``values`` of f1 that
+    :func:`build_hermite_data` gives, whose shape gives (npts, s).
 
     Algebraic kind: ``sum_j p_j mu_j`` times the phase shift.  Logarithmic
     kind: the algebraic rule applied to the regularized f2 amplitude plus
     ``sum_j p_j nu_j``.
     """
-    npts, s, table = _hermite_table(data, spec)
-    f21 = _regularised(spec)(data.nodes, s + 1)[1:]
-    return _filon_rule(spec, npts, s, table, data.values, [series * table[0].fact for series in f21])
+    values, npts, s, table = _hermite_table(values, spec)
+    f21 = _regularised(spec)(table[1], s + 1)[1:]
+    return _filon_rule(spec, npts, s, table, values, [series * table[0].fact for series in f21])
 
 
 def _filon(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:

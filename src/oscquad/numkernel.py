@@ -343,13 +343,22 @@ def hyp2f2_equal(
     return alpha**2 * core, KernelDiag(Strategy.ROTATED_PATH, _HYP2F2_NODES.size, 1e-12)
 
 
+def _check_gx(gx: float) -> None:
+    # The end point g(x) of every kernel's integral from 0: a gx that is
+    # not positive and finite is refused before any arithmetic.
+    if not (gx > 0 and math.isfinite(gx)):
+        raise ParameterError(f"gx must be positive and finite, got {gx!r}")
+
+
 def kernel_k_alg(alpha: float, w: float, gx: float) -> complex:
     """Gamma part of the algebraic boundary bracket.
 
     Evaluates ``K = alpha [Gamma(alpha,-iw gx) - Gamma(alpha)] / (-iw)^alpha``,
     which equals ``-alpha int_0^gx t^{alpha-1} e^{iwt} dt`` for alpha > 0 and
-    continues it analytically to alpha in (-1, 0).
+    continues it analytically to alpha in (-1, 0).  A ``gx`` that is not
+    positive and finite raises ParameterError, as in every kernel here.
     """
+    _check_gx(gx)
     upper, _ = upper_gamma_complex(alpha, -1j * w * gx)
     return alpha * (upper - gamma_real(alpha)) / neg_iw_pow(alpha, w)
 
@@ -367,10 +376,9 @@ def kernel_h_alg(c0: complex, alpha: float, w: float, gx: float) -> complex:
     ``alpha * int_0^gx (1-e^{iwt}) t^{alpha-1} dt``, so h vanishes as
     ``gx -> 0+``.
     """
+    _check_gx(gx)
     if c0 == 0:
         return 0.0 + 0.0j
-    if not gx > 0:
-        raise ParameterError("kernel_h_alg requires gx > 0")
     return c0 * np.exp(-1j * w * gx) * _bracket_alg(alpha, w, gx)
 
 
@@ -380,6 +388,7 @@ def kernel_k_log(alpha: float, w: float, gx: float) -> complex:
     2+alpha; iw gx) / (1+alpha)^2``: no 1/alpha, unlike the equal pair
     ``(K + gx^alpha 2F2(alpha, alpha; 1+alpha, 1+alpha; iw gx)) / (iw alpha)``.
     Raises AccuracyError where gx^(1+alpha) overflows."""
+    _check_gx(gx)
     f22, _ = hyp2f2_equal(1.0 + alpha, 1j * w * gx)
     return -(_power(gx, 1.0 + alpha) / (1.0 + alpha) ** 2 * f22)
 
@@ -397,10 +406,9 @@ def kernel_h_log(c0: complex, c1: complex, alpha: float, w: float, gx: float) ->
     """Boundary kernel h(x) of the logarithmic-singularity quadrature: the
     algebraic bracket times ``c0 log gx + c1``, plus ``c0 iw``
     :func:`kernel_k_log`, all times ``e^{-iw gx}``."""
+    _check_gx(gx)
     if c0 == 0 and c1 == 0:
         return 0.0 + 0.0j
-    if not gx > 0:
-        raise ParameterError("kernel_h_log requires gx > 0")
     out = (c0 * np.log(gx) + c1) * _bracket_alg(alpha, w, gx)
     if c0 != 0:
         out += c0 * (1j * w) * kernel_k_log(alpha, w, gx)

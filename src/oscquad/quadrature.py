@@ -107,9 +107,9 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
     if method is Method.FILON:
         return _filon(spec, n, s)
     if method is Method.CMFP:
-        from .baselines import cmfp, default_cmfp_params
+        from .baselines import cmfp
 
-        return cmfp(spec, default_cmfp_params(spec, n))
+        return cmfp(spec, n)
     if method is Method.ORACLE:
         from .baselines import reference_oracle
 

@@ -22,7 +22,6 @@ from oscquad import Method, compute
 from oscquad.baselines import (
     ORACLE_PHASE_CAP,
     cmfp,
-    default_cmfp_params,
     reference_oracle,
 )
 from oscquad.cheb import radau_grid
@@ -382,7 +381,7 @@ def test_criterion_9_levin_vs_cmfp():
         total = 0.0
         for k in range(1, 18):
             t0 = time.process_time()
-            val = cmfp(spec, default_cmfp_params(spec, 2 ** k)).value
+            val = cmfp(spec, 2 ** k).value
             total += time.process_time() - t0
             if abs(val - ref) / abs(ref) <= 1e-12:
                 return total
@@ -395,7 +394,7 @@ def test_criterion_9_levin_vs_cmfp():
           f"cpu {levin_time * 1e3:.2f} ms")
     assert levin_rel <= 1e-12 and levin_n <= 36
 
-    rels = [abs(cmfp(spec, default_cmfp_params(spec, 2 ** k)).value - ref)
+    rels = [abs(cmfp(spec, 2 ** k).value - ref)
             / abs(ref) for k in range(1, 18)]
     imin = int(np.argmin(rels))
     print("criterion 9: cmfp rels", [f"{r:.2e}" for r in rels])

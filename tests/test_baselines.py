@@ -14,7 +14,6 @@ import oscquad.baselines
 from oscquad import Method, compute
 from oscquad.baselines import (
     _BLOCK_SUBPANELS,
-    CMFPParams,
     cmf_composite,
     cmfp,
     default_cmfp_params,
@@ -163,20 +162,19 @@ class TestCmfp:
         spec = builtin_problem("ex54", -0.5, 1000.0)
         ref = compute(spec, Method.LEVIN_PHYSICAL, 24, 0).value
         for n1, tol in ((4, 6e-2), (8, 1e-2)):
-            res = cmfp(spec, default_cmfp_params(spec, n1))
+            res = cmfp(spec, n1)
             assert abs(res.value - ref) / abs(ref) <= tol
 
     def test_moderate_frequency_accuracy(self):
         # w = 50 sits under the oracle cap; n1 = 32 reaches 1e-6 relative.
         spec = builtin_problem("ex54", -0.5, 50.0)
         ref = reference_oracle(spec)
-        res = cmfp(spec, default_cmfp_params(spec, 32))
+        res = cmfp(spec, 32)
         assert abs(res.value - ref) / abs(ref) <= 1e-6
 
     def test_degenerate_single_panel(self):
         spec = builtin_problem("ex54", -0.5, 100.0)
-        params = default_cmfp_params(spec, 1)
-        res = cmfp(spec, params)
+        res = cmfp(spec, 1)
         assert np.isfinite(res.value)
 
     def test_mesh_beyond_documented_w_refused(self):
@@ -190,25 +188,18 @@ class TestCmfp:
             compute(spec, Method.CMFP, 4, 0)
         assert np.isfinite(compute(builtin_problem("ex54", 0.5, 1e14), Method.CMFP, 4, 0).value)
 
+    def test_configuration(self):
+        # n = s = n1, m1 = m2 = 4 and p = (2 m1 + 1)/(1 + alpha); an n1
+        # below 1 is refused before the scope check.
+        spec = builtin_problem("ex54", -0.5, 100.0)
+        assert default_cmfp_params(spec, 8) == (8, 8, 4, 4, 18.0)
+        with pytest.raises(ParameterError, match="n1 must be at least 1"):
+            cmfp(builtin_problem("ex53a", 0.5, 100.0), 0)
+
     def test_nonlinear_oscillator_rejected(self):
-        linear = builtin_problem("ex54", 0.5, 100.0)
-        params = default_cmfp_params(linear, 4)
         nonlinear = builtin_problem("ex53a", 0.5, 100.0)
         with pytest.raises(CapabilityError):
-            cmfp(nonlinear, params)
-
-    def test_params_validation(self):
-        spec = builtin_problem("ex54", -0.5, 100.0)
-        good = default_cmfp_params(spec, 4)
-        import dataclasses
-
-        bad = dataclasses.replace(good, m1=0)
-        with pytest.raises(ParameterError):
-            cmfp(spec, bad)
-        # The sub-panel count q^(m2/(m2-1)) divides by zero at m2 = 1.
-        with pytest.raises(ParameterError, match="m2 must be at least 2"):
-            cmfp(spec, dataclasses.replace(good, m2=1))
-        assert np.isfinite(cmfp(spec, dataclasses.replace(good, m2=2)).value)
+            cmfp(nonlinear, 4)
 
 
 class TestGradedIntegral:

@@ -19,12 +19,14 @@ import oscquad.problem
 import oscquad.quadrature
 from oscquad import Method, QuadratureResult, compute, quad_alg, quad_log
 from oscquad._result import check_counts
-from oscquad.baselines import CMFPParams, cmf_composite, cmfp, gauss_legendre, graded_integral, reference_oracle
+from oscquad.baselines import (
+    cmf_composite, cmfp, exponential_moments, gauss_legendre, graded_integral, reference_oracle,
+)
 from oscquad.cheb import barycentric_eval, lobatto_grid, radau_grid
 from oscquad.errors import AccuracyError, CapabilityError, OscquadError, ParameterError
-from oscquad.filon import HermiteData, build_moment_table, hermite_solve, moments_mu, moments_nu, quad_freq, solve_freq
+from oscquad.filon import build_moment_table, hermite_solve, moments_mu, moments_nu, quad_filon, quad_freq, solve_freq
 from oscquad.levin import assemble_L, picard_iterate, solve_alg, solve_log, tsvd_solve
-from oscquad.numkernel import hyp2f2_equal, kernel_h_alg, upper_gamma_complex
+from oscquad.numkernel import hyp2f2_equal, kernel_h_alg, kernel_h_log, kernel_k_alg, kernel_k_log, upper_gamma_complex
 from oscquad.problem import (
     BUILTIN_IDS,
     Amplitude,
@@ -584,9 +586,6 @@ class TestNonIntegerCounts:
             call()
 
 
-_HERMITE_EMPTY = HermiteData(nodes=np.empty(0), mults=np.empty(0, dtype=int), values=np.empty((0, 1), dtype=complex))
-
-
 class TestBadArgumentsRefused:
     """The public pieces refuse a count, range or non-finite argument with a
     ParameterError that names it, not with an error of NumPy, SciPy, LAPACK
@@ -597,8 +596,10 @@ class TestBadArgumentsRefused:
         (lambda: gauss_legendre(np.exp, 0.0, 1.0, True), "m"),
         (lambda: cmf_composite(np.cos, 2.5, 4, 0.0, 1.0, w=1.0), "n"),
         (lambda: cmf_composite(np.cos, 4, 2.5, 0.0, 1.0, w=1.0), "m"),
-        (lambda: cmfp(builtin_problem("ex54", 0.5, 100.0), CMFPParams(n=2.5, s=2, m1=4, m2=4, p=3.0)), "n"),
-        (lambda: cmfp(builtin_problem("ex54", 0.5, 100.0), CMFPParams(n=2, s=2, m1=2.5, m2=4, p=3.0)), "m1"),
+        (lambda: cmfp(builtin_problem("ex54", 0.5, 100.0), 2.5), "n1"),
+        (lambda: exponential_moments(1.0, 2.5), "count"),
+        (lambda: exponential_moments(1.0, True), "count"),
+        (lambda: exponential_moments([1.0, math.nan], 3), "theta"),
         (lambda: graded_integral(np.cos, 1.0, 0.5, gl_order=2.5), "gl_order"),
         (lambda: graded_integral(np.cos, 1.0, 0.5, gl_order=0), "gl_order"),
         (lambda: graded_integral(np.cos, math.inf, 0.5), "a"),
@@ -608,14 +609,23 @@ class TestBadArgumentsRefused:
         (lambda: moments_nu(0.5, 0.0, 1.0, moments_mu(0.5, 10.0, 1.0, 3)), "w"),
         (lambda: moments_nu(0.5, 10.0, -1.0, moments_mu(0.5, 10.0, 1.0, 3)), "g_a"),
         (lambda: tsvd_solve(np.eye(3), np.ones(4)), "rhs"),
-        (lambda: hermite_solve(_HERMITE_EMPTY, builtin_problem("ex51", 0.5, 100.0)), "Hermite data"),
+        (lambda: hermite_solve(np.empty(0), builtin_problem("ex51", 0.5, 100.0)), "values"),
+        (lambda: quad_filon(builtin_problem("ex51", 0.5, 100.0), np.ones((8, 2, 2))), "values"),
         (lambda: hyp2f2_equal(0.5, complex("nan")), "z"),
         (lambda: upper_gamma_complex(0.5, complex("nan")), "z"),
-    ], ids=["gauss_legendre-m", "gauss_legendre-bool", "cmf_composite-n", "cmf_composite-m", "cmfp-n", "cmfp-m1",
+        (lambda: kernel_k_alg(0.5, 10.0, -1.0), "gx"),
+        (lambda: kernel_k_log(0.5, 10.0, -1.0), "gx"),
+        (lambda: kernel_h_alg(1.0, 0.5, 10.0, math.inf), "gx"),
+        (lambda: kernel_h_log(1.0, 0.0, 0.5, 10.0, math.nan), "gx"),
+        (lambda: kernel_h_alg(0.0, 0.5, 10.0, 0.0), "gx"),
+    ], ids=["gauss_legendre-m", "gauss_legendre-bool", "cmf_composite-n", "cmf_composite-m", "cmfp-n",
+            "exponential_moments-count", "exponential_moments-bool", "exponential_moments-theta-nan",
             "graded_integral-gl_order", "graded_integral-gl_order-0", "graded_integral-a-inf",
             "graded_integral-cap_factor-0", "graded_integral-cap_factor-negative",
             "graded_integral-osc_rate-negative", "moments_nu-w", "moments_nu-g_a",
-            "tsvd_solve-rhs", "hermite_solve-empty", "hyp2f2_equal-nan", "upper_gamma_complex-nan"])
+            "tsvd_solve-rhs", "hermite_solve-empty", "quad_filon-3d", "hyp2f2_equal-nan", "upper_gamma_complex-nan",
+            "kernel_k_alg-negative", "kernel_k_log-negative", "kernel_h_alg-inf", "kernel_h_log-nan",
+            "kernel_h_alg-zero-c0"])
     def test_parameter_error_names_the_argument(self, call, name):
         with pytest.raises(ParameterError, match=rf"^{name} "):
             call()
