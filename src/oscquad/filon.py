@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 MAX_BASIS_SIZE = 40
-# The largest k whose k! is a finite float.
-_MAX_FACTORIAL = 170
 
 
 def _moment_scale(alpha: float, w: float) -> complex:
@@ -356,16 +354,15 @@ class _Layout:
 
 def _check_basis(npts: int, s: int, size: int = 0) -> None:
     # Refuses a bad (npts, s), then a basis of ``size`` functions over the
-    # cap, then an s whose factorials 0! .. s! overflow (s >= 171).  Each
-    # rule runs it before it reads the layout of (npts, s).
+    # cap.  Each rule runs it before it reads the layout of (npts, s); the
+    # cap refuses every s >= 20, long before the layout's factorials 0! ..
+    # s! would overflow (s >= 171).
     if npts < 3:
         raise ParameterError("need at least 3 collocation points")
     if s < 0:
         raise ParameterError("s must be nonnegative")
     if size > MAX_BASIS_SIZE:
         raise CapabilityError(f"basis size {size} exceeds the supported cap {MAX_BASIS_SIZE}")
-    if s > _MAX_FACTORIAL:
-        raise CapabilityError(f"s = {s} exceeds {_MAX_FACTORIAL}, above which s! overflows")
 
 
 @kept

@@ -7,17 +7,16 @@ singularity-separated Levin quadratures.
 
 Evaluation strategies
 ---------------------
-``upper_gamma_complex`` switches between a power series of the lower
-incomplete gamma (small ``|z|``), a Lentz-style continued fraction (large
-``|z|``), and a rotated-path Gauss-Laguerre quadrature used as a fallback
-when the continued fraction stalls.  ``hyp2f2_equal`` uses a compensated
-Maclaurin series for small ``|z|`` and a rotated-path representation for
-large purely imaginary ``z``, the regime the oscillatory kernels live in.
-The two rotated paths have a Gauss-Laguerre rule each: 180 nodes for the
-incomplete gamma, 32 for 2F2, whose integrand along its ray is smooth
-enough that 32 nodes reach round-off (``tests/test_numkernel.py`` pins
-both against 40-digit values).  Every result carries a :class:`KernelDiag`
-describing what was used.
+``upper_gamma_complex`` has two: a power series of the lower incomplete
+gamma for small ``|z|`` and a Lentz-style continued fraction for large
+``|z|``; a continued fraction that stalls raises :class:`AccuracyError`, as
+a stalled series does.  ``hyp2f2_equal`` uses a compensated Maclaurin
+series for small ``|z|`` and a rotated-path representation for large purely
+imaginary ``z``, the regime the oscillatory kernels live in.  The rotated
+path has a 32-node Gauss-Laguerre rule: its integrand along the ray is
+smooth enough that 32 nodes reach round-off (``tests/test_numkernel.py``
+pins it against 40-digit values).  Every result carries a
+:class:`KernelDiag` describing what was used.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ GAMMA_CROSSOVER = 1.0
 HYP2F2_SERIES_MAX = 10.0
 
 _EPS = np.finfo(float).eps
+# Step caps of the two Gamma(a, z) routes: past either, AccuracyError.
+_GAMMA_SERIES_TERMS = 400
+_GAMMA_CF_STEPS = 600
 
 
 class Strategy(Enum):
@@ -145,12 +147,12 @@ def _power(z: complex, a: float) -> complex:
         raise AccuracyError(f"z**a overflows at |z| = {abs(z):.3g}, a = {a:g}") from None
 
 
-def _upper_gamma_series(a: float, z: complex, max_terms: int = 400):
+def _upper_gamma_series(a: float, z: complex):
     # Gamma(a,z) = Gamma(a) - gamma(a,z), lower gamma by the ascending series
     # gamma(a,z) = z^a e^{-z} sum_n z^n / (a(a+1)...(a+n)).
     term = 1.0 / a
     total = term
-    for n in range(1, max_terms):
+    for n in range(1, _GAMMA_SERIES_TERMS):
         term *= z / (a + n)
         total += term
         if abs(term) <= _EPS * abs(total):
@@ -162,7 +164,7 @@ def _upper_gamma_series(a: float, z: complex, max_terms: int = 400):
     )
 
 
-def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
+def _upper_gamma_cf(a: float, z: complex):
     # Modified Lentz evaluation of the continued fraction
     # Gamma(a,z) = e^{-z} z^a / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(...))).
     tiny = 1e-300
@@ -170,7 +172,7 @@ def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
     c = 1.0 / tiny
     d = 1.0 / b if b != 0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, _GAMMA_CF_STEPS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -184,23 +186,15 @@ def _upper_gamma_cf(a: float, z: complex, max_iter: int = 600):
         h *= delta
         if abs(delta - 1.0) < 4 * _EPS:
             return _power(z, a) * np.exp(-z) * h, i, abs(delta - 1.0)
-    return None, max_iter, abs(delta - 1.0)
+    raise AccuracyError(
+        f"incomplete gamma continued fraction stalled at a={a!r}, z={z!r} "
+        f"(last step {abs(delta - 1.0):.2e})"
+    )
 
 
-# The rules of the rotated paths of upper_gamma_complex and hyp2f2_equal.
-# Read by every rotated-path call, so frozen: no caller can alter a rule.
-_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = freeze(roots_laguerre(180))
+# The rule of hyp2f2_equal's rotated path.  Read by every rotated-path
+# call, so frozen: no caller can alter it.
 _HYP2F2_NODES, _HYP2F2_WEIGHTS = freeze(roots_laguerre(32))
-
-
-def _upper_gamma_rotated(a: float, z: complex):
-    # Gamma(a,z) = e^{-z} int_0^inf (z+t)^{a-1} e^{-t} dt, valid whenever the
-    # ray z+t (t>=0) avoids the branch cut, i.e. Im z != 0 or Re z > 0.
-    if z.imag == 0 and z.real <= 0:
-        raise CapabilityError("rotated-path representation needs Im z != 0 or Re z > 0")
-    vals = (z + _LAGUERRE_NODES) ** (a - 1.0)
-    integral = np.dot(_LAGUERRE_WEIGHTS, vals)
-    return np.exp(-z) * integral, _LAGUERRE_NODES.size
 
 
 def upper_gamma_complex(
@@ -217,8 +211,8 @@ def upper_gamma_complex(
     z : complex
         Argument off the negative real axis; z=0 allowed only for a>0.
     crossover : float, optional
-        Radius below which the lower-gamma power series is used and above
-        which the continued fraction is tried first.
+        Radius up to which the lower-gamma power series is used; the
+        continued fraction is used above it.
 
     Returns
     -------
@@ -229,13 +223,16 @@ def upper_gamma_complex(
     ------
     AccuracyError
         When ``z**a`` overflows: |z| near the top of the float range with
-        a > 1, or near its bottom with a < 0.
+        a > 1, or near its bottom with a < 0.  When the continued fraction
+        stalls (600 steps): near the negative real axis, within about 40
+        degrees of it at |z| = 1, 11 at |z| = 10 and 1 at |z| = 40.
 
     Notes
     -----
     The series and continued-fraction routes agree to ~1e-11 on the
-    crossover annulus; the rotated-path Gauss-Laguerre rule serves as a
-    fallback when the continued fraction stalls near the imaginary axis.
+    crossover annulus.  On purely imaginary z with |z| > 1, the arguments
+    of the package's kernels, the continued fraction converges in at most
+    about 170 steps for every a in (-1, 2).
     """
     z = complex(z)
     _check_gamma_domain(a, z)
@@ -245,10 +242,7 @@ def upper_gamma_complex(
         value, terms, est = _upper_gamma_series(a, z)
         return complex(value), KernelDiag(Strategy.SERIES, terms, est)
     value, iters, est = _upper_gamma_cf(a, z)
-    if value is not None:
-        return complex(value), KernelDiag(Strategy.CONTINUED_FRACTION, iters, est)
-    value, nodes = _upper_gamma_rotated(a, z)
-    return complex(value), KernelDiag(Strategy.ROTATED_PATH, nodes, 1e-13)
+    return complex(value), KernelDiag(Strategy.CONTINUED_FRACTION, iters, est)
 
 
 def _hyp2f2_core_series(beta: float, z: complex, max_terms: int = 400):

@@ -506,6 +506,26 @@ class TestConfigAndOutput:
         assert code == 0
         assert json.loads(out)["diagnostics"]["n"] == 12
 
+    def test_config_equals_form_skips_comments_and_blanks(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("# a comment\n\nproblem=ex51\n  \nalpha = 0.5\nw=100\nn=8\n")
+        code, out, _ = run(["eval", f"--config={cfg}"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["n"] == 8
+
+    def test_config_line_without_equals_exit_2(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("problem=ex51\nalpha 0.5\n")
+        code, _, err = run(["eval", "--config", str(cfg), "--w", "10", "--n", "8"])
+        assert code == 2
+        assert "config line 'alpha 0.5' is not key=value" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--f-poly", "1"], ["--g-poly", "0,1"]])
+    def test_no_problem_exit_2(self, extra):
+        code, _, err = run(["eval", "--alpha", "0.5", "--w", "10", "--n", "8", *extra])
+        assert code == 2
+        assert "specify --problem ID or both --f-poly and --g-poly" in err
+
     def test_missing_config_exit_5(self):
         code, _, _ = run(
             ["eval", "--config", "/nonexistent/path.cfg",

@@ -255,11 +255,6 @@ class TestHermiteSolve:
             build_hermite_data(spec, 45, 0)
         with pytest.raises(CapabilityError, match="basis size 408 exceeds"):
             build_hermite_data(spec, 8, 200)
-        # From s = 171 on the layout's factorials would overflow; s = 170
-        # builds.  The basis cap refuses both first on every rule.
-        oscquad.filon._layout(3, 170)
-        with pytest.raises(CapabilityError, match="s = 200 exceeds 170"):
-            oscquad.filon._layout(8, 200)
 
 
 class TestQuadFilon:

@@ -64,6 +64,10 @@ class TestUpperGammaComplex:
         val, _ = upper_gamma_complex(1.0, z)
         assert_allclose(val, cmath.exp(-z), rtol=1e-14)
 
+    def test_z_zero_is_gamma(self):
+        val, diag = upper_gamma_complex(0.5, 0j)
+        assert val == math.sqrt(math.pi) and diag.strategy is Strategy.SERIES
+
     def test_small_z_limit(self):
         # Gamma(a, z) -> Gamma(a) at rate z^a, so z = 1e-28 leaves ~1e-14.
         val, _ = upper_gamma_complex(0.5, 1e-28 + 0.0j)
@@ -116,8 +120,46 @@ class TestUpperGammaComplex:
             vs, ds = upper_gamma_complex(a, z, crossover=1e9)
             vc, dc = upper_gamma_complex(a, z, crossover=1e-9)
             assert ds.strategy is Strategy.SERIES
-            assert dc.strategy is not Strategy.SERIES
+            assert dc.strategy is Strategy.CONTINUED_FRACTION
             assert abs(vs - vc) <= 1e-11 * max(abs(vs), abs(vc), 1.0)
+
+    def test_left_half_plane_is_accurate_or_refused(self):
+        # Near the negative real axis the continued fraction stalls for most
+        # z, and a stall raises: a value that comes back is within 1e-12 of
+        # mpmath's (relative, or absolute where |Gamma| < 1).
+        rng = np.random.default_rng(2)
+        returned = refused = 0
+        for _ in range(100):
+            a = rng.uniform(-0.95, 1.95)
+            if abs(a) < 1e-2:
+                a = 0.5
+            r = 10.0 ** rng.uniform(0.0, 1.5)
+            theta = (math.pi - 10.0 ** rng.uniform(-6.0, 0.19)) * rng.choice([-1.0, 1.0])
+            z = r * cmath.exp(1j * theta)
+            try:
+                val, diag = upper_gamma_complex(a, z)
+            except AccuracyError as exc:
+                assert "continued fraction stalled" in str(exc)
+                refused += 1
+                continue
+            ref = complex(mp.gammainc(a, mp.mpc(z)))
+            assert abs(val - ref) <= 1e-12 * max(abs(ref), 1.0), (a, z)
+            assert diag.strategy is Strategy.CONTINUED_FRACTION
+            returned += 1
+        assert returned >= 10 and refused >= 10
+
+    def test_package_arguments_use_the_continued_fraction(self):
+        # Every call of the package passes z = +-iy: from |y| > 1 on, the
+        # continued fraction converges for every a in (-1, 2), well inside
+        # its 600 steps.
+        orders = [a for a in np.linspace(-0.99, 1.99, 31) if a != 0] + [-1e-6, 1e-6, 1 - 1e-6, 1 + 1e-6]
+        heights = [1 + 1e-12] + list(np.logspace(0.0, 14.0, 29)[1:])
+        for a in orders:
+            for y in heights:
+                for z in (1j * y, -1j * y):
+                    val, diag = upper_gamma_complex(a, z)
+                    assert diag.strategy is Strategy.CONTINUED_FRACTION and diag.terms_used < 200, (a, z)
+                    assert cmath.isfinite(val)
 
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
@@ -169,8 +211,7 @@ class TestHyp2F2Equal:
         # The rotated path's 32-node rule against 40-digit values, on both
         # sides of the beta < 0 reduction and from just past the series
         # radius to Y = 1e8.  At beta = -0.05, Y = 1e8 the reduction's
-        # division by beta loses a digit: 6.8e-15 on the 32- and the
-        # 180-node rule alike.
+        # division by beta loses a digit: 6.8e-15.
         b = mp.mpf(beta)
         for Y in (10.01, 10.5, 30.0, 1e3, 1e6, 1e8):
             val, diag = hyp2f2_equal(beta, 1j * Y)
@@ -181,10 +222,9 @@ class TestHyp2F2Equal:
 
 
 def test_rotated_path_rule_is_read_only():
-    # Every rotated-path upper_gamma_complex call reads the first rule and
-    # every rotated-path hyp2f2_equal call the second.
+    # Every rotated-path hyp2f2_equal call reads the rule.
     nk = oscquad.numkernel
-    for x in (nk._LAGUERRE_NODES, nk._LAGUERRE_WEIGHTS, nk._HYP2F2_NODES, nk._HYP2F2_WEIGHTS):
+    for x in (nk._HYP2F2_NODES, nk._HYP2F2_WEIGHTS):
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):

@@ -159,6 +159,31 @@ class TestNormalization:
             build_problem(Amplitude.from_poly([1.0]), osc, 1.0, 0.5, SingKind.ALGEBRAIC, 10.0)
         assert calls.count(oscquad.problem._MONOTONICITY_SAMPLES + 2) == 2
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nonpolynomial_shift_and_flip_keep_every_bit(self, sign):
+        # g = sign e^x has g(0) = sign: normalized, it is e^x - 1 exactly, at
+        # w signed by g's slope, so every rule's value is that of the
+        # problem on e^x - 1 times the phase e^{iwg(0)}.  (A g(0) that does
+        # not round back, such as 3 for e^x + 2, agrees only to round-off.)
+        def exp_series(xs, m):
+            return np.exp(xs)[:, None] / oscquad.problem._factorials(m)
+
+        def shifted_series(xs, m):
+            out = exp_series(xs, m)
+            out[:, 0] -= 1.0
+            return out
+
+        g = Oscillator(lambda x: sign * np.exp(np.asarray(x, dtype=float)), lambda xs, m: sign * exp_series(xs, m))
+        shifted = Oscillator(lambda x: np.exp(np.asarray(x, dtype=float)) - 1.0, shifted_series)
+        f = Amplitude.from_poly([1.0, -0.5, 0.25])
+        for kind in SingKind:
+            spec = build_problem(f, g, 1.0, 0.5, kind, 40.0)
+            assert spec.w == sign * 40.0 and spec.phase_shift == cmath.exp(40.0j * sign)
+            plain = build_problem(f, shifted, 1.0, 0.5, kind, spec.w)
+            for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2), (Method.FILON, 8, 1)):
+                got = compute(spec, method, n, s).value
+                assert got == compute(plain, method, n, s).value * spec.phase_shift, (kind, method)
+
     def test_builtin_ids(self):
         assert set(BUILTIN_IDS) == {"ex51", "ex52", "ex53a", "ex53b", "ex54"}
         for pid in BUILTIN_IDS:

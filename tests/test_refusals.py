@@ -1,0 +1,68 @@
+"""Public entry points refuse input they cannot compute with: each case raises
+its class, with a message naming what is wrong."""
+
+import numpy as np
+import pytest
+
+from oscquad import compute, radau_grid
+from oscquad._series import poly_taylor
+from oscquad.baselines import cmf_composite, exponential_moments
+from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
+from oscquad.errors import CapabilityError, ParameterError
+from oscquad.filon import moments_mu
+from oscquad.levin import assemble_L, picard_iterate
+from oscquad.numkernel import hyp2f2_equal, neg_iw_pow, upper_gamma_complex
+from oscquad.problem import (
+    Amplitude,
+    Oscillator,
+    SingKind,
+    build_problem,
+    builtin_problem,
+    delta_alpha,
+    f1_derivatives,
+)
+
+SPEC = builtin_problem("ex51", 0.5, 100.0)
+
+
+def _problem(amplitude=(1.0,), kind=SingKind.ALGEBRAIC):
+    return build_problem(amplitude=Amplitude.from_poly(list(amplitude)), oscillator=Oscillator.from_poly([0.0, 1.0]),
+                         a=1.0, alpha=0.5, kind=kind, w=10.0)
+
+
+CASES = [
+    pytest.param(lambda: poly_taylor([1.0, 2.0], 0.5, 0), ParameterError, "m must be at least 1", id="poly_taylor-m0"),
+    pytest.param(lambda: exponential_moments(1.0, 0), ParameterError, "count must be at least 1", id="exponential_moments-count0"),
+    pytest.param(lambda: cmf_composite(lambda x: x, 4, 4, 1.0, 1.0, 10.0), ParameterError, "need a < b", id="cmf_composite-a=b"),
+    pytest.param(lambda: barycentric_weights(np.array([0.5])), ParameterError, "need at least two nodes", id="barycentric_weights-one-node"),
+    pytest.param(lambda: radau_reference_nodes(1), ParameterError, "n must be at least 2", id="radau_reference_nodes-1"),
+    pytest.param(lambda: radau_origin_weights_closed(1), ParameterError, "n must be at least 2", id="radau_origin_weights_closed-1"),
+    pytest.param(lambda: moments_mu(0.5, 10.0, 1.0, 0), ParameterError, "count must be at least 1", id="moments_mu-count0"),
+    pytest.param(lambda: assemble_L(SPEC, lobatto_grid(8)), ParameterError, "requires a Radau grid", id="assemble_L-lobatto"),
+    pytest.param(lambda: picard_iterate(SPEC, radau_grid(8), 0), ParameterError, "k must be at least 1", id="picard_iterate-k0"),
+    pytest.param(lambda: neg_iw_pow(0.5, 0.0), ParameterError, "w must be nonzero", id="neg_iw_pow-w0"),
+    pytest.param(lambda: upper_gamma_complex(0.5, -2 + 0j), ParameterError, "branch cut", id="upper_gamma_complex-branch-cut"),
+    pytest.param(lambda: upper_gamma_complex(0.0, 2j), CapabilityError, "does not support a=0", id="upper_gamma_complex-a0"),
+    pytest.param(lambda: hyp2f2_equal(0.0, 2j), ParameterError, "excluding 0, got 0.0", id="hyp2f2_equal-alpha0"),
+    pytest.param(lambda: hyp2f2_equal(2.0, 2j), ParameterError, "excluding 0, got 2.0", id="hyp2f2_equal-alpha2"),
+    pytest.param(lambda: hyp2f2_equal(0.5, 30 + 0j), CapabilityError, "purely imaginary z", id="hyp2f2_equal-real-z"),
+    pytest.param(lambda: Amplitude.from_poly([1.0, 2.0]).series_at(0.5, 0), ParameterError, "m must be at least 1", id="Amplitude.series_at-m0"),
+    pytest.param(lambda: Oscillator.from_poly([0.0, 1.0]).series_at(0.5, 0), ParameterError, "m must be at least 1", id="Oscillator.series_at-m0"),
+    pytest.param(lambda: Amplitude.from_poly([1.0]).series_at(np.ones((2, 2)), 3), ParameterError, "scalar or a 1-D array", id="Amplitude.series_at-2d"),
+    pytest.param(lambda: Oscillator.from_poly([0.0, 1.0]).series_at(np.ones((2, 2)), 3), ParameterError, "scalar or a 1-D array", id="Oscillator.series_at-2d"),
+    pytest.param(lambda: Amplitude.from_poly([]), ParameterError, "empty coefficient list", id="Amplitude.from_poly-empty"),
+    pytest.param(lambda: Oscillator.from_poly([]), ParameterError, "empty coefficient list", id="Oscillator.from_poly-empty"),
+    pytest.param(lambda: _problem(kind="algebraic"), ParameterError, "kind must be a SingKind, got 'algebraic'", id="build_problem-str-kind"),
+    pytest.param(lambda: _problem(amplitude=(float("nan"),)), ParameterError, "amplitude not finite", id="build_problem-nan-amplitude"),
+    pytest.param(lambda: f1_derivatives(SPEC, 0.5, -1), ParameterError, "max_order must be nonnegative", id="f1_derivatives-order-1"),
+    pytest.param(lambda: delta_alpha(1.0, 10.0), ParameterError, "0<|alpha|<1, got 1.0", id="delta_alpha-alpha1"),
+    pytest.param(lambda: delta_alpha(0.5, 0.0), ParameterError, "w must be positive", id="delta_alpha-w0"),
+    pytest.param(lambda: compute(SPEC, "levin", 8, 0), ParameterError, "unknown method: 'levin'", id="compute-unknown-method"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", CASES)
+def test_refusal(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

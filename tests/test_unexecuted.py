@@ -1,0 +1,60 @@
+"""tools/unexecuted.py: the statements of a package written to a temporary
+directory that its tests never run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "unexecuted.py"
+
+# Five statements: two in used, which the test calls, and three in unused,
+# which it does not.  The docstrings, the import and the defs are not
+# counted.
+SOURCE = '''"""A two-function module."""
+
+import math
+
+
+def used(x):
+    """Docstring."""
+    y = x + 1
+    return y
+
+
+def unused(x):
+    if x:
+        return math.sqrt(x)
+    return 0.0
+'''
+
+TEST = '''from oscquad.one import used
+
+
+def test_used():
+    assert used(1) == 2
+'''
+
+
+def test_lists_the_statements_no_test_runs(tmp_path):
+    package = tmp_path / "src" / "oscquad"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "one.py").write_text(SOURCE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text(TEST)
+    proc = subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path), "--", "-q", "-p", "no:cacheprovider"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-4:] == [
+        "src/oscquad/one.py:13: if x:",
+        "src/oscquad/one.py:14: return math.sqrt(x)",
+        "src/oscquad/one.py:15: return 0.0",
+        "3 of 5 statements of src/oscquad never executed (pytest exit code 0)",
+    ]
+
+
+def test_missing_package_is_refused(tmp_path):
+    proc = subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1 and "no src/oscquad" in proc.stderr
