@@ -1,13 +1,12 @@
 """The one memo for every table oscquad keeps between calls.
 
-Collocation grids, Chebyshev Taylor tables, the g-only parts of the
-frequency-space operators, an amplitude's series at a route's nodes, the
-end kernels at (alpha, w, g(a)) and quadrature rules depend on their
-arguments alone, so they are built once and reused for every call with
-those arguments: the tables of g and of the grid for every w and alpha,
-the end kernels for every rule and node count at one (alpha, w, g(a)).
-:func:`kept` is the one rule for how such a table is keyed, bounded and
-frozen:
+Collocation grids, the g-only parts of the frequency-space operators, an
+amplitude's series at a route's nodes, the end kernels at (alpha, w,
+g(a)) and quadrature rules depend on their arguments alone, so they are
+built once and reused for every call with those arguments: the tables of
+g and of the grid for every w and alpha, the end kernels for every rule
+and node count at one (alpha, w, g(a)).  :func:`kept` is the one rule for
+how such a table is keyed, bounded and frozen:
 
 - an argument is keyed as itself, a NumPy array by its dtype, shape and
   bytes, and an argument with a ``_key`` attribute (an

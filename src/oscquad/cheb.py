@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
 from ._kept import kept
+from ._result import check_counts
 from .errors import ParameterError
 
 __all__ = [
@@ -200,8 +200,7 @@ def radau_origin_weights_closed(n: int) -> np.ndarray:
 def _grid_key(n) -> int:
     # Checked before the memo's lookup: hash(8.0) == hash(8), so an unchecked
     # 8.0 would be handed the n=8 grid.
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ParameterError(f"n must be an integer, got {n!r}")
+    check_counts(n=n)
     if n < 2:
         raise ParameterError("n must be at least 2")
     return int(n)

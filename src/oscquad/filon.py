@@ -17,15 +17,17 @@ conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only how it builds that operator and
 its maps (:func:`_freq_operator`): :func:`quad_freq` runs it through the
 Levin pipeline of :mod:`oscquad.levin`, which the physical-space route
-shares.  Everything of both rules that alpha and w leave alone is kept
+shares; its node data are the collocation conditions (Taylor coefficient
+j times j!), and q1 g' is q1's coefficients times the kept g' T_k there.
+Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
-both share, and, per polynomial g and (npts, s), the layout
-beside the Levin operator's Chebyshev Taylor table, g' and image terms, or
-beside FILON's Hermite matrix on [0, a].  A call reads
-one kept table and only combines it with alpha, w and f, whose series at
-the nodes is kept per keyed amplitude (``problem._amplitude_series``).  The
-closed forms that start the moment recurrences, mu_1 and K_log, are kept
-per (alpha, w, g(a)), as the Levin rules' end kernels are.
+both share, and, per polynomial g and (npts, s), the layout beside g' and
+the Levin image terms at its conditions, or beside FILON's Hermite matrix
+on [0, a].  A call reads one kept table and only combines it with alpha,
+w and f, whose series at the nodes is kept per keyed amplitude
+(``problem._amplitude_series``).  The closed forms that start the moment
+recurrences, mu_1 and K_log, are kept per (alpha, w, g(a)), as the Levin
+rules' end kernels are.
 """
 
 from __future__ import annotations
@@ -339,13 +341,12 @@ def _cheb_series_table(nodes: np.ndarray, m: int, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Layout:
     """The collocation layout of (npts, s) on [0, 1], which both rules
-    share: the Lobatto ``nodes`` and their ``mults``, the ``node`` and
-    ``order`` of every condition, node by node, the factorials ``fact``
-    0! .. s!, and the ``end_rows`` that take the Levin route's Chebyshev
-    coefficients to q1(1) and q1'(1)."""
+    share: the Lobatto ``nodes``, the ``node`` and ``order`` of every
+    condition, node by node, the factorials ``fact`` 0! .. s!, and the
+    ``end_rows`` that take the Levin route's Chebyshev coefficients to
+    q1(1) and q1'(1)."""
 
     nodes: np.ndarray
-    mults: np.ndarray
     node: np.ndarray
     order: np.ndarray
     fact: np.ndarray
@@ -375,34 +376,34 @@ def _layout(npts: int, s: int) -> _Layout:
     mults[[0, -1]] = s + 1
     node, order = np.nonzero(np.arange(s + 1) < mults[:, None])
     k = np.arange(npts - 1 + 2 * s)
-    return _Layout(nodes, mults, node, order, _factorials(s + 1), (np.ones(k.size), 2.0 * k**2))
+    return _Layout(nodes, node, order, _factorials(s + 1), (np.ones(k.size), 2.0 * k**2))
 
 
 @kept
 def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # The layout of (npts, s) and the parts of _freq_operator that depend
-    # on g alone, at its conditions: the Taylor series cheb[k, l] (length
-    # s+2) of T_k(2t - 1) at node l for the M = npts - 1 + 2s basis
-    # functions, built once the cap has passed, the g' series (length s+1) at the
-    # nodes, the factorials and g' at the conditions, and the three terms
-    # of the Levin images of T_0 .. T_{M-1}, sum_i g_i P'_{j-i},
-    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition, each a
-    # ps_mul over the whole basis (orders j > 0 of interior nodes are
-    # formed and dropped).  A bad (npts, s),
-    # then a basis over the cap, raises, so is never kept.
+    # on g alone, at its conditions (node l, order j), each times j!: g'
+    # and the three terms of the Levin images of the M = npts - 1 + 2s
+    # basis functions T_0 .. T_{M-1}(2t - 1), sum_i g_i P'_{j-i},
+    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition.  P is the
+    # Taylor series of T_k at the nodes, built once the cap has passed, and
+    # each term one ps_mul over the whole basis (orders j > 0 of interior
+    # nodes are formed and dropped).  j! is a power of two for s <= 2, so
+    # there the product keeps the bits of the term.  A bad (npts, s), then
+    # a basis over the cap, raises, so is never kept.
     M = npts - 1 + 2 * s
     _check_basis(npts, s, M)
     layout = _layout(npts, s)
-    nodes, node, order = layout.nodes, layout.node, layout.order
-    cheb = _cheb_series_table(nodes, s + 2, M)
-    gser = osc.series_at(nodes, s + 2)
+    node, order = layout.node, layout.order
+    cheb = _cheb_series_table(layout.nodes, s + 2, M)
+    gser = osc.series_at(layout.nodes, s + 2)
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
-    ggprime = ps_mul(gg, gprime)
     P = cheb[:, :, : s + 1]
     dP = np.arange(1, s + 2) * cheb[:, :, 1:]
-    terms = np.stack([ps_mul(gg, dP), ps_mul(gprime, P), ps_mul(ggprime, P)])[:, :, node, order]
-    return layout, cheb, gprime, layout.fact[order], gprime[node, order], terms.transpose(0, 2, 1)
+    fact = layout.fact[order]
+    terms = np.stack([ps_mul(gg, dP), ps_mul(gprime, P), ps_mul(ps_mul(gg, gprime), P)])[:, :, node, order]
+    return layout, fact * gprime[node, order], (fact * terms).transpose(0, 2, 1)
 
 
 def _freq_operator(spec: ProblemSpec, npts: int, s: int, at) -> tuple:
@@ -411,35 +412,29 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, at) -> tuple:
     # at each node, applied to the unknowns (c0, q1 coefficients); column
     # k + 1 holds the Levin image g q' + (1+alpha) g' q + iw g g' q of
     # q = T_k, for the whole basis: the terms of _freq_table, kept per g,
-    # combined with alpha and w.  Node data of ``at`` (a
-    # problem._regularised) are Taylor series of length s+1 at the nodes; a
-    # right-hand side is their conditions times factorials.  Row j grows
-    # like k^{2j}: each row of the matrix, and of every right-hand side, is
-    # divided by the power of two just above its largest entry.  The end
-    # rows are the layout's, and the value at t = 1 is the first
-    # coefficient at the last node.
+    # combined with alpha and w.  Node data are the conditions of the
+    # amplitudes of ``at`` (a problem._regularised), their Taylor series of
+    # length s+1 at the nodes times factorials, formed once per amplitude;
+    # those of q1 g' are the product of q1's coefficients with the kept
+    # g' T_k term.  Row j grows like k^{2j}: each row of the matrix, and of
+    # every right-hand side, is divided by the power of two just above its
+    # largest entry.  The end rows are the layout's, and the value at t = 1
+    # is the order-0 condition of the last node, s + 1 from the end.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    layout, cheb, gprime, fact, gprime_at, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
+    layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
     w = spec.w
-    A = np.empty((fact.size, t1.shape[1] + 1), dtype=complex)
-    A[:, 0] = 1j * w * fact * gprime_at
-    A[:, 1:] = fact[:, None] * (t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3)
+    A = np.empty((gprime.size, t1.shape[1] + 1), dtype=complex)
+    A[:, 0] = 1j * w * gprime
+    A[:, 1:] = t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
-    L = A / row_scale[:, None]
-    node, order, m = layout.node, layout.order, s + 1
-    P = cheb[:, :, :m]
+    conditions = layout.node, layout.order
+    data = [(layout.fact * np.asarray(series, dtype=complex))[conditions] for series in at(layout.nodes, s + 1)]
 
-    def rhs(data):
-        return (layout.fact * np.asarray(data, dtype=complex))[node, order] / row_scale
+    def rhs(values):
+        return values / row_scale
 
-    def q1_gprime(coeffs):
-        # The Taylor series of q1 at each node, summed over the basis in
-        # order (a reduction over the leading axis adds its slices one by
-        # one), times that of g'.
-        return ps_mul((coeffs[:, None, None] * P).sum(axis=0), gprime)
-
-    return L, at(layout.nodes, m), rhs, q1_gprime, (*layout.end_rows, (-1, 0))
+    return A / row_scale[:, None], data, rhs, t2.dot, (*layout.end_rows, -(s + 1))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):

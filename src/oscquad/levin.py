@@ -6,13 +6,14 @@ f21 = f log(g(a) x/g) (x/g)^alpha in one call of the function that
 :func:`oscquad.problem._regularised` returns, solve for f1 and
 f21 - q1 g' on one factorised operator, and read the bracket at x = a
 (:func:`oscquad.boundary.levin_value`).  A route is only what it hands
-that one pass: its matrix, the node data of the amplitudes, the map from
-node data to a right-hand side, that from q1 to the node data of q1 g',
-and the end rows (:func:`_physical_operator` here, or
-``filon._freq_operator``).  A call goes from there to the value on plain
-arrays and scalars: the LAPACK factor and its diagnostics, each solve's
-solution and residual, and the end data of the one solve whose q(a) the
-bracket reads, with the first solve's c0 for the logarithmic kind.  The
+that one pass: its matrix, the node data of the amplitudes (values, or
+collocation conditions on the frequency route), the map from node data to
+a right-hand side, that from q1 to the node data of q1 g', and the end
+rows (:func:`_physical_operator` here, or ``filon._freq_operator``).  A
+call goes from there to the value on plain arrays and scalars: the LAPACK
+factor and its diagnostics, each solve's solution and residual, and the
+end data of the one solve whose q(a) the bracket reads, with the first
+solve's c0 for the logarithmic kind.  The
 public :func:`tsvd_solve`, :func:`solve_alg`, :func:`solve_log` and
 ``filon.solve_freq`` run the same factorisation and solves and return
 plain values: ``(x, diagnostics)`` for a matrix and right-hand side, and

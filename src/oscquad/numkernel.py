@@ -55,9 +55,11 @@ GAMMA_CROSSOVER = 1.0
 HYP2F2_SERIES_MAX = 10.0
 
 _EPS = np.finfo(float).eps
-# Step caps of the two Gamma(a, z) routes: past either, AccuracyError.
+# Step caps of the two Gamma(a, z) routes and of the 2F2 series: past any
+# of them, AccuracyError.
 _GAMMA_SERIES_TERMS = 400
 _GAMMA_CF_STEPS = 600
+_HYP2F2_SERIES_TERMS = 400
 
 
 class Strategy(Enum):
@@ -245,14 +247,14 @@ def upper_gamma_complex(
     return complex(value), KernelDiag(Strategy.CONTINUED_FRACTION, iters, est)
 
 
-def _hyp2f2_core_series(beta: float, z: complex, max_terms: int = 400):
+def _hyp2f2_core_series(beta: float, z: complex):
     # F(beta,z) = sum_k z^k / (k! (k+beta)^2) with Kahan compensation;
     # 2F2(beta,beta;1+beta,1+beta;z) = beta^2 F(beta,z).
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     abssum = 0.0
     term = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(_HYP2F2_SERIES_TERMS):
         piece = term / (k + beta) ** 2
         abssum += abs(piece)
         y = piece - comp

@@ -69,3 +69,31 @@ def test_claim_needs_nine_of_ten_and_more_than_the_iqr(tool):
     summary = tool.summarize(_runs(parent, change), METRICS)
     assert summary["w"]["latency_ms_p50"]["change_better_pairs"] == 8
     assert not tool.claim(summary, "w", "latency_ms_p50")["met"]
+
+
+CANNED_STDOUT = """# latency_ms_p50 = 0.243 ms
+# failures: {"points-physical/LEVIN_PHYSICAL/n=24: 3.8e-09 > 3.2e-09": 1}
+{"correct": false, "attempted": 640, "failed": 0, "metrics": {"latency_ms_p50": {"value": 0.243, "unit": "ms"}}}
+"""
+
+
+def test_record_keeps_the_failures_and_last_stderr_line(tool):
+    # A run that completes but is not correct: its failures line is kept
+    # and shown, and standard error is not read at exit status 0.
+    run = tool.record(0, CANNED_STDOUT, "a warning\n")
+    assert (run["correct"], run["attempted"], run["metrics"]) == (False, 640, {"latency_ms_p50": 0.243})
+    assert run["failures"] == '{"points-physical/LEVIN_PHYSICAL/n=24: 3.8e-09 > 3.2e-09": 1}'
+    assert run["stderr"] is None
+    line = tool.progress({"workload": "w", "pair": 1, "seed": 4406, "side": "parent", **run})
+    assert line.endswith("correct False, latency_ms_p50 0.243, "
+                         'failures {"points-physical/LEVIN_PHYSICAL/n=24: 3.8e-09 > 3.2e-09": 1}, stderr None')
+    # A run that stops: no result line, and its last line of standard error.
+    run = tool.record(1, "# setup\n", "Traceback (most recent call last):\n  ...\nImportError: no oscquad\n\n")
+    assert (run["exit"], run["correct"], run["failures"]) == (1, None, None)
+    assert run["stderr"] == "ImportError: no oscquad"
+    assert tool.progress({"workload": "w", "pair": 2, "seed": 2, "side": "change", **run}).endswith(
+        "failures None, stderr ImportError: no oscquad")
+    # A correct run's progress line carries neither.
+    run = tool.record(0, CANNED_STDOUT.replace("false", "true"), "")
+    assert run["correct"] and "failures" not in tool.progress({"workload": "w", "pair": 1, "seed": 1,
+                                                               "side": "change", **run})

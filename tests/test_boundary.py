@@ -244,7 +244,7 @@ def _end_data(spec, method, n, s, sols, route):
     # a, and the right-hand side at t = 1 read off the node data at the last
     # node, whose f1 is f1(1) computed apart.
     _, data, _, q1_gprime, (q1_row, slope, _) = route
-    end_node = -1 if method is Method.LEVIN_PHYSICAL else (-1, 0)
+    end_node = -1 if method is Method.LEVIN_PHYSICAL else -(s + 1)
     assert complex(data[0][end_node]) == _f1_end(_unit_interval(spec), method, n, s)
     c0, q1, _ = sols[-1]
     values = data[0] if len(sols) == 1 else data[1] - q1_gprime(sols[0][1])

@@ -383,11 +383,13 @@ def _derivative(p):
 
 def _loop_operator(spec, npts, s):
     # The per-basis-function form of the frequency-space Levin operator: three
-    # ps_mul calls per Chebyshev polynomial per node.  The array form in
-    # filon._freq_operator is checked against it.
+    # ps_mul calls per Chebyshev polynomial per node, each product at order j
+    # times j! before the sum, as the route keeps its terms at the
+    # conditions.  The array form in filon._freq_operator is checked
+    # against it.
     filon = oscquad.filon
     layout = filon._layout(npts, s)
-    nodes, mults = layout.nodes, layout.mults
+    nodes, mults = layout.nodes, np.bincount(layout.node)
     M = int(mults.sum()) - 1
     tables = filon._cheb_series_table(nodes, s + 2, M)
     fact = filon._factorials(s + 1)
@@ -402,15 +404,15 @@ def _loop_operator(spec, npts, s):
             P = T[: s + 1]
             dP = _derivative(T)
             images.append(
-                filon.ps_mul(gg, dP)
-                + (1.0 + spec.alpha) * filon.ps_mul(gp, P)
-                + 1j * spec.w * filon.ps_mul(ggp, P)
+                fact * filon.ps_mul(gg, dP)
+                + (1.0 + spec.alpha) * (fact * filon.ps_mul(gp, P))
+                + 1j * spec.w * (fact * filon.ps_mul(ggp, P))
             )
         for j in range(int(mult)):
             row = np.zeros(M + 1, dtype=complex)
-            row[0] = 1j * spec.w * fact[j] * gp[j]
+            row[0] = 1j * spec.w * (fact[j] * gp[j])
             for k, wk in enumerate(images):
-                row[k + 1] = fact[j] * wk[j]
+                row[k + 1] = wk[j]
             rows.append(row)
     return np.array(rows)
 
@@ -420,7 +422,7 @@ def _operator_term_sizes(spec, npts, s):
     # operator, for a round-off bound on its columns 1..M.
     filon = oscquad.filon
     layout = filon._layout(npts, s)
-    nodes, mults = layout.nodes, layout.mults
+    nodes, mults = layout.nodes, np.bincount(layout.node)
     M = int(mults.sum()) - 1
     tables = np.abs(filon._cheb_series_table(nodes, s + 2, M))
     fact = filon._factorials(s + 1)
@@ -451,9 +453,13 @@ def _unscaled_rows(spec, npts, s, want):
     # The rows of filon._freq_operator's matrix before equilibration, given
     # that each was divided by the power of two just above the largest
     # entry of that row of ``want``; a row scaled otherwise comes back off
-    # by a factor of two.
+    # by a factor of two.  The real and imaginary parts are scaled apart, so
+    # a zero keeps its sign (a complex product would turn 0 - 0j into 0 + 0j).
     L = _freq_matrix(spec, npts, s)
-    return L * np.ldexp(1.0, np.frexp(np.abs(want).max(axis=1))[1])[:, None]
+    scale = np.ldexp(1.0, np.frexp(np.abs(want).max(axis=1))[1])[:, None]
+    L.real *= scale
+    L.imag *= scale
+    return L
 
 
 class TestFreqOperatorRows:
@@ -500,9 +506,10 @@ class TestFreqOperatorRows:
 
     @pytest.mark.parametrize("pid", ["ex52", "ex53b"])
     def test_log_kind_rhs_equals_per_node_sums(self, monkeypatch, pid):
-        # The second right-hand side f21 - q1 g' sums q1's series over the
-        # basis for all nodes at once; it equals the per-node running sum in
-        # basis order bit for bit.
+        # The second right-hand side f21 - q1 g' is taken at the conditions:
+        # f21's series at the nodes times j!, at (node, order), less the
+        # product of the first solve's coefficients with the kept g' T_k
+        # term, bit for bit.
         filon = oscquad.filon
         spec = builtin_problem(pid, 0.4, 80.0)
         seen = []
@@ -517,12 +524,34 @@ class TestFreqOperatorRows:
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
         (_, first), (rhs2, _) = seen
-        layout, tables, gprime = filon._freq_table(spec.oscillator, npts, s)[:3]
-        nodes = layout.nodes
-        f21 = filon._regularised(spec, spec.g_end())(nodes, s + 1)[1]
-        for l in range(npts):
-            q1 = sum(c * T for c, T in zip(first[1:], tables[:, l]))
-            assert rhs2[l].tobytes() == (f21[l] - filon.ps_mul(q1[: s + 1], gprime[l])).tobytes()
+        layout, _, (_, gprime_terms, _) = filon._freq_table(spec.oscillator, npts, s)
+        f21 = filon._regularised(spec, spec.g_end())(layout.nodes, s + 1)[1]
+        conditions = (layout.fact * f21)[layout.node, layout.order]
+        assert rhs2.tobytes() == (conditions - gprime_terms @ first[1:]).tobytes()
+
+    @pytest.mark.parametrize("npts, s", [(6, 1), (10, 2), (14, 2)])
+    def test_q1_gprime_is_the_series_product_at_the_conditions(self, npts, s):
+        # The route's q1 g' is the series-space product written out: q1's
+        # Taylor series at the nodes, sum_k c_k T_k, times that of g', times
+        # j!, at (node, order), within a few ulps of the sum of the sizes of
+        # its terms c_k (g' T_k).
+        filon = oscquad.filon
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(npts + 10 * s)
+        quadratics = [[0.0, b, c] for b, c in zip(rng.uniform(0.5, 2.0, 2), rng.uniform(0.0, 1.0, 2))]
+        layout = filon._layout(npts, s)
+        node, order = layout.node, layout.order
+        cheb = filon._cheb_series_table(layout.nodes, s + 1, npts - 1 + 2 * s)
+        for poly in [[0.0, 1.0], [0.0, 1.0, 1.0]] + quadratics:
+            osc = Oscillator.from_poly(poly)
+            spec = build_problem(Amplitude.from_poly([1.0]), osc, a=1.0, alpha=0.5, kind=SingKind.ALGEBRAIC, w=50.0)
+            q1_gprime = filon._freq_operator(spec, npts, s, _regularised(spec))[3]
+            c = rng.standard_normal(cheb.shape[0]) + 1j * rng.standard_normal(cheb.shape[0])
+            gser = osc.series_at(layout.nodes, s + 2)
+            gprime = np.arange(1, s + 2) * gser[:, 1:]
+            want = (layout.fact * filon.ps_mul((c[:, None, None] * cheb).sum(axis=0), gprime))[node, order]
+            sizes = np.abs(c) @ np.abs(np.array([(layout.fact * filon.ps_mul(T, gprime))[node, order] for T in cheb]))
+            assert np.all(np.abs(q1_gprime(c) - want) <= 8.0 * eps * sizes), (poly, npts, s)
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' and each of the three image terms once, for all nodes and

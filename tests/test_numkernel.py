@@ -186,6 +186,15 @@ class TestHyp2F2Equal:
         assert diag.strategy is Strategy.SERIES
         assert_allclose(val, ref, rtol=1e-12)
 
+    def test_series_past_its_term_cap_is_refused(self):
+        # At |z| = 250 the series needs more than _HYP2F2_SERIES_TERMS terms
+        # (|z| = 200 takes 391); a series_max that sends it there raises
+        # rather than return a truncated sum.
+        assert oscquad.numkernel._HYP2F2_SERIES_TERMS == 400
+        assert hyp2f2_equal(0.5, 200.0j, series_max=300.0)[1].terms_used == 391
+        with pytest.raises(AccuracyError, match="2F2 series did not converge"):
+            hyp2f2_equal(0.5, 250.0j, series_max=300.0)
+
     def test_large_z_dual_strategy(self):
         # Quad-precision series oracle vs the rotated-path route at |z|=200.
         val, diag = hyp2f2_equal(0.5, 200.0j)

@@ -18,8 +18,11 @@ the parent's median (negative when it is better), and whether that stays
 within the metric's bound.  ``--claim WORKLOAD:METRIC`` also prints whether
 a claimed gain holds: the change better in at least nine of ten pairs, and
 the medians further apart than the parent's interquartile range.
-``--json PATH`` writes every run and the summary.  The exit status is 1
-when a run fails or a metric leaves its bound, 0 otherwise.
+``--json PATH`` writes every run and the summary.  Each run's record keeps
+its ``# failures:`` line and, when its exit status is not 0, its last line
+of standard error; the progress line of a run that fails or is not
+``correct`` shows both.  The exit status is 1 when a run fails or a metric
+leaves its bound, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -36,23 +39,49 @@ HERE = Path(__file__).resolve().parent.parent
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    # One untraced run of a checkout's own benchmark: its exit status and
-    # the JSON object of its last line of output.
+    # One untraced run of a checkout's own benchmark, as its record.
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    return record(proc.returncode, proc.stdout, proc.stderr)
+
+
+FAILURES_PREFIX = "# failures: "
+
+
+def record(exit_code: int, stdout: str, stderr: str) -> dict:
+    """The record of one run from its exit status and output: the status,
+    the ``correct``, ``attempted``, ``failed`` and metric values of the JSON
+    object on its last line of output, its ``# failures:`` line (None when
+    it prints none) and, when the status is not 0, its last line of
+    standard error (else None)."""
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else {}
     except json.JSONDecodeError:
         result = {}
+    failures = next((line[len(FAILURES_PREFIX):] for line in lines if line.startswith(FAILURES_PREFIX)), None)
+    errors = stderr.strip().splitlines()
     return {
-        "exit": proc.returncode,
+        "exit": exit_code,
         "correct": result.get("correct"),
         "attempted": result.get("attempted"),
         "failed": result.get("failed"),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
+        "failures": failures,
+        "stderr": errors[-1] if exit_code != 0 and errors else None,
     }
+
+
+def progress(run: dict) -> str:
+    """The progress line of one run; a run that failed or is not correct
+    also shows its failures line and its last line of standard error."""
+    p50 = run["metrics"].get("latency_ms_p50", float("nan"))
+    line = (f"# {run['workload']} pair {run['pair']} seed {run['seed']} {run['side']}: exit {run['exit']}, "
+            f"correct {run['correct']}, latency_ms_p50 {p50:.4g}")
+    if run["exit"] != 0 or not run["correct"]:
+        line += f", failures {run['failures']}, stderr {run['stderr']}"
+    return line
 
 
 def _quartiles(values) -> list:
@@ -148,9 +177,7 @@ def main(argv=None) -> int:
                 run = {"workload": workload, "pair": pair, "seed": seed, "side": side, "first": position == 0,
                        **_run(sides[side], workload, seed, seconds)}
                 runs.append(run)
-                p50 = run["metrics"].get("latency_ms_p50", float("nan"))
-                print(f"# {workload} pair {pair} seed {seed} {side}: exit {run['exit']}, correct {run['correct']}, "
-                      f"latency_ms_p50 {p50:.4g}", flush=True)
+                print(progress(run), flush=True)
 
     summary = summarize(runs, bench["end_to_end"])
     _print_summary(summary)
