@@ -18,18 +18,40 @@ Typical use::
 
 The ``oscquad-bench`` console script exposes the same functionality as a
 benchmark CLI.
+
+``import oscquad`` compiles and runs the Levin core (the physical-space
+route and what it stands on) and :mod:`oscquad.quadrature`.  The Filon
+and frequency-space module :mod:`oscquad.filon` and the baselines module
+:mod:`oscquad.baselines` are in ``sys.modules`` and on the package from
+the start, but their code is compiled and run on first attribute access:
+the first LEVIN_FREQ or FILON call or frequency-space piece loads
+:mod:`oscquad.filon`, and the first reference, CMFP or oracle call loads
+:mod:`oscquad.baselines`.  The names this package re-exports from them
+resolve through the module ``__getattr__``, so they too load their module
+on first use, and an error in either module surfaces there.
 """
 
+import importlib.util
+import sys
+
+
+def _lazy_submodule(name: str):
+    # oscquad.<name>, entered in sys.modules and bound on the package, whose
+    # code is compiled and run on its first attribute access.
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Bound before the modules below import them by name.
+filon = _lazy_submodule("filon")
+baselines = _lazy_submodule("baselines")
+
 from ._result import Method, QuadratureResult
-from .baselines import (
-    cmf_composite,
-    cmfp,
-    default_cmfp_params,
-    gauss_legendre,
-    graded_integral,
-    reference_nsd,
-    reference_oracle,
-)
 from .cheb import ChebGrid, barycentric_eval, lobatto_grid, radau_grid
 from .errors import (
     AccuracyError,
@@ -38,16 +60,6 @@ from .errors import (
     InvalidOscillatorError,
     OscquadError,
     ParameterError,
-)
-from .filon import (
-    build_hermite_data,
-    build_moment_table,
-    hermite_solve,
-    moments_mu,
-    moments_nu,
-    quad_filon,
-    quad_freq,
-    solve_freq,
 )
 from .levin import (
     assemble_L,
@@ -80,6 +92,14 @@ from .problem import (
 from .quadrature import compute, quad_alg, quad_log
 
 __version__ = "0.1.0"
+
+# The names re-exported from the lazy modules, each with its module.
+_LAZY_NAMES = {
+    **dict.fromkeys(("cmf_composite", "cmfp", "default_cmfp_params", "gauss_legendre", "graded_integral",
+                     "reference_nsd", "reference_oracle"), "baselines"),
+    **dict.fromkeys(("build_hermite_data", "build_moment_table", "hermite_solve", "moments_mu", "moments_nu",
+                     "quad_filon", "quad_freq", "solve_freq"), "filon"),
+}
 
 __all__ = [
     "Method",
@@ -136,3 +156,14 @@ __all__ = [
     "quad_log",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: only names the package does not bind reach here.
+    if name in _LAZY_NAMES:
+        return getattr(globals()[_LAZY_NAMES[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -36,7 +36,10 @@ the phase range |w| g(a) and reported as ``ref_kind``:
 
 Where NSD refuses, the next tier takes over, so the reference tier never
 changes an exit code.  ``oracle`` rows reuse the oracle value computed for
-the reference, with the time that call took.
+the reference, with the time that call took.  The tiers are read from
+:mod:`oscquad.baselines` when a reference is computed, so that module
+loads on an invocation's first reference (see :mod:`oscquad`), and
+``eval`` never loads it.
 
 Exit codes: 0 success, 2 bad arguments, 3 capability refusal, 4 accuracy
 failure, 5 I/O failure.  A plain-text ``key=value`` config file can seed
@@ -51,10 +54,9 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import get_type_hints
 
+from . import baselines
 from ._kept import kept
-from .baselines import ORACLE_PHASE_CAP, cmfp_applies, reference_nsd, reference_oracle
 from .errors import AccuracyError, CapabilityError, ParameterError
 from .problem import (
     Amplitude,
@@ -106,7 +108,6 @@ class RunRecord:
 CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 # A record's fields in column order, as a shallow tuple.
 _columns = attrgetter(*CSV_HEADER.split(","))
-_COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
 
 
 def _fmt(x) -> str:
@@ -123,14 +124,6 @@ def write_csv(records, sink) -> None:
     sink.write(CSV_HEADER + "\n")
     for r in records:
         sink.write(",".join(map(_fmt, _columns(r))) + "\n")
-
-
-def parse_csv(text: str) -> list:
-    """Inverse of write_csv, for round-trip checks."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParameterError("missing or unexpected CSV header")
-    return [RunRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, ln.split(",")))) for ln in lines[1:]]
 
 
 def _resolve_method(name: str, s: int) -> Method:
@@ -194,7 +187,7 @@ class _RefCache:
         if w not in self._oracle:
             spec = self.spec(w)
             t0 = time.perf_counter_ns()
-            value = reference_oracle(spec)
+            value = baselines.reference_oracle(spec)
             self._oracle[w] = (value, max(1, time.perf_counter_ns() - t0))
         return self._oracle[w]
 
@@ -210,10 +203,10 @@ class _RefCache:
         phase = abs(spec.w) * spec.g_end()
         if phase > NSD_CROSSOVER:
             try:
-                return reference_nsd(spec), "nsd"
+                return baselines.reference_nsd(spec), "nsd"
             except (CapabilityError, AccuracyError):
                 pass  # outside NSD's scope: the next tier decides
-        if phase <= ORACLE_PHASE_CAP:
+        if phase <= baselines.ORACLE_PHASE_CAP:
             return self.oracle(w)[0], "oracle"
         return compute(spec, Method.LEVIN_FREQ, _REF_N, _REF_S).value, f"levin-n{_REF_N}-s{_REF_S}"
 
@@ -266,9 +259,9 @@ def _cmd_rows(args, out, err) -> int:
         spec = cache.spec(args.w)
         err.write(f"# ref_kind={cache.get(args.w)[1]}\n")
         methods = ["levin"]
-        if cmfp_applies(spec):
+        if baselines.cmfp_applies(spec):
             methods.append("cmfp")
-        if abs(spec.w) * spec.g_end() <= ORACLE_PHASE_CAP:
+        if abs(spec.w) * spec.g_end() <= baselines.ORACLE_PHASE_CAP:
             methods.append("oracle")
     else:
         methods = _parse_list(args.method, str, "method")

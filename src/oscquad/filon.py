@@ -21,9 +21,9 @@ shares; its node data are the collocation conditions (Taylor coefficient
 j times j!), and q1 g' is q1's coefficients times the kept g' T_k there.
 Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
-both share, and, per polynomial g and (npts, s), the layout beside g' and
-the Levin image terms at its conditions, or beside FILON's Hermite matrix
-on [0, a].  A call reads one kept table and only combines it with alpha,
+both share, the Levin route's Chebyshev Taylor table on its nodes, and,
+per polynomial g and (npts, s), the layout beside g' and the Levin image
+terms at its conditions, or beside FILON's Hermite matrix on [0, a].  A call reads one kept table and only combines it with alpha,
 w and f, whose series at the nodes is kept per keyed amplitude
 (``problem._amplitude_series``).  The closed forms that start the moment
 recurrences, mu_1 and K_log, are kept per (alpha, w, g(a)), as the Levin
@@ -319,12 +319,14 @@ def _filon_rule(spec: ProblemSpec, npts: int, s: int, table: tuple, f1: np.ndarr
     )
 
 
+@kept
 def _cheb_series_table(nodes: np.ndarray, m: int, count: int) -> np.ndarray:
     # Taylor series (length m) of T_0..T_{count-1}(2t - 1) at the points
     # ``nodes`` of [0, 1]: out[k, l] is that of T_k at nodes[l].  The
     # three-term recurrence is carried out in series space, for all nodes
     # at once; stable at degrees where conversion to the monomial basis is
-    # not.
+    # not.  It depends on the grid alone, so every g's _freq_table on one
+    # (npts, s) shares it.
     u = np.zeros((nodes.size, m))
     u[:, 0] = 2.0 * nodes - 1.0
     if m > 1:
@@ -386,11 +388,11 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     # and the three terms of the Levin images of the M = npts - 1 + 2s
     # basis functions T_0 .. T_{M-1}(2t - 1), sum_i g_i P'_{j-i},
     # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition.  P is the
-    # Taylor series of T_k at the nodes, built once the cap has passed, and
-    # each term one ps_mul over the whole basis (orders j > 0 of interior
-    # nodes are formed and dropped).  j! is a power of two for s <= 2, so
-    # there the product keeps the bits of the term.  A bad (npts, s), then
-    # a basis over the cap, raises, so is never kept.
+    # Taylor series of T_k at the nodes, kept per grid and read once the
+    # cap has passed, and each term one ps_mul over the whole basis (orders
+    # j > 0 of interior nodes are formed and dropped).  j! is a power of
+    # two for s <= 2, so there the product keeps the bits of the term.  A
+    # bad (npts, s), then a basis over the cap, raises, so is never kept.
     M = npts - 1 + 2 * s
     _check_basis(npts, s, M)
     layout = _layout(npts, s)

@@ -7,7 +7,10 @@ Hermite path (the two coincide in value for linear oscillators), both by
 ``compute``, which runs the one Levin pipeline of :mod:`oscquad.levin` on
 the route's operator and also selects the Filon rule, the composite
 baseline and the brute-force oracle.  Every rule refuses an n or
-s that is not an integer.
+s that is not an integer.  :mod:`oscquad.filon` and
+:mod:`oscquad.baselines` load on first use (see :mod:`oscquad`), so
+``compute`` reads its routes from them when a call runs, and a process
+that only runs the physical-space route never loads either.
 
 The lower integration endpoint is handled analytically: every bracket term
 of the antiderivative vanishes as x -> 0+ for alpha > -1, so only the
@@ -17,9 +20,9 @@ evaluating g(x)^alpha at the singular point.
 
 from __future__ import annotations
 
+from . import baselines, filon
 from ._result import Method, QuadratureResult, check_counts
 from .errors import CapabilityError, ParameterError
-from .filon import _filon, _quad_freq
 from .levin import _quad_physical
 from .problem import ProblemSpec, SingKind
 
@@ -103,17 +106,13 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
             )
         return _quad_physical(spec, n)
     if method is Method.LEVIN_FREQ:
-        return _quad_freq(spec, n, s)
+        return filon._quad_freq(spec, n, s)
     if method is Method.FILON:
-        return _filon(spec, n, s)
+        return filon._filon(spec, n, s)
     if method is Method.CMFP:
-        from .baselines import cmfp
-
-        return cmfp(spec, n)
+        return baselines.cmfp(spec, n)
     if method is Method.ORACLE:
-        from .baselines import reference_oracle
-
-        value = reference_oracle(spec)
+        value = baselines.reference_oracle(spec)
         return QuadratureResult(
             value=value,
             method=Method.ORACLE,

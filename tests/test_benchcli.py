@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -14,12 +15,22 @@ from oscquad.baselines import reference_oracle
 from oscquad.benchcli import (
     CSV_HEADER,
     RunRecord,
-    parse_csv,
     run_command,
     write_csv,
 )
+from oscquad.errors import ParameterError
 from oscquad.problem import builtin_problem
 from oscquad.quadrature import Method, compute
+
+_COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
+
+
+def parse_csv(text: str) -> list:
+    """Inverse of write_csv, for round-trip checks."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ParameterError("missing or unexpected CSV header")
+    return [RunRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, ln.split(",")))) for ln in lines[1:]]
 
 
 def run(argv):
@@ -86,8 +97,6 @@ class TestCsv:
         assert sink.getvalue() == "\n".join([CSV_HEADER, *rows]) + "\n"
 
     def test_bad_header_rejected(self):
-        from oscquad.errors import ParameterError
-
         with pytest.raises(ParameterError):
             parse_csv("nope\n1,2,3\n")
 
@@ -379,14 +388,13 @@ class TestCompare:
     def test_one_oracle_call_per_spec(self, monkeypatch, argv):
         # The oracle row reuses the reference's oracle value and its time.
         calls = []
-        original = oscquad.benchcli.reference_oracle
+        original = oscquad.baselines.reference_oracle
 
         def counting(spec):
             calls.append(spec.w)
             return original(spec)
 
-        for module in (oscquad.benchcli, oscquad.baselines):
-            monkeypatch.setattr(module, "reference_oracle", counting)
+        monkeypatch.setattr(oscquad.baselines, "reference_oracle", counting)
         code, out, _ = run(argv)
         assert code == 0
         assert len(calls) == len(set(calls))

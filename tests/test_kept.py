@@ -32,6 +32,7 @@ KEPT_TABLES = {
     "radau_grid": (oscquad.cheb._radau_grid, lambda i: (i + 2,)),
     "lobatto_grid": (oscquad.cheb._lobatto_grid, lambda i: (i + 2,)),
     "layout": (oscquad.filon._layout, lambda i: (i + 3, 0)),
+    "cheb_series_table": (oscquad.filon._cheb_series_table, lambda i: (np.array([0.0, 0.5, 1.0]), 3, i + 1)),
     "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_osc(i), 1.0, 3, 0)),
     "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, 1.0)),
