@@ -22,13 +22,14 @@ import cmath
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dsterf
 from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 
 from ._kept import kept
 from ._result import Method, QuadratureResult, check_counts
 from .errors import AccuracyError, CapabilityError, ParameterError
-from .problem import ProblemSpec, SingKind, _horner_py, integrand
+from .problem import ProblemSpec, SingKind, _horner_py, _weighted, integrand
 
 __all__ = [
     "default_cmfp_params",
@@ -78,16 +79,25 @@ def _legendre_rule(m: int):
     return roots_legendre(m)
 
 
+def _check_limits(a: float, b: float) -> None:
+    # Finite limits with a < b, naming the one that is not finite.
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    if not a < b:
+        raise ParameterError("need a < b")
+
+
 def gauss_legendre(f, a: float, b: float, m: int) -> complex:
     """m-point Gauss-Legendre value of ``int_a^b f``.
 
-    Exact for polynomials of degree <= 2m - 1.
+    Exact for polynomials of degree <= 2m - 1.  A non-finite ``a`` or ``b``,
+    or ``a >= b``, raises ParameterError.
     """
     check_counts(m=m)
     if m < 1:
         raise ParameterError("m must be at least 1")
-    if not a < b:
-        raise ParameterError("need a < b")
+    _check_limits(a, b)
     xg, wg = _legendre_rule(m)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -95,14 +105,27 @@ def gauss_legendre(f, a: float, b: float, m: int) -> complex:
     return complex(half * np.dot(wg, vals))
 
 
+@kept
+def _moment_rule(count: int):
+    # The nodes xi_j and the matrix w_j xi_j^k, k < count, of the Gauss-
+    # Legendre rule that exponential_moments uses below its switch, kept per
+    # count.  Worst error against 40-digit values over count 1-30 below the
+    # switch, relative to max(|m_k|, 1): 5.8e-10 with count + 4 nodes,
+    # 4.6e-14 with count + 6, 7.6e-15 with count + 8.  NumPy's leggauss, as
+    # scipy's roots_legendre (_legendre_rule) reads 1.4e-14 at count + 8.
+    xi, wq = leggauss(count + 8)
+    return xi, wq[:, None] * xi[:, None] ** np.arange(count)
+
+
 def exponential_moments(theta, count: int) -> np.ndarray:
     """Moments ``m_k = int_{-1}^{1} xi^k e^{i theta xi} d xi``, k < count.
 
     Vectorized over ``theta``.  The forward recurrence amplifies round-off
     by roughly k/|theta| per step, so it is used only where |theta|
-    dominates the highest index; below that a Taylor series with an
-    adaptive term count takes over.  A ``count`` that is not an integer of
-    at least 1, and a non-finite ``theta``, raise ParameterError.
+    dominates the highest index, |theta| >= max(0.5, 0.6 count); below
+    that the integral is taken by one Gauss-Legendre rule of count + 8
+    nodes for every theta and k at once.  A ``count`` that is not an
+    integer of at least 1, and a non-finite ``theta``, raise ParameterError.
     """
     check_counts(count=count)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -111,8 +134,7 @@ def exponential_moments(theta, count: int) -> np.ndarray:
     if not np.isfinite(theta).all():
         raise ParameterError("theta must be finite")
     out = np.empty((theta.size, count), dtype=complex)
-    switch = max(0.5, 0.6 * count)
-    big = np.abs(theta) >= switch
+    big = np.abs(theta) >= max(0.5, 0.6 * count)
     if big.any():
         t = theta[big]
         it = 1j * t
@@ -126,17 +148,10 @@ def exponential_moments(theta, count: int) -> np.ndarray:
             out[big, k] = mk
     small = ~big
     if small.any():
-        ts = theta[small]
-        acc = np.zeros((ts.size, count), dtype=complex)
-        power = np.ones(ts.size, dtype=complex)
-        for p in range(200):
-            if p > 2 and float(np.abs(power).max()) * 2.0 < 1e-18:
-                break
-            for k in range(count):
-                if (k + p) % 2 == 0:
-                    acc[:, k] += power * (2.0 / (k + p + 1))
-            power = power * (1j * ts) / (p + 1)
-        out[small] = acc
+        xi, weighted_powers = _moment_rule(count)
+        # In place: this phase matrix is the largest array of a long mesh.
+        phase = 1j * theta[small, None] * xi
+        out[small] = np.exp(phase, out=phase) @ weighted_powers
     return out
 
 
@@ -152,9 +167,9 @@ def _cheb_interp_setup(m: int):
 
 def _cmf_panels(amp, w_eff: float, edges: np.ndarray, m: int) -> np.ndarray:
     # Moment-free Filon values on consecutive panels: interpolate the
-    # non-oscillatory amplitude at m + 1 mapped Chebyshev points, integrate
-    # the degree-m interpolant against e^{i w_eff x} exactly via
-    # exponential moments.
+    # non-oscillatory amplitude (one call on every panel's m + 1 mapped
+    # Chebyshev points) and integrate the degree-m interpolant against
+    # e^{i w_eff x} exactly via the exponential moments of all panels.
     xi, vinv_t = _cheb_interp_setup(m + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -172,8 +187,9 @@ def cmf_composite(target, n: int, m: int, a: float, b: float, w: float) -> compl
     check_counts(n=n, m=m)
     if n < 1 or m < 1:
         raise ParameterError("n and m must be at least 1")
-    if not a < b:
-        raise ParameterError("need a < b")
+    _check_limits(a, b)
+    if not math.isfinite(w):
+        raise ParameterError(f"w must be finite, got {w!r}")
     return complex(np.sum(_cmf_panels(target, float(w), np.linspace(a, b, n + 1), m)))
 
 
@@ -189,20 +205,6 @@ def _slope(spec: ProblemSpec) -> float:
     poly = spec.oscillator.poly
     linear = poly is not None and poly.size >= 2 and poly[0] == 0.0 and poly[1] > 0.0 and not poly[2:].any()
     return float(poly[1]) if linear else 0.0
-
-
-def _singular_amplitude_fn(spec: ProblemSpec):
-    alpha = spec.alpha
-    log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
-
-    def amp(x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(spec.amplitude.value(x), dtype=complex) * x**alpha
-        if log_kind:
-            out = out * np.log(x)
-        return out
-
-    return amp
 
 
 def default_cmfp_params(spec: ProblemSpec, n1: int) -> tuple:
@@ -240,17 +242,19 @@ def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
     (the innermost panel is truncated, its contribution vanishing with the
     grading) plus the composite moment-free Filon part on the geometric
     mesh y_j = w_r^{(j-n)/n} covering [1/w_r, 1].  Each geometric panel is
-    refined into N_j equal moment-free sub-panels of m2 points.  Each
-    panel is resolved against its own width ratio, N_j = ceil(q^{m2/(m2-1)})
-    with q = y_j / y_{j-1} = w_r^{1/n}; the defining formula's per-panel
-    count is stated in terms of an inverse-oscillator ratio that
-    degenerates for a linear oscillator.  Here w_r = |w g'(0)| and
-    lambda_r = 1/w_r (stationary order r = 0).  An ``n1`` that is not an
-    integer of at least 1 raises ParameterError.  A problem outside
-    :func:`cmfp_applies` (at a != 1, or at w_r < 1, where [1/w_r, 1] is
-    inverted and reaches past a), and a count above what |w| = 1e14 needs
-    at this n, are refused with :class:`CapabilityError` before the mesh is
-    built.
+    refined into N_j equal moment-free sub-panels of m2 points, whose edges
+    are formed at once with ``np.linspace``'s arithmetic; the Filon part
+    interpolates f x^alpha [log x], ``integrand`` without its oscillator.
+    Each panel is resolved against its own width ratio,
+    N_j = ceil(q^{m2/(m2-1)}) with q = y_j / y_{j-1} = w_r^{1/n}; the
+    defining formula's per-panel count is stated in terms of an
+    inverse-oscillator ratio that degenerates for a linear oscillator.
+    Here w_r = |w g'(0)| and lambda_r = 1/w_r (stationary order r = 0).
+    An ``n1`` that is not an integer of at least 1 raises ParameterError.
+    A problem outside :func:`cmfp_applies` (at a != 1, or at w_r < 1, where
+    [1/w_r, 1] is inverted and reaches past a), and a count above what
+    |w| = 1e14 needs at this n (inf where it overflows a float), are
+    refused with :class:`CapabilityError` before the mesh is built.
     """
     n, s, m1, m2, p = default_cmfp_params(spec, n1)
     if not cmfp_applies(spec):
@@ -280,11 +284,11 @@ def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
         gl_part = lam * np.sum(per_panel)
         points += pts.size
     yedges = w_r ** ((np.arange(n + 1, dtype=float) - n) / n)
-    edges = np.concatenate(
-        [np.linspace(yedges[j], yedges[j + 1], n_sub + 1)[:-1] for j in range(n)]
-        + [yedges[-1:]]
-    )
-    cmf_vals = _cmf_panels(_singular_amplitude_fn(spec), w_eff, edges, m2)
+    # Sub-panel edge j of panel i is j step_i + y_i, step_i = (y_{i+1} - y_i)
+    # / n_sub: the arithmetic of np.linspace, so the same bits.
+    sub = yedges[:-1, None] + np.arange(n_sub) * (np.diff(yedges) / n_sub)[:, None]
+    edges = np.append(sub.ravel(), yedges[-1])
+    cmf_vals = _cmf_panels(lambda x: _weighted(spec, x), w_eff, edges, m2)
     cmf_part = np.sum(cmf_vals)
     points += n * n_sub * m2
     value = (gl_part + cmf_part) * spec.phase_shift
@@ -395,10 +399,12 @@ def graded_integral(
 def reference_oracle(spec: ProblemSpec) -> complex:
     """Ground-truth value by graded brute force, for moderate frequencies.
 
-    Declared accuracy ~1e-11 relative, cross-validated against a finer
-    :func:`graded_integral` rule (more nodes per sub-panel, sub-panels half
-    as wide).  Refuses |w| g(a) beyond the phase cap, where panel counts
-    and round-off accumulation defeat the declared accuracy.
+    Its relative error against 40-digit values grows with |w| g(a): on
+    ex51 at alpha = 0.5 it is 3.5e-15 at w = 100, 2.1e-13 at 300, 2.3e-11
+    at 3162 and 4.7e-10 at 1e4; on ex53a at alpha = 0.5 and w = 1e4
+    (|w| g(a) = 2e4, the cap) it is 1.9e-10.  The loss is rounding in the
+    float64 nodes and integrand, not the rule.  Refuses |w| g(a) beyond the
+    phase cap, where panel counts and round-off accumulation grow further.
     """
     phase_range = abs(spec.w) * spec.g_end()
     if phase_range > ORACLE_PHASE_CAP:

@@ -391,4 +391,4 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    sys.exit(run_command())

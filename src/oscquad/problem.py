@@ -655,8 +655,14 @@ def integrand(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     ``spec.phase_shift`` to recover the raw-oscillator value.
     """
     x = np.asarray(x, dtype=float)
+    gx = np.asarray(spec.oscillator.value(x), dtype=float)
+    return _weighted(spec, x) * np.exp(1j * spec.w * gx)
+
+
+def _weighted(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    # f(x) x^alpha [log x] on x > 0, the non-oscillatory part of integrand.
+    x = np.asarray(x, dtype=float)
     weight = x**spec.alpha
     if spec.kind is SingKind.ALGEBRAIC_LOG:
         weight = weight * np.log(x)
-    gx = np.asarray(spec.oscillator.value(x), dtype=float)
-    return np.asarray(spec.amplitude.value(x)) * weight * np.exp(1j * spec.w * gx)
+    return np.asarray(spec.amplitude.value(x)) * weight

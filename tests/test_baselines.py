@@ -104,9 +104,40 @@ class TestExponentialMoments:
         expect = [2.0, 0.0, 2.0 / 3.0, 0.0, 2.0 / 5.0]
         assert_allclose(mom, expect, atol=1e-15)
 
+    @staticmethod
+    def mp_moments(theta, count):
+        # m_k, k < count, to 40 digits: 2/(k + 1) for even k at theta = 0,
+        # else the forward recurrence at 150 digits, which absorbs its
+        # amplification of at most prod_k k/|theta| (below 1e80 here).
+        if theta == 0.0:
+            return [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(count)]
+        with mp.workdps(150):
+            it = 1j * mp.mpf(theta)
+            ep, em = mp.exp(it), mp.exp(-it)
+            mk = (ep - em) / it
+            out = [complex(mk)]
+            for k in range(1, count):
+                mk = (ep - (-1) ** k * em) / it - (k / it) * mk
+                out.append(complex(mk))
+        return out
+
+    def test_quadrature_branch_every_count(self):
+        # Below the switch |theta| = max(0.5, 0.6 count): 41 points of the
+        # range, 0 included, and the last float below the switch and the
+        # switch itself on either side, for every count from 1 to 30.
+        for count in range(1, 31):
+            switch = max(0.5, 0.6 * count)
+            below = np.nextafter(switch, 0.0)
+            thetas = np.concatenate([switch * np.arange(-20, 21) / 21, [below, -below, switch, -switch]])
+            mom = exponential_moments(thetas, count)
+            for theta, row in zip(thetas, mom):
+                ref = np.array(self.mp_moments(float(theta), count))
+                err = np.abs(row - ref) / np.maximum(np.abs(ref), 1.0)
+                assert err.max() <= 1e-14, (count, theta, int(err.argmax()), err.max())
+
     def test_branch_accuracy_at_switch(self):
-        # The Taylor branch and the recurrence branch (count-aware seam at
-        # 0.6 * count) both hold full accuracy against mpmath at the seam.
+        # The quadrature branch and the recurrence branch (count-aware seam
+        # at 0.6 * count) both hold full accuracy against mpmath at the seam.
         count = 8
         seam = 0.6 * count
         for theta in (seam - 1e-12, seam + 1e-12):
@@ -187,6 +218,10 @@ class TestCmfp:
         with pytest.raises(CapabilityError, match="sub-panels"):
             compute(spec, Method.CMFP, 4, 0)
         assert np.isfinite(compute(builtin_problem("ex54", 0.5, 1e14), Method.CMFP, 4, 0).value)
+        # At w = 1e300 and n1 = 1 the count ceil(w^(4/3)) overflows a float;
+        # it is taken as inf and refused the same way.
+        with pytest.raises(CapabilityError, match="needs inf sub-panels"):
+            cmfp(builtin_problem("ex54", 0.5, 1e300), 1)
 
     def test_configuration(self):
         # n = s = n1, m1 = m2 = 4 and p = (2 m1 + 1)/(1 + alpha); an n1

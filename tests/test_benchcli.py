@@ -203,12 +203,14 @@ class TestEval:
         assert code == 2
         assert "w a = 10.0 * 1e+308 overflows" in err
 
-    def test_cmfp_mesh_beyond_documented_w_exit_3(self):
+    @pytest.mark.parametrize("w, n, count", [("1e200", "4", "4.64e+66"), ("1e300", "1", "inf")])
+    def test_cmfp_mesh_beyond_documented_w_exit_3(self, w, n, count):
+        # At w = 1e300 and n = 1 the sub-panel count overflows a float.
         code, out, err = run(["eval", "--problem", "ex54", "--alpha", "0.5",
-                              "--w", "1e200", "--n", "4", "--method", "cmfp"])
+                              "--w", w, "--n", n, "--method", "cmfp"])
         assert code == 3
         assert out == ""
-        assert "sub-panels" in err
+        assert f"needs {count} sub-panels" in err
 
     @pytest.mark.parametrize("problem, w, method", [
         ("ex53a", "1.7e308", "levin"),
@@ -563,7 +565,12 @@ class TestConfigAndOutput:
 
 
 class TestModuleEntry:
-    def test_python_dash_m(self):
+    def test_python_dash_m(self, monkeypatch):
+        # python -m oscquad runs main(), which reads sys.argv through
+        # run_command's default, as the oscquad-bench script does: JSON and
+        # exit 0, and exit 2 for a bad argument, in a fresh interpreter and
+        # in this one.
+        import runpy
         import subprocess
         import sys
 
@@ -575,6 +582,14 @@ class TestModuleEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["diagnostics"]["method"] == "levin-physical"
+        bad = ["eval", "--problem", "ex51", "--alpha", "x", "--w", "50", "--n", "8"]
+        proc = subprocess.run([sys.executable, "-m", "oscquad", *bad], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "invalid float value: 'x'" in proc.stderr
+        monkeypatch.setattr(sys, "argv", ["oscquad", *bad])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("oscquad", run_name="__main__")
+        assert info.value.code == 2
 
     @pytest.mark.parametrize("argv, code, line", [
         pytest.param(["--problem", "ex51", "--method", "levin-freq", "--w", "100", "--s", "3000"], 3,

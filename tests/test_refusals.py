@@ -6,7 +6,7 @@ import pytest
 
 from oscquad import compute, radau_grid
 from oscquad._series import poly_taylor
-from oscquad.baselines import cmf_composite, exponential_moments
+from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
 from oscquad.errors import CapabilityError, ParameterError
 from oscquad.filon import moments_mu
@@ -34,6 +34,11 @@ CASES = [
     pytest.param(lambda: poly_taylor([1.0, 2.0], 0.5, 0), ParameterError, "m must be at least 1", id="poly_taylor-m0"),
     pytest.param(lambda: exponential_moments(1.0, 0), ParameterError, "count must be at least 1", id="exponential_moments-count0"),
     pytest.param(lambda: cmf_composite(lambda x: x, 4, 4, 1.0, 1.0, 10.0), ParameterError, "need a < b", id="cmf_composite-a=b"),
+    pytest.param(lambda: cmf_composite(np.cos, 4, 4, 0.0, np.inf, 10.0), ParameterError, "b must be finite, got inf", id="cmf_composite-b-inf"),
+    pytest.param(lambda: cmf_composite(np.cos, 4, 4, np.nan, 1.0, 10.0), ParameterError, "a must be finite, got nan", id="cmf_composite-a-nan"),
+    pytest.param(lambda: cmf_composite(np.cos, 4, 4, 0.0, 1.0, np.nan), ParameterError, "w must be finite, got nan", id="cmf_composite-w-nan"),
+    pytest.param(lambda: gauss_legendre(np.cos, 0.0, np.inf, 4), ParameterError, "b must be finite, got inf", id="gauss_legendre-b-inf"),
+    pytest.param(lambda: gauss_legendre(np.cos, -np.inf, 0.0, 4), ParameterError, "a must be finite, got -inf", id="gauss_legendre-a-inf"),
     pytest.param(lambda: barycentric_weights(np.array([0.5])), ParameterError, "need at least two nodes", id="barycentric_weights-one-node"),
     pytest.param(lambda: radau_reference_nodes(1), ParameterError, "n must be at least 2", id="radau_reference_nodes-1"),
     pytest.param(lambda: radau_origin_weights_closed(1), ParameterError, "n must be at least 2", id="radau_origin_weights_closed-1"),
