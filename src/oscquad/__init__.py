@@ -5,8 +5,9 @@ oscquad computes integrals of the form
     int_0^a f(x) x^alpha [log x] e^{i w g(x)} dx,   0 < |alpha| < 1,
 
 for strictly monotone oscillators g, by Levin-type collocation with the
-singular structure separated analytically, plus equivalent Filon-type
-rules, composite baselines, and a brute-force verification oracle.
+singular structure separated analytically, plus a Filon-type rule and a
+composite baseline for linear oscillators g = beta x, and a brute-force
+verification oracle.
 
 Typical use::
 

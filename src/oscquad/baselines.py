@@ -197,14 +197,7 @@ def cmfp_applies(spec: ProblemSpec) -> bool:
     """Whether :func:`cmfp` takes ``spec``: g = beta x with beta > 0 on
     [0, 1] and |w| beta >= 1, so that its geometric mesh [1/(|w| beta), 1]
     lies in the interval."""
-    return spec.a == 1.0 and abs(spec.w) * _slope(spec) >= 1.0
-
-
-def _slope(spec: ProblemSpec) -> float:
-    # beta where g = beta x with beta > 0, and 0 for any other g.
-    poly = spec.oscillator.poly
-    linear = poly is not None and poly.size >= 2 and poly[0] == 0.0 and poly[1] > 0.0 and not poly[2:].any()
-    return float(poly[1]) if linear else 0.0
+    return spec.a == 1.0 and spec.oscillator._beta is not None and abs(spec.w) * spec.oscillator._beta >= 1.0
 
 
 def default_cmfp_params(spec: ProblemSpec, n1: int) -> tuple:
@@ -259,7 +252,7 @@ def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
     n, s, m1, m2, p = default_cmfp_params(spec, n1)
     if not cmfp_applies(spec):
         raise CapabilityError("the composite baseline supports g = beta x, beta > 0, on [0, 1] with |w| beta >= 1")
-    beta = _slope(spec)
+    beta = spec.oscillator._beta
     w_eff = spec.w * beta
     w_r = abs(w_eff)
     n_sub = _sub_panels(w_r, n, m2)

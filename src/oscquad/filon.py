@@ -5,11 +5,15 @@ collocate on ``npts`` modified Chebyshev-Lobatto points with multiplicities
 (s+1, 1, ..., 1, s+1); the table parameter "n" of the benchmark equals
 ``npts``.
 
-The Filon route interpolates the regularized amplitude f1 in the basis
-Psi = {g', g' g, g' g^2, ...} and integrates exactly against the
+The Filon route is a rule for linear oscillators g = beta x alone, and
+refuses any other g with CapabilityError (LEVIN_FREQ is the route for a
+nonlinear g).  It interpolates the regularized amplitude f1 in the basis
+Psi = {g', g' g, g' g^2, ...}, which on g = beta x is beta (x/a)^k up
+to the column scales g(a)^-k, and integrates exactly against the
 generalized moments mu_j (and nu_j for the logarithmic weight); the
 logarithmic kind interpolates f1 and the f2 sub-problem's amplitude f21
-with one Hermite matrix.  The Levin route expands q1 in the Chebyshev
+with one Hermite matrix, built from the series of t = x/a and read from no
+series of g.  The Levin route expands q1 in the Chebyshev
 polynomials T_k(2t - 1) on [0, 1] and collocates the model ODE; all
 derivative conditions are generated by truncated power series arithmetic,
 which stays stable at degrees where naive Chebyshev-to-monomial
@@ -23,7 +27,8 @@ Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
 both share, the Levin route's Chebyshev Taylor table on its nodes, and,
 per polynomial g and (npts, s), the layout beside g' and the Levin image
-terms at its conditions, or beside FILON's Hermite matrix on [0, a].  A call reads one kept table and only combines it with alpha,
+terms at its conditions, or beside FILON's Hermite matrix on [0, a].  A
+call reads one kept table and only combines it with alpha,
 w and f, whose series at the nodes is kept per keyed amplitude
 (``problem._amplitude_series``).  The closed forms that start the moment
 recurrences, mu_1 and K_log, are kept per (alpha, w, g(a)), as the Levin
@@ -39,7 +44,7 @@ import numpy as np
 
 from ._kept import kept
 from ._result import Method, QuadratureResult, check_counts
-from ._series import ps_mul
+from ._series import poly_taylor, ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _problem_solves, _quad_levin
@@ -174,9 +179,10 @@ def build_moment_table(spec: ProblemSpec, count: int) -> tuple:
     ``mu[j]`` is ``int_0^a g' g^{j+alpha} e^{iwg} dx = int_0^{g_a}
     u^{j+alpha} e^{iwu} du`` (:func:`moments_mu`) and ``nu[j]`` the same
     with an extra ``log u`` factor (:func:`moments_nu`) for the
-    logarithmic kind, None for the algebraic kind.
+    logarithmic kind, None for the algebraic kind.  As every FILON piece,
+    it refuses a g that is not beta x with CapabilityError.
     """
-    g_a = spec.g_end()
+    g_a = _g_end(spec.oscillator, spec.a)
     mu = moments_mu(spec.alpha, spec.w, g_a, count)
     if spec.kind is SingKind.ALGEBRAIC_LOG:
         return mu, moments_nu(spec.alpha, spec.w, g_a, mu)
@@ -190,8 +196,9 @@ def build_hermite_data(spec: ProblemSpec, npts: int, s: int) -> np.ndarray:
     The nodes are the ``npts`` Chebyshev-Lobatto points on [0, a], with
     multiplicities s + 1 at the ends and 1 inside; the conditions are the
     entries with j below the node's multiplicity, the other entries are
-    not read.  Derivatives come from f1's exact local series.  The basis
-    cap of the Hermite matrix is checked here.
+    not read.  Derivatives come from f1's exact local series.  A g that
+    is not beta x, then the basis cap of the Hermite matrix, is refused
+    here.
     """
     check_counts(npts=npts, s=s)
     layout, nodes = _hermite_matrix(spec.oscillator, spec.a, npts, s)[:2]
@@ -213,48 +220,57 @@ def hermite_solve(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     Hermite ``values`` of :func:`build_hermite_data`, whose shape gives
     (npts, s).
 
-    The generalized Vandermonde system is column-scaled by g(a)^{1-k} for
-    conditioning and the interpolation conditions are re-checked a
-    posteriori; failure raises DegenerateSystemError (reduce the basis
-    size).
+    g must be beta x (any other g raises CapabilityError; use LEVIN_FREQ).
+    The generalized Vandermonde system is column-scaled by g(a)^{1-k}, so
+    that column k is beta (x/a)^{k-1}, and the interpolation conditions
+    are re-checked a posteriori; failure raises DegenerateSystemError
+    (reduce the basis size).
     """
     values, *_, table = _hermite_table(values, spec)
     return _hermite_solve(table, values)[0]
+
+
+def _g_end(osc: Oscillator, a: float) -> float:
+    # g(a) = beta a where g = beta x, the one g the FILON rule takes: any
+    # other g, polynomial or not, is refused before anything is built, then
+    # a g(a) that is not finite.  beta a is g.value(a), bit for bit.
+    if osc._beta is None:
+        raise CapabilityError("FILON supports g = beta x only (after normalisation); use LEVIN_FREQ for this g")
+    g_a = osc._beta * a
+    if not math.isfinite(g_a):
+        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
+    return g_a
 
 
 @kept
 def _hermite_matrix(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # The layout of (npts, s), its nodes on [0, a], the Hermite matrix of
     # hermite_solve there for its interpolation conditions, column-scaled,
-    # and the column scales g(a)^{1-k}.  A non-finite g(a), a bad (npts, s),
-    # a basis over the cap, or a g(a)^(M1 - 1) or g(a)^(1 - M1) that
-    # overflows raises, in that order, so is never kept.  The first power is
-    # about phi_M1 at x = a, the largest entry of the recurrence, and the
-    # second the largest column scale (a tiny g(a)); both are refused with
-    # the AccuracyError of the moments g(a)^(j + alpha) of that basis before
+    # and the column scales g(a)^{1-k}.  A g that is not beta x, a
+    # non-finite g(a), a bad (npts, s), a basis over the cap, or a
+    # g(a)^(M1 - 1) or g(a)^(1 - M1) that overflows raises, in that order,
+    # so is never kept.  The two powers are the largest moment
+    # g(a)^(j + alpha) of the basis and its largest column scale (a tiny
+    # g(a)); both are refused with the AccuracyError of the moments before
     # the recurrence runs.
-    g_a = float(osc.value(a))
-    if not math.isfinite(g_a):
-        # g increases on [0, a], so a finite g(a) bounds g at every node.
-        raise ParameterError(f"g(a) = {g_a!r} is not finite at a = {a!r}")
+    g_a = _g_end(osc, a)
     M1 = npts + 2 * s
     _check_basis(npts, s, M1)
     layout = _layout(npts, s)
-    nodes = a * layout.nodes
     _power(g_a, M1 - 1.0)
     _power(g_a, 1.0 - M1)
-    width = s + 1
-    scale = g_a ** (1.0 - np.arange(1, M1 + 1))
-    # cols[k, l] is the series of phi_{k+1} = g' g^k at node l; one ps_mul
-    # per basis function after the first covers all nodes.
-    gser = osc.series_at(nodes, width + 1)
-    base = gser[:, :width]
-    cols = np.empty((M1, nodes.size, width))
-    cols[0] = np.arange(1, width + 1) * gser[:, 1:]
-    for k in range(1, M1):
-        cols[k] = ps_mul(cols[k - 1], base)
-    A = layout.fact[layout.order, None] * cols[:, layout.node, layout.order].T * scale
-    return layout, nodes, A, scale
+    # Column k + 1, phi_{k+1} = g' g^k times g(a)^{-k}, is beta t^k with
+    # t = x/a: cols[k][l] is the series in t of t^k at node l, one ps_mul
+    # per basis function after the first for all nodes, and the condition
+    # of order j, a derivative in x, takes the row factor beta / a^j (0
+    # where it underflows, which leaves the system singular).
+    t = poly_taylor([0.0, 1.0], layout.nodes, s + 1)
+    cols = [poly_taylor([1.0], layout.nodes, s + 1)]
+    for _ in range(1, M1):
+        cols.append(ps_mul(cols[-1], t))
+    rows = layout.fact[layout.order] * osc._beta * (1.0 / a) ** layout.order
+    A = rows[:, None] * np.array(cols)[:, layout.node, layout.order].T
+    return layout, a * layout.nodes, A, g_a ** (1.0 - np.arange(1, M1 + 1))
 
 
 def _hermite_solve(table: tuple, *values: np.ndarray) -> list:

@@ -223,7 +223,7 @@ class Oscillator:
     poly: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        key = None
+        key = beta = None
         if self.poly is not None:
             p = freeze(np.array(self.poly, dtype=float, ndmin=1, copy=None))
             if p.size == 0:
@@ -232,9 +232,13 @@ class Oscillator:
             # polyder's coefficients j c_j, without its argument handling.
             object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
             key = p.tobytes()
+            beta = float(p[1]) if p.size >= 2 and p[0] == 0.0 and p[1] > 0.0 and not p[2:].any() else None
         # What identifies g to the memo of kept tables: its coefficient
         # bytes, or None where g is not a polynomial.
         object.__setattr__(self, "_key", key)
+        # beta where g = beta x with beta > 0, else None: the one test of a
+        # linear g, which FILON, the composite baseline and is_identity read.
+        object.__setattr__(self, "_beta", beta)
 
     @classmethod
     def from_poly(cls, coeffs: Sequence[float]) -> "Oscillator":
@@ -255,8 +259,7 @@ class Oscillator:
     @property
     def is_identity(self) -> bool:
         """True when g(x) = x exactly (polynomial representation)."""
-        p = self.poly
-        return p is not None and p.size >= 2 and p[0] == 0.0 and p[1] == 1.0 and not p[2:].any()
+        return self._beta == 1.0
 
     def series_at(self, x0, m: int) -> np.ndarray:
         """Taylor coefficients of g at x0, length m (real); one row per
@@ -423,18 +426,21 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
     call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points (the
     series of x/g and of log(c x/g) kept per polynomial g, nodes, length and
     c by _ratio_series, and f's per keyed amplitude, nodes and length by
-    _amplitude_series) and both amplitudes from them.  For the identity
-    oscillator the factors are 1 and log c exactly: f1 is f itself and the
-    second amplitude is f log c.
+    _amplitude_series) and both amplitudes from them.  For g = beta x the
+    factors are beta^-alpha and log(c/beta) exactly, and no series of g is
+    read: for the identity oscillator f1 is f itself and the second
+    amplitude is f log c.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
-    if osc.is_identity:
-        log_c = math.log(c)
+    if osc._beta is not None:
+        power = osc._beta**-alpha
+        log_c = math.log(c / osc._beta) * (power if f2_power else 1.0)
 
         def exact(x, m, g=None):
-            out = _amplitude_series(f, x, m) if m else f.value(x)
-            return [out, log_c * np.asarray(out, dtype=complex)] if log_kind else [out]
+            out = np.asarray(_amplitude_series(f, x, m) if m else f.value(x))
+            f1 = out if power == 1.0 else power * out
+            return [f1, log_c * np.asarray(out, dtype=complex)] if log_kind else [f1]
 
         return exact
     gp0 = float(osc.deriv1(0.0))

@@ -58,7 +58,6 @@ def test_criterion_1_algebraic_error_pins():
         (Method.LEVIN_PHYSICAL, 6, 0, 2.3171e-06),
         (Method.LEVIN_FREQ, 4, 1, 2.6363e-07),
         (Method.LEVIN_FREQ, 4, 2, 1.2572e-08),
-        (Method.FILON, 4, 0, 4.3048e-05),
     ]
     for method, n, s, target in rows:
         err = abs(compute(spec, method, n, s).value - ref)

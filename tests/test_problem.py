@@ -180,7 +180,7 @@ class TestNormalization:
             spec = build_problem(f, g, 1.0, 0.5, kind, 40.0)
             assert spec.w == sign * 40.0 and spec.phase_shift == cmath.exp(40.0j * sign)
             plain = build_problem(f, shifted, 1.0, 0.5, kind, spec.w)
-            for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2), (Method.FILON, 8, 1)):
+            for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2)):
                 got = compute(spec, method, n, s).value
                 assert got == compute(plain, method, n, s).value * spec.phase_shift, (kind, method)
 
@@ -268,15 +268,17 @@ class TestMakeF1F2:
     @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_FREQ, 10, 2), (Method.FILON, 6, 1)])
     def test_log_kind_forms_f_series_once(self, method, n, s):
         # f1 and f21 take their series on the same nodes: f's is formed
-        # once per call, and the value is that of a second call.
+        # once per call, and the value is that of a second call.  FILON
+        # takes g = beta x only.
         calls = []
+        g = [0.0, 2.0] if method is Method.FILON else [0.0, 1.0, 1.0]
 
         def series(xs, m):
             calls.append(m)
             return _inv1px2_series(xs, m)
 
         spec = build_problem(Amplitude(value=lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), series_fn=series),
-                             Oscillator.from_poly([0.0, 1.0, 1.0]), 1.0, 0.5, SingKind.ALGEBRAIC_LOG, 50.0)
+                             Oscillator.from_poly(g), 1.0, 0.5, SingKind.ALGEBRAIC_LOG, 50.0)
         value = compute(spec, method, n, s).value
         assert calls == [s + 1]
         assert compute(spec, method, n, s).value == value

@@ -246,7 +246,7 @@ class TestDomainEdges:
                     assert np.isfinite(value), (alpha, method)
 
     @pytest.mark.parametrize("w, match", [(1e306, "overflows"), (1e-300, "underflows")])
-    @pytest.mark.parametrize("pid", ["ex51", "ex53b"])
+    @pytest.mark.parametrize("pid", ["ex51", "ex52"])
     def test_filon_outside_documented_w_refused(self, pid, w, match):
         # Gamma(1+alpha, -iw g(a)) overflows at |w| = 1e306; (-iw)^(1+alpha)
         # underflows to 0 at |w| = 1e-300.
@@ -272,8 +272,8 @@ class TestDomainEdges:
         # Grids no longer depend on a: the methods on them map [0, a] onto
         # [0, 1] (FILON scales the nodes by a), so at an extreme a the grid
         # stays finite and each call gives a finite value or a package error,
-        # also where a power of g(a) overflows: FILON's moments at
-        # g(a) = a + a^2 = 1e66 or 1e300, the log kind's end value at
+        # also where a power of g(a) overflows: FILON's moments at g(a) = a
+        # (it refuses g = x + x^2), the log kind's end value at
         # g(a) = a = 1e206.
         with np.errstate(all="ignore"):
             specs = [build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly(g),
@@ -406,7 +406,7 @@ class TestCheckCounts:
 
         for module in (oscquad.quadrature, oscquad.filon):
             monkeypatch.setattr(module, "check_counts", counting)
-        result = compute(builtin_problem("ex53b", 0.5, 200.0), method, n, s)
+        result = compute(builtin_problem("ex52", 0.5, 200.0), method, n, s)
         # n and s are checked once; the Filon rule reads its moments through
         # the public moments_mu, which checks the basis size it is given.
         moments = [{"count": result.diagnostics["basis_size"]}] if method is Method.FILON else []
@@ -485,7 +485,7 @@ class TestOneAmplitudeBuildPerLevinCall:
 
         for module in (oscquad.problem, oscquad.levin, oscquad.filon):
             monkeypatch.setattr(module, "_regularised", counting)
-        spec = builtin_problem("ex53b", 0.5, 200.0)
+        spec = builtin_problem("ex52" if method is Method.FILON else "ex53b", 0.5, 200.0)
         res = compute(spec, method, n, s)
         assert kinds == [SingKind.ALGEBRAIC_LOG]
         monkeypatch.undo()
@@ -512,10 +512,13 @@ class TestCachesChangeNoOutput:
     def test_cold_and_warm_caches_agree(self, pid):
         # Cleared caches (every grid and table built afresh) and warm ones
         # (every lookup a hit) give the same bits.
+        rules = [(Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 10, 2)]
+        if pid in ("ex51", "ex52"):
+            # FILON takes g = x, not the quadratic g of ex53a and ex53b.
+            rules.append((Method.FILON, 6, 1))
         calls = [(builtin_problem(pid, alpha, w), method, n, s)
                  for alpha, w in ((0.5, 200.0), (-0.3, 4.0e5))
-                 for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 10, 2),
-                                      (Method.FILON, 6, 1))]
+                 for method, n, s in rules]
         cold = []
         for args in calls:
             _clear_caches()
@@ -525,7 +528,7 @@ class TestCachesChangeNoOutput:
     @pytest.mark.parametrize("kind", list(SingKind))
     def test_non_polynomial_g_is_never_kept(self, kind):
         # g = e^x - 1 has no coefficient vector, so its tables are built on
-        # every call and no cache holds one.
+        # every call and no cache holds one (FILON refuses it).
         def series(xs, m):
             k = np.arange(m)
             out = np.exp(xs)[:, None] / np.array([math.factorial(j) for j in k], dtype=float)
@@ -536,7 +539,7 @@ class TestCachesChangeNoOutput:
         assert osc._key is None
         spec = build_problem(Amplitude.from_poly([1.0, 0.5]), osc, 1.0, 0.5, kind, 60.0)
         _clear_caches()
-        for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)):
+        for method, n, s in ((Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1)):
             first = _outcome(spec, method, n, s)
             assert _outcome(spec, method, n, s) == first
         assert all(not table.cache for table in _OSCILLATOR_TABLES)
@@ -545,17 +548,22 @@ class TestCachesChangeNoOutput:
     def test_one_ulp_apart_is_another_g(self, kind):
         # Two g one ulp apart in one coefficient have an entry each, and the
         # second gives its own bits after the first has filled the caches.
-        specs = [build_problem(Amplitude.from_poly([1.0, 0.5]), Oscillator.from_poly([0.0, 1.0, c]), 1.0, 0.5,
-                               kind, 60.0) for c in (0.5, np.nextafter(0.5, 1.0))]
-        calls = [(Method.LEVIN_PHYSICAL, 12, 0), (Method.LEVIN_FREQ, 8, 1), (Method.FILON, 6, 1)]
+        # FILON's pair, of g = beta x, differs in beta.
+        def pair(g):
+            return [build_problem(Amplitude.from_poly([1.0, 0.5]), Oscillator.from_poly(g(c)), 1.0, 0.5, kind, 60.0)
+                    for c in (0.5, np.nextafter(0.5, 1.0))]
+
+        quadratic = pair(lambda c: [0.0, 1.0, c])
+        calls = [(quadratic, Method.LEVIN_PHYSICAL, 12, 0), (quadratic, Method.LEVIN_FREQ, 8, 1),
+                 (pair(lambda c: [0.0, c]), Method.FILON, 6, 1)]
         _clear_caches()
-        cold = [_outcome(specs[1], *call) for call in calls]
+        cold = [_outcome(specs[1], *call) for specs, *call in calls]
         one_g = [len(table.cache) for table in _OSCILLATOR_TABLES]
         assert all(one_g)
         _clear_caches()
-        for call in calls:
+        for specs, *call in calls:
             _outcome(specs[0], *call)
-        assert [_outcome(specs[1], *call) for call in calls] == cold
+        assert [_outcome(specs[1], *call) for specs, *call in calls] == cold
         assert [len(table.cache) for table in _OSCILLATOR_TABLES] == [2 * k for k in one_g]
 
 

@@ -1,15 +1,18 @@
 """Public entry points refuse input they cannot compute with: each case raises
 its class, with a message naming what is wrong."""
 
+import io
+
 import numpy as np
 import pytest
 
-from oscquad import compute, radau_grid
+from oscquad import Method, compute, radau_grid
 from oscquad._series import poly_taylor
+from oscquad.benchcli import run_command
 from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
 from oscquad.errors import CapabilityError, ParameterError
-from oscquad.filon import moments_mu
+from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon
 from oscquad.levin import assemble_L, picard_iterate
 from oscquad.numkernel import hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from oscquad.problem import (
@@ -28,6 +31,45 @@ SPEC = builtin_problem("ex51", 0.5, 100.0)
 def _problem(amplitude=(1.0,), kind=SingKind.ALGEBRAIC):
     return build_problem(amplitude=Amplitude.from_poly(list(amplitude)), oscillator=Oscillator.from_poly([0.0, 1.0]),
                          a=1.0, alpha=0.5, kind=kind, w=10.0)
+
+
+def _on(oscillator):
+    return build_problem(amplitude=Amplitude.from_poly([1.0]), oscillator=oscillator, a=1.0, alpha=0.5,
+                         kind=SingKind.ALGEBRAIC, w=10.0)
+
+
+# Problems whose normalised g is not beta x: the two quadratic built-ins,
+# x + 0.25 x^2, and g = 2x without a coefficient vector.
+NOT_LINEAR = {
+    "ex53a": builtin_problem("ex53a", 0.5, 100.0),
+    "ex53b": builtin_problem("ex53b", 0.5, 100.0),
+    "quadratic": _on(Oscillator.from_poly([0.0, 1.0, 0.25])),
+    "non-polynomial-2x": _on(Oscillator(lambda x: 2.0 * np.asarray(x, dtype=float),
+                                        lambda xs, m: poly_taylor([0.0, 2.0], xs, m))),
+}
+# A table of Hermite values of the right shape, (npts, s + 1) = (6, 2).
+VALUES = np.ones((6, 2))
+FILON_PIECES = {
+    "compute": lambda spec: compute(spec, Method.FILON, 6, 1),
+    "build_hermite_data": lambda spec: build_hermite_data(spec, 6, 1),
+    "build_moment_table": lambda spec: build_moment_table(spec, 4),
+    "hermite_solve": lambda spec: hermite_solve(VALUES, spec),
+    "quad_filon": lambda spec: quad_filon(spec, VALUES),
+}
+
+
+@pytest.mark.parametrize("piece", FILON_PIECES)
+@pytest.mark.parametrize("problem", NOT_LINEAR)
+def test_filon_refuses_g_not_beta_x(problem, piece):
+    with pytest.raises(CapabilityError, match=r"FILON supports g = beta x only .*use LEVIN_FREQ"):
+        FILON_PIECES[piece](NOT_LINEAR[problem])
+
+
+def test_filon_on_nonlinear_g_exits_3():
+    err = io.StringIO()
+    code = run_command(["eval", "--problem", "ex53a", "--alpha", "0.5", "--w", "100", "--n", "8", "--method", "filon"],
+                       stdout=io.StringIO(), stderr=err)
+    assert code == 3 and "FILON supports g = beta x only" in err.getvalue()
 
 
 CASES = [

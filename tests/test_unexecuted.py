@@ -1,6 +1,7 @@
 """tools/unexecuted.py: the statements of a package written to a temporary
 directory that its tests never run."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,30 @@ def test_missing_package_is_refused(tmp_path):
     proc = subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path)], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 1 and "no src/oscquad" in proc.stderr
+
+
+SUBPROCESS_TEST = '''import subprocess
+import sys
+from pathlib import Path
+
+
+def test_subprocess_imports_this_checkout():
+    out = subprocess.run([sys.executable, "-c", "import oscquad; print(oscquad.__file__)"],
+                         capture_output=True, text=True, check=True).stdout
+    assert Path(out.strip()).parent == Path(__file__).resolve().parent.parent / "src" / "oscquad"
+'''
+
+
+def test_subprocesses_import_the_measured_checkout(tmp_path):
+    # The tests' own subprocesses (python -m oscquad among them) import the
+    # package under --root, ahead of one that PYTHONPATH already names.
+    package = tmp_path / "src" / "oscquad"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_sub.py").write_text(SUBPROCESS_TEST)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path), "--", "-q", "-p", "no:cacheprovider"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 of 0 statements of src/oscquad never executed (pytest exit code 0)"

@@ -5,10 +5,12 @@ From the root of a checkout of the repository:
     python3 tools/unexecuted.py --root PATH -- PYTEST_ARGS
 
 runs pytest in this process, from ``PATH`` (default: this checkout) with
-``PATH/src`` first on the import path, under a ``sys.settrace`` line
-tracer limited to ``PATH/src/oscquad``.  It then prints ``file:line:
-statement`` for every statement of ``PATH/src/oscquad/*.py`` that the run
-never executed, and their count.  The pytest arguments default to ``-q``.
+``PATH/src`` first on the import path and on ``PYTHONPATH``, so that the
+subprocesses the tests start import the same package, under a
+``sys.settrace`` line tracer limited to ``PATH/src/oscquad``.  It then
+prints ``file:line: statement`` for every statement of
+``PATH/src/oscquad/*.py`` that the run never executed, and their count.
+The pytest arguments default to ``-q``.
 A statement is an ``ast.stmt`` other than a def, a class, an import or a
 docstring, counted at its first line.  The tool uses the standard library
 and pytest only.  The exit code is pytest's.
@@ -80,6 +82,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"no src/oscquad/*.py under {root}")
     os.chdir(root)
     sys.path.insert(0, str(root / "src"))
+    # Subprocesses the tests start (``python -m oscquad``) import it too.
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     code, executed = traced_run(package, argv[split + 1:] or ["-q"])
     missed = total = 0
     for path in files:
