@@ -8,8 +8,10 @@ moment-free Filon part on a geometric mesh reaching the outer endpoint.
 
 The reference oracle integrates the full singular integrand by brute
 force on a geometric mesh (ratio 1/2) with oscillation-capped
-Gauss-Legendre panels; it refuses frequencies whose total phase range
-exceeds a cap, beyond which its cost and round-off defeat its purpose.
+Gauss-Legendre panels; for a polynomial g of degree <= 2 it does so in the
+phase variable u = g(x), where the oscillation is e^{iwu} and one complex
+exponential per sub-panel carries it.  It refuses frequencies whose total
+phase range exceeds a cap, beyond which its cost defeats its purpose.
 
 The numerical steepest-descent reference (:func:`reference_nsd`) moves the
 integral onto one complex path from each endpoint, on which the oscillation
@@ -301,6 +303,31 @@ def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
     )
 
 
+def _geometric_depth(top: float, name: str) -> tuple:
+    # The number of halvings of the geometric panels below ``top`` (120) and
+    # the halvings k from the tail's first sample, top 2^-depth, to its
+    # second (64); fewer where a sample would leave the normal floats.
+    # ``name`` names ``top`` in the refusal.
+    minexp = np.finfo(float).minexp
+    depth = min(120, max(0, math.floor(math.log2(top)) - minexp - 64))
+    k = min(64, math.frexp(top * 0.5**depth)[1] - minexp - 1)
+    if k < 1:
+        raise ParameterError(f"{name} = {top!r} leaves no normal float below it for the tail fit")
+    return depth, k
+
+
+def _closed_tail(func, eps: float, k: int, alpha: float):
+    # int_0^eps func for func ~ x^alpha (A + B log x), fitted at eps and
+    # eps 2^-k: eps^p (A/p + B (log eps/p - 1/p^2)), p = 1 + alpha.
+    p = 1.0 + alpha
+    x = np.array([eps, eps * 0.5**k])
+    u = np.asarray(func(x), dtype=complex) / x**alpha
+    log_x = np.log(x)
+    B = (u[0] - u[1]) / (log_x[0] - log_x[1])
+    A = u[0] - B * log_x[0]
+    return eps**p * (A / p + B * (log_x[0] / p - 1.0 / p**2))
+
+
 def graded_integral(
     func,
     a: float,
@@ -344,12 +371,8 @@ def graded_integral(
         raise ParameterError(f"osc_rate must be nonnegative and finite, got {osc_rate!r}")
     if not 0 < cap_factor < math.inf:
         raise ParameterError(f"cap_factor must be positive and finite, got {cap_factor!r}")
-    minexp = np.finfo(float).minexp
-    depth = min(120, max(0, math.floor(math.log2(a)) - minexp - 64))
+    depth, k = _geometric_depth(a, "a")
     eps = a * 0.5**depth
-    k = min(64, math.frexp(eps)[1] - minexp - 1)
-    if k < 1:
-        raise ParameterError(f"a = {a!r} leaves no normal float below it for the tail fit")
     xg, wgl = _legendre_rule(gl_order)
     cap = np.inf if osc_rate == 0 else cap_factor * 2.0 * np.pi / osc_rate
     hi = a * 0.5 ** np.arange(depth, dtype=float)
@@ -377,27 +400,155 @@ def graded_integral(
         pts = mid[blk, None] + half[blk, None] * xg[None, :]
         fv = np.asarray(func(pts.ravel()), dtype=complex).reshape(pts.shape)
         vals[blk] = half[blk] * (fv @ wgl)
-    p = 1.0 + alpha
-    x = np.array([eps, eps * 0.5**k])
-    u = np.asarray(func(x), dtype=complex) / x**alpha
-    log_x = np.log(x)
-    B = (u[0] - u[1]) / (log_x[0] - log_x[1])
-    A = u[0] - B * log_x[0]
-    vals = np.append(vals, eps**p * (A / p + B * (log_x[0] / p - 1.0 / p**2)))
+    vals = np.append(vals, _closed_tail(func, eps, k, alpha))
     # Exact (compensated) summation: the oracle floor is set by per-panel
     # rounding, not by the running sum.
     return complex(math.fsum(vals.real) + 1j * math.fsum(vals.imag))
 
 
+def _two_product(a: float, b: np.ndarray) -> tuple:
+    # fl(a b) and its rounding error a b - fl(a b), exactly (Dekker, Numer.
+    # Math. 18, 1971; NumPy has no fused multiply-add), for |a|, |b| below
+    # 2^996: each factor is split into 26- and 27-bit halves (Veltkamp).
+    c = 134217729.0 * a  # 2^27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = 134217729.0 * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    prod = a * b
+    return prod, ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _pairwise_sum(x: np.ndarray) -> float:
+    # The sum of x: adjacent pairs are added with their exact rounding
+    # errors (Knuth's two-sum) until at most 512 partial sums remain, which
+    # math.fsum adds exactly together with the plain sums of each level's
+    # errors.  Those errors are below half an ulp of their partial sums, so
+    # the result is within half an ulp plus about eps^2 sum |x| per level,
+    # at a fraction of math.fsum's cost on a long x.
+    parts = []
+    while x.size > 512:
+        if x.size % 2:
+            x = np.append(x, 0.0)
+        a, b = x[0::2], x[1::2]
+        x = a + b
+        b_virtual = x - a
+        parts.append(float(np.sum((a - (x - b_virtual)) + (b - b_virtual))))
+    return math.fsum(x.tolist() + parts)
+
+
+def _four_bits(x):
+    # x rounded down to 4 significant bits.
+    m, e = np.frexp(x)
+    return np.ldexp(np.floor(16.0 * m) / 16.0, e)
+
+
+def _unit_phases(phase: np.ndarray) -> np.ndarray:
+    # e^{i phase}; below |phase| = 2^-27, where cos rounds to 1 and sin to
+    # the phase, without the exponential.
+    out = 1.0 + 1j * phase
+    big = np.abs(phase) >= 2.0**-27
+    out[big] = np.exp(1j * phase[big])
+    return out
+
+
+def _phase_integral(spec: ProblemSpec, g1: float, g2: float) -> complex:
+    # reference_oracle's rule in u = g(x) for g = g1 x + g2 x^2 with g' > 0
+    # on [0, a]: graded_integral's at its defaults (24 nodes, a quarter
+    # period per sub-panel, 120 halvings, the closed-form tail) on the
+    # panels [2^E, g(a)] and [2^(e-1), 2^e] below it.  A panel's sub-panels
+    # are h = min(h_cap, width) wide, h_cap a quarter period rounded down to
+    # 4 significant bits, and the last one takes the exact remainder, so
+    # every edge lo + i h is an exact float.  A sub-panel's value is
+    # (h/2) e^{iw left} sum_j [w_j e^{iw (h/2)(1 + xi_j)}] F(u_j), whose
+    # bracket is one row for all h_cap-wide sub-panels; w left is the exact
+    # sum p + e of a two-product, so e^{iw left} = e^{ip} (1 + ie) carries
+    # no rounding of the phase.
+    w = spec.w
+    top = spec.g_end()
+    depth, k = _geometric_depth(top, "g(a)")
+    xg, wgl = _legendre_rule(24)
+    one_xi = 1.0 + xg
+    mant, e = math.frexp(top)
+    e_top = e - 1 - (mant == 0.5)  # 2^e_top < top <= 2^(e_top + 1)
+    lo = np.ldexp(1.0, e_top - np.arange(depth))
+    width = np.append(top, lo[:-1]) - lo
+    h_cap = _four_bits(0.25 * 2.0 * np.pi / abs(w))
+    h = np.minimum(h_cap, _four_bits(width))
+    count = np.floor(width / h)
+    count -= count * h > width
+    rest = width - count * h
+    count = count.astype(np.intp)
+    panel = np.repeat(np.arange(depth), count)
+    j = np.arange(panel.size) - np.repeat(np.cumsum(count) - count, count)
+    short = rest > 0.0
+    left = np.concatenate((lo[panel] + j * h[panel], (lo + count * h)[short]))
+    half = 0.5 * np.concatenate((h[panel], rest[short]))
+    # The h_cap-wide sub-panels first, which share one row; the short and
+    # deep ones after them, with a row each.
+    shared = half == 0.5 * h_cap
+    n_shared = int(np.count_nonzero(shared))
+    left = np.concatenate((left[shared], left[~shared]))
+    half = np.concatenate((half[shared], half[~shared]))
+    row = wgl * np.exp(1j * w * (0.5 * h_cap * one_xi))
+    own_rows = wgl * _unit_phases(w * (half[n_shared:, None] * one_xi))
+    # For a linear g, x(u) and g'(x(u)) are the same at every node.
+    slope, root = _path_slope(0.0, g1, g2) if g2 == 0.0 else (None, None)
+
+    def amplitude(u):
+        s, r = (slope, root) if g2 == 0.0 else _path_slope(u, g1, g2)
+        return _weighted(spec, u * s) / r
+
+    # sum_j row_j F(u_j) per sub-panel, on blocks of at most
+    # _BLOCK_SUBPANELS sub-panels.
+    weighted = np.empty(left.size, dtype=complex)
+    for b in range(0, left.size, _BLOCK_SUBPANELS):
+        blk = slice(b, b + _BLOCK_SUBPANELS)
+        u = left[blk, None] + half[blk, None] * one_xi
+        fv = amplitude(u.ravel()).reshape(u.shape)
+        weighted[blk] = fv @ row
+        own = max(b, n_shared)  # the block's first sub-panel with a row of its own
+        if own < blk.stop:
+            rows = own_rows[own - n_shared:blk.stop - n_shared]
+            weighted[own:blk.stop] = np.einsum("ij,ij->i", fv[own - b:], rows)
+    # w left as w 2^e_top times left 2^-e_top: the same product, with both
+    # factors in the range of the split.
+    phase, err = _two_product(math.ldexp(w, e_top), np.ldexp(left, -e_top))
+    vals = half * _unit_phases(phase) * (1.0 + 1j * err) * weighted
+    eps = math.ldexp(1.0, e_top - depth + 1) if depth else top
+    tail = _closed_tail(lambda u: amplitude(u) * np.exp(1j * w * u), eps, k, spec.alpha)
+    vals = np.append(vals, tail)
+    return complex(_pairwise_sum(vals.real), _pairwise_sum(vals.imag))
+
+
 def reference_oracle(spec: ProblemSpec) -> complex:
     """Ground-truth value by graded brute force, for moderate frequencies.
 
-    Its relative error against 40-digit values grows with |w| g(a): on
-    ex51 at alpha = 0.5 it is 3.5e-15 at w = 100, 2.1e-13 at 300, 2.3e-11
-    at 3162 and 4.7e-10 at 1e4; on ex53a at alpha = 0.5 and w = 1e4
-    (|w| g(a) = 2e4, the cap) it is 1.9e-10.  The loss is rounding in the
-    float64 nodes and integrand, not the rule.  Refuses |w| g(a) beyond the
-    phase cap, where panel counts and round-off accumulation grow further.
+    For a polynomial g of degree <= 2 (every built-in g, and every
+    ``--g-poly`` of that degree) the integral is taken in u = g(x), as
+    int_0^{g(a)} F(u) e^{iwu} du with F = f x^alpha [log x] / g'(x) and
+    x(u), g'(x(u)) in closed form: 24-node Gauss-Legendre on sub-panels a
+    quarter period wide, within panels [2^(e-1), 2^e] halving 120 times
+    toward u = 0, and the rest in closed form.  Each sub-panel's
+    oscillation is one exact phase at its left edge times one row of node
+    phases shared by all equal sub-panels, so no rounding of w g(x)
+    enters.  Against the 40-digit tables of
+    ``tests/data`` (232 values with |w| g(a) <= the cap) its relative error
+    is 3.8e-15 on ex51 at alpha = 0.5 and w = 100, 1.9e-14 at 1e3 and
+    3.6e-13 at 1e4, 8.6e-15 on ex53a at w = 1e4 (|w| g(a) = 2e4, the cap)
+    and at most 1.6e-12 over the tables, on ex53b at alpha = 0.99 and
+    w = 1e4.  The rounding of some 1.3e4 float64 sub-panel values keeps
+    the absolute error near 1e-18 times the integral of |F|, so the
+    relative error grows where the value lies far below that integral:
+    six decades there, and 3.9e-11 against NSD on ex51 at alpha = 0.9,
+    w = 2e4.
+
+    Any other g takes :func:`graded_integral` of the integrand in x, with
+    sub-panels capped by the largest |w g'| on 257 samples of [0, a]; its
+    rounding of the phase w g(x) grows with w (4.7e-10 on ex51 at w = 1e4).
+    Refuses |w| g(a) beyond the phase cap, where the panel count grows
+    further.
     """
     phase_range = abs(spec.w) * spec.g_end()
     if phase_range > ORACLE_PHASE_CAP:
@@ -405,14 +556,19 @@ def reference_oracle(spec: ProblemSpec) -> complex:
             f"oracle refuses |w| g(a) = {phase_range:.3g} > {ORACLE_PHASE_CAP:.3g}; "
             "use reference_nsd instead"
         )
-    sample = np.linspace(0.0, spec.a, 257)
-    gp_max = float(np.max(np.abs(spec.oscillator.deriv1(sample))))
-    value = graded_integral(
-        lambda x: integrand(spec, x),
-        spec.a,
-        spec.alpha,
-        osc_rate=abs(spec.w) * gp_max,
-    )
+    poly = spec.oscillator.poly
+    c = [] if poly is None else poly.tolist() + [0.0, 0.0]
+    if c and c[0] == 0.0 and not any(c[3:]) and c[1] > 0.0 and c[1] + 2.0 * c[2] * spec.a > 0.0:
+        value = _phase_integral(spec, c[1], c[2])
+    else:
+        sample = np.linspace(0.0, spec.a, 257)
+        gp_max = float(np.max(np.abs(spec.oscillator.deriv1(sample))))
+        value = graded_integral(
+            lambda x: integrand(spec, x),
+            spec.a,
+            spec.alpha,
+            osc_rate=abs(spec.w) * gp_max,
+        )
     return complex(value * spec.phase_shift)
 
 

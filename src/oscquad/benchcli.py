@@ -76,13 +76,13 @@ _REF_S = 2
 # |w| g(a) above which the error columns use the NSD reference.  Measured
 # against 40-digit values of the built-ins (alpha = +-0.5, +-0.9): where NSD
 # accepts a problem above 100 it is within 2e-15 relative, while the oracle
-# is off by up to 1.6e-13 at |w| g(a) = 70-150 and grows with w.  Accuracy
-# sets the value, not cost: at |w| g(a) = 70-150 a first oracle call costs
-# 0.27-0.55 ms and an algebraic-kind NSD call with a new alpha 0.14-0.32 ms
-# (ex51 and ex53a, best of 7 calls, three runs on a shared 2-core x86_64
-# machine whose speed varied by up to 2 times between runs).  At alpha =
-# +-0.5, +-0.9 NSD refuses ex52 and ex53a below about 60, and ex53b below
-# about 170.
+# is off by up to 3.9e-14 at |w| g(a) = 101-150 and 6.3e-14 at 300
+# (tests/data/oracle_crossover_exact.json).  Accuracy sets the value, not
+# cost: at |w| g(a) = 70-150 an oracle call costs 0.29-0.33 ms and an
+# algebraic-kind NSD call with a new alpha 0.14-0.32 ms (ex51 and ex53a,
+# best of 7 calls on a shared 2-core x86_64 machine whose speed varied by
+# up to 2 times between runs).  At alpha = +-0.5, +-0.9 NSD refuses ex52
+# and ex53a below about 60, and ex53b below about 170.
 NSD_CROSSOVER = 100.0
 
 

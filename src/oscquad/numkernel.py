@@ -212,6 +212,11 @@ def upper_gamma_complex(
         Order, restricted to (-1, 2) excluding 0.
     z : complex
         Argument off the negative real axis; z=0 allowed only for a>0.
+        Outside the series disc (|z| > ``crossover``) a wedge around the
+        negative real axis is refused with AccuracyError, where the
+        continued fraction stalls: within about 40 degrees of the axis
+        just above |z| = 1, 28 at |z| = 2, 11 at |z| = 10, under 1 at
+        |z| = 40 and none from about |z| = 50 (a from -0.95 to 1.95).
     crossover : float, optional
         Radius up to which the lower-gamma power series is used; the
         continued fraction is used above it.

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -24,7 +25,9 @@ from oscquad.baselines import (
     ORACLE_PHASE_CAP,
 )
 from oscquad.errors import AccuracyError, CapabilityError, ParameterError
-from oscquad.problem import builtin_problem, integrand
+from oscquad.problem import (
+    Amplitude, Oscillator, SingKind, _weighted, build_problem, builtin_problem, integrand,
+)
 
 # 40-digit values of the built-ins near alpha = -1, written by
 # tests/data/make_exact.py.
@@ -317,7 +320,12 @@ class TestGradedIntegralBatched:
                     lambda x: integrand(spec, x), spec.a, alpha, rate
                 )
                 assert abs(got - ref) <= 4.0 * eps * size, (pid, alpha, w)
-                assert got * spec.phase_shift == reference_oracle(spec)
+                # The oracle integrates these g (degree 2 or less) in u = g(x);
+                # it is within the x rule's rounding of the phase, which
+                # reaches 4.9e-8 at the phase cap (ex51, alpha = 0.9).
+                oracle = reference_oracle(spec)
+                bound = 1e-13 if w <= 100.0 else 1e-7
+                assert abs(oracle - got * spec.phase_shift) <= bound * abs(oracle), (pid, alpha, w)
 
     @pytest.mark.parametrize(
         "pid, alpha, w",
@@ -376,19 +384,25 @@ class TestGradedIntegralBatched:
     def test_finiteness_near_minus_one_unchanged(self, alpha):
         # A geometric depth grown with 1/(1 + alpha) underflowed to
         # zero-width panels at x = 0 for these alpha; the fixed depth and
-        # the closed-form tail keep both forms of the rule finite and equal.
+        # the closed-form tail keep both forms of the rule finite and equal,
+        # and the oracle's rule in u = g(x), which halves to the same depth,
+        # finite and within rounding of them.
         spec = builtin_problem("ex51", alpha, 10.0)
         rate = _oracle_rate(spec)
         got = graded_integral(lambda x: integrand(spec, x), spec.a, alpha, osc_rate=rate)
         ref, size, _ = _per_panel_graded(lambda x: integrand(spec, x), spec.a, alpha, rate)
         assert np.isfinite(got) and np.isfinite(ref)
         assert abs(got - ref) <= 4.0 * np.finfo(float).eps * size
-        assert compute(spec, Method.ORACLE, 0, 0).value == got * spec.phase_shift
+        oracle = compute(spec, Method.ORACLE, 0, 0).value
+        assert np.isfinite(oracle)
+        assert abs(oracle - got * spec.phase_shift) <= 4.0 * np.finfo(float).eps * size
 
 
 @pytest.mark.parametrize("pid", ["ex51", "ex52", "ex53a", "ex53b"])
 def test_oracle_does_not_depend_on_block_size(pid, monkeypatch):
-    # About 1e4 sub-panels: many blocks of either size.
+    # About 6.7e3 sub-panels a quarter period wide in u = g(x): many blocks
+    # of either size, each holding shared-row sub-panels, and the last
+    # the short and deep ones.
     spec = builtin_problem(pid, 0.5, 1e4 / builtin_problem(pid, 0.5, 1.0).g_end())
     value = reference_oracle(spec)
     monkeypatch.setattr(oscquad.baselines, "_BLOCK_SUBPANELS", 2048)
@@ -402,6 +416,30 @@ def _finer_oracle(spec):
     value = graded_integral(lambda x: integrand(spec, x), spec.a, spec.alpha,
                             osc_rate=_oracle_rate(spec), gl_order=32, cap_factor=0.125)
     return value * spec.phase_shift
+
+
+def test_two_product_is_exact():
+    # w left = p + e exactly, the oracle's phase at a sub-panel's edge.
+    rng = np.random.default_rng(5)
+    left = rng.uniform(0.0, 2.0, 200)
+    for w in (-1e4, 3.7, 2e4):
+        prod, err = oscquad.baselines._two_product(w, left)
+        for p, e, x in zip(prod, err, left):
+            assert Fraction(float(p)) + Fraction(float(e)) == Fraction(w) * Fraction(float(x))
+
+
+@pytest.mark.parametrize("size", [7, 512, 513, 20001])
+def test_pairwise_sum_meets_fsum(size):
+    # Rotating values that cancel to a sum far below their moduli, as the
+    # oracle's sub-panel values do.
+    rng = np.random.default_rng(size)
+    x = np.cos(1.55 * np.arange(size)) * rng.uniform(0.5, 1.0, size) * 1e-5
+    exact = math.fsum(x)
+    assert abs(oscquad.baselines._pairwise_sum(x) - exact) <= np.spacing(abs(exact))
+    # A sum of exactly 0: without each level's rounding errors it would be
+    # about 1e-21 sqrt(size) off.
+    zero = np.concatenate((x, -x))[rng.permutation(2 * size)]
+    assert abs(oscquad.baselines._pairwise_sum(zero)) <= 1e-30
 
 
 class TestReferenceOracle:
@@ -421,6 +459,64 @@ class TestReferenceOracle:
             v1 = reference_oracle(spec)
             v2 = _finer_oracle(spec)
             assert abs(v1 - v2) <= 1e-11 * max(abs(v1), 1e-3)
+
+    def test_meets_every_exact_table(self):
+        # Every 40-digit value the oracle takes, |w| g(a) <= the cap (232
+        # entries): within 1e-12 relative, plus 3e-18 of the integral of
+        # |f x^alpha [log x]| for the values that lie six decades below it.
+        # There the float64 rounding of some 1.3e4 sub-panel values, each
+        # about 1e-5, sets the error: ex53b at alpha = 0.9, 0.99 and w = 1e4
+        # (values near 1e-7) reads 1.4e-12 and 1.6e-12 relative (up to
+        # 1.6e-12 and 2.6e-12, 1.5e-18 of that integral, with other orders of
+        # the same roundings), and the rule itself, summed in 30 digits,
+        # 2e-14.  The rule in x was 4.7e-10 off on ex51 at w = 1e4 and 1.5e-8
+        # on ex53b there.
+        # The short-interval table holds (1 - x) x^alpha [log x]
+        # e^{iw(x + x^2)} on [0, a], the others the built-ins.
+        count = 0
+        for path in sorted((Path(__file__).parent / "data").glob("*_exact.json")):
+            for e in json.loads(path.read_text())["entries"]:
+                if "problem" in e:
+                    spec = builtin_problem(e["problem"], e["alpha"], e["w"])
+                else:
+                    kind = SingKind.ALGEBRAIC_LOG if e["log_kind"] else SingKind.ALGEBRAIC
+                    spec = build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]),
+                                         a=e["a"], alpha=e["alpha"], kind=kind, w=e["w"])
+                if abs(spec.w) * spec.g_end() > ORACLE_PHASE_CAP:
+                    continue
+                exact = complex(float(e["re"]), float(e["im"]))
+                modulus = graded_integral(lambda x: np.abs(_weighted(spec, x)), spec.a, spec.alpha).real
+                got = reference_oracle(spec)
+                assert abs(got - exact) <= 1e-12 * abs(exact) + 3e-18 * modulus, (path.stem, e)
+                count += 1
+        assert count == 232
+
+    def test_cubic_oscillator_keeps_the_rule_in_x(self):
+        # Only a polynomial g of degree <= 2 is integrated in u = g(x); any
+        # other g gets graded_integral of the integrand, bit for bit.
+        spec = build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 0.5, 0.25]),
+                             a=1.0, alpha=-0.5, kind=SingKind.ALGEBRAIC_LOG, w=300.0)
+        expected = graded_integral(lambda x: integrand(spec, x), spec.a, spec.alpha,
+                                   osc_rate=_oracle_rate(spec)) * spec.phase_shift
+        assert reference_oracle(spec) == expected
+
+    def test_evaluation_blocks_are_bounded(self):
+        # At the phase cap, the amplitude is called on blocks of at most
+        # _BLOCK_SUBPANELS sub-panels of 24 nodes, and last on the tail's
+        # two samples.
+        calls = []
+
+        def value(x):
+            calls.append(np.size(x))
+            return 1.0 / (1.0 + np.asarray(x) ** 2) + 0j
+
+        spec = build_problem(Amplitude(value=value), Oscillator.from_poly([0.0, 1.0, 1.0]),
+                             a=1.0, alpha=0.5, kind=SingKind.ALGEBRAIC, w=ORACLE_PHASE_CAP / 2.0)
+        calls.clear()
+        reference_oracle(spec)
+        assert calls[-1] == 2
+        assert len(calls) > 10
+        assert max(calls) <= _BLOCK_SUBPANELS * 24
 
     def test_phase_cap(self):
         spec = builtin_problem("ex51", 0.5, 10.0 * ORACLE_PHASE_CAP)

@@ -146,8 +146,8 @@ def test_agrees_with_oracle_above_crossover(pid, alpha):
     # From the crossover to |w| g(a) = 300 NSD either refuses or agrees with
     # the oracle to 1e-13; at 300 every built-in is in its scope.  Where the
     # two differ by more, the 40-digit value shows that the oracle is off
-    # (its floor rises with w: 2.1e-13 on ex51, alpha = 0.5, at 300) and
-    # that NSD is within 2e-15.
+    # (its floor rises with w: up to 6.3e-14 at 300, on ex51 at alpha = 0.9)
+    # and that NSD is within 2e-15.
     g_end = 2.0 if pid.startswith("ex53") else 1.0
     accepted = []
     for phase in (NSD_CROSSOVER * 1.01, 150.0, 200.0, 250.0, 300.0):
