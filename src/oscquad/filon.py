@@ -18,11 +18,12 @@ polynomials T_k(2t - 1) on [0, 1] and collocates the model ODE; all
 derivative conditions are generated by truncated power series arithmetic,
 which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
-basis and all nodes.  The route is only how it builds that operator and
-its maps (:func:`_freq_operator`): :func:`quad_freq` runs it through the
-Levin pipeline of :mod:`oscquad.levin`, which the physical-space route
-shares; its node data are the collocation conditions (Taylor coefficient
-j times j!), and q1 g' is q1's coefficients times the kept g' T_k there.
+basis and all nodes.  The route is only the arrays it builds, that
+operator and its node data, row scale, g' data and end rows
+(:func:`_freq_operator`): :func:`quad_freq` runs them through the Levin
+pipeline of :mod:`oscquad.levin`, which the physical-space route shares;
+its node data are the collocation conditions (Taylor coefficient j times
+j!), and q1 g' is q1's coefficients times the kept g' T_k there.
 Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
 both share, the Levin route's Chebyshev Taylor table on its nodes, and,
@@ -424,20 +425,21 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
     return layout, fact * gprime[node, order], (fact * terms).transpose(0, 2, 1)
 
 
-def _freq_operator(spec: ProblemSpec, npts: int, s: int, at) -> tuple:
+def _freq_operator(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
     # The route's part of a Levin call (see levin._quad_levin) at (g, alpha,
-    # w, npts, s).  Rows: the model ODE and its first (mult - 1) derivatives
-    # at each node, applied to the unknowns (c0, q1 coefficients); column
-    # k + 1 holds the Levin image g q' + (1+alpha) g' q + iw g g' q of
-    # q = T_k, for the whole basis: the terms of _freq_table, kept per g,
-    # combined with alpha and w.  Node data are the conditions of the
-    # amplitudes of ``at`` (a problem._regularised), their Taylor series of
-    # length s+1 at the nodes times factorials, formed once per amplitude;
-    # those of q1 g' are the product of q1's coefficients with the kept
-    # g' T_k term.  Row j grows like k^{2j}: each row of the matrix, and of
-    # every right-hand side, is divided by the power of two just above its
-    # largest entry.  The end rows are the layout's, and the value at t = 1
-    # is the order-0 condition of the last node, s + 1 from the end.
+    # w, npts, s), as arrays.  Rows: the model ODE and its first (mult - 1)
+    # derivatives at each node, applied to the unknowns (c0, q1
+    # coefficients); column k + 1 holds the Levin image g q' + (1+alpha) g' q
+    # + iw g g' q of q = T_k, for the whole basis: the terms of _freq_table,
+    # kept per g, combined with alpha and w.  Node data are the conditions
+    # of the amplitudes of problem._regularised(spec, c), their Taylor
+    # series of length s+1 at the nodes times factorials, formed once per
+    # amplitude; those of q1 g' are the product of q1's coefficients with
+    # the kept g' T_k term, (that term, None) in levin._solves.  Row j grows
+    # like k^{2j}: each row of the matrix, and of every right-hand side, is
+    # divided by the power of two just above its largest entry, the row
+    # scale.  The end rows are the layout's, and the value at t = 1 is the
+    # order-0 condition of the last node, s + 1 from the end.
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
     layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
@@ -447,12 +449,9 @@ def _freq_operator(spec: ProblemSpec, npts: int, s: int, at) -> tuple:
     A[:, 1:] = t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     conditions = layout.node, layout.order
-    data = [(layout.fact * np.asarray(series, dtype=complex))[conditions] for series in at(layout.nodes, s + 1)]
-
-    def rhs(values):
-        return values / row_scale
-
-    return A / row_scale[:, None], data, rhs, t2.dot, (*layout.end_rows, -(s + 1))
+    data = [(layout.fact * np.asarray(series, dtype=complex))[conditions]
+            for series in _regularised(spec, c)(layout.nodes, s + 1)]
+    return A / row_scale[:, None], data, row_scale, (t2, None), (*layout.end_rows, -(s + 1))
 
 
 def solve_freq(spec: ProblemSpec, npts: int, s: int):
@@ -476,8 +475,8 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     check_counts(npts=npts, s=s)
-    L, data, rhs, q1_gprime, _ = _freq_operator(spec, npts, s, _regularised(spec))
-    return _problem_solves(L, data[:1], rhs, q1_gprime)[0]
+    L, data, scale, gprime, _ = _freq_operator(spec, 1.0, npts, s)
+    return _problem_solves(L, data[:1], scale, gprime)[0]
 
 
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
@@ -494,5 +493,4 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
 
 def _quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # quad_freq once its counts are checked, as compute(LEVIN_FREQ) runs it.
-    return _quad_levin(spec, lambda unit, at: _freq_operator(unit, npts, s, at),
-                       Method.LEVIN_FREQ, npts, s)
+    return _quad_levin(spec, _freq_operator, Method.LEVIN_FREQ, npts, s)

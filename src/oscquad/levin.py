@@ -1,19 +1,20 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
-Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], form
-the node data of f1 and, for the logarithmic kind, of the amplitude
-f21 = f log(g(a) x/g) (x/g)^alpha in one call of the function that
-:func:`oscquad.problem._regularised` returns, solve for f1 and
-f21 - q1 g' on one factorised operator, and read the bracket at x = a
-(:func:`oscquad.boundary.levin_value`).  A route is only what it hands
-that one pass: its matrix, the node data of the amplitudes (values, or
-collocation conditions on the frequency route), the map from node data to
-a right-hand side, that from q1 to the node data of q1 g', and the end
-rows (:func:`_physical_operator` here, or ``filon._freq_operator``).  A
-call goes from there to the value on plain arrays and scalars: the LAPACK
-factor and its diagnostics, each solve's solution and residual, and the
-end data of the one solve whose q(a) the bracket reads, with the first
-solve's c0 for the logarithmic kind.  The
+Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], once
+per spec (:func:`oscquad.problem._unit_interval` keeps the mapped problem
+with a spec whose a != 1), form the node data of f1 and, for the
+logarithmic kind, of the amplitude f21 = f log(g(a) x/g) (x/g)^alpha
+once each, solve for f1 and f21 - q1 g' on one factorised operator, and
+read the bracket at x = a (:func:`oscquad.boundary.levin_value`).  A
+route is only the arrays it hands that one pass: its matrix, the node
+data of the amplitudes (values, or collocation conditions on the
+frequency route), the row scale that divides node data into a
+right-hand side (None for none), the g' data that take q1 to the node
+data of q1 g', and the end rows (:func:`_physical_operator` here, or
+``filon._freq_operator``).  A call goes from there to the value on plain
+arrays and scalars: the LAPACK factor and its diagnostics, each solve's
+solution and residual, and the end data of the one solve whose q(a) the
+bracket reads, with the first solve's c0 for the logarithmic kind.  The
 public :func:`tsvd_solve`, :func:`solve_alg`, :func:`solve_log` and
 ``filon.solve_freq`` run the same factorisation and solves and return
 plain values: ``(x, diagnostics)`` for a matrix and right-hand side, and
@@ -41,13 +42,17 @@ continuous one-parameter solution family).  The operator depends on
 per polynomial g and n (:func:`oscquad._kept.kept`) in one
 ``_physical_table`` entry: g at the interior nodes, g' at all nodes and
 the complex matrix without its alpha and w terms, g D in the interior
-block and zeros elsewhere; at n = 32 that is 256 + 264 + 17424 = 17944
-bytes.  A call copies the matrix and writes the
-real (1+alpha) g' and imaginary w g', w g g' terms into it, and evaluates
-both amplitudes together, once, at all nodes, origin first, which is the
-order of the unknowns, with g at the nodes from the table.  Beyond the
-table a warm call evaluates g only at g(a), g'(a) and g'(0), each a Horner
-sum in Python floats.
+block and zeros elsewhere, and for the node data x/g at the interior
+nodes and g'(0); at n = 32 that is 256 + 264 + 17424 + 256 = 18200
+bytes.  A call copies the matrix and writes the real (1+alpha) g' and
+imaginary w g', w g g' terms into it, and places the values of both
+amplitudes at all nodes, origin first, which is the order of the
+unknowns (:func:`oscquad.problem._node_values`): the origin limits
+g'(0)^-alpha and log c - log g'(0) at index 0, and (x/g)^alpha and
+log(c x/g) from the table's x/g and g at the others, with no mask.  The
+log kind's q1 g' is q1 extended to the origin by the origin weights
+times g', and q1(1) is q1's last entry.  Beyond the table a warm call
+evaluates g only at g(a) and g'(a), each a Horner sum in Python floats.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -64,7 +69,7 @@ from ._result import Method, QuadratureResult, check_counts
 from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Oscillator, ProblemSpec, _regularised, _unit_interval
+from .problem import Oscillator, ProblemSpec, _node_values, _regularised, _unit_interval
 
 __all__ = [
     "assemble_L",
@@ -97,8 +102,9 @@ def _physical_table(osc: Oscillator, n: int) -> tuple:
     # depend on g alone: g at the interior nodes, g' at all nodes, origin
     # first, and the operator's matrix without its alpha and w terms, g D in
     # the interior block (added to zeros, as the element-wise assembly did)
-    # and zeros elsewhere.  A g with g' <= 0 at a node raises, so is never
-    # kept.
+    # and zeros elsewhere; and those the node data read, x/g at the interior
+    # nodes and g'(0) as a float.  A g with g' <= 0 at a node raises, so is
+    # never kept.
     grid = _radau_grid(n)
     gx = np.asarray(osc.value(grid.interior), dtype=float)
     gp = np.asarray(osc.deriv1(grid.nodes), dtype=float)
@@ -106,7 +112,7 @@ def _physical_table(osc: Oscillator, n: int) -> tuple:
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
     base = np.zeros((n + 1, n + 1), dtype=complex)
     base[1:, 1:] += gx[:, None] * grid.diff
-    return gx, gp, base
+    return gx, gp, base, grid.interior / gx, float(osc.deriv1(0.0))
 
 
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
@@ -142,7 +148,7 @@ def _operator(spec: ProblemSpec, grid: ChebGrid):
     # element-wise assembly rounds it to (its other terms are exact zeros),
     # so the bits are the same.
     table = _node_data(spec, grid)
-    gx, gp, base = table
+    gx, gp, base = table[:3]
     alpha, w = spec.alpha, spec.w
     L = base.copy()
     L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
@@ -189,7 +195,7 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
     if np.shape(rhs) != L.shape[:1]:
         raise ParameterError(f"rhs must be a vector of {L.shape[0]} entries, got shape {np.shape(rhs)}")
     fact, keys = _factorise(L)
-    x, residual, _ = _solution(L, fact, _as_complex, rhs)
+    x, residual = _solution(L, fact, rhs, None)
     return x, {"residual_norm": residual, **keys}
 
 
@@ -237,76 +243,73 @@ def _solve(L: np.ndarray, fact: tuple, rhs: np.ndarray) -> np.ndarray:
     return x + zgetrs(lu, piv, rhs - L @ x)[0]
 
 
-def _as_complex(values: np.ndarray) -> np.ndarray:
-    # The physical route's right-hand side of node data: the values.
-    return np.asarray(values, dtype=complex)
-
-
-def _physical_operator(spec: ProblemSpec, n: int, at) -> tuple:
+def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple:
     # The route's part of a Levin call (see _quad_levin) on the Radau grid
-    # of n nodes: the matrix of assemble_L; the node data of ``at`` (a
-    # problem._regularised), values at grid.nodes, origin first, the order
-    # of the rows and of the unknowns, formed with g at the interior nodes
-    # from the kept table;
-    # those values as the right-hand side; and the end rows: q1(1) is the
-    # last unknown, q1'(1) the last row of the differentiation matrix
-    # applied to q1, and the right-hand side at t = 1 the last value.
+    # of n nodes, as arrays: the matrix of assemble_L; the node data of
+    # problem._regularised(spec, c), values at grid.nodes, origin first, the
+    # order of the rows and of the unknowns, placed from the kept table
+    # (problem._node_values); no row scale; g' at all nodes beside the
+    # origin weights, so that q1 g' is q1, extended to the origin, times g';
+    # and the end rows: None, as q1(1) is the last unknown, q1'(1) the last
+    # row of the differentiation matrix applied to q1, and the index of the
+    # value at t = 1.  The endpoint order s of a route's signature is not
+    # read: the physical route is derivative-free.
     grid = radau_grid(n)
-    L, (gx, gprime, _) = _operator(spec, grid)
-    origin = grid.origin_weights
-    last = np.zeros(n)
-    last[-1] = 1.0
-
-    def q1_gprime(q1):
-        # q1(0) extrapolated through the origin weights.
-        return np.concatenate(([complex(np.dot(origin, q1))], q1)) * gprime
-
-    return L, at(grid.nodes, 0, g=gx), _as_complex, q1_gprime, (last, grid.diff[-1], -1)
+    L, (gx, gprime, _, ratio, gp0) = _operator(spec, grid)
+    data = _node_values(spec, c, grid.nodes, gx, ratio, gp0)
+    return L, data, None, (gprime, grid.origin_weights), (None, grid.diff[-1], -1)
 
 
-def _solution(L: np.ndarray, fact: tuple, rhs, data: np.ndarray) -> tuple:
-    # The solve for node data ``data`` as (x, residual, data): the residual
-    # is the max of |L x - b| over all rows of the system as factorised.
-    b = rhs(data)
+def _solution(L: np.ndarray, fact: tuple, values: np.ndarray, scale) -> tuple:
+    # The solve on ``fact`` for node data ``values`` as (x, residual): the
+    # right-hand side is the values, divided by the row scale ``scale``
+    # unless it is None, and the residual the max of |L x - b| over all
+    # rows of the system as factorised.
+    b = np.asarray(values, dtype=complex) if scale is None else values / scale
     x = _solve(L, fact, b)
-    return x, float(np.abs(L @ x - b).max()), data
+    return x, float(np.abs(L @ x - b).max())
 
 
-def _solves(L: np.ndarray, fact: tuple, data: list, rhs, q1_gprime) -> list:
-    # The _solution on ``fact``, the _factorise of L, for the node data of
-    # problem._regularised's f1 and, for the logarithmic kind, of
-    # f21 - q1 g', from ``data``, the node data of f1 and f21.
+def _solves(L: np.ndarray, fact: tuple, data: list, scale, gprime) -> list:
+    # The solves on ``fact``, the _factorise of L, as [(x, residual,
+    # values)] for the node data of problem._regularised's f1 and, for the
+    # logarithmic kind, of f21 - q1 g', from ``data``, the node data of f1
+    # and f21.  ``gprime`` is a route's (matrix, None), q1 g' = matrix q1
+    # at its conditions, or (g' at the nodes, origin weights), q1 g' = q1
+    # extended to the origin times g'.
     f1, *f21 = data
-    sols = [_solution(L, fact, rhs, f1)]
+    sols = [(*_solution(L, fact, f1, scale), f1)]
+    rows, origin = gprime
     for values in f21:
-        sols.append(_solution(L, fact, rhs, values - q1_gprime(sols[0][0][1:])))
+        q1 = sols[0][0][1:]
+        values = values - (rows.dot(q1) if origin is None else np.concatenate(([np.dot(origin, q1)], q1)) * rows)
+        sols.append((*_solution(L, fact, values, scale), values))
     return sols
 
 
-def _problem_solves(L: np.ndarray, data: list, rhs, q1_gprime) -> list:
+def _problem_solves(L: np.ndarray, data: list, scale, gprime) -> list:
     # The (c0, q1, diagnostics) of each of the _solves on one _factorise of L.
     fact, keys = _factorise(L)
     return [(complex(x[0]), x[1:], {"residual_norm": residual, **keys})
-            for x, residual, _ in _solves(L, fact, data, rhs, q1_gprime)]
+            for x, residual, _ in _solves(L, fact, data, scale, gprime)]
 
 
 def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route, in one pass from operator to value.
-    # ``route(unit, at)`` gives, for ``spec`` on [0, 1] and the
-    # problem._regularised ``at`` of its amplitudes, the tuple (L, data,
-    # rhs, q1_gprime, end rows): the matrix, the node data of the
-    # amplitudes, the map from node data to a right-hand side, that from q1
-    # to the node data of q1 g', and the rows that take q1 to q1(1) and
-    # q1'(1) beside the index of the value at t = 1 in node data.  The
+    # ``route(unit, c, n, s)`` gives, for ``spec`` on [0, 1] and the
+    # amplitudes of problem._regularised(unit, c), the arrays (L, data,
+    # scale, gprime, end rows): the matrix, the node data of the amplitudes,
+    # the row scale of the right-hand sides (None for none), the g' data of
+    # _solves, and the rows that take q1 to q1(1) (None: its last entry)
+    # and q1'(1) beside the index of the value at t = 1 in node data.  The
     # solves give the q1 of ``spec`` and its c0, d0 divided by a, which are
     # scaled back here.  Only the solve whose q(a) the bracket reads has its
     # end data formed; of the logarithmic kind's first solve it reads c0
     # alone.  f21 carries log g(a) of ``spec``.
-    unit = _unit_interval(spec)
     g_a = spec.g_end()
-    L, data, rhs, q1_gprime, (q1_row, slope, at_end) = route(unit, _regularised(unit, g_a))
+    L, data, scale, gprime, (q1_row, slope, at_end) = route(_unit_interval(spec), g_a, n, s)
     fact, keys = _factorise(L)
-    sols = _solves(L, fact, data, rhs, q1_gprime)
+    sols = _solves(L, fact, data, scale, gprime)
     diagnostics = {"residual_norm": sols[0][1], **keys}
     x, residual, values = sols[-1]
     q1 = x[1:]
@@ -319,14 +322,14 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
     if a != 1.0:
         c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
         first_c0 = None if first_c0 is None else first_c0 * a
-    end = (c0, complex(q1_row @ q1), dq1, dq1_size, complex(values[at_end]))
+    q1_end = q1[-1] if q1_row is None else q1_row @ q1
+    end = (c0, complex(q1_end), dq1, dq1_size, complex(values[at_end]))
     return QuadratureResult(levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
 
 
 def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
     # The s = 0 rule of either kind.
-    return _quad_levin(spec, lambda unit, at: _physical_operator(unit, n, at),
-                       Method.LEVIN_PHYSICAL, n, 0)
+    return _quad_levin(spec, _physical_operator, Method.LEVIN_PHYSICAL, n, 0)
 
 
 def solve_alg(spec: ProblemSpec, n: int):
@@ -347,8 +350,8 @@ def solve_alg(spec: ProblemSpec, n: int):
         diagnostics of :func:`tsvd_solve`; ``residual_norm`` is the
         collocation residual, origin row included.
     """
-    L, data, rhs, q1_gprime, _ = _physical_operator(spec, n, _regularised(spec))
-    return _problem_solves(L, data[:1], rhs, q1_gprime)[0]
+    L, data, scale, gprime, _ = _physical_operator(spec, 1.0, n)
+    return _problem_solves(L, data[:1], scale, gprime)[0]
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -372,8 +375,8 @@ def solve_log(spec: ProblemSpec, n: int):
     ((c0, q1, diagnostics), (d0, l1, diagnostics))
         As :func:`solve_alg`, each with its own ``residual_norm``.
     """
-    L, data, rhs, q1_gprime, _ = _physical_operator(spec, n, _regularised(spec, spec.g_end()))
-    return tuple(_problem_solves(L, data, rhs, q1_gprime))
+    L, data, scale, gprime, _ = _physical_operator(spec, spec.g_end(), n)
+    return tuple(_problem_solves(L, data, scale, gprime))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
@@ -406,7 +409,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:
         raise ParameterError(f"k={k} too large for an n={grid.interior.size} grid")
-    gx, gp, _ = _node_data(spec, grid)
+    gx, gp = _node_data(spec, grid)[:2]
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w

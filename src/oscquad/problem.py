@@ -285,6 +285,9 @@ class ProblemSpec:
     kind: SingKind
     w: float
     phase_shift: complex = 1.0 + 0.0j
+    # The problem mapped onto [0, 1] once a != 1 (_unit_interval), kept
+    # with the spec; not a field, so replace() starts without it.
+    _unit = None
 
     def g_end(self) -> float:
         return float(self.oscillator.value(self.a))
@@ -295,17 +298,19 @@ def _normalization(osc: Oscillator, a: float) -> tuple:
     """The part of the normalization that depends on g and a alone: g(0),
     the sign of g' on [0, a] and the shifted (and, for a decreasing g,
     flipped) oscillator, None where g needs neither.  Kept per polynomial g
-    and a; a g whose g' changes sign on the samples, or whose normalized
-    g'(0) is not positive, raises, so is never kept."""
+    and a; a g whose g' is not of one sign on [0, a] (:func:`_slope_points`),
+    or whose normalized g'(0) is not positive, raises, so is never kept."""
     g0 = float(osc.value(0.0))
-    xs = np.linspace(0.0, a, _MONOTONICITY_SAMPLES + 2)
+    xs, slack = _slope_points(osc, a)
     gp = np.asarray(osc.deriv1(xs), dtype=float)
-    if np.all(gp > 0):
+    # An infinite g' has its sign, whatever its rounding bound.
+    decided = (np.abs(gp) > slack) | np.isinf(gp)
+    if np.all(decided & (gp > 0)):
         sign = 1.0
-    elif np.all(gp < 0):
+    elif np.all(decided & (gp < 0)):
         sign = -1.0
     else:
-        raise InvalidOscillatorError("g' changes sign (or vanishes) on the sampled grid")
+        raise InvalidOscillatorError(f"g' changes sign (or vanishes) on [0, {a!r}]")
     if sign == 1.0 and g0 == 0.0:
         shifted = None
     elif osc.poly is not None:
@@ -328,6 +333,24 @@ def _normalization(osc: Oscillator, a: float) -> tuple:
     if not gp0 > 0:
         raise InvalidOscillatorError(f"g'(0) must be positive, got {gp0}")
     return g0, sign, shifted
+
+
+def _slope_points(osc: Oscillator, a: float) -> tuple:
+    # The points at which g' decides its sign on [0, a], and the rounding
+    # bound of the computed g' at each.  For a polynomial g: the ends and
+    # the real parts in (0, a) of the roots of g'', among which g' takes its
+    # least and its largest value on [0, a]; the bound is Horner's, d eps
+    # times the sum of |k c_k x^(k-1)| for g' of degree d (Higham, Accuracy
+    # and Stability of Numerical Algorithms, ch. 5), so a computed g'
+    # within it of zero may be that of a g' that vanishes there.  Any other
+    # g: _MONOTONICITY_SAMPLES + 2 evenly spaced samples, with bound 0.
+    if osc.poly is None:
+        return np.linspace(0.0, a, _MONOTONICITY_SAMPLES + 2), 0.0
+    d1 = osc._dpoly
+    roots = np.roots((np.arange(1.0, d1.size) * d1[1:])[::-1])
+    inner = roots.real[(roots.real > 0.0) & (roots.real < a)]
+    xs = np.concatenate(([0.0, float(a)], inner))
+    return xs, (d1.size - 1) * np.finfo(float).eps * _horner(np.abs(d1), xs)
 
 
 def _normalize_oscillator(osc: Oscillator, a: float, w: float):
@@ -354,7 +377,14 @@ def build_problem(
     ----------
     amplitude : Amplitude
     oscillator : Oscillator
-        May have g(0) != 0 or g decreasing; both are normalized here.
+        May have g(0) != 0 or g decreasing; both are normalized here.  g'
+        must have one sign on [0, a].  For a polynomial g that is decided
+        at 0, at a and at the real part of each root of g'' in (0, a),
+        where g' takes its least and largest values: at each, the computed
+        g' must exceed in modulus d eps sum_k |k c_k x^(k-1)| (g' of degree
+        d), its Horner rounding bound, so a g' that vanishes anywhere on
+        [0, a] is refused.  Any other g is checked on 258 evenly spaced
+        samples of [0, a], where g' must be nonzero and of one sign.
     a : float
         Positive, finite interval end.
     alpha : float
@@ -368,7 +398,8 @@ def build_problem(
     ParameterError
         Out-of-range alpha, a, or w.
     InvalidOscillatorError
-        Non-monotone g on the validation grid or g'(0) <= 0.
+        A g' that is not of one sign on [0, a] by the rule above, or a
+        normalized g'(0) <= 0.
     """
     if not 0.0 < abs(alpha) < 1.0:
         raise ParameterError(f"alpha must satisfy 0<|alpha|<1, got {alpha}")
@@ -419,8 +450,7 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
     """The function ``at(xs, m)``: the list of the data of f1 and, for the
     logarithmic kind, of f log(c x/g), times (x/g)^alpha too with
     ``f2_power``, at the points xs: values for m = 0, series of length m
-    otherwise.  ``at(xs, 0, g=gx)`` takes g at the points xs > 0 from the
-    caller.
+    otherwise.
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
     call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points (the
@@ -429,7 +459,8 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
     _amplitude_series) and both amplitudes from them.  For g = beta x the
     factors are beta^-alpha and log(c/beta) exactly, and no series of g is
     read: for the identity oscillator f1 is f itself and the second
-    amplitude is f log c.
+    amplitude is f log c.  :func:`_node_values` forms the same values on a
+    grid whose first point is the origin, without masks.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
@@ -437,7 +468,7 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
         power = osc._beta**-alpha
         log_c = math.log(c / osc._beta) * (power if f2_power else 1.0)
 
-        def exact(x, m, g=None):
+        def exact(x, m):
             out = np.asarray(_amplitude_series(f, x, m) if m else f.value(x))
             f1 = out if power == 1.0 else power * out
             return [f1, log_c * np.asarray(out, dtype=complex)] if log_kind else [f1]
@@ -453,7 +484,7 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
         out[pos] = away
         return out
 
-    def at(x, m, g=None):
+    def at(x, m):
         if m:
             mul = ps_mul
             out = _amplitude_series(f, x, m)
@@ -465,18 +496,41 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
             xs = np.asarray(x, dtype=float)
             pos = xs > 0
             away = xs[pos]
-            gx = g if g is not None else np.asarray(osc.value(away), dtype=float) if away.size else away
-            ratio = away / gx
+            gx = np.asarray(osc.value(away), dtype=float) if away.size else away
             out = np.asarray(f.value(x))
             log = factor(xs, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if log_kind else None
-            power = factor(xs, pos, ratio**alpha, gp0 ** (-alpha))
-        data = [mul(out, power)]
-        if log_kind:
-            out = mul(out, log)
-            data.append(mul(out, power) if f2_power else out)
-        return data
+            power = factor(xs, pos, (away / gx) ** alpha, gp0 ** (-alpha))
+        return _combined(out, power, log, mul, f2_power)
 
     return at
+
+
+def _combined(out, power, log, mul, f2_power: bool) -> list:
+    # f1 = f (x/g)^alpha from the data ``out`` of f and ``power`` of
+    # (x/g)^alpha, and, where ``log`` holds the data of log(c x/g),
+    # f log(c x/g), times (x/g)^alpha too with f2_power; ``mul`` multiplies
+    # two data.
+    data = [mul(out, power)]
+    if log is not None:
+        out = mul(out, log)
+        data.append(mul(out, power) if f2_power else out)
+    return data
+
+
+def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray, ratio: np.ndarray,
+                 gp0: float) -> list:
+    """``_regularised(spec, c)(nodes, 0)`` on a grid whose node 0 is the
+    origin and whose other nodes are positive, with g there ``gx``, x/g
+    there ``ratio`` and g'(0) ``gp0``: each factor is placed in its slots,
+    index 0 the origin limit, the rest from x/g, with no mask.  For
+    g = beta x the factors are constants, formed as _separated forms them."""
+    if spec.oscillator._beta is not None:
+        return _separated(spec, True, c)(nodes, 0)
+    power = np.concatenate(([gp0 ** (-spec.alpha)], ratio**spec.alpha))
+    log = None
+    if spec.kind is SingKind.ALGEBRAIC_LOG:
+        log = np.concatenate(([math.log(c) - math.log(gp0)], np.log(c * nodes[1:] / gx)))
+    return _combined(np.asarray(spec.amplitude.value(nodes)), power, log, np.multiply, True)
 
 
 def make_f1_f2(spec: ProblemSpec):
@@ -522,10 +576,14 @@ def _regularised(spec: ProblemSpec, c: float = 1.0) -> Callable:
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
     """``spec`` on [0, 1] by x = a t: amplitude f(a t), oscillator g(a t)/a,
     frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
-    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a."""
+    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a.  The
+    mapped problem is formed once per spec and kept with it, so every call
+    on the spec reads the same one; its oscillator has the key of the
+    mapped coefficients, so the tables kept per g serve every spec with
+    that g and a."""
     a, f, g = spec.a, spec.amplitude, spec.oscillator
-    if a == 1.0:
-        return spec
+    if a == 1.0 or spec._unit is not None:
+        return spec._unit or spec
     if not math.isfinite(spec.w * a):
         raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
     # Taylor coefficient k in t is a^k times that in x.
@@ -534,7 +592,8 @@ def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
         osc = Oscillator.from_poly(np.concatenate((g.poly[:1], g.poly[1:] * a ** np.arange(g.poly.size - 1.0))))
     else:
         osc = Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
-    return replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a)
+    object.__setattr__(spec, "_unit", replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a))
+    return spec._unit
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from oscquad.problem import (
     Oscillator,
     ProblemSpec,
     SingKind,
-    _regularised,
     _unit_interval,
     build_problem,
     builtin_problem,
@@ -93,7 +92,7 @@ class TestUpperEndValue:
         g, gp = spec.g_end(), float(spec.oscillator.deriv1(spec.a))
         rhs_end = complex(make_f1_f2(spec)[0].value(spec.a))
         # The right-hand side at x = a that a Levin call reads is f1(a).
-        _, data, _, _, (_, _, at_end) = oscquad.levin._physical_operator(spec, n, _regularised(spec))
+        _, data, _, _, (_, _, at_end) = oscquad.levin._physical_operator(spec, 1.0, n)
         assert complex(data[0][at_end]) == rhs_end
         end = (c0, complex(q1[-1]), complex(row @ q1), float(np.abs(row) @ np.abs(q1)), rhs_end)
         picked = upper_end_value(spec, end, *spec.oscillator.series_at(spec.a, 2))
@@ -213,19 +212,29 @@ def _public_solves(spec, method, n, s):
     # frequency route, which has no public piece for it, the two solves are
     # tsvd_solve's on the route's matrix and maps.
     unit = _unit_interval(spec)
-    amplitudes = _regularised(unit, spec.g_end())
     if method is Method.LEVIN_PHYSICAL:
-        route = oscquad.levin._physical_operator(unit, n, amplitudes)
+        route = oscquad.levin._physical_operator(unit, spec.g_end(), n)
     else:
-        route = oscquad.filon._freq_operator(unit, n, s, amplitudes)
+        route = oscquad.filon._freq_operator(unit, spec.g_end(), n, s)
     if unit.kind is SingKind.ALGEBRAIC:
         return [solve_alg(unit, n) if method is Method.LEVIN_PHYSICAL else solve_freq(unit, n, s)], route
     if method is Method.LEVIN_PHYSICAL and spec.a == 1.0:
         return list(solve_log(unit, n)), route
-    L, (f1, f21), rhs, q1_gprime, _ = route
+    L, (f1, f21), scale, gprime, _ = route
+    rhs = (lambda values: values) if scale is None else (lambda values: values / scale)
     x, first = tsvd_solve(L, rhs(f1))
-    y, second = tsvd_solve(L, rhs(f21 - q1_gprime(x[1:])))
+    y, second = tsvd_solve(L, rhs(f21 - _q1_gprime(gprime, x[1:])))
     return [(complex(x[0]), x[1:], first), (complex(y[0]), y[1:], second)], route
+
+
+def _q1_gprime(gprime, q1):
+    # The node data of q1 g' from a route's g' data: a matrix applied to
+    # q1, or on the physical route g' at the nodes times q1 extended to the
+    # origin by the origin weights.
+    rows, origin = gprime
+    if origin is None:
+        return rows.dot(q1)
+    return np.concatenate(([np.dot(origin, q1)], q1)) * rows
 
 
 def _f1_end(unit, method, n, s):
@@ -243,18 +252,19 @@ def _end_data(spec, method, n, s, sols, route):
     # solve's c0 for the logarithmic kind: c0 times a and q1'(1) divided by
     # a, and the right-hand side at t = 1 read off the node data at the last
     # node, whose f1 is f1(1) computed apart.
-    _, data, _, q1_gprime, (q1_row, slope, _) = route
+    _, data, _, gprime, (q1_row, slope, _) = route
     end_node = -1 if method is Method.LEVIN_PHYSICAL else -(s + 1)
     assert complex(data[0][end_node]) == _f1_end(_unit_interval(spec), method, n, s)
     c0, q1, _ = sols[-1]
-    values = data[0] if len(sols) == 1 else data[1] - q1_gprime(sols[0][1])
+    values = data[0] if len(sols) == 1 else data[1] - _q1_gprime(gprime, sols[0][1])
     first_c0 = None if len(sols) == 1 else sols[0][0]
     dq1, dq1_size = complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
     a = spec.a
     if a != 1.0:
         c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
         first_c0 = None if first_c0 is None else first_c0 * a
-    return (c0, complex(q1_row @ q1), dq1, dq1_size, complex(values[end_node])), first_c0
+    q1_end = q1[-1] if method is Method.LEVIN_PHYSICAL else q1_row @ q1
+    return (c0, complex(q1_end), dq1, dq1_size, complex(values[end_node])), first_c0
 
 
 class TestComputeFromPublicPieces:

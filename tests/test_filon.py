@@ -27,7 +27,6 @@ from oscquad.problem import (
     Amplitude,
     Oscillator,
     SingKind,
-    _regularised,
     _unit_interval,
     build_problem,
     builtin_problem,
@@ -489,7 +488,7 @@ def _operator_term_sizes(spec, npts, s):
 
 def _freq_matrix(spec, npts, s):
     # The matrix of filon._freq_operator, which a Levin call factorises.
-    return oscquad.filon._freq_operator(spec, npts, s, _regularised(spec))[0]
+    return oscquad.filon._freq_operator(spec, 1.0, npts, s)[0]
 
 
 def _unscaled_rows(spec, npts, s, want):
@@ -558,10 +557,10 @@ class TestFreqOperatorRows:
         seen = []
         real = oscquad.levin._solution
 
-        def capture(L, fact, rhs, data):
-            x, residual, data = real(L, fact, rhs, data)
-            seen.append((np.array(data), x))
-            return x, residual, data
+        def capture(L, fact, values, scale):
+            x, residual = real(L, fact, values, scale)
+            seen.append((np.array(values), x))
+            return x, residual
 
         monkeypatch.setattr(oscquad.levin, "_solution", capture)
         npts, s = 9, 2
@@ -588,13 +587,14 @@ class TestFreqOperatorRows:
         for poly in [[0.0, 1.0], [0.0, 1.0, 1.0]] + quadratics:
             osc = Oscillator.from_poly(poly)
             spec = build_problem(Amplitude.from_poly([1.0]), osc, a=1.0, alpha=0.5, kind=SingKind.ALGEBRAIC, w=50.0)
-            q1_gprime = filon._freq_operator(spec, npts, s, _regularised(spec))[3]
+            rows, origin = filon._freq_operator(spec, 1.0, npts, s)[3]
+            assert origin is None
             c = rng.standard_normal(cheb.shape[0]) + 1j * rng.standard_normal(cheb.shape[0])
             gser = osc.series_at(layout.nodes, s + 2)
             gprime = np.arange(1, s + 2) * gser[:, 1:]
             want = (layout.fact * filon.ps_mul((c[:, None, None] * cheb).sum(axis=0), gprime))[node, order]
             sizes = np.abs(c) @ np.abs(np.array([(layout.fact * filon.ps_mul(T, gprime))[node, order] for T in cheb]))
-            assert np.all(np.abs(q1_gprime(c) - want) <= 8.0 * eps * sizes), (poly, npts, s)
+            assert np.all(np.abs(rows.dot(c) - want) <= 8.0 * eps * sizes), (poly, npts, s)
 
     def test_at_most_one_ps_mul_per_node(self, monkeypatch):
         # g g' and each of the three image terms once, for all nodes and

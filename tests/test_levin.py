@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oscquad.levin
@@ -102,7 +104,7 @@ class TestAssembleL:
     def test_bit_identical_to_loop_form(self):
         # The row loop that the array expressions replaced.
         def loop_L(spec, grid):
-            gx, gp, _ = oscquad.levin._node_data(spec, grid)
+            gx, gp = oscquad.levin._node_data(spec, grid)[:2]
             gpx, gp0 = gp[1:], gp[0]
             n, alpha, w = gx.size, spec.alpha, spec.w
             L = np.zeros((n + 1, n + 1), dtype=complex)
@@ -236,11 +238,10 @@ def _route_operators():
         for alpha in (0.5, -0.5, 0.9, -0.9):
             for w in (1e-3, 1.0, 10.0, 1e2, 1e4, 1e8):
                 spec = builtin_problem(pid, alpha, w)
-                amplitudes = _regularised(spec, spec.g_end())
                 for n in (4, 8, 16, 24, 32):
-                    yield spec, oscquad.levin._physical_operator(spec, n, amplitudes)
+                    yield spec, oscquad.levin._physical_operator(spec, spec.g_end(), n)
                 for npts, s in ((6, 1), (10, 2), (14, 1), (14, 2), (16, 1), (32, 2)):
-                    yield spec, oscquad.filon._freq_operator(spec, npts, s, amplitudes)
+                    yield spec, oscquad.filon._freq_operator(spec, spec.g_end(), npts, s)
 
 
 def _solve_40_digits(L, b):
@@ -273,13 +274,13 @@ class TestFactorRouting:
         # this grid).
         eps = np.finfo(float).eps
         levin = oscquad.levin
-        for spec, (L, data, rhs, q1_gprime, _) in _route_operators():
+        for spec, (L, data, scale, gprime, _) in _route_operators():
             fact, keys = levin._factorise(L)
             if fact[2] is not None:
                 continue
             svd = (None, None, levin._tsvd(L))
-            for (x, _, _), (y, _, _) in zip(levin._solves(L, fact, data, rhs, q1_gprime),
-                                            levin._solves(L, svd, data, rhs, q1_gprime)):
+            for (x, _, _), (y, _, _) in zip(levin._solves(L, fact, data, scale, gprime),
+                                            levin._solves(L, svd, data, scale, gprime)):
                 bound = max(1e-12, 128 * eps * keys["cond"]) * np.abs(y).max()
                 assert np.abs(x - y).max() <= bound, (spec, L.shape)
 
@@ -289,8 +290,9 @@ class TestFactorRouting:
     def test_lu_at_least_as_accurate_as_svd(self, pid, alpha, w, n):
         # Against the 40-digit solution of the same double-precision system.
         spec = builtin_problem(pid, alpha, w)
-        L, data, rhs, *_ = oscquad.levin._physical_operator(spec, n, _regularised(spec))
-        b = rhs(data[0])
+        L, data, scale, *_ = oscquad.levin._physical_operator(spec, 1.0, n)
+        assert scale is None
+        b = data[0]
         exact = _solve_40_digits(L, b)
         x, diag = tsvd_solve(L, b)
         assert diag["factor"] == "lu"
@@ -305,8 +307,8 @@ class TestFactorRouting:
         # same system, the SVD solve 1.4e-6; the value is 1.4e-15 off the
         # 40-digit integral, 9.1e-14 by the SVD.
         spec = builtin_problem("ex51", 0.9, 10.0)
-        L, data, rhs, *_ = oscquad.filon._freq_operator(spec, 16, 1, _regularised(spec))
-        b = rhs(data[0])
+        L, data, scale, *_ = oscquad.filon._freq_operator(spec, 1.0, 16, 1)
+        b = data[0] / scale
         exact = _solve_40_digits(L, b)
         x, diag = tsvd_solve(L, b)
         assert (diag["factor"], diag["tsvd_truncated"]) == ("lu", 0)
@@ -458,15 +460,15 @@ class TestOneNodePassPerCall:
         assert value == compute(spec, Method.LEVIN_PHYSICAL, n, 0).value
 
     def test_g_decreasing_at_a_node_raises_and_is_never_kept(self):
-        # g = x - x^2 has g' = 1 - 2x <= 0 on [1/2, 1], which build_problem's
-        # sampled check refuses, so the spec is built with replace.  The
+        # g = x - x^2 has g' = 1 - 2x <= 0 on [1/2, 1], which build_problem
+        # refuses, so the spec is built with replace.  The
         # table build raises on every call, and nothing is kept for this g.
         spec = replace(builtin_problem("ex53a", 0.5, 50.0), oscillator=Oscillator.from_poly([0.0, 1.0, -1.0]))
         table = oscquad.levin._physical_table
         table.cache.clear()
         for _ in range(2):
             with pytest.raises(InvalidOscillatorError):
-                oscquad.levin._physical_operator(spec, 8, _regularised(spec))
+                oscquad.levin._physical_operator(spec, 1.0, 8)
             assert not table.cache
 
     @staticmethod
@@ -520,6 +522,63 @@ class TestOneNodePassPerCall:
         if a == 1.0:
             assert levin(np.array([1.0]), 0)[1][0] == 0.0
             assert levin(np.array([1.0]), 3)[1][0, 0] == 0.0
+
+
+def _expm1_oscillator():
+    # g(x) = e^x - 1 through its series hook: no coefficients, so no key.
+    def series(xs, m):
+        out = np.exp(xs)[:, None] / oscquad.problem._factorials(m)
+        out[:, 0] = np.expm1(xs)
+        return out
+
+    return Oscillator(value=lambda x: np.expm1(np.asarray(x, dtype=float)), series_fn=series)
+
+
+class TestPlacedNodeData:
+    """The physical route places the values of f1 and f21 at the Radau
+    nodes from its kept table, with no mask: they are the values of
+    problem._regularised's path for any points, bit for bit."""
+
+    SPECS = {
+        **{pid: (lambda kind, pid=pid: replace(builtin_problem(pid, -0.4, 70.0), kind=kind)) for pid in BUILTIN_IDS},
+        "quadratic-a-1.7": lambda kind: build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]),
+                                                      Oscillator.from_poly([0.0, 0.8, 0.6]),
+                                                      a=1.7, alpha=0.5, kind=kind, w=40.0),
+        "expm1-a-0.6": lambda kind: build_problem(Amplitude.from_poly([1.0, -0.5]), _expm1_oscillator(),
+                                                  a=0.6, alpha=-0.3, kind=kind, w=25.0),
+    }
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    @pytest.mark.parametrize("kind", list(SingKind))
+    @pytest.mark.parametrize("name", SPECS)
+    def test_equal_to_the_values_at_any_points(self, name, kind, n):
+        spec = self.SPECS[name](kind)
+        unit, g_a = _unit_interval(spec), spec.g_end()
+        data = oscquad.levin._physical_operator(unit, g_a, n)[1]
+        want = _regularised(unit, g_a)(radau_grid(n).nodes, 0)
+        assert len(data) == len(want) == (2 if kind is SingKind.ALGEBRAIC_LOG else 1)
+        for got, values in zip(data, want):
+            got, values = np.asarray(got), np.asarray(values)
+            assert got.dtype == values.dtype and got.tobytes() == values.tobytes(), name
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4), st.floats(0.5, 2.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.5, 2.0), st.sampled_from([0.5, -0.3, 0.9]), st.sampled_from(list(SingKind)),
+           st.sampled_from([8, 16, 24]), st.floats(0.0, 6.0))
+    def test_repeated_and_fresh_specs_give_the_same_bits(self, f, b, c, d, a, alpha, kind, n, log10_w):
+        # A polynomial problem on [0, a]: a second call on the same spec
+        # reads its kept mapping onto [0, 1] and kept tables, and a first
+        # call on a new spec from the same inputs maps it again; all three
+        # give the same value and diagnostics.
+        def build():
+            return build_problem(Amplitude.from_poly([1.5] + f), Oscillator.from_poly([0.0, b, c, d]),
+                                 a=a, alpha=alpha, kind=kind, w=10.0**log10_w)
+
+        spec = build()
+        first = compute(spec, Method.LEVIN_PHYSICAL, n, 0)
+        for again in (compute(spec, Method.LEVIN_PHYSICAL, n, 0), compute(build(), Method.LEVIN_PHYSICAL, n, 0)):
+            assert repr(again.value) == repr(first.value)
+            assert repr(again.diagnostics) == repr(first.diagnostics)
 
 
 class TestPicardIterate:

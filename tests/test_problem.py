@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import oscquad.levin
 import oscquad.problem
 from oscquad import Method, compute
 from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
@@ -183,6 +185,51 @@ class TestNormalization:
             for method, n, s in ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 10, 2)):
                 got = compute(spec, method, n, s).value
                 assert got == compute(plain, method, n, s).value * spec.phase_shift, (kind, method)
+
+    @pytest.mark.parametrize("g, a", [([0.0, 0.49, -0.7, 1.0 / 3.0], 1.0), ([0.0, 0.25 - 1e-6, -0.5, 1.0 / 3.0], 1.0),
+                                      ([0.0, 1.0, -1.0], 1.0), ([0.0, 0.0, 1.0], 2.0), ([0.0, -1.0, 1.0], 0.5)])
+    def test_polynomial_slope_vanishing_on_the_interval_is_refused(self, g, a):
+        # g' = (x - 0.7)^2, zero at x = 0.7; (x - 0.5)^2 - 1e-6, negative
+        # only on (0.499, 0.501), between two of the samples a
+        # non-polynomial g is checked on; g' = 1 - 2x, zero inside; g' = 2x,
+        # zero at the origin; g' = 2x - 1, zero at the end a = 0.5.
+        with pytest.raises(InvalidOscillatorError, match="changes sign"):
+            build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly(g), a, 0.5, SingKind.ALGEBRAIC, 10.0)
+
+    @pytest.mark.parametrize("g, a", [([0.0, 0.49 + 1e-6, -0.7, 1.0 / 3.0], 1.0), ([0.0, -1.0, 1.0], 0.499),
+                                      ([0.0, 1.0, -1.0], 0.4999), ([0.0, 2.0, -3.0, 1.0], 0.42)])
+    def test_polynomial_slope_of_one_sign_is_accepted(self, g, a):
+        # g' = (x - 0.7)^2 + 1e-6 is near-stationary and legal; g' = 2x - 1
+        # is negative on [0, 0.499], so g is flipped; g' = 1 - 2x and
+        # g' = 3x^2 - 6x + 2 (zero at 0.4226) stay positive up to a.
+        spec = build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly(g), a, 0.5, SingKind.ALGEBRAIC, 10.0)
+        assert spec.oscillator.deriv1(0.0) > 0 and spec.oscillator.deriv1(a) > 0
+        assert spec.w == (10.0 if g[1] > 0 else -10.0)
+
+    def test_unit_interval_is_mapped_once_per_spec(self):
+        # The problem on [0, 1] is formed on the first call and kept with
+        # the spec; a spec built afresh maps again, to an oscillator of the
+        # same key, so the tables kept per g serve both; replace() starts
+        # without it; a spec on [0, 1] is its own mapping and keeps nothing.
+        def build(w=30.0):
+            return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
+                                 1.7, 0.5, SingKind.ALGEBRAIC_LOG, w)
+
+        spec = build()
+        unit = oscquad.problem._unit_interval(spec)
+        assert unit.a == 1.0 and unit.w == 30.0 * 1.7
+        assert oscquad.problem._unit_interval(spec) is unit
+        other = oscquad.problem._unit_interval(build())
+        assert other is not unit and other.oscillator._key == unit.oscillator._key
+        compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
+        table = oscquad.levin._physical_table
+        size = len(table.cache)
+        assert compute(build(), Method.LEVIN_PHYSICAL, 12, 0).value == compute(spec, Method.LEVIN_PHYSICAL, 12, 0).value
+        assert len(table.cache) == size
+        moved = oscquad.problem._unit_interval(replace(spec, w=60.0))
+        assert moved.w == 60.0 * 1.7 and moved is not unit
+        on_unit = builtin_problem("ex53a", 0.5, 10.0)
+        assert oscquad.problem._unit_interval(on_unit) is on_unit and on_unit._unit is None
 
     def test_builtin_ids(self):
         assert set(BUILTIN_IDS) == {"ex51", "ex52", "ex53a", "ex53b", "ex54"}

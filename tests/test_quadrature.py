@@ -475,16 +475,21 @@ class TestOneAmplitudeBuildPerLevinCall:
     )
     def test_log_kind_builds_amplitudes_once_per_problem(self, monkeypatch, method, n, s):
         # f1 and the f2 sub-problem's amplitude f21 come from one
-        # _regularised call on the problem.
+        # amplitude evaluation on the problem: a _regularised call, or on
+        # the physical route's Radau nodes one _node_values call.
         kinds = []
-        original = oscquad.problem._regularised
 
-        def counting(spec, *args):
-            kinds.append(spec.kind)
-            return original(spec, *args)
+        def counting(original):
+            def wrapper(spec, *args):
+                kinds.append(spec.kind)
+                return original(spec, *args)
+            return wrapper
 
-        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
-            monkeypatch.setattr(module, "_regularised", counting)
+        for name in ("_regularised", "_node_values"):
+            wrapper = counting(getattr(oscquad.problem, name))
+            for module in (oscquad.problem, oscquad.levin, oscquad.filon):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         spec = builtin_problem("ex52" if method is Method.FILON else "ex53b", 0.5, 200.0)
         res = compute(spec, method, n, s)
         assert kinds == [SingKind.ALGEBRAIC_LOG]

@@ -11,7 +11,7 @@ from oscquad._series import poly_taylor
 from oscquad.benchcli import run_command
 from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
-from oscquad.errors import CapabilityError, ParameterError
+from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
 from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon
 from oscquad.levin import assemble_L, picard_iterate
 from oscquad.numkernel import hyp2f2_equal, neg_iw_pow, upper_gamma_complex
@@ -70,6 +70,25 @@ def test_filon_on_nonlinear_g_exits_3():
     code = run_command(["eval", "--problem", "ex53a", "--alpha", "0.5", "--w", "100", "--n", "8", "--method", "filon"],
                        stdout=io.StringIO(), stderr=err)
     assert code == 3 and "FILON supports g = beta x only" in err.getvalue()
+
+
+# Polynomial g whose g' vanishes on [0, 1] (ROADMAP item 16): g' = (x - 0.7)^2,
+# and g' = (x - 0.5)^2 - 1e-6, negative only on an interval narrower than the
+# spacing 1/257 of the samples a non-polynomial g is checked on.
+STATIONARY_G = {
+    "double-zero": [0.0, 0.49, -0.7, 1.0 / 3.0],
+    "narrow-dip": [0.0, 0.25 - 1e-6, -0.5, 1.0 / 3.0],
+}
+
+
+@pytest.mark.parametrize("g", STATIONARY_G)
+def test_g_with_vanishing_slope_is_refused(g):
+    with pytest.raises(InvalidOscillatorError, match="changes sign"):
+        _on(Oscillator.from_poly(STATIONARY_G[g]))
+    err = io.StringIO()
+    code = run_command(["eval", "--f-poly", "1", "--g-poly", ",".join(map(repr, STATIONARY_G[g])), "--alpha", "0.5",
+                        "--w", "100", "--n", "8"], stdout=io.StringIO(), stderr=err)
+    assert code == 2 and "changes sign" in err.getvalue()
 
 
 CASES = [
