@@ -526,10 +526,14 @@ def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray,
     g = beta x the factors are constants, formed as _separated forms them."""
     if spec.oscillator._beta is not None:
         return _separated(spec, True, c)(nodes, 0)
-    power = np.concatenate(([gp0 ** (-spec.alpha)], ratio**spec.alpha))
+    power = np.empty(nodes.size)
+    power[0] = gp0 ** (-spec.alpha)
+    power[1:] = ratio**spec.alpha
     log = None
     if spec.kind is SingKind.ALGEBRAIC_LOG:
-        log = np.concatenate(([math.log(c) - math.log(gp0)], np.log(c * nodes[1:] / gx)))
+        log = np.empty(nodes.size)
+        log[0] = math.log(c) - math.log(gp0)
+        log[1:] = np.log(c * nodes[1:] / gx)
     return _combined(np.asarray(spec.amplitude.value(nodes)), power, log, np.multiply, True)
 
 
@@ -582,8 +586,10 @@ def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
     mapped coefficients, so the tables kept per g serve every spec with
     that g and a."""
     a, f, g = spec.a, spec.amplitude, spec.oscillator
-    if a == 1.0 or spec._unit is not None:
-        return spec._unit or spec
+    if a == 1.0:
+        return spec
+    if spec._unit is not None:
+        return spec._unit
     if not math.isfinite(spec.w * a):
         raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
     # Taylor coefficient k in t is a^k times that in x.

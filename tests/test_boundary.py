@@ -210,7 +210,7 @@ def _public_solves(spec, method, n, s):
     # given, which for the mapped problem is g(a)/a: solve_log serves a
     # problem on [0, 1].  Elsewhere in the logarithmic kind, and on the
     # frequency route, which has no public piece for it, the two solves are
-    # tsvd_solve's on the route's matrix and maps.
+    # tsvd_solve's on the route's matrix, row scale and g' data.
     unit = _unit_interval(spec)
     if method is Method.LEVIN_PHYSICAL:
         route = oscquad.levin._physical_operator(unit, spec.g_end(), n)
