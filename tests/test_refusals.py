@@ -72,8 +72,8 @@ def test_filon_on_nonlinear_g_exits_3():
     assert code == 3 and "FILON supports g = beta x only" in err.getvalue()
 
 
-# Polynomial g whose g' vanishes on [0, 1] (ROADMAP item 16): g' = (x - 0.7)^2,
-# and g' = (x - 0.5)^2 - 1e-6, negative only on an interval narrower than the
+# Polynomial g whose g' vanishes on [0, 1]: g' = (x - 0.7)^2, and
+# g' = (x - 0.5)^2 - 1e-6, negative only on an interval narrower than the
 # spacing 1/257 of the samples a non-polynomial g is checked on.
 STATIONARY_G = {
     "double-zero": [0.0, 0.49, -0.7, 1.0 / 3.0],

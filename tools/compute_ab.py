@@ -15,13 +15,12 @@ of both packages is cleared before each pass, so both sides start a pass in
 the same state.  Alternating per operation puts both sides under the same
 machine load, which whole benchmark runs taken one after the other do not.
 
-It prints, per method (or CLI command) and over all operations, each side's
-median and mean time in microseconds and the change's relative difference
-(negative when the change is faster), then how many operations give a
-different outcome, value or diagnostics, by ``tools/outputs_digest.py``'s
-printout of an operation, taken apart from the timed call.  The exit status
-is 0 whatever the timings and outcomes are, and 2 when a checkout cannot be
-imported.
+It prints, per method (or CLI command), each side's median and mean time
+in microseconds and the change's relative difference (negative when the
+change is faster), then how many operations give a different outcome,
+value or diagnostics, by ``tools/outputs_digest.py``'s printout of an
+operation, taken apart from the timed call.  The exit status is 0 whatever
+the timings and outcomes are, and 2 when a checkout cannot be imported.
 """
 
 from __future__ import annotations
@@ -138,7 +137,6 @@ def main(argv=None) -> int:
           f"{'parent mean':>12}{'change mean':>12}{'mean':>9}")
     for key in sorted(times):
         print(_row(key, times[key]["parent"], times[key]["change"]))
-    print(_row("all", *([t for side in times.values() for t in side[name]] for name in ("parent", "change"))))
     print(f"{differing} of {count} operations differ in value or diagnostics")
     return 0
 
