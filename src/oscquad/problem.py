@@ -343,11 +343,18 @@ def _slope_points(osc: Oscillator, a: float) -> tuple:
     # times the sum of |k c_k x^(k-1)| for g' of degree d (Higham, Accuracy
     # and Stability of Numerical Algorithms, ch. 5), so a computed g'
     # within it of zero may be that of a g' that vanishes there.  Any other
-    # g: _MONOTONICITY_SAMPLES + 2 evenly spaced samples, with bound 0.
+    # g, and a g'' whose roots NumPy cannot form (a coefficient that is not
+    # finite, or ratios of them that overflow): _MONOTONICITY_SAMPLES + 2
+    # evenly spaced samples, with bound 0.
+    samples = np.linspace(0.0, a, _MONOTONICITY_SAMPLES + 2), 0.0
     if osc.poly is None:
-        return np.linspace(0.0, a, _MONOTONICITY_SAMPLES + 2), 0.0
+        return samples
     d1 = osc._dpoly
-    roots = np.roots((np.arange(1.0, d1.size) * d1[1:])[::-1])
+    try:
+        with np.errstate(all="ignore"):
+            roots = np.roots((np.arange(1.0, d1.size) * d1[1:])[::-1])
+    except np.linalg.LinAlgError:
+        return samples
     inner = roots.real[(roots.real > 0.0) & (roots.real < a)]
     xs = np.concatenate(([0.0, float(a)], inner))
     return xs, (d1.size - 1) * np.finfo(float).eps * _horner(np.abs(d1), xs)

@@ -187,21 +187,25 @@ class TestNormalization:
                 assert got == compute(plain, method, n, s).value * spec.phase_shift, (kind, method)
 
     @pytest.mark.parametrize("g, a", [([0.0, 0.49, -0.7, 1.0 / 3.0], 1.0), ([0.0, 0.25 - 1e-6, -0.5, 1.0 / 3.0], 1.0),
-                                      ([0.0, 1.0, -1.0], 1.0), ([0.0, 0.0, 1.0], 2.0), ([0.0, -1.0, 1.0], 0.5)])
+                                      ([0.0, 1.0, -1.0], 1.0), ([0.0, 0.0, 1.0], 2.0), ([0.0, -1.0, 1.0], 0.5),
+                                      ([0.0, 1.0, 1.0, float("nan")], 1.0)])
     def test_polynomial_slope_vanishing_on_the_interval_is_refused(self, g, a):
         # g' = (x - 0.7)^2, zero at x = 0.7; (x - 0.5)^2 - 1e-6, negative
         # only on (0.499, 0.501), between two of the samples a
         # non-polynomial g is checked on; g' = 1 - 2x, zero inside; g' = 2x,
-        # zero at the origin; g' = 2x - 1, zero at the end a = 0.5.
+        # zero at the origin; g' = 2x - 1, zero at the end a = 0.5; a NaN
+        # coefficient, whose g'' has no roots to form.
         with pytest.raises(InvalidOscillatorError, match="changes sign"):
             build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly(g), a, 0.5, SingKind.ALGEBRAIC, 10.0)
 
     @pytest.mark.parametrize("g, a", [([0.0, 0.49 + 1e-6, -0.7, 1.0 / 3.0], 1.0), ([0.0, -1.0, 1.0], 0.499),
-                                      ([0.0, 1.0, -1.0], 0.4999), ([0.0, 2.0, -3.0, 1.0], 0.42)])
+                                      ([0.0, 1.0, -1.0], 0.4999), ([0.0, 2.0, -3.0, 1.0], 0.42),
+                                      ([0.0, 1.0, 1.0, 1e-320], 1.0)])
     def test_polynomial_slope_of_one_sign_is_accepted(self, g, a):
         # g' = (x - 0.7)^2 + 1e-6 is near-stationary and legal; g' = 2x - 1
         # is negative on [0, 0.499], so g is flipped; g' = 1 - 2x and
-        # g' = 3x^2 - 6x + 2 (zero at 0.4226) stay positive up to a.
+        # g' = 3x^2 - 6x + 2 (zero at 0.4226) stay positive up to a; the
+        # roots of g'' = 2 + 6e-320 x overflow, so g' is sampled.
         spec = build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly(g), a, 0.5, SingKind.ALGEBRAIC, 10.0)
         assert spec.oscillator.deriv1(0.0) > 0 and spec.oscillator.deriv1(a) > 0
         assert spec.w == (10.0 if g[1] > 0 else -10.0)
