@@ -195,7 +195,7 @@ def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
     if np.shape(rhs) != L.shape[:1]:
         raise ParameterError(f"rhs must be a vector of {L.shape[0]} entries, got shape {np.shape(rhs)}")
     fact, keys = _factorise(L)
-    x, residual = _solution(L, fact, rhs, None)
+    x, residual, _ = _solution(L, fact, rhs, None)
     return x, {"residual_norm": residual, **keys}
 
 
@@ -261,13 +261,13 @@ def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple
 
 
 def _solution(L: np.ndarray, fact: tuple, values: np.ndarray, scale) -> tuple:
-    # The solve on ``fact`` for node data ``values`` as (x, residual): the
-    # right-hand side is the values, divided by the row scale ``scale``
-    # unless it is None, and the residual the max of |L x - b| over all
-    # rows of the system as factorised.
+    # The solve on ``fact`` for node data ``values`` as (x, residual,
+    # values): the right-hand side is the values, divided by the row scale
+    # ``scale`` unless it is None, and the residual the max of |L x - b|
+    # over all rows of the system as factorised.
     b = np.asarray(values, dtype=complex) if scale is None else values / scale
     x = _solve(L, fact, b)
-    return x, float(np.abs(L @ x - b).max())
+    return x, float(np.abs(L @ x - b).max()), values
 
 
 def _solves(L: np.ndarray, fact: tuple, data: list, scale, gprime) -> list:
@@ -278,12 +278,12 @@ def _solves(L: np.ndarray, fact: tuple, data: list, scale, gprime) -> list:
     # at its conditions, or (g' at the nodes, origin weights), q1 g' = q1
     # extended to the origin times g'.
     f1, *f21 = data
-    sols = [(*_solution(L, fact, f1, scale), f1)]
+    sols = [_solution(L, fact, f1, scale)]
     rows, origin = gprime
     for values in f21:
         q1 = sols[0][0][1:]
-        values = values - (rows.dot(q1) if origin is None else np.concatenate(([np.dot(origin, q1)], q1)) * rows)
-        sols.append((*_solution(L, fact, values, scale), values))
+        q1_gprime = rows.dot(q1) if origin is None else np.concatenate(([np.dot(origin, q1)], q1)) * rows
+        sols.append(_solution(L, fact, values - q1_gprime, scale))
     return sols
 
 

@@ -285,9 +285,6 @@ class ProblemSpec:
     kind: SingKind
     w: float
     phase_shift: complex = 1.0 + 0.0j
-    # The problem mapped onto [0, 1] once a != 1 (_unit_interval), kept
-    # with the spec; not a field, so replace() starts without it.
-    _unit = None
 
     def g_end(self) -> float:
         return float(self.oscillator.value(self.a))
@@ -507,21 +504,13 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
             out = np.asarray(f.value(x))
             log = factor(xs, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if log_kind else None
             power = factor(xs, pos, (away / gx) ** alpha, gp0 ** (-alpha))
-        return _combined(out, power, log, mul, f2_power)
+        data = [mul(out, power)]
+        if log_kind:
+            out = mul(out, log)
+            data.append(mul(out, power) if f2_power else out)
+        return data
 
     return at
-
-
-def _combined(out, power, log, mul, f2_power: bool) -> list:
-    # f1 = f (x/g)^alpha from the data ``out`` of f and ``power`` of
-    # (x/g)^alpha, and, where ``log`` holds the data of log(c x/g),
-    # f log(c x/g), times (x/g)^alpha too with f2_power; ``mul`` multiplies
-    # two data.
-    data = [mul(out, power)]
-    if log is not None:
-        out = mul(out, log)
-        data.append(mul(out, power) if f2_power else out)
-    return data
 
 
 def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray, ratio: np.ndarray,
@@ -533,15 +522,17 @@ def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray,
     g = beta x the factors are constants, formed as _separated forms them."""
     if spec.oscillator._beta is not None:
         return _separated(spec, True, c)(nodes, 0)
+    out = np.asarray(spec.amplitude.value(nodes))
     power = np.empty(nodes.size)
     power[0] = gp0 ** (-spec.alpha)
     power[1:] = ratio**spec.alpha
-    log = None
+    data = [out * power]
     if spec.kind is SingKind.ALGEBRAIC_LOG:
         log = np.empty(nodes.size)
         log[0] = math.log(c) - math.log(gp0)
         log[1:] = np.log(c * nodes[1:] / gx)
-    return _combined(np.asarray(spec.amplitude.value(nodes)), power, log, np.multiply, True)
+        data.append(out * log * power)
+    return data
 
 
 def make_f1_f2(spec: ProblemSpec):
@@ -587,16 +578,10 @@ def _regularised(spec: ProblemSpec, c: float = 1.0) -> Callable:
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
     """``spec`` on [0, 1] by x = a t: amplitude f(a t), oscillator g(a t)/a,
     frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
-    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a.  The
-    mapped problem is formed once per spec and kept with it, so every call
-    on the spec reads the same one; its oscillator has the key of the
-    mapped coefficients, so the tables kept per g serve every spec with
-    that g and a."""
+    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a."""
     a, f, g = spec.a, spec.amplitude, spec.oscillator
     if a == 1.0:
         return spec
-    if spec._unit is not None:
-        return spec._unit
     if not math.isfinite(spec.w * a):
         raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
     # Taylor coefficient k in t is a^k times that in x.
@@ -605,8 +590,7 @@ def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
         osc = Oscillator.from_poly(np.concatenate((g.poly[:1], g.poly[1:] * a ** np.arange(g.poly.size - 1.0))))
     else:
         osc = Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
-    object.__setattr__(spec, "_unit", replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a))
-    return spec._unit
+    return replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a)
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -210,11 +209,10 @@ class TestNormalization:
         assert spec.oscillator.deriv1(0.0) > 0 and spec.oscillator.deriv1(a) > 0
         assert spec.w == (10.0 if g[1] > 0 else -10.0)
 
-    def test_unit_interval_is_mapped_once_per_spec(self):
-        # The problem on [0, 1] is formed on the first call and kept with
-        # the spec; a spec built afresh maps again, to an oscillator of the
-        # same key, so the tables kept per g serve both; replace() starts
-        # without it; a spec on [0, 1] is its own mapping and keeps nothing.
+    def test_unit_interval_keeps_the_key_of_g(self):
+        # Each spec built afresh maps onto [0, 1] to an oscillator of the
+        # same key, so the tables kept per g serve both; a spec on [0, 1] is
+        # its own mapping.
         def build(w=30.0):
             return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  1.7, 0.5, SingKind.ALGEBRAIC_LOG, w)
@@ -222,18 +220,14 @@ class TestNormalization:
         spec = build()
         unit = oscquad.problem._unit_interval(spec)
         assert unit.a == 1.0 and unit.w == 30.0 * 1.7
-        assert oscquad.problem._unit_interval(spec) is unit
-        other = oscquad.problem._unit_interval(build())
-        assert other is not unit and other.oscillator._key == unit.oscillator._key
+        assert oscquad.problem._unit_interval(build()).oscillator._key == unit.oscillator._key
         compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
         table = oscquad.levin._physical_table
         size = len(table.cache)
         assert compute(build(), Method.LEVIN_PHYSICAL, 12, 0).value == compute(spec, Method.LEVIN_PHYSICAL, 12, 0).value
         assert len(table.cache) == size
-        moved = oscquad.problem._unit_interval(replace(spec, w=60.0))
-        assert moved.w == 60.0 * 1.7 and moved is not unit
         on_unit = builtin_problem("ex53a", 0.5, 10.0)
-        assert oscquad.problem._unit_interval(on_unit) is on_unit and on_unit._unit is None
+        assert oscquad.problem._unit_interval(on_unit) is on_unit
 
     def test_builtin_ids(self):
         assert set(BUILTIN_IDS) == {"ex51", "ex52", "ex53a", "ex53b", "ex54"}
