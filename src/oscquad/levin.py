@@ -1,12 +1,11 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
-Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1], once
-per spec (:func:`oscquad.problem._unit_interval` keeps the mapped problem
-with a spec whose a != 1), form the node data of f1 and, for the
-logarithmic kind, of the amplitude f21 = f log(g(a) x/g) (x/g)^alpha
-once each, solve for f1 and f21 - q1 g' on one factorised operator, and
-read the bracket at x = a (:func:`oscquad.boundary.levin_value`).  A
-route is only the arrays it hands that one pass: its matrix, the node
+Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1]
+(:func:`oscquad.problem._unit_interval`), form the node data of f1 and,
+for the logarithmic kind, of the amplitude f21 = f log(g(a) x/g)
+(x/g)^alpha once each, solve for f1 and f21 - q1 g' on one factorised
+operator, and read the bracket at x = a
+(:func:`oscquad.boundary.levin_value`).  A route is only the arrays it hands that one pass: its matrix, the node
 data of the amplitudes (values, or collocation conditions on the
 frequency route), the row scale that divides node data into a
 right-hand side (None for none), the g' data that take q1 to the node
