@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dsterf
+from scipy.linalg.lapack import dsterf, dtbtrs
 from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 
 from ._kept import kept
@@ -603,22 +603,26 @@ def _laguerre_rule(alpha: float):
 def _laguerre_log_weights(alpha: float):
     # The product weights of p^alpha log(p) e^{-p} on _laguerre_rule's
     # nodes: log p expanded in L_j^{(alpha)}, j < m, whose coefficients are
-    # closed form, int p^alpha log(p) L_j e^{-p} dp = -Gamma(alpha+1)/j for
-    # j >= 1 and Gamma(alpha+1) psi(alpha+1) for j = 0; m = _NSD_ORDER.
-    # The three-term recurrence keeps the log moments within 1.6e-14
-    # relative at alpha = 0, +-0.05, +-0.5, +-0.9, +-0.999; eval_genlaguerre
-    # on the (j, node) grid is off by up to 2.5e-12 there.  Kept per alpha;
-    # only the log kind builds it.
+    # closed form, int p^alpha log(p) L_j e^{-p} dp / int p^alpha L_j^2 e^{-p} dp
+    # = -Gamma(alpha+1) j! / (j Gamma(j+alpha+1)) for j >= 1 and psi(alpha+1)
+    # for j = 0; m = _NSD_ORDER.  Every L_j at every node comes from one
+    # banded solve, the three-term recurrence (j+1) L_{j+1} - (2j+1+alpha-p)
+    # L_j + (j+alpha) L_{j-1} = 0 from L_0 = 1 as a lower-triangular system
+    # of bandwidth 2, one block of m rows per node.  It keeps the log
+    # moments within 1.6e-14 relative at alpha = 0, +-0.05, +-0.5, +-0.9,
+    # +-0.999; eval_genlaguerre on the (j, node) grid is off by up to
+    # 2.5e-12 there.  Kept per alpha; only the log kind builds it.
     m = _NSD_ORDER
     nodes, weights = _laguerre_rule(alpha)
-    acc = np.full(m, digamma(alpha + 1.0))
-    prev, lag = np.ones(m), 1.0 + alpha - nodes
-    ratio = 1.0  # Gamma(alpha+1) j! / Gamma(j+alpha+1)
-    for j in range(1, m):
-        ratio *= j / (j + alpha)
-        acc -= ratio / j * lag
-        prev, lag = lag, ((2 * j + 1 + alpha - nodes) * lag - (j + alpha) * prev) / (j + 1)
-    return weights * acc
+    j = np.arange(m)
+    band = np.zeros((3, nodes.size, m))
+    band[0] = np.maximum(j, 1)
+    band[1, :, :-1] = nodes[:, None] - (2 * j[:-1] + 1 + alpha)
+    band[2, :, :-2] = j[:-2] + 1 + alpha
+    rhs = np.ones((nodes.size, 1)) * (j == 0)  # L_0 = 1 in each block's first row
+    lag = dtbtrs(band.reshape(3, -1), rhs.reshape(-1, 1), uplo="L")[0].reshape(nodes.size, m)
+    coeffs = np.concatenate(([digamma(alpha + 1.0)], -np.cumprod(j[1:] / (j[1:] + alpha)) / j[1:]))
+    return weights * (lag @ coeffs)
 
 
 def _path_slope(t, g1: float, g2: float, sqrt=np.sqrt):

@@ -20,7 +20,8 @@ which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only the arrays it builds, that
 operator and its node data, row scale, g' data and end rows
-(:func:`_freq_operator`): :func:`quad_freq` runs them through the Levin
+(:func:`_freq_operator`): :func:`quad_freq` runs them, on the problem
+mapped onto [0, 1] (``problem._unit_interval``), through the Levin
 pipeline of :mod:`oscquad.levin`, which the physical-space route shares;
 its node data are the collocation conditions (Taylor coefficient j times
 j!), and q1 g' is q1's coefficients times the kept g' T_k there.
@@ -48,9 +49,9 @@ from ._result import Method, QuadratureResult, check_counts
 from ._series import poly_taylor, ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .levin import _problem_solves, _quad_levin
+from .levin import _on_unit, _problem_solves, _quad_levin
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
-from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised
+from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised, _unit_interval
 
 __all__ = [
     "moments_mu",
@@ -440,9 +441,7 @@ def _freq_operator(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
     # divided by the power of two just above its largest entry, the row
     # scale.  The end rows are the layout's, and the value at t = 1 is the
     # order-0 condition of the last node, s + 1 from the end.
-    if spec.a != 1.0:
-        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
+    layout, gprime, (t1, t2, t3) = _freq_table(_on_unit(spec).oscillator, npts, s)
     w = spec.w
     A = np.empty((gprime.size, t1.shape[1] + 1), dtype=complex)
     A[:, 0] = 1j * w * gprime
@@ -493,4 +492,10 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
 
 def _quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     # quad_freq once its counts are checked, as compute(LEVIN_FREQ) runs it.
-    return _quad_levin(spec, _freq_operator, Method.LEVIN_FREQ, npts, s)
+    return _quad_levin(spec, _freq_route, Method.LEVIN_FREQ, npts, s)
+
+
+def _freq_route(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
+    # The route of a LEVIN_FREQ call: _freq_operator on ``spec`` mapped
+    # onto [0, 1] (problem._unit_interval).
+    return _freq_operator(_unit_interval(spec), c, npts, s)

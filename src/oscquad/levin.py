@@ -1,22 +1,26 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
-Both Levin rules (:func:`_quad_levin`) map the problem onto [0, 1]
-(:func:`oscquad.problem._unit_interval`), form the node data of f1 and,
-for the logarithmic kind, of the amplitude f21 = f log(g(a) x/g)
-(x/g)^alpha once each, solve for f1 and f21 - q1 g' on one factorised
-operator, and read the bracket at x = a
-(:func:`oscquad.boundary.levin_value`).  A route is only the arrays it hands that one pass: its matrix, the node
-data of the amplitudes (values, or collocation conditions on the
-frequency route), the row scale that divides node data into a
-right-hand side (None for none), the g' data that take q1 to the node
-data of q1 g', and the end rows (:func:`_physical_operator` here, or
-``filon._freq_operator``).  A call goes from there to the value on plain
-arrays and scalars: the LAPACK factor and its diagnostics, each solve's
-solution and residual, and the end data of the one solve whose q(a) the
-bracket reads, with the first solve's c0 for the logarithmic kind.  The
-public :func:`tsvd_solve`, :func:`solve_alg`, :func:`solve_log` and
-``filon.solve_freq`` run the same factorisation and solves and return
-plain values: ``(x, diagnostics)`` for a matrix and right-hand side, and
+Both Levin rules (:func:`_quad_levin`) solve the problem on [0, a]
+mapped onto [0, 1] by x = a t, form the node data of f1 and, for the
+logarithmic kind, of the amplitude f21 = f log(g(a) x/g) (x/g)^alpha
+once each, solve for f1 and f21 - q1 g' on one factorised operator, and
+read the bracket at x = a (:func:`oscquad.boundary.levin_value`).  The
+frequency route maps the problem itself
+(:func:`oscquad.problem._unit_interval`: a new amplitude, oscillator and
+spec); the physical route builds none of them, and reads g(a t)/a from
+its kept table, f at a t and w a.  A route is only the arrays it hands
+that one pass: its matrix, the node data of the amplitudes (values, or
+collocation conditions on the frequency route), the row scale that
+divides node data into a right-hand side (None for none), the g' data
+that take q1 to the node data of q1 g', and the end rows
+(:func:`_physical_operator` here, or ``filon._freq_operator``).  A call
+goes from there to the value on plain arrays and scalars: the LAPACK
+factor and its diagnostics, each solve's solution and residual, and the
+end data of the one solve whose q(a) the bracket reads, with the first
+solve's c0 for the logarithmic kind.  The public :func:`tsvd_solve`,
+:func:`solve_alg`, :func:`solve_log` and ``filon.solve_freq`` run the
+same factorisation and solves and return plain values:
+``(x, diagnostics)`` for a matrix and right-hand side, and
 ``(c0, q1, diagnostics)`` for each solve of a problem, where
 ``diagnostics`` holds the solve's ``residual_norm`` and the factor's
 ``factor``, ``cond`` and ``tsvd_truncated``, the keys of a Levin result.
@@ -29,29 +33,31 @@ satisfying
     iw g'(x) c0 + g(x) q1'(x) + [1 + alpha + iw g(x)] g'(x) q1(x) = f1(x).
 
 Collocation runs on the modified Gauss-Radau nodes, which exclude the
-origin; the condition at x=0 replaces q1(0) by the extrapolation
-r^T q1 through the grid's origin weights; a problem with a != 1 is
-refused (the rules map it onto [0, 1] first).  The resulting square
-system is factorised once per operator by :func:`_factorise`: LU with
-partial pivoting where its condition estimate stays moderate, truncated
-SVD where the operator is near-singular, since exactly one near-null
+origin; the condition at x=0 replaces q1(0) by the extrapolation r^T q1
+through the grid's origin weights; the public solvers refuse a problem
+with a != 1 (the rules map it onto [0, 1]).  The resulting square system
+is factorised once per operator by :func:`_factorise`: LU with partial
+pivoting where its condition estimate stays moderate, truncated SVD
+where the operator is near-singular, since exactly one near-null
 direction appears at large n and small w (the discrete trace of the
 continuous one-parameter solution family).  The operator depends on
-(g, alpha, w, n) only.  Everything of it that depends on g alone is kept
-per polynomial g and n (:func:`oscquad._kept.kept`) in one
-``_physical_table`` entry: g at the interior nodes, g' at all nodes and
-the complex matrix without its alpha and w terms, g D in the interior
-block and zeros elsewhere, and for the node data x/g at the interior
-nodes and g'(0); at n = 32 that is 256 + 264 + 17424 + 256 = 18200
-bytes.  A call copies the matrix and writes the real (1+alpha) g' and
-imaginary w g', w g g' terms into it, and places the values of both
-amplitudes at all nodes, origin first, which is the order of the
+(g, a, alpha, w, n) only.  Everything of it that depends on g and a alone
+is kept per polynomial g, a and n (:func:`oscquad._kept.kept`) in one
+``_physical_table`` entry, for the mapped g(a t)/a, whose coefficients
+c_k a^(k-1) are those of ``_unit_interval``: g at the interior nodes, g'
+at all nodes and the complex matrix without its alpha and w terms, g D
+in the interior block and zeros elsewhere, and for the node data t/g at
+the interior nodes and g'(0); at n = 32 that is 256 + 264 + 17424 + 256
+= 18200 bytes.  A call copies the matrix and writes the real (1+alpha) g'
+and imaginary w a g', w a g g' terms into it, and places the values of
+both amplitudes at all nodes, origin first, which is the order of the
 unknowns (:func:`oscquad.problem._node_values`): the origin limits
 g'(0)^-alpha and log c - log g'(0) at index 0, and (x/g)^alpha and
-log(c x/g) from the table's x/g and g at the others, with no mask.  The
-log kind's q1 g' is q1 extended to the origin by the origin weights
-times g', and q1(1) is q1's last entry.  Beyond the table a warm call
-evaluates g only at g(a) and g'(a), each a Horner sum in Python floats.
+log(c x/g) from the table's t/g, which is x/g, and g at the others,
+with no mask.  The log kind's q1 g' is q1 extended to the origin by the
+origin weights times g', and q1(1) is q1's last entry.  Beyond the table
+a warm call evaluates g only at g(a) and g'(a), each a Horner sum in
+Python floats.
 
 The successive-approximation iterates of the underlying existence proof are
 implemented in :func:`picard_iterate`; they converge to the collocation
@@ -59,6 +65,8 @@ solution at the rate O(w^{-k-1}) and serve as an independent cross-check.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
@@ -68,7 +76,7 @@ from ._result import Method, QuadratureResult, check_counts
 from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Oscillator, ProblemSpec, _node_values, _regularised, _unit_interval
+from .problem import Oscillator, ProblemSpec, _node_values, _regularised, _unit_values
 
 __all__ = [
     "assemble_L",
@@ -96,31 +104,38 @@ RCOND_THRESHOLD = 1e-11
 
 
 @kept
-def _physical_table(osc: Oscillator, n: int) -> tuple:
+def _physical_table(osc: Oscillator, a: float, n: int) -> tuple:
     # The parts of the physical operator on the Radau grid of n nodes that
-    # depend on g alone: g at the interior nodes, g' at all nodes, origin
-    # first, and the operator's matrix without its alpha and w terms, g D in
-    # the interior block (added to zeros, as the element-wise assembly did)
-    # and zeros elsewhere; and those the node data read, x/g at the interior
-    # nodes and g'(0) as a float.  A g with g' <= 0 at a node raises, so is
-    # never kept.
+    # depend on g and a alone, for g on [0, a] mapped onto [0, 1], g(a t)/a:
+    # g at the interior nodes, g' at all nodes, origin first, and the
+    # operator's matrix without its alpha and w terms, g D in the interior
+    # block (added to zeros, as the element-wise assembly did) and zeros
+    # elsewhere; and those the node data read, t/g at the interior nodes
+    # and g'(0) as a float (problem._unit_values).  A g with g' <= 0 at a
+    # node raises, so is never kept.
     grid = _radau_grid(n)
-    gx = np.asarray(osc.value(grid.interior), dtype=float)
-    gp = np.asarray(osc.deriv1(grid.nodes), dtype=float)
-    if np.any(gp <= 0):
+    gx, gp, gp0 = _unit_values(osc, a, grid.interior, grid.nodes)
+    gx, gp = np.asarray(gx, dtype=float), np.asarray(gp, dtype=float)
+    if (gp <= 0).any():
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
     base = np.zeros((n + 1, n + 1), dtype=complex)
     base[1:, 1:] += gx[:, None] * grid.diff
-    return gx, gp, base, grid.interior / gx, float(osc.deriv1(0.0))
+    return gx, gp, base, grid.interior / gx, float(gp0)
 
 
 def _node_data(spec: ProblemSpec, grid: ChebGrid):
-    # The _physical_table of spec's g on the Radau grid ``grid``.
+    # The _physical_table of spec's g and a on the Radau grid ``grid``.
     if grid.family is not GridFamily.RADAU_MODIFIED:
         raise ParameterError("physical-space solver requires a Radau grid")
+    return _physical_table(spec.oscillator, spec.a, grid.n)
+
+
+def _on_unit(spec: ProblemSpec) -> ProblemSpec:
+    # ``spec``, for the public solvers, which work on [0, 1]; the Levin
+    # rules take [0, a] (_quad_levin).
     if spec.a != 1.0:
         raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    return _physical_table(spec.oscillator, grid.n)
+    return spec
 
 
 def assemble_L(spec: ProblemSpec, grid: ChebGrid):
@@ -135,7 +150,7 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
-    L, _ = _operator(spec, grid)
+    L, _ = _operator(_on_unit(spec), grid)
     return L, np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex)
 
 
@@ -145,10 +160,10 @@ def _operator(spec: ProblemSpec, grid: ChebGrid):
     # the alpha and w terms written into row 0, column 0 and the diagonal,
     # real and imaginary parts apart.  Each part is what the complex
     # element-wise assembly rounds it to (its other terms are exact zeros),
-    # so the bits are the same.
+    # so the bits are the same.  On [0, a] the frequency is w a.
     table = _node_data(spec, grid)
     gx, gp, base = table[:3]
-    alpha, w = spec.alpha, spec.w
+    alpha, w = spec.alpha, spec.w * spec.a
     L = base.copy()
     L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
     L.imag[:, 0] = w * gp
@@ -244,11 +259,12 @@ def _solve(L: np.ndarray, fact: tuple, rhs: np.ndarray) -> np.ndarray:
 
 def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple:
     # The route's part of a Levin call (see _quad_levin) on the Radau grid
-    # of n nodes, as arrays: the matrix of assemble_L; the node data of
-    # problem._regularised(spec, c), values at grid.nodes, origin first, the
-    # order of the rows and of the unknowns, placed from the kept table
-    # (problem._node_values); no row scale; g' at all nodes beside the
-    # origin weights, so that q1 g' is q1, extended to the origin, times g';
+    # of n nodes, for ``spec`` on [0, a] mapped onto [0, 1] in place, as
+    # arrays: the matrix of assemble_L; the node data of
+    # problem._regularised(_unit_interval(spec), c), values at grid.nodes,
+    # origin first, the order of the rows and of the unknowns, placed from
+    # the kept table (problem._node_values); no row scale; g' at all nodes
+    # beside the origin weights, so that q1 g' is q1, extended to the origin, times g';
     # and the end rows: None, as q1(1) is the last unknown, q1'(1) the last
     # row of the differentiation matrix applied to q1, and the index of the
     # value at t = 1.  The endpoint order s of a route's signature is not
@@ -295,18 +311,22 @@ def _problem_solves(L: np.ndarray, data: list, scale, gprime) -> list:
 
 def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route, in one pass from operator to value.
-    # ``route(unit, c, n, s)`` gives, for ``spec`` on [0, 1] and the
-    # amplitudes of problem._regularised(unit, c), the arrays (L, data,
-    # scale, gprime, end rows): the matrix, the node data of the amplitudes,
+    # ``route(spec, c, n, s)`` gives, for ``spec`` mapped onto [0, 1] (each
+    # route maps it its own way) and the amplitudes of
+    # problem._regularised(problem._unit_interval(spec), c), the arrays (L,
+    # data, scale, gprime, end rows): the matrix, the node data of the amplitudes,
     # the row scale of the right-hand sides (None for none), the g' data of
     # _solves, and the rows that take q1 to q1(1) (None: its last entry)
     # and q1'(1) beside the index of the value at t = 1 in node data.  The
     # solves give the q1 of ``spec`` and its c0, d0 divided by a, which are
     # scaled back here.  Only the solve whose q(a) the bracket reads has its
     # end data formed; of the logarithmic kind's first solve it reads c0
-    # alone.  f21 carries log g(a) of ``spec``.
+    # alone.  f21 carries log g(a) of ``spec``.  On [0, 1] the frequency is
+    # w a, refused where it overflows.
     g_a = spec.g_end()
-    L, data, scale, gprime, (q1_row, slope, at_end) = route(_unit_interval(spec), g_a, n, s)
+    if not math.isfinite(spec.w * spec.a):
+        raise ParameterError(f"w a = {spec.w!r} * {spec.a!r} overflows")
+    L, data, scale, gprime, (q1_row, slope, at_end) = route(spec, g_a, n, s)
     fact, keys = _factorise(L)
     sols = _solves(L, fact, data, scale, gprime)
     diagnostics = {"residual_norm": sols[0][1], **keys}
@@ -349,7 +369,7 @@ def solve_alg(spec: ProblemSpec, n: int):
         diagnostics of :func:`tsvd_solve`; ``residual_norm`` is the
         collocation residual, origin row included.
     """
-    L, data, scale, gprime, _ = _physical_operator(spec, 1.0, n)
+    L, data, scale, gprime, _ = _physical_operator(_on_unit(spec), 1.0, n)
     return _problem_solves(L, data[:1], scale, gprime)[0]
 
 
@@ -374,7 +394,7 @@ def solve_log(spec: ProblemSpec, n: int):
     ((c0, q1, diagnostics), (d0, l1, diagnostics))
         As :func:`solve_alg`, each with its own ``residual_norm``.
     """
-    L, data, scale, gprime, _ = _physical_operator(spec, spec.g_end(), n)
+    L, data, scale, gprime, _ = _physical_operator(_on_unit(spec), spec.g_end(), n)
     return tuple(_problem_solves(L, data, scale, gprime))
 
 
@@ -408,7 +428,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:
         raise ParameterError(f"k={k} too large for an n={grid.interior.size} grid")
-    gx, gp = _node_data(spec, grid)[:2]
+    gx, gp = _node_data(_on_unit(spec), grid)[:2]
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w

@@ -77,10 +77,24 @@ def _horner(coeffs: np.ndarray, x):
 def _horner_py(coeffs, x):
     # _horner's operations on any coefficient sequence and point: on a list
     # of Python floats and a Python float or complex x, the bits of NumPy's.
-    out = coeffs[-1] + x * 0
-    for c in coeffs[-2::-1]:
+    # NumPy starts from c_d + x 0, which for a finite x is c_d; a constant
+    # keeps that form, as it broadcasts c_0 to the shape of x.
+    out = coeffs[0] + x * 0 if len(coeffs) == 1 else coeffs[-2] + coeffs[-1] * x
+    for c in coeffs[-3::-1]:
         out = c + out * x
     return out
+
+
+def _poly_deriv(p: np.ndarray) -> np.ndarray:
+    # polyder's coefficients j c_j, without its argument handling.
+    return np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0
+
+
+def _unit_poly(poly: np.ndarray, a: float) -> np.ndarray:
+    # The coefficients c_0 and c_k a^(k-1) of g(a t)/a for those c_k of a
+    # polynomial g on [0, a]: Horner's rule at t on them is g mapped onto
+    # [0, 1], the oscillator of _unit_interval.
+    return np.concatenate((poly[:1], poly[1:] * a ** np.arange(poly.size - 1.0)))
 
 
 def _series_rows(series_fn, x0, m: int, dtype, what: str, value=None) -> np.ndarray:
@@ -229,8 +243,7 @@ class Oscillator:
             if p.size == 0:
                 raise ParameterError("empty coefficient list")
             object.__setattr__(self, "poly", p)
-            # polyder's coefficients j c_j, without its argument handling.
-            object.__setattr__(self, "_dpoly", np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0)
+            object.__setattr__(self, "_dpoly", _poly_deriv(p))
             key = p.tobytes()
             beta = float(p[1]) if p.size >= 2 and p[0] == 0.0 and p[1] > 0.0 and not p[2:].any() else None
         # What identifies g to the memo of kept tables: its coefficient
@@ -515,14 +528,15 @@ def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
 
 def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray, ratio: np.ndarray,
                  gp0: float) -> list:
-    """``_regularised(spec, c)(nodes, 0)`` on a grid whose node 0 is the
-    origin and whose other nodes are positive, with g there ``gx``, x/g
-    there ``ratio`` and g'(0) ``gp0``: each factor is placed in its slots,
-    index 0 the origin limit, the rest from x/g, with no mask.  For
+    """``_regularised(_unit_interval(spec), c)(nodes, 0)`` on a grid of
+    [0, 1] whose node 0 is the origin and whose other nodes are positive,
+    with g(a t)/a there ``gx``, t over it ``ratio`` and its slope at 0
+    ``gp0``: f is read at a t, and each factor is placed in its slots,
+    index 0 the origin limit, the rest from the ratio, with no mask.  For
     g = beta x the factors are constants, formed as _separated forms them."""
     if spec.oscillator._beta is not None:
-        return _separated(spec, True, c)(nodes, 0)
-    out = np.asarray(spec.amplitude.value(nodes))
+        return _separated(spec, True, c)(spec.a * nodes, 0)
+    out = np.asarray(spec.amplitude.value(spec.a * nodes))
     power = np.empty(nodes.size)
     power[0] = gp0 ** (-spec.alpha)
     power[1:] = ratio**spec.alpha
@@ -578,19 +592,39 @@ def _regularised(spec: ProblemSpec, c: float = 1.0) -> Callable:
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
     """``spec`` on [0, 1] by x = a t: amplitude f(a t), oscillator g(a t)/a,
     frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
-    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a."""
-    a, f, g = spec.a, spec.amplitude, spec.oscillator
+    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a.  The
+    frequency route maps a problem so, once ``levin._quad_levin`` has
+    refused a w a that overflows; the physical route reads the mapped g
+    from a table kept per (g, a, n) (:func:`_unit_values`) and places
+    f(a t) and w a itself."""
+    a, f = spec.a, spec.amplitude
     if a == 1.0:
         return spec
-    if not math.isfinite(spec.w * a):
-        raise ParameterError(f"w a = {spec.w!r} * {a!r} overflows")
     # Taylor coefficient k in t is a^k times that in x.
     amplitude = Amplitude(lambda t: f.value(a * t), lambda ts, m: f.series_at(a * ts, m) * a ** np.arange(m))
+    return replace(spec, amplitude=amplitude, oscillator=_unit_oscillator(spec.oscillator, a), a=1.0, w=spec.w * a)
+
+
+def _unit_oscillator(g: Oscillator, a: float) -> Oscillator:
+    # g(a t)/a, the oscillator of _unit_interval: a polynomial g has the
+    # coefficients of _unit_poly; any other g is evaluated at a t and
+    # divided by a.
     if g.poly is not None:
-        osc = Oscillator.from_poly(np.concatenate((g.poly[:1], g.poly[1:] * a ** np.arange(g.poly.size - 1.0))))
-    else:
-        osc = Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
-    return replace(spec, amplitude=amplitude, oscillator=osc, a=1.0, w=spec.w * a)
+        return Oscillator.from_poly(_unit_poly(g.poly, a))
+    return Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
+
+
+def _unit_values(g: Oscillator, a: float, xs: np.ndarray, nodes: np.ndarray) -> tuple:
+    # g(a t)/a at the points xs, and its slope at ``nodes`` and at 0: the
+    # bits the methods of g (a = 1) or of _unit_oscillator(g, a) give, for
+    # a polynomial g and a != 1 by Horner's rule on _unit_poly and its
+    # derivative, without building that oscillator.
+    if g.poly is None or a == 1.0:
+        unit = g if a == 1.0 else _unit_oscillator(g, a)
+        return unit.value(xs), unit.deriv1(nodes), unit.deriv1(0.0)
+    coeffs = _unit_poly(g.poly, a)
+    slope = _poly_deriv(coeffs)
+    return _horner(coeffs, xs), _horner(slope, nodes), _horner(slope, np.asarray(0.0))
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

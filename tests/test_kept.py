@@ -46,7 +46,7 @@ KEPT_TABLES = {
     "end_k_alg": (oscquad.numkernel._end_k_alg, lambda i: (0.5, 10.0 + i, 1.0)),
     "end_k_log": (oscquad.numkernel._end_k_log, lambda i: (0.5, 10.0 + i, 1.0)),
     "mu_1": (oscquad.filon._mu_1, lambda i: (0.5, 10.0 + i, 1.0)),
-    "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 4)),
+    "physical_table": (oscquad.levin._physical_table, lambda i: (_osc(i), 1.5, 4)),
     "normalization": (oscquad.problem._normalization, lambda i: (Oscillator.from_poly([1.0, 1.0, 0.01 * i]), 1.0)),
     "legendre_rule": (oscquad.baselines._legendre_rule, lambda i: (i + 1,)),
     "moment_rule": (oscquad.baselines._moment_rule, lambda i: (i + 1,)),
@@ -256,6 +256,44 @@ def test_warm_call_reads_one_table_per_route(monkeypatch, pid, method, n, s, tab
     if pid in ("ex52", "ex53b"):
         tables = tables + ["oscquad.numkernel.kernel_k_log"]
     assert sorted(reads) == sorted(tables)
+
+
+def _inits_counted(monkeypatch, *classes) -> list:
+    # The names of ``classes`` whose instances are built from now on.
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return built
+
+
+@pytest.mark.parametrize("kind", list(oscquad.SingKind))
+def test_warm_call_on_zero_to_a_builds_no_problem(monkeypatch, kind):
+    # A LEVIN_PHYSICAL call on [0, a], a != 1, after one at the same (g, a,
+    # n) reads the Radau grid and the physical table, kept per (g, a, n),
+    # once each beside its end kernels, and maps the problem onto [0, 1]
+    # without building an amplitude, an oscillator or a spec.
+    spec = oscquad.build_problem(Amplitude.from_poly([1.0, -0.5]), Oscillator.from_poly([0.0, 1.0, 0.5]),
+                                 1.7, 0.5, kind, 200.0)
+    cold = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
+    built = _inits_counted(monkeypatch, Amplitude, Oscillator, oscquad.ProblemSpec)
+    reads = _memo_reads(monkeypatch)
+    warm = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
+    assert built == []
+    tables = ["oscquad.cheb._radau_grid", "oscquad.levin._physical_table", "oscquad.numkernel.kernel_k_alg"]
+    if kind is oscquad.SingKind.ALGEBRAIC_LOG:
+        tables.append("oscquad.numkernel.kernel_k_log")
+    assert sorted(reads) == sorted(tables)
+    assert (repr(warm.value), repr(warm.diagnostics)) == (repr(cold.value), repr(cold.diagnostics))
 
 
 def _series_counted(amplitude: Amplitude) -> list:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oscquad.filon
 import oscquad.levin
 import oscquad.problem
 from oscquad import Method, compute
@@ -567,9 +568,9 @@ class TestPlacedNodeData:
            st.sampled_from([8, 16, 24]), st.floats(0.0, 6.0))
     def test_repeated_and_fresh_specs_give_the_same_bits(self, f, b, c, d, a, alpha, kind, n, log10_w):
         # A polynomial problem on [0, a]: a second call on the same spec
-        # reads its kept mapping onto [0, 1] and kept tables, and a first
-        # call on a new spec from the same inputs maps it again; all three
-        # give the same value and diagnostics.
+        # reads its kept tables, and so does a first call on a new spec
+        # from the same inputs; all three give the same value and
+        # diagnostics.
         def build():
             return build_problem(Amplitude.from_poly([1.5] + f), Oscillator.from_poly([0.0, b, c, d]),
                                  a=a, alpha=alpha, kind=kind, w=10.0**log10_w)
@@ -579,6 +580,65 @@ class TestPlacedNodeData:
         for again in (compute(spec, Method.LEVIN_PHYSICAL, n, 0), compute(build(), Method.LEVIN_PHYSICAL, n, 0)):
             assert repr(again.value) == repr(first.value)
             assert repr(again.diagnostics) == repr(first.diagnostics)
+
+
+def _array_bits(value):
+    # ``value`` with every array, in tuples and lists too, as its dtype,
+    # shape and bytes.
+    if isinstance(value, (tuple, list)):
+        return [_array_bits(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+class TestRouteOnZeroToA:
+    """The physical route takes a problem on [0, a] as it is: its arrays are
+    those of the problem mapped onto [0, 1] by problem._unit_interval, bit
+    for bit, and only the frequency route maps a problem."""
+
+    SPECS = {
+        "quadratic": lambda kind: build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]),
+                                                Oscillator.from_poly([0.0, 0.8, 0.6]),
+                                                a=1.7, alpha=0.5, kind=kind, w=40.0),
+        "cubic": lambda kind: build_problem(Amplitude.from_poly([0.5, 1.0, -0.25]),
+                                            Oscillator.from_poly([0.0, 1.0, -0.4, 0.3]),
+                                            a=0.8, alpha=-0.6, kind=kind, w=3e3),
+        "linear": lambda kind: build_problem(Amplitude.from_poly([2.0, 0.1j]), Oscillator.from_poly([0.0, 2.5]),
+                                             a=2.3, alpha=0.3, kind=kind, w=-15.0),
+        "expm1": lambda kind: build_problem(Amplitude.from_poly([1.0, -0.5]), _expm1_oscillator(),
+                                            a=0.6, alpha=-0.3, kind=kind, w=25.0),
+    }
+
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    @pytest.mark.parametrize("kind", list(SingKind))
+    @pytest.mark.parametrize("name", SPECS)
+    def test_arrays_are_those_of_the_mapped_problem(self, name, kind, n):
+        # The matrix, node data, g' data and end rows.
+        spec = self.SPECS[name](kind)
+        assert spec.a != 1.0
+        g_a = spec.g_end()
+        got = oscquad.levin._physical_operator(spec, g_a, n)
+        want = oscquad.levin._physical_operator(_unit_interval(spec), g_a, n)
+        assert _array_bits(got) == _array_bits(want)
+
+    @pytest.mark.parametrize("kind", list(SingKind))
+    def test_only_the_frequency_route_maps(self, monkeypatch, kind):
+        calls = []
+        original = oscquad.problem._unit_interval
+
+        def counting(spec):
+            calls.append(spec.a)
+            return original(spec)
+
+        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
+            if hasattr(module, "_unit_interval"):
+                monkeypatch.setattr(module, "_unit_interval", counting)
+        spec = self.SPECS["quadratic"](kind)
+        compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
+        assert calls == []
+        compute(spec, Method.LEVIN_FREQ, 10, 2)
+        assert calls == [1.7]
 
 
 class TestPicardIterate:

@@ -209,22 +209,24 @@ class TestNormalization:
         assert spec.oscillator.deriv1(0.0) > 0 and spec.oscillator.deriv1(a) > 0
         assert spec.w == (10.0 if g[1] > 0 else -10.0)
 
-    def test_unit_interval_keeps_the_key_of_g(self):
-        # Each spec built afresh maps onto [0, 1] to an oscillator of the
-        # same key, so the tables kept per g serve both; a spec on [0, 1] is
-        # its own mapping.
+    def test_fresh_spec_reads_the_same_physical_table(self):
+        # The physical route's table is kept per (g, a, n), so each spec
+        # built afresh with the same g and a reads the entry of the first,
+        # whatever its w; a spec on [0, 1] is its own mapping onto [0, 1].
         def build(w=30.0):
             return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  1.7, 0.5, SingKind.ALGEBRAIC_LOG, w)
 
-        spec = build()
-        unit = oscquad.problem._unit_interval(spec)
-        assert unit.a == 1.0 and unit.w == 30.0 * 1.7
-        assert oscquad.problem._unit_interval(build()).oscillator._key == unit.oscillator._key
-        compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
         table = oscquad.levin._physical_table
+        spec = build()
+        value = compute(spec, Method.LEVIN_PHYSICAL, 12, 0).value
         size = len(table.cache)
-        assert compute(build(), Method.LEVIN_PHYSICAL, 12, 0).value == compute(spec, Method.LEVIN_PHYSICAL, 12, 0).value
+        entry = table(spec.oscillator, 1.7, 12)
+        assert next(reversed(table.cache)) == (spec.oscillator._key, 1.7, 12)
+        fresh = build(40.0)
+        assert fresh.oscillator is not spec.oscillator
+        assert table(fresh.oscillator, fresh.a, 12) is entry
+        assert compute(build(), Method.LEVIN_PHYSICAL, 12, 0).value == value
         assert len(table.cache) == size
         on_unit = builtin_problem("ex53a", 0.5, 10.0)
         assert oscquad.problem._unit_interval(on_unit) is on_unit

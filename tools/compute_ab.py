@@ -17,7 +17,10 @@ machine load, which whole benchmark runs taken one after the other do not.
 
 It prints, per method (or CLI command), each side's median and mean time
 in microseconds and the change's relative difference (negative when the
-change is faster), then how many operations give a different outcome,
+change is faster), the same per problem label (a built-in id such as
+``ex51``, ``custom-alg`` or ``custom-log``, or a CLI operation's
+``--problem``), so a change aimed at one class of operations shows where
+it acts, then how many operations give a different outcome,
 value or diagnostics, by ``tools/outputs_digest.py``'s printout of an
 operation, taken apart from the timed call.  The exit status is 0 whatever
 the timings and outcomes are, and 2 when a checkout cannot be imported.
@@ -83,11 +86,13 @@ def _timed(oq, specs, op) -> float:
     return time.perf_counter() - start
 
 
-def run(sides: dict, workload: str, seeds, passes: int) -> tuple:
+def run(sides: dict, workload: str, seeds, passes: int, labels=None) -> tuple:
     """``(times, differing, count)``: per method or command, each side's
     list of seconds; the number of operations whose outcomes differ; and the
-    number of operations run."""
+    number of operations run.  A dict ``labels`` is filled with the same
+    lists per problem label."""
     times = defaultdict(lambda: {side: [] for side in sides})
+    by_label = defaultdict(lambda: {side: [] for side in sides})
     differing = count = 0
     for seed in seeds:
         for pass_index in range(1, passes + 1):
@@ -99,13 +104,19 @@ def run(sides: dict, workload: str, seeds, passes: int) -> tuple:
                 specs[side] = wl.materialize(oq, desc)
             for i, idx in enumerate(desc.order):
                 op = desc.ops[idx]
-                key = op.command if isinstance(op, wl.CliOp) else op.method
+                cli = isinstance(op, wl.CliOp)
+                key = op.command if cli else op.method
+                label = op.problem if cli else desc.problems[op.problem].label
                 order = list(sides) if i % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    times[key][side].append(_timed(sides[side][0], specs[side], op))
+                    seconds = _timed(sides[side][0], specs[side], op)
+                    times[key][side].append(seconds)
+                    by_label[label][side].append(seconds)
                 outcomes = {digest._outcome(oq, specs[side], op) for side, (oq, _) in sides.items()}
                 differing += len(outcomes) > 1
                 count += 1
+    if labels is not None:
+        labels.update(by_label)
     return times, differing, count
 
 
@@ -130,13 +141,15 @@ def main(argv=None) -> int:
     except ImportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    times, differing, count = run(sides, args.workload, seeds, args.passes)
+    labels = {}
+    times, differing, count = run(sides, args.workload, seeds, args.passes, labels)
     print(f"# {args.workload}, seeds {args.seeds}, passes 1-{args.passes}: times in us, "
           "relative change of the change against the parent")
-    print(f"{'method':<16}{'ops':>6}{'parent p50':>12}{'change p50':>12}{'p50':>9}"
-          f"{'parent mean':>12}{'change mean':>12}{'mean':>9}")
-    for key in sorted(times):
-        print(_row(key, times[key]["parent"], times[key]["change"]))
+    for column, groups in (("method", times), ("problem", labels)):
+        print(f"{column:<16}{'ops':>6}{'parent p50':>12}{'change p50':>12}{'p50':>9}"
+              f"{'parent mean':>12}{'change mean':>12}{'mean':>9}")
+        for key in sorted(groups):
+            print(_row(key, groups[key]["parent"], groups[key]["change"]))
     print(f"{differing} of {count} operations differ in value or diagnostics")
     return 0
 
