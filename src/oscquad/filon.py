@@ -20,11 +20,12 @@ which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only the arrays it builds, that
 operator and its node data, row scale, g' data and end rows
-(:func:`_freq_operator`): :func:`quad_freq` runs them, on the problem
-mapped onto [0, 1] (``problem._unit_interval``), through the Levin
-pipeline of :mod:`oscquad.levin`, which the physical-space route shares;
-its node data are the collocation conditions (Taylor coefficient j times
-j!), and q1 g' is q1's coefficients times the kept g' T_k there.
+(:func:`_freq_operator`, which maps the problem onto [0, 1] itself with
+``problem._unit_interval``): :func:`quad_freq` and ``compute`` run them
+through the Levin pipeline of :mod:`oscquad.levin`, which the
+physical-space route shares; its node data are the collocation
+conditions (Taylor coefficient j times j!), and q1 g' is q1's
+coefficients times the kept g' T_k there.
 Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
 both share, the Levin route's Chebyshev Taylor table on its nodes, and,
@@ -428,20 +429,23 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
 
 def _freq_operator(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
     # The route's part of a Levin call (see levin._quad_levin) at (g, alpha,
-    # w, npts, s), as arrays.  Rows: the model ODE and its first (mult - 1)
-    # derivatives at each node, applied to the unknowns (c0, q1
-    # coefficients); column k + 1 holds the Levin image g q' + (1+alpha) g' q
-    # + iw g g' q of q = T_k, for the whole basis: the terms of _freq_table,
-    # kept per g, combined with alpha and w.  Node data are the conditions
-    # of the amplitudes of problem._regularised(spec, c), their Taylor
-    # series of length s+1 at the nodes times factorials, formed once per
-    # amplitude; those of q1 g' are the product of q1's coefficients with
-    # the kept g' T_k term, (that term, None) in levin._solves.  Row j grows
-    # like k^{2j}: each row of the matrix, and of every right-hand side, is
-    # divided by the power of two just above its largest entry, the row
-    # scale.  The end rows are the layout's, and the value at t = 1 is the
-    # order-0 condition of the last node, s + 1 from the end.
-    layout, gprime, (t1, t2, t3) = _freq_table(_on_unit(spec).oscillator, npts, s)
+    # w, npts, s), as arrays, for ``spec`` mapped onto [0, 1]
+    # (problem._unit_interval, the identity at a = 1).  Rows: the model ODE
+    # and its first (mult - 1) derivatives at each node, applied to the
+    # unknowns (c0, q1 coefficients); column k + 1 holds the Levin image
+    # g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole basis: the
+    # terms of _freq_table, kept per g, combined with alpha and w.  Node
+    # data are the conditions of the amplitudes of
+    # problem._regularised(spec, c), their Taylor series of length s+1 at
+    # the nodes times factorials, formed once per amplitude; those of q1 g'
+    # are the product of q1's coefficients with the kept g' T_k term, (that
+    # term, None) in levin._solves.  Row j grows like k^{2j}: each row of
+    # the matrix, and of every right-hand side, is divided by the power of
+    # two just above its largest entry, the row scale.  The end rows are the
+    # layout's, and the value at t = 1 is the order-0 condition of the last
+    # node, s + 1 from the end.
+    spec = _unit_interval(spec)
+    layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
     w = spec.w
     A = np.empty((gprime.size, t1.shape[1] + 1), dtype=complex)
     A[:, 0] = 1j * w * gprime
@@ -474,7 +478,7 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     check_counts(npts=npts, s=s)
-    L, data, scale, gprime, _ = _freq_operator(spec, 1.0, npts, s)
+    L, data, scale, gprime, _ = _freq_operator(_on_unit(spec), 1.0, npts, s)
     return _problem_solves(L, data[:1], scale, gprime)[0]
 
 
@@ -487,15 +491,4 @@ def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
     factorised operator.
     """
     check_counts(npts=npts, s=s)
-    return _quad_freq(spec, npts, s)
-
-
-def _quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:
-    # quad_freq once its counts are checked, as compute(LEVIN_FREQ) runs it.
-    return _quad_levin(spec, _freq_route, Method.LEVIN_FREQ, npts, s)
-
-
-def _freq_route(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
-    # The route of a LEVIN_FREQ call: _freq_operator on ``spec`` mapped
-    # onto [0, 1] (problem._unit_interval).
-    return _freq_operator(_unit_interval(spec), c, npts, s)
+    return _quad_levin(spec, _freq_operator, Method.LEVIN_FREQ, npts, s)

@@ -13,11 +13,12 @@ that one pass: its matrix, the node data of the amplitudes (values, or
 collocation conditions on the frequency route), the row scale that
 divides node data into a right-hand side (None for none), the g' data
 that take q1 to the node data of q1 g', and the end rows
-(:func:`_physical_operator` here, or ``filon._freq_operator``).  A call
-goes from there to the value on plain arrays and scalars: the LAPACK
-factor and its diagnostics, each solve's solution and residual, and the
-end data of the one solve whose q(a) the bracket reads, with the first
-solve's c0 for the logarithmic kind.  The public :func:`tsvd_solve`,
+(:func:`_physical_operator` here, or ``filon._freq_operator``), which
+``compute`` hands to that pass itself.  A call goes from there to the
+value on plain arrays and scalars: the LAPACK factor and its
+diagnostics, each solve's solution and residual, and the end data of the
+one solve whose q(a) the bracket reads, with the first solve's c0 for
+the logarithmic kind.  The public :func:`tsvd_solve`,
 :func:`solve_alg`, :func:`solve_log` and ``filon.solve_freq`` run the
 same factorisation and solves and return plain values:
 ``(x, diagnostics)`` for a matrix and right-hand side, and
@@ -76,7 +77,7 @@ from ._result import Method, QuadratureResult, check_counts
 from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Oscillator, ProblemSpec, _node_values, _regularised, _unit_values
+from .problem import Oscillator, ProblemSpec, _node_values, _unit_values
 
 __all__ = [
     "assemble_L",
@@ -123,13 +124,6 @@ def _physical_table(osc: Oscillator, a: float, n: int) -> tuple:
     return gx, gp, base, grid.interior / gx, float(gp0)
 
 
-def _node_data(spec: ProblemSpec, grid: ChebGrid):
-    # The _physical_table of spec's g and a on the Radau grid ``grid``.
-    if grid.family is not GridFamily.RADAU_MODIFIED:
-        raise ParameterError("physical-space solver requires a Radau grid")
-    return _physical_table(spec.oscillator, spec.a, grid.n)
-
-
 def _on_unit(spec: ProblemSpec) -> ProblemSpec:
     # ``spec``, for the public solvers, which work on [0, 1]; the Levin
     # rules take [0, a] (_quad_levin).
@@ -150,27 +144,11 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
-    L, _ = _operator(_on_unit(spec), grid)
-    return L, np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex)
-
-
-def _operator(spec: ProblemSpec, grid: ChebGrid):
-    # The matrix of assemble_L, which every right-hand side shares, and the
-    # _physical_table it is written from: a copy of the table's matrix with
-    # the alpha and w terms written into row 0, column 0 and the diagonal,
-    # real and imaginary parts apart.  Each part is what the complex
-    # element-wise assembly rounds it to (its other terms are exact zeros),
-    # so the bits are the same.  On [0, a] the frequency is w a.
-    table = _node_data(spec, grid)
-    gx, gp, base = table[:3]
-    alpha, w = spec.alpha, spec.w * spec.a
-    L = base.copy()
-    L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
-    L.imag[:, 0] = w * gp
-    diag = L.reshape(-1)[gx.size + 2 :: gx.size + 2]
-    diag.real += (1.0 + alpha) * gp[1:]
-    diag.imag += w * gx * gp[1:]
-    return L, table
+    spec = _on_unit(spec)
+    if grid.family is not GridFamily.RADAU_MODIFIED:
+        raise ParameterError("physical-space solver requires a Radau grid")
+    L, (f1, *_) = _physical_operator(spec, 1.0, grid.n)[:2]
+    return L, np.asarray(f1, dtype=complex)
 
 
 def tsvd_solve(L: np.ndarray, rhs: np.ndarray):
@@ -269,10 +247,22 @@ def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple
     # row of the differentiation matrix applied to q1, and the index of the
     # value at t = 1.  The endpoint order s of a route's signature is not
     # read: the physical route is derivative-free.
+    # The matrix is a copy of the table's with the alpha and w terms written
+    # into row 0, column 0 and the diagonal, real and imaginary parts apart.
+    # Each part is what the complex element-wise assembly rounds it to (its
+    # other terms are exact zeros), so the bits are the same.  On [0, a]
+    # the frequency is w a.
     grid = radau_grid(n)
-    L, (gx, gprime, _, ratio, gp0) = _operator(spec, grid)
+    gx, gp, base, ratio, gp0 = _physical_table(spec.oscillator, spec.a, grid.n)
+    alpha, w = spec.alpha, spec.w * spec.a
+    L = base.copy()
+    L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
+    L.imag[:, 0] = w * gp
+    diag = L.reshape(-1)[gx.size + 2 :: gx.size + 2]
+    diag.real += (1.0 + alpha) * gp[1:]
+    diag.imag += w * gx * gp[1:]
     data = _node_values(spec, c, grid.nodes, gx, ratio, gp0)
-    return L, data, None, (gprime, grid.origin_weights), (None, grid.diff[-1], -1)
+    return L, data, None, (gp, grid.origin_weights), (None, grid.diff[-1], -1)
 
 
 def _solution(L: np.ndarray, fact: tuple, values: np.ndarray, scale) -> tuple:
@@ -344,11 +334,6 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
     q1_end = q1[-1] if q1_row is None else q1_row @ q1
     end = (c0, complex(q1_end), dq1, dq1_size, complex(values[at_end]))
     return QuadratureResult(levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
-
-
-def _quad_physical(spec: ProblemSpec, n: int) -> QuadratureResult:
-    # The s = 0 rule of either kind.
-    return _quad_levin(spec, _physical_operator, Method.LEVIN_PHYSICAL, n, 0)
 
 
 def solve_alg(spec: ProblemSpec, n: int):
@@ -428,11 +413,11 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         raise ParameterError("k must be at least 1")
     if k > grid.interior.size / 2:
         raise ParameterError(f"k={k} too large for an n={grid.interior.size} grid")
-    gx, gp = _node_data(_on_unit(spec), grid)[:2]
+    _, f1 = assemble_L(spec, grid)
+    gx, gp = _physical_table(spec.oscillator, spec.a, grid.n)[:2]
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
     w = spec.w
-    f1 = np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex)
     f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
     q1 = np.zeros(gx.size, dtype=complex)

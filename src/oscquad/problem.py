@@ -370,16 +370,6 @@ def _slope_points(osc: Oscillator, a: float) -> tuple:
     return xs, (d1.size - 1) * np.finfo(float).eps * _horner(np.abs(d1), xs)
 
 
-def _normalize_oscillator(osc: Oscillator, a: float, w: float):
-    """Shift g so g(0)=0 and flip decreasing oscillators; return the new
-    oscillator, the possibly negated frequency, and the phase factor."""
-    g0, sign, shifted = _normalization(osc, a)
-    phase = cmath.exp(1j * w * g0)
-    if shifted is None:
-        return osc, w, phase
-    return shifted, sign * w, phase
-
-
 def build_problem(
     amplitude: Amplitude,
     oscillator: Oscillator,
@@ -426,16 +416,19 @@ def build_problem(
         raise ParameterError(f"w must be nonzero and finite, got {w!r}")
     if not isinstance(kind, SingKind):
         raise ParameterError(f"kind must be a SingKind, got {kind!r}")
-    osc, w_used, phase = _normalize_oscillator(oscillator, a, w)
+    # g shifted so that g(0) = 0 and flipped where it decreases, with w
+    # flipped too (sign is 1 where g needs neither), and the phase factor.
+    g0, sign, shifted = _normalization(oscillator, a)
+    phase = cmath.exp(1j * w * g0)
     if not np.isfinite(complex(amplitude.value(a / 2.0))):
         raise ParameterError("amplitude not finite on (0,a)")
     return ProblemSpec(
         amplitude=amplitude,
-        oscillator=osc,
+        oscillator=oscillator if shifted is None else shifted,
         a=float(a),
         alpha=float(alpha),
         kind=kind,
-        w=float(w_used),
+        w=float(sign * w),
         phase_shift=phase,
     )
 
@@ -463,11 +456,20 @@ def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
     return (ratio, ps_log(ps_div(c * num, den))) if c else (ratio,)
 
 
-def _separated(spec: ProblemSpec, f2_power: bool, c: float) -> Callable:
-    """The function ``at(xs, m)``: the list of the data of f1 and, for the
-    logarithmic kind, of f log(c x/g), times (x/g)^alpha too with
-    ``f2_power``, at the points xs: values for m = 0, series of length m
-    otherwise.
+def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Callable:
+    """The amplitudes the Levin and Filon rules need, f1 and f21, as the
+    function ``at(xs, m)``: the list of the data of f1 and, for the
+    logarithmic kind, of f21 = f log(c x/g) (x/g)^alpha, or of f log(c x/g)
+    without ``f2_power``, at the points xs: values for m = 0, series of
+    length m otherwise.
+
+    f1 is that of :func:`make_f1_f2`, which takes c = 1 without
+    ``f2_power``.  With c = 1, f21 is, bit for bit, the f1 of the f2
+    sub-problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` (f2 of
+    :func:`make_f1_f2`; the g, a, alpha and w of ``spec``).  The Levin rule
+    takes c = g(a) of the problem on [0, a], adding log g(a) f1, so that its
+    second solve holds the whole log part: for a = 1 and a polynomial g,
+    f21(1) = 0 exactly.
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
     call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points (the
@@ -533,9 +535,9 @@ def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray,
     with g(a t)/a there ``gx``, t over it ``ratio`` and its slope at 0
     ``gp0``: f is read at a t, and each factor is placed in its slots,
     index 0 the origin limit, the rest from the ratio, with no mask.  For
-    g = beta x the factors are constants, formed as _separated forms them."""
+    g = beta x the factors are constants, formed as _regularised forms them."""
     if spec.oscillator._beta is not None:
-        return _separated(spec, True, c)(spec.a * nodes, 0)
+        return _regularised(spec, c)(spec.a * nodes, 0)
     out = np.asarray(spec.amplitude.value(spec.a * nodes))
     power = np.empty(nodes.size)
     power[0] = gp0 ** (-spec.alpha)
@@ -564,29 +566,13 @@ def make_f1_f2(spec: ProblemSpec):
     -----
     For the identity oscillator, ``f1 = f`` and ``f2 = 0`` exactly.
     """
-    at = _separated(spec, False, 1.0)
+    at = _regularised(spec, f2_power=False)
 
     def amplitude(i: int) -> Amplitude:
         return Amplitude(value=lambda x: at(x, 0)[i], series_fn=lambda xs, m: at(xs, m)[i])
 
     f1 = spec.amplitude if spec.oscillator.is_identity else amplitude(0)
     return f1, amplitude(1) if spec.kind is SingKind.ALGEBRAIC_LOG else None
-
-
-def _regularised(spec: ProblemSpec, c: float = 1.0) -> Callable:
-    """The amplitudes the Levin and Filon rules need, f1 and f21, as the
-    ``at`` function of :func:`_separated`, which forms the data of both on
-    a route's nodes at once.
-
-    f1 is that of :func:`make_f1_f2`, and ``f21 = f log(c x/g) (x/g)^alpha``
-    (absent for the algebraic kind).  With c = 1, f21 is, bit for bit, the
-    f1 of the f2 sub-problem ``int_0^a f2(x) x^alpha e^{iwg(x)} dx`` (f2 of
-    :func:`make_f1_f2`; the g, a, alpha and w of ``spec``).  The Levin rule
-    takes c = g(a) of the problem on [0, a], adding log g(a) f1, so that its
-    second solve holds the whole log part: for a = 1 and a polynomial g,
-    f21(1) = 0 exactly.
-    """
-    return _separated(spec, True, c)
 
 
 def _unit_interval(spec: ProblemSpec) -> ProblemSpec:

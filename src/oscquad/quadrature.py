@@ -4,8 +4,9 @@
 asymptotic-order parameter s and dispatch on s: s = 0 runs the
 derivative-free physical-space collocation, s >= 1 the frequency-space
 Hermite path (the two coincide in value for linear oscillators), both by
-``compute``, which runs the one Levin pipeline of :mod:`oscquad.levin` on
-the route's operator and also selects the Filon rule, the composite
+``compute``, which hands the route, ``levin._physical_operator`` or
+``filon._freq_operator``, to the one Levin pipeline
+``levin._quad_levin`` and also selects the Filon rule, the composite
 baseline and the brute-force oracle.  Every rule refuses an n or
 s that is not an integer.  :mod:`oscquad.filon` and
 :mod:`oscquad.baselines` load on first use (see :mod:`oscquad`), so
@@ -23,7 +24,7 @@ from __future__ import annotations
 from . import baselines, filon
 from ._result import Method, QuadratureResult, check_counts
 from .errors import CapabilityError, ParameterError
-from .levin import _quad_physical
+from .levin import _physical_operator, _quad_levin
 from .problem import ProblemSpec, SingKind
 
 __all__ = [
@@ -106,9 +107,9 @@ def compute(spec: ProblemSpec, method: Method, n: int, s: int) -> QuadratureResu
                 "the physical-space solver is derivative-free: s must be 0 "
                 "(use the frequency path for s >= 1)"
             )
-        return _quad_physical(spec, n)
+        return _quad_levin(spec, _physical_operator, method, n, s)
     if method is Method.LEVIN_FREQ:
-        return filon._quad_freq(spec, n, s)
+        return _quad_levin(spec, filon._freq_operator, method, n, s)
     if method is Method.FILON:
         return filon._filon(spec, n, s)
     if method is Method.CMFP:

@@ -582,6 +582,9 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "invalid float value: 'x'" in proc.stderr
         monkeypatch.setattr(sys, "argv", ["oscquad", *bad])
+        # runpy warns when the module it runs as __main__ is already
+        # imported, as it is after a test that imports every module.
+        monkeypatch.delitem(sys.modules, "oscquad.__main__", raising=False)
         with pytest.raises(SystemExit) as info:
             runpy.run_module("oscquad", run_name="__main__")
         assert info.value.code == 2

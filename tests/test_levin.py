@@ -103,9 +103,11 @@ class TestAssembleL:
 
 
     def test_bit_identical_to_loop_form(self):
-        # The row loop that the array expressions replaced.
+        # The row loop that the array expressions replaced, and the
+        # right-hand side f1 at the nodes by problem._regularised's path for
+        # any points.
         def loop_L(spec, grid):
-            gx, gp = oscquad.levin._node_data(spec, grid)[:2]
+            gx, gp = oscquad.levin._physical_table(spec.oscillator, spec.a, grid.n)[:2]
             gpx, gp0 = gp[1:], gp[0]
             n, alpha, w = gx.size, spec.alpha, spec.w
             L = np.zeros((n + 1, n + 1), dtype=complex)
@@ -130,13 +132,14 @@ class TestAssembleL:
         for spec in specs:
             for n in (2, 8, 16, 33):
                 grid = radau_grid(n)
-                L, _ = assemble_L(spec, grid)
+                L, rhs = assemble_L(spec, grid)
                 assert L.tobytes() == loop_L(spec, grid).tobytes()
+                assert rhs.tobytes() == np.asarray(_regularised(spec)(grid.nodes, 0)[0], dtype=complex).tobytes()
 
     @pytest.mark.parametrize("pid", BUILTIN_IDS)
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_operator_is_the_elementwise_assembly(self, pid, n):
-        # levin._operator writes the real and imaginary parts of the alpha
+        # The physical route writes the real and imaginary parts of the alpha
         # and w terms into a copy of the kept matrix; the complex
         # element-wise assembly it replaced, with g and g' evaluated afresh,
         # is the reference, bit for bit (ex51 has w < 0).
@@ -157,7 +160,7 @@ class TestAssembleL:
         for alpha in (0.5, -0.5, 0.9):
             for w in (1.0, 1e2, 1e8):
                 spec = builtin_problem(pid, alpha, w)
-                L, _ = oscquad.levin._operator(spec, grid)
+                L, _ = assemble_L(spec, grid)
                 assert L.tobytes() == elementwise_L(spec, grid).tobytes(), (alpha, w)
 
 
@@ -552,15 +555,24 @@ class TestPlacedNodeData:
     @pytest.mark.parametrize("n", [8, 16, 33])
     @pytest.mark.parametrize("kind", list(SingKind))
     @pytest.mark.parametrize("name", SPECS)
-    def test_equal_to_the_values_at_any_points(self, name, kind, n):
+    def test_equal_to_the_values_at_any_points(self, monkeypatch, name, kind, n):
         spec = self.SPECS[name](kind)
         unit, g_a = _unit_interval(spec), spec.g_end()
+        grid = radau_grid(n)
         data = oscquad.levin._physical_operator(unit, g_a, n)[1]
-        want = _regularised(unit, g_a)(radau_grid(n).nodes, 0)
+        want = _regularised(unit, g_a)(grid.nodes, 0)
         assert len(data) == len(want) == (2 if kind is SingKind.ALGEBRAIC_LOG else 1)
         for got, values in zip(data, want):
             got, values = np.asarray(got), np.asarray(values)
             assert got.dtype == values.dtype and got.tobytes() == values.tobytes(), name
+        # The public pieces place f1 so too: assemble_L's right-hand side,
+        # and picard_iterate's first iterate, the same bits as from the
+        # values of problem._regularised's path.
+        assert assemble_L(unit, grid)[1].tobytes() == np.asarray(want[0], dtype=complex).tobytes()
+        (c0, q1), = picard_iterate(unit, grid, 1)
+        monkeypatch.setattr(oscquad.levin, "_node_values", lambda spec, c, nodes, *_: _regularised(spec, c)(nodes, 0))
+        (want_c0, want_q1), = picard_iterate(unit, grid, 1)
+        assert repr(c0) == repr(want_c0) and q1.tobytes() == want_q1.tobytes(), name
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4), st.floats(0.5, 2.0), st.floats(0.0, 1.0),

@@ -14,10 +14,11 @@ from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights
 from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
 from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon
 from oscquad.levin import assemble_L, picard_iterate
-from oscquad.numkernel import hyp2f2_equal, neg_iw_pow, upper_gamma_complex
+from oscquad.numkernel import KernelDiag, Strategy, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from oscquad.problem import (
     Amplitude,
     Oscillator,
+    ProblemSpec,
     SingKind,
     build_problem,
     builtin_problem,
@@ -36,6 +37,11 @@ def _problem(amplitude=(1.0,), kind=SingKind.ALGEBRAIC):
 def _on(oscillator):
     return build_problem(amplitude=Amplitude.from_poly([1.0]), oscillator=oscillator, a=1.0, alpha=0.5,
                          kind=SingKind.ALGEBRAIC, w=10.0)
+
+
+def _spec_with_g(coeffs):
+    # A problem with g as given, built without build_problem's checks.
+    return ProblemSpec(Amplitude.from_poly([1.0]), Oscillator.from_poly(coeffs), 1.0, 0.5, SingKind.ALGEBRAIC, 10.0)
 
 
 # Problems whose normalised g is not beta x: the two quadratic built-ins,
@@ -106,6 +112,7 @@ CASES = [
     pytest.param(lambda: moments_mu(0.5, 10.0, 1.0, 0), ParameterError, "count must be at least 1", id="moments_mu-count0"),
     pytest.param(lambda: assemble_L(SPEC, lobatto_grid(8)), ParameterError, "requires a Radau grid", id="assemble_L-lobatto"),
     pytest.param(lambda: picard_iterate(SPEC, radau_grid(8), 0), ParameterError, "k must be at least 1", id="picard_iterate-k0"),
+    pytest.param(lambda: picard_iterate(SPEC, lobatto_grid(8), 1), ParameterError, "requires a Radau grid", id="picard_iterate-lobatto"),
     pytest.param(lambda: neg_iw_pow(0.5, 0.0), ParameterError, "w must be nonzero", id="neg_iw_pow-w0"),
     pytest.param(lambda: upper_gamma_complex(0.5, -2 + 0j), ParameterError, "branch cut", id="upper_gamma_complex-branch-cut"),
     pytest.param(lambda: upper_gamma_complex(0.0, 2j), CapabilityError, "does not support a=0", id="upper_gamma_complex-a0"),
@@ -124,6 +131,11 @@ CASES = [
     pytest.param(lambda: delta_alpha(1.0, 10.0), ParameterError, "0<|alpha|<1, got 1.0", id="delta_alpha-alpha1"),
     pytest.param(lambda: delta_alpha(0.5, 0.0), ParameterError, "w must be positive", id="delta_alpha-w0"),
     pytest.param(lambda: compute(SPEC, "levin", 8, 0), ParameterError, "unknown method: 'levin'", id="compute-unknown-method"),
+    pytest.param(lambda: compute(_spec_with_g([0.0, -1.0, 3.0]), Method.LEVIN_FREQ, 8, 1), InvalidOscillatorError, "g'(0) must be positive", id="compute-levin-freq-slope-negative-at-0"),
+    pytest.param(lambda: compute(_spec_with_g([0.0, 0.0, 1.0]), Method.LEVIN_FREQ, 8, 1), InvalidOscillatorError, "g'(0) must be positive", id="compute-levin-freq-slope-zero-at-0"),
+    pytest.param(lambda: compute(_spec_with_g([0.0, -1.0, 3.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-negative-at-0"),
+    pytest.param(lambda: compute(_spec_with_g([0.0, 0.0, 1.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-zero-at-0"),
+    pytest.param(lambda: KernelDiag(Strategy.SERIES, 0, 0.0), ParameterError, "invalid kernel diagnostics", id="KernelDiag-terms0"),
 ]
 
 
