@@ -12,9 +12,10 @@ reference-variable matrix.  A closed-form reference-variable matrix and the
 closed-form origin-extrapolation weights are implemented as well; the tests
 check the barycentric construction against them.
 
-Every problem is mapped onto [0, 1] before the solve, so a grid depends
-on n only: :func:`radau_grid` and :func:`lobatto_grid` validate n and
-return the grid kept for ``int(n)`` by :func:`oscquad._kept.kept`.
+The collocation routes work in t on [0, 1], reading a problem on [0, a]
+at x = a t, so a grid depends on n only: :func:`radau_grid` and
+:func:`lobatto_grid` validate n and return the grid kept for ``int(n)``
+by :func:`oscquad._kept.kept`.
 """
 
 from __future__ import annotations

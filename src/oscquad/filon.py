@@ -20,8 +20,8 @@ which stays stable at degrees where naive Chebyshev-to-monomial
 conversion does not; the operator rows are array products over the whole
 basis and all nodes.  The route is only the arrays it builds, that
 operator and its node data, row scale, g' data and end rows
-(:func:`_freq_operator`, which maps the problem onto [0, 1] itself with
-``problem._unit_interval``): :func:`quad_freq` and ``compute`` run them
+(:func:`_freq_operator`, which reads a problem on [0, a] at x = a t as
+the physical route does): :func:`quad_freq` and ``compute`` run them
 through the Levin pipeline of :mod:`oscquad.levin`, which the
 physical-space route shares; its node data are the collocation
 conditions (Taylor coefficient j times j!), and q1 g' is q1's
@@ -29,8 +29,8 @@ coefficients times the kept g' T_k there.
 Everything of both rules that alpha and w leave alone is kept
 (:func:`oscquad._kept.kept`): the collocation layout of (npts, s) that
 both share, the Levin route's Chebyshev Taylor table on its nodes, and,
-per polynomial g and (npts, s), the layout beside g' and the Levin image
-terms at its conditions, or beside FILON's Hermite matrix on [0, a].  A
+per polynomial g, a and (npts, s), the layout beside g' and the Levin
+image terms at its conditions, or beside FILON's Hermite matrix on [0, a].  A
 call reads one kept table and only combines it with alpha,
 w and f, whose series at the nodes is kept per keyed amplitude
 (``problem._amplitude_series``).  The closed forms that start the moment
@@ -52,7 +52,7 @@ from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
 from .levin import _on_unit, _problem_solves, _quad_levin
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
-from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised, _unit_interval
+from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
 __all__ = [
     "moments_mu",
@@ -401,23 +401,25 @@ def _layout(npts: int, s: int) -> _Layout:
 
 
 @kept
-def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
+def _freq_table(osc: Oscillator, a: float, npts: int, s: int) -> tuple:
     # The layout of (npts, s) and the parts of _freq_operator that depend
-    # on g alone, at its conditions (node l, order j), each times j!: g'
-    # and the three terms of the Levin images of the M = npts - 1 + 2s
+    # on g and a alone, at its conditions (node l, order j), each times j!:
+    # g' and the three terms of the Levin images of the M = npts - 1 + 2s
     # basis functions T_0 .. T_{M-1}(2t - 1), sum_i g_i P'_{j-i},
-    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition.  P is the
-    # Taylor series of T_k at the nodes, kept per grid and read once the
-    # cap has passed, and each term one ps_mul over the whole basis (orders
-    # j > 0 of interior nodes are formed and dropped).  j! is a power of
-    # two for s <= 2, so there the product keeps the bits of the term.  A
-    # bad (npts, s), then a basis over the cap, raises, so is never kept.
+    # g'_i P_{j-i} and (g g')_i P_{j-i}, one row per condition, for g read
+    # at x = a t, g(a t)/a, whose Taylor coefficient k in t is g's at a t
+    # times a^(k-1).  P is the Taylor series of T_k at the nodes, kept per
+    # grid and read once the cap has passed, and each term one ps_mul over
+    # the whole basis (orders j > 0 of interior nodes are formed and
+    # dropped).  j! is a power of two for s <= 2, so there the product
+    # keeps the bits of the term.  A bad (npts, s), then a basis over the
+    # cap, raises, so is never kept.
     M = npts - 1 + 2 * s
     _check_basis(npts, s, M)
     layout = _layout(npts, s)
     node, order = layout.node, layout.order
     cheb = _cheb_series_table(layout.nodes, s + 2, M)
-    gser = osc.series_at(layout.nodes, s + 2)
+    gser = osc.series_at(a * layout.nodes, s + 2) * a ** (np.arange(s + 2) - 1.0)
     gg = gser[:, : s + 1]
     gprime = np.arange(1, s + 2) * gser[:, 1:]
     P = cheb[:, :, : s + 1]
@@ -428,32 +430,31 @@ def _freq_table(osc: Oscillator, npts: int, s: int) -> tuple:
 
 
 def _freq_operator(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
-    # The route's part of a Levin call (see levin._quad_levin) at (g, alpha,
-    # w, npts, s), as arrays, for ``spec`` mapped onto [0, 1]
-    # (problem._unit_interval, the identity at a = 1).  Rows: the model ODE
-    # and its first (mult - 1) derivatives at each node, applied to the
-    # unknowns (c0, q1 coefficients); column k + 1 holds the Levin image
+    # The route's part of a Levin call (see levin._quad_levin) at (g, a,
+    # alpha, w, npts, s), as arrays, for ``spec`` on [0, a] read at x = a t
+    # on [0, 1], at frequency w a.  Rows: the model ODE and its first
+    # (mult - 1) derivatives at each node, applied to the unknowns (c0, q1
+    # coefficients); column k + 1 holds the Levin image
     # g q' + (1+alpha) g' q + iw g g' q of q = T_k, for the whole basis: the
-    # terms of _freq_table, kept per g, combined with alpha and w.  Node
-    # data are the conditions of the amplitudes of
-    # problem._regularised(spec, c), their Taylor series of length s+1 at
-    # the nodes times factorials, formed once per amplitude; those of q1 g'
-    # are the product of q1's coefficients with the kept g' T_k term, (that
-    # term, None) in levin._solves.  Row j grows like k^{2j}: each row of
-    # the matrix, and of every right-hand side, is divided by the power of
-    # two just above its largest entry, the row scale.  The end rows are the
-    # layout's, and the value at t = 1 is the order-0 condition of the last
-    # node, s + 1 from the end.
-    spec = _unit_interval(spec)
-    layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, npts, s)
-    w = spec.w
+    # terms of _freq_table, kept per g and a, combined with alpha and w a.
+    # Node data are the conditions of the amplitudes of
+    # problem._regularised(spec, c, a=spec.a), their Taylor series in t of
+    # length s+1 at the nodes times factorials, formed once per amplitude;
+    # those of q1 g' are the product of q1's coefficients with the kept
+    # g' T_k term, (that term, None) in levin._solves.  Row j grows like
+    # k^{2j}: each row of the matrix, and of every right-hand side, is
+    # divided by the power of two just above its largest entry, the row
+    # scale.  The end rows are the layout's, and the value at t = 1 is the
+    # order-0 condition of the last node, s + 1 from the end.
+    layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, spec.a, npts, s)
+    w = spec.w * spec.a
     A = np.empty((gprime.size, t1.shape[1] + 1), dtype=complex)
     A[:, 0] = 1j * w * gprime
     A[:, 1:] = t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3
     row_scale = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1))[1])
     conditions = layout.node, layout.order
     data = [(layout.fact * np.asarray(series, dtype=complex))[conditions]
-            for series in _regularised(spec, c)(layout.nodes, s + 1)]
+            for series in _regularised(spec, c, a=spec.a)(layout.nodes, s + 1)]
     return A / row_scale[:, None], data, row_scale, (t2, None), (*layout.end_rows, -(s + 1))
 
 

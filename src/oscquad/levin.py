@@ -1,24 +1,24 @@
 """The Levin pipeline of both routes, and physical-space collocation.
 
-Both Levin rules (:func:`_quad_levin`) solve the problem on [0, a]
-mapped onto [0, 1] by x = a t, form the node data of f1 and, for the
+Both Levin rules (:func:`_quad_levin`) collocate the problem on [0, a]
+in t on [0, 1], x = a t, form the node data of f1 and, for the
 logarithmic kind, of the amplitude f21 = f log(g(a) x/g) (x/g)^alpha
 once each, solve for f1 and f21 - q1 g' on one factorised operator, and
-read the bracket at x = a (:func:`oscquad.boundary.levin_value`).  The
-frequency route maps the problem itself
-(:func:`oscquad.problem._unit_interval`: a new amplitude, oscillator and
-spec); the physical route builds none of them, and reads g(a t)/a from
-its kept table, f at a t and w a.  A route is only the arrays it hands
-that one pass: its matrix, the node data of the amplitudes (values, or
-collocation conditions on the frequency route), the row scale that
-divides node data into a right-hand side (None for none), the g' data
-that take q1 to the node data of q1 g', and the end rows
-(:func:`_physical_operator` here, or ``filon._freq_operator``), which
-``compute`` hands to that pass itself.  A call goes from there to the
-value on plain arrays and scalars: the LAPACK factor and its
-diagnostics, each solve's solution and residual, and the end data of the
-one solve whose q(a) the bracket reads, with the first solve's c0 for
-the logarithmic kind.  The public :func:`tsvd_solve`,
+read the bracket at x = a (:func:`oscquad.boundary.levin_value`).  Both
+routes take the problem as given and read f and g at x = a t: the
+oscillator in t is g(a t)/a, with slope g'(a t), the frequency w a, and a
+Taylor coefficient j in t is a^j times that in x (and g's is also
+divided by a).  No route builds a mapped amplitude, oscillator or spec.
+A route is only the arrays it hands that one pass: its matrix, the node
+data of the amplitudes (values, or collocation conditions on the
+frequency route), the row scale that divides node data into a
+right-hand side (None for none), the g' data that take q1 to the node
+data of q1 g', and the end rows (:func:`_physical_operator` here, or
+``filon._freq_operator``), which ``compute`` hands to that pass itself.
+A call goes from there to the value on plain arrays and scalars: the
+LAPACK factor and its diagnostics, each solve's solution and residual,
+and the end data of the one solve whose q(a) the bracket reads, with the
+first solve's c0 for the logarithmic kind.  The public :func:`tsvd_solve`,
 :func:`solve_alg`, :func:`solve_log` and ``filon.solve_freq`` run the
 same factorisation and solves and return plain values:
 ``(x, diagnostics)`` for a matrix and right-hand side, and
@@ -36,23 +36,23 @@ satisfying
 Collocation runs on the modified Gauss-Radau nodes, which exclude the
 origin; the condition at x=0 replaces q1(0) by the extrapolation r^T q1
 through the grid's origin weights; the public solvers refuse a problem
-with a != 1 (the rules map it onto [0, 1]).  The resulting square system
-is factorised once per operator by :func:`_factorise`: LU with partial
-pivoting where its condition estimate stays moderate, truncated SVD
+with a != 1 (the rules read it at x = a t on [0, 1]).  The resulting
+square system is factorised once per operator by :func:`_factorise`: LU
+with partial pivoting where its condition estimate stays moderate, truncated SVD
 where the operator is near-singular, since exactly one near-null
 direction appears at large n and small w (the discrete trace of the
 continuous one-parameter solution family).  The operator depends on
 (g, a, alpha, w, n) only.  Everything of it that depends on g and a alone
 is kept per polynomial g, a and n (:func:`oscquad._kept.kept`) in one
-``_physical_table`` entry, for the mapped g(a t)/a, whose coefficients
-c_k a^(k-1) are those of ``_unit_interval``: g at the interior nodes, g'
-at all nodes and the complex matrix without its alpha and w terms, g D
-in the interior block and zeros elsewhere, and for the node data t/g at
-the interior nodes and g'(0); at n = 32 that is 256 + 264 + 17424 + 256
-= 18200 bytes.  A call copies the matrix and writes the real (1+alpha) g'
-and imaginary w a g', w a g g' terms into it, and places the values of
-both amplitudes at all nodes, origin first, which is the order of the
-unknowns (:func:`oscquad.problem._node_values`): the origin limits
+``_physical_table`` entry, read at x = a t: g(a t)/a at the interior
+nodes, g'(a t) at all nodes and the complex matrix without its alpha and
+w terms, g D in the interior block and zeros elsewhere, and for the node
+data t over g(a t)/a at the interior nodes and g'(0); at n = 32 that is
+256 + 264 + 17424 + 256 = 18200 bytes.  A call copies the matrix and
+writes the real (1+alpha) g' and imaginary w a g', w a g g' terms into
+it, and places the values of both amplitudes at all nodes, origin first,
+which is the order of the unknowns
+(:func:`oscquad.problem._node_values`): the origin limits
 g'(0)^-alpha and log c - log g'(0) at index 0, and (x/g)^alpha and
 log(c x/g) from the table's t/g, which is x/g, and g at the others,
 with no mask.  The log kind's q1 g' is q1 extended to the origin by the
@@ -77,7 +77,7 @@ from ._result import Method, QuadratureResult, check_counts
 from .boundary import levin_value
 from .cheb import ChebGrid, GridFamily, _radau_grid, radau_grid
 from .errors import DegenerateSystemError, InvalidOscillatorError, ParameterError
-from .problem import Oscillator, ProblemSpec, _node_values, _unit_values
+from .problem import Oscillator, ProblemSpec, _node_values
 
 __all__ = [
     "assemble_L",
@@ -107,21 +107,21 @@ RCOND_THRESHOLD = 1e-11
 @kept
 def _physical_table(osc: Oscillator, a: float, n: int) -> tuple:
     # The parts of the physical operator on the Radau grid of n nodes that
-    # depend on g and a alone, for g on [0, a] mapped onto [0, 1], g(a t)/a:
-    # g at the interior nodes, g' at all nodes, origin first, and the
-    # operator's matrix without its alpha and w terms, g D in the interior
-    # block (added to zeros, as the element-wise assembly did) and zeros
-    # elsewhere; and those the node data read, t/g at the interior nodes
-    # and g'(0) as a float (problem._unit_values).  A g with g' <= 0 at a
-    # node raises, so is never kept.
+    # depend on g and a alone, in t on [0, 1], x = a t, where the oscillator
+    # is g(a t)/a and its slope g'(a t): g(a t)/a at the interior nodes,
+    # g'(a t) at all nodes, origin first, and the operator's matrix without
+    # its alpha and w terms, g D in the interior block (added to zeros, as
+    # the element-wise assembly did) and zeros elsewhere; and those the
+    # node data read, t over g(a t)/a at the interior nodes and g'(0) as a
+    # float.  A g with g' <= 0 at a node raises, so is never kept.
     grid = _radau_grid(n)
-    gx, gp, gp0 = _unit_values(osc, a, grid.interior, grid.nodes)
-    gx, gp = np.asarray(gx, dtype=float), np.asarray(gp, dtype=float)
+    gx = np.asarray(osc.value(a * grid.interior), dtype=float) / a
+    gp = np.asarray(osc.deriv1(a * grid.nodes), dtype=float)
     if (gp <= 0).any():
         raise InvalidOscillatorError("g' must be positive at all collocation nodes")
     base = np.zeros((n + 1, n + 1), dtype=complex)
     base[1:, 1:] += gx[:, None] * grid.diff
-    return gx, gp, base, grid.interior / gx, float(gp0)
+    return gx, gp, base, grid.interior / gx, float(osc.deriv1(0.0))
 
 
 def _on_unit(spec: ProblemSpec) -> ProblemSpec:
@@ -237,16 +237,16 @@ def _solve(L: np.ndarray, fact: tuple, rhs: np.ndarray) -> np.ndarray:
 
 def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple:
     # The route's part of a Levin call (see _quad_levin) on the Radau grid
-    # of n nodes, for ``spec`` on [0, a] mapped onto [0, 1] in place, as
-    # arrays: the matrix of assemble_L; the node data of
-    # problem._regularised(_unit_interval(spec), c), values at grid.nodes,
-    # origin first, the order of the rows and of the unknowns, placed from
-    # the kept table (problem._node_values); no row scale; g' at all nodes
-    # beside the origin weights, so that q1 g' is q1, extended to the origin, times g';
-    # and the end rows: None, as q1(1) is the last unknown, q1'(1) the last
-    # row of the differentiation matrix applied to q1, and the index of the
-    # value at t = 1.  The endpoint order s of a route's signature is not
-    # read: the physical route is derivative-free.
+    # of n nodes, for ``spec`` on [0, a] read at x = a t, as arrays: the
+    # matrix of assemble_L; the node data of
+    # problem._regularised(spec, c, a=spec.a), values at grid.nodes, origin
+    # first, the order of the rows and of the unknowns, placed from the
+    # kept table (problem._node_values); no row scale; g' at all nodes
+    # beside the origin weights, so that q1 g' is q1, extended to the
+    # origin, times g'; and the end rows: None, as q1(1) is the last
+    # unknown, q1'(1) the last row of the differentiation matrix applied to
+    # q1, and the index of the value at t = 1.  The endpoint order s of a
+    # route's signature is not read: the physical route is derivative-free.
     # The matrix is a copy of the table's with the alpha and w terms written
     # into row 0, column 0 and the diagonal, real and imaginary parts apart.
     # Each part is what the complex element-wise assembly rounds it to (its
@@ -301,18 +301,17 @@ def _problem_solves(L: np.ndarray, data: list, scale, gprime) -> list:
 
 def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> QuadratureResult:
     # The Levin rule of either route, in one pass from operator to value.
-    # ``route(spec, c, n, s)`` gives, for ``spec`` mapped onto [0, 1] (each
-    # route maps it its own way) and the amplitudes of
-    # problem._regularised(problem._unit_interval(spec), c), the arrays (L,
-    # data, scale, gprime, end rows): the matrix, the node data of the amplitudes,
-    # the row scale of the right-hand sides (None for none), the g' data of
-    # _solves, and the rows that take q1 to q1(1) (None: its last entry)
-    # and q1'(1) beside the index of the value at t = 1 in node data.  The
-    # solves give the q1 of ``spec`` and its c0, d0 divided by a, which are
-    # scaled back here.  Only the solve whose q(a) the bracket reads has its
-    # end data formed; of the logarithmic kind's first solve it reads c0
-    # alone.  f21 carries log g(a) of ``spec``.  On [0, 1] the frequency is
-    # w a, refused where it overflows.
+    # ``route(spec, c, n, s)`` gives, for ``spec`` read at x = a t on [0, 1]
+    # and the amplitudes of problem._regularised(spec, c, a=spec.a), the
+    # arrays (L, data, scale, gprime, end rows): the matrix, the node data
+    # of the amplitudes, the row scale of the right-hand sides (None for
+    # none), the g' data of _solves, and the rows that take q1 to q1(1)
+    # (None: its last entry) and q1'(1) beside the index of the value at
+    # t = 1 in node data.  The solves give the q1 of ``spec`` and its c0,
+    # d0 divided by a, which are scaled back here.  Only the solve whose
+    # q(a) the bracket reads has its end data formed; of the logarithmic
+    # kind's first solve it reads c0 alone.  f21 carries log g(a) of
+    # ``spec``.  On [0, 1] the frequency is w a, refused where it overflows.
     g_a = spec.g_end()
     if not math.isfinite(spec.w * spec.a):
         raise ParameterError(f"w a = {spec.w!r} * {spec.a!r} overflows")
@@ -369,10 +368,10 @@ def solve_log(spec: ProblemSpec, n: int):
     solve of the f1 of the algebraic-kind sub-problem of the f2 amplitude
     of :func:`problem.make_f1_f2`, and log g(a) times the first solve.  So
     for a problem on [0, 1], :func:`oscquad.boundary.levin_value` on the
-    two solves' end data is the value of ``compute``.  (``compute`` maps a
-    problem with a != 1 onto [0, 1] and keeps the g(a) of the problem
-    before mapping; this function, given the mapped problem, takes its
-    g(1) = g(a)/a.)
+    two solves' end data is the value of ``compute``.  (``compute`` reads a
+    problem with a != 1 at x = a t on [0, 1] and takes c = g(a); this
+    function, which refuses a != 1, would take g(1) of a problem mapped
+    onto [0, 1], which is g(a)/a.)
 
     Returns
     -------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -88,13 +88,6 @@ def _horner_py(coeffs, x):
 def _poly_deriv(p: np.ndarray) -> np.ndarray:
     # polyder's coefficients j c_j, without its argument handling.
     return np.arange(1.0, p.size) * p[1:] if p.size > 1 else p * 0
-
-
-def _unit_poly(poly: np.ndarray, a: float) -> np.ndarray:
-    # The coefficients c_0 and c_k a^(k-1) of g(a t)/a for those c_k of a
-    # polynomial g on [0, a]: Horner's rule at t on them is g mapped onto
-    # [0, 1], the oscillator of _unit_interval.
-    return np.concatenate((poly[:1], poly[1:] * a ** np.arange(poly.size - 1.0)))
 
 
 def _series_rows(series_fn, x0, m: int, dtype, what: str, value=None) -> np.ndarray:
@@ -434,18 +427,21 @@ def build_problem(
 
 
 @kept
-def _amplitude_series(f: Amplitude, xs: np.ndarray, m: int) -> np.ndarray:
-    """f's Taylor rows of length m at the points xs, kept per amplitude
-    key (:class:`Amplitude`), points and m."""
-    return f.series_at(xs, m)
+def _amplitude_series(f: Amplitude, a: float, xs: np.ndarray, m: int) -> np.ndarray:
+    """f's Taylor rows of length m in t at the points xs, x = a t: those of
+    f at a xs with coefficient j times a^j.  Kept per amplitude key
+    (:class:`Amplitude`), a, points and m."""
+    return f.series_at(a * xs, m) * a ** np.arange(m)
 
 
 @kept
-def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
-    """Taylor coefficients of x/g(x), and for c > 0 also of log(c x/g(x))
-    (the log of the quotient (c x)/g(x)), one row per point of xs; the row
-    of x = 0 is that of the limit 1/(g(x)/x), with head 1/g'(0)."""
-    gser = osc.series_at(xs, m + 1)
+def _ratio_series(osc: Oscillator, a: float, xs: np.ndarray, m: int, c: float) -> tuple:
+    """Taylor coefficients in t of x/g(x), and for c > 0 also of log(c x/g(x))
+    (the log of the quotient (c x)/g(x)), one row per point of xs, x = a t:
+    the quotient is t over g(a t)/a, whose coefficient j is g's at a xs
+    times a^(j-1).  The row of t = 0 is that of the limit 1/(g(x)/x), with
+    head 1/g'(0)."""
+    gser = osc.series_at(a * xs, m + 1) * a ** (np.arange(m + 1) - 1.0)
     origin = xs == 0.0
     num = np.zeros((xs.size, m))
     num[:, 0] = np.where(origin, 1.0, xs)
@@ -456,12 +452,15 @@ def _ratio_series(osc: Oscillator, xs: np.ndarray, m: int, c: float) -> tuple:
     return (ratio, ps_log(ps_div(c * num, den))) if c else (ratio,)
 
 
-def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Callable:
+def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True, a: float = 1.0) -> Callable:
     """The amplitudes the Levin and Filon rules need, f1 and f21, as the
-    function ``at(xs, m)``: the list of the data of f1 and, for the
+    function ``at(ts, m)``: the list of the data of f1 and, for the
     logarithmic kind, of f21 = f log(c x/g) (x/g)^alpha, or of f log(c x/g)
-    without ``f2_power``, at the points xs: values for m = 0, series of
-    length m otherwise.
+    without ``f2_power``, at the points x = a t of the points ts: values for
+    m = 0, series in t of length m otherwise (coefficient j is a^j times
+    that in x).  With a = 1, as for FILON and :func:`make_f1_f2`, the
+    points are those of [0, a] themselves; the Levin rules pass ``spec.a``
+    and collocate on [0, 1].
 
     f1 is that of :func:`make_f1_f2`, which takes c = 1 without
     ``f2_power``.  With c = 1, f21 is, bit for bit, the f1 of the f2
@@ -473,13 +472,14 @@ def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Ca
 
     Each factor takes its limit at x = 0 (g'(0)^-alpha, log(c/g'(0))).  One
     call forms f, x/g, log(c x/g) and (x/g)^alpha once on its points (the
-    series of x/g and of log(c x/g) kept per polynomial g, nodes, length and
-    c by _ratio_series, and f's per keyed amplitude, nodes and length by
-    _amplitude_series) and both amplitudes from them.  For g = beta x the
-    factors are beta^-alpha and log(c/beta) exactly, and no series of g is
-    read: for the identity oscillator f1 is f itself and the second
-    amplitude is f log c.  :func:`_node_values` forms the same values on a
-    grid whose first point is the origin, without masks.
+    series of x/g and of log(c x/g) kept per polynomial g, a, nodes, length
+    and c by _ratio_series, and f's per keyed amplitude, a, nodes and length
+    by _amplitude_series) and both amplitudes from them; x/g is t over
+    g(a t)/a.  For g = beta x the factors are beta^-alpha and log(c/beta)
+    exactly, and no series of g is read: for the identity oscillator f1 is
+    f itself and the second amplitude is f log c.  :func:`_node_values`
+    forms the same values on a grid whose first point is the origin,
+    without masks.
     """
     f, osc, alpha = spec.amplitude, spec.oscillator, spec.alpha
     log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
@@ -487,8 +487,8 @@ def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Ca
         power = osc._beta**-alpha
         log_c = math.log(c / osc._beta) * (power if f2_power else 1.0)
 
-        def exact(x, m):
-            out = np.asarray(_amplitude_series(f, x, m) if m else f.value(x))
+        def exact(t, m):
+            out = np.asarray(_amplitude_series(f, a, t, m) if m else f.value(a * t))
             f1 = out if power == 1.0 else power * out
             return [f1, log_c * np.asarray(out, dtype=complex)] if log_kind else [f1]
 
@@ -497,28 +497,28 @@ def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Ca
     if not gp0 > 0:
         raise InvalidOscillatorError("g'(0) must be positive")
 
-    def factor(xs, pos, away, origin):
-        # ``away`` at the points xs > 0 and the limit ``origin`` at x = 0.
-        out = np.full(xs.shape, origin)
+    def factor(ts, pos, away, origin):
+        # ``away`` at the points ts > 0 and the limit ``origin`` at t = 0.
+        out = np.full(ts.shape, origin)
         out[pos] = away
         return out
 
-    def at(x, m):
+    def at(t, m):
         if m:
             mul = ps_mul
-            out = _amplitude_series(f, x, m)
-            ratio = _ratio_series(osc, x, m, c if log_kind else 0.0)
+            out = _amplitude_series(f, a, t, m)
+            ratio = _ratio_series(osc, a, t, m, c if log_kind else 0.0)
             log = ratio[1] if log_kind else None
             power = ps_pow(ratio[0], alpha)
         else:
             mul = np.multiply
-            xs = np.asarray(x, dtype=float)
-            pos = xs > 0
-            away = xs[pos]
-            gx = np.asarray(osc.value(away), dtype=float) if away.size else away
-            out = np.asarray(f.value(x))
-            log = factor(xs, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if log_kind else None
-            power = factor(xs, pos, (away / gx) ** alpha, gp0 ** (-alpha))
+            ts = np.asarray(t, dtype=float)
+            pos = ts > 0
+            away = ts[pos]
+            gx = np.asarray(osc.value(a * away), dtype=float) / a if away.size else away
+            out = np.asarray(f.value(a * ts))
+            log = factor(ts, pos, np.log(c * away / gx), math.log(c) - math.log(gp0)) if log_kind else None
+            power = factor(ts, pos, (away / gx) ** alpha, gp0 ** (-alpha))
         data = [mul(out, power)]
         if log_kind:
             out = mul(out, log)
@@ -530,14 +530,14 @@ def _regularised(spec: ProblemSpec, c: float = 1.0, f2_power: bool = True) -> Ca
 
 def _node_values(spec: ProblemSpec, c: float, nodes: np.ndarray, gx: np.ndarray, ratio: np.ndarray,
                  gp0: float) -> list:
-    """``_regularised(_unit_interval(spec), c)(nodes, 0)`` on a grid of
-    [0, 1] whose node 0 is the origin and whose other nodes are positive,
-    with g(a t)/a there ``gx``, t over it ``ratio`` and its slope at 0
-    ``gp0``: f is read at a t, and each factor is placed in its slots,
-    index 0 the origin limit, the rest from the ratio, with no mask.  For
-    g = beta x the factors are constants, formed as _regularised forms them."""
+    """``_regularised(spec, c, a=spec.a)(nodes, 0)`` on a grid of [0, 1]
+    whose node 0 is the origin and whose other nodes are positive, with
+    g(a t)/a there ``gx``, t over it ``ratio`` and g'(0) ``gp0``: f is read
+    at a t, and each factor is placed in its slots, index 0 the origin
+    limit, the rest from the ratio, with no mask.  For g = beta x the
+    factors are constants, formed as _regularised forms them."""
     if spec.oscillator._beta is not None:
-        return _regularised(spec, c)(spec.a * nodes, 0)
+        return _regularised(spec, c, a=spec.a)(nodes, 0)
     out = np.asarray(spec.amplitude.value(spec.a * nodes))
     power = np.empty(nodes.size)
     power[0] = gp0 ** (-spec.alpha)
@@ -573,44 +573,6 @@ def make_f1_f2(spec: ProblemSpec):
 
     f1 = spec.amplitude if spec.oscillator.is_identity else amplitude(0)
     return f1, amplitude(1) if spec.kind is SingKind.ALGEBRAIC_LOG else None
-
-
-def _unit_interval(spec: ProblemSpec) -> ProblemSpec:
-    """``spec`` on [0, 1] by x = a t: amplitude f(a t), oscillator g(a t)/a,
-    frequency w a.  f1, f2, g'(0) and w g keep their values, so a Levin
-    solve gives the q1 of ``spec`` and its c0 (and d0) divided by a.  The
-    frequency route maps a problem so, once ``levin._quad_levin`` has
-    refused a w a that overflows; the physical route reads the mapped g
-    from a table kept per (g, a, n) (:func:`_unit_values`) and places
-    f(a t) and w a itself."""
-    a, f = spec.a, spec.amplitude
-    if a == 1.0:
-        return spec
-    # Taylor coefficient k in t is a^k times that in x.
-    amplitude = Amplitude(lambda t: f.value(a * t), lambda ts, m: f.series_at(a * ts, m) * a ** np.arange(m))
-    return replace(spec, amplitude=amplitude, oscillator=_unit_oscillator(spec.oscillator, a), a=1.0, w=spec.w * a)
-
-
-def _unit_oscillator(g: Oscillator, a: float) -> Oscillator:
-    # g(a t)/a, the oscillator of _unit_interval: a polynomial g has the
-    # coefficients of _unit_poly; any other g is evaluated at a t and
-    # divided by a.
-    if g.poly is not None:
-        return Oscillator.from_poly(_unit_poly(g.poly, a))
-    return Oscillator(lambda t: g.value(a * t) / a, lambda ts, m: g.series_at(a * ts, m) * a ** np.arange(m) / a)
-
-
-def _unit_values(g: Oscillator, a: float, xs: np.ndarray, nodes: np.ndarray) -> tuple:
-    # g(a t)/a at the points xs, and its slope at ``nodes`` and at 0: the
-    # bits the methods of g (a = 1) or of _unit_oscillator(g, a) give, for
-    # a polynomial g and a != 1 by Horner's rule on _unit_poly and its
-    # derivative, without building that oscillator.
-    if g.poly is None or a == 1.0:
-        unit = g if a == 1.0 else _unit_oscillator(g, a)
-        return unit.value(xs), unit.deriv1(nodes), unit.deriv1(0.0)
-    coeffs = _unit_poly(g.poly, a)
-    slope = _poly_deriv(coeffs)
-    return _horner(coeffs, xs), _horner(slope, nodes), _horner(slope, np.asarray(0.0))
 
 
 def f1_derivatives(spec: ProblemSpec, x: float, max_order: int) -> np.ndarray:

@@ -22,11 +22,12 @@ from oscquad.problem import (
     Oscillator,
     ProblemSpec,
     SingKind,
-    _unit_interval,
     build_problem,
     builtin_problem,
     make_f1_f2,
 )
+
+from mapped import mapped_onto_unit
 
 BUILTINS = ("ex51", "ex52", "ex53a", "ex53b")
 LEVIN_CALLS = ((Method.LEVIN_PHYSICAL, 16, 0), (Method.LEVIN_FREQ, 12, 1), (Method.LEVIN_FREQ, 9, 2))
@@ -204,18 +205,20 @@ PIECES_SPECS = {
 
 def _public_solves(spec, method, n, s):
     # The solves of a Levin call on ``spec`` by the public pieces, each as
-    # (c0, q1, diagnostics), and the route's tuple for the problem mapped
-    # onto [0, 1] with the call's amplitudes.  The call's f21 takes
-    # c = g(a) of ``spec``, and solve_log takes g(1) of the problem it is
-    # given, which for the mapped problem is g(a)/a: solve_log serves a
-    # problem on [0, 1].  Elsewhere in the logarithmic kind, and on the
-    # frequency route, which has no public piece for it, the two solves are
+    # (c0, q1, diagnostics), and the route's tuple for ``spec`` with the
+    # call's amplitudes.  The public solvers take a problem on [0, 1], so
+    # they are given ``spec`` mapped onto it (tests/mapped.py), on which
+    # the route gives the same bits.  The call's f21 takes c = g(a) of
+    # ``spec``, and solve_log takes g(1) of the problem it is given, which
+    # for the mapped problem is g(a)/a: solve_log serves a problem on
+    # [0, 1].  Elsewhere in the logarithmic kind, and on the frequency
+    # route, which has no public piece for it, the two solves are
     # tsvd_solve's on the route's matrix, row scale and g' data.
-    unit = _unit_interval(spec)
+    unit = mapped_onto_unit(spec)
     if method is Method.LEVIN_PHYSICAL:
-        route = oscquad.levin._physical_operator(unit, spec.g_end(), n)
+        route = oscquad.levin._physical_operator(spec, spec.g_end(), n)
     else:
-        route = oscquad.filon._freq_operator(unit, spec.g_end(), n, s)
+        route = oscquad.filon._freq_operator(spec, spec.g_end(), n, s)
     if unit.kind is SingKind.ALGEBRAIC:
         return [solve_alg(unit, n) if method is Method.LEVIN_PHYSICAL else solve_freq(unit, n, s)], route
     if method is Method.LEVIN_PHYSICAL and spec.a == 1.0:
@@ -254,7 +257,7 @@ def _end_data(spec, method, n, s, sols, route):
     # node, whose f1 is f1(1) computed apart.
     _, data, _, gprime, (q1_row, slope, _) = route
     end_node = -1 if method is Method.LEVIN_PHYSICAL else -(s + 1)
-    assert complex(data[0][end_node]) == _f1_end(_unit_interval(spec), method, n, s)
+    assert complex(data[0][end_node]) == _f1_end(mapped_onto_unit(spec), method, n, s)
     c0, q1, _ = sols[-1]
     values = data[0] if len(sols) == 1 else data[1] - _q1_gprime(gprime, sols[0][1])
     first_c0 = None if len(sols) == 1 else sols[0][0]
@@ -313,8 +316,8 @@ class TestEndRowsReadOnce:
             grid = grid_of(n)
             return replace(grid, diff=grid.diff.view(_CountedRow))
 
-        def counted_table(osc, npts, s):
-            layout, *rest = table_of(osc, npts, s)
+        def counted_table(osc, a, npts, s):
+            layout, *rest = table_of(osc, a, npts, s)
             return (replace(layout, end_rows=tuple(row.view(_CountedRow) for row in layout.end_rows)), *rest)
 
         monkeypatch.setattr(oscquad.levin, "radau_grid", counted_grid)

@@ -27,10 +27,11 @@ from oscquad.problem import (
     Amplitude,
     Oscillator,
     SingKind,
-    _unit_interval,
     build_problem,
     builtin_problem,
 )
+
+from mapped import mapped_onto_unit
 from oscquad.baselines import reference_nsd, reference_oracle
 from oscquad.cheb import lobatto_grid
 
@@ -524,25 +525,27 @@ class TestFreqOperatorRows:
 
     @pytest.mark.parametrize("a", [0.37, 2.5])
     def test_general_g_within_round_off_of_loop_form(self, a):
-        # Inexact coefficients (those of g mapped from [0, a] to [0, 1]): the
-        # endpoint sums round each product where the loop form's dot product
-        # may fuse them, so the entries agree to a few ulps of the sum of
-        # their term sizes.
+        # Inexact series (those of g on [0, a] read at x = a t, whose loop
+        # form is that of the problem mapped onto [0, 1]): the endpoint sums
+        # round each product where the loop form's dot product may fuse
+        # them, so the entries agree to a few ulps of the sum of their term
+        # sizes.
         eps = np.finfo(float).eps
         for kind in (SingKind.ALGEBRAIC, SingKind.ALGEBRAIC_LOG):
-            spec = _unit_interval(build_problem(
+            spec = build_problem(
                 Amplitude.from_poly([1.0, 0.2]),
                 Oscillator.from_poly([0.0, 1.0, 0.3, 0.1]),
                 a=a,
                 alpha=-0.4,
                 kind=kind,
                 w=93.0,
-            ))
+            )
+            unit = mapped_onto_unit(spec)
             for npts in (3, 5, 8, 13):
                 for s in (0, 1, 2, 3):
-                    want = _loop_operator(spec, npts, s)
+                    want = _loop_operator(unit, npts, s)
                     got = _unscaled_rows(spec, npts, s, want)
-                    bound = 4.0 * eps * _operator_term_sizes(spec, npts, s)
+                    bound = 4.0 * eps * _operator_term_sizes(unit, npts, s)
                     assert got[:, 0].tobytes() == want[:, 0].tobytes()
                     assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= bound[:, 1:]), (a, npts, s)
 
@@ -566,7 +569,7 @@ class TestFreqOperatorRows:
         npts, s = 9, 2
         filon.quad_freq(spec, npts, s)
         (_, first), (rhs2, _) = seen
-        layout, _, (_, gprime_terms, _) = filon._freq_table(spec.oscillator, npts, s)
+        layout, _, (_, gprime_terms, _) = filon._freq_table(spec.oscillator, spec.a, npts, s)
         f21 = filon._regularised(spec, spec.g_end())(layout.nodes, s + 1)[1]
         conditions = (layout.fact * f21)[layout.node, layout.order]
         assert rhs2.tobytes() == (conditions - gprime_terms @ first[1:]).tobytes()
@@ -686,7 +689,9 @@ class TestKeptLayout:
                         compute(spec, method, npts, s)
         g = spec.oscillator._key
         assert not {(2, 1), (8, -1)} & set(oscquad.filon._layout.cache)
-        assert not {(g, 2, 1), (g, 8, -1), (g, 40, 1), (g, 8, 10**4)} & set(oscquad.filon._freq_table.cache)
+        assert (g, 1.0, 8, 1) in oscquad.filon._freq_table.cache
+        assert not {(g, 1.0, 2, 1), (g, 1.0, 8, -1), (g, 1.0, 40, 1), (g, 1.0, 8, 10**4)} \
+            & set(oscquad.filon._freq_table.cache)
 
     def test_basis_over_the_cap_builds_no_chebyshev_table(self, monkeypatch):
         # At s = 10**4 the table would take O(s^2 npts) memory and O(s^3

@@ -38,11 +38,11 @@ KEPT_TABLES = {
     "lobatto_grid": (oscquad.cheb._lobatto_grid, lambda i: (i + 2,)),
     "layout": (oscquad.filon._layout, lambda i: (i + 3, 0)),
     "cheb_series_table": (oscquad.filon._cheb_series_table, lambda i: (np.array([0.0, 0.5, 1.0]), 3, i + 1)),
-    "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 3, 0)),
+    "freq_table": (oscquad.filon._freq_table, lambda i: (_osc(i), 1.5, 3, 0)),
     "hermite_matrix": (oscquad.filon._hermite_matrix, lambda i: (_linear(i), 1.0, 3, 0)),
-    "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), np.array([0.0, 0.5]), 2, 1.0)),
+    "ratio_series": (oscquad.problem._ratio_series, lambda i: (_osc(i), 1.5, np.array([0.0, 0.5]), 2, 1.0)),
     "amplitude_series": (oscquad.problem._amplitude_series,
-                         lambda i: (Amplitude.from_poly([1.0, 0.01 * i]), np.array([0.0, 0.5]), 2)),
+                         lambda i: (Amplitude.from_poly([1.0, 0.01 * i]), 1.5, np.array([0.0, 0.5]), 2)),
     "end_k_alg": (oscquad.numkernel._end_k_alg, lambda i: (0.5, 10.0 + i, 1.0)),
     "end_k_log": (oscquad.numkernel._end_k_log, lambda i: (0.5, 10.0 + i, 1.0)),
     "mu_1": (oscquad.filon._mu_1, lambda i: (0.5, 10.0 + i, 1.0)),
@@ -276,20 +276,26 @@ def _inits_counted(monkeypatch, *classes) -> list:
     return built
 
 
+@pytest.mark.parametrize("method, n, s, tables", [
+    (Method.LEVIN_PHYSICAL, 12, 0, ["oscquad.cheb._radau_grid", "oscquad.levin._physical_table"]),
+    (Method.LEVIN_FREQ, 10, 2, ["oscquad.filon._freq_table", "oscquad.problem._amplitude_series",
+                                "oscquad.problem._ratio_series"]),
+], ids=["LEVIN_PHYSICAL", "LEVIN_FREQ"])
 @pytest.mark.parametrize("kind", list(oscquad.SingKind))
-def test_warm_call_on_zero_to_a_builds_no_problem(monkeypatch, kind):
-    # A LEVIN_PHYSICAL call on [0, a], a != 1, after one at the same (g, a,
-    # n) reads the Radau grid and the physical table, kept per (g, a, n),
-    # once each beside its end kernels, and maps the problem onto [0, 1]
-    # without building an amplitude, an oscillator or a spec.
+def test_warm_call_on_zero_to_a_builds_no_problem(monkeypatch, kind, method, n, s, tables):
+    # A Levin call on [0, a], a != 1, after one at the same (g, a, n, s)
+    # reads its route's tables, kept per g and a (and f's series, kept per
+    # f and a, with the x/g series of this quadratic g on the frequency
+    # route), once each beside its end kernels, and reads f and g at
+    # x = a t without building an amplitude, an oscillator or a spec.
     spec = oscquad.build_problem(Amplitude.from_poly([1.0, -0.5]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  1.7, 0.5, kind, 200.0)
-    cold = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
+    cold = compute(spec, method, n, s)
     built = _inits_counted(monkeypatch, Amplitude, Oscillator, oscquad.ProblemSpec)
     reads = _memo_reads(monkeypatch)
-    warm = compute(spec, Method.LEVIN_PHYSICAL, 12, 0)
+    warm = compute(spec, method, n, s)
     assert built == []
-    tables = ["oscquad.cheb._radau_grid", "oscquad.levin._physical_table", "oscquad.numkernel.kernel_k_alg"]
+    tables = tables + ["oscquad.numkernel.kernel_k_alg"]
     if kind is oscquad.SingKind.ALGEBRAIC_LOG:
         tables.append("oscquad.numkernel.kernel_k_log")
     assert sorted(reads) == sorted(tables)
@@ -330,14 +336,15 @@ class TestAmplitudeKeys:
 
     def test_equal_coefficients_share_an_entry(self):
         table = oscquad.problem._amplitude_series
-        first = table(Amplitude.from_poly([1.0, 0.5j, 2.0]), self.XS, 3)
-        assert table(Amplitude.from_poly(np.array([1.0, 0.5j, 2.0])), self.XS, 3) is first
+        first = table(Amplitude.from_poly([1.0, 0.5j, 2.0]), 1.0, self.XS, 3)
+        assert table(Amplitude.from_poly(np.array([1.0, 0.5j, 2.0])), 1.0, self.XS, 3) is first
+        assert table(Amplitude.from_poly([1.0, 0.5j, 2.0]), 2.0, self.XS, 3) is not first
 
     def test_one_ulp_apart_have_separate_entries(self):
         table = oscquad.problem._amplitude_series
         table.cache.clear()
         near = Amplitude.from_poly([1.0, np.nextafter(0.5, 1.0)])
-        outs = [table(f, self.XS, 2) for f in (Amplitude.from_poly([1.0, 0.5]), near)]
+        outs = [table(f, 1.0, self.XS, 2) for f in (Amplitude.from_poly([1.0, 0.5]), near)]
         assert outs[0] is not outs[1] and len(table.cache) == 2
         assert outs[1][0, 1] == np.nextafter(0.5, 1.0)
 
@@ -389,16 +396,13 @@ class TestAmplitudeKeys:
         lambda: Amplitude(lambda x: np.ones_like(np.asarray(x, dtype=complex)),
                           lambda xs, m: np.eye(1, m, dtype=complex).repeat(xs.size, axis=0)),
         lambda: Amplitude.with_fd(lambda x: np.exp(np.asarray(x, dtype=float))),
-        lambda: oscquad.problem._unit_interval(oscquad.build_problem(
-            Amplitude.from_poly([1.0, 2.0]), Oscillator.from_poly([0.0, 1.0]), 2.0, 0.5,
-            oscquad.SingKind.ALGEBRAIC, 10.0)).amplitude,
-    ], ids=["callable", "with_fd", "unit_interval"])
+    ], ids=["callable", "with_fd"])
     def test_unkeyed_amplitudes_are_never_kept(self, make):
         table = oscquad.problem._amplitude_series
         f = make()
         assert f._key is None
         size = len(table.cache)
-        first = table(f, self.XS, 2)
-        assert table(f, self.XS, 2) is not first
+        first = table(f, 1.0, self.XS, 2)
+        assert table(f, 1.0, self.XS, 2) is not first
         assert len(table.cache) == size
         assert np.array_equal(first, f.series_at(self.XS, 2))

@@ -1,5 +1,6 @@
 """Physical-space collocation solver tests."""
 
+import math
 from dataclasses import replace
 
 import mpmath as mp
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oscquad.cheb
 import oscquad.filon
 import oscquad.levin
 import oscquad.problem
@@ -27,13 +29,15 @@ from oscquad.problem import (
     Amplitude,
     Oscillator,
     BUILTIN_IDS,
+    ProblemSpec,
     SingKind,
     _regularised,
-    _unit_interval,
     build_problem,
     builtin_problem,
     make_f1_f2,
 )
+
+from mapped import mapped_onto_unit
 
 POLY = np.polynomial.polynomial
 
@@ -47,6 +51,22 @@ def zero_amplitude_spec(kind=SingKind.ALGEBRAIC):
         kind=kind,
         w=100.0,
     )
+
+
+def _loop_L(gx, gp, alpha, w, grid):
+    # The physical operator by the row loop that the array expressions
+    # replaced, from g at the interior nodes and g' at all nodes, origin
+    # first.
+    gpx, gp0 = gp[1:], gp[0]
+    n = gx.size
+    L = np.zeros((n + 1, n + 1), dtype=complex)
+    L[0, 0] = 1j * w * gp0
+    L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
+    for i in range(n):
+        L[i + 1, 0] = 1j * w * gpx[i]
+        L[i + 1, 1:] += gx[i] * grid.diff[i, :]
+        L[i + 1, 1 + i] += (1.0 + alpha + 1j * w * gx[i]) * gpx[i]
+    return L
 
 
 class TestAssembleL:
@@ -108,16 +128,7 @@ class TestAssembleL:
         # any points.
         def loop_L(spec, grid):
             gx, gp = oscquad.levin._physical_table(spec.oscillator, spec.a, grid.n)[:2]
-            gpx, gp0 = gp[1:], gp[0]
-            n, alpha, w = gx.size, spec.alpha, spec.w
-            L = np.zeros((n + 1, n + 1), dtype=complex)
-            L[0, 0] = 1j * w * gp0
-            L[0, 1:] = (1.0 + alpha) * gp0 * grid.origin_weights
-            for i in range(n):
-                L[i + 1, 0] = 1j * w * gpx[i]
-                L[i + 1, 1:] += gx[i] * grid.diff[i, :]
-                L[i + 1, 1 + i] += (1.0 + alpha + 1j * w * gx[i]) * gpx[i]
-            return L
+            return _loop_L(gx, gp, spec.alpha, spec.w, grid)
 
         custom = build_problem(
             amplitude=Amplitude.from_poly([1.0, -0.3]),
@@ -128,7 +139,7 @@ class TestAssembleL:
             w=3.1e3,
         )
         specs = [builtin_problem(pid, alpha, w) for pid in ("ex51", "ex52", "ex53a", "ex53b")
-                 for alpha, w in ((0.5, 40.0), (-0.73, 2.2e6))] + [_unit_interval(custom)]
+                 for alpha, w in ((0.5, 40.0), (-0.73, 2.2e6))] + [mapped_onto_unit(custom)]
         for spec in specs:
             for n in (2, 8, 16, 33):
                 grid = radau_grid(n)
@@ -504,7 +515,14 @@ class TestOneNodePassPerCall:
         for alpha in (0.5, -0.5):
             spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  a=0.7, alpha=alpha, kind=SingKind.ALGEBRAIC_LOG, w=40.0)
-            self.assert_regularised_is_sub_problem_f1(_unit_interval(spec))
+            unit = mapped_onto_unit(spec)
+            self.assert_regularised_is_sub_problem_f1(unit)
+            # Read at x = a t, the problem on [0, a] gives the data of the
+            # problem mapped onto [0, 1], bit for bit.
+            for c in (1.0, spec.g_end()):
+                at, want = _regularised(spec, c, a=spec.a), _regularised(unit, c)
+                for x, m in ((radau_grid(12).nodes, 0), (lobatto_grid(9).nodes, 3)):
+                    assert [np.asarray(v).tobytes() for v in at(x, m)] == [np.asarray(v).tobytes() for v in want(x, m)]
 
     @pytest.mark.parametrize("g, a", [([0.0, 1.0, 1.0], 1.0), ([0.0, 1.0, 0.5], 0.7), ([0.0, 1.0], 0.7)])
     def test_levin_f21_carries_log_g_end(self, g, a):
@@ -516,8 +534,8 @@ class TestOneNodePassPerCall:
         # it is exactly 0 at t = 1.
         spec = build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]), Oscillator.from_poly(g), a=a, alpha=0.5,
                              kind=SingKind.ALGEBRAIC_LOG, w=40.0)
-        unit, c = _unit_interval(spec), spec.g_end()
-        at, levin = _regularised(unit), _regularised(unit, c)
+        c = spec.g_end()
+        at, levin = _regularised(spec, a=a), _regularised(spec, c, a=a)
         radau, lobatto = radau_grid(12).nodes, lobatto_grid(9).nodes
         for x, m, bound in ((radau, 0, 2e-15), (lobatto, 3, 1e-12)):
             f1, f21 = at(x, m)
@@ -557,17 +575,18 @@ class TestPlacedNodeData:
     @pytest.mark.parametrize("name", SPECS)
     def test_equal_to_the_values_at_any_points(self, monkeypatch, name, kind, n):
         spec = self.SPECS[name](kind)
-        unit, g_a = _unit_interval(spec), spec.g_end()
+        unit, g_a = mapped_onto_unit(spec), spec.g_end()
         grid = radau_grid(n)
-        data = oscquad.levin._physical_operator(unit, g_a, n)[1]
-        want = _regularised(unit, g_a)(grid.nodes, 0)
+        data = oscquad.levin._physical_operator(spec, g_a, n)[1]
+        want = _regularised(spec, g_a, a=spec.a)(grid.nodes, 0)
         assert len(data) == len(want) == (2 if kind is SingKind.ALGEBRAIC_LOG else 1)
         for got, values in zip(data, want):
             got, values = np.asarray(got), np.asarray(values)
             assert got.dtype == values.dtype and got.tobytes() == values.tobytes(), name
-        # The public pieces place f1 so too: assemble_L's right-hand side,
-        # and picard_iterate's first iterate, the same bits as from the
-        # values of problem._regularised's path.
+        # The public pieces, given the problem mapped onto [0, 1], place f1
+        # so too: assemble_L's right-hand side, and picard_iterate's first
+        # iterate, the same bits as from the values of
+        # problem._regularised's path.
         assert assemble_L(unit, grid)[1].tobytes() == np.asarray(want[0], dtype=complex).tobytes()
         (c0, q1), = picard_iterate(unit, grid, 1)
         monkeypatch.setattr(oscquad.levin, "_node_values", lambda spec, c, nodes, *_: _regularised(spec, c)(nodes, 0))
@@ -605,9 +624,10 @@ def _array_bits(value):
 
 
 class TestRouteOnZeroToA:
-    """The physical route takes a problem on [0, a] as it is: its arrays are
-    those of the problem mapped onto [0, 1] by problem._unit_interval, bit
-    for bit, and only the frequency route maps a problem."""
+    """Both routes take a problem on [0, a] as it is and read f and g at
+    x = a t.  The physical route's arrays are, bit for bit, those of a loop
+    over the Radau nodes that reads g(a t)/a, g'(a t) and f(a t) one node
+    at a time, and neither route builds a mapped problem."""
 
     SPECS = {
         "quadratic": lambda kind: build_problem(Amplitude.from_poly([1.0, -0.3j, 0.2]),
@@ -622,35 +642,79 @@ class TestRouteOnZeroToA:
                                             a=0.6, alpha=-0.3, kind=kind, w=25.0),
     }
 
+    @staticmethod
+    def loop_arrays(spec, c, n):
+        # The route's tuple, node by node: each read of f and g one node at
+        # x = a t, g divided by a, the matrix by the row loop at frequency
+        # w a, and the factors of f1 and f21 formed as the route forms them,
+        # the origin limits at node 0.
+        grid = radau_grid(n)
+        a, f, g, alpha = spec.a, spec.amplitude, spec.oscillator, spec.alpha
+        log_kind = spec.kind is SingKind.ALGEBRAIC_LOG
+
+        def one(read, t):
+            return np.asarray(read(np.array([a * t])))
+
+        gx = np.concatenate([np.asarray(one(g.value, t), dtype=float) / a for t in grid.interior])
+        gp = np.concatenate([np.asarray(one(g.deriv1, t), dtype=float) for t in grid.nodes])
+        gp0 = float(g.deriv1(0.0))
+        f1, f21 = [], []
+        for i, t in enumerate(grid.nodes):
+            out = one(f.value, t)
+            if g._beta is not None:
+                power = g._beta**-alpha
+                f1.append(out if power == 1.0 else power * out)
+                f21.append(math.log(c / g._beta) * power * np.asarray(out, dtype=complex))
+                continue
+            if i == 0:
+                power, log = np.array([gp0 ** (-alpha)]), np.array([math.log(c) - math.log(gp0)])
+            else:
+                power, log = (np.array([t]) / gx[i - 1 : i]) ** alpha, np.log(c * np.array([t]) / gx[i - 1 : i])
+            f1.append(out * power)
+            f21.append(out * log * power)
+        data = [np.concatenate(f1)] + [np.concatenate(f21)] * log_kind
+        L = _loop_L(gx, gp, alpha, spec.w * a, grid)
+        return L, data, None, (gp, grid.origin_weights), (None, grid.diff[-1], -1)
+
     @pytest.mark.parametrize("n", [8, 16, 33])
     @pytest.mark.parametrize("kind", list(SingKind))
     @pytest.mark.parametrize("name", SPECS)
-    def test_arrays_are_those_of_the_mapped_problem(self, name, kind, n):
+    def test_arrays_are_those_of_the_loop_form(self, name, kind, n):
         # The matrix, node data, g' data and end rows.
         spec = self.SPECS[name](kind)
         assert spec.a != 1.0
         g_a = spec.g_end()
         got = oscquad.levin._physical_operator(spec, g_a, n)
-        want = oscquad.levin._physical_operator(_unit_interval(spec), g_a, n)
-        assert _array_bits(got) == _array_bits(want)
+        assert _array_bits(got) == _array_bits(self.loop_arrays(spec, g_a, n))
 
     @pytest.mark.parametrize("kind", list(SingKind))
-    def test_only_the_frequency_route_maps(self, monkeypatch, kind):
-        calls = []
-        original = oscquad.problem._unit_interval
+    def test_no_route_builds_a_problem(self, monkeypatch, kind):
+        # Cold, with every kept table cleared, and warm: no amplitude,
+        # oscillator or spec is built by a call on either route.
+        built = []
 
-        def counting(spec):
-            calls.append(spec.a)
-            return original(spec)
+        def counting(cls):
+            init = cls.__init__
 
-        for module in (oscquad.problem, oscquad.levin, oscquad.filon):
-            if hasattr(module, "_unit_interval"):
-                monkeypatch.setattr(module, "_unit_interval", counting)
+            def wrapper(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            return wrapper
+
+        for cls in (Amplitude, Oscillator, ProblemSpec):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
         spec = self.SPECS["quadratic"](kind)
-        compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
-        assert calls == []
-        compute(spec, Method.LEVIN_FREQ, 10, 2)
-        assert calls == [1.7]
+        assert built == ["Amplitude", "Oscillator", "ProblemSpec"]
+        built.clear()
+        for memo in (oscquad.cheb._radau_grid, oscquad.cheb._lobatto_grid, oscquad.filon._layout,
+                     oscquad.filon._freq_table, oscquad.levin._physical_table, oscquad.problem._ratio_series,
+                     oscquad.problem._amplitude_series):
+            memo.cache.clear()
+        for _ in range(2):
+            compute(spec, Method.LEVIN_PHYSICAL, 16, 0)
+            compute(spec, Method.LEVIN_FREQ, 10, 2)
+        assert built == []
 
 
 class TestPicardIterate:

@@ -166,3 +166,38 @@ def test_compare_reports_diagnostics(tool, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert any(line.split()[2:] == ["diagnostics", str(changed[0][0]), "1", "added", "new_key;", "removed",
                                     dropped] for line in out)
+
+
+def test_compare_splits_point_rows_by_label(tool, tmp_path, capsys):
+    # Point operations are grouped by method and problem label, so a value
+    # moved on one label shows on that label's row alone, and every label
+    # of the pass has its own value and diagnostics rows.
+    desc = tool.wl.describe("points-physical", 1, 1)
+    before = list(islice(tool.operation_lines(oscquad, "points-physical", 1, 1), 40))
+    ops = [desc.ops[int(line.split(": ", 1)[0].rsplit("=", 1)[1])] for line in before]
+    labels = [desc.problems[op.problem].label for op in ops]
+    assert {"ex51", "custom-alg"} <= set(labels)
+    i = labels.index("custom-alg")
+    key, outcome = before[i].split(": ", 1)
+    end = outcome.index("'", 1)
+    value = complex(outcome[1:end])
+    moved = repr(complex(value.real, value.imag * (1.0 + 4e-14) + 1e-300))
+    after = before[:i] + [f"{key}: '{moved}'{outcome[end + 1:]}"] + before[i + 1:]
+
+    result = tool.compare(before, after)
+    assert result.pop("lines") == (40, 1)
+    assert {method for _, method, _ in result} == {f"LEVIN_PHYSICAL:{label}" for label in labels}
+    assert {method: count for (_, method, _), (count, _, _) in result.items()} == \
+        {f"LEVIN_PHYSICAL:{label}": labels.count(label) for label in set(labels)}
+    changed = {key: row for key, row in result.items() if row[1]}
+    assert list(changed) == [("points-physical", "LEVIN_PHYSICAL:custom-alg", "value")]
+    assert set(tool.compare_diagnostics(before, after)) == {("points-physical", method) for _, method, _ in result}
+
+    paths = []
+    for name, lines in (("before.txt", before), ("after.txt", after)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("\n".join(lines) + "\n")
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["points-physical", "LEVIN_PHYSICAL:custom-alg", "value", str(labels.count("custom-alg")), "1"] in \
+        [row[:5] for row in rows]

@@ -212,7 +212,7 @@ class TestNormalization:
     def test_fresh_spec_reads_the_same_physical_table(self):
         # The physical route's table is kept per (g, a, n), so each spec
         # built afresh with the same g and a reads the entry of the first,
-        # whatever its w; a spec on [0, 1] is its own mapping onto [0, 1].
+        # whatever its w; the entry of a = 1 is another.
         def build(w=30.0):
             return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 0.5]),
                                  1.7, 0.5, SingKind.ALGEBRAIC_LOG, w)
@@ -228,8 +228,8 @@ class TestNormalization:
         assert table(fresh.oscillator, fresh.a, 12) is entry
         assert compute(build(), Method.LEVIN_PHYSICAL, 12, 0).value == value
         assert len(table.cache) == size
-        on_unit = builtin_problem("ex53a", 0.5, 10.0)
-        assert oscquad.problem._unit_interval(on_unit) is on_unit
+        assert table(spec.oscillator, 1.0, 12) is not entry
+        assert next(reversed(table.cache)) == (spec.oscillator._key, 1.0, 12)
 
     def test_builtin_ids(self):
         assert set(BUILTIN_IDS) == {"ex51", "ex52", "ex53a", "ex53b", "ex54"}

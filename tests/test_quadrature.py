@@ -32,11 +32,12 @@ from oscquad.problem import (
     Amplitude,
     Oscillator,
     SingKind,
-    _unit_interval,
     build_problem,
     builtin_problem,
     f1_derivatives,
 )
+
+from mapped import mapped_onto_unit
 
 
 def zero_spec(kind):
@@ -354,7 +355,7 @@ class TestShortIntervals:
         for call in calls:
             with pytest.raises(ParameterError, match="work on \\[0, 1\\]"):
                 call()
-        unit = _unit_interval(spec)
+        unit = mapped_onto_unit(spec)
         assert unit.a == 1.0 and unit.w == 50.0
         assert np.isfinite(solve_alg(unit, 8)[0]) and np.isfinite(solve_freq(unit, 8, 1)[0])
 
@@ -480,9 +481,9 @@ class TestOneAmplitudeBuildPerLevinCall:
         kinds = []
 
         def counting(original):
-            def wrapper(spec, *args):
+            def wrapper(spec, *args, **kwargs):
                 kinds.append(spec.kind)
-                return original(spec, *args)
+                return original(spec, *args, **kwargs)
             return wrapper
 
         for name in ("_regularised", "_node_values"):

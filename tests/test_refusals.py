@@ -11,7 +11,7 @@ from oscquad._series import poly_taylor
 from oscquad.benchcli import run_command
 from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
-from oscquad.errors import CapabilityError, InvalidOscillatorError, ParameterError
+from oscquad.errors import CapabilityError, DegenerateSystemError, InvalidOscillatorError, ParameterError
 from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon
 from oscquad.levin import assemble_L, picard_iterate
 from oscquad.numkernel import KernelDiag, Strategy, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
@@ -78,6 +78,14 @@ def test_filon_on_nonlinear_g_exits_3():
     assert code == 3 and "FILON supports g = beta x only" in err.getvalue()
 
 
+def _eval_exit(*args):
+    # ``oscquad-bench eval`` with ``args``, its exit code and error output
+    # raised as SystemExit("code: message").
+    err = io.StringIO()
+    code = run_command(["eval", *args], stdout=io.StringIO(), stderr=err)
+    raise SystemExit(f"{code}: {err.getvalue()}")
+
+
 # Polynomial g whose g' vanishes on [0, 1]: g' = (x - 0.7)^2, and
 # g' = (x - 0.5)^2 - 1e-6, negative only on an interval narrower than the
 # spacing 1/257 of the samples a non-polynomial g is checked on.
@@ -136,6 +144,8 @@ CASES = [
     pytest.param(lambda: compute(_spec_with_g([0.0, -1.0, 3.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-negative-at-0"),
     pytest.param(lambda: compute(_spec_with_g([0.0, 0.0, 1.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-zero-at-0"),
     pytest.param(lambda: KernelDiag(Strategy.SERIES, 0, 0.0), ParameterError, "invalid kernel diagnostics", id="KernelDiag-terms0"),
+    pytest.param(lambda: compute(SPEC, Method.FILON, 30, 5), DegenerateSystemError, "Hermite interpolation conditions violated", id="compute-filon-hermite-conditions-violated"),
+    pytest.param(lambda: _eval_exit("--problem", "ex51", "--alpha", "0.5", "--w", "100", "--n", "30", "--s", "5", "--method", "filon"), SystemExit, "4: accuracy error: Hermite interpolation conditions violated", id="cli-filon-hermite-conditions-violated-exit-4"),
 ]
 
 

@@ -86,3 +86,38 @@ def test_subprocesses_import_the_measured_checkout(tmp_path):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stdout[-2000:]
     assert proc.stdout.splitlines()[-1] == "0 of 0 statements of src/oscquad never executed (pytest exit code 0)"
+
+
+REWRITING_TEST = '''from pathlib import Path
+
+import oscquad.one
+
+
+def test_used_then_rewrite():
+    assert oscquad.one.used(1) == 2
+    path = Path(oscquad.one.__file__)
+    path.write_text("# Edited while the run traced it.\\n\\n" + path.read_text())
+'''
+
+
+def test_lists_the_text_it_traced(tmp_path):
+    # A test inside the traced run rewrites its module, two lines longer:
+    # the listing is still that of the text the run traced, and the file is
+    # named as changed.
+    package = tmp_path / "src" / "oscquad"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "one.py").write_text(SOURCE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text(REWRITING_TEST)
+    proc = subprocess.run([sys.executable, str(TOOL), "--root", str(tmp_path), "--", "-q", "-p", "no:cacheprovider"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    assert (package / "one.py").read_text() != SOURCE
+    assert proc.stdout.splitlines()[-5:] == [
+        "src/oscquad/one.py:13: if x:",
+        "src/oscquad/one.py:14: return math.sqrt(x)",
+        "src/oscquad/one.py:15: return 0.0",
+        "src/oscquad/one.py: changed during the run; listed by its text at the start",
+        "3 of 5 statements of src/oscquad never executed (pytest exit code 0)",
+    ]

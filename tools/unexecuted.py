@@ -10,6 +10,9 @@ subprocesses the tests start import the same package, under a
 ``sys.settrace`` line tracer limited to ``PATH/src/oscquad``.  It then
 prints ``file:line: statement`` for every statement of
 ``PATH/src/oscquad/*.py`` that the run never executed, and their count.
+The statements are those of the text each file had when the run started,
+which is the code the run traced; a file whose text changed during the run
+is named on a line of its own before the count.
 The pytest arguments default to ``-q``.
 A statement is an ``ast.stmt`` other than a def, a class, an import or a
 docstring, counted at its first line.  The tool uses the standard library
@@ -84,15 +87,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
     # Subprocesses the tests start (``python -m oscquad``) import it too.
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    sources = {path: path.read_text() for path in files}
     code, executed = traced_run(package, argv[split + 1:] or ["-q"])
     missed = total = 0
-    for path in files:
+    for path, source in sources.items():
         hit = executed.get(str(path), set())
-        for line, text in statements(path.read_text()):
+        for line, text in statements(source):
             total += 1
             if line not in hit:
                 missed += 1
                 print(f"{path.relative_to(root)}:{line}: {text}")
+    for path, source in sources.items():
+        if not path.exists() or path.read_text() != source:
+            print(f"{path.relative_to(root)}: changed during the run; listed by its text at the start")
     print(f"{missed} of {total} statements of src/oscquad never executed (pytest exit code {code})")
     return code
 
