@@ -8,10 +8,10 @@ moment-free Filon part on a geometric mesh reaching the outer endpoint.
 
 The reference oracle integrates the full singular integrand by brute
 force on a geometric mesh (ratio 1/2) with oscillation-capped
-Gauss-Legendre panels; for a polynomial g of degree <= 2 it does so in the
-phase variable u = g(x), where the oscillation is e^{iwu} and one complex
-exponential per sub-panel carries it.  It refuses frequencies whose total
-phase range exceeds a cap, beyond which its cost defeats its purpose.
+Gauss-Legendre panels, in the phase variable u = g(x), where the
+oscillation is e^{iwu} and one complex exponential per sub-panel carries
+it.  It refuses frequencies whose total phase range exceeds a cap, beyond
+which its cost defeats its purpose.
 
 The numerical steepest-descent reference (:func:`reference_nsd`) moves the
 integral onto one complex path from each endpoint, on which the oscillation
@@ -30,7 +30,7 @@ from scipy.special import digamma, eval_genlaguerre, gamma, roots_legendre
 
 from ._kept import kept
 from ._result import Method, QuadratureResult, check_counts
-from .errors import AccuracyError, CapabilityError, ParameterError
+from .errors import AccuracyError, CapabilityError, InvalidOscillatorError, ParameterError
 from .problem import ProblemSpec, SingKind, _horner_py, _weighted, integrand
 
 __all__ = [
@@ -73,6 +73,9 @@ _NSD_TILT = 0.1
 # the fastest of the powers of two from 64 to 2048; 2048 took 15-40% longer
 # above |w| g(a) = 300.  Every power of two tried gave the same bits.
 _BLOCK_SUBPANELS = 128
+# _inverse's Newton steps from the chord: a third step moved the cubic
+# table's errors from 0.53 to 0.51 of the tests' bound, for 17% more time.
+_NEWTON_STEPS = 2
 
 
 @kept
@@ -453,18 +456,45 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_integral(spec: ProblemSpec, g1: float, g2: float) -> complex:
-    # reference_oracle's rule in u = g(x) for g = g1 x + g2 x^2 with g' > 0
-    # on [0, a]: graded_integral's at its defaults (24 nodes, a quarter
-    # period per sub-panel, 120 halvings, the closed-form tail) on the
-    # panels [2^E, g(a)] and [2^(e-1), 2^e] below it.  A panel's sub-panels
-    # are h = min(h_cap, width) wide, h_cap a quarter period rounded down to
-    # 4 significant bits, and the last one takes the exact remainder, so
-    # every edge lo + i h is an exact float.  A sub-panel's value is
-    # (h/2) e^{iw left} sum_j [w_j e^{iw (h/2)(1 + xi_j)}] F(u_j), whose
-    # bracket is one row for all h_cap-wide sub-panels; w left is the exact
-    # sum p + e of a two-product, so e^{iw left} = e^{ip} (1 + ie) carries
-    # no rounding of the phase.
+def _inverse(spec: ProblemSpec):
+    # u -> (x(u), g'(x(u))) on [0, g(a)], on arrays: _path_slope's closed
+    # form for g = g1 x + g2 x^2 with g' > 0 on [0, a], else Newton's method
+    # from g's chord on 257 samples, which must increase from g(0) = 0.
+    osc = spec.oscillator
+    c = [] if osc.poly is None else osc.poly.tolist() + [0.0, 0.0]
+    if c and c[0] == 0.0 and not any(c[3:]) and c[1] > 0.0 and c[1] + 2.0 * c[2] * spec.a > 0.0:
+        slope, root = _path_slope(0.0, c[1], c[2])  # for g = g1 x, at every u
+
+        def closed(u):
+            s, r = (slope, root) if c[2] == 0.0 else _path_slope(u, c[1], c[2])
+            return u * s, r
+
+        return closed
+    xs = np.linspace(0.0, spec.a, 257)
+    gs = np.asarray(osc.value(xs), dtype=float)
+    if not (gs[0] == 0.0 and (np.diff(gs) > 0.0).all()):
+        raise InvalidOscillatorError(f"the oracle needs a g that increases from g(0) = 0 on [0, {spec.a!r}]")
+
+    def newton(u):
+        x = np.interp(u, gs, xs)
+        for _ in range(_NEWTON_STEPS):
+            x = x - (osc.value(x) - u) / osc.deriv1(x)
+        return x, osc.deriv1(x)
+
+    return newton
+
+
+def _phase_integral(spec: ProblemSpec, inverse) -> complex:
+    # reference_oracle's rule in u = g(x), x(u) and g'(x(u)) by _inverse:
+    # graded_integral's at its defaults (24 nodes, a quarter period per
+    # sub-panel, 120 halvings, the closed-form tail) on the panels
+    # [2^E, g(a)] and [2^(e-1), 2^e] below it.  A panel's sub-panels are
+    # h = min(h_cap, width) wide, h_cap a quarter period rounded down to 4
+    # significant bits, and the last one takes the exact remainder, so every
+    # edge lo + i h is an exact float.  A sub-panel's value is (h/2)
+    # e^{iw left} sum_j [w_j e^{iw (h/2)(1 + xi_j)}] F(u_j), whose bracket is
+    # one row for all h_cap-wide sub-panels; w left is the exact sum p + e of
+    # a two-product, so e^{iw left} = e^{ip} (1 + ie) has no phase rounding.
     w = spec.w
     top = spec.g_end()
     depth, k = _geometric_depth(top, "g(a)")
@@ -493,12 +523,10 @@ def _phase_integral(spec: ProblemSpec, g1: float, g2: float) -> complex:
     half = np.concatenate((half[shared], half[~shared]))
     row = wgl * np.exp(1j * w * (0.5 * h_cap * one_xi))
     own_rows = wgl * _unit_phases(w * (half[n_shared:, None] * one_xi))
-    # For a linear g, x(u) and g'(x(u)) are the same at every node.
-    slope, root = _path_slope(0.0, g1, g2) if g2 == 0.0 else (None, None)
 
     def amplitude(u):
-        s, r = (slope, root) if g2 == 0.0 else _path_slope(u, g1, g2)
-        return _weighted(spec, u * s) / r
+        x, gp = inverse(u)
+        return _weighted(spec, x) / gp
 
     # sum_j row_j F(u_j) per sub-panel, on blocks of at most
     # _BLOCK_SUBPANELS sub-panels.
@@ -525,30 +553,27 @@ def _phase_integral(spec: ProblemSpec, g1: float, g2: float) -> complex:
 def reference_oracle(spec: ProblemSpec) -> complex:
     """Ground-truth value by graded brute force, for moderate frequencies.
 
-    For a polynomial g of degree <= 2 (every built-in g, and every
-    ``--g-poly`` of that degree) the integral is taken in u = g(x), as
-    int_0^{g(a)} F(u) e^{iwu} du with F = f x^alpha [log x] / g'(x) and
-    x(u), g'(x(u)) in closed form: 24-node Gauss-Legendre on sub-panels a
+    The integral is taken in u = g(x), as int_0^{g(a)} F(u) e^{iwu} du with
+    F = f x^alpha [log x] / g'(x): 24-node Gauss-Legendre on sub-panels a
     quarter period wide, within panels [2^(e-1), 2^e] halving 120 times
     toward u = 0, and the rest in closed form.  Each sub-panel's
     oscillation is one exact phase at its left edge times one row of node
     phases shared by all equal sub-panels, so no rounding of w g(x)
-    enters.  Against the 40-digit tables of
-    ``tests/data`` (232 values with |w| g(a) <= the cap) its relative error
-    is 3.8e-15 on ex51 at alpha = 0.5 and w = 100, 1.9e-14 at 1e3 and
-    3.6e-13 at 1e4, 8.6e-15 on ex53a at w = 1e4 (|w| g(a) = 2e4, the cap)
-    and at most 1.6e-12 over the tables, on ex53b at alpha = 0.99 and
-    w = 1e4.  The rounding of some 1.3e4 float64 sub-panel values keeps
-    the absolute error near 1e-18 times the integral of |F|, so the
-    relative error grows where the value lies far below that integral:
-    six decades there, and 3.9e-11 against NSD on ex51 at alpha = 0.9,
-    w = 2e4.
-
-    Any other g takes :func:`graded_integral` of the integrand in x, with
-    sub-panels capped by the largest |w g'| on 257 samples of [0, a]; its
-    rounding of the phase w g(x) grows with w (4.7e-10 on ex51 at w = 1e4).
-    Refuses |w| g(a) beyond the phase cap, where the panel count grows
-    further.
+    enters.  x(u) is in closed form for a polynomial g of degree <= 2
+    (every built-in g); any other g is inverted by 2 Newton steps from its
+    chord on 257 samples of [0, a].  Against the 250 values of the 40-digit
+    tables of ``tests/data`` with |w| g(a) <= the cap its relative error is
+    3.8e-15 on ex51 at alpha = 0.5 and w = 100, 1.9e-14 at 1e3 and 3.6e-13
+    at 1e4, 8.6e-15 on ex53a at w = 1e4 (|w| g(a) = 2e4, the cap), 6e-14 on
+    the cubic g's table for w <= 1e3, and at most 1.6e-12, on ex53b at
+    alpha = 0.99 and w = 1e4.  The rounding of some 1.3e4 float64
+    sub-panel values keeps the absolute error near 1e-18 times the integral
+    of |F|, so the relative error grows where the value lies far below that
+    integral: six decades there, and 3.9e-11 against NSD on ex51 at
+    alpha = 0.9, w = 2e4.  Refuses |w| g(a) beyond the phase cap, where the
+    panel count grows further, and (InvalidOscillatorError) a g that does
+    not increase from g(0) = 0 on [0, a], which ``build_problem`` never
+    returns.
     """
     phase_range = abs(spec.w) * spec.g_end()
     if phase_range > ORACLE_PHASE_CAP:
@@ -556,20 +581,7 @@ def reference_oracle(spec: ProblemSpec) -> complex:
             f"oracle refuses |w| g(a) = {phase_range:.3g} > {ORACLE_PHASE_CAP:.3g}; "
             "use reference_nsd instead"
         )
-    poly = spec.oscillator.poly
-    c = [] if poly is None else poly.tolist() + [0.0, 0.0]
-    if c and c[0] == 0.0 and not any(c[3:]) and c[1] > 0.0 and c[1] + 2.0 * c[2] * spec.a > 0.0:
-        value = _phase_integral(spec, c[1], c[2])
-    else:
-        sample = np.linspace(0.0, spec.a, 257)
-        gp_max = float(np.max(np.abs(spec.oscillator.deriv1(sample))))
-        value = graded_integral(
-            lambda x: integrand(spec, x),
-            spec.a,
-            spec.alpha,
-            osc_rate=abs(spec.w) * gp_max,
-        )
-    return complex(value * spec.phase_shift)
+    return complex(_phase_integral(spec, _inverse(spec)) * spec.phase_shift)
 
 
 @kept

@@ -50,7 +50,7 @@ from ._result import Method, QuadratureResult, check_counts
 from ._series import poly_taylor, ps_mul
 from .cheb import lobatto_grid
 from .errors import AccuracyError, CapabilityError, DegenerateSystemError, ParameterError
-from .levin import _on_unit, _problem_solves, _quad_levin
+from .levin import _problem_solves, _quad_levin, _w_a
 from .numkernel import _end_k_log, _power, gamma_real, neg_iw_pow, upper_gamma_complex
 from .problem import Oscillator, ProblemSpec, SingKind, _factorials, _regularised
 
@@ -447,7 +447,7 @@ def _freq_operator(spec: ProblemSpec, c: float, npts: int, s: int) -> tuple:
     # scale.  The end rows are the layout's, and the value at t = 1 is the
     # order-0 condition of the last node, s + 1 from the end.
     layout, gprime, (t1, t2, t3) = _freq_table(spec.oscillator, spec.a, npts, s)
-    w = spec.w * spec.a
+    w = _w_a(spec)
     A = np.empty((gprime.size, t1.shape[1] + 1), dtype=complex)
     A[:, 0] = 1j * w * gprime
     A[:, 1:] = t1 + (1.0 + spec.alpha) * t2 + 1j * w * t3
@@ -462,7 +462,7 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
     """Frequency-space Levin collocation for (c0, q1).
 
     q1 is expanded in the ``M = npts - 1 + 2s`` Chebyshev polynomials
-    T_k(2t - 1) on [0, 1] (``spec.a`` must be 1); the model ODE and its
+    T_k(2t - 1) on [0, 1], x = a t; the model ODE and its
     first s derivatives are collocated at the endpoints (interior nodes
     carry single conditions), with the regularized amplitude f1 of
     ``spec`` on the right-hand side.  Returns ``(c0, coeffs, diagnostics)``
@@ -479,8 +479,8 @@ def solve_freq(spec: ProblemSpec, npts: int, s: int):
         Endpoint multiplicity parameter.
     """
     check_counts(npts=npts, s=s)
-    L, data, scale, gprime, _ = _freq_operator(_on_unit(spec), 1.0, npts, s)
-    return _problem_solves(L, data[:1], scale, gprime)[0]
+    L, data, scale, gprime, _ = _freq_operator(spec, 1.0, npts, s)
+    return _problem_solves(L, data[:1], scale, gprime, spec.a)[0]
 
 
 def quad_freq(spec: ProblemSpec, npts: int, s: int) -> QuadratureResult:

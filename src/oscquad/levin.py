@@ -35,8 +35,7 @@ satisfying
 
 Collocation runs on the modified Gauss-Radau nodes, which exclude the
 origin; the condition at x=0 replaces q1(0) by the extrapolation r^T q1
-through the grid's origin weights; the public solvers refuse a problem
-with a != 1 (the rules read it at x = a t on [0, 1]).  The resulting
+through the grid's origin weights.  The resulting
 square system is factorised once per operator by :func:`_factorise`: LU
 with partial pivoting where its condition estimate stays moderate, truncated SVD
 where the operator is near-singular, since exactly one near-null
@@ -124,16 +123,14 @@ def _physical_table(osc: Oscillator, a: float, n: int) -> tuple:
     return gx, gp, base, grid.interior / gx, float(osc.deriv1(0.0))
 
 
-def _on_unit(spec: ProblemSpec) -> ProblemSpec:
-    # ``spec``, for the public solvers, which work on [0, 1]; the Levin
-    # rules take [0, a] (_quad_levin).
-    if spec.a != 1.0:
-        raise ParameterError(f"the collocation solvers work on [0, 1], got a = {spec.a!r}")
-    return spec
+def _w_a(spec: ProblemSpec) -> float:
+    if not math.isfinite(spec.w * spec.a):
+        raise ParameterError(f"w a = {spec.w!r} * {spec.a!r} overflows")
+    return spec.w * spec.a
 
 
 def assemble_L(spec: ProblemSpec, grid: ChebGrid):
-    """Collocation matrix and right-hand side on a Radau grid.
+    """Collocation matrix and right-hand side on a Radau grid in t, x = a t.
 
     Row 0 collocates the ODE at the excluded origin,
     ``iw g'(0) c0 + (1+alpha) g'(0) (r^T q1) = f1(0)``; row i collocates at
@@ -144,7 +141,6 @@ def assemble_L(spec: ProblemSpec, grid: ChebGrid):
     L : ndarray, shape (n+1, n+1)
     rhs : ndarray, shape (n+1,)
     """
-    spec = _on_unit(spec)
     if grid.family is not GridFamily.RADAU_MODIFIED:
         raise ParameterError("physical-space solver requires a Radau grid")
     L, (f1, *_) = _physical_operator(spec, 1.0, grid.n)[:2]
@@ -254,7 +250,7 @@ def _physical_operator(spec: ProblemSpec, c: float, n: int, s: int = 0) -> tuple
     # the frequency is w a.
     grid = radau_grid(n)
     gx, gp, base, ratio, gp0 = _physical_table(spec.oscillator, spec.a, grid.n)
-    alpha, w = spec.alpha, spec.w * spec.a
+    alpha, w = spec.alpha, _w_a(spec)
     L = base.copy()
     L.real[0, 1:] = (1.0 + alpha) * gp[0] * grid.origin_weights
     L.imag[:, 0] = w * gp
@@ -292,10 +288,11 @@ def _solves(L: np.ndarray, fact: tuple, data: list, scale, gprime) -> list:
     return sols
 
 
-def _problem_solves(L: np.ndarray, data: list, scale, gprime) -> list:
-    # The (c0, q1, diagnostics) of each of the _solves on one _factorise of L.
+def _problem_solves(L: np.ndarray, data: list, scale, gprime, a: float) -> list:
+    # The (c0, q1, diagnostics) of each of the _solves on one _factorise of
+    # L, c0 scaled back by a as _quad_levin scales it.
     fact, keys = _factorise(L)
-    return [(complex(x[0]), x[1:], {"residual_norm": residual, **keys})
+    return [(complex(x[0]) * a, x[1:], {"residual_norm": residual, **keys})
             for x, residual, _ in _solves(L, fact, data, scale, gprime)]
 
 
@@ -310,26 +307,19 @@ def _quad_levin(spec: ProblemSpec, route, method: Method, n: int, s: int) -> Qua
     # t = 1 in node data.  The solves give the q1 of ``spec`` and its c0,
     # d0 divided by a, which are scaled back here.  Only the solve whose
     # q(a) the bracket reads has its end data formed; of the logarithmic
-    # kind's first solve it reads c0 alone.  f21 carries log g(a) of
-    # ``spec``.  On [0, 1] the frequency is w a, refused where it overflows.
+    # kind's first solve it reads c0 alone.  f21 carries log g(a).
     g_a = spec.g_end()
-    if not math.isfinite(spec.w * spec.a):
-        raise ParameterError(f"w a = {spec.w!r} * {spec.a!r} overflows")
     L, data, scale, gprime, (q1_row, slope, at_end) = route(spec, g_a, n, s)
     fact, keys = _factorise(L)
     sols = _solves(L, fact, data, scale, gprime)
     diagnostics = {"residual_norm": sols[0][1], **keys}
     x, residual, values = sols[-1]
-    q1 = x[1:]
-    c0, dq1, dq1_size = complex(x[0]), complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
+    q1, a = x[1:], spec.a
+    c0, dq1, dq1_size = complex(x[0]) * a, complex(slope @ q1) / a, float(np.abs(slope) @ np.abs(q1)) / a
     first_c0 = None
     if len(sols) == 2:
         diagnostics["residual_norm_second"] = residual
-        first_c0 = complex(sols[0][0][0])
-    a = spec.a
-    if a != 1.0:
-        c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
-        first_c0 = None if first_c0 is None else first_c0 * a
+        first_c0 = complex(sols[0][0][0]) * a
     q1_end = q1[-1] if q1_row is None else q1_row @ q1
     end = (c0, complex(q1_end), dq1, dq1_size, complex(values[at_end]))
     return QuadratureResult(levin_value(spec, g_a, end, first_c0), method, s, n, diagnostics)
@@ -349,12 +339,12 @@ def solve_alg(spec: ProblemSpec, n: int):
     Returns
     -------
     (c0, q1, diagnostics)
-        The constant c0, q1 at the Radau grid's interior nodes, and the
-        diagnostics of :func:`tsvd_solve`; ``residual_norm`` is the
+        The constant c0, q1 at the grid's interior nodes t (x = a t), and
+        the diagnostics of :func:`tsvd_solve`; ``residual_norm`` is the
         collocation residual, origin row included.
     """
-    L, data, scale, gprime, _ = _physical_operator(_on_unit(spec), 1.0, n)
-    return _problem_solves(L, data[:1], scale, gprime)[0]
+    L, data, scale, gprime, _ = _physical_operator(spec, 1.0, n)
+    return _problem_solves(L, data[:1], scale, gprime, spec.a)[0]
 
 
 def solve_log(spec: ProblemSpec, n: int):
@@ -367,19 +357,16 @@ def solve_log(spec: ProblemSpec, n: int):
     by linearity the sum of the coupled solve (d0, l1) for ``-q1 g'``, the
     solve of the f1 of the algebraic-kind sub-problem of the f2 amplitude
     of :func:`problem.make_f1_f2`, and log g(a) times the first solve.  So
-    for a problem on [0, 1], :func:`oscquad.boundary.levin_value` on the
-    two solves' end data is the value of ``compute``.  (``compute`` reads a
-    problem with a != 1 at x = a t on [0, 1] and takes c = g(a); this
-    function, which refuses a != 1, would take g(1) of a problem mapped
-    onto [0, 1], which is g(a)/a.)
+    :func:`oscquad.boundary.levin_value` on the two solves' end data is the
+    value of ``compute``.
 
     Returns
     -------
     ((c0, q1, diagnostics), (d0, l1, diagnostics))
         As :func:`solve_alg`, each with its own ``residual_norm``.
     """
-    L, data, scale, gprime, _ = _physical_operator(_on_unit(spec), spec.g_end(), n)
-    return tuple(_problem_solves(L, data, scale, gprime))
+    L, data, scale, gprime, _ = _physical_operator(spec, spec.g_end(), n)
+    return tuple(_problem_solves(L, data, scale, gprime, spec.a))
 
 
 def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
@@ -392,7 +379,8 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         q1^[k]  = (Phi^[k] - c0^[k]) / g,
 
     where D is the grid's spectral differentiation and Phi(0) comes from
-    collocating the recursion at the origin (q1(0) by extrapolation).
+    collocating the recursion at the origin (q1(0) by extrapolation), on
+    :func:`assemble_L`'s system in t at frequency w a; c0 comes times a.
 
     Parameters
     ----------
@@ -416,7 +404,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
     gx, gp = _physical_table(spec.oscillator, spec.a, grid.n)[:2]
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
-    w = spec.w
+    w = spec.w * spec.a
     f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
     q1 = np.zeros(gx.size, dtype=complex)
@@ -425,5 +413,5 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
         phi = (f1x - gx * (grid.diff @ q1) - (1.0 + alpha) * gpx * q1) / (1j * w * gpx)
         c0 = (f10 - (1.0 + alpha) * gp0 * complex(np.dot(r, q1))) / (1j * w * gp0)
         q1 = (phi - c0) / gx
-        out.append((complex(c0), q1.copy()))
+        out.append((complex(c0) * spec.a, q1.copy()))
     return out

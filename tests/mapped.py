@@ -1,5 +1,5 @@
-"""A problem on [0, a] mapped onto [0, 1] by x = a t, for tests of the
-public solvers, which take a problem on [0, 1] only.
+"""A problem on [0, a] mapped onto [0, 1] by x = a t, for tests that hold
+a route or a public solver on [0, a] against the same on [0, 1].
 
 The Levin routes read f and g of a problem on [0, a] at x = a t; the
 problem built here reads them so too, so a route on it gives the bits of

@@ -442,6 +442,33 @@ def test_pairwise_sum_meets_fsum(size):
     assert abs(oscquad.baselines._pairwise_sum(zero)) <= 1e-30
 
 
+def _table_problem(e):
+    # The problem of an exact-table entry: a built-in, or the f, g, a and
+    # kind that the entry carries.
+    if "problem" in e:
+        return builtin_problem(e["problem"], e["alpha"], e["w"])
+    kind = SingKind.ALGEBRAIC_LOG if e["log_kind"] else SingKind.ALGEBRAIC
+    return build_problem(Amplitude.from_poly(e["f"]), Oscillator.from_poly(e["g"]),
+                         a=e["a"], alpha=e["alpha"], kind=kind, w=e["w"])
+
+
+def _table_bound(spec, exact):
+    # test_meets_every_exact_table's bound: 1e-12 |Q| plus 3e-18 of the
+    # integral of |f x^alpha [log x]|.
+    modulus = graded_integral(lambda x: np.abs(_weighted(spec, x)), spec.a, spec.alpha).real
+    return 1e-12 * abs(exact) + 3e-18 * modulus
+
+
+def _expm1_oscillator():
+    # g(x) = e^x - 1 through its series hook, with no coefficients.
+    def series(xs, m):
+        out = np.exp(xs)[:, None] / oscquad.problem._factorials(m)
+        out[:, 0] = np.expm1(xs)
+        return out
+
+    return Oscillator(value=lambda x: np.expm1(np.asarray(x, dtype=float)), series_fn=series)
+
+
 class TestReferenceOracle:
     def test_depth_doubling_stability(self):
         spec = builtin_problem("ex51", 0.5, 10.0)
@@ -461,7 +488,7 @@ class TestReferenceOracle:
             assert abs(v1 - v2) <= 1e-11 * max(abs(v1), 1e-3)
 
     def test_meets_every_exact_table(self):
-        # Every 40-digit value the oracle takes, |w| g(a) <= the cap (232
+        # Every 40-digit value the oracle takes, |w| g(a) <= the cap (250
         # entries): within 1e-12 relative, plus 3e-18 of the integral of
         # |f x^alpha [log x]| for the values that lie six decades below it.
         # There the float64 rounding of some 1.3e4 sub-panel values, each
@@ -470,35 +497,37 @@ class TestReferenceOracle:
         # 1.6e-12 and 2.6e-12, 1.5e-18 of that integral, with other orders of
         # the same roundings), and the rule itself, summed in 30 digits,
         # 2e-14.  The rule in x was 4.7e-10 off on ex51 at w = 1e4 and 1.5e-8
-        # on ex53b there.
-        # The short-interval table holds (1 - x) x^alpha [log x]
-        # e^{iw(x + x^2)} on [0, a], the others the built-ins.
+        # on ex53b there.  Each entry names a built-in or carries its f, g,
+        # a and kind.
         count = 0
         for path in sorted((Path(__file__).parent / "data").glob("*_exact.json")):
             for e in json.loads(path.read_text())["entries"]:
-                if "problem" in e:
-                    spec = builtin_problem(e["problem"], e["alpha"], e["w"])
-                else:
-                    kind = SingKind.ALGEBRAIC_LOG if e["log_kind"] else SingKind.ALGEBRAIC
-                    spec = build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 1.0]),
-                                         a=e["a"], alpha=e["alpha"], kind=kind, w=e["w"])
+                spec = _table_problem(e)
                 if abs(spec.w) * spec.g_end() > ORACLE_PHASE_CAP:
                     continue
                 exact = complex(float(e["re"]), float(e["im"]))
-                modulus = graded_integral(lambda x: np.abs(_weighted(spec, x)), spec.a, spec.alpha).real
                 got = reference_oracle(spec)
-                assert abs(got - exact) <= 1e-12 * abs(exact) + 3e-18 * modulus, (path.stem, e)
+                assert abs(got - exact) <= _table_bound(spec, exact), (path.stem, e)
                 count += 1
-        assert count == 232
+        assert count == 250
 
-    def test_cubic_oscillator_keeps_the_rule_in_x(self):
-        # Only a polynomial g of degree <= 2 is integrated in u = g(x); any
-        # other g gets graded_integral of the integrand, bit for bit.
-        spec = build_problem(Amplitude.from_poly([1.0, -1.0]), Oscillator.from_poly([0.0, 1.0, 0.5, 0.25]),
-                             a=1.0, alpha=-0.5, kind=SingKind.ALGEBRAIC_LOG, w=300.0)
-        expected = graded_integral(lambda x: integrand(spec, x), spec.a, spec.alpha,
-                                   osc_rate=_oracle_rate(spec)) * spec.phase_shift
-        assert reference_oracle(spec) == expected
+    def test_every_accepted_g_is_integrated_in_u(self, monkeypatch):
+        # A cubic g and g = e^x - 1 take the rule in u = g(x) as every other
+        # g does: no call reaches graded_integral, the rule in x.  The cubic
+        # g's values meet the exact table's bound.
+        entries = json.loads((Path(__file__).parent / "data" / "cubic_exact.json").read_text())["entries"]
+        cubic = [(_table_problem(e), complex(float(e["re"]), float(e["im"])))
+                 for e in entries if e["w"] == 1e3 and e["alpha"] == 0.9]
+        bounds = [_table_bound(spec, exact) for spec, exact in cubic]
+        expm1 = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), _expm1_oscillator(), a=1.0, alpha=0.5,
+                              kind=SingKind.ALGEBRAIC, w=300.0)
+        calls = []
+        monkeypatch.setattr(oscquad.baselines, "graded_integral", lambda *args, **kw: calls.append(args))
+        assert len(cubic) == 2
+        for (spec, exact), bound in zip(cubic, bounds):
+            assert abs(reference_oracle(spec) - exact) <= bound
+        assert np.isfinite(reference_oracle(expm1))
+        assert calls == []
 
     def test_evaluation_blocks_are_bounded(self):
         # At the phase cap, the amplitude is called on blocks of at most

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -23,6 +24,7 @@ from oscquad.problem import builtin_problem
 from oscquad.quadrature import Method, compute
 
 _COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
+DATA = Path(__file__).parent / "data"
 
 
 def parse_csv(text: str) -> list:
@@ -188,7 +190,7 @@ class TestEval:
     ])
     def test_non_finite_or_extreme_argument_exit_2(self, argv):
         # A non-finite w or a is refused by build_problem; an a at which
-        # w a overflows is refused when the problem is mapped onto [0, 1];
+        # w a overflows is refused by both Levin routes, which read it in t;
         # a g coefficient with an imaginary part makes a bad coefficient
         # list rather than being cut to its real part.
         with np.errstate(all="ignore"):
@@ -355,6 +357,22 @@ class TestCompare:
         recs = parse_csv(out)
         oracle = next(r for r in recs if r.method == "oracle")
         assert oracle.rel_err <= 1e-13
+
+    def test_compare_cubic_g_against_the_oracle(self):
+        # |w| g(a) = 1.8e3 on the cubic-g table's problem: the oracle, now in
+        # u = g(x) for every g, is the reference, and the Levin row is within
+        # 1e-12 of the 40-digit value.
+        code, out, err = run(
+            ["compare", "--g-poly", "0,1,0.5,0.3", "--f-poly", "1,-0.5,0.25",
+             "--alpha", "0.5", "--w", "1000", "--n", "24"]
+        )
+        assert code == 0
+        assert "# ref_kind=oracle" in err
+        entry = next(e for e in json.loads((DATA / "cubic_exact.json").read_text())["entries"]
+                     if (e["log_kind"], e["alpha"], e["w"]) == (False, 0.5, 1e3))
+        exact = complex(float(entry["re"]), float(entry["im"]))
+        levin = next(r for r in parse_csv(out) if r.method == "levin-physical")
+        assert abs(complex(levin.value_re, levin.value_im) - exact) <= 1e-12 * abs(exact)
 
     def test_compare_high_w_self_reference(self):
         # A cubic g is outside NSD's scope, so above the oracle's phase cap

@@ -186,11 +186,11 @@ class TestLevinValue:
         assert at_end == ["g_end", "deriv1"]
 
 
-def _a_half(kind, w):
-    # f = 1 + 0.2 x, g = x + 2 x^2 on [0, 1/2]: a != 1, and g(a) = 1 while
-    # the problem mapped onto [0, 1] has g(1) = 2.
+def _on_zero_to(a, kind, w):
+    # f = 1 + 0.2 x, g = x + 2 x^2 on [0, a]: at a = 1/2, g(a) = 1 while the
+    # problem mapped onto [0, 1] has g(1) = 2; at a = 1.7, g(a) = 7.48.
     return build_problem(Amplitude.from_poly([1.0, 0.2]), Oscillator.from_poly([0.0, 1.0, 2.0]),
-                         a=0.5, alpha=0.5, kind=kind, w=w)
+                         a=a, alpha=0.5, kind=kind, w=w)
 
 
 PIECES_SPECS = {
@@ -198,36 +198,35 @@ PIECES_SPECS = {
     "ex52": lambda w: builtin_problem("ex52", 0.5, w),
     # g(1) = 2, so f21's log g(a) term is not zero.
     "ex53b": lambda w: builtin_problem("ex53b", 0.5, w),
-    "alg-a-half": lambda w: _a_half(SingKind.ALGEBRAIC, w),
-    "log-a-half": lambda w: _a_half(SingKind.ALGEBRAIC_LOG, w),
+    "alg-a-half": lambda w: _on_zero_to(0.5, SingKind.ALGEBRAIC, w),
+    "log-a-half": lambda w: _on_zero_to(0.5, SingKind.ALGEBRAIC_LOG, w),
+    # w / a: the operators run at the frequency w a = w of the other specs.
+    "alg-a-1.7": lambda w: _on_zero_to(1.7, SingKind.ALGEBRAIC, w / 1.7),
+    "log-a-1.7": lambda w: _on_zero_to(1.7, SingKind.ALGEBRAIC_LOG, w / 1.7),
 }
 
 
 def _public_solves(spec, method, n, s):
     # The solves of a Levin call on ``spec`` by the public pieces, each as
     # (c0, q1, diagnostics), and the route's tuple for ``spec`` with the
-    # call's amplitudes.  The public solvers take a problem on [0, 1], so
-    # they are given ``spec`` mapped onto it (tests/mapped.py), on which
-    # the route gives the same bits.  The call's f21 takes c = g(a) of
-    # ``spec``, and solve_log takes g(1) of the problem it is given, which
-    # for the mapped problem is g(a)/a: solve_log serves a problem on
-    # [0, 1].  Elsewhere in the logarithmic kind, and on the frequency
-    # route, which has no public piece for it, the two solves are
-    # tsvd_solve's on the route's matrix, row scale and g' data.
-    unit = mapped_onto_unit(spec)
+    # call's amplitudes.  The public solvers take ``spec`` on [0, a] as
+    # compute does, and give its c0 (the solves' c0 times a).  On the
+    # frequency route's logarithmic kind, which has no public piece, the
+    # two solves are tsvd_solve's on the route's matrix, row scale and g'
+    # data, with c0 scaled here.
     if method is Method.LEVIN_PHYSICAL:
         route = oscquad.levin._physical_operator(spec, spec.g_end(), n)
     else:
         route = oscquad.filon._freq_operator(spec, spec.g_end(), n, s)
-    if unit.kind is SingKind.ALGEBRAIC:
-        return [solve_alg(unit, n) if method is Method.LEVIN_PHYSICAL else solve_freq(unit, n, s)], route
-    if method is Method.LEVIN_PHYSICAL and spec.a == 1.0:
-        return list(solve_log(unit, n)), route
+    if spec.kind is SingKind.ALGEBRAIC:
+        return [solve_alg(spec, n) if method is Method.LEVIN_PHYSICAL else solve_freq(spec, n, s)], route
+    if method is Method.LEVIN_PHYSICAL:
+        return list(solve_log(spec, n)), route
     L, (f1, f21), scale, gprime, _ = route
     rhs = (lambda values: values) if scale is None else (lambda values: values / scale)
     x, first = tsvd_solve(L, rhs(f1))
     y, second = tsvd_solve(L, rhs(f21 - _q1_gprime(gprime, x[1:])))
-    return [(complex(x[0]), x[1:], first), (complex(y[0]), y[1:], second)], route
+    return [(complex(x[0]) * spec.a, x[1:], first), (complex(y[0]) * spec.a, y[1:], second)], route
 
 
 def _q1_gprime(gprime, q1):
@@ -252,9 +251,9 @@ def _f1_end(unit, method, n, s):
 
 def _end_data(spec, method, n, s, sols, route):
     # The end data at x = a of the solve whose q(a) is read, and the first
-    # solve's c0 for the logarithmic kind: c0 times a and q1'(1) divided by
-    # a, and the right-hand side at t = 1 read off the node data at the last
-    # node, whose f1 is f1(1) computed apart.
+    # solve's c0 for the logarithmic kind: c0 as the pieces give it, q1'(1)
+    # divided by a, and the right-hand side at t = 1 read off the node data
+    # at the last node, whose f1 is f1(1) computed apart.
     _, data, _, gprime, (q1_row, slope, _) = route
     end_node = -1 if method is Method.LEVIN_PHYSICAL else -(s + 1)
     assert complex(data[0][end_node]) == _f1_end(mapped_onto_unit(spec), method, n, s)
@@ -264,15 +263,15 @@ def _end_data(spec, method, n, s, sols, route):
     dq1, dq1_size = complex(slope @ q1), float(np.abs(slope) @ np.abs(q1))
     a = spec.a
     if a != 1.0:
-        c0, dq1, dq1_size = c0 * a, dq1 / a, dq1_size / a
-        first_c0 = None if first_c0 is None else first_c0 * a
+        dq1, dq1_size = dq1 / a, dq1_size / a
     q1_end = q1[-1] if method is Method.LEVIN_PHYSICAL else q1_row @ q1
     return (c0, complex(q1_end), dq1, dq1_size, complex(values[end_node])), first_c0
 
 
 class TestComputeFromPublicPieces:
     """A Levin call equals, bit for bit, its solves by the public pieces,
-    their end data and levin_value, g(a) = 2 (ex53b) included."""
+    their end data and levin_value, g(a) = 2 (ex53b) and a = 0.5, 1.7
+    included."""
 
     @pytest.mark.parametrize("w, factor_kind", [(1.0, "tsvd"), (200.0, "lu")])
     @pytest.mark.parametrize("method, n, s", [(Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 14, 2)])

@@ -107,6 +107,20 @@ def test_quadratic_table_guard():
         assert float(abs(value - table) / abs(table)) <= 1e-20
 
 
+def test_cubic_table_guard():
+    # Two entries of the cubic-g table, whose paths Newton's method follows,
+    # recomputed in 40-digit arithmetic on the cross-check path angle.
+    pytest.importorskip("mpmath")
+    gen = _generator()
+    for log_kind, alpha, w in ((False, -0.5, 1e3), (True, 0.9, 1e4)):
+        entry = next(e for e in _entries("cubic_exact.json")
+                     if (e["log_kind"], e["alpha"], e["w"]) == (log_kind, alpha, w))
+        value = gen.poly_value(entry["f"], entry["g"], entry["a"], alpha, w, log_kind, gen.CHECK_ANGLE)
+        with gen.mp.workdps(gen.DPS):
+            table = gen.mp.mpc(entry["re"], entry["im"])
+            assert float(abs(value - table) / abs(table)) <= 1e-20, (log_kind, alpha, w)
+
+
 @pytest.mark.parametrize("table, pid, alpha, log10_w", [
     ("criterion3_exact.json", "ex52", -0.5, 3.0), ("quadratic_exact.json", "ex53b", 0.5, 2.0),
 ])

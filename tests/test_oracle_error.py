@@ -17,6 +17,7 @@ def test_prints_each_table_and_the_total():
     total = re.fullmatch(r"oracle over (\d+) exact-table entries: worst relative error (\S+); "
                          r"total time (\S+) ms \(best of 1\)", lines[-1])
     assert total is not None, lines[-1]
-    assert int(total.group(1)) == 232
+    assert int(total.group(1)) == 250
+    assert all(re.search(r"; time \S+ ms$", line) for line in lines[:-1])
     worst = max(float(re.search(r"worst relative error (\S+)", line).group(1)) for line in lines[:-1])
     assert float(total.group(2)) == worst

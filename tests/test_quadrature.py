@@ -346,18 +346,22 @@ class TestShortIntervals:
             for method, n, s in ((Method.LEVIN_PHYSICAL, 24, 0), (Method.LEVIN_FREQ, 20, 2)):
                 assert abs(compute(spec, method, n, s).value - ref) <= 1e-10 * abs(ref), (method, kind)
 
-    def test_solvers_refuse_a_not_one(self):
-        # The solvers below the rules work on [0, 1] only.
+    def test_solvers_take_zero_to_a(self):
+        # The solvers below the rules read a problem on [0, a] at x = a t, as
+        # compute does: the system of the problem mapped onto [0, 1], bit for
+        # bit, and c0 times a.  (The log kind's second solve takes compute's
+        # g(a); tests/test_boundary.py's public pieces give compute's value.)
         spec = _short_interval_spec(0.5, 0.5, SingKind.ALGEBRAIC_LOG)
-        calls = [lambda: assemble_L(spec, radau_grid(8)), lambda: solve_alg(spec, 8),
-                 lambda: solve_log(spec, 8), lambda: picard_iterate(spec, radau_grid(8), 2),
-                 lambda: solve_freq(spec, 8, 1)]
-        for call in calls:
-            with pytest.raises(ParameterError, match="work on \\[0, 1\\]"):
-                call()
         unit = mapped_onto_unit(spec)
         assert unit.a == 1.0 and unit.w == 50.0
-        assert np.isfinite(solve_alg(unit, 8)[0]) and np.isfinite(solve_freq(unit, 8, 1)[0])
+        grid = radau_grid(8)
+        for got, want in zip(assemble_L(spec, grid), assemble_L(unit, grid)):
+            assert got.tobytes() == want.tobytes()
+        pairs = [(solve_alg(spec, 8), solve_alg(unit, 8)), (solve_log(spec, 8)[0], solve_alg(unit, 8)),
+                 (solve_freq(spec, 8, 1), solve_freq(unit, 8, 1)),
+                 *zip(picard_iterate(spec, grid, 2), picard_iterate(unit, grid, 2))]
+        for (c0, q1, *_), (unit_c0, unit_q1, *_) in pairs:
+            assert c0 == unit_c0 * 0.5 and q1.tobytes() == unit_q1.tobytes()
 
 
 class TestIntegerParameters:

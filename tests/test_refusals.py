@@ -9,10 +9,10 @@ import pytest
 from oscquad import Method, compute, radau_grid
 from oscquad._series import poly_taylor
 from oscquad.benchcli import run_command
-from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre
+from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre, reference_oracle
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
 from oscquad.errors import CapabilityError, DegenerateSystemError, InvalidOscillatorError, ParameterError
-from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon
+from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon, solve_freq
 from oscquad.levin import assemble_L, picard_iterate
 from oscquad.numkernel import KernelDiag, Strategy, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
 from oscquad.problem import (
@@ -42,6 +42,12 @@ def _on(oscillator):
 def _spec_with_g(coeffs):
     # A problem with g as given, built without build_problem's checks.
     return ProblemSpec(Amplitude.from_poly([1.0]), Oscillator.from_poly(coeffs), 1.0, 0.5, SingKind.ALGEBRAIC, 10.0)
+
+
+def _overflowing_w_a():
+    # w = 1e300 on [0, 1e10]: finite w and a whose product w a overflows.
+    return build_problem(Amplitude.from_poly([1.0]), Oscillator.from_poly([0.0, 1.0]), a=1e10, alpha=0.5,
+                         kind=SingKind.ALGEBRAIC, w=1e300)
 
 
 # Problems whose normalised g is not beta x: the two quadratic built-ins,
@@ -143,6 +149,12 @@ CASES = [
     pytest.param(lambda: compute(_spec_with_g([0.0, 0.0, 1.0]), Method.LEVIN_FREQ, 8, 1), InvalidOscillatorError, "g'(0) must be positive", id="compute-levin-freq-slope-zero-at-0"),
     pytest.param(lambda: compute(_spec_with_g([0.0, -1.0, 3.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-negative-at-0"),
     pytest.param(lambda: compute(_spec_with_g([0.0, 0.0, 1.0]), Method.LEVIN_PHYSICAL, 8, 0), InvalidOscillatorError, "g' must be positive at all collocation nodes", id="compute-levin-physical-slope-zero-at-0"),
+    # g = x - 0.8 x^2 decreases on (0.625, 1]: the oracle's inverse of g
+    # refuses it rather than integrate a NaN.
+    pytest.param(lambda: reference_oracle(_spec_with_g([0.0, 1.0, -0.8])), InvalidOscillatorError, "increases from g(0) = 0", id="reference_oracle-g-decreasing-on-part"),
+    # w a overflows: the public solvers on [0, a] refuse it as compute does.
+    pytest.param(lambda: solve_freq(_overflowing_w_a(), 8, 1), ParameterError, "overflows", id="solve_freq-w-a-overflows"),
+    pytest.param(lambda: picard_iterate(_overflowing_w_a(), radau_grid(8), 1), ParameterError, "overflows", id="picard_iterate-w-a-overflows"),
     pytest.param(lambda: KernelDiag(Strategy.SERIES, 0, 0.0), ParameterError, "invalid kernel diagnostics", id="KernelDiag-terms0"),
     pytest.param(lambda: compute(SPEC, Method.FILON, 30, 5), DegenerateSystemError, "Hermite interpolation conditions violated", id="compute-filon-hermite-conditions-violated"),
     pytest.param(lambda: _eval_exit("--problem", "ex51", "--alpha", "0.5", "--w", "100", "--n", "30", "--s", "5", "--method", "filon"), SystemExit, "4: accuracy error: Hermite interpolation conditions violated", id="cli-filon-hermite-conditions-violated-exit-4"),
