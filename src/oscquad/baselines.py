@@ -73,9 +73,6 @@ _NSD_TILT = 0.1
 # the fastest of the powers of two from 64 to 2048; 2048 took 15-40% longer
 # above |w| g(a) = 300.  Every power of two tried gave the same bits.
 _BLOCK_SUBPANELS = 128
-# _inverse's Newton steps from the chord: a third step moved the cubic
-# table's errors from 0.53 to 0.51 of the tests' bound, for 17% more time.
-_NEWTON_STEPS = 2
 
 
 @kept
@@ -104,8 +101,7 @@ def gauss_legendre(f, a: float, b: float, m: int) -> complex:
         raise ParameterError("m must be at least 1")
     _check_limits(a, b)
     xg, wg = _legendre_rule(m)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = np.asarray(f(mid + half * xg), dtype=complex)
     return complex(half * np.dot(wg, vals))
 
@@ -143,8 +139,7 @@ def exponential_moments(theta, count: int) -> np.ndarray:
     if big.any():
         t = theta[big]
         it = 1j * t
-        ep = np.exp(it)
-        em = np.exp(-it)
+        ep, em = np.exp(it), np.exp(-it)
         mk = (ep - em) / it
         out[big, 0] = mk
         for k in range(1, count):
@@ -176,8 +171,7 @@ def _cmf_panels(amp, w_eff: float, edges: np.ndarray, m: int) -> np.ndarray:
     # Chebyshev points) and integrate the degree-m interpolant against
     # e^{i w_eff x} exactly via the exponential moments of all panels.
     xi, vinv_t = _cheb_interp_setup(m + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * xi[None, :]
     vals = np.asarray(amp(pts.ravel()), dtype=complex).reshape(pts.shape)
     coeffs = vals @ vinv_t
@@ -272,10 +266,8 @@ def cmfp(spec: ProblemSpec, n1: int) -> QuadratureResult:
     if s >= 2:
         xg, wgl = _legendre_rule(m1)
         grading = (np.arange(s + 1, dtype=float) / s) ** p
-        lo = grading[1:-1]
-        hi = grading[2:]
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
+        lo, hi = grading[1:-1], grading[2:]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         pts = mid[:, None] + half[:, None] * xg[None, :]
         vals = integrand(spec, lam * pts.ravel()).reshape(pts.shape)
         per_panel = half * (vals @ wgl)
@@ -459,7 +451,8 @@ def _unit_phases(phase: np.ndarray) -> np.ndarray:
 def _inverse(spec: ProblemSpec):
     # u -> (x(u), g'(x(u))) on [0, g(a)], on arrays: _path_slope's closed
     # form for g = g1 x + g2 x^2 with g' > 0 on [0, a], else Newton's method
-    # from g's chord on 257 samples, which must increase from g(0) = 0.
+    # from g's chord on 8193 samples (most blocks settle at the second step),
+    # which must increase from g(0) = 0, to steps within 4 eps (x + u / g').
     osc = spec.oscillator
     c = [] if osc.poly is None else osc.poly.tolist() + [0.0, 0.0]
     if c and c[0] == 0.0 and not any(c[3:]) and c[1] > 0.0 and c[1] + 2.0 * c[2] * spec.a > 0.0:
@@ -470,21 +463,25 @@ def _inverse(spec: ProblemSpec):
             return u * s, r
 
         return closed
-    xs = np.linspace(0.0, spec.a, 257)
+    xs = np.linspace(0.0, spec.a, 8193)
     gs = np.asarray(osc.value(xs), dtype=float)
     if not (gs[0] == 0.0 and (np.diff(gs) > 0.0).all()):
         raise InvalidOscillatorError(f"the oracle needs a g that increases from g(0) = 0 on [0, {spec.a!r}]")
 
     def newton(u):
         x = np.interp(u, gs, xs)
-        for _ in range(_NEWTON_STEPS):
-            x = x - (osc.value(x) - u) / osc.deriv1(x)
-        return x, osc.deriv1(x)
+        for _ in range(60):
+            g, gp = (osc.value(x), osc.deriv1(x)) if c else osc.series_at(x, 2).T
+            step = (g - u) / gp
+            if (np.abs(step) <= 2.0**-50 * (x + u / gp)).all():
+                return x - step, gp
+            x = x - step
+        raise AccuracyError(f"the oracle's Newton inverse of g did not settle to 4 eps on [0, {spec.a!r}]")
 
     return newton
 
 
-def _phase_integral(spec: ProblemSpec, inverse) -> complex:
+def _phase_integral(spec: ProblemSpec) -> complex:
     # reference_oracle's rule in u = g(x), x(u) and g'(x(u)) by _inverse:
     # graded_integral's at its defaults (24 nodes, a quarter period per
     # sub-panel, 120 halvings, the closed-form tail) on the panels
@@ -522,6 +519,7 @@ def _phase_integral(spec: ProblemSpec, inverse) -> complex:
     left = np.concatenate((left[shared], left[~shared]))
     half = np.concatenate((half[shared], half[~shared]))
     row = wgl * np.exp(1j * w * (0.5 * h_cap * one_xi))
+    inverse = _inverse(spec)
     own_rows = wgl * _unit_phases(w * (half[n_shared:, None] * one_xi))
 
     def amplitude(u):
@@ -560,20 +558,22 @@ def reference_oracle(spec: ProblemSpec) -> complex:
     oscillation is one exact phase at its left edge times one row of node
     phases shared by all equal sub-panels, so no rounding of w g(x)
     enters.  x(u) is in closed form for a polynomial g of degree <= 2
-    (every built-in g); any other g is inverted by 2 Newton steps from its
-    chord on 257 samples of [0, a].  Against the 250 values of the 40-digit
-    tables of ``tests/data`` with |w| g(a) <= the cap its relative error is
-    3.8e-15 on ex51 at alpha = 0.5 and w = 100, 1.9e-14 at 1e3 and 3.6e-13
-    at 1e4, 8.6e-15 on ex53a at w = 1e4 (|w| g(a) = 2e4, the cap), 6e-14 on
-    the cubic g's table for w <= 1e3, and at most 1.6e-12, on ex53b at
-    alpha = 0.99 and w = 1e4.  The rounding of some 1.3e4 float64
-    sub-panel values keeps the absolute error near 1e-18 times the integral
-    of |F|, so the relative error grows where the value lies far below that
-    integral: six decades there, and 3.9e-11 against NSD on ex51 at
-    alpha = 0.9, w = 2e4.  Refuses |w| g(a) beyond the phase cap, where the
-    panel count grows further, and (InvalidOscillatorError) a g that does
-    not increase from g(0) = 0 on [0, a], which ``build_problem`` never
-    returns.
+    (every built-in g); any other g is inverted by Newton's method from its
+    chord on 8193 samples of [0, a], to 4 eps.  Against the 250 values of
+    the 40-digit tables of ``tests/data`` with |w| g(a) <= the cap its
+    relative error is 3.8e-15 on ex51 at alpha = 0.5 and w = 100, 1.9e-14
+    at 1e3 and 3.6e-13 at 1e4, 8.6e-15 on ex53a at w = 1e4 (|w| g(a) = 2e4,
+    the cap), 1.2e-13 on the cubic g's table for w <= 1e3, and at most
+    1.8e-12, on its log kind at alpha = 0.9 and w = 1e4 (1.6e-12 on ex53b
+    at alpha = 0.99 and w = 1e4).  The rounding of some 1.3e4 float64
+    sub-panel values keeps the absolute error near 1e-18 times the
+    integral of |F|, so the relative error grows where the value lies far
+    below that integral: six decades there, and 3.9e-11 against NSD on
+    ex51 at alpha = 0.9, w = 2e4.  Refuses |w| g(a) beyond the phase cap,
+    where the panel count grows further, a g that does not increase from
+    g(0) = 0 on [0, a] (InvalidOscillatorError; ``build_problem`` never
+    returns one), and (AccuracyError) a g whose inverse does not settle to
+    4 eps, such as g = e^x, whose shift e^x - 1 rounds to 0 below x = 1e-16.
     """
     phase_range = abs(spec.w) * spec.g_end()
     if phase_range > ORACLE_PHASE_CAP:
@@ -581,7 +581,7 @@ def reference_oracle(spec: ProblemSpec) -> complex:
             f"oracle refuses |w| g(a) = {phase_range:.3g} > {ORACLE_PHASE_CAP:.3g}; "
             "use reference_nsd instead"
         )
-    return complex(_phase_integral(spec, _inverse(spec)) * spec.phase_shift)
+    return complex(_phase_integral(spec) * spec.phase_shift)
 
 
 @kept

@@ -404,7 +404,7 @@ def picard_iterate(spec: ProblemSpec, grid: ChebGrid, k: int):
     gx, gp = _physical_table(spec.oscillator, spec.a, grid.n)[:2]
     gp0, gpx = gp[0], gp[1:]
     alpha = spec.alpha
-    w = spec.w * spec.a
+    w = _w_a(spec)
     f10, f1x = f1[0], f1[1:]
     r = grid.origin_weights
     q1 = np.zeros(gx.size, dtype=complex)

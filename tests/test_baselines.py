@@ -469,6 +469,31 @@ def _expm1_oscillator():
     return Oscillator(value=lambda x: np.expm1(np.asarray(x, dtype=float)), series_fn=series)
 
 
+# 32-digit values of int_0^1 (1 - x/2 + x^2/4) x^alpha [log x] e^{iwg(x)} dx
+# as (g, log kind, alpha, w, value).  For g = e^x - 1 by the two
+# steepest-descent paths from c = 0 and c = 1, x = log(e^c + e^{i theta}
+# s / w), in 40-digit mpmath quad, at theta = pi/2 and pi/3 (which agree to
+# 3e-22); for g = x^3 + 1e-3 x and x^3 + 1e-6 x, whose g'(0) is small, by
+# tests/data/make_exact.py's poly_value at CHECK_ANGLE and at pi/4 (which
+# agree to 3e-34).
+_PINNED = [
+    ("expm1", False, 0.5, 300.0, complex(1.193383876365849798731144522136e-4, -7.6649257007929949543142128749098e-4)),
+    ("expm1", True, -0.5, 300.0, complex(-0.66901975538869813204051174603013, -0.4401094391207212647848715922725)),
+    ((0.0, 1e-3, 0.0, 1.0), False, 0.5, 1e3,
+     complex(0.012189194659493016007426401568855, 0.013032276238802229282712635200269)),
+    ((0.0, 1e-3, 0.0, 1.0), True, -0.5, 1e3,
+     complex(-2.5266397593397691047403773507077, -0.40201136488181839177293651726989)),
+    ((0.0, 1e-6, 0.0, 1.0), False, 0.5, 1e3,
+     complex(0.013256472326386436074064023585192, 0.012519881688069215500796270898746)),
+]
+
+
+def _pinned_problem(g, log_kind, alpha, w):
+    osc = _expm1_oscillator() if g == "expm1" else Oscillator.from_poly(list(g))
+    return build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), osc, a=1.0, alpha=alpha,
+                         kind=SingKind.ALGEBRAIC_LOG if log_kind else SingKind.ALGEBRAIC, w=w)
+
+
 class TestReferenceOracle:
     def test_depth_doubling_stability(self):
         spec = builtin_problem("ex51", 0.5, 10.0)
@@ -513,21 +538,42 @@ class TestReferenceOracle:
 
     def test_every_accepted_g_is_integrated_in_u(self, monkeypatch):
         # A cubic g and g = e^x - 1 take the rule in u = g(x) as every other
-        # g does: no call reaches graded_integral, the rule in x.  The cubic
-        # g's values meet the exact table's bound.
+        # g does: no call reaches graded_integral, the rule in x.  Their
+        # values meet the exact table's bound.
         entries = json.loads((Path(__file__).parent / "data" / "cubic_exact.json").read_text())["entries"]
-        cubic = [(_table_problem(e), complex(float(e["re"]), float(e["im"])))
+        cases = [(_table_problem(e), complex(float(e["re"]), float(e["im"])))
                  for e in entries if e["w"] == 1e3 and e["alpha"] == 0.9]
-        bounds = [_table_bound(spec, exact) for spec, exact in cubic]
-        expm1 = build_problem(Amplitude.from_poly([1.0, -0.5, 0.25]), _expm1_oscillator(), a=1.0, alpha=0.5,
-                              kind=SingKind.ALGEBRAIC, w=300.0)
+        cases += [(_pinned_problem(*p[:4]), p[4]) for p in _PINNED if p[0] == "expm1"]
+        bounds = [_table_bound(spec, exact) for spec, exact in cases]
         calls = []
         monkeypatch.setattr(oscquad.baselines, "graded_integral", lambda *args, **kw: calls.append(args))
-        assert len(cubic) == 2
-        for (spec, exact), bound in zip(cubic, bounds):
+        assert len(cases) == 4
+        for (spec, exact), bound in zip(cases, bounds):
             assert abs(reference_oracle(spec) - exact) <= bound
-        assert np.isfinite(reference_oracle(expm1))
         assert calls == []
+
+    @pytest.mark.parametrize("g", [(0.0, 1e-6, 0.0, 1.0), (0.0, 1e-3, 0.0, 1.0), (0.0, 1.0, 0.5, 0.3)])
+    def test_newton_inverse_settles_to_rounding(self, g):
+        # x(u) and g'(x(u)) within 4 eps of the 40-digit root of g(x) = u,
+        # down to u = 1e-30 g(a).  A g'(0) of 1e-6 makes g nearly x^3 from
+        # x = 1e-3 up, where Newton's method from the chord converges
+        # linearly at first: 2 fixed steps left x 10% off at u = 1e-9.
+        spec = _pinned_problem(g, False, 0.5, 10.0)
+        u = np.append(np.logspace(-30, 0, 31) * spec.g_end(), [1e-9, spec.g_end()])
+        x, gp = oscquad.baselines._inverse(spec)(u)
+        for ui, xi, gi in zip(u, x, gp):
+            root = mp.findroot(lambda t: mp.polyval([mp.mpf(c) for c in g[::-1]], t) - mp.mpf(ui), mp.mpf(xi))
+            slope = mp.polyval([k * mp.mpf(c) for k, c in enumerate(g)][:0:-1], root)
+            assert abs(xi - root) <= 4 * np.finfo(float).eps * root, (ui, xi)
+            assert abs(gi - slope) <= 4 * np.finfo(float).eps * slope, (ui, gi)
+
+    @pytest.mark.parametrize("case", _PINNED, ids=lambda p: f"{p[0]}-{'log' if p[1] else 'alg'}-{p[2]}")
+    def test_meets_pinned_values_off_the_tables(self, case):
+        # g = e^x - 1, which has no coefficients, and cubic g with a small
+        # g'(0), against the 32-digit values of _PINNED, within the exact
+        # tables' bound.
+        spec, exact = _pinned_problem(*case[:4]), case[4]
+        assert abs(reference_oracle(spec) - exact) <= _table_bound(spec, exact)
 
     def test_evaluation_blocks_are_bounded(self):
         # At the phase cap, the amplitude is called on blocks of at most

@@ -11,7 +11,7 @@ from oscquad._series import poly_taylor
 from oscquad.benchcli import run_command
 from oscquad.baselines import cmf_composite, exponential_moments, gauss_legendre, reference_oracle
 from oscquad.cheb import barycentric_weights, lobatto_grid, radau_origin_weights_closed, radau_reference_nodes
-from oscquad.errors import CapabilityError, DegenerateSystemError, InvalidOscillatorError, ParameterError
+from oscquad.errors import AccuracyError, CapabilityError, DegenerateSystemError, InvalidOscillatorError, ParameterError
 from oscquad.filon import build_hermite_data, build_moment_table, hermite_solve, moments_mu, quad_filon, solve_freq
 from oscquad.levin import assemble_L, picard_iterate
 from oscquad.numkernel import KernelDiag, Strategy, hyp2f2_equal, neg_iw_pow, upper_gamma_complex
@@ -152,6 +152,10 @@ CASES = [
     # g = x - 0.8 x^2 decreases on (0.625, 1]: the oracle's inverse of g
     # refuses it rather than integrate a NaN.
     pytest.param(lambda: reference_oracle(_spec_with_g([0.0, 1.0, -0.8])), InvalidOscillatorError, "increases from g(0) = 0", id="reference_oracle-g-decreasing-on-part"),
+    # g = e^x, shifted by build_problem to e^x - 1, which rounds to 0 below
+    # x = 1e-16: the oracle's Newton inverse cannot settle to 4 eps near
+    # u = 0, and refuses rather than return a value off there.
+    pytest.param(lambda: reference_oracle(_on(Oscillator(np.exp, lambda xs, m: np.exp(xs)[:, None] / [1.0, 1.0, 2.0][:m]))), AccuracyError, "did not settle to 4 eps", id="reference_oracle-g-rounds-near-0"),
     # w a overflows: the public solvers on [0, a] refuse it as compute does.
     pytest.param(lambda: solve_freq(_overflowing_w_a(), 8, 1), ParameterError, "overflows", id="solve_freq-w-a-overflows"),
     pytest.param(lambda: picard_iterate(_overflowing_w_a(), radau_grid(8), 1), ParameterError, "overflows", id="picard_iterate-w-a-overflows"),
